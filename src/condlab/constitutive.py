@@ -404,10 +404,16 @@ class MaterialMap:
         return MaterialMap(new)
 
     def with_reg_eps_scale(self, factor: float) -> "MaterialMap":
-        return MaterialMap({
-            lab: (m.with_reg_eps(m.reg_eps * factor)
-                  if hasattr(m, "reg_eps") and not m.is_structural else m)
-            for lab, m in self.models.items()})
+        return MaterialMap({lab: scale_reg_eps(m, factor)
+                            for lab, m in self.models.items()})
+
+
+def scale_reg_eps(model, factor: float):
+    """``model`` with its regularization floor multiplied by ``factor``;
+    laws without a floor and structural markers come back unchanged."""
+    if hasattr(model, "reg_eps") and not model.is_structural:
+        return model.with_reg_eps(model.reg_eps * factor)
+    return model
 
 
 # ---------------------------------------------------------------------------

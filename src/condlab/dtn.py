@@ -18,6 +18,12 @@ reproduces the Dirichlet energy up to quadrature error in alpha; the
 mismatch is reported as ``transfer_residual``.  Gauss-Legendre nodes on
 (0, 1) are solved in ascending order, each warm-started from the previous
 solution scaled by the node ratio.
+
+Every function here that solves or pairs more than once on one (mesh,
+material map) pair compiles a single ``solver.Problem`` for the call and
+hands it to each solve and pairing; it is dropped when the call returns.
+``dtn_pairing`` accepts such a shared problem and builds one when none is
+given.
 """
 from __future__ import annotations
 
@@ -28,15 +34,15 @@ import numpy as np
 
 from .constitutive import MaterialMap
 from .mesh import Mesh
-from .solver import (BoundaryDatum, PotentialField, SolveOptions, _DofMap,
-                     _residual_nodal, harmonic_initial_guess, solve)
+from .solver import (BoundaryDatum, PotentialField, Problem, SolveOptions,
+                     _compiled, harmonic_initial_guess, solve)
 
 
 def dtn_pairing(mesh: Mesh, materials: MaterialMap, fld: PotentialField,
-                phi: BoundaryDatum) -> float:
-    """Pairing of the boundary current of a solved state with a trace."""
-    dof = _DofMap.build(mesh, materials)
-    r = _residual_nodal(mesh, materials, dof, fld.u)
+                phi: BoundaryDatum, problem: Problem | None = None) -> float:
+    """Pairing of the boundary current of a solved state with a trace;
+    ``problem`` is an optional ``Problem(mesh, materials)`` to reuse."""
+    r = _compiled(mesh, materials, problem).residual(fld.u)
     return float(phi.values @ r[phi.node_ids])
 
 
@@ -49,13 +55,13 @@ def dtn_pairing_via_lift(mesh: Mesh, materials: MaterialMap,
     harmonic one.  Any admissible lift (exact trace, constant on each PEC
     component) gives the same value within solver tolerance.
     """
-    dof = _DofMap.build(mesh, materials)
+    problem = Problem(mesh, materials)
     if lift is None:
         u_fix = np.zeros(mesh.n_nodes)
         u_fix[phi.node_ids] = phi.values
-        x = harmonic_initial_guess(mesh, dof, u_fix)
-        lift = u_fix + dof.prolong @ x
-    r = _residual_nodal(mesh, materials, dof, fld.u)
+        x = harmonic_initial_guess(problem, u_fix)
+        lift = u_fix + problem.prolong @ x
+    r = problem.residual(fld.u)
     keep = np.isfinite(lift)
     return float(lift[keep] @ r[keep])
 
@@ -74,9 +80,8 @@ def gauss_on_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _alpha_sweep(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
-                 alphas: np.ndarray, opts: SolveOptions
-                 ) -> list[PotentialField]:
+def _alpha_sweep(problem: Problem, datum: BoundaryDatum, alphas: np.ndarray,
+                 opts: SolveOptions) -> list[PotentialField]:
     """Solve the datum scaled by each alpha (ascending), warm-starting each
     node from the previous solution scaled by the node ratio."""
     fields: list[PotentialField] = []
@@ -86,8 +91,9 @@ def _alpha_sweep(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         guess = None
         if prev_u is not None and prev_alpha not in (None, 0.0):
             guess = prev_u * (alpha / prev_alpha)
-        fld = solve(mesh, materials, datum.scaled(float(alpha)), opts,
-                    initial_guess=guess)
+        fld = solve(problem.mesh, problem.materials,
+                    datum.scaled(float(alpha)), opts, initial_guess=guess,
+                    problem=problem)
         fields.append(fld)
         prev_alpha, prev_u = float(alpha), fld.u
     return fields
@@ -117,13 +123,14 @@ def average_dtn_power(mesh: Mesh, materials: MaterialMap,
     |avg_power - energy| / max(|energy|, tiny) as ``transfer_residual``.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    fields = _alpha_sweep(mesh, materials, datum,
-                          np.concatenate([alphas, [1.0]]), opts)
+    problem = Problem(mesh, materials)
+    fields = _alpha_sweep(problem, datum, np.concatenate([alphas, [1.0]]),
+                          opts)
     full = fields[-1]
-    pairings = np.array([dtn_pairing(mesh, materials, f, datum)
+    pairings = np.array([dtn_pairing(mesh, materials, f, datum, problem)
                          for f in fields[:-1]])
     avg = float(weights @ pairings)
-    power = dtn_pairing(mesh, materials, full, datum)
+    power = dtn_pairing(mesh, materials, full, datum, problem)
     energy = full.info.energy
     residual = abs(avg - energy) / max(abs(energy), 1e-300)
     nodes = tuple((float(a), float(w), float(pr))
@@ -138,8 +145,9 @@ def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
                         opts: SolveOptions = SolveOptions()) -> float:
     """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha."""
     alphas, weights = gauss_on_unit(quad_order)
-    fields = _alpha_sweep(mesh, materials, datum, alphas, opts)
-    pairings = np.array([dtn_pairing(mesh, materials, f, phi)
+    problem = Problem(mesh, materials)
+    fields = _alpha_sweep(problem, datum, alphas, opts)
+    pairings = np.array([dtn_pairing(mesh, materials, f, phi, problem)
                          for f in fields])
     return float(weights @ pairings)
 
@@ -174,13 +182,14 @@ def gateaux_check(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     |(E(f + eps phi) - E(f))/eps - <Lambda(f), phi>|.  For smooth laws the
     residual decreases ~linearly in eps until the solver floor.
     """
-    base = solve(mesh, materials, datum, opts)
-    pairing = dtn_pairing(mesh, materials, base, phi)
+    problem = Problem(mesh, materials)
+    base = solve(mesh, materials, datum, opts, problem=problem)
+    pairing = dtn_pairing(mesh, materials, base, phi, problem)
     rows = []
     quotients = []
     for eps in sorted(eps_list, reverse=True):
         fld = solve(mesh, materials, datum.plus(phi, eps), opts,
-                    initial_guess=base.u)
+                    initial_guess=base.u, problem=problem)
         quotient = (fld.info.energy - base.info.energy) / eps
         quotients.append(abs(quotient))
         rows.append(GateauxRow(float(eps), float(quotient),

@@ -226,23 +226,23 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
     than ``max_free`` unknowns.  None of the Newton/line-search machinery
     is touched; only the energy evaluation is shared.
     """
-    from .solver import _DofMap, _nodal_state, _energy_of  # noqa: deferred
+    from .solver import Problem  # noqa: deferred
 
-    dof = _DofMap.build(mesh, materials)
-    if dof.n_free > max_free:
-        raise OracleError(f"{dof.n_free} unknowns exceed the brute-force "
+    problem = Problem(mesh, materials)
+    if problem.n_free > max_free:
+        raise OracleError(f"{problem.n_free} unknowns exceed the brute-force "
                           f"limit of {max_free}")
     u_fix = np.zeros(mesh.n_nodes)
     u_fix[datum.node_ids] = datum.values
     scale = float(np.max(np.abs(datum.values))) or 1.0
 
     def objective(x: np.ndarray) -> float:
-        return _energy_of(mesh, materials, dof, _nodal_state(dof, u_fix, x))
+        return problem.energy(problem.nodal_state(u_fix, x))
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(dof.n_free)]
+    starts = [np.zeros(problem.n_free)]
     for _ in range(n_restarts):
-        starts.append(rng.uniform(-scale, scale, size=dof.n_free))
+        starts.append(rng.uniform(-scale, scale, size=problem.n_free))
     best_x, best_e = None, np.inf
     for x0 in starts:
         res = optimize.minimize(objective, x0, method="Powell",
@@ -251,5 +251,5 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
                                          "maxfev": 20 * maxiter})
         if res.fun < best_e:
             best_x, best_e = res.x, float(res.fun)
-    u = _nodal_state(dof, u_fix, best_x)
-    return BruteForceResult(u, best_e, dof.n_free)
+    u = problem.nodal_state(u_fix, best_x)
+    return BruteForceResult(u, best_e, problem.n_free)

@@ -15,15 +15,31 @@ of entering the sum:
   one shared unknown; stationarity in that unknown is exactly the zero
   net-interface-flux constraint.
 
+Everything that depends only on the (mesh, material map) pair is compiled
+once into a ``Problem``: the unknown map, the active-triangle slices of the
+mesh arrays, the active triangles grouped by distinct model (equal laws
+under different labels are evaluated in one call), and, on first use, the
+boundary mass and the reduced unit-stiffness matrix of the harmonic start.
+A ``Problem`` holds no per-datum state and lives as long as the call that
+built it; ``solve`` and the pairings in ``dtn`` accept one so that every
+solve and pairing on the same pair shares it, and build their own when
+none is given.  Continuation stages reuse the structure and only swap each
+group's law for its rescaled-floor version.
+
 Newton direction from the symmetrized flux linearization, Armijo
 backtracking on the energy, conjugate-gradient inner solves with diagonal
 preconditioning, and a preconditioned gradient-descent fallback.  Power-law
 floors follow a warm-started continuation schedule that shrinks reg_eps
-tenfold per stage.
+tenfold per stage.  Each solve reports how it stopped (``tol``, ``floor``
+or ``polish``) and logs that reason at debug level.
 """
 from __future__ import annotations
 
+import ast
+import copy
+import functools
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +47,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
-from .constitutive import ConstitutiveError, MaterialMap
+from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import BoundaryMass, Mesh, boundary_mass
 
 logger = logging.getLogger(__name__)
@@ -85,7 +101,8 @@ class DatumTerm:
 
     kinds: "linear-x" (a*x), "linear-y" (a*y), "sin" (a*sin(k*theta)),
     "cos" (a*cos(k*theta)), "exp-x2-2y" (a*exp(x^2 + 2*y)), "expr"
-    (amplitude times a numpy expression in x, y, r, theta).
+    (amplitude times an arithmetic expression in x, y, r, theta and pi
+    over the functions of ``_EXPR_NAMES``).
     """
 
     kind: str
@@ -97,6 +114,30 @@ class DatumTerm:
 _EXPR_NAMES = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
                "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
                "atan2": np.arctan2}
+_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv,
+                ast.Pow: operator.pow}
+
+
+def _eval_expr(node: ast.AST, names: dict):
+    """Evaluate a whitelisted expression tree: the given names, calls of
+    the ``_EXPR_NAMES`` functions, + - * / **, unary minus and numeric
+    literals.  Anything else raises ValueError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        return _EXPR_BINOPS[type(node.op)](_eval_expr(node.left, names),
+                                           _eval_expr(node.right, names))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_expr(node.operand, names)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # float literals keep pure-constant powers from growing huge ints
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords:
+        return _EXPR_NAMES[node.func.id](*[_eval_expr(a, names)
+                                           for a in node.args])
+    raise ValueError(f"expr element not allowed: {ast.unparse(node)!r}")
 
 
 def _term_values(term: DatumTerm, xy: np.ndarray) -> np.ndarray:
@@ -115,9 +156,13 @@ def _term_values(term: DatumTerm, xy: np.ndarray) -> np.ndarray:
     if term.kind == "expr":
         if not term.expr:
             raise ValueError("expr term needs an expression string")
-        ns = {"x": x, "y": y, "r": np.hypot(x, y), "theta": theta,
-              **_EXPR_NAMES}
-        out = eval(term.expr, {"__builtins__": {}}, ns)  # noqa: S307
+        names = {"x": x, "y": y, "r": np.hypot(x, y), "theta": theta,
+                 "pi": np.pi}
+        tree = ast.parse(term.expr, mode="eval")
+        try:
+            out = _eval_expr(tree.body, names)
+        except (ArithmeticError, RecursionError) as exc:
+            raise ValueError(f"expr {term.expr!r}: {exc}") from None
         return term.amplitude * np.broadcast_to(out, x.shape)
     raise ValueError(f"unknown datum term kind {term.kind!r}")
 
@@ -143,26 +188,26 @@ def datum_family(mesh: Mesh,
 
 
 # ---------------------------------------------------------------------------
-# unknown structure
+# compiled problem
 
 _DIRICHLET = -1
 _REMOVED = -2
 
 
-@dataclass
-class _DofMap:
-    """Free-unknown structure: node -> column, prolongation u = u_fix + P x."""
+class Problem:
+    """One (mesh, material map) pair compiled for repeated solves.
 
-    free_of_node: np.ndarray
-    n_free: int
-    prolong: sparse.csr_matrix
-    active_tris: np.ndarray
-    label_groups: dict[int, np.ndarray]
-    label_slots: dict[int, np.ndarray]
-    pec_groups: dict[int, np.ndarray]
+    Unknown map: node -> column in ``free_of_node`` (``_DIRICHLET`` on the
+    boundary, ``_REMOVED`` inside PEI regions), ``n_free`` columns, the
+    prolongation u = u_fix + ``prolong`` @ x and its transpose
+    ``restrict`` (nodal vectors to free unknowns), ``removed_nodes`` and
+    the nodes of each PEC component in ``pec_groups``.  ``triangles``,
+    ``grads`` and ``areas`` are the mesh arrays restricted to the active
+    (conducting) triangles ``active_tris``, in that order; ``groups``
+    pairs each distinct law with the active slots it governs.
+    """
 
-    @classmethod
-    def build(cls, mesh: Mesh, materials: MaterialMap) -> "_DofMap":
+    def __init__(self, mesh: Mesh, materials: MaterialMap):
         materials.check_covers(mesh.labels)
         kinds = {lab: getattr(materials.model_for(lab), "kind", "")
                  for lab in np.unique(mesh.labels)}
@@ -177,8 +222,6 @@ class _DofMap:
         on_boundary[mesh.boundary_nodes] = True
         touches_active = np.zeros(mesh.n_nodes, dtype=bool)
         touches_active[np.unique(mesh.triangles[active])] = True
-        touches_pec = np.zeros(mesh.n_nodes, dtype=bool)
-        touches_pec[np.unique(mesh.triangles[is_pec])] = True
 
         free_of_node = np.full(mesh.n_nodes, _REMOVED, dtype=np.int64)
         free_of_node[touches_active] = 0  # placeholder, numbered below
@@ -204,148 +247,153 @@ class _DofMap:
         n_free = col + len(ids)
 
         rows = np.nonzero(free_of_node >= 0)[0]
-        prolong = sparse.csr_matrix(
+        self.mesh, self.materials = mesh, materials
+        self.free_of_node, self.n_free = free_of_node, n_free
+        self.prolong = sparse.csr_matrix(
             (np.ones(len(rows)), (rows, free_of_node[rows])),
             shape=(mesh.n_nodes, n_free))
+        self.restrict = self.prolong.T.tocsr()
+        self.removed_nodes = np.nonzero(free_of_node == _REMOVED)[0]
+        self.pec_groups = pec_groups
 
-        groups: dict[int, np.ndarray] = {}
-        slots: dict[int, np.ndarray] = {}
-        for lab in sorted(set(mesh.labels[active].tolist())):
-            tri_ids = np.nonzero(active & (mesh.labels == lab))[0]
-            groups[lab] = tri_ids
-            slots[lab] = np.searchsorted(active_ids, tri_ids)
-        return cls(free_of_node, n_free, prolong, active_ids, groups,
-                   slots, pec_groups)
+        self.active_tris = active_ids
+        self.triangles = mesh.triangles[active_ids]
+        self.grads = mesh.grads[active_ids]
+        self.areas = mesh.areas[active_ids]
+        # COO pattern of the element matrices
+        self._rows = np.repeat(self.triangles, 3, axis=1).ravel()
+        self._cols = np.tile(self.triangles, (1, 3)).ravel()
+        # per-basis gradient norms for the round-off floor
+        self._gnorm = np.linalg.norm(self.grads, axis=1)
+        self._gmax = self._gnorm.max(axis=1)
 
-    @property
-    def removed_nodes(self) -> np.ndarray:
-        return np.nonzero(self.free_of_node == _REMOVED)[0]
+        active_labels = mesh.labels[active_ids]
+        members: dict[object, list[int]] = {}
+        for lab in sorted(set(active_labels.tolist())):
+            members.setdefault(materials.model_for(lab), []).append(lab)
+        self.groups = tuple((model, np.nonzero(np.isin(active_labels,
+                                                       labs))[0])
+                            for model, labs in members.items())
 
+    @functools.cached_property
+    def bmass(self) -> BoundaryMass:
+        """Boundary mass of the mesh, built on first use."""
+        return boundary_mass(self.mesh)
 
-def _nodal_state(dof: _DofMap, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    u = u_fix + dof.prolong @ x
-    u[dof.removed_nodes] = np.nan
-    return u
+    @functools.cached_property
+    def unit_stiffness(self) -> tuple[sparse.csr_matrix, sparse.csc_matrix]:
+        """P1 stiffness with unit conductivity on the active triangles,
+        full and reduced to the free unknowns; built on first use."""
+        elem = np.einsum("m,mki,mkj->mij", self.areas, self.grads,
+                         self.grads)
+        k = sparse.coo_matrix((elem.ravel(), (self._rows, self._cols)),
+                              shape=(self.mesh.n_nodes,
+                                     self.mesh.n_nodes)).tocsr()
+        p = self.prolong
+        return k, (p.T @ k @ p).tocsc()
 
+    def with_reg_eps_scale(self, factor: float) -> "Problem":
+        """The same structure with every law's floor scaled by ``factor``
+        (one continuation stage)."""
+        staged = copy.copy(self)
+        staged.materials = self.materials.with_reg_eps_scale(factor)
+        staged.groups = tuple((scale_reg_eps(model, factor), sel)
+                              for model, sel in self.groups)
+        return staged
 
-def _grad_norms(mesh: Mesh, dof: _DofMap,
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (per active triangle, in active order) and their norms."""
-    tris = mesh.triangles[dof.active_tris]
-    g = np.einsum("mij,mj->mi", mesh.grads[dof.active_tris], u[tris])
-    return g, np.linalg.norm(g, axis=1)
+    def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
+        u = u_fix + self.prolong @ x
+        u[self.removed_nodes] = np.nan
+        return u
 
+    def grad_norms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients (per active triangle, in active order) and their
+        norms."""
+        g = np.einsum("mij,mj->mi", self.grads, u[self.triangles])
+        return g, np.linalg.norm(g, axis=1)
 
-def _per_tri_eval(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-                  norms: np.ndarray, what: str) -> np.ndarray:
-    """Evaluate a law quantity per active triangle (active order)."""
-    out = np.empty(len(dof.active_tris))
-    for lab, sel in dof.label_slots.items():
-        model = materials.model_for(lab)
-        out[sel] = getattr(model, what)(norms[sel])
-    return out
+    def per_tri(self, norms: np.ndarray, what: str) -> np.ndarray:
+        """Evaluate a law quantity per active triangle (active order)."""
+        out = np.empty(len(self.active_tris))
+        for model, sel in self.groups:
+            out[sel] = getattr(model, what)(norms[sel])
+        return out
 
+    def energy(self, u: np.ndarray) -> float:
+        _, norms = self.grad_norms(u)
+        return float(self.areas @ self.per_tri(norms, "energy_density"))
 
-def _energy_of(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-               u: np.ndarray) -> float:
-    _, norms = _grad_norms(mesh, dof, u)
-    q = _per_tri_eval(mesh, materials, dof, norms, "energy_density")
-    return float(mesh.areas[dof.active_tris] @ q)
+    def flux_terms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per active triangle: energy-gradient contributions to its three
+        nodes, shape (m, 3), and the conductivity sigma."""
+        grads, norms = self.grad_norms(u)
+        sig = self.per_tri(norms, "sigma")
+        w = (self.areas * sig)[:, None] * grads
+        return np.einsum("mi,mij->mj", w, self.grads), sig
 
+    def assemble(self, contrib: np.ndarray) -> np.ndarray:
+        """Sum per-triangle node contributions into a nodal vector, in
+        triangle order."""
+        return np.bincount(self.triangles.ravel(), weights=contrib.ravel(),
+                           minlength=self.mesh.n_nodes)
 
-def _residual_nodal(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-                    u: np.ndarray) -> np.ndarray:
-    """Assembled energy gradient at every node (no boundary projection)."""
-    grads, norms = _grad_norms(mesh, dof, u)
-    sig = _per_tri_eval(mesh, materials, dof, norms, "sigma")
-    w = (mesh.areas[dof.active_tris] * sig)[:, None] * grads
-    contrib = np.einsum("mi,mij->mj", w, mesh.grads[dof.active_tris])
-    r = np.zeros(mesh.n_nodes)
-    np.add.at(r, mesh.triangles[dof.active_tris], contrib)
-    return r
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """Assembled energy gradient at every node (no boundary
+        projection)."""
+        return self.assemble(self.flux_terms(u)[0])
 
+    def roundoff_floor(self, u: np.ndarray, sig: np.ndarray) -> float:
+        """Assembly round-off bound on the gradient at ``u``, where the
+        active triangles carry conductivity ``sig``.
 
-def _residual_scale(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-                    u: np.ndarray) -> float:
-    """Norm of the cancellation-free residual assembly: the natural flux
-    magnitude the gradient tolerance is measured against."""
-    grads, norms = _grad_norms(mesh, dof, u)
-    sig = _per_tri_eval(mesh, materials, dof, norms, "sigma")
-    w = (mesh.areas[dof.active_tris] * sig)[:, None] * grads
-    contrib = np.abs(np.einsum("mi,mij->mj", w, mesh.grads[dof.active_tris]))
-    r = np.zeros(mesh.n_nodes)
-    np.add.at(r, mesh.triangles[dof.active_tris], contrib)
-    return float(np.linalg.norm(dof.prolong.T @ r))
+        Element gradients are differences of nodal values, so each residual
+        term carries an absolute float error of order
+        eps * sigma * max|u| * |grad phi_i| * max_j|grad phi_j| * area.
+        Regularized p<2 laws driven to the field floor make sigma huge
+        while the true fields vanish below float granularity; there the
+        assembled gradient cannot fall under this bound, and stationarity
+        is declared once it is reached.
+        """
+        u_mag = np.max(np.abs(u[self.triangles]), axis=1)
+        w = sig * u_mag * self._gmax * self.areas
+        r = self.assemble(w[:, None] * self._gnorm)
+        return float(np.finfo(float).eps * np.linalg.norm(self.restrict @ r))
 
-
-def _roundoff_floor(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-                    u: np.ndarray) -> float:
-    """Assembly round-off bound on the gradient at the current state.
-
-    Element gradients are differences of nodal values, so each residual
-    term carries an absolute float error of order
-    eps * sigma * max|u| * |grad phi_i| * max_j|grad phi_j| * area.
-    Regularized p<2 laws driven to the field floor make sigma huge while
-    the true fields vanish below float granularity; there the assembled
-    gradient cannot fall under this bound, and stationarity is declared
-    once it is reached.
-    """
-    _, norms = _grad_norms(mesh, dof, u)
-    sig = _per_tri_eval(mesh, materials, dof, norms, "sigma")
-    tris = mesh.triangles[dof.active_tris]
-    u_mag = np.max(np.abs(u[tris]), axis=1)
-    gb = mesh.grads[dof.active_tris]
-    gnorm = np.linalg.norm(gb, axis=1)            # per basis function
-    gmax = gnorm.max(axis=1)
-    w = sig * u_mag * gmax * mesh.areas[dof.active_tris]
-    contrib = w[:, None] * gnorm
-    r = np.zeros(mesh.n_nodes)
-    np.add.at(r, tris, contrib)
-    return float(np.finfo(float).eps
-                 * np.linalg.norm(dof.prolong.T @ r))
-
-
-def _hessian(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-             u: np.ndarray) -> sparse.csr_matrix:
-    grads, norms = _grad_norms(mesh, dof, u)
-    sig = _per_tri_eval(mesh, materials, dof, norms, "sigma")
-    dfl = _per_tri_eval(mesh, materials, dof, norms, "dflux")
-    safe = np.maximum(norms, 1e-300)
-    unit = np.where(norms[:, None] > 0.0, grads / safe[:, None], 0.0)
-    # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T
-    h = sig[:, None, None] * np.eye(2)[None, :, :] \
-        + (dfl - sig)[:, None, None] * np.einsum("mi,mj->mij", unit, unit)
-    gb = mesh.grads[dof.active_tris]
-    elem = np.einsum("m,mki,mkl,mlj->mij", mesh.areas[dof.active_tris],
-                     gb, h, gb)
-    tris = mesh.triangles[dof.active_tris]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    mat = sparse.coo_matrix((elem.ravel(), (rows, cols)),
-                            shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
-
-
-def _unit_stiffness(mesh: Mesh, dof: _DofMap) -> sparse.csr_matrix:
-    """P1 stiffness with unit conductivity on the active triangles."""
-    gb = mesh.grads[dof.active_tris]
-    elem = np.einsum("m,mki,mkj->mij", mesh.areas[dof.active_tris], gb, gb)
-    tris = mesh.triangles[dof.active_tris]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    return sparse.coo_matrix((elem.ravel(), (rows, cols)),
-                             shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    def hessian(self, u: np.ndarray) -> sparse.csr_matrix:
+        grads, norms = self.grad_norms(u)
+        sig = self.per_tri(norms, "sigma")
+        dfl = self.per_tri(norms, "dflux")
+        safe = np.maximum(norms, 1e-300)
+        unit = np.where(norms[:, None] > 0.0, grads / safe[:, None], 0.0)
+        # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T
+        h = sig[:, None, None] * np.eye(2)[None, :, :] \
+            + (dfl - sig)[:, None, None] * np.einsum("mi,mj->mij", unit, unit)
+        elem = np.einsum("m,mki,mkl,mlj->mij", self.areas, self.grads, h,
+                         self.grads)
+        n = self.mesh.n_nodes
+        return sparse.coo_matrix((elem.ravel(), (self._rows, self._cols)),
+                                 shape=(n, n)).tocsr()
 
 
-def harmonic_initial_guess(mesh: Mesh, dof: _DofMap,
+def _compiled(mesh: Mesh, materials: MaterialMap,
+              problem: Problem | None) -> Problem:
+    """The given problem after checking it was built for this pair, or a
+    new one."""
+    if problem is None:
+        return Problem(mesh, materials)
+    if problem.mesh is not mesh or problem.materials is not materials:
+        raise ValueError("problem was compiled for another mesh or "
+                         "material map")
+    return problem
+
+
+def harmonic_initial_guess(problem: Problem,
                            u_fix: np.ndarray) -> np.ndarray:
     """Discrete harmonic extension (unit conductivity) of the trace,
     respecting the PEC/PEI unknown structure; used as the Newton start."""
-    k = _unit_stiffness(mesh, dof)
-    p = dof.prolong
-    a = (p.T @ k @ p).tocsc()
-    b = -p.T @ (k @ u_fix)
-    if dof.n_free == 0:
+    k, a = problem.unit_stiffness
+    b = -problem.restrict @ (k @ u_fix)
+    if problem.n_free == 0:
         return np.zeros(0)
     return spsolve(a, b)
 
@@ -382,7 +430,14 @@ class SolveInfo:
     assembly round-off floor instead of the relative tolerance; the
     gradient cannot be driven below roughly machine epsilon times the
     stiffest material scale, so that state is stationary to working
-    precision."""
+    precision.
+
+    ``exit_reason`` says how the last stage stopped: ``"tol"`` (gradient
+    within the relative tolerance), ``"floor"`` (gradient within the
+    round-off floor) or ``"polish"`` (energy stalled below float
+    resolution, finished by residual-decrease Newton steps).
+    ``cg_failures`` counts inner CG solves that hit their iteration
+    limit or broke down."""
 
     converged: bool
     n_iter: int
@@ -392,6 +447,8 @@ class SolveInfo:
     grad_floor: float = 0.0
     pec_flux_balance: dict[int, float] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
+    exit_reason: str = "tol"
+    cg_failures: int = 0
 
 
 @dataclass
@@ -408,15 +465,42 @@ class PotentialField:
     pec_values: dict[int, float] = field(default_factory=dict)
 
 
-def _newton_stage(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
-                  u_fix: np.ndarray, x: np.ndarray, opts: SolveOptions,
-                  tol_holder: dict, stage: int,
-                  log: list[dict]) -> tuple[np.ndarray, float, int]:
-    p = dof.prolong
+@dataclass
+class _Progress:
+    """State one solve carries across its continuation stages."""
+
+    tol: float | None = None      # fixed once, at the very first iterate
+    floored: float | None = None  # gradient floor the current stage
+    #                               stopped at above the tolerance
+    cg_failures: int = 0
+
+
+def _jacobi_cg(h: sparse.csr_matrix, rhs: np.ndarray, opts: SolveOptions,
+               progress: _Progress) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi-preconditioned CG; returns (solution, inverse diagonal).
+
+    Material contrast (structural limits, p<2 laws at small fields) puts
+    many decades on the diagonal.
+    """
+    inv_diag = 1.0 / np.maximum(h.diagonal(), 1e-300)
+    precond = LinearOperator(h.shape, matvec=lambda v: inv_diag * v)
+    d, info = cg(h, rhs, rtol=opts.cg_rtol, atol=0.0,
+                 maxiter=opts.cg_maxiter, M=precond)
+    if info != 0:
+        progress.cg_failures += 1
+    return d, inv_diag
+
+
+def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
+                  opts: SolveOptions, progress: _Progress, stage: int,
+                  log: list[dict]
+                  ) -> tuple[np.ndarray, float, int, str | None]:
+    """Newton iterations on one continuation stage; the returned reason
+    is None when the iteration budget ran out."""
+    p, pt = problem.prolong, problem.restrict
 
     def eval_at(x_try: np.ndarray) -> float:
-        return _energy_of(mesh, materials, dof,
-                          _nodal_state(dof, u_fix, x_try))
+        return problem.energy(problem.nodal_state(u_fix, x_try))
 
     def line_search(x0: np.ndarray, d: np.ndarray, gd: float,
                     e_base: float) -> float:
@@ -468,26 +552,27 @@ def _newton_stage(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
     gn_best = np.inf
     x_best = x
     stall = 0
-    tol_holder.pop("floored", None)
+    progress.floored = None
     for it in range(opts.max_iter):
-        u = _nodal_state(dof, u_fix, x)
-        r = _residual_nodal(mesh, materials, dof, u)
-        g = p.T @ r
+        u = problem.nodal_state(u_fix, x)
+        contrib, sig = problem.flux_terms(u)
+        g = pt @ problem.assemble(contrib)
         gn = float(np.linalg.norm(g))
-        if "tol" not in tol_holder:
-            # reference scale fixed once, at the very first iterate
-            scale = _residual_scale(mesh, materials, dof, u)
-            tol_holder["tol"] = opts.grad_rtol * scale
-            tol_holder["scale"] = scale
-        if gn <= tol_holder["tol"] or gn == 0.0:
-            return x, gn, n_iter
-        floor = _roundoff_floor(mesh, materials, dof, u)
+        if progress.tol is None:
+            # reference scale: norm of the cancellation-free assembly,
+            # the natural flux magnitude of the first iterate
+            scale = float(np.linalg.norm(
+                pt @ problem.assemble(np.abs(contrib))))
+            progress.tol = opts.grad_rtol * scale
+        if gn <= progress.tol or gn == 0.0:
+            return x, gn, n_iter, "tol"
+        floor = problem.roundoff_floor(u, sig)
         if gn <= opts.floor_factor * floor:
             # gradient indistinguishable from assembly round-off:
             # stationary to working precision
-            tol_holder["floored"] = floor
-            return x, gn, n_iter
-        e_base = _energy_of(mesh, materials, dof, u)
+            progress.floored = floor
+            return x, gn, n_iter, "floor"
+        e_base = problem.energy(u)
         improved = False
         if not np.isfinite(e_best) or \
                 e_base < e_best - 64.0 * np.finfo(float).eps * abs(e_best):
@@ -503,24 +588,20 @@ def _newton_stage(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
             # energy is convex, so finish with damped Newton steps
             # accepted on residual decrease alone, then take the best
             # iterate as stationary to working precision.
-            u_b = _nodal_state(dof, u_fix, x_best)
-            g_b = p.T @ _residual_nodal(mesh, materials, dof, u_b)
+            u_b = problem.nodal_state(u_fix, x_best)
+            g_b = pt @ problem.residual(u_b)
             gn_b = float(np.linalg.norm(g_b))
             for _polish in range(opts.stall_window):
-                if gn_b <= tol_holder["tol"]:
+                if gn_b <= progress.tol:
                     break
-                h = (p.T @ _hessian(mesh, materials, dof, u_b) @ p).tocsr()
-                inv_diag = 1.0 / np.maximum(h.diagonal(), 1e-300)
-                precond = LinearOperator(h.shape,
-                                         matvec=lambda v: inv_diag * v)
-                d, _info = cg(h, -g_b, rtol=opts.cg_rtol, atol=0.0,
-                              maxiter=opts.cg_maxiter, M=precond)
+                h = (p.T @ problem.hessian(u_b) @ p).tocsr()
+                d, _ = _jacobi_cg(h, -g_b, opts, progress)
                 took = False
                 t = 1.0
                 for _bt in range(6):
                     x_try = x_best + t * d
-                    u_t = _nodal_state(dof, u_fix, x_try)
-                    g_t = p.T @ _residual_nodal(mesh, materials, dof, u_t)
+                    u_t = problem.nodal_state(u_fix, x_try)
+                    g_t = pt @ problem.residual(u_t)
                     gn_t = float(np.linalg.norm(g_t))
                     if np.isfinite(gn_t) and gn_t < 0.5 * gn_b:
                         x_best, u_b, g_b = x_try, u_t, g_t
@@ -531,16 +612,11 @@ def _newton_stage(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
                     t *= opts.backtrack
                 if not took:
                     break
-            if gn_b > tol_holder["tol"]:
-                tol_holder["floored"] = gn_b
-            return x_best, gn_b, n_iter
-        h = (p.T @ _hessian(mesh, materials, dof, u) @ p).tocsr()
-        # Jacobi preconditioning: material contrast (structural limits,
-        # p<2 laws at small fields) puts many decades on the diagonal
-        inv_diag = 1.0 / np.maximum(h.diagonal(), 1e-300)
-        precond = LinearOperator(h.shape, matvec=lambda v: inv_diag * v)
-        d, _cg_info = cg(h, -g, rtol=opts.cg_rtol, atol=0.0,
-                         maxiter=opts.cg_maxiter, M=precond)
+            if gn_b > progress.tol:
+                progress.floored = gn_b
+            return x_best, gn_b, n_iter, "polish"
+        h = (p.T @ problem.hessian(u) @ p).tocsr()
+        d, inv_diag = _jacobi_cg(h, -g, opts, progress)
         gd = float(g @ d)
         fell_back = False
         if not np.isfinite(gd) or gd >= 0.0:
@@ -563,14 +639,15 @@ def _newton_stage(mesh: Mesh, materials: MaterialMap, dof: _DofMap,
             log.append({"stage": stage, "iter": it, "energy": e_base,
                         "grad_norm": gn, "step": t,
                         "fallback": fell_back})
-    u = _nodal_state(dof, u_fix, x)
-    g = p.T @ _residual_nodal(mesh, materials, dof, u)
-    return x, float(np.linalg.norm(g)), n_iter
+    u = problem.nodal_state(u_fix, x)
+    g = pt @ problem.residual(u)
+    return x, float(np.linalg.norm(g)), n_iter, None
 
 
 def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
           opts: SolveOptions = SolveOptions(),
-          initial_guess: np.ndarray | None = None) -> PotentialField:
+          initial_guess: np.ndarray | None = None,
+          problem: Problem | None = None) -> PotentialField:
     """Minimize the Dirichlet energy for one zero-mean boundary datum.
 
     Parameters
@@ -578,12 +655,16 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     initial_guess : optional nodal array
         Full nodal state to warm-start from (e.g. a scaled previous
         solution); defaults to the discrete harmonic extension.
+    problem : optional Problem
+        ``Problem(mesh, materials)`` shared by repeated solves on the same
+        pair; built here when omitted.
 
     Returns
     -------
     PotentialField
         Converged state; ``info`` carries iteration counts, the final
-        gradient norm/tolerance and per-PEC-component net flux.
+        gradient norm/tolerance, the exit reason and per-PEC-component net
+        flux.
 
     Raises
     ------
@@ -591,7 +672,8 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         On line-search stall or non-convergence within the iteration
         budget.
     """
-    bm = boundary_mass(mesh)
+    problem = _compiled(mesh, materials, problem)
+    bm = problem.bmass
     vals_sorted = datum.values[np.argsort(datum.node_ids)]
     if datum.node_ids.shape != bm.node_ids.shape or \
             np.any(np.sort(datum.node_ids) != bm.node_ids):
@@ -603,7 +685,6 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         raise SolveError(f"datum {datum.name!r} is not zero-mean "
                          f"(weighted mean {mean:.3e})")
 
-    dof = _DofMap.build(mesh, materials)
     u_fix = np.zeros(mesh.n_nodes)
     u_fix[datum.node_ids] = datum.values
 
@@ -611,45 +692,54 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         ig = np.asarray(initial_guess, dtype=float)
         if ig.shape != (mesh.n_nodes,):
             raise SolveError("initial guess must be a full nodal array")
-        free = dof.free_of_node >= 0
-        x = np.zeros(dof.n_free)
-        x[dof.free_of_node[free]] = np.where(np.isfinite(ig[free]),
-                                             ig[free], 0.0)
+        free = problem.free_of_node >= 0
+        x = np.zeros(problem.n_free)
+        x[problem.free_of_node[free]] = np.where(np.isfinite(ig[free]),
+                                                 ig[free], 0.0)
     else:
-        x = harmonic_initial_guess(mesh, dof, u_fix)
+        x = harmonic_initial_guess(problem, u_fix)
 
     schedule = opts.reg_schedule if not materials.is_linear else (1.0,)
     if not schedule or schedule[-1] != 1.0:
         raise SolveError("reg_schedule must end at multiplier 1.0")
 
-    tol_holder: dict = {}
+    progress = _Progress()
     log: list[dict] = []
     total_iter = 0
     for stage, mult in enumerate(schedule):
-        mats = materials.with_reg_eps_scale(mult) if mult != 1.0 else materials
-        x, gn, n_it = _newton_stage(mesh, mats, dof, u_fix, x, opts,
-                                    tol_holder, stage, log)
+        staged = problem.with_reg_eps_scale(mult) if mult != 1.0 \
+            else problem
+        x, gn, n_it, reason = _newton_stage(staged, u_fix, x, opts,
+                                            progress, stage, log)
         total_iter += n_it
-    tol = tol_holder.get("tol", 0.0)
-    floor = float(tol_holder.get("floored", 0.0))
-    if gn > tol and gn != 0.0 and "floored" not in tol_holder:
-        floor = _roundoff_floor(mesh, materials, dof,
-                                _nodal_state(dof, u_fix, x))
-        if gn > opts.floor_factor * floor:
-            raise SolveError(f"Newton did not converge: grad norm {gn:.3e} "
-                             f"above tolerance {tol:.3e} and round-off "
-                             f"floor {floor:.3e}")
+    tol = 0.0 if progress.tol is None else progress.tol
+    floor = 0.0 if progress.floored is None else float(progress.floored)
+    if reason is None:
+        reason = "tol"
+        if gn > tol and gn != 0.0:
+            u = problem.nodal_state(u_fix, x)
+            _, norms = problem.grad_norms(u)
+            floor = problem.roundoff_floor(u, problem.per_tri(norms, "sigma"))
+            if gn > opts.floor_factor * floor:
+                raise SolveError(f"Newton did not converge: grad norm "
+                                 f"{gn:.3e} above tolerance {tol:.3e} and "
+                                 f"round-off floor {floor:.3e}")
+            reason = "floor"
 
-    u = _nodal_state(dof, u_fix, x)
-    r = _residual_nodal(mesh, materials, dof, u)
+    u = problem.nodal_state(u_fix, x)
+    r = problem.residual(u)
     balance = {lab: float(r[nodes].sum())
-               for lab, nodes in dof.pec_groups.items()}
+               for lab, nodes in problem.pec_groups.items()}
     pec_values = {lab: float(u[nodes[0]])
-                  for lab, nodes in dof.pec_groups.items()}
-    energy = _energy_of(mesh, materials, dof, u)
+                  for lab, nodes in problem.pec_groups.items()}
+    energy = problem.energy(u)
     valid = np.ones(mesh.n_nodes, dtype=bool)
-    valid[dof.removed_nodes] = False
-    info = SolveInfo(True, total_iter, gn, tol, energy, floor, balance, log)
+    valid[problem.removed_nodes] = False
+    logger.debug("solve %r: exit %s after %d Newton iterations, grad norm "
+                 "%.3e (tol %.3e), %d CG failures", datum.name, reason,
+                 total_iter, gn, tol, progress.cg_failures)
+    info = SolveInfo(True, total_iter, gn, tol, energy, floor, balance, log,
+                     reason, progress.cg_failures)
     return PotentialField(mesh, u, valid, datum, info, pec_values)
 
 
@@ -662,18 +752,17 @@ def dirichlet_energy(mesh: Mesh, materials: MaterialMap,
     """Energy sum over conducting triangles of a nodal state."""
     u = field_or_u.u if isinstance(field_or_u, PotentialField) else \
         np.asarray(field_or_u, dtype=float)
-    dof = _DofMap.build(mesh, materials)
-    return _energy_of(mesh, materials, dof, u)
+    return Problem(mesh, materials).energy(u)
 
 
 def electric_field(mesh: Mesh, materials: MaterialMap,
                    fld: PotentialField) -> np.ndarray:
     """Per-triangle field E = -grad u, shape (m, 2); zero rows on PEI
     and PEC triangles, where the local field is not represented."""
-    dof = _DofMap.build(mesh, materials)
-    grads, _ = _grad_norms(mesh, dof, fld.u)
+    problem = Problem(mesh, materials)
+    grads, _ = problem.grad_norms(fld.u)
     e = np.zeros((mesh.n_triangles, 2))
-    e[dof.active_tris] = -grads
+    e[problem.active_tris] = -grads
     return e
 
 
@@ -681,22 +770,21 @@ def current_density(mesh: Mesh, materials: MaterialMap,
                     fld: PotentialField) -> np.ndarray:
     """Per-triangle current density J = -sigma(|grad u|) grad u, shape
     (m, 2); zero rows on PEI and PEC triangles."""
-    dof = _DofMap.build(mesh, materials)
-    grads, norms = _grad_norms(mesh, dof, fld.u)
-    sig = _per_tri_eval(mesh, materials, dof, norms, "sigma")
+    problem = Problem(mesh, materials)
+    grads, norms = problem.grad_norms(fld.u)
+    sig = problem.per_tri(norms, "sigma")
     j = np.zeros((mesh.n_triangles, 2))
-    j[dof.active_tris] = -sig[:, None] * grads
+    j[problem.active_tris] = -sig[:, None] * grads
     return j
 
 
 def energy_density_map(mesh: Mesh, materials: MaterialMap,
                        fld: PotentialField) -> np.ndarray:
     """Per-triangle energy density Q(|grad u|); zero on PEI/PEC."""
-    dof = _DofMap.build(mesh, materials)
-    _, norms = _grad_norms(mesh, dof, fld.u)
-    q = _per_tri_eval(mesh, materials, dof, norms, "energy_density")
+    problem = Problem(mesh, materials)
+    _, norms = problem.grad_norms(fld.u)
     out = np.zeros(mesh.n_triangles)
-    out[dof.active_tris] = q
+    out[problem.active_tris] = problem.per_tri(norms, "energy_density")
     return out
 
 
@@ -726,17 +814,16 @@ def boundary_data_continuity_study(mesh: Mesh, materials: MaterialMap,
     log-log slope (least squares over the given eps ladder).
     """
     p = materials.outer_exponent
-    dof = _DofMap.build(mesh, materials)
-    base = solve(mesh, materials, datum, opts)
-    g_base, _ = _grad_norms(mesh, dof, base.u)
-    areas = mesh.areas[dof.active_tris]
+    problem = Problem(mesh, materials)
+    base = solve(mesh, materials, datum, opts, problem=problem)
+    g_base, _ = problem.grad_norms(base.u)
     rows = []
     for eps in sorted(eps_list, reverse=True):
         fld = solve(mesh, materials, datum.plus(direction, eps), opts,
-                    initial_guess=base.u)
-        g_eps, _ = _grad_norms(mesh, dof, fld.u)
+                    initial_guess=base.u, problem=problem)
+        g_eps, _ = problem.grad_norms(fld.u)
         d = np.linalg.norm(g_eps - g_base, axis=1)
-        norm = float((areas @ d ** p) ** (1.0 / p))
+        norm = float((problem.areas @ d ** p) ** (1.0 / p))
         rows.append(ContinuityRow(float(eps), norm))
     le = np.log([r.eps for r in rows])
     ln = np.log([max(r.grad_diff_norm, 1e-300) for r in rows])

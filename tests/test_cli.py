@@ -174,6 +174,18 @@ def test_bad_expr_term_is_a_config_error(tmp_path, capsys):
     assert "datum 'bad'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["().__class__.__mro__[1].__subclasses__()",
+                                  "x.shape"])
+def test_expr_term_cannot_reach_python_objects(tmp_path, capsys, expr):
+    datum = {"name": "evil", "terms": [{"kind": "expr", "amplitude": 1.0,
+                                        "expr": expr}]}
+    code, out = run(tmp_path, "solve", dict(PROBLEM, data=[datum]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "datum 'evil'" in err and "not allowed" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ------------------------------------------------------------------ solve
 
 def test_solve_outputs(tmp_path, capsys):

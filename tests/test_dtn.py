@@ -12,8 +12,10 @@ from condlab.dtn import (
     gauss_on_unit,
     ohmic_power,
 )
-from condlab.mesh import boundary_mass
-from condlab.solver import DatumTerm, make_datum, solve
+from condlab import solver
+from condlab.constitutive import PEI, EJPowerLaw, Linear, MaterialMap
+from condlab.mesh import DiskInclusion, boundary_mass, build_disk_mesh
+from condlab.solver import DatumTerm, Problem, make_datum, solve
 
 
 def data_pair(mesh):
@@ -192,3 +194,52 @@ def test_gateaux_zero_direction(disk, linear_unit):
     rep = gateaux_check(disk, linear_unit, f, phi, [1e-1, 1e-2])
     assert rep.pairing == 0.0
     assert rep.final_residual <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one compiled problem per (mesh, material map)
+
+
+def test_average_power_compiles_the_problem_once(monkeypatch):
+    mesh = build_disk_mesh(1.0, 0.3, inclusions=[
+        DiskInclusion((0.3, 0.0), 0.25, 1)])
+    mats = MaterialMap({0: Linear(1.0), 1: PEI()})
+    f = make_datum(mesh, [DatumTerm("linear-x", 1.0)], "f")
+    builds, masses = [], []
+    init, bmass = Problem.__init__, solver.boundary_mass
+
+    def counting_init(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    def counting_bmass(m):
+        masses.append(1)
+        return bmass(m)
+
+    monkeypatch.setattr(Problem, "__init__", counting_init)
+    monkeypatch.setattr(solver, "boundary_mass", counting_bmass)
+    rep = average_dtn_power(mesh, mats, f, quad_order=8)
+    assert len(rep.nodes) == 8
+    assert len(builds) == 1
+    assert len(masses) == 1
+
+
+def test_equal_laws_under_distinct_labels_share_one_group():
+    incs = [DiskInclusion((0.45 * np.cos(a), 0.45 * np.sin(a)), 0.2, lab)
+            for lab, a in zip((1, 2, 3), (0.3, 2.4, 4.5))]
+    mesh = build_disk_mesh(1.0, 0.2, inclusions=incs)
+    split = MaterialMap({0: Linear(1.0),
+                         **{lab: EJPowerLaw(2.0, 1.0, 3.0)
+                            for lab in (1, 2, 3)}})
+    merged_mesh = mesh.relabeled(np.minimum(mesh.labels, 1))
+    merged = MaterialMap({0: Linear(1.0), 1: EJPowerLaw(2.0, 1.0, 3.0)})
+    assert len(Problem(mesh, split).groups) == 2
+    assert len(Problem(merged_mesh, merged).groups) == 2
+    f, g = data_pair(mesh)
+    results = []
+    for m, mats in ((mesh, split), (merged_mesh, merged)):
+        fld = solve(m, mats, f)
+        results.append((fld.info.energy, dtn_pairing(m, mats, fld, g),
+                        average_dtn_power(m, mats, f, quad_order=4)
+                        .avg_power))
+    assert results[0] == results[1]

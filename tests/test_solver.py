@@ -1,11 +1,14 @@
 """Dirichlet solver: data handling, exactness, optimality, structural regions."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from condlab.constitutive import (
     PEC,
     PEI,
+    EJPowerLaw,
     Linear,
     MaterialMap,
     PowerLaw,
@@ -20,6 +23,7 @@ from condlab.oracle import two_layer_strip
 from condlab.solver import (
     BoundaryDatum,
     DatumTerm,
+    Problem,
     SolveError,
     SolveOptions,
     boundary_data_continuity_study,
@@ -31,7 +35,6 @@ from condlab.solver import (
     project_zero_mean,
     solve,
 )
-from condlab.solver import _DofMap, _energy_of, _nodal_state, _residual_nodal
 
 
 def ramp(mesh, amplitude=1.0, name="ramp"):
@@ -125,6 +128,30 @@ def test_linear_solve_is_quick(disk, linear_unit):
 
 
 # ---------------------------------------------------------------------------
+# exit reporting
+
+
+def test_linear_solve_exits_on_tolerance(disk, linear_unit, caplog):
+    with caplog.at_level(logging.DEBUG, logger="condlab.solver"):
+        fld = solve(disk, linear_unit, ramp(disk))
+    assert fld.info.exit_reason == "tol"
+    assert fld.info.cg_failures == 0
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 1 and "exit tol" in lines[0]
+
+
+def test_stalled_solve_reports_its_exit():
+    # a p = 1.1 law driven by a tiny trace: the energy decrease sinks
+    # below float resolution before the relative tolerance is met
+    mesh = build_disk_mesh(1.0, 0.3)
+    mats = MaterialMap({0: EJPowerLaw(1.0, 1.0, 10.0)})
+    datum = make_datum(mesh, [DatumTerm("sin", 1e-3, k=2)], "small")
+    fld = solve(mesh, mats, datum)
+    assert fld.info.exit_reason in ("floor", "polish")
+    assert fld.info.converged
+
+
+# ---------------------------------------------------------------------------
 # input validation
 
 
@@ -154,6 +181,12 @@ def test_bad_reg_schedule_rejected(disk, power4):
               opts=SolveOptions(reg_schedule=(10.0,)))
 
 
+def test_problem_for_another_material_map_rejected(disk, linear_unit,
+                                                   power4):
+    with pytest.raises(ValueError, match="another mesh or material map"):
+        solve(disk, linear_unit, ramp(disk), problem=Problem(disk, power4))
+
+
 def test_all_structural_mesh_rejected(square):
     mats = MaterialMap({0: Linear(1.0), 1: PEI()})
     relabeled = square.relabeled(np.ones(square.n_triangles, dtype=int))
@@ -179,21 +212,20 @@ def test_assembled_gradient_matches_finite_differences():
     mesh = build_rect_mesh(1.0, 1.0, 0.26)
     mats = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0)})
     datum = ramp(mesh)
-    dof = _DofMap.build(mesh, mats)
+    problem = Problem(mesh, mats)
     u_fix = np.zeros(mesh.n_nodes)
     u_fix[datum.node_ids] = datum.values
     rng = np.random.default_rng(3)
-    x = 0.3 * rng.standard_normal(dof.n_free)
-    u = _nodal_state(dof, u_fix, x)
-    g = _residual_nodal(mesh, mats, dof, u)
-    free_nodes = np.nonzero(dof.free_of_node >= 0)[0]
+    x = 0.3 * rng.standard_normal(problem.n_free)
+    u = problem.nodal_state(u_fix, x)
+    g = problem.residual(u)
+    free_nodes = np.nonzero(problem.free_of_node >= 0)[0]
     h = 1e-6
     for node in free_nodes:
         up, dn = u.copy(), u.copy()
         up[node] += h
         dn[node] -= h
-        num = (_energy_of(mesh, mats, dof, up)
-               - _energy_of(mesh, mats, dof, dn)) / (2.0 * h)
+        num = (problem.energy(up) - problem.energy(dn)) / (2.0 * h)
         assert abs(num - g[node]) <= 1e-5 * max(np.abs(g).max(), 1e-12)
 
 

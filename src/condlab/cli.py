@@ -184,9 +184,8 @@ def data_from_spec(mesh: Mesh, specs: list) -> list[BoundaryDatum]:
 def solver_opts_from_spec(spec: dict | None, **overrides) -> SolveOptions:
     spec = dict(spec or {})
     _check_keys(spec, {"grad_rtol", "max_iter", "armijo_c", "backtrack",
-                       "max_backtracks", "cg_rtol", "cg_maxiter",
-                       "reg_schedule", "floor_factor", "stall_window",
-                       "collect_log"}, "solver")
+                       "max_backtracks", "reg_schedule", "floor_factor",
+                       "stall_window", "collect_log"}, "solver")
     if "reg_schedule" in spec:
         spec["reg_schedule"] = tuple(float(v) for v in spec["reg_schedule"])
     spec.update(overrides)

@@ -355,6 +355,12 @@ def _poly_h(inc: PolygonInclusion) -> float:
     return float(edges.min() / 3.0)
 
 
+def _built(kind: str, mesh: Mesh) -> Mesh:
+    logger.debug("built %s mesh: %d nodes, %d triangles", kind, mesh.n_nodes,
+                 mesh.n_triangles)
+    return mesh
+
+
 def build_disk_mesh(radius: float, target_h: float,
                     inclusions: Sequence[Inclusion] = (),
                     center: tuple[float, float] = (0.0, 0.0)) -> Mesh:
@@ -439,7 +445,7 @@ def build_disk_mesh(radius: float, target_h: float,
     problems = validate(mesh)
     if problems:
         raise MeshError("disk mesh generation failed: " + "; ".join(problems))
-    return mesh
+    return _built("disk", mesh)
 
 
 def build_annulus_mesh(r_inner: float, r_outer: float, target_h: float,
@@ -466,7 +472,8 @@ def build_annulus_mesh(r_inner: float, r_outer: float, target_h: float,
         tris.append(np.stack([a, b, b1], axis=1))
         tris.append(np.stack([a, b1, a1], axis=1))
     triangles = _orient_ccw(points, np.concatenate(tris).astype(np.int64))
-    return Mesh(points, triangles, np.zeros(len(triangles), dtype=np.int64))
+    return _built("annulus", Mesh(points, triangles,
+                                  np.zeros(len(triangles), dtype=np.int64)))
 
 
 def build_rect_mesh(width: float, height: float, target_h: float,
@@ -511,7 +518,7 @@ def build_rect_mesh(width: float, height: float, target_h: float,
     if layer_split is not None:
         cent_x = points[triangles].mean(axis=1)[:, 0]
         labels[cent_x > layer_split * width] = layer_label
-    return Mesh(points, triangles, labels)
+    return _built("rect", Mesh(points, triangles, labels))
 
 
 # ---------------------------------------------------------------------------

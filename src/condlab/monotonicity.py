@@ -139,6 +139,17 @@ def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
     return MonotonicityReport("energy", cert, tuple(rows))
 
 
+def _power_row(name: str, rep_lo, rep_hi, cert: PointwiseCertificate,
+               tol_rel: float) -> ComparisonRow:
+    """One averaged-power comparison row from the two maps' reports."""
+    scale = max(abs(rep_lo.avg_power), abs(rep_hi.avg_power), 1e-300)
+    tol = max(tol_rel, 3.0 * (rep_lo.transfer_residual
+                              + rep_hi.transfer_residual)) * scale
+    delta = rep_hi.avg_power - rep_lo.avg_power
+    return ComparisonRow(name, rep_lo.avg_power, rep_hi.avg_power, delta, tol,
+                         bool(cert.ok and delta < -tol))
+
+
 def avg_dtn_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
                     data: Sequence[BoundaryDatum], quad_order: int = 16,
                     opts: SolveOptions = SolveOptions(),
@@ -151,17 +162,11 @@ def avg_dtn_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
     on nearly singular alpha-integrands is never misread as a violation.
     """
     cert = pointwise_leq(lo, hi, grid)
-    rows = []
-    for datum in data:
-        rep_lo = average_dtn_power(mesh, lo, datum, quad_order, opts)
-        rep_hi = average_dtn_power(mesh, hi, datum, quad_order, opts)
-        scale = max(abs(rep_lo.avg_power), abs(rep_hi.avg_power), 1e-300)
-        tol = max(tol_rel, 3.0 * (rep_lo.transfer_residual
-                                  + rep_hi.transfer_residual)) * scale
-        delta = rep_hi.avg_power - rep_lo.avg_power
-        rows.append(ComparisonRow(datum.name, rep_lo.avg_power,
-                                  rep_hi.avg_power, delta, tol,
-                                  bool(cert.ok and delta < -tol)))
+    rows = [_power_row(datum.name,
+                       average_dtn_power(mesh, lo, datum, quad_order, opts),
+                       average_dtn_power(mesh, hi, datum, quad_order, opts),
+                       cert, tol_rel)
+            for datum in data]
     return MonotonicityReport("avg_power", cert, tuple(rows))
 
 
@@ -205,16 +210,9 @@ def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
             nm_lo, m_lo = chain[i]
             nm_hi, m_hi = chain[j]
             cert = pointwise_leq(m_lo, m_hi, grid)
-            rows = []
-            for d in data:
-                rl, rh = reports[nm_lo][d.name], reports[nm_hi][d.name]
-                scale = max(abs(rl.avg_power), abs(rh.avg_power), 1e-300)
-                tol = max(tol_rel, 3.0 * (rl.transfer_residual
-                                          + rh.transfer_residual)) * scale
-                delta = rh.avg_power - rl.avg_power
-                rows.append(ComparisonRow(d.name, rl.avg_power, rh.avg_power,
-                                          delta, tol,
-                                          bool(cert.ok and delta < -tol)))
+            rows = [_power_row(d.name, reports[nm_lo][d.name],
+                               reports[nm_hi][d.name], cert, tol_rel)
+                    for d in data]
             pair_reports.append((i, j, MonotonicityReport("avg_power", cert,
                                                           tuple(rows))))
     return LadderReport(names, tuple(pair_reports))

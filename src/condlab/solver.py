@@ -26,12 +26,14 @@ solve and pairing on the same pair shares it, and build their own when
 none is given.  Continuation stages reuse the structure and only swap each
 group's law for its rescaled-floor version.
 
-Newton direction from the symmetrized flux linearization, Armijo
-backtracking on the energy, conjugate-gradient inner solves with diagonal
-preconditioning, and a preconditioned gradient-descent fallback.  Power-law
-floors follow a warm-started continuation schedule that shrinks reg_eps
-tenfold per stage.  Each solve reports how it stopped (``tol``, ``floor``
-or ``polish``) and logs that reason at debug level.
+Newton direction from the symmetrized flux linearization, solved by one
+sparse LU factorization per step, with a diagonally scaled gradient as the
+fallback.  The step length is the root of the convex ray's slope, found by
+an Illinois (modified regula falsi) iteration on (0, 1] and then checked
+for Armijo decrease of the energy, halving on failure.  Power-law floors
+follow a warm-started continuation schedule that shrinks reg_eps tenfold
+per stage.  Each solve reports how it stopped (``tol``, ``floor`` or
+``polish``) and logs that reason with its counters at debug level.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import BoundaryMass, Mesh, boundary_mass
@@ -416,8 +418,6 @@ class SolveOptions:
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     max_backtracks: int = 40
-    cg_rtol: float = 1e-8
-    cg_maxiter: int = 2000
     reg_schedule: tuple[float, ...] = (1e3, 1e2, 1e1, 1.0)
     floor_factor: float = 32.0
     stall_window: int = 8
@@ -436,8 +436,10 @@ class SolveInfo:
     within the relative tolerance), ``"floor"`` (gradient within the
     round-off floor) or ``"polish"`` (energy stalled below float
     resolution, finished by residual-decrease Newton steps).
-    ``cg_failures`` counts inner CG solves that hit their iteration
-    limit or broke down."""
+    ``linsolve_failures`` counts Newton systems whose factorization was
+    singular or gave a non-finite direction, ``factorizations`` the sparse
+    LU factorizations and ``line_search_evals`` the energy, slope and
+    residual evaluations made by the line searches."""
 
     converged: bool
     n_iter: int
@@ -448,7 +450,9 @@ class SolveInfo:
     pec_flux_balance: dict[int, float] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
     exit_reason: str = "tol"
-    cg_failures: int = 0
+    linsolve_failures: int = 0
+    factorizations: int = 0
+    line_search_evals: int = 0
 
 
 @dataclass
@@ -472,23 +476,79 @@ class _Progress:
     tol: float | None = None      # fixed once, at the very first iterate
     floored: float | None = None  # gradient floor the current stage
     #                               stopped at above the tolerance
-    cg_failures: int = 0
+    linsolve_failures: int = 0
+    factorizations: int = 0
+    line_search_evals: int = 0
 
 
-def _jacobi_cg(h: sparse.csr_matrix, rhs: np.ndarray, opts: SolveOptions,
-               progress: _Progress) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-preconditioned CG; returns (solution, inverse diagonal).
+def _newton_direction(h: sparse.spmatrix, rhs: np.ndarray,
+                      progress: _Progress) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``h d = rhs`` by one sparse LU factorization; returns
+    (d, inverse diagonal of h).
 
-    Material contrast (structural limits, p<2 laws at small fields) puts
-    many decades on the diagonal.
+    The reduced Hessian is symmetric positive (semi)definite, so the
+    factorization orders A + A^T and pivots on the diagonal.  A singular
+    factor or a non-finite direction counts as a failure and comes back
+    as NaN, which sends the caller to the scaled-gradient fallback.
     """
     inv_diag = 1.0 / np.maximum(h.diagonal(), 1e-300)
-    precond = LinearOperator(h.shape, matvec=lambda v: inv_diag * v)
-    d, info = cg(h, rhs, rtol=opts.cg_rtol, atol=0.0,
-                 maxiter=opts.cg_maxiter, M=precond)
-    if info != 0:
-        progress.cg_failures += 1
+    progress.factorizations += 1
+    try:
+        lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular factor
+        d = np.full_like(rhs, np.nan)
+    else:
+        d = lu.solve(rhs)
+    if not np.all(np.isfinite(d)):
+        progress.linsolve_failures += 1
     return d, inv_diag
+
+
+_SLOPE_RTOL = 1e-2   # accept |phi'(t)| <= _SLOPE_RTOL * |phi'(0)|
+_SLOPE_EVALS = 12    # slope evaluations per line search, t = 1 included
+
+
+def _slope_root(slope, s0: float) -> float:
+    """Step t in (0, 1] where the slope of a convex ray function vanishes.
+
+    ``slope(t)`` is phi'(t) and ``s0 = phi'(0) < 0``.  Returns 1 when
+    phi'(1) <= 0 (the minimizer lies at or beyond the full step);
+    otherwise runs an Illinois iteration on the bracket [0, 1] until
+    |phi'(t)| <= _SLOPE_RTOL * |s0| or _SLOPE_EVALS slopes were taken, and
+    returns the last estimate.  A non-finite slope at t makes t the upper
+    end of the bracket and the next estimate its midpoint.
+    """
+    tol = _SLOPE_RTOL * abs(s0)
+    s_hi = slope(1.0)
+    if s_hi <= tol:
+        return 1.0
+    lo, s_lo, hi = 0.0, s0, 1.0
+    kept = 0  # +1 / -1 when the last update moved the upper / lower end
+
+    def estimate() -> float:
+        if not np.isfinite(s_hi):
+            return 0.5 * (lo + hi)
+        return lo - s_lo * (hi - lo) / (s_hi - s_lo)
+
+    for _ in range(_SLOPE_EVALS - 1):
+        t = estimate()
+        s = slope(t)
+        if abs(s) <= tol:
+            return t
+        if not np.isfinite(s):
+            hi, s_hi, kept = t, s, 0
+        elif s < 0.0:
+            lo, s_lo = t, s
+            if kept == -1:
+                s_hi *= 0.5
+            kept = -1
+        else:
+            hi, s_hi = t, s
+            if kept == 1:
+                s_lo *= 0.5
+            kept = 1
+    return estimate()
 
 
 def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
@@ -499,53 +559,25 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
     is None when the iteration budget ran out."""
     p, pt = problem.prolong, problem.restrict
 
-    def eval_at(x_try: np.ndarray) -> float:
-        return problem.energy(problem.nodal_state(u_fix, x_try))
+    def state_at(x_try: np.ndarray) -> np.ndarray:
+        progress.line_search_evals += 1
+        return problem.nodal_state(u_fix, x_try)
 
     def line_search(x0: np.ndarray, d: np.ndarray, gd: float,
                     e_base: float) -> float:
-        """Backtrack to an Armijo point, then settle at the best sampled
-        energy along the ray.  The energy is convex but its second
-        derivative jumps at the regularization floor, so the first
-        accepted step can overshoot the one-dimensional minimum badly;
-        continuing to halve while the energy improves, plus a short
-        bracket refinement, repairs that at the cost of a few extra
-        energy evaluations."""
-        t = 1.0
-        t_armijo = 0.0
-        e_armijo = e_base
+        """Step to the minimizer of the energy along the ray, which is
+        convex there, located as the root of its slope g(x0 + t d).d;
+        then check Armijo decrease once and halve from that step while
+        it fails."""
+        t = _slope_root(lambda s: float(
+            (pt @ problem.residual(state_at(x0 + s * d))) @ d), gd)
         for _bt in range(opts.max_backtracks):
-            e_try = eval_at(x0 + t * d)
+            e_try = problem.energy(state_at(x0 + t * d))
             if np.isfinite(e_try) and \
                     e_try <= e_base + opts.armijo_c * t * gd:
-                t_armijo, e_armijo = t, e_try
-                break
+                return t
             t *= opts.backtrack
-        if t_armijo == 0.0:
-            return 0.0
-        best_t, best_e = t_armijo, e_armijo
-        t = t_armijo * opts.backtrack
-        while t > 1e-30:
-            e_try = eval_at(x0 + t * d)
-            if not (np.isfinite(e_try) and e_try < best_e):
-                break
-            best_t, best_e = t, e_try
-            t *= opts.backtrack
-        lo = best_t * opts.backtrack
-        hi = min(best_t / opts.backtrack, 1.0)
-        for _k in range(10):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            e1, e2 = eval_at(x0 + m1 * d), eval_at(x0 + m2 * d)
-            if np.isfinite(e1) and e1 < best_e:
-                best_t, best_e = m1, e1
-            if np.isfinite(e2) and e2 < best_e:
-                best_t, best_e = m2, e2
-            if (np.isfinite(e1) and e1 <= e2) or not np.isfinite(e2):
-                hi = m2
-            else:
-                lo = m1
-        return best_t
+        return 0.0
 
     n_iter = 0
     e_best = np.inf
@@ -594,13 +626,15 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
             for _polish in range(opts.stall_window):
                 if gn_b <= progress.tol:
                     break
-                h = (p.T @ problem.hessian(u_b) @ p).tocsr()
-                d, _ = _jacobi_cg(h, -g_b, opts, progress)
+                d, inv_diag = _newton_direction(
+                    p.T @ problem.hessian(u_b) @ p, -g_b, progress)
+                if not np.all(np.isfinite(d)):
+                    d = -g_b * inv_diag
                 took = False
                 t = 1.0
                 for _bt in range(6):
                     x_try = x_best + t * d
-                    u_t = problem.nodal_state(u_fix, x_try)
+                    u_t = state_at(x_try)
                     g_t = pt @ problem.residual(u_t)
                     gn_t = float(np.linalg.norm(g_t))
                     if np.isfinite(gn_t) and gn_t < 0.5 * gn_b:
@@ -615,8 +649,8 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
             if gn_b > progress.tol:
                 progress.floored = gn_b
             return x_best, gn_b, n_iter, "polish"
-        h = (p.T @ problem.hessian(u) @ p).tocsr()
-        d, inv_diag = _jacobi_cg(h, -g, opts, progress)
+        d, inv_diag = _newton_direction(p.T @ problem.hessian(u) @ p, -g,
+                                        progress)
         gd = float(g @ d)
         fell_back = False
         if not np.isfinite(gd) or gd >= 0.0:
@@ -736,10 +770,13 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     valid = np.ones(mesh.n_nodes, dtype=bool)
     valid[problem.removed_nodes] = False
     logger.debug("solve %r: exit %s after %d Newton iterations, grad norm "
-                 "%.3e (tol %.3e), %d CG failures", datum.name, reason,
-                 total_iter, gn, tol, progress.cg_failures)
+                 "%.3e (tol %.3e), %d factorizations, %d linear-solve "
+                 "failures, %d line-search evaluations", datum.name, reason,
+                 total_iter, gn, tol, progress.factorizations,
+                 progress.linsolve_failures, progress.line_search_evals)
     info = SolveInfo(True, total_iter, gn, tol, energy, floor, balance, log,
-                     reason, progress.cg_failures)
+                     reason, progress.linsolve_failures,
+                     progress.factorizations, progress.line_search_evals)
     return PotentialField(mesh, u, valid, datum, info, pec_values)
 
 

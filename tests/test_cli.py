@@ -159,6 +159,14 @@ def test_unknown_solver_option(tmp_path, capsys):
     assert "unknown keys in solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [{"cg_rtol": 1e-8}, {"cg_maxiter": 2000}])
+def test_retired_cg_solver_options_rejected(tmp_path, capsys, option):
+    # the Newton systems are factorized directly; there is no CG to tune
+    code, _ = run(tmp_path, "solve", dict(PROBLEM, solver=option))
+    assert code == 2
+    assert "unknown keys in solver" in capsys.readouterr().err
+
+
 def test_rect_mesh_missing_dimensions(tmp_path, capsys):
     rect = {"kind": "rect", "target_h": 0.3}
     code, _ = run(tmp_path, "mesh-gen", {"mesh": rect})

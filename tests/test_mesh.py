@@ -1,6 +1,7 @@
 """Mesh construction, validation diagnostics, boundary mass, file I/O."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ def test_validate_duplicate_triangles():
 
 # ---------------------------------------------------------------------------
 # generator argument errors
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("disk", lambda: build_disk_mesh(1.0, 0.4)),
+    ("annulus", lambda: build_annulus_mesh(0.5, 1.0, 0.25)),
+    ("rect", lambda: build_rect_mesh(1.0, 1.0, 0.5)),
+])
+def test_each_build_logs_one_line(caplog, kind, build):
+    with caplog.at_level(logging.DEBUG, logger="condlab.mesh"):
+        mesh = build()
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines == [f"built {kind} mesh: {mesh.n_nodes} nodes, "
+                     f"{mesh.n_triangles} triangles"]
 
 
 def test_inclusion_must_stay_inside():

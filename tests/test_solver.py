@@ -26,6 +26,7 @@ from condlab.solver import (
     Problem,
     SolveError,
     SolveOptions,
+    _slope_root,
     boundary_data_continuity_study,
     current_density,
     datum_family,
@@ -135,20 +136,94 @@ def test_linear_solve_exits_on_tolerance(disk, linear_unit, caplog):
     with caplog.at_level(logging.DEBUG, logger="condlab.solver"):
         fld = solve(disk, linear_unit, ramp(disk))
     assert fld.info.exit_reason == "tol"
-    assert fld.info.cg_failures == 0
+    assert fld.info.linsolve_failures == 0
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 1 and "exit tol" in lines[0]
 
 
-def test_stalled_solve_reports_its_exit():
-    # a p = 1.1 law driven by a tiny trace: the energy decrease sinks
-    # below float resolution before the relative tolerance is met
+def small_sin2_solve(amplitude, opts=SolveOptions()):
+    # a p = 1.1 law driven by a small trace, where the energy decrease
+    # sinks below float resolution near the minimizer
     mesh = build_disk_mesh(1.0, 0.3)
     mats = MaterialMap({0: EJPowerLaw(1.0, 1.0, 10.0)})
-    datum = make_datum(mesh, [DatumTerm("sin", 1e-3, k=2)], "small")
-    fld = solve(mesh, mats, datum)
-    assert fld.info.exit_reason in ("floor", "polish")
+    datum = make_datum(mesh, [DatumTerm("sin", amplitude, k=2)], "small")
+    return solve(mesh, mats, datum, opts)
+
+
+def test_small_trace_solve_exits_on_tolerance():
+    # exact Newton directions and slope-root steps reach the default
+    # relative tolerance before the energy stalls
+    fld = small_sin2_solve(1e-3)
+    assert fld.info.exit_reason == "tol"
+    assert fld.info.grad_norm <= fld.info.grad_tol
+
+
+def test_solve_below_resolution_exits_at_roundoff_floor():
+    fld = small_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16))
+    assert fld.info.exit_reason == "floor"
+    assert fld.info.n_iter > 0
+    assert fld.info.grad_tol < fld.info.grad_norm <= 32.0 * \
+        fld.info.grad_floor
     assert fld.info.converged
+
+
+def test_stalled_solve_exits_by_polish():
+    fld = small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16))
+    assert fld.info.exit_reason == "polish"
+    assert fld.info.n_iter > 0
+    assert fld.info.converged
+
+
+def test_solve_counts_its_work(caplog):
+    mesh = build_disk_mesh(1.0, 0.15,
+                           inclusions=[DiskInclusion((0.2, 0.1), 0.35, 1)])
+    mats = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0),
+                        1: Linear(10.0)})
+    datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+    with caplog.at_level(logging.DEBUG, logger="condlab.solver"):
+        info = solve(mesh, mats, datum).info
+    assert info.n_iter > 0
+    assert info.factorizations == info.n_iter
+    # about one slope at the full step and one energy for the Armijo
+    # check (measured 2.4 per step)
+    assert info.line_search_evals <= 3.0 * info.n_iter
+    line = caplog.records[-1].getMessage()
+    assert f"{info.factorizations} factorizations" in line
+    assert f"{info.line_search_evals} line-search evaluations" in line
+
+
+@pytest.mark.parametrize("root", [0.03, 0.3, 0.9])
+def test_slope_root_finds_the_ray_minimizer(root):
+    calls = []
+
+    def slope(t):
+        # convex ray with a kink, overflowing past t = 0.95
+        calls.append(t)
+        if t > 0.95:
+            return np.inf
+        return (t - root) * (1.0 if t < root else 4.0)
+
+    s0 = slope(0.0)
+    calls.clear()
+    t = _slope_root(slope, s0)
+    assert len(calls) <= 12
+    assert abs(slope(t)) <= 1e-2 * root
+
+
+def test_slope_root_takes_the_full_step_when_still_descending():
+    assert _slope_root(lambda t: t - 2.0, -2.0) == 1.0
+
+
+def test_piecewise_linear_solve_takes_one_newton_step():
+    # the exact Newton direction of a quadratic energy lands on the
+    # minimizer, so the full step is taken and the tolerance met at once
+    mesh = build_disk_mesh(1.0, 0.15,
+                           inclusions=[DiskInclusion((0.2, 0.1), 0.35, 1)])
+    mats = MaterialMap({0: Linear(1.0), 1: Linear(10.0)})
+    info = solve(mesh, mats, ramp(mesh)).info
+    assert info.exit_reason == "tol"
+    assert info.n_iter <= 1
+    assert info.linsolve_failures == 0
 
 
 # ---------------------------------------------------------------------------

@@ -161,63 +161,19 @@ class PowerLaw:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class EJPowerLaw:
+def EJPowerLaw(jc: float, e0: float, n: float,
+               reg_eps: float | None = None) -> PowerLaw:
     """Superconductor E-J characteristic J = Jc * (E / e0)^(1/n).
 
-    Equivalent to ``PowerLaw(sigma_bar=jc/e0, e0=e0, p=(n+1)/n)`` since
+    This is ``PowerLaw(sigma_bar=jc/e0, e0=e0, p=(n+1)/n)`` since
     sigma(E) = J/E = (Jc/e0) * (E/e0)^((1-n)/n) and (1-n)/n = p - 2.
     """
-
-    jc: float
-    e0: float
-    n: float
-    reg_eps: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.jc <= 0 or self.e0 <= 0:
-            raise ConstitutiveError("jc and e0 must be positive")
-        if self.n < 1:
-            raise ConstitutiveError("creep exponent n must be >= 1")
-        object.__setattr__(self, "_pl", PowerLaw(
-            sigma_bar=self.jc / self.e0, e0=self.e0,
-            p=(self.n + 1.0) / self.n, reg_eps=self.reg_eps))
-        object.__setattr__(self, "reg_eps", self._pl.reg_eps)
-
-    kind = "ej"
-    is_structural = False
-
-    @property
-    def as_power_law(self) -> PowerLaw:
-        return self._pl
-
-    @property
-    def effective_p(self) -> float:
-        return self._pl.p
-
-    def with_reg_eps(self, eps: float) -> "EJPowerLaw":
-        return replace(self, reg_eps=eps)
-
-    def sigma(self, e):
-        return self._pl.sigma(e)
-
-    def sigma_raw(self, e):
-        return self._pl.sigma_raw(e)
-
-    def flux(self, e):
-        return self._pl.flux(e)
-
-    def flux_raw(self, e):
-        return self._pl.flux_raw(e)
-
-    def dflux(self, e):
-        return self._pl.dflux(e)
-
-    def energy_density(self, e):
-        return self._pl.energy_density(e)
-
-    def energy_density_raw(self, e):
-        return self._pl.energy_density_raw(e)
+    if jc <= 0 or e0 <= 0:
+        raise ConstitutiveError("jc and e0 must be positive")
+    if n < 1:
+        raise ConstitutiveError("creep exponent n must be >= 1")
+    return PowerLaw(sigma_bar=jc / e0, e0=e0, p=(n + 1.0) / n,
+                    reg_eps=reg_eps)
 
 
 @dataclass(frozen=True)

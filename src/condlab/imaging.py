@@ -60,6 +60,9 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
     tested perturbation stays compactly inside the domain; empty cells
     are dropped.
     """
+    if nx < 1 or ny < 1:
+        raise ValueError(f"cell grid needs nx, ny >= 1, got nx={nx}, "
+                         f"ny={ny}")
     xmin, ymin = mesh.nodes.min(axis=0)
     xmax, ymax = mesh.nodes.max(axis=0)
     on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
@@ -97,6 +100,9 @@ def make_cell_phantom(mesh: Mesh, grid: CellGrid, cell_ids: Sequence[int],
     Returns a relabeled mesh plus the background map extended with the
     stamped model under a fresh region label.
     """
+    bad = [c for c in cell_ids if not 0 <= c < grid.n_cells]
+    if bad:
+        raise ValueError(f"cell ids {bad} outside range({grid.n_cells})")
     if model is None:
         model = PEI()
     lab = fresh_label(mesh, background)
@@ -151,6 +157,13 @@ class MpmResult:
         return tuple(int(i) for i in np.nonzero(self.mask)[0])
 
 
+def contrast_model(contrast: str):
+    """The structural test extreme named by ``contrast``."""
+    if contrast not in ("pei", "pec"):
+        raise ValueError(f"contrast must be 'pei' or 'pec', got {contrast!r}")
+    return PEI() if contrast == "pei" else PEC()
+
+
 def _cell_powers(mesh: Mesh, background: MaterialMap, cell: Cell,
                  model, lab: int, data: Sequence[BoundaryDatum],
                  quad_order: int, opts: SolveOptions) -> np.ndarray:
@@ -183,9 +196,7 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     data and a cell is flagged when score >= -tol.  The default tol is
     3 * noise_rel plus a 1e-9 floor against solver round-off.
     """
-    if contrast not in ("pei", "pec"):
-        raise ValueError(f"contrast must be 'pei' or 'pec', got {contrast!r}")
-    model = PEI() if contrast == "pei" else PEC()
+    model = contrast_model(contrast)
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
     lab = fresh_label(mesh, background)

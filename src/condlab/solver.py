@@ -43,6 +43,7 @@ import functools
 import logging
 import operator
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -410,7 +411,8 @@ class SolveOptions:
 
     grad_rtol is relative to the gradient norm at the initial guess of the
     first stage; continuation multiplies every power-law reg_eps by the
-    schedule entries in turn (the final entry must be 1).
+    schedule entries in turn (the final entry must be 1).  Every control
+    is checked at construction; a bad value raises ``SolveError``.
     """
 
     grad_rtol: float = 1e-10
@@ -422,6 +424,25 @@ class SolveOptions:
     floor_factor: float = 32.0
     stall_window: int = 8
     collect_log: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_iter", "max_backtracks", "stall_window"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
+                raise SolveError(f"{name} must be a positive integer, "
+                                 f"got {v!r}")
+        for name in ("grad_rtol", "floor_factor", "backtrack", "armijo_c"):
+            v = getattr(self, name)
+            if not isinstance(v, Real) or isinstance(v, bool) or not v > 0:
+                raise SolveError(f"{name} must be a positive number, "
+                                 f"got {v!r}")
+            if name in ("backtrack", "armijo_c") and not v < 1.0:
+                raise SolveError(f"{name} must be below 1, got {v!r}")
+        sched = self.reg_schedule
+        if not sched or sched[-1] != 1.0 or not all(
+                isinstance(m, Real) and m > 0 for m in sched):
+            raise SolveError(f"reg_schedule must be positive multipliers "
+                             f"ending at 1.0, got {sched!r}")
 
 
 @dataclass
@@ -734,8 +755,6 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         x = harmonic_initial_guess(problem, u_fix)
 
     schedule = opts.reg_schedule if not materials.is_linear else (1.0,)
-    if not schedule or schedule[-1] != 1.0:
-        raise SolveError("reg_schedule must end at multiplier 1.0")
 
     progress = _Progress()
     log: list[dict] = []

@@ -7,10 +7,12 @@ Meshes are kept deliberately coarse; this file is about plumbing, not
 accuracy.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condlab import cli
 from condlab.imaging import build_cell_grid
@@ -89,7 +91,7 @@ def test_mesh_gen_flags_validation_issues(tmp_path, capsys):
 def test_mesh_gen_check_only_writes_no_files(tmp_path):
     code, out = run(tmp_path, "mesh-gen", {"mesh": DISK}, "--check-only")
     assert code == 0
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_mesh_gen_accepts_full_problem_config(tmp_path):
@@ -546,6 +548,151 @@ def test_wire_flags_nonpositive_differences(tmp_path, capsys):
     # the table is still written for inspection
     _, rows = read_csv(out / "table_case.csv")
     assert all(float(r[3]) < 0 for r in rows)
+
+
+# ------------------------------------------- one config read, two exits
+
+# Bad configs must be refused by the one config read that --check-only and
+# a run share: exit 2, the same error line, and nothing written.
+TRUTH = {"cells": [0]}
+CONFIG_PROBES = [
+    ("mpm-image", lambda: mpm_cfg(grid={"nx": 5}, truth=TRUTH),
+     "missing keys in grid: ['ny']"),
+    ("mpm-image", lambda: mpm_cfg(truth={"cells": [0], "shape": "box"}),
+     "unknown keys in truth: ['shape']"),
+    ("mpm-image", lambda: mpm_cfg(truth={"cells": [0],
+                                         "model": {"type": "nope"}}),
+     "unknown material type 'nope'"),
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH, contrast="bogus"),
+     "contrast must be 'pei' or 'pec'"),
+    ("mpm-image", lambda: mpm_cfg(mesh=INC_DISK, truth=TRUTH),
+     "mesh labels without material"),
+    ("monotonicity-suite", lambda: suite_cfg(),
+     "'pairs' and/or 'chain'"),
+    ("monotonicity-suite",
+     lambda: suite_cfg(pairs=[CONTRAST_PAIR], compare="bogus"),
+     "compare must be avg_power or energy"),
+    ("reproduce-wire",
+     lambda: dict(wire_cfg("pei"), healthy={"mesh": INC_DISK,
+                                            "materials": LIN2, "x": 1}),
+     "unknown keys in healthy: ['x']"),
+    ("reproduce-wire",
+     lambda: dict(wire_cfg("pei"), damaged=[dict(
+         wire_cfg("pei")["damaged"][0], x=1)]),
+     "unknown keys in damaged[0]: ['x']"),
+    # wrongly typed or out-of-range values
+    ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, target_h="abc")),
+     "ValueError"),
+    ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=[5])),
+     "AttributeError"),
+    ("solve", lambda: dict(PROBLEM, materials={"regions": []}),
+     "AttributeError"),
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "r", "terms": 5}]),
+     "TypeError"),
+    ("mpm-image", lambda: mpm_cfg(grid={"nx": 0, "ny": 3}, truth=TRUTH),
+     "nx=0, ny=3"),
+    ("mpm-image", lambda: mpm_cfg(truth={"cells": [999]}),
+     "cell ids [999] outside range"),
+    ("solve", lambda: dict(PROBLEM, solver={"max_iter": "x"}),
+     "max_iter must be a positive integer"),
+    ("solve", lambda: dict(PROBLEM, solver={"reg_schedule": [10]}),
+     "reg_schedule must be positive multipliers ending at 1.0"),
+    ("avg-power", lambda: dict(PROBLEM, quad_order=0),
+     "quadrature order must be >= 1"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": 5},
+     "save_as must be a file name"),
+    ("solve", lambda: dict(PROBLEM, mesh={"path": "no_such_mesh.json"}),
+     "mesh file"),
+    ("convergence-study", lambda: {"p_values": [0.5], "target_h": [0.4]},
+     "exponent p must exceed 1"),
+]
+
+
+@pytest.mark.parametrize("command, make_cfg, message", CONFIG_PROBES,
+                         ids=[msg for _, _, msg in CONFIG_PROBES])
+def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
+                                     message):
+    errors = []
+    for extra, out in ((["--check-only"], "check"), ([], "run")):
+        code, outdir = run(tmp_path, command, make_cfg(), *extra, out=out)
+        assert code == 2
+        assert not outdir.exists()
+        captured = capsys.readouterr()
+        assert "[check] config ok" not in captured.out
+        errors.append([ln for ln in captured.err.splitlines()
+                       if ln.startswith("error:")])
+    assert len(errors[0]) == 1 and errors[0] == errors[1]
+    assert message in errors[0][0]
+
+
+# Fuzzed configs: one entry of a small, valid config is replaced by a JSON
+# value of another type or deleted.  No new numbers are drawn, so no mesh
+# or grid can grow and the read stays quick.
+FUZZ_BASES = {
+    "solve": {
+        "mesh": INC_DISK,
+        "materials": {"regions": {
+            "0": {"type": "linear", "sigma": 1.0},
+            "1": {"type": "ej", "Jc": 2.0, "E0": 1.0, "n": 3}}},
+        "data": [RAMP, {"name": "xy", "terms": [
+            {"kind": "expr", "amplitude": 1.0, "expr": "x * y"}]}],
+        "solver": {"grad_rtol": 1e-8, "max_iter": 50,
+                   "reg_schedule": [10.0, 1.0]}},
+    "mpm-image": mpm_cfg(
+        mesh={"kind": "disk", "radius": 1.0, "target_h": 0.4},
+        grid={"nx": 2, "ny": 2}, data=[RAMP],
+        truth={"cells": [0], "model": {"type": "pei"}}, contrast="pei",
+        noise_rel=0.01, seed=3, tol=0.05, solver={"max_iter": 20}),
+}
+DELETE = object()
+
+
+def entry_paths(node, path=()):
+    """Key/index paths to every entry below the root of a JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    path = draw(st.sampled_from(list(entry_paths(base))))
+    cfg = copy.deepcopy(base)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    choices = [v for v in ("x", [], {}, None) if type(v) is not type(old)]
+    if isinstance(parent, dict):
+        choices.append(DELETE)
+    new = draw(st.sampled_from(choices))
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(new)
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_base_config_of_fuzzing_passes_check(tmp_path, command):
+    code, _ = run(tmp_path, command, FUZZ_BASES[command], "--check-only")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_check_exits_0_or_2(tmp_path_factory, command, data):
+    cfg = data.draw(mutated(FUZZ_BASES[command]))
+    path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = path.parent / "out"
+    code = cli.main([command, "--config", str(path), "--out", str(out),
+                     "--check-only"])
+    assert code in (0, 2)
+    assert not out.exists()
 
 
 # ----------------------------------------------------------- determinism

@@ -199,8 +199,10 @@ def test_flux_strictly_increasing():
 
 def test_ej_flux_at_reference_field_is_jc():
     m = EJPowerLaw(**EJ_WIRE)
-    assert abs(m.flux_raw(m.e0) - m.jc) <= 1e-12 * m.jc
-    assert abs(m.sigma_raw(m.e0) - m.jc / m.e0) <= 1e-12 * m.jc / m.e0
+    jc, e0 = EJ_WIRE["jc"], EJ_WIRE["e0"]
+    assert m == PowerLaw(jc / e0, e0, 28.0 / 27.0)
+    assert abs(m.flux_raw(e0) - jc) <= 1e-12 * jc
+    assert abs(m.sigma_raw(e0) - jc / e0) <= 1e-12 * jc / e0
 
 
 def test_ej_exponent_mapping():
@@ -425,7 +427,7 @@ def test_power_law_family_shape(sigma_bar, e0, p):
        n=st.floats(1.0, 60.0))
 def test_ej_always_matches_declared_power_law(jc, e0, n):
     ej = EJPowerLaw(jc=jc, e0=e0, n=n)
-    pl = ej.as_power_law
+    pl = PowerLaw(sigma_bar=jc / e0, e0=e0, p=(n + 1.0) / n)
     e = default_e_grid(e0, n=21)
     assert np.allclose(ej.flux(e), pl.flux(e), rtol=1e-12)
     assert np.allclose(ej.energy_density(e), pl.energy_density(e),

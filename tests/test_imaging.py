@@ -76,6 +76,12 @@ def test_grid_area_below_mesh_area(scan_mesh, grid):
     assert 0.0 < total < scan_mesh.areas.sum()
 
 
+@pytest.mark.parametrize("nx, ny", [(0, 3), (3, 0), (-2, 2)])
+def test_grid_rejects_empty_axis(scan_mesh, nx, ny):
+    with pytest.raises(ValueError, match=f"nx={nx}, ny={ny}"):
+        build_cell_grid(scan_mesh, nx, ny)
+
+
 def test_grid_centers_inside_bbox(grid):
     xmin, xmax, ymin, ymax = grid.bbox
     centers = grid.cell_centers()
@@ -112,6 +118,15 @@ def test_make_cell_phantom_custom_model(scan_mesh, grid, bg):
     cid = center_cell(grid)
     _, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg, model=PEC())
     assert mats_p.model_for(fresh_label(scan_mesh, bg)) == PEC()
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_make_cell_phantom_rejects_cells_outside_grid(scan_mesh, grid, bg,
+                                                      offset):
+    # -1 must not wrap round to the last cell, n_cells is one past it
+    bad = -1 if offset < 0 else grid.n_cells
+    with pytest.raises(ValueError, match=rf"\[{bad}\] outside range"):
+        make_cell_phantom(scan_mesh, grid, [0, bad], bg)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,18 @@ def test_bad_reg_schedule_rejected(disk, power4):
               opts=SolveOptions(reg_schedule=(10.0,)))
 
 
+@pytest.mark.parametrize("bad", [
+    {"reg_schedule": ()}, {"reg_schedule": (10.0, 0.0, 1.0)},
+    {"max_iter": "x"}, {"max_iter": 0}, {"max_iter": 2.5},
+    {"max_backtracks": -1}, {"stall_window": True}, {"grad_rtol": 0.0},
+    {"grad_rtol": "1e-8"}, {"floor_factor": -1.0}, {"backtrack": 1.5},
+    {"armijo_c": float("nan")}])
+def test_solve_options_check_themselves(bad):
+    (name,) = bad
+    with pytest.raises(SolveError, match=name):
+        SolveOptions(**bad)
+
+
 def test_problem_for_another_material_map_rejected(disk, linear_unit,
                                                    power4):
     with pytest.raises(ValueError, match="another mesh or material map"):

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
                            MaterialMap, PEC, PEI, PowerLaw, Tabulated)
-from .dtn import (average_dtn_power, dtn_pairing, gateaux_check,
+from .dtn import (average_dtn_powers, dtn_pairing, gateaux_check,
                   gauss_on_unit)
 from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
                       mask_metrics, mpm_scan, synth_measurements)
@@ -39,9 +39,9 @@ from .output import (write_csv, write_element_csv, write_json,
                      write_node_csv, write_pair_csv, write_power_batch_csv,
                      write_power_json, write_sidecar, write_solver_log,
                      write_tri_svg)
-from .solver import (BoundaryDatum, DatumTerm, SolveError, SolveOptions,
-                     energy_density_map, make_datum, project_zero_mean,
-                     solve)
+from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
+                     SolveOptions, energy_density_map, make_datum,
+                     project_zero_mean, solve)
 
 
 def _slug(name: str) -> str:
@@ -219,14 +219,24 @@ def _quad_order(cfg: dict, args, default: int) -> int:
 
 
 def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
-    # tolerate the other problem-config sections so the same file can
-    # drive mesh-gen and the compute subcommands
+    # accept the other problem-config sections so the same file can drive
+    # mesh-gen and the compute subcommands, and read each one present the
+    # way those commands do, so a config passes here only if it would pass
+    # there
     _check_keys(cfg, "config", {"mesh"}, {"save_as", "materials", "data",
                                           "solver", "quad_order"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
     name = cfg.get("save_as", "mesh.json")
     if not isinstance(name, str):
         raise ConfigError(f"save_as must be a file name, got {name!r}")
+    if "materials" in cfg:
+        materials_from_spec(cfg["materials"]).check_covers(mesh.labels)
+    if "data" in cfg:
+        data_from_spec(mesh, cfg["data"])
+    if "solver" in cfg:
+        solver_opts_from_spec(cfg["solver"])
+    if "quad_order" in cfg:
+        _quad_order(cfg, args, 16)
     issues = validate(mesh)
     report = {"n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
               "n_boundary_nodes": int(len(mesh.boundary_nodes)),
@@ -260,9 +270,10 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
                                                 collect_log=True)
 
     def run() -> int:
+        problem = Problem(mesh, materials)
         infos = []
         for datum in data:
-            fld = solve(mesh, materials, datum, opts)
+            fld = solve(mesh, materials, datum, opts, problem=problem)
             tag = _slug(datum.name)
             write_node_csv(os.path.join(args.out, f"u_{tag}.csv"), fld)
             write_element_csv(os.path.join(args.out,
@@ -293,10 +304,11 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
     mat_id = cfg.get("material_id", "m0")
 
     def run() -> int:
+        problem = Problem(mesh, materials)
         rows = []
         for datum in data:
-            fld = solve(mesh, materials, datum, opts)
-            p = dtn_pairing(mesh, materials, fld, datum)
+            fld = solve(mesh, materials, datum, opts, problem=problem)
+            p = dtn_pairing(mesh, materials, fld, datum, problem)
             rows.append((datum.name, mat_id, p, float("nan"),
                          fld.info.energy, float("nan")))
             print(f"[power] {datum.name}: <L f, f> = {p:.10e}")
@@ -314,8 +326,8 @@ def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
 
     def run() -> int:
         reports = []
-        for datum in data:
-            rep = average_dtn_power(mesh, materials, datum, order, opts)
+        for datum, rep in zip(data, average_dtn_powers(mesh, materials, data,
+                                                       order, opts)):
             reports.append((datum.name, mat_id, rep))
             write_power_json(os.path.join(
                 args.out, f"avg_power_{_slug(datum.name)}.json"), rep)
@@ -582,14 +594,14 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
         cases.append((str(case["name"]), dmesh, dmats, ddata))
 
     def run() -> int:
-        healthy_powers = {datum.name: average_dtn_power(
-            healthy_mesh, healthy_mats, datum, order, opts).avg_power
-            for datum in data}
+        healthy_powers = {datum.name: rep.avg_power for datum, rep in zip(
+            data, average_dtn_powers(healthy_mesh, healthy_mats, data,
+                                     order, opts))}
         failures = []
         for name, dmesh, dmats, ddata in cases:
             rows = []
-            for datum in ddata:
-                rep = average_dtn_power(dmesh, dmats, datum, order, opts)
+            for datum, rep in zip(ddata, average_dtn_powers(
+                    dmesh, dmats, ddata, order, opts)):
                 e0 = healthy_powers[datum.name]
                 e1 = rep.avg_power
                 diff = e0 - e1

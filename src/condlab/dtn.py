@@ -19,14 +19,27 @@ mismatch is reported as ``transfer_residual``.  Gauss-Legendre nodes on
 (0, 1) are solved in ascending order, each warm-started from the previous
 solution scaled by the node ratio.
 
+When every finite region of the map is linear (``MaterialMap.is_linear``:
+linear and p = 2 power laws, PEI and PEC), the solution is homogeneous of
+degree one in the datum, u^(alpha f) = alpha u^f, so every node's pairing
+is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
+once, at alpha = 1, instead of once per node (the homogeneity path); the
+map alone selects it.
+
 Every function here that solves or pairs more than once on one (mesh,
-material map) pair compiles a single ``solver.Problem`` for the call and
-hands it to each solve and pairing; it is dropped when the call returns.
-``dtn_pairing`` accepts such a shared problem and builds one when none is
-given.
+material map) pair compiles a single ``solver.Problem`` and hands it to
+each solve and pairing.  ``dtn_pairing`` and ``average_dtn_power`` accept
+such a shared problem and build one when none is given;
+``average_dtn_powers`` runs a list of data on one shared problem, so a
+caller that loops over data on one pair compiles it, and on a linear map
+factorizes its harmonic start, once.  Each averaged power or pairing logs
+one debug line on ``condlab.dtn`` with its datum, quadrature order,
+number of solves and whether the homogeneity path was taken.
 """
 from __future__ import annotations
 
+import functools
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +49,8 @@ from .constitutive import MaterialMap
 from .mesh import Mesh
 from .solver import (BoundaryDatum, PotentialField, Problem, SolveOptions,
                      _compiled, harmonic_initial_guess, solve)
+
+logger = logging.getLogger(__name__)
 
 
 def dtn_pairing(mesh: Mesh, materials: MaterialMap, fld: PotentialField,
@@ -72,12 +87,16 @@ def ohmic_power(mesh: Mesh, materials: MaterialMap,
     return dtn_pairing(mesh, materials, fld, fld.datum)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_on_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to (0, 1)."""
+    """Gauss-Legendre nodes and weights transplanted to (0, 1); each
+    order's rule is computed once and returned as read-only arrays."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _alpha_sweep(problem: Problem, datum: BoundaryDatum, alphas: np.ndarray,
@@ -112,25 +131,43 @@ class PowerReport:
     nodes: tuple[tuple[float, float, float], ...]  # (alpha, weight, pairing)
 
 
+def _log_average(what: str, datum: BoundaryDatum, quad_order: int,
+                 solves: int, linear: bool) -> None:
+    logger.debug("averaged %s %r: quadrature order %d, %d solves, %s",
+                 what, datum.name, quad_order, solves,
+                 "homogeneity path" if linear else "alpha sweep")
+
+
 def average_dtn_power(mesh: Mesh, materials: MaterialMap,
                       datum: BoundaryDatum, quad_order: int = 16,
-                      opts: SolveOptions = SolveOptions()) -> PowerReport:
+                      opts: SolveOptions = SolveOptions(),
+                      problem: Problem | None = None) -> PowerReport:
     """Averaged boundary power of one datum, with the transfer mismatch.
 
-    Solves at each Gauss-Legendre alpha node plus alpha = 1; reports
+    Solves at each Gauss-Legendre alpha node plus alpha = 1, or only at
+    alpha = 1 on a linear map; reports
     avg_power = sum_k w_k <Lambda(alpha_k f), f>, the full power
     <Lambda(f), f>, the Dirichlet energy of u^f, and
     |avg_power - energy| / max(|energy|, tiny) as ``transfer_residual``.
+    ``problem`` is an optional ``Problem(mesh, materials)`` to reuse.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    problem = Problem(mesh, materials)
-    fields = _alpha_sweep(problem, datum, np.concatenate([alphas, [1.0]]),
-                          opts)
-    full = fields[-1]
-    pairings = np.array([dtn_pairing(mesh, materials, f, datum, problem)
-                         for f in fields[:-1]])
+    problem = _compiled(mesh, materials, problem)
+    linear = materials.is_linear
+    if linear:
+        full = solve(mesh, materials, datum, opts, problem=problem)
+        power = dtn_pairing(mesh, materials, full, datum, problem)
+        pairings = alphas * power
+    else:
+        fields = _alpha_sweep(problem, datum,
+                              np.concatenate([alphas, [1.0]]), opts)
+        full = fields[-1]
+        pairings = np.array([dtn_pairing(mesh, materials, f, datum,
+                                         problem) for f in fields[:-1]])
+        power = dtn_pairing(mesh, materials, full, datum, problem)
+    _log_average("power", datum, quad_order,
+                 1 if linear else quad_order + 1, linear)
     avg = float(weights @ pairings)
-    power = dtn_pairing(mesh, materials, full, datum, problem)
     energy = full.info.energy
     residual = abs(avg - energy) / max(abs(energy), 1e-300)
     nodes = tuple((float(a), float(w), float(pr))
@@ -139,16 +176,35 @@ def average_dtn_power(mesh: Mesh, materials: MaterialMap,
                        float(residual), quad_order, nodes)
 
 
+def average_dtn_powers(mesh: Mesh, materials: MaterialMap,
+                       data: Sequence[BoundaryDatum], quad_order: int = 16,
+                       opts: SolveOptions = SolveOptions()
+                       ) -> list[PowerReport]:
+    """``average_dtn_power`` of each datum, all sharing one compiled
+    ``Problem(mesh, materials)`` that is dropped on return."""
+    problem = Problem(mesh, materials)
+    return [average_dtn_power(mesh, materials, d, quad_order, opts, problem)
+            for d in data]
+
+
 def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
                         datum: BoundaryDatum, phi: BoundaryDatum,
                         quad_order: int = 16,
                         opts: SolveOptions = SolveOptions()) -> float:
-    """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha."""
+    """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha;
+    one solve on a linear map, one per alpha node otherwise."""
     alphas, weights = gauss_on_unit(quad_order)
     problem = Problem(mesh, materials)
-    fields = _alpha_sweep(problem, datum, alphas, opts)
-    pairings = np.array([dtn_pairing(mesh, materials, f, phi, problem)
-                         for f in fields])
+    linear = materials.is_linear
+    if linear:
+        fld = solve(mesh, materials, datum, opts, problem=problem)
+        pairings = alphas * dtn_pairing(mesh, materials, fld, phi, problem)
+    else:
+        fields = _alpha_sweep(problem, datum, alphas, opts)
+        pairings = np.array([dtn_pairing(mesh, materials, f, phi, problem)
+                             for f in fields])
+    _log_average("pairing", datum, quad_order,
+                 1 if linear else quad_order, linear)
     return float(weights @ pairings)
 
 

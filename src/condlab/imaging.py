@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .constitutive import PEC, PEI, MaterialMap
-from .dtn import average_dtn_power
+from .dtn import average_dtn_powers
 from .mesh import Mesh
 from .solver import BoundaryDatum, SolveOptions
 
@@ -134,8 +134,8 @@ def synth_measurements(mesh: Mesh, materials: MaterialMap,
                        noise_rel: float = 0.0, seed: int = 0,
                        opts: SolveOptions = SolveOptions()) -> Measurements:
     """Forward-model averaged powers with multiplicative uniform noise."""
-    clean = np.array([average_dtn_power(mesh, materials, d, quad_order,
-                                        opts).avg_power for d in data])
+    clean = np.array([rep.avg_power for rep in average_dtn_powers(
+        mesh, materials, data, quad_order, opts)])
     rng = np.random.default_rng(seed)
     noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
     return Measurements(tuple(d.name for d in data), clean, noisy,
@@ -171,8 +171,8 @@ def _cell_powers(mesh: Mesh, background: MaterialMap, cell: Cell,
     labels[list(cell.tri_ids)] = lab
     test_mesh = mesh.relabeled(labels)
     test_mats = background.replaced(lab, model)
-    return np.array([average_dtn_power(test_mesh, test_mats, d, quad_order,
-                                       opts).avg_power for d in data])
+    return np.array([rep.avg_power for rep in average_dtn_powers(
+        test_mesh, test_mats, data, quad_order, opts)])
 
 
 def _scan_task(args) -> tuple[int, np.ndarray]:

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .constitutive import MaterialMap, default_e_grid
-from .dtn import average_dtn_power
+from .dtn import average_dtn_powers
 from .mesh import Mesh
-from .solver import BoundaryDatum, SolveOptions, solve
+from .solver import BoundaryDatum, Problem, SolveOptions, solve
 
 
 def _regime(model) -> str:
@@ -128,10 +128,11 @@ def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
     tol = tol_rel * max(|E_hi|, |E_lo|); each row carries its margin.
     """
     cert = pointwise_leq(lo, hi, grid)
+    p_lo, p_hi = Problem(mesh, lo), Problem(mesh, hi)
     rows = []
     for datum in data:
-        e_lo = solve(mesh, lo, datum, opts).info.energy
-        e_hi = solve(mesh, hi, datum, opts).info.energy
+        e_lo = solve(mesh, lo, datum, opts, problem=p_lo).info.energy
+        e_hi = solve(mesh, hi, datum, opts, problem=p_hi).info.energy
         tol = tol_rel * max(abs(e_lo), abs(e_hi), 1e-300)
         delta = e_hi - e_lo
         rows.append(ComparisonRow(datum.name, e_lo, e_hi, delta, tol,
@@ -162,11 +163,10 @@ def avg_dtn_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
     on nearly singular alpha-integrands is never misread as a violation.
     """
     cert = pointwise_leq(lo, hi, grid)
-    rows = [_power_row(datum.name,
-                       average_dtn_power(mesh, lo, datum, quad_order, opts),
-                       average_dtn_power(mesh, hi, datum, quad_order, opts),
-                       cert, tol_rel)
-            for datum in data]
+    rows = [_power_row(datum.name, rep_lo, rep_hi, cert, tol_rel)
+            for datum, rep_lo, rep_hi in zip(
+                data, average_dtn_powers(mesh, lo, data, quad_order, opts),
+                average_dtn_powers(mesh, hi, data, quad_order, opts))]
     return MonotonicityReport("avg_power", cert, tuple(rows))
 
 
@@ -201,9 +201,8 @@ def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
     names = tuple(name for name, _ in chain)
     reports = {}
     for name, mats in chain:
-        reports[name] = {d.name: average_dtn_power(mesh, mats, d,
-                                                   quad_order, opts)
-                         for d in data}
+        reports[name] = {d.name: rep for d, rep in zip(
+            data, average_dtn_powers(mesh, mats, data, quad_order, opts))}
     pair_reports = []
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):

@@ -19,12 +19,14 @@ Everything that depends only on the (mesh, material map) pair is compiled
 once into a ``Problem``: the unknown map, the active-triangle slices of the
 mesh arrays, the active triangles grouped by distinct model (equal laws
 under different labels are evaluated in one call), and, on first use, the
-boundary mass and the reduced unit-stiffness matrix of the harmonic start.
-A ``Problem`` holds no per-datum state and lives as long as the call that
-built it; ``solve`` and the pairings in ``dtn`` accept one so that every
-solve and pairing on the same pair shares it, and build their own when
-none is given.  Continuation stages reuse the structure and only swap each
-group's law for its rescaled-floor version.
+boundary mass, the reduced unit-stiffness matrix of the harmonic start
+and, on a linear map, its sparse LU factor, so there the harmonic start of
+every solve on the pair is one back-substitution against a factor computed
+once per ``Problem``.  A ``Problem`` holds no per-datum state and lives as
+long as the caller that built it; ``solve`` and the pairings in ``dtn``
+accept one so that every solve and pairing on the same pair shares it,
+and build their own when none is given.  Continuation stages reuse the
+structure and only swap each group's law for its rescaled-floor version.
 
 Newton direction from the symmetrized flux linearization, solved by one
 sparse LU factorization per step, with a diagonally scaled gradient as the
@@ -48,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import SuperLU, splu
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import BoundaryMass, Mesh, boundary_mass
@@ -295,6 +297,12 @@ class Problem:
         p = self.prolong
         return k, (p.T @ k @ p).tocsc()
 
+    @functools.cached_property
+    def unit_factor(self) -> SuperLU:
+        """Sparse LU factor of the reduced unit stiffness, built on first
+        use and kept."""
+        return _factor_unit(self.unit_stiffness[1])
+
     def with_reg_eps_scale(self, factor: float) -> "Problem":
         """The same structure with every law's floor scaled by ``factor``
         (one continuation stage)."""
@@ -390,15 +398,32 @@ def _compiled(mesh: Mesh, materials: MaterialMap,
     return problem
 
 
+def _factor_unit(a: sparse.csc_matrix) -> SuperLU:
+    try:
+        return splu(a)
+    except RuntimeError:  # exactly singular factor
+        raise SolveError("harmonic start: the unit stiffness is singular "
+                         "(conducting nodes without a path to the "
+                         "boundary)") from None
+
+
 def harmonic_initial_guess(problem: Problem,
                            u_fix: np.ndarray) -> np.ndarray:
     """Discrete harmonic extension (unit conductivity) of the trace,
-    respecting the PEC/PEI unknown structure; used as the Newton start."""
-    k, a = problem.unit_stiffness
-    b = -problem.restrict @ (k @ u_fix)
+    respecting the PEC/PEI unknown structure; used as the Newton start.
+
+    On a linear map the back-solve uses the problem's kept
+    ``unit_factor``: there every solve starts from this extension, and
+    on a unit background ends at it.  A nonlinear map factorizes for the
+    call, so the factor does not stay in memory through the Newton
+    factorizations that follow; its start is a small part of its solve.
+    """
     if problem.n_free == 0:
         return np.zeros(0)
-    return spsolve(a, b)
+    k, a = problem.unit_stiffness
+    lu = problem.unit_factor if problem.materials.is_linear \
+        else _factor_unit(a)
+    return lu.solve(-problem.restrict @ (k @ u_fix))
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,17 @@ CONFIG_PROBES = [
      "quadrature order must be >= 1"),
     ("mesh-gen", lambda: {"mesh": DISK, "save_as": 5},
      "save_as must be a file name"),
+    # mesh-gen reads the problem sections it accepts
+    ("mesh-gen", lambda: dict(PROBLEM, materials={"regions": {
+        "0": {"type": "rubber"}}}), "unknown material type 'rubber'"),
+    ("mesh-gen", lambda: dict(PROBLEM, data="x"),
+     "datum must be a JSON object"),
+    ("mesh-gen", lambda: dict(PROBLEM, solver={"max_iter": "x"}),
+     "solver: max_iter must be a positive integer"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=INC_DISK),
+     "mesh labels without material: [1]"),
+    ("mesh-gen", lambda: dict(PROBLEM, quad_order=0),
+     "(ValueError: quadrature order must be >= 1)"),
     ("solve", lambda: dict(PROBLEM, mesh={"path": "no_such_mesh.json"}),
      "mesh file"),
     ("convergence-study", lambda: {"p_values": [0.5], "target_h": [0.4]},

@@ -1,9 +1,13 @@
 """Boundary power pairings, averaged power, Gateaux difference checks."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from condlab import dtn
 from condlab.dtn import (
+    _alpha_sweep,
     average_dtn_pairing,
     average_dtn_power,
     dtn_pairing,
@@ -13,9 +17,9 @@ from condlab.dtn import (
     ohmic_power,
 )
 from condlab import solver
-from condlab.constitutive import PEI, EJPowerLaw, Linear, MaterialMap
+from condlab.constitutive import PEC, PEI, EJPowerLaw, Linear, MaterialMap
 from condlab.mesh import DiskInclusion, boundary_mass, build_disk_mesh
-from condlab.solver import DatumTerm, Problem, make_datum, solve
+from condlab.solver import DatumTerm, Problem, SolveOptions, make_datum, solve
 
 
 def data_pair(mesh):
@@ -103,6 +107,15 @@ def test_gauss_on_unit_degree_exactness():
 def test_gauss_on_unit_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_on_unit(0)
+
+
+def test_gauss_on_unit_computes_each_rule_once():
+    x, w = gauss_on_unit(7)
+    again = gauss_on_unit(7)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +256,110 @@ def test_equal_laws_under_distinct_labels_share_one_group():
                         average_dtn_power(m, mats, f, quad_order=4)
                         .avg_power))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# homogeneity path on linear maps
+
+LINEAR_MAPS = {
+    "pei-cell": {0: Linear(1.0), 1: PEI()},
+    "pec-cell": {0: Linear(1.0), 1: PEC()},
+    "sigma-1-10": {0: Linear(1.0), 1: Linear(10.0)},
+}
+ORDER = 6
+
+
+@pytest.fixture(scope="module")
+def cell_disk():
+    return build_disk_mesh(1.0, 0.2, inclusions=[
+        DiskInclusion((0.3, 0.0), 0.25, 1)])
+
+
+def sweep_reference(mesh, mats, f, phi):
+    """What the alpha sweep gives: pairings with phi at the Gauss nodes,
+    their weighted sum, and the pairing and energy at alpha = 1."""
+    alphas, weights = gauss_on_unit(ORDER)
+    problem = Problem(mesh, mats)
+    fields = _alpha_sweep(problem, f, np.concatenate([alphas, [1.0]]),
+                          SolveOptions())
+    nodes = np.array([dtn_pairing(mesh, mats, fld, phi, problem)
+                      for fld in fields[:-1]])
+    return (nodes, float(weights @ nodes),
+            dtn_pairing(mesh, mats, fields[-1], phi, problem),
+            fields[-1].info.energy)
+
+
+def assert_rel(a, b, rtol=1e-12):
+    assert abs(a - b) <= rtol * abs(b), (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_MAPS))
+def test_homogeneity_path_matches_full_sweep(cell_disk, name):
+    mats = MaterialMap(LINEAR_MAPS[name])
+    assert mats.is_linear
+    f, g = data_pair(cell_disk)
+    nodes, avg, power, energy = sweep_reference(cell_disk, mats, f, f)
+    rep = average_dtn_power(cell_disk, mats, f, quad_order=ORDER)
+    assert_rel(rep.avg_power, avg)
+    assert_rel(rep.power, power)
+    assert_rel(rep.energy, energy)
+    alphas, weights = gauss_on_unit(ORDER)
+    assert [a for a, _, _ in rep.nodes] == list(alphas)
+    assert [w for _, w, _ in rep.nodes] == list(weights)
+    for (_, _, pr), ref in zip(rep.nodes, nodes):
+        assert_rel(pr, ref)
+    _, cross, _, _ = sweep_reference(cell_disk, mats, f, g)
+    assert_rel(average_dtn_pairing(cell_disk, mats, f, g, quad_order=ORDER),
+               cross)
+
+
+@pytest.fixture
+def dtn_solves(monkeypatch):
+    """Records each call of ``solve`` made from condlab.dtn."""
+    calls = []
+    counted = dtn.solve
+
+    def counting_solve(*args, **kw):
+        calls.append(1)
+        return counted(*args, **kw)
+
+    monkeypatch.setattr(dtn, "solve", counting_solve)
+    return calls
+
+
+def test_linear_map_solves_once_per_datum(cell_disk, dtn_solves, caplog):
+    mats = MaterialMap(LINEAR_MAPS["pei-cell"])
+    f, g = data_pair(cell_disk)
+    with caplog.at_level(logging.DEBUG, logger="condlab.dtn"):
+        average_dtn_power(cell_disk, mats, f, quad_order=8)
+        assert len(dtn_solves) == 1
+        average_dtn_pairing(cell_disk, mats, f, g, quad_order=8)
+        assert len(dtn_solves) == 2
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "condlab.dtn"]
+    assert lines == [
+        "averaged power 'f': quadrature order 8, 1 solves, "
+        "homogeneity path",
+        "averaged pairing 'f': quadrature order 8, 1 solves, "
+        "homogeneity path"]
+
+
+def test_nonlinear_map_sweeps_every_node(disk, power4, dtn_solves, caplog):
+    f, _ = data_pair(disk)
+    with caplog.at_level(logging.DEBUG, logger="condlab.dtn"):
+        average_dtn_power(disk, power4, f, quad_order=3)
+    assert len(dtn_solves) == 4
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "condlab.dtn"] == [
+        "averaged power 'f': quadrature order 3, 4 solves, alpha sweep"]
+
+
+def test_shared_problem_gives_identical_reports(cell_disk):
+    mats = MaterialMap(LINEAR_MAPS["sigma-1-10"])
+    problem = Problem(cell_disk, mats)
+    for datum in data_pair(cell_disk):
+        shared = average_dtn_power(cell_disk, mats, datum, 4, problem=problem)
+        assert shared == average_dtn_power(cell_disk, mats, datum, 4)
+    with pytest.raises(ValueError, match="another mesh or material map"):
+        average_dtn_power(cell_disk, MaterialMap(LINEAR_MAPS["pei-cell"]),
+                          datum, 4, problem=problem)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from condlab import solver
 from condlab.constitutive import PEC, PEI, Linear, MaterialMap
 from condlab.dtn import average_dtn_power
 from condlab.imaging import (
@@ -15,7 +16,7 @@ from condlab.imaging import (
     synth_measurements,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.solver import DatumTerm, datum_family
+from condlab.solver import DatumTerm, Problem, datum_family
 
 QUAD = 3
 
@@ -246,6 +247,29 @@ def test_scan_is_deterministic(scan_mesh, grid, bg, fam):
     a = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, quad_order=QUAD)
     b = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, quad_order=QUAD)
     assert np.array_equal(a.margins, b.margins)
+
+
+@pytest.mark.parametrize("contrast", ["pei", "pec"])
+def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
+                                                    monkeypatch, contrast):
+    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
+    builds, factors = [], []
+    init, splu = Problem.__init__, solver.splu
+
+    def counting_init(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    def counting_splu(*args, **kw):
+        factors.append(1)
+        return splu(*args, **kw)
+
+    monkeypatch.setattr(Problem, "__init__", counting_init)
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast,
+             quad_order=QUAD, workers=1)
+    assert len(builds) == grid.n_cells
+    assert len(factors) == grid.n_cells
 
 
 # ---------------------------------------------------------------------------

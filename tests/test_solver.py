@@ -4,6 +4,9 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
+
+from condlab import solver
 
 from condlab.constitutive import (
     PEC,
@@ -15,6 +18,7 @@ from condlab.constitutive import (
 )
 from condlab.mesh import (
     DiskInclusion,
+    Mesh,
     boundary_mass,
     build_disk_mesh,
     build_rect_mesh,
@@ -32,6 +36,7 @@ from condlab.solver import (
     datum_family,
     dirichlet_energy,
     electric_field,
+    harmonic_initial_guess,
     make_datum,
     project_zero_mean,
     solve,
@@ -462,6 +467,70 @@ def test_structural_regions_have_zero_field_rows():
     pec_tris = mesh.labels == 1
     assert np.all(e[pec_tris] == 0.0)
     assert np.all(j[pec_tris] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# harmonic start
+
+
+def test_harmonic_start_factorizes_once_per_problem(monkeypatch):
+    mesh, mats = pec_disk()
+    problem = Problem(mesh, mats)
+    calls = []
+    splu = solver.splu
+
+    def counting_splu(*args, **kw):
+        calls.append(1)
+        return splu(*args, **kw)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    k, a = problem.unit_stiffness
+    for datum in (ramp(mesh),
+                  make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")):
+        u_fix = np.zeros(mesh.n_nodes)
+        u_fix[datum.node_ids] = datum.values
+        x = harmonic_initial_guess(problem, u_fix)
+        ref = spsolve(a, -problem.restrict @ (k @ u_fix))
+        assert np.allclose(x, ref, rtol=1e-12, atol=1e-14)
+        solve(mesh, mats, datum, problem=problem)
+    assert len(calls) == 1
+
+
+def test_nonlinear_map_keeps_no_harmonic_factor(disk, power4):
+    # the start is a small part of a nonlinear solve; a kept factor would
+    # only sit in memory through the Newton factorizations
+    problem = Problem(disk, power4)
+    solve(disk, power4, ramp(disk), problem=problem)
+    assert "unit_factor" not in vars(problem)
+    linear = MaterialMap({0: Linear(3.0)})
+    problem = Problem(disk, linear)
+    solve(disk, linear, ramp(disk), problem=problem)
+    assert "unit_factor" in vars(problem)
+
+
+def test_harmonic_start_without_free_unknowns():
+    # two triangles, every node on the boundary: nothing to factorize
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                [[0, 1, 2], [0, 2, 3]], [0, 0])
+    mats = MaterialMap({0: Linear(2.0)})
+    problem = Problem(mesh, mats)
+    assert problem.n_free == 0
+    assert harmonic_initial_guess(problem, mesh.nodes[:, 0]).shape == (0,)
+    fld = solve(mesh, mats, ramp(mesh), problem=problem)
+    assert fld.info.n_iter == 0
+    # u = x - mean on the unit square: (sigma / 2) |grad u|^2 * area = 1
+    assert fld.info.energy == pytest.approx(1.0, rel=1e-14)
+
+
+def test_pec_island_without_conducting_path_rejected():
+    # a PEC core wrapped in a PEI ring has no conducting neighbour, so its
+    # collapsed unknown leaves the harmonic-start stiffness singular
+    mesh = build_disk_mesh(1.0, 0.1)
+    r = np.linalg.norm(mesh.nodes[mesh.triangles].mean(axis=1), axis=1)
+    mesh = mesh.relabeled(np.where(r < 0.25, 2, np.where(r < 0.5, 1, 0)))
+    mats = MaterialMap({0: Linear(1.0), 1: PEI(), 2: PEC()})
+    with pytest.raises(SolveError, match="unit stiffness is singular"):
+        solve(mesh, mats, ramp(mesh))
 
 
 # ---------------------------------------------------------------------------

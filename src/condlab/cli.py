@@ -262,12 +262,13 @@ def _load_problem(cfg: dict, args, extra_keys: set[str] = frozenset(),
     materials.check_covers(mesh.labels)
     data = data_from_spec(mesh, cfg["data"])
     return (mesh, materials, data,
-            solver_opts_from_spec(cfg.get("solver"), **overrides))
+            solver_opts_from_spec(cfg.get("solver"), **overrides),
+            _quad_order(cfg, args, 16))
 
 
 def cmd_solve(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts = _load_problem(cfg, args,
-                                                collect_log=True)
+    mesh, materials, data, opts, _ = _load_problem(cfg, args,
+                                                   collect_log=True)
 
     def run() -> int:
         problem = Problem(mesh, materials)
@@ -300,7 +301,8 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_power(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts = _load_problem(cfg, args, {"material_id"})
+    mesh, materials, data, opts, _ = _load_problem(cfg, args,
+                                                   {"material_id"})
     mat_id = cfg.get("material_id", "m0")
 
     def run() -> int:
@@ -320,9 +322,9 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts = _load_problem(cfg, args, {"material_id"})
+    mesh, materials, data, opts, order = _load_problem(cfg, args,
+                                                       {"material_id"})
     mat_id = cfg.get("material_id", "m0")
-    order = _quad_order(cfg, args, 16)
 
     def run() -> int:
         reports = []

@@ -19,23 +19,29 @@ Everything that depends only on the (mesh, material map) pair is compiled
 once into a ``Problem``: the unknown map, the active-triangle slices of the
 mesh arrays, the active triangles grouped by distinct model (equal laws
 under different labels are evaluated in one call), and, on first use, the
-boundary mass, the reduced unit-stiffness matrix of the harmonic start
-and, on a linear map, its sparse LU factor, so there the harmonic start of
-every solve on the pair is one back-substitution against a factor computed
-once per ``Problem``.  A ``Problem`` holds no per-datum state and lives as
-long as the caller that built it; ``solve`` and the pairings in ``dtn``
-accept one so that every solve and pairing on the same pair shares it,
-and build their own when none is given.  Continuation stages reuse the
-structure and only swap each group's law for its rescaled-floor version.
+boundary mass, the unit element stiffness matrices and the ``Band``: a
+reverse Cuthill-McKee order of the free unknowns and, for every element
+matrix entry, its slot in LAPACK lower band storage.  On a linear map the
+banded Cholesky factor of the unit stiffness is kept too, so there the
+harmonic start of every solve on the pair is one back-substitution against
+a factor computed once per ``Problem``.  A ``Problem`` holds no per-datum
+state and lives as long as the caller that built it; ``solve`` and the
+pairings in ``dtn`` accept one so that every solve and pairing on the same
+pair shares it, and build their own when none is given.  Continuation
+stages reuse the structure and only swap each group's law for its
+rescaled-floor version.
 
-Newton direction from the symmetrized flux linearization, solved by one
-sparse LU factorization per step, with a diagonally scaled gradient as the
-fallback.  The step length is the root of the convex ray's slope, found by
-an Illinois (modified regula falsi) iteration on (0, 1] and then checked
-for Armijo decrease of the energy, halving on failure.  Power-law floors
-follow a warm-started continuation schedule that shrinks reg_eps tenfold
-per stage.  Each solve reports how it stopped (``tol``, ``floor`` or
-``polish``) and logs that reason with its counters at debug level.
+Newton direction from the symmetrized flux linearization: each step sums
+the closed-form element Hessians into the band with one ``np.bincount``
+and solves by one banded Cholesky factorization, with a diagonally scaled
+gradient as the fallback when the factorization fails.  The step length is
+the root of the convex ray's slope, found by an Illinois (modified regula
+falsi) iteration on (0, 1] and then checked for Armijo decrease of the
+energy, halving on failure.  Power-law floors follow a warm-started
+continuation schedule that shrinks reg_eps tenfold per stage.  Each solve
+reports how it stopped (``tol``, ``floor`` or ``polish``) and logs that
+reason with its counters at debug level; every accepted exit has its
+gradient within the tolerance or the round-off floor.
 """
 from __future__ import annotations
 
@@ -50,7 +56,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import BoundaryMass, Mesh, boundary_mass
@@ -265,9 +272,6 @@ class Problem:
         self.triangles = mesh.triangles[active_ids]
         self.grads = mesh.grads[active_ids]
         self.areas = mesh.areas[active_ids]
-        # COO pattern of the element matrices
-        self._rows = np.repeat(self.triangles, 3, axis=1).ravel()
-        self._cols = np.tile(self.triangles, (1, 3)).ravel()
         # per-basis gradient norms for the round-off floor
         self._gnorm = np.linalg.norm(self.grads, axis=1)
         self._gmax = self._gnorm.max(axis=1)
@@ -286,26 +290,28 @@ class Problem:
         return boundary_mass(self.mesh)
 
     @functools.cached_property
-    def unit_stiffness(self) -> tuple[sparse.csr_matrix, sparse.csc_matrix]:
-        """P1 stiffness with unit conductivity on the active triangles,
-        full and reduced to the free unknowns; built on first use."""
-        elem = np.einsum("m,mki,mkj->mij", self.areas, self.grads,
-                         self.grads)
-        k = sparse.coo_matrix((elem.ravel(), (self._rows, self._cols)),
-                              shape=(self.mesh.n_nodes,
-                                     self.mesh.n_nodes)).tocsr()
-        p = self.prolong
-        return k, (p.T @ k @ p).tocsc()
+    def unit_elements(self) -> np.ndarray:
+        """Element stiffness matrices with unit conductivity, area * G^T G
+        per active triangle, shape (m, 3, 3); built on first use."""
+        return self.areas[:, None, None] * (self.grads.transpose(0, 2, 1)
+                                            @ self.grads)
 
     @functools.cached_property
-    def unit_factor(self) -> SuperLU:
-        """Sparse LU factor of the reduced unit stiffness, built on first
-        use and kept."""
-        return _factor_unit(self.unit_stiffness[1])
+    def band(self) -> "Band":
+        """Band structure of the reduced Hessian; built on first use."""
+        return Band(self.free_of_node[self.triangles], self.n_free)
+
+    @functools.cached_property
+    def unit_factor(self) -> np.ndarray:
+        """Banded Cholesky factor of the reduced unit stiffness, built on
+        first use and kept."""
+        return _unit_cholesky(self)
 
     def with_reg_eps_scale(self, factor: float) -> "Problem":
         """The same structure with every law's floor scaled by ``factor``
         (one continuation stage)."""
+        # build the law-independent structure here, so the stage shares it
+        self.band, self.unit_elements
         staged = copy.copy(self)
         staged.materials = self.materials.with_reg_eps_scale(factor)
         staged.groups = tuple((scale_reg_eps(model, factor), sel)
@@ -370,20 +376,83 @@ class Problem:
         r = self.assemble(w[:, None] * self._gnorm)
         return float(np.finfo(float).eps * np.linalg.norm(self.restrict @ r))
 
-    def hessian(self, u: np.ndarray) -> sparse.csr_matrix:
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """Reduced Hessian of the energy at ``u`` in ``band`` storage."""
         grads, norms = self.grad_norms(u)
         sig = self.per_tri(norms, "sigma")
         dfl = self.per_tri(norms, "dflux")
-        safe = np.maximum(norms, 1e-300)
-        unit = np.where(norms[:, None] > 0.0, grads / safe[:, None], 0.0)
-        # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T
-        h = sig[:, None, None] * np.eye(2)[None, :, :] \
-            + (dfl - sig)[:, None, None] * np.einsum("mi,mj->mij", unit, unit)
-        elem = np.einsum("m,mki,mkl,mlj->mij", self.areas, self.grads, h,
-                         self.grads)
-        n = self.mesh.n_nodes
-        return sparse.coo_matrix((elem.ravel(), (self._rows, self._cols)),
-                                 shape=(n, n)).tocsr()
+        # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T,
+        # so the element matrix is sigma * K0 + (dflux - sigma) * area *
+        # v v^T, with v = G^T unit the basis slopes along the field
+        v = np.einsum("mik,mi->mk", self.grads, grads) \
+            / np.maximum(norms, 1e-300)[:, None]
+        elem = sig[:, None, None] * self.unit_elements \
+            + ((dfl - sig) * self.areas)[:, None, None] \
+            * (v[:, :, None] * v[:, None, :])
+        return self.band.assemble(elem)
+
+
+class Band:
+    """Lower LAPACK band storage of a reduced symmetric matrix assembled
+    from 3x3 element matrices.
+
+    The free unknowns are taken in reverse Cuthill-McKee order ``order``
+    (band position -> free unknown), which keeps the band narrow.  Band
+    row r, column j holds entry (j + r, j) of the reordered matrix.
+    ``slots`` sends every element entry, in (m, 3, 3) order, to its flat
+    index in the band array; entries on Dirichlet nodes and above the
+    diagonal go to one discard slot past the end.  The entries of a PEC
+    group's nodes share the group's column, so they sum there.
+    """
+
+    def __init__(self, cols: np.ndarray, n: int):
+        """``cols``: the free unknown of each triangle node, shape (m, 3),
+        -1 on Dirichlet nodes."""
+        ci = np.repeat(cols, 3, axis=1).ravel()
+        cj = np.tile(cols, (1, 3)).ravel()
+        free = (ci >= 0) & (cj >= 0)
+        graph = sparse.csr_matrix(
+            (np.ones(int(free.sum())), (ci[free], cj[free])), shape=(n, n))
+        self.order = reverse_cuthill_mckee(graph, symmetric_mode=True) \
+            if n else np.zeros(0, dtype=np.int64)
+        # band position of each unknown; the extra last entry sends the
+        # Dirichlet column -1 to position -1
+        pos = np.full(n + 1, -1, dtype=np.int64)
+        pos[self.order] = np.arange(n)
+        ri, rj = pos[ci], pos[cj]
+        keep = (rj >= 0) & (ri >= rj)
+        self.width = int(np.max(ri[keep] - rj[keep], initial=0))
+        self.n = n
+        # column-major (width + 1, n) storage, so LAPACK reads it in place
+        self.slots = np.where(keep, rj * (self.width + 1) + ri - rj,
+                              (self.width + 1) * n)
+
+    def assemble(self, elem: np.ndarray) -> np.ndarray:
+        """Sum element matrices (m, 3, 3) into the band array."""
+        size = (self.width + 1) * self.n
+        flat = np.bincount(self.slots, weights=elem.ravel(),
+                           minlength=size + 1)
+        return flat[:size].reshape(self.n, self.width + 1).T
+
+    def diagonal(self, ab: np.ndarray) -> np.ndarray:
+        """The matrix diagonal of band array ``ab``, in unknown order."""
+        d = np.empty(self.n)
+        d[self.order] = ab[0]
+        return d
+
+    def factor(self, ab: np.ndarray) -> np.ndarray:
+        """Cholesky factor of band array ``ab``, which it overwrites;
+        raises LinAlgError when the matrix is not positive definite."""
+        return cholesky_banded(ab, overwrite_ab=True, lower=True,
+                               check_finite=False)
+
+    def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve with a factor that ``factor`` returned; ``rhs`` and the
+        result are in unknown order."""
+        x = np.empty(self.n)
+        x[self.order] = cho_solve_banded((factor, True), rhs[self.order],
+                                         check_finite=False)
+        return x
 
 
 def _compiled(mesh: Mesh, materials: MaterialMap,
@@ -398,10 +467,11 @@ def _compiled(mesh: Mesh, materials: MaterialMap,
     return problem
 
 
-def _factor_unit(a: sparse.csc_matrix) -> SuperLU:
+def _unit_cholesky(problem: Problem) -> np.ndarray:
+    band = problem.band
     try:
-        return splu(a)
-    except RuntimeError:  # exactly singular factor
+        return band.factor(band.assemble(problem.unit_elements))
+    except LinAlgError:  # a zero pivot: the unit stiffness is singular
         raise SolveError("harmonic start: the unit stiffness is singular "
                          "(conducting nodes without a path to the "
                          "boundary)") from None
@@ -420,10 +490,12 @@ def harmonic_initial_guess(problem: Problem,
     """
     if problem.n_free == 0:
         return np.zeros(0)
-    k, a = problem.unit_stiffness
-    lu = problem.unit_factor if problem.materials.is_linear \
-        else _factor_unit(a)
-    return lu.solve(-problem.restrict @ (k @ u_fix))
+    factor = problem.unit_factor if problem.materials.is_linear \
+        else _unit_cholesky(problem)
+    flux = np.einsum("mij,mj->mi", problem.unit_elements,
+                     u_fix[problem.triangles])
+    return problem.band.solve(factor,
+                              -(problem.restrict @ problem.assemble(flux)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +553,14 @@ class SolveInfo:
     ``exit_reason`` says how the last stage stopped: ``"tol"`` (gradient
     within the relative tolerance), ``"floor"`` (gradient within the
     round-off floor) or ``"polish"`` (energy stalled below float
-    resolution, finished by residual-decrease Newton steps).
-    ``linsolve_failures`` counts Newton systems whose factorization was
-    singular or gave a non-finite direction, ``factorizations`` the sparse
-    LU factorizations and ``line_search_evals`` the energy, slope and
-    residual evaluations made by the line searches."""
+    resolution, finished by residual-decrease Newton steps; the final
+    gradient is within the tolerance or the round-off floor, else the
+    solve raises).  ``linsolve_failures`` counts Newton systems whose
+    banded Cholesky factorization failed (the reduced Hessian was not
+    positive definite) or gave a non-finite direction, ``factorizations``
+    the banded Cholesky factorizations of Newton and polish steps, and
+    ``line_search_evals`` the energy, slope and residual evaluations made
+    by the line searches."""
 
     converged: bool
     n_iter: int
@@ -527,25 +602,22 @@ class _Progress:
     line_search_evals: int = 0
 
 
-def _newton_direction(h: sparse.spmatrix, rhs: np.ndarray,
+def _newton_direction(band: Band, h: np.ndarray, rhs: np.ndarray,
                       progress: _Progress) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``h d = rhs`` by one sparse LU factorization; returns
-    (d, inverse diagonal of h).
+    """Solve ``H d = rhs`` for the reduced Hessian H, given as the band
+    array ``h``, by one banded Cholesky factorization; returns (d, inverse
+    diagonal of H).
 
-    The reduced Hessian is symmetric positive (semi)definite, so the
-    factorization orders A + A^T and pivots on the diagonal.  A singular
-    factor or a non-finite direction counts as a failure and comes back
-    as NaN, which sends the caller to the scaled-gradient fallback.
+    Strong monotonicity makes H positive definite.  A failed factorization
+    or a non-finite direction counts as a failure and comes back as NaN,
+    which sends the caller to the scaled-gradient fallback.
     """
-    inv_diag = 1.0 / np.maximum(h.diagonal(), 1e-300)
+    inv_diag = 1.0 / np.maximum(band.diagonal(h), 1e-300)
     progress.factorizations += 1
     try:
-        lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular factor
+        d = band.solve(band.factor(h), rhs)
+    except LinAlgError:  # not positive definite
         d = np.full_like(rhs, np.nan)
-    else:
-        d = lu.solve(rhs)
     if not np.all(np.isfinite(d)):
         progress.linsolve_failures += 1
     return d, inv_diag
@@ -603,7 +675,7 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
                   ) -> tuple[np.ndarray, float, int, str | None]:
     """Newton iterations on one continuation stage; the returned reason
     is None when the iteration budget ran out."""
-    p, pt = problem.prolong, problem.restrict
+    pt = problem.restrict
 
     def state_at(x_try: np.ndarray) -> np.ndarray:
         progress.line_search_evals += 1
@@ -673,7 +745,7 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
                 if gn_b <= progress.tol:
                     break
                 d, inv_diag = _newton_direction(
-                    p.T @ problem.hessian(u_b) @ p, -g_b, progress)
+                    problem.band, problem.hessian(u_b), -g_b, progress)
                 if not np.all(np.isfinite(d)):
                     d = -g_b * inv_diag
                 took = False
@@ -692,11 +764,9 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
                     t *= opts.backtrack
                 if not took:
                     break
-            if gn_b > progress.tol:
-                progress.floored = gn_b
             return x_best, gn_b, n_iter, "polish"
-        d, inv_diag = _newton_direction(p.T @ problem.hessian(u) @ p, -g,
-                                        progress)
+        d, inv_diag = _newton_direction(problem.band, problem.hessian(u),
+                                        -g, progress)
         gd = float(g @ d)
         fell_back = False
         if not np.isfinite(gd) or gd >= 0.0:
@@ -792,17 +862,19 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         total_iter += n_it
     tol = 0.0 if progress.tol is None else progress.tol
     floor = 0.0 if progress.floored is None else float(progress.floored)
-    if reason is None:
-        reason = "tol"
-        if gn > tol and gn != 0.0:
-            u = problem.nodal_state(u_fix, x)
-            _, norms = problem.grad_norms(u)
-            floor = problem.roundoff_floor(u, problem.per_tri(norms, "sigma"))
-            if gn > opts.floor_factor * floor:
-                raise SolveError(f"Newton did not converge: grad norm "
-                                 f"{gn:.3e} above tolerance {tol:.3e} and "
-                                 f"round-off floor {floor:.3e}")
-            reason = "floor"
+    if reason != "floor" and gn > tol and gn != 0.0:
+        # a polish or a spent iteration budget is accepted only at the
+        # round-off floor of the final state
+        u = problem.nodal_state(u_fix, x)
+        _, norms = problem.grad_norms(u)
+        floor = problem.roundoff_floor(u, problem.per_tri(norms, "sigma"))
+        if gn > opts.floor_factor * floor:
+            raise SolveError(f"Newton did not converge "
+                             f"({reason or 'iteration budget spent'}): grad "
+                             f"norm {gn:.3e} above tolerance {tol:.3e} and "
+                             f"round-off floor {floor:.3e}")
+        reason = reason or "floor"
+    reason = reason or "tol"
 
     u = problem.nodal_state(u_fix, x)
     r = problem.residual(u)

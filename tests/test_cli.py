@@ -599,6 +599,12 @@ CONFIG_PROBES = [
      "reg_schedule must be positive multipliers ending at 1.0"),
     ("avg-power", lambda: dict(PROBLEM, quad_order=0),
      "quadrature order must be >= 1"),
+    # solve and power read the quad_order key they accept; the ids differ
+    # from avg-power's only to stay unique
+    ("solve", lambda: dict(PROBLEM, quad_order=0),
+     "ValueError: quadrature order must be >= 1"),
+    ("power", lambda: dict(PROBLEM, quad_order=-3),
+     "quadrature order must be >= 1)"),
     ("mesh-gen", lambda: {"mesh": DISK, "save_as": 5},
      "save_as must be a file name"),
     # mesh-gen reads the problem sections it accepts

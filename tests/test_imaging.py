@@ -254,18 +254,18 @@ def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
                                                     monkeypatch, contrast):
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
     builds, factors = [], []
-    init, splu = Problem.__init__, solver.splu
+    init, cholesky = Problem.__init__, solver.cholesky_banded
 
     def counting_init(self, *args):
         builds.append(1)
         init(self, *args)
 
-    def counting_splu(*args, **kw):
+    def counting_cholesky(*args, **kw):
         factors.append(1)
-        return splu(*args, **kw)
+        return cholesky(*args, **kw)
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
-    monkeypatch.setattr(solver, "splu", counting_splu)
+    monkeypatch.setattr(solver, "cholesky_banded", counting_cholesky)
     mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast,
              quad_order=QUAD, workers=1)
     assert len(builds) == grid.n_cells

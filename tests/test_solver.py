@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from condlab import solver
@@ -177,6 +178,16 @@ def test_stalled_solve_exits_by_polish():
     assert fld.info.exit_reason == "polish"
     assert fld.info.n_iter > 0
     assert fld.info.converged
+
+
+def test_polish_exit_is_bounded_by_the_roundoff_floor():
+    info = small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16)).info
+    assert info.exit_reason == "polish"
+    assert info.grad_tol < info.grad_norm <= 32.0 * info.grad_floor
+    # the same stall is refused once the floor no longer covers it
+    with pytest.raises(SolveError, match=r"did not converge \(polish\)"):
+        small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16,
+                                            floor_factor=0.1))
 
 
 def test_solve_counts_its_work(caplog):
@@ -470,6 +481,127 @@ def test_structural_regions_have_zero_field_rows():
 
 
 # ---------------------------------------------------------------------------
+# band assembly
+
+
+def coo_reduced(problem, elem):
+    """Element matrices summed through COO into the full nodal matrix K,
+    and the reduced P^T K P."""
+    tris = problem.triangles
+    n = problem.mesh.n_nodes
+    k = sparse.coo_matrix((elem.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
+                                          np.tile(tris, (1, 3)).ravel())),
+                          shape=(n, n)).tocsr()
+    return k, problem.prolong.T @ k @ problem.prolong
+
+
+def einsum_hessian_elements(problem, u):
+    """Element Hessians area * G^T h G with the 2x2 law Hessian h."""
+    grads, norms = problem.grad_norms(u)
+    sig = problem.per_tri(norms, "sigma")
+    dfl = problem.per_tri(norms, "dflux")
+    unit = np.where(norms[:, None] > 0.0,
+                    grads / np.maximum(norms, 1e-300)[:, None], 0.0)
+    h = sig[:, None, None] * np.eye(2) \
+        + (dfl - sig)[:, None, None] * np.einsum("mi,mj->mij", unit, unit)
+    return np.einsum("m,mki,mkl,mlj->mij", problem.areas, problem.grads, h,
+                     problem.grads)
+
+
+def band_to_dense(band, ab):
+    """The symmetric matrix held in lower band storage, in unknown order."""
+    n = band.n
+    a = np.zeros((n, n))
+    for r in range(band.width + 1):
+        # the last r slots of band row r lie outside the matrix
+        assert np.all(ab[r, n - r:] == 0.0)
+        j = np.arange(n - r)
+        a[j + r, j] = ab[r, :n - r]
+    a += np.tril(a, -1).T
+    out = np.empty_like(a)
+    out[np.ix_(band.order, band.order)] = a
+    return out
+
+
+def band_case(kind):
+    mesh = build_disk_mesh(1.0, 0.2,
+                           inclusions=[DiskInclusion((0.1, -0.1), 0.35, 1)])
+    p3 = PowerLaw(sigma_bar=1.0, e0=1.0, p=3.0)
+    inclusion = {"pei": PEI(), "pec": PEC(),
+                 "p4": PowerLaw(sigma_bar=2.0, e0=1.0, p=4.0)}[kind]
+    background = Linear(1.0) if kind == "p4" else p3
+    return mesh, MaterialMap({0: background, 1: inclusion})
+
+
+@pytest.mark.parametrize("kind", ["pei", "pec", "p4"])
+def test_band_hessian_matches_coo_assembly(kind, rng):
+    mesh, mats = band_case(kind)
+    problem = Problem(mesh, mats)
+    if kind == "pec":
+        # the collapsed PEC unknown is one column
+        assert problem.n_free < np.sum(problem.free_of_node >= 0)
+    u_fix = np.zeros(mesh.n_nodes)
+    datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+    u_fix[datum.node_ids] = datum.values
+    x = harmonic_initial_guess(problem, u_fix) \
+        + 0.1 * rng.standard_normal(problem.n_free)
+    u = problem.nodal_state(u_fix, x)
+    ab = problem.hessian(u)
+    dense = band_to_dense(problem.band, ab)
+    ref = coo_reduced(problem, einsum_hessian_elements(problem, u))[1]
+    ref = ref.toarray()
+    assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    rhs = -(problem.restrict @ problem.residual(u))
+    progress = solver._Progress()
+    d, inv_diag = solver._newton_direction(problem.band, ab, rhs, progress)
+    assert np.allclose(d, np.linalg.solve(ref, rhs), rtol=1e-10,
+                       atol=1e-12 * np.abs(d).max())
+    assert np.allclose(inv_diag, 1.0 / np.diag(ref), rtol=1e-13)
+    assert progress.factorizations == 1 and progress.linsolve_failures == 0
+
+
+def test_band_is_narrower_than_the_natural_order():
+    mesh, mats = band_case("p4")
+    problem = Problem(mesh, mats)
+    a = coo_reduced(problem, problem.unit_elements)[1].tocoo()
+    natural = int(np.max(np.abs(a.row - a.col)))
+    assert problem.band.width < natural
+
+
+def test_non_positive_definite_hessian_takes_the_gradient_fallback(
+        monkeypatch):
+    mesh, mats = band_case("p4")
+    problem = Problem(mesh, mats)
+    datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+    opts = SolveOptions(collect_log=True)
+    # warm-started, so the first factorization is the first Newton step's
+    start = solve(mesh, MaterialMap({0: Linear(1.0), 1: Linear(1.0)}),
+                  datum).u
+    ref = solve(mesh, mats, datum, opts, initial_guess=start,
+                problem=problem)
+    cholesky = solver.cholesky_banded
+    calls = []
+
+    def non_positive_once(ab, **kw):
+        if not calls:
+            ab = ab.copy()
+            ab[0, 0] = -ab[0, 0]
+        calls.append(1)
+        return cholesky(ab, **kw)
+
+    monkeypatch.setattr(solver, "cholesky_banded", non_positive_once)
+    info = solve(mesh, mats, datum, opts, initial_guess=start,
+                 problem=problem).info
+    assert info.linsolve_failures == 1
+    assert ref.info.linsolve_failures == 0
+    assert info.log[0]["fallback"] and not ref.info.log[0]["fallback"]
+    assert not any(row["fallback"] for row in info.log[1:])
+    assert info.exit_reason == "tol"
+    assert info.energy == pytest.approx(ref.info.energy, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # harmonic start
 
 
@@ -477,20 +609,20 @@ def test_harmonic_start_factorizes_once_per_problem(monkeypatch):
     mesh, mats = pec_disk()
     problem = Problem(mesh, mats)
     calls = []
-    splu = solver.splu
+    cholesky = solver.cholesky_banded
 
-    def counting_splu(*args, **kw):
+    def counting_cholesky(*args, **kw):
         calls.append(1)
-        return splu(*args, **kw)
+        return cholesky(*args, **kw)
 
-    monkeypatch.setattr(solver, "splu", counting_splu)
-    k, a = problem.unit_stiffness
+    monkeypatch.setattr(solver, "cholesky_banded", counting_cholesky)
+    k, a = coo_reduced(problem, problem.unit_elements)
     for datum in (ramp(mesh),
                   make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")):
         u_fix = np.zeros(mesh.n_nodes)
         u_fix[datum.node_ids] = datum.values
         x = harmonic_initial_guess(problem, u_fix)
-        ref = spsolve(a, -problem.restrict @ (k @ u_fix))
+        ref = spsolve(a.tocsc(), -problem.restrict @ (k @ u_fix))
         assert np.allclose(x, ref, rtol=1e-12, atol=1e-14)
         solve(mesh, mats, datum, problem=problem)
     assert len(calls) == 1
@@ -520,6 +652,10 @@ def test_harmonic_start_without_free_unknowns():
     assert fld.info.n_iter == 0
     # u = x - mean on the unit square: (sigma / 2) |grad u|^2 * area = 1
     assert fld.info.energy == pytest.approx(1.0, rel=1e-14)
+    # a nonlinear map runs its continuation stages on the empty band
+    power = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0)})
+    fld = solve(mesh, power, ramp(mesh))
+    assert fld.info.n_iter == 0 and fld.info.exit_reason == "tol"
 
 
 def test_pec_island_without_conducting_path_rejected():

@@ -56,7 +56,7 @@ class Linear:
         return 2.0
 
     def sigma(self, e):
-        return np.broadcast_to(self.sigma_const, np.shape(e)).copy() \
+        return np.full(np.shape(e), self.sigma_const) \
             if np.ndim(e) else self.sigma_const
 
     sigma_raw = sigma
@@ -110,6 +110,11 @@ class PowerLaw:
             object.__setattr__(self, "reg_eps", REG_EPS_FACTOR * self.e0)
         elif self.reg_eps <= 0:
             raise ConstitutiveError("reg_eps must be positive")
+        # the quadratic branch a * E^2 below the floor and the shift that
+        # makes the energy continuous there
+        a = 0.5 * self.sigma_raw(self.reg_eps)
+        object.__setattr__(self, "_below_floor", (
+            a, a * self.reg_eps ** 2 - self.energy_density_raw(self.reg_eps)))
 
     kind = "power"
     is_structural = False
@@ -153,8 +158,7 @@ class PowerLaw:
 
     def energy_density(self, e):
         e = np.asarray(e, dtype=float)
-        a = 0.5 * self.sigma_raw(self.reg_eps)
-        shift = a * self.reg_eps ** 2 - self.energy_density_raw(self.reg_eps)
+        a, shift = self._below_floor
         out = np.where(e < self.reg_eps, a * e * e,
                        self.energy_density_raw(np.maximum(e, self.reg_eps))
                        + shift)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 
 class OracleError(Exception):
@@ -105,6 +104,10 @@ def annulus_radial_solution(p: float, sigma_bar: float, e0: float,
     if u_inner == u_outer:
         energy = power = 0.0
     else:
+        # imported here, so that only the commands that call this oracle
+        # pay for loading scipy.integrate
+        from scipy import integrate
+
         energy, _ = integrate.quad(
             lambda r: 2.0 * np.pi * r * q_density(field(r)),
             r_inner, r_outer, epsabs=0.0, epsrel=1e-12, limit=200)
@@ -226,6 +229,8 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
     than ``max_free`` unknowns.  None of the Newton/line-search machinery
     is touched; only the energy evaluation is shared.
     """
+    from scipy import optimize  # slow to load; only this oracle uses it
+
     from .solver import Problem  # noqa: deferred
 
     problem = Problem(mesh, materials)

@@ -31,17 +31,29 @@ pair shares it, and build their own when none is given.  Continuation
 stages reuse the structure and only swap each group's law for its
 rescaled-floor version.
 
+Every point the Newton iteration visits is evaluated by one element pass:
+the nodal state, the element gradients and their norms, from which the
+conductivity, the element fluxes, the reduced gradient and, on demand,
+the energy and the Hessian follow.  The tolerance and round-off floor
+checks, the Hessian and the line search all read that one evaluation; a
+line-search point that is accepted becomes the next step's start, each
+continuation stage starts from the point the stage before stopped at,
+and the solve's closing residual and energy are the last point's.
+Nodal states and reductions to the free unknowns use fancy indexing and
+one ``np.bincount``, not sparse products.
+
 Newton direction from the symmetrized flux linearization: each step sums
 the closed-form element Hessians into the band with one ``np.bincount``
 and solves by one banded Cholesky factorization, with a diagonally scaled
 gradient as the fallback when the factorization fails.  The step length is
 the root of the convex ray's slope, found by an Illinois (modified regula
 falsi) iteration on (0, 1] and then checked for Armijo decrease of the
-energy, halving on failure.  Power-law floors follow a warm-started
-continuation schedule that shrinks reg_eps tenfold per stage.  Each solve
-reports how it stopped (``tol``, ``floor`` or ``polish``) and logs that
-reason with its counters at debug level; every accepted exit has its
-gradient within the tolerance or the round-off floor.
+energy at the point whose slope was taken, halving on failure.  Power-law
+floors follow a warm-started continuation schedule that shrinks reg_eps
+tenfold per stage.  Each solve reports how it stopped (``tol``,
+``floor`` or ``polish``) and logs that reason with its counters at debug
+level; every accepted exit has its gradient within the tolerance or the
+round-off floor.
 """
 from __future__ import annotations
 
@@ -57,7 +69,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import (connected_components,
+                                  reverse_cuthill_mckee)
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import BoundaryMass, Mesh, boundary_mass
@@ -211,12 +224,17 @@ class Problem:
 
     Unknown map: node -> column in ``free_of_node`` (``_DIRICHLET`` on the
     boundary, ``_REMOVED`` inside PEI regions), ``n_free`` columns, the
-    prolongation u = u_fix + ``prolong`` @ x and its transpose
-    ``restrict`` (nodal vectors to free unknowns), ``removed_nodes`` and
-    the nodes of each PEC component in ``pec_groups``.  ``triangles``,
-    ``grads`` and ``areas`` are the mesh arrays restricted to the active
-    (conducting) triangles ``active_tris``, in that order; ``groups``
-    pairs each distinct law with the active slots it governs.
+    nodes that carry a column, ``free_nodes`` (ascending), with their
+    columns ``free_cols``, ``removed_nodes`` and the nodes of each PEC
+    component in ``pec_groups``.  ``nodal_state`` prolongs free unknowns
+    to a nodal state and ``reduce`` sums nodal vectors onto the free
+    unknowns; ``prolong`` and ``restrict`` are the same maps as sparse
+    matrices.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
+    restricted to the active (conducting) triangles ``active_tris``, in
+    that order; ``groups`` pairs each distinct law with the active slots
+    it governs.  Every free unknown must reach the boundary through
+    conducting triangles (a PEC component counts as one node), else the
+    problem is singular and construction raises ``SolveError``.
     """
 
     def __init__(self, mesh: Mesh, materials: MaterialMap):
@@ -258,18 +276,16 @@ class Problem:
         free_of_node[merged] = pec_col_of_node[merged]
         n_free = col + len(ids)
 
-        rows = np.nonzero(free_of_node >= 0)[0]
         self.mesh, self.materials = mesh, materials
         self.free_of_node, self.n_free = free_of_node, n_free
-        self.prolong = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, free_of_node[rows])),
-            shape=(mesh.n_nodes, n_free))
-        self.restrict = self.prolong.T.tocsr()
+        self.free_nodes = np.nonzero(free_of_node >= 0)[0]
+        self.free_cols = free_of_node[self.free_nodes]
         self.removed_nodes = np.nonzero(free_of_node == _REMOVED)[0]
         self.pec_groups = pec_groups
 
         self.active_tris = active_ids
         self.triangles = mesh.triangles[active_ids]
+        _check_boundary_paths(free_of_node[self.triangles], n_free)
         self.grads = mesh.grads[active_ids]
         self.areas = mesh.areas[active_ids]
         # per-basis gradient norms for the round-off floor
@@ -283,6 +299,20 @@ class Problem:
         self.groups = tuple((model, np.nonzero(np.isin(active_labels,
                                                        labs))[0])
                             for model, labs in members.items())
+
+    @functools.cached_property
+    def prolong(self) -> sparse.csr_matrix:
+        """The prolongation as a sparse (n_nodes, n_free) matrix, built on
+        first use: u = u_fix + prolong @ x away from removed nodes."""
+        return sparse.csr_matrix(
+            (np.ones(len(self.free_nodes)), (self.free_nodes,
+                                             self.free_cols)),
+            shape=(self.mesh.n_nodes, self.n_free))
+
+    @functools.cached_property
+    def restrict(self) -> sparse.csr_matrix:
+        """The transpose of ``prolong``, built on first use."""
+        return self.prolong.T.tocsr()
 
     @functools.cached_property
     def bmass(self) -> BoundaryMass:
@@ -319,9 +349,19 @@ class Problem:
         return staged
 
     def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        u = u_fix + self.prolong @ x
+        """Nodal state u_fix + prolong @ x, NaN at removed nodes."""
+        # adding 0.0 both copies u_fix and gives each entry the sign of
+        # zero that the sum u_fix + prolong @ x gives it
+        u = u_fix + 0.0
+        u[self.free_nodes] += x[self.free_cols]
         u[self.removed_nodes] = np.nan
         return u
+
+    def reduce(self, r: np.ndarray) -> np.ndarray:
+        """Sum a nodal vector onto the free unknowns (restrict @ r), node
+        by node in ascending order."""
+        return np.bincount(self.free_cols, weights=r[self.free_nodes],
+                           minlength=self.n_free)
 
     def grad_norms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients (per active triangle, in active order) and their
@@ -336,17 +376,19 @@ class Problem:
             out[sel] = getattr(model, what)(norms[sel])
         return out
 
-    def energy(self, u: np.ndarray) -> float:
-        _, norms = self.grad_norms(u)
+    def energy_of(self, norms: np.ndarray) -> float:
+        """Energy of a state whose element gradients have these norms."""
         return float(self.areas @ self.per_tri(norms, "energy_density"))
 
-    def flux_terms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per active triangle: energy-gradient contributions to its three
-        nodes, shape (m, 3), and the conductivity sigma."""
-        grads, norms = self.grad_norms(u)
-        sig = self.per_tri(norms, "sigma")
+    def energy(self, u: np.ndarray) -> float:
+        return self.energy_of(self.grad_norms(u)[1])
+
+    def element_flux(self, grads: np.ndarray, sig: np.ndarray) -> np.ndarray:
+        """Per active triangle, the energy-gradient contributions to its
+        three nodes, shape (m, 3), given the element gradients and the
+        conductivity sigma."""
         w = (self.areas * sig)[:, None] * grads
-        return np.einsum("mi,mij->mj", w, self.grads), sig
+        return np.einsum("mi,mij->mj", w, self.grads)
 
     def assemble(self, contrib: np.ndarray) -> np.ndarray:
         """Sum per-triangle node contributions into a nodal vector, in
@@ -357,7 +399,9 @@ class Problem:
     def residual(self, u: np.ndarray) -> np.ndarray:
         """Assembled energy gradient at every node (no boundary
         projection)."""
-        return self.assemble(self.flux_terms(u)[0])
+        grads, norms = self.grad_norms(u)
+        return self.assemble(self.element_flux(
+            grads, self.per_tri(norms, "sigma")))
 
     def roundoff_floor(self, u: np.ndarray, sig: np.ndarray) -> float:
         """Assembly round-off bound on the gradient at ``u``, where the
@@ -374,12 +418,13 @@ class Problem:
         u_mag = np.max(np.abs(u[self.triangles]), axis=1)
         w = sig * u_mag * self._gmax * self.areas
         r = self.assemble(w[:, None] * self._gnorm)
-        return float(np.finfo(float).eps * np.linalg.norm(self.restrict @ r))
+        return float(np.finfo(float).eps * np.linalg.norm(self.reduce(r)))
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        """Reduced Hessian of the energy at ``u`` in ``band`` storage."""
-        grads, norms = self.grad_norms(u)
-        sig = self.per_tri(norms, "sigma")
+    def hessian(self, grads: np.ndarray, norms: np.ndarray,
+                sig: np.ndarray) -> np.ndarray:
+        """Reduced Hessian of the energy in ``band`` storage, at the state
+        with element gradients ``grads``, their norms and conductivity
+        ``sig`` (as ``grad_norms`` and ``per_tri`` give them)."""
         dfl = self.per_tri(norms, "dflux")
         # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T,
         # so the element matrix is sigma * K0 + (dflux - sigma) * area *
@@ -390,6 +435,25 @@ class Problem:
             + ((dfl - sig) * self.areas)[:, None, None] \
             * (v[:, :, None] * v[:, None, :])
         return self.band.assemble(elem)
+
+
+def _check_boundary_paths(cols: np.ndarray, n: int) -> None:
+    """Raise ``SolveError`` unless every free unknown is joined to a
+    Dirichlet node by conducting triangles; ``cols`` is the free unknown
+    of each active triangle node, shape (m, 3), negative on Dirichlet
+    nodes.  Without such a path the unit stiffness, and every Hessian, is
+    singular on that unknown's component."""
+    if not n:
+        return
+    ends = np.where(cols < 0, n, cols)  # vertex n stands for the boundary
+    a = ends[:, [0, 1, 2]].ravel()
+    b = ends[:, [1, 2, 0]].ravel()
+    graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n + 1, n + 1))
+    _, comp = connected_components(graph, directed=False)
+    stranded = int(np.count_nonzero(comp[:n] != comp[n]))
+    if stranded:
+        raise SolveError(f"{stranded} free unknowns have no conducting path "
+                         f"to the boundary: the unit stiffness is singular")
 
 
 class Band:
@@ -494,8 +558,7 @@ def harmonic_initial_guess(problem: Problem,
         else _unit_cholesky(problem)
     flux = np.einsum("mij,mj->mi", problem.unit_elements,
                      u_fix[problem.triangles])
-    return problem.band.solve(factor,
-                              -(problem.restrict @ problem.assemble(flux)))
+    return problem.band.solve(factor, -problem.reduce(problem.assemble(flux)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +622,9 @@ class SolveInfo:
     banded Cholesky factorization failed (the reduced Hessian was not
     positive definite) or gave a non-finite direction, ``factorizations``
     the banded Cholesky factorizations of Newton and polish steps, and
-    ``line_search_evals`` the energy, slope and residual evaluations made
-    by the line searches."""
+    ``line_search_evals`` the points the line searches and polish steps
+    evaluated (one element pass each; an Armijo check at a step whose
+    slope was taken evaluates nothing new)."""
 
     converged: bool
     n_iter: int
@@ -669,64 +733,120 @@ def _slope_root(slope, s0: float) -> float:
     return estimate()
 
 
-def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
+class _Point:
+    """One evaluated point x of a Newton stage.
+
+    Building it is the point's one element pass: the nodal state ``u``,
+    the element gradients ``grads`` and their ``norms``.  The rest comes
+    from those on first use, with the laws of ``problem``: the
+    conductivity ``sig``, the element flux contributions ``contrib``, the
+    nodal residual ``residual``, the reduced gradient ``g``, the
+    ``energy`` and the reduced ``hessian``.
+    """
+
+    def __init__(self, problem: Problem, x: np.ndarray, u: np.ndarray,
+                 grads: np.ndarray, norms: np.ndarray):
+        self.problem, self.x, self.u = problem, x, u
+        self.grads, self.norms = grads, norms
+
+    @classmethod
+    def evaluate(cls, problem: Problem, u_fix: np.ndarray,
+                 x: np.ndarray) -> "_Point":
+        u = problem.nodal_state(u_fix, x)
+        return cls(problem, x, u, *problem.grad_norms(u))
+
+    def on(self, problem: Problem) -> "_Point":
+        """The same point under another stage's laws, without a new
+        element pass."""
+        return _Point(problem, self.x, self.u, self.grads, self.norms)
+
+    @functools.cached_property
+    def sig(self) -> np.ndarray:
+        return self.problem.per_tri(self.norms, "sigma")
+
+    @functools.cached_property
+    def contrib(self) -> np.ndarray:
+        return self.problem.element_flux(self.grads, self.sig)
+
+    @functools.cached_property
+    def residual(self) -> np.ndarray:
+        return self.problem.assemble(self.contrib)
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return self.problem.reduce(self.residual)
+
+    @functools.cached_property
+    def energy(self) -> float:
+        return self.problem.energy_of(self.norms)
+
+    def hessian(self) -> np.ndarray:
+        return self.problem.hessian(self.grads, self.norms, self.sig)
+
+
+def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
                   opts: SolveOptions, progress: _Progress, stage: int,
-                  log: list[dict]
-                  ) -> tuple[np.ndarray, float, int, str | None]:
-    """Newton iterations on one continuation stage; the returned reason
-    is None when the iteration budget ran out."""
-    pt = problem.restrict
+                  log: list[dict]) -> tuple[_Point, float, int, str | None]:
+    """Newton iterations on one continuation stage from ``point``, which
+    carries ``problem``'s laws; returns the last point, its gradient norm,
+    the steps taken and the exit reason, None when the iteration budget
+    ran out."""
 
-    def state_at(x_try: np.ndarray) -> np.ndarray:
+    def evaluate(x_try: np.ndarray) -> _Point:
         progress.line_search_evals += 1
-        return problem.nodal_state(u_fix, x_try)
+        return _Point.evaluate(problem, u_fix, x_try)
 
-    def line_search(x0: np.ndarray, d: np.ndarray, gd: float,
-                    e_base: float) -> float:
+    def line_search(p0: _Point, d: np.ndarray,
+                    gd: float) -> tuple[float, _Point | None]:
         """Step to the minimizer of the energy along the ray, which is
         convex there, located as the root of its slope g(x0 + t d).d;
         then check Armijo decrease once and halve from that step while
-        it fails."""
-        t = _slope_root(lambda s: float(
-            (pt @ problem.residual(state_at(x0 + s * d))) @ d), gd)
+        it fails.  Returns the step and its point, or (0, None).  A step
+        whose slope was taken reuses that point."""
+        tried: dict[float, _Point] = {}
+
+        def slope(t: float) -> float:
+            tried[t] = p = evaluate(p0.x + t * d)
+            return float(p.g @ d)
+
+        t = _slope_root(slope, gd)
         for _bt in range(opts.max_backtracks):
-            e_try = problem.energy(state_at(x0 + t * d))
+            p = tried[t] if t in tried else evaluate(p0.x + t * d)
+            e_try = p.energy
             if np.isfinite(e_try) and \
-                    e_try <= e_base + opts.armijo_c * t * gd:
-                return t
+                    e_try <= p0.energy + opts.armijo_c * t * gd:
+                return t, p
             t *= opts.backtrack
-        return 0.0
+        return 0.0, None
 
     n_iter = 0
     e_best = np.inf
     gn_best = np.inf
-    x_best = x
+    best = point
     stall = 0
     progress.floored = None
     for it in range(opts.max_iter):
-        u = problem.nodal_state(u_fix, x)
-        contrib, sig = problem.flux_terms(u)
-        g = pt @ problem.assemble(contrib)
+        g = point.g
         gn = float(np.linalg.norm(g))
         if progress.tol is None:
             # reference scale: norm of the cancellation-free assembly,
             # the natural flux magnitude of the first iterate
             scale = float(np.linalg.norm(
-                pt @ problem.assemble(np.abs(contrib))))
+                problem.reduce(problem.assemble(np.abs(point.contrib)))))
             progress.tol = opts.grad_rtol * scale
         if gn <= progress.tol or gn == 0.0:
-            return x, gn, n_iter, "tol"
-        floor = problem.roundoff_floor(u, sig)
+            return point, gn, n_iter, "tol"
+        floor = problem.roundoff_floor(point.u, point.sig)
         if gn <= opts.floor_factor * floor:
             # gradient indistinguishable from assembly round-off:
             # stationary to working precision
             progress.floored = floor
-            return x, gn, n_iter, "floor"
-        e_base = problem.energy(u)
+            return point, gn, n_iter, "floor"
+        e_base = point.energy
         improved = False
         if not np.isfinite(e_best) or \
                 e_base < e_best - 64.0 * np.finfo(float).eps * abs(e_best):
-            e_best, x_best, improved = e_base, x, True
+            e_best, best, improved = e_base, point, True
         if gn < 0.999 * gn_best:
             gn_best, improved = gn, True
         stall = 0 if improved else stall + 1
@@ -738,60 +858,53 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, x: np.ndarray,
             # energy is convex, so finish with damped Newton steps
             # accepted on residual decrease alone, then take the best
             # iterate as stationary to working precision.
-            u_b = problem.nodal_state(u_fix, x_best)
-            g_b = pt @ problem.residual(u_b)
-            gn_b = float(np.linalg.norm(g_b))
+            gn_b = float(np.linalg.norm(best.g))
             for _polish in range(opts.stall_window):
                 if gn_b <= progress.tol:
                     break
-                d, inv_diag = _newton_direction(
-                    problem.band, problem.hessian(u_b), -g_b, progress)
+                d, inv_diag = _newton_direction(problem.band, best.hessian(),
+                                                -best.g, progress)
                 if not np.all(np.isfinite(d)):
-                    d = -g_b * inv_diag
+                    d = -best.g * inv_diag
                 took = False
                 t = 1.0
                 for _bt in range(6):
-                    x_try = x_best + t * d
-                    u_t = state_at(x_try)
-                    g_t = pt @ problem.residual(u_t)
-                    gn_t = float(np.linalg.norm(g_t))
+                    p = evaluate(best.x + t * d)
+                    gn_t = float(np.linalg.norm(p.g))
                     if np.isfinite(gn_t) and gn_t < 0.5 * gn_b:
-                        x_best, u_b, g_b = x_try, u_t, g_t
-                        gn_b = gn_t
+                        best, gn_b = p, gn_t
                         n_iter += 1
                         took = True
                         break
                     t *= opts.backtrack
                 if not took:
                     break
-            return x_best, gn_b, n_iter, "polish"
-        d, inv_diag = _newton_direction(problem.band, problem.hessian(u),
-                                        -g, progress)
+            return best, gn_b, n_iter, "polish"
+        d, inv_diag = _newton_direction(problem.band, point.hessian(), -g,
+                                        progress)
         gd = float(g @ d)
         fell_back = False
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g * inv_diag
             gd = float(g @ d)
             fell_back = True
-        t = line_search(x, d, gd, e_base)
-        if t == 0.0 and not fell_back:
+        t, nxt = line_search(point, d, gd)
+        if nxt is None and not fell_back:
             d = -g * inv_diag
             gd = float(g @ d)
             fell_back = True
-            t = line_search(x, d, gd, e_base)
-        if t == 0.0:
+            t, nxt = line_search(point, d, gd)
+        if nxt is None:
             raise SolveError(f"line search stalled at stage {stage}, "
                              f"iteration {it} (grad norm {gn:.3e}, "
                              f"round-off floor {floor:.3e})")
-        x = x + t * d
+        point = nxt
         n_iter += 1
         if opts.collect_log:
             log.append({"stage": stage, "iter": it, "energy": e_base,
                         "grad_norm": gn, "step": t,
                         "fallback": fell_back})
-    u = problem.nodal_state(u_fix, x)
-    g = pt @ problem.residual(u)
-    return x, float(np.linalg.norm(g)), n_iter, None
+    return point, float(np.linalg.norm(point.g)), n_iter, None
 
 
 def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
@@ -842,10 +955,9 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         ig = np.asarray(initial_guess, dtype=float)
         if ig.shape != (mesh.n_nodes,):
             raise SolveError("initial guess must be a full nodal array")
-        free = problem.free_of_node >= 0
+        start = ig[problem.free_nodes]
         x = np.zeros(problem.n_free)
-        x[problem.free_of_node[free]] = np.where(np.isfinite(ig[free]),
-                                                 ig[free], 0.0)
+        x[problem.free_cols] = np.where(np.isfinite(start), start, 0.0)
     else:
         x = harmonic_initial_guess(problem, u_fix)
 
@@ -854,20 +966,23 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     progress = _Progress()
     log: list[dict] = []
     total_iter = 0
+    point = None
     for stage, mult in enumerate(schedule):
         staged = problem.with_reg_eps_scale(mult) if mult != 1.0 \
             else problem
-        x, gn, n_it, reason = _newton_stage(staged, u_fix, x, opts,
-                                            progress, stage, log)
+        # each stage starts where the last one stopped, on its own laws
+        point = _Point.evaluate(staged, u_fix, x) if point is None \
+            else point.on(staged)
+        point, gn, n_it, reason = _newton_stage(staged, u_fix, point, opts,
+                                                progress, stage, log)
         total_iter += n_it
+    # the schedule ends at 1.0, so the last point carries the map's laws
     tol = 0.0 if progress.tol is None else progress.tol
     floor = 0.0 if progress.floored is None else float(progress.floored)
     if reason != "floor" and gn > tol and gn != 0.0:
         # a polish or a spent iteration budget is accepted only at the
         # round-off floor of the final state
-        u = problem.nodal_state(u_fix, x)
-        _, norms = problem.grad_norms(u)
-        floor = problem.roundoff_floor(u, problem.per_tri(norms, "sigma"))
+        floor = problem.roundoff_floor(point.u, point.sig)
         if gn > opts.floor_factor * floor:
             raise SolveError(f"Newton did not converge "
                              f"({reason or 'iteration budget spent'}): grad "
@@ -876,13 +991,12 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         reason = reason or "floor"
     reason = reason or "tol"
 
-    u = problem.nodal_state(u_fix, x)
-    r = problem.residual(u)
+    u, r = point.u, point.residual
     balance = {lab: float(r[nodes].sum())
                for lab, nodes in problem.pec_groups.items()}
     pec_values = {lab: float(u[nodes[0]])
                   for lab, nodes in problem.pec_groups.items()}
-    energy = problem.energy(u)
+    energy = point.energy
     valid = np.ones(mesh.n_nodes, dtype=bool)
     valid[problem.removed_nodes] = False
     logger.debug("solve %r: exit %s after %d Newton iterations, grad norm "

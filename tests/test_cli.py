@@ -9,6 +9,9 @@ accuracy.
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -764,3 +767,17 @@ def test_write_csv_newline_discipline(tmp_path):
     write_csv(str(path), ["a", "b"], [(1.5, True), (2.5, False)])
     raw = path.read_bytes()
     assert raw == b"a,b\n1.5,1\n2.5,0\n"
+
+
+# ---------------------------------------------------------------- start-up
+
+def test_cli_import_leaves_out_the_oracle_scipy_modules():
+    # only the oracles use them, and they are slow to import
+    code = ("import sys, condlab.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

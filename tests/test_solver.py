@@ -190,19 +190,31 @@ def test_polish_exit_is_bounded_by_the_roundoff_floor():
                                             floor_factor=0.1))
 
 
-def test_solve_counts_its_work(caplog):
+def test_solve_counts_its_work(caplog, monkeypatch):
     mesh = build_disk_mesh(1.0, 0.15,
                            inclusions=[DiskInclusion((0.2, 0.1), 0.35, 1)])
     mats = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0),
                         1: Linear(10.0)})
     datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+    passes = []
+    grad_norms = Problem.grad_norms
+
+    def counting_grad_norms(self, u):
+        passes.append(1)
+        return grad_norms(self, u)
+
+    monkeypatch.setattr(Problem, "grad_norms", counting_grad_norms)
     with caplog.at_level(logging.DEBUG, logger="condlab.solver"):
         info = solve(mesh, mats, datum).info
     assert info.n_iter > 0
     assert info.factorizations == info.n_iter
-    # about one slope at the full step and one energy for the Armijo
-    # check (measured 2.4 per step)
-    assert info.line_search_evals <= 3.0 * info.n_iter
+    # mostly one slope at the full step, whose point the Armijo check
+    # reuses (measured 1.4 points per step)
+    assert info.line_search_evals <= 2.0 * info.n_iter
+    # one element pass per evaluated point: the line-search points and
+    # the start; later stages start at the point the one before stopped
+    # at, and the closing state is the last point
+    assert len(passes) == info.line_search_evals + 1
     line = caplog.records[-1].getMessage()
     assert f"{info.factorizations} factorizations" in line
     assert f"{info.line_search_evals} line-search evaluations" in line
@@ -546,7 +558,8 @@ def test_band_hessian_matches_coo_assembly(kind, rng):
     x = harmonic_initial_guess(problem, u_fix) \
         + 0.1 * rng.standard_normal(problem.n_free)
     u = problem.nodal_state(u_fix, x)
-    ab = problem.hessian(u)
+    grads, norms = problem.grad_norms(u)
+    ab = problem.hessian(grads, norms, problem.per_tri(norms, "sigma"))
     dense = band_to_dense(problem.band, ab)
     ref = coo_reduced(problem, einsum_hessian_elements(problem, u))[1]
     ref = ref.toarray()
@@ -559,6 +572,23 @@ def test_band_hessian_matches_coo_assembly(kind, rng):
                        atol=1e-12 * np.abs(d).max())
     assert np.allclose(inv_diag, 1.0 / np.diag(ref), rtol=1e-13)
     assert progress.factorizations == 1 and progress.linsolve_failures == 0
+
+
+@pytest.mark.parametrize("kind", ["pei", "pec"])
+def test_index_maps_equal_the_sparse_prolongation(kind, rng):
+    # fancy indexing and one bincount give the sums of the sparse
+    # products, term by term in the same order
+    mesh, mats = band_case(kind)
+    problem = Problem(mesh, mats)
+    u_fix = np.zeros(mesh.n_nodes)
+    u_fix[mesh.boundary_nodes] = rng.standard_normal(
+        len(mesh.boundary_nodes))
+    x = rng.standard_normal(problem.n_free)
+    u = u_fix + problem.prolong @ x
+    u[problem.removed_nodes] = np.nan
+    assert np.array_equal(problem.nodal_state(u_fix, x), u, equal_nan=True)
+    r = rng.standard_normal(mesh.n_nodes)
+    assert np.array_equal(problem.reduce(r), problem.restrict @ r)
 
 
 def test_band_is_narrower_than_the_natural_order():
@@ -667,6 +697,20 @@ def test_pec_island_without_conducting_path_rejected():
     mats = MaterialMap({0: Linear(1.0), 1: PEI(), 2: PEC()})
     with pytest.raises(SolveError, match="unit stiffness is singular"):
         solve(mesh, mats, ramp(mesh))
+
+
+def test_pec_island_rejected_before_a_warm_started_newton_step():
+    # without the harmonic start, nothing but the unknown map can catch
+    # the stranded PEC unknown: every Newton factorization would fail
+    mesh = build_disk_mesh(1.0, 0.1)
+    r = np.linalg.norm(mesh.nodes[mesh.triangles].mean(axis=1), axis=1)
+    mesh = mesh.relabeled(np.where(r < 0.25, 2, np.where(r < 0.5, 1, 0)))
+    mats = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0),
+                        1: PEI(), 2: PEC()})
+    with pytest.raises(SolveError, match="unit stiffness is singular"):
+        solve(mesh, mats, ramp(mesh), initial_guess=np.zeros(mesh.n_nodes))
+    with pytest.raises(SolveError, match="no conducting path"):
+        Problem(mesh, mats)
 
 
 # ---------------------------------------------------------------------------

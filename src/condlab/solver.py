@@ -29,7 +29,8 @@ state and lives as long as the caller that built it; ``solve`` and the
 pairings in ``dtn`` accept one so that every solve and pairing on the same
 pair shares it, and build their own when none is given.  Continuation
 stages reuse the structure and only swap each group's law for its
-rescaled-floor version.
+rescaled-floor version; each stage is built once per ``Problem`` and
+kept.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -47,13 +48,14 @@ the closed-form element Hessians into the band with one ``np.bincount``
 and solves by one banded Cholesky factorization, with a diagonally scaled
 gradient as the fallback when the factorization fails.  The step length is
 the root of the convex ray's slope, found by an Illinois (modified regula
-falsi) iteration on (0, 1] and then checked for Armijo decrease of the
-energy at the point whose slope was taken, halving on failure.  Power-law
-floors follow a warm-started continuation schedule that shrinks reg_eps
-tenfold per stage.  Each solve reports how it stopped (``tol``,
-``floor`` or ``polish``) and logs that reason with its counters at debug
-level; every accepted exit has its gradient within the tolerance or the
-round-off floor.
+falsi) iteration on (0, 1] and accepted by the approximate Wolfe test:
+the slope shrank a hundredfold and the energy rose by at most 1e-10 of
+its size, a slack above the float resolution where flat (E-J) energies
+stop decreasing near the minimizer.  Power-law floors follow a
+warm-started continuation schedule that shrinks reg_eps tenfold per
+stage.  Each solve reports how it stopped (``tol`` or ``floor``) and logs
+that reason with its counters at debug level; every accepted exit has
+its gradient within the tolerance or the round-off floor.
 """
 from __future__ import annotations
 
@@ -299,6 +301,7 @@ class Problem:
         self.groups = tuple((model, np.nonzero(np.isin(active_labels,
                                                        labs))[0])
                             for model, labs in members.items())
+        self._stages: dict[float, Problem] = {}
 
     @functools.cached_property
     def prolong(self) -> sparse.csr_matrix:
@@ -339,13 +342,18 @@ class Problem:
 
     def with_reg_eps_scale(self, factor: float) -> "Problem":
         """The same structure with every law's floor scaled by ``factor``
-        (one continuation stage)."""
-        # build the law-independent structure here, so the stage shares it
-        self.band, self.unit_elements
-        staged = copy.copy(self)
-        staged.materials = self.materials.with_reg_eps_scale(factor)
-        staged.groups = tuple((scale_reg_eps(model, factor), sel)
-                              for model, sel in self.groups)
+        (one continuation stage), built once per factor and kept."""
+        staged = self._stages.get(factor)
+        if staged is None:
+            # build the law-independent structure here, so the stage
+            # shares it
+            self.band, self.unit_elements
+            staged = copy.copy(self)
+            staged._stages = {}
+            staged.materials = self.materials.with_reg_eps_scale(factor)
+            staged.groups = tuple((scale_reg_eps(model, factor), sel)
+                                  for model, sel in self.groups)
+            self._stages[factor] = staged
         return staged
 
     def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -570,34 +578,28 @@ class SolveOptions:
     """Newton/continuation controls.
 
     grad_rtol is relative to the gradient norm at the initial guess of the
-    first stage; continuation multiplies every power-law reg_eps by the
-    schedule entries in turn (the final entry must be 1).  Every control
-    is checked at construction; a bad value raises ``SolveError``.
+    first stage; max_iter bounds each stage's Newton steps; continuation
+    multiplies every power-law reg_eps by the schedule entries in turn
+    (the final entry must be 1); a gradient within floor_factor times the
+    round-off floor is stationary.  Every control is checked at
+    construction; a bad value raises ``SolveError``.
     """
 
     grad_rtol: float = 1e-10
     max_iter: int = 150
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
     reg_schedule: tuple[float, ...] = (1e3, 1e2, 1e1, 1.0)
     floor_factor: float = 32.0
-    stall_window: int = 8
     collect_log: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_iter", "max_backtracks", "stall_window"):
-            v = getattr(self, name)
-            if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
-                raise SolveError(f"{name} must be a positive integer, "
-                                 f"got {v!r}")
-        for name in ("grad_rtol", "floor_factor", "backtrack", "armijo_c"):
+        v = self.max_iter
+        if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
+            raise SolveError(f"max_iter must be a positive integer, got {v!r}")
+        for name in ("grad_rtol", "floor_factor"):
             v = getattr(self, name)
             if not isinstance(v, Real) or isinstance(v, bool) or not v > 0:
                 raise SolveError(f"{name} must be a positive number, "
                                  f"got {v!r}")
-            if name in ("backtrack", "armijo_c") and not v < 1.0:
-                raise SolveError(f"{name} must be below 1, got {v!r}")
         sched = self.reg_schedule
         if not sched or sched[-1] != 1.0 or not all(
                 isinstance(m, Real) and m > 0 for m in sched):
@@ -614,19 +616,16 @@ class SolveInfo:
     precision.
 
     ``exit_reason`` says how the last stage stopped: ``"tol"`` (gradient
-    within the relative tolerance), ``"floor"`` (gradient within the
-    round-off floor) or ``"polish"`` (energy stalled below float
-    resolution, finished by residual-decrease Newton steps; the final
-    gradient is within the tolerance or the round-off floor, else the
-    solve raises).  ``linsolve_failures`` counts Newton systems whose
-    banded Cholesky factorization failed (the reduced Hessian was not
-    positive definite) or gave a non-finite direction, ``factorizations``
-    the banded Cholesky factorizations of Newton and polish steps, and
-    ``line_search_evals`` the points the line searches and polish steps
-    evaluated (one element pass each; an Armijo check at a step whose
-    slope was taken evaluates nothing new)."""
+    within the relative tolerance) or ``"floor"`` (gradient within the
+    round-off floor, also when the last stage spent its iteration budget
+    there; a budget spent above both bounds raises).
+    ``linsolve_failures`` counts Newton systems whose banded Cholesky
+    factorization failed (the reduced Hessian was not positive definite)
+    or gave a non-finite direction, ``factorizations`` the banded Cholesky
+    factorizations of Newton steps, and ``line_search_evals`` the points
+    the line searches evaluated (one element pass each; accepting a slope
+    root whose slope was taken evaluates nothing new)."""
 
-    converged: bool
     n_iter: int
     grad_norm: float
     grad_tol: float
@@ -689,6 +688,10 @@ def _newton_direction(band: Band, h: np.ndarray, rhs: np.ndarray,
 
 _SLOPE_RTOL = 1e-2   # accept |phi'(t)| <= _SLOPE_RTOL * |phi'(0)|
 _SLOPE_EVALS = 12    # slope evaluations per line search, t = 1 included
+# accept phi(t) <= phi(0) + _ENERGY_SLACK * |phi(0)|: near the minimizer
+# the energy decrease falls below float resolution, where a decrease
+# test would reject exact steps (Hager & Zhang, SIAM J. Optim. 16, 2005)
+_ENERGY_SLACK = 1e-10
 
 
 def _slope_root(slope, s0: float) -> float:
@@ -799,10 +802,12 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
     def line_search(p0: _Point, d: np.ndarray,
                     gd: float) -> tuple[float, _Point | None]:
         """Step to the minimizer of the energy along the ray, which is
-        convex there, located as the root of its slope g(x0 + t d).d;
-        then check Armijo decrease once and halve from that step while
-        it fails.  Returns the step and its point, or (0, None).  A step
-        whose slope was taken reuses that point."""
+        convex there, located as the root of its slope g(x0 + t d).d.
+        The root is accepted when its energy is finite and at most
+        ``_ENERGY_SLACK * |E(x0)|`` above the start: the approximate Wolfe
+        test, whose slope half is the root finder's own stop.  Returns the
+        step and its point, or (0, None).  A root whose slope was taken
+        reuses that point."""
         tried: dict[float, _Point] = {}
 
         def slope(t: float) -> float:
@@ -810,20 +815,13 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             return float(p.g @ d)
 
         t = _slope_root(slope, gd)
-        for _bt in range(opts.max_backtracks):
-            p = tried[t] if t in tried else evaluate(p0.x + t * d)
-            e_try = p.energy
-            if np.isfinite(e_try) and \
-                    e_try <= p0.energy + opts.armijo_c * t * gd:
-                return t, p
-            t *= opts.backtrack
+        p = tried[t] if t in tried else evaluate(p0.x + t * d)
+        if np.isfinite(p.energy) and \
+                p.energy <= p0.energy + _ENERGY_SLACK * abs(p0.energy):
+            return t, p
         return 0.0, None
 
     n_iter = 0
-    e_best = np.inf
-    gn_best = np.inf
-    best = point
-    stall = 0
     progress.floored = None
     for it in range(opts.max_iter):
         g = point.g
@@ -842,68 +840,29 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             # stationary to working precision
             progress.floored = floor
             return point, gn, n_iter, "floor"
-        e_base = point.energy
-        improved = False
-        if not np.isfinite(e_best) or \
-                e_base < e_best - 64.0 * np.finfo(float).eps * abs(e_best):
-            e_best, best, improved = e_base, point, True
-        if gn < 0.999 * gn_best:
-            gn_best, improved = gn, True
-        stall = 0 if improved else stall + 1
-        if stall >= opts.stall_window:
-            # a full window with neither a representable energy decrease
-            # nor gradient progress: the line search is comparing
-            # energies below float resolution, so no descent step can be
-            # certified by energy.  Gradient norms still can, and the
-            # energy is convex, so finish with damped Newton steps
-            # accepted on residual decrease alone, then take the best
-            # iterate as stationary to working precision.
-            gn_b = float(np.linalg.norm(best.g))
-            for _polish in range(opts.stall_window):
-                if gn_b <= progress.tol:
-                    break
-                d, inv_diag = _newton_direction(problem.band, best.hessian(),
-                                                -best.g, progress)
-                if not np.all(np.isfinite(d)):
-                    d = -best.g * inv_diag
-                took = False
-                t = 1.0
-                for _bt in range(6):
-                    p = evaluate(best.x + t * d)
-                    gn_t = float(np.linalg.norm(p.g))
-                    if np.isfinite(gn_t) and gn_t < 0.5 * gn_b:
-                        best, gn_b = p, gn_t
-                        n_iter += 1
-                        took = True
-                        break
-                    t *= opts.backtrack
-                if not took:
-                    break
-            return best, gn_b, n_iter, "polish"
         d, inv_diag = _newton_direction(problem.band, point.hessian(), -g,
                                         progress)
         gd = float(g @ d)
-        fell_back = False
-        if not np.isfinite(gd) or gd >= 0.0:
-            d = -g * inv_diag
-            gd = float(g @ d)
-            fell_back = True
-        t, nxt = line_search(point, d, gd)
-        if nxt is None and not fell_back:
-            d = -g * inv_diag
-            gd = float(g @ d)
-            fell_back = True
+        nxt = None
+        fell_back = not np.isfinite(gd) or gd >= 0.0
+        if not fell_back:
             t, nxt = line_search(point, d, gd)
+        if nxt is None:
+            # not a descent direction, or its root was refused: search
+            # along the diagonally scaled gradient instead
+            fell_back = True
+            d = -g * inv_diag
+            t, nxt = line_search(point, d, float(g @ d))
         if nxt is None:
             raise SolveError(f"line search stalled at stage {stage}, "
                              f"iteration {it} (grad norm {gn:.3e}, "
                              f"round-off floor {floor:.3e})")
-        point = nxt
-        n_iter += 1
         if opts.collect_log:
-            log.append({"stage": stage, "iter": it, "energy": e_base,
+            log.append({"stage": stage, "iter": it, "energy": point.energy,
                         "grad_norm": gn, "step": t,
                         "fallback": fell_back})
+        point = nxt
+        n_iter += 1
     return point, float(np.linalg.norm(point.g)), n_iter, None
 
 
@@ -979,16 +938,15 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     # the schedule ends at 1.0, so the last point carries the map's laws
     tol = 0.0 if progress.tol is None else progress.tol
     floor = 0.0 if progress.floored is None else float(progress.floored)
-    if reason != "floor" and gn > tol and gn != 0.0:
-        # a polish or a spent iteration budget is accepted only at the
-        # round-off floor of the final state
+    if reason is None and gn > tol and gn != 0.0:
+        # a spent iteration budget is accepted only at the round-off floor
+        # of the final state
         floor = problem.roundoff_floor(point.u, point.sig)
         if gn > opts.floor_factor * floor:
-            raise SolveError(f"Newton did not converge "
-                             f"({reason or 'iteration budget spent'}): grad "
-                             f"norm {gn:.3e} above tolerance {tol:.3e} and "
-                             f"round-off floor {floor:.3e}")
-        reason = reason or "floor"
+            raise SolveError(f"Newton did not converge (iteration budget "
+                             f"spent): grad norm {gn:.3e} above tolerance "
+                             f"{tol:.3e} and round-off floor {floor:.3e}")
+        reason = "floor"
     reason = reason or "tol"
 
     u, r = point.u, point.residual
@@ -1004,7 +962,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
                  "failures, %d line-search evaluations", datum.name, reason,
                  total_iter, gn, tol, progress.factorizations,
                  progress.linsolve_failures, progress.line_search_evals)
-    info = SolveInfo(True, total_iter, gn, tol, energy, floor, balance, log,
+    info = SolveInfo(total_iter, gn, tol, energy, floor, balance, log,
                      reason, progress.linsolve_failures,
                      progress.factorizations, progress.line_search_evals)
     return PotentialField(mesh, u, valid, datum, info, pec_values)

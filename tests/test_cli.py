@@ -164,9 +164,13 @@ def test_unknown_solver_option(tmp_path, capsys):
     assert "unknown keys in solver" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", [{"cg_rtol": 1e-8}, {"cg_maxiter": 2000}])
+@pytest.mark.parametrize("option", [
+    {"cg_rtol": 1e-8}, {"cg_maxiter": 2000}, {"armijo_c": 1e-4},
+    {"backtrack": 0.5}, {"max_backtracks": 40}, {"stall_window": 8}])
 def test_retired_cg_solver_options_rejected(tmp_path, capsys, option):
-    # the Newton systems are factorized directly; there is no CG to tune
+    # the Newton systems are factorized directly, so there is no CG to
+    # tune, and the line search accepts the slope root by the approximate
+    # Wolfe test, so there is no backtracking or stall window either
     code, _ = run(tmp_path, "solve", dict(PROBLEM, solver=option))
     assert code == 2
     assert "unknown keys in solver" in capsys.readouterr().err

@@ -105,7 +105,6 @@ def test_datum_family_names(disk):
 
 def test_linear_disk_ramp_solution_is_affine(disk, linear_unit):
     fld = solve(disk, linear_unit, ramp(disk))
-    assert fld.info.converged
     # u must equal x up to the projection constant, exactly representable
     shift = fld.u - disk.nodes[:, 0]
     assert np.max(np.abs(shift - shift[0])) < 1e-7
@@ -147,11 +146,12 @@ def test_linear_solve_exits_on_tolerance(disk, linear_unit, caplog):
     assert len(lines) == 1 and "exit tol" in lines[0]
 
 
-def small_sin2_solve(amplitude, opts=SolveOptions()):
-    # a p = 1.1 law driven by a small trace, where the energy decrease
-    # sinks below float resolution near the minimizer
+def ej_sin2_solve(amplitude, opts=SolveOptions(), n=10.0):
+    # an E-J law (p = 1 + 1/n) driven by a sin 2 theta trace; a small
+    # trace sinks the energy decrease below float resolution near the
+    # minimizer
     mesh = build_disk_mesh(1.0, 0.3)
-    mats = MaterialMap({0: EJPowerLaw(1.0, 1.0, 10.0)})
+    mats = MaterialMap({0: EJPowerLaw(1.0, 1.0, n)})
     datum = make_datum(mesh, [DatumTerm("sin", amplitude, k=2)], "small")
     return solve(mesh, mats, datum, opts)
 
@@ -159,35 +159,49 @@ def small_sin2_solve(amplitude, opts=SolveOptions()):
 def test_small_trace_solve_exits_on_tolerance():
     # exact Newton directions and slope-root steps reach the default
     # relative tolerance before the energy stalls
-    fld = small_sin2_solve(1e-3)
+    fld = ej_sin2_solve(1e-3)
     assert fld.info.exit_reason == "tol"
     assert fld.info.grad_norm <= fld.info.grad_tol
 
 
 def test_solve_below_resolution_exits_at_roundoff_floor():
-    fld = small_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16))
+    fld = ej_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16))
     assert fld.info.exit_reason == "floor"
     assert fld.info.n_iter > 0
     assert fld.info.grad_tol < fld.info.grad_norm <= 32.0 * \
         fld.info.grad_floor
-    assert fld.info.converged
 
 
-def test_stalled_solve_exits_by_polish():
-    fld = small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16))
-    assert fld.info.exit_reason == "polish"
-    assert fld.info.n_iter > 0
-    assert fld.info.converged
+def test_float_resolution_solve_exits_on_tolerance():
+    # energy decreases sink below float resolution here; the slope root
+    # is still accepted, so the exact steps go on down to the tolerance
+    # (measured: 18 steps, 41 evaluations)
+    info = ej_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16)).info
+    assert info.exit_reason == "tol"
+    assert 0 < info.n_iter <= 25
+    assert info.line_search_evals <= 3 * info.n_iter
+    assert info.grad_norm <= info.grad_tol
 
 
-def test_polish_exit_is_bounded_by_the_roundoff_floor():
-    info = small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16)).info
-    assert info.exit_reason == "polish"
-    assert info.grad_tol < info.grad_norm <= 32.0 * info.grad_floor
-    # the same stall is refused once the floor no longer covers it
-    with pytest.raises(SolveError, match=r"did not converge \(polish\)"):
-        small_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16,
-                                            floor_factor=0.1))
+def test_spent_budget_is_bounded_by_the_roundoff_floor():
+    # a stage that runs out of steps is accepted only within the
+    # round-off floor; a floor factor that no longer covers the final
+    # gradient refuses it
+    with pytest.raises(SolveError,
+                       match=r"did not converge \(iteration budget spent\)"):
+        ej_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16,
+                                         floor_factor=0.01, max_iter=30))
+
+
+def test_flat_ej_solve_takes_exact_steps():
+    # a steep E-J law (p = 1.05) on a unit trace: near the minimizer its
+    # energy is flat below float resolution, where an energy-decrease
+    # test rejects the exact full step and halves it many times over
+    # (measured here: 17 steps, 63 evaluations; 65 and 689 with that test)
+    info = ej_sin2_solve(1.0, n=20.0).info
+    assert info.exit_reason == "tol"
+    assert info.n_iter <= 25
+    assert info.line_search_evals <= 4 * info.n_iter
 
 
 def test_solve_counts_its_work(caplog, monkeypatch):
@@ -208,8 +222,8 @@ def test_solve_counts_its_work(caplog, monkeypatch):
         info = solve(mesh, mats, datum).info
     assert info.n_iter > 0
     assert info.factorizations == info.n_iter
-    # mostly one slope at the full step, whose point the Armijo check
-    # reuses (measured 1.4 points per step)
+    # mostly one slope at the full step, whose point is accepted as it
+    # is (measured 1.4 points per step)
     assert info.line_search_evals <= 2.0 * info.n_iter
     # one element pass per evaluated point: the line-search points and
     # the start; later stages start at the point the one before stopped
@@ -287,9 +301,9 @@ def test_bad_reg_schedule_rejected(disk, power4):
 @pytest.mark.parametrize("bad", [
     {"reg_schedule": ()}, {"reg_schedule": (10.0, 0.0, 1.0)},
     {"max_iter": "x"}, {"max_iter": 0}, {"max_iter": 2.5},
-    {"max_backtracks": -1}, {"stall_window": True}, {"grad_rtol": 0.0},
-    {"grad_rtol": "1e-8"}, {"floor_factor": -1.0}, {"backtrack": 1.5},
-    {"armijo_c": float("nan")}])
+    {"max_iter": True}, {"reg_schedule": ("x", 1.0)}, {"grad_rtol": 0.0},
+    {"grad_rtol": "1e-8"}, {"floor_factor": -1.0},
+    {"grad_rtol": float("nan")}, {"floor_factor": False}])
 def test_solve_options_check_themselves(bad):
     (name,) = bad
     with pytest.raises(SolveError, match=name):
@@ -461,7 +475,6 @@ def test_pei_removes_interior_nodes_only():
                            inclusions=[DiskInclusion((0.0, 0.0), 0.35, 1)])
     mats = MaterialMap({0: Linear(1.0), 1: PEI()})
     fld = solve(mesh, mats, ramp(mesh))
-    assert fld.info.converged
     removed = ~fld.valid_mask
     assert removed.sum() > 0
     assert np.all(np.isnan(fld.u[removed]))
@@ -656,6 +669,32 @@ def test_harmonic_start_factorizes_once_per_problem(monkeypatch):
         assert np.allclose(x, ref, rtol=1e-12, atol=1e-14)
         solve(mesh, mats, datum, problem=problem)
     assert len(calls) == 1
+
+
+def test_continuation_stages_are_built_once_per_problem(disk, power4,
+                                                        monkeypatch):
+    problem = Problem(disk, power4)
+    calls = []
+    scale = MaterialMap.with_reg_eps_scale
+
+    def counting_scale(self, factor):
+        calls.append(factor)
+        return scale(self, factor)
+
+    monkeypatch.setattr(MaterialMap, "with_reg_eps_scale", counting_scale)
+    for datum in (ramp(disk),
+                  make_datum(disk, [DatumTerm("sin", 1.0, k=2)], "sin2")):
+        solve(disk, power4, datum, problem=problem)
+    assert calls == [1e3, 1e2, 1e1]
+    stage = problem.with_reg_eps_scale(10.0)
+    assert stage is problem.with_reg_eps_scale(10.0)
+    # a stage keeps stages of its own: scaling it again scales its floor,
+    # it does not hand back its parent's stage
+    floor = stage.groups[0][0].reg_eps
+    again = stage.with_reg_eps_scale(10.0)
+    assert again is not stage
+    assert again.groups[0][0].reg_eps == 10.0 * floor
+    assert problem.with_reg_eps_scale(10.0) is stage
 
 
 def test_nonlinear_map_keeps_no_harmonic_factor(disk, power4):

@@ -4,7 +4,7 @@
 Compares averaged boundary powers of the healthy wire against a cracked
 matrix and an insulated petal, for ten boundary data each.  Runs both
 the physical-units config (0.6 mm section, MS/m matrix, A/mm^2 petals;
-expect a few minutes) and a unit-scale variant of the same geometry,
+about 4 s on a 2-core VM) and a unit-scale variant of the same geometry,
 since the physical one drives the solver through nine orders of
 magnitude of contrast.
 

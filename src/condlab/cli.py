@@ -278,12 +278,11 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
             tag = _slug(datum.name)
             write_node_csv(os.path.join(args.out, f"u_{tag}.csv"), fld)
             write_element_csv(os.path.join(args.out,
-                                           f"elements_{tag}.csv"),
-                              materials, fld)
+                                           f"elements_{tag}.csv"), fld)
             write_solver_log(os.path.join(args.out, f"log_{tag}.jsonl"),
                              fld)
             write_tri_svg(os.path.join(args.out, f"qdensity_{tag}.svg"),
-                          mesh, energy_density_map(mesh, materials, fld))
+                          mesh, energy_density_map(fld))
             info = fld.info
             infos.append({"datum": datum.name, "converged": True,
                           "n_iter": info.n_iter, "energy": info.energy,
@@ -310,7 +309,7 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
         rows = []
         for datum in data:
             fld = solve(mesh, materials, datum, opts, problem=problem)
-            p = dtn_pairing(mesh, materials, fld, datum, problem)
+            p = dtn_pairing(fld, datum)
             rows.append((datum.name, mat_id, p, float("nan"),
                          fld.info.energy, float("nan")))
             print(f"[power] {datum.name}: <L f, f> = {p:.10e}")
@@ -494,11 +493,10 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
             errs = []
             for h, mesh, node_ids, values in meshes:
                 datum = BoundaryDatum(f"p{p:g}-h{h:g}", node_ids, values)
-                fld = solve(mesh, mats, datum, opts)
-                err = abs(fld.info.energy - exact.energy) / abs(exact.energy)
+                energy = solve(mesh, mats, datum, opts).info.energy
+                err = abs(energy - exact.energy) / abs(exact.energy)
                 errs.append(err)
-                rows.append((p, h, mesh.n_nodes, fld.info.energy,
-                             exact.energy, err))
+                rows.append((p, h, mesh.n_nodes, energy, exact.energy, err))
                 print(f"[convergence] p={p:g} h={h:g}: rel energy error "
                       f"{err:.3e}")
             if len(errs) >= 2:

@@ -26,10 +26,10 @@ is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
 once, at alpha = 1, instead of once per node (the homogeneity path); the
 map alone selects it.
 
-Every function here that solves or pairs more than once on one (mesh,
-material map) pair compiles a single ``solver.Problem`` and hands it to
-each solve and pairing.  ``dtn_pairing`` and ``average_dtn_power`` accept
-such a shared problem and build one when none is given;
+A pairing reads the ``solver.Problem`` its solved field keeps, so it
+builds none.  ``average_dtn_power`` solves on the ``Problem`` it is given;
+every other function here that solves on one (mesh, material map) pair
+compiles a single ``Problem`` and drops it on return.
 ``average_dtn_powers`` runs a list of data on one shared problem, so a
 caller that loops over data on one pair compiles it, and on a linear map
 factorizes its harmonic start, once.  Each averaged power or pairing logs
@@ -48,21 +48,18 @@ import numpy as np
 from .constitutive import MaterialMap
 from .mesh import Mesh
 from .solver import (BoundaryDatum, PotentialField, Problem, SolveOptions,
-                     _compiled, harmonic_initial_guess, solve)
+                     harmonic_initial_guess, solve)
 
 logger = logging.getLogger(__name__)
 
 
-def dtn_pairing(mesh: Mesh, materials: MaterialMap, fld: PotentialField,
-                phi: BoundaryDatum, problem: Problem | None = None) -> float:
-    """Pairing of the boundary current of a solved state with a trace;
-    ``problem`` is an optional ``Problem(mesh, materials)`` to reuse."""
-    r = _compiled(mesh, materials, problem).residual(fld.u)
+def dtn_pairing(fld: PotentialField, phi: BoundaryDatum) -> float:
+    """Pairing of the boundary current of a solved state with a trace."""
+    r = fld.problem.residual(fld.u)
     return float(phi.values @ r[phi.node_ids])
 
 
-def dtn_pairing_via_lift(mesh: Mesh, materials: MaterialMap,
-                         fld: PotentialField, phi: BoundaryDatum,
+def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
                          lift: np.ndarray | None = None) -> float:
     """Volumetric evaluation sum_T area sigma grad u . grad Phi.
 
@@ -70,9 +67,9 @@ def dtn_pairing_via_lift(mesh: Mesh, materials: MaterialMap,
     harmonic one.  Any admissible lift (exact trace, constant on each PEC
     component) gives the same value within solver tolerance.
     """
-    problem = Problem(mesh, materials)
+    problem = fld.problem
     if lift is None:
-        u_fix = np.zeros(mesh.n_nodes)
+        u_fix = np.zeros(problem.mesh.n_nodes)
         u_fix[phi.node_ids] = phi.values
         x = harmonic_initial_guess(problem, u_fix)
         lift = u_fix + problem.prolong @ x
@@ -81,10 +78,9 @@ def dtn_pairing_via_lift(mesh: Mesh, materials: MaterialMap,
     return float(lift[keep] @ r[keep])
 
 
-def ohmic_power(mesh: Mesh, materials: MaterialMap,
-                fld: PotentialField) -> float:
+def ohmic_power(fld: PotentialField) -> float:
     """<Lambda(f), f> for the state's own datum."""
-    return dtn_pairing(mesh, materials, fld, fld.datum)
+    return dtn_pairing(fld, fld.datum)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -138,10 +134,9 @@ def _log_average(what: str, datum: BoundaryDatum, quad_order: int,
                  "homogeneity path" if linear else "alpha sweep")
 
 
-def average_dtn_power(mesh: Mesh, materials: MaterialMap,
-                      datum: BoundaryDatum, quad_order: int = 16,
-                      opts: SolveOptions = SolveOptions(),
-                      problem: Problem | None = None) -> PowerReport:
+def average_dtn_power(problem: Problem, datum: BoundaryDatum,
+                      quad_order: int = 16,
+                      opts: SolveOptions = SolveOptions()) -> PowerReport:
     """Averaged boundary power of one datum, with the transfer mismatch.
 
     Solves at each Gauss-Legendre alpha node plus alpha = 1, or only at
@@ -149,22 +144,21 @@ def average_dtn_power(mesh: Mesh, materials: MaterialMap,
     avg_power = sum_k w_k <Lambda(alpha_k f), f>, the full power
     <Lambda(f), f>, the Dirichlet energy of u^f, and
     |avg_power - energy| / max(|energy|, tiny) as ``transfer_residual``.
-    ``problem`` is an optional ``Problem(mesh, materials)`` to reuse.
+    Every solve runs on ``problem``.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    problem = _compiled(mesh, materials, problem)
-    linear = materials.is_linear
+    linear = problem.materials.is_linear
     if linear:
-        full = solve(mesh, materials, datum, opts, problem=problem)
-        power = dtn_pairing(mesh, materials, full, datum, problem)
+        full = solve(problem.mesh, problem.materials, datum, opts,
+                     problem=problem)
+        power = dtn_pairing(full, datum)
         pairings = alphas * power
     else:
         fields = _alpha_sweep(problem, datum,
                               np.concatenate([alphas, [1.0]]), opts)
         full = fields[-1]
-        pairings = np.array([dtn_pairing(mesh, materials, f, datum,
-                                         problem) for f in fields[:-1]])
-        power = dtn_pairing(mesh, materials, full, datum, problem)
+        pairings = np.array([dtn_pairing(f, datum) for f in fields[:-1]])
+        power = dtn_pairing(full, datum)
     _log_average("power", datum, quad_order,
                  1 if linear else quad_order + 1, linear)
     avg = float(weights @ pairings)
@@ -183,8 +177,7 @@ def average_dtn_powers(mesh: Mesh, materials: MaterialMap,
     """``average_dtn_power`` of each datum, all sharing one compiled
     ``Problem(mesh, materials)`` that is dropped on return."""
     problem = Problem(mesh, materials)
-    return [average_dtn_power(mesh, materials, d, quad_order, opts, problem)
-            for d in data]
+    return [average_dtn_power(problem, d, quad_order, opts) for d in data]
 
 
 def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
@@ -198,11 +191,10 @@ def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
     linear = materials.is_linear
     if linear:
         fld = solve(mesh, materials, datum, opts, problem=problem)
-        pairings = alphas * dtn_pairing(mesh, materials, fld, phi, problem)
+        pairings = alphas * dtn_pairing(fld, phi)
     else:
         fields = _alpha_sweep(problem, datum, alphas, opts)
-        pairings = np.array([dtn_pairing(mesh, materials, f, phi, problem)
-                             for f in fields])
+        pairings = np.array([dtn_pairing(f, phi) for f in fields])
     _log_average("pairing", datum, quad_order,
                  1 if linear else quad_order, linear)
     return float(weights @ pairings)
@@ -240,7 +232,7 @@ def gateaux_check(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     """
     problem = Problem(mesh, materials)
     base = solve(mesh, materials, datum, opts, problem=problem)
-    pairing = dtn_pairing(mesh, materials, base, phi, problem)
+    pairing = dtn_pairing(base, phi)
     rows = []
     quotients = []
     for eps in sorted(eps_list, reverse=True):

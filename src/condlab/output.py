@@ -56,17 +56,17 @@ def write_sidecar(path: str, **extra) -> None:
 # ---------------------------------------------------------------- fields
 
 def write_node_csv(path: str, fld: PotentialField) -> None:
-    mesh = fld.mesh
+    mesh = fld.problem.mesh
     rows = ((i, mesh.nodes[i, 0], mesh.nodes[i, 1], float(fld.u[i]))
             for i in range(mesh.n_nodes))
     write_csv(path, ["node_id", "x", "y", "u"], rows)
 
 
-def write_element_csv(path: str, materials, fld: PotentialField) -> None:
-    mesh = fld.mesh
-    e = electric_field(mesh, materials, fld)
-    j = current_density(mesh, materials, fld)
-    q = energy_density_map(mesh, materials, fld)
+def write_element_csv(path: str, fld: PotentialField) -> None:
+    mesh = fld.problem.mesh
+    e = electric_field(fld)
+    j = current_density(fld)
+    q = energy_density_map(fld)
     rows = ((t, int(mesh.labels[t]), e[t, 0], e[t, 1], j[t, 0], j[t, 1],
              q[t]) for t in range(mesh.n_triangles))
     write_csv(path, ["tri_id", "label", "Ex", "Ey", "Jx", "Jy", "Qdensity"],
@@ -110,14 +110,6 @@ def write_power_batch_csv(path: str, rows: Sequence[tuple[str, str,
 
 
 # ---------------------------------------------------------- monotonicity
-
-def write_table_csv(path: str, report: MonotonicityReport) -> None:
-    """Two-column energy table: datum, larger-material value, smaller-
-    material value, difference (the layout used by the wire tables)."""
-    write_csv(path, ["f", "E0", "E1", "difference"],
-              ((r.datum, r.value_hi, r.value_lo, r.delta)
-               for r in report.rows))
-
 
 def write_pair_csv(path: str, name_lo: str, name_hi: str,
                    report: MonotonicityReport) -> None:

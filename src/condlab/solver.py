@@ -25,12 +25,13 @@ matrix entry, its slot in LAPACK lower band storage.  On a linear map the
 banded Cholesky factor of the unit stiffness is kept too, so there the
 harmonic start of every solve on the pair is one back-substitution against
 a factor computed once per ``Problem``.  A ``Problem`` holds no per-datum
-state and lives as long as the caller that built it; ``solve`` and the
-pairings in ``dtn`` accept one so that every solve and pairing on the same
-pair shares it, and build their own when none is given.  Continuation
-stages reuse the structure and only swap each group's law for its
-rescaled-floor version; each stage is built once per ``Problem`` and
-kept.
+state.  ``solve`` accepts one so that every solve on the same pair shares
+it, and builds its own when none is given.  The solved ``PotentialField``
+keeps the ``Problem`` it was solved on; the pairings in ``dtn`` and the
+per-triangle E, J and energy density maps read it from the field and
+build none.  Continuation stages reuse the structure and only swap each
+group's law for its rescaled-floor version; each stage is built once per
+``Problem`` and kept.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -527,18 +528,6 @@ class Band:
         return x
 
 
-def _compiled(mesh: Mesh, materials: MaterialMap,
-              problem: Problem | None) -> Problem:
-    """The given problem after checking it was built for this pair, or a
-    new one."""
-    if problem is None:
-        return Problem(mesh, materials)
-    if problem.mesh is not mesh or problem.materials is not materials:
-        raise ValueError("problem was compiled for another mesh or "
-                         "material map")
-    return problem
-
-
 def _unit_cholesky(problem: Problem) -> np.ndarray:
     band = problem.band
     try:
@@ -641,11 +630,13 @@ class SolveInfo:
 
 @dataclass
 class PotentialField:
-    """Nodal solution: ``u`` with NaN at removed (PEI-interior) nodes,
-    ``valid_mask`` marking carried values, PEC component constants in
-    ``info.pec_flux_balance``'s companion ``pec_values``."""
+    """Nodal solution on the ``Problem`` it was solved on: ``u`` with NaN
+    at removed (PEI-interior) nodes, ``valid_mask`` marking carried values,
+    PEC component constants in ``info.pec_flux_balance``'s companion
+    ``pec_values``.  Pairings and per-triangle fields read the mesh, the
+    laws and the unknown map from ``problem``."""
 
-    mesh: Mesh
+    problem: Problem
     u: np.ndarray
     valid_mask: np.ndarray
     datum: BoundaryDatum
@@ -879,7 +870,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         solution); defaults to the discrete harmonic extension.
     problem : optional Problem
         ``Problem(mesh, materials)`` shared by repeated solves on the same
-        pair; built here when omitted.
+        pair; built here when omitted.  The returned field keeps it.
 
     Returns
     -------
@@ -894,7 +885,11 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         On line-search stall or non-convergence within the iteration
         budget.
     """
-    problem = _compiled(mesh, materials, problem)
+    if problem is None:
+        problem = Problem(mesh, materials)
+    elif problem.mesh is not mesh or problem.materials is not materials:
+        raise ValueError("problem was compiled for another mesh or "
+                         "material map")
     bm = problem.bmass
     vals_sorted = datum.values[np.argsort(datum.node_ids)]
     if datum.node_ids.shape != bm.node_ids.shape or \
@@ -965,50 +960,39 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     info = SolveInfo(total_iter, gn, tol, energy, floor, balance, log,
                      reason, progress.linsolve_failures,
                      progress.factorizations, progress.line_search_evals)
-    return PotentialField(mesh, u, valid, datum, info, pec_values)
+    return PotentialField(problem, u, valid, datum, info, pec_values)
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 
 
-def dirichlet_energy(mesh: Mesh, materials: MaterialMap,
-                     field_or_u: "PotentialField | np.ndarray") -> float:
-    """Energy sum over conducting triangles of a nodal state."""
-    u = field_or_u.u if isinstance(field_or_u, PotentialField) else \
-        np.asarray(field_or_u, dtype=float)
-    return Problem(mesh, materials).energy(u)
-
-
-def electric_field(mesh: Mesh, materials: MaterialMap,
-                   fld: PotentialField) -> np.ndarray:
+def electric_field(fld: PotentialField) -> np.ndarray:
     """Per-triangle field E = -grad u, shape (m, 2); zero rows on PEI
     and PEC triangles, where the local field is not represented."""
-    problem = Problem(mesh, materials)
+    problem = fld.problem
     grads, _ = problem.grad_norms(fld.u)
-    e = np.zeros((mesh.n_triangles, 2))
+    e = np.zeros((problem.mesh.n_triangles, 2))
     e[problem.active_tris] = -grads
     return e
 
 
-def current_density(mesh: Mesh, materials: MaterialMap,
-                    fld: PotentialField) -> np.ndarray:
+def current_density(fld: PotentialField) -> np.ndarray:
     """Per-triangle current density J = -sigma(|grad u|) grad u, shape
     (m, 2); zero rows on PEI and PEC triangles."""
-    problem = Problem(mesh, materials)
+    problem = fld.problem
     grads, norms = problem.grad_norms(fld.u)
     sig = problem.per_tri(norms, "sigma")
-    j = np.zeros((mesh.n_triangles, 2))
+    j = np.zeros((problem.mesh.n_triangles, 2))
     j[problem.active_tris] = -sig[:, None] * grads
     return j
 
 
-def energy_density_map(mesh: Mesh, materials: MaterialMap,
-                       fld: PotentialField) -> np.ndarray:
+def energy_density_map(fld: PotentialField) -> np.ndarray:
     """Per-triangle energy density Q(|grad u|); zero on PEI/PEC."""
-    problem = Problem(mesh, materials)
+    problem = fld.problem
     _, norms = problem.grad_norms(fld.u)
-    out = np.zeros(mesh.n_triangles)
+    out = np.zeros(problem.mesh.n_triangles)
     out[problem.active_tris] = problem.per_tri(norms, "energy_density")
     return out
 

@@ -3,6 +3,7 @@ import pytest
 
 from condlab.constitutive import Linear, MaterialMap, PowerLaw
 from condlab.mesh import build_disk_mesh, build_rect_mesh
+from condlab.solver import Problem
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,17 @@ def power4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def problem_builds(monkeypatch):
+    """Records each ``Problem`` built while the test runs."""
+    builds = []
+    init = Problem.__init__
+
+    def counting_init(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Problem, "__init__", counting_init)
+    return builds

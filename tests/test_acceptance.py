@@ -19,7 +19,7 @@ from condlab.dtn import average_dtn_power, gateaux_check
 from condlab.mesh import (DiskInclusion, boundary_mass, build_annulus_mesh,
                           build_disk_mesh, build_rect_mesh)
 from condlab.oracle import annulus_radial_solution, brute_force_min
-from condlab.solver import (BoundaryDatum, DatumTerm,
+from condlab.solver import (BoundaryDatum, DatumTerm, Problem,
                             boundary_data_continuity_study, make_datum,
                             project_zero_mean, solve)
 
@@ -150,7 +150,7 @@ def test_c04_transfer_identity(wire_problem):
     datum = next(d for d in data if d.name == "500x")
     resid = {}
     for order in (8, 16):
-        rep = average_dtn_power(mesh, mats, datum, order)
+        rep = average_dtn_power(Problem(mesh, mats), datum, order)
         resid[order] = rep.transfer_residual
     shrink = resid[8] / resid[16]
     ok = resid[16] <= 1e-3 and shrink >= 4.0
@@ -166,13 +166,12 @@ def test_c04_transfer_identity(wire_problem):
 def test_c05_homogeneity():
     mesh = build_disk_mesh(1.0, 0.15)
     datum = ramp_datum(mesh)
-    rep_lin = average_dtn_power(mesh, MaterialMap({0: Linear(2.0)}),
+    rep_lin = average_dtn_power(Problem(mesh, MaterialMap({0: Linear(2.0)})),
                                 datum, 8)
     rel_lin = abs(rep_lin.avg_power - 0.5 * rep_lin.power) \
         / abs(rep_lin.power)
-    rep_p4 = average_dtn_power(mesh,
-                               MaterialMap({0: PowerLaw(2.0, 1.0, 4.0)}),
-                               datum, 8)
+    rep_p4 = average_dtn_power(
+        Problem(mesh, MaterialMap({0: PowerLaw(2.0, 1.0, 4.0)})), datum, 8)
     rel_p4 = abs(rep_p4.avg_power - rep_p4.power / 4.0) \
         / abs(rep_p4.power)
     ok = rel_lin <= 1e-10 and rel_p4 <= 1e-6

@@ -235,6 +235,13 @@ def test_solve_one_file_set_per_datum(tmp_path):
     assert len(rows) == mesh.n_nodes
 
 
+def test_solve_builds_one_problem_for_all_data(tmp_path, problem_builds):
+    # the per-triangle fields read the problem each solved field keeps
+    code, _ = run(tmp_path, "solve", dict(PROBLEM, data=[RAMP, SIN2]))
+    assert code == 0
+    assert len(problem_builds) == 1
+
+
 def test_solve_datum_names_are_slugged(tmp_path):
     fancy = dict(RAMP, name="ramp (v2)")
     code, out = run(tmp_path, "solve", dict(PROBLEM, data=[fancy]))

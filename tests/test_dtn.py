@@ -39,7 +39,7 @@ def data_pair(mesh):
 def test_own_pairing_is_twice_linear_energy(disk, linear_unit):
     f, _ = data_pair(disk)
     fld = solve(disk, linear_unit, f)
-    power = ohmic_power(disk, linear_unit, fld)
+    power = ohmic_power(fld)
     assert abs(power - 2.0 * fld.info.energy) <= 1e-9 * power
     assert abs(power - disk.areas.sum()) <= 1e-6 * power
 
@@ -47,8 +47,8 @@ def test_own_pairing_is_twice_linear_energy(disk, linear_unit):
 def test_pairing_equals_volumetric_lift_form(disk, power4):
     f, g = data_pair(disk)
     fld = solve(disk, power4, f)
-    direct = dtn_pairing(disk, power4, fld, g)
-    lifted = dtn_pairing_via_lift(disk, power4, fld, g)
+    direct = dtn_pairing(fld, g)
+    lifted = dtn_pairing_via_lift(fld, g)
     assert abs(direct - lifted) <= 1e-8 * max(abs(direct), 1e-12)
 
 
@@ -59,8 +59,8 @@ def test_pairing_independent_of_lift_choice(disk, power4, rng):
     lift[g.node_ids] = g.values
     interior = np.setdiff1d(np.arange(disk.n_nodes), disk.boundary_nodes)
     lift[interior] = rng.uniform(-1.0, 1.0, size=len(interior))
-    a = dtn_pairing(disk, power4, fld, g)
-    b = dtn_pairing_via_lift(disk, power4, fld, g, lift=lift)
+    a = dtn_pairing(fld, g)
+    b = dtn_pairing_via_lift(fld, g, lift=lift)
     # the residual vanishes at free nodes only to solver tolerance, so an
     # arbitrary admissible lift agrees to that tolerance, not exactly
     assert abs(a - b) <= 1e-6 * max(abs(a), 1.0)
@@ -70,8 +70,8 @@ def test_linear_pairing_is_symmetric(disk, linear_unit):
     f, g = data_pair(disk)
     uf = solve(disk, linear_unit, f)
     ug = solve(disk, linear_unit, g)
-    a = dtn_pairing(disk, linear_unit, uf, g)
-    b = dtn_pairing(disk, linear_unit, ug, f)
+    a = dtn_pairing(uf, g)
+    b = dtn_pairing(ug, f)
     scale = max(abs(a), abs(b), 1e-12)
     assert abs(a - b) <= 1e-8 * scale
 
@@ -82,7 +82,7 @@ def test_own_pairing_nonnegative(disk, power4):
                         ("f3", [DatumTerm("cos", 2.0, k=1)])]:
         d = make_datum(disk, terms, name)
         fld = solve(disk, power4, d)
-        assert ohmic_power(disk, power4, fld) >= 0.0
+        assert ohmic_power(fld) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +124,13 @@ def test_gauss_on_unit_computes_each_rule_once():
 
 def test_avg_power_linear_is_half_power(disk, linear_unit):
     f, _ = data_pair(disk)
-    rep = average_dtn_power(disk, linear_unit, f, quad_order=8)
+    rep = average_dtn_power(Problem(disk, linear_unit), f, quad_order=8)
     assert abs(rep.avg_power - 0.5 * rep.power) <= 1e-10 * rep.power
 
 
 def test_avg_power_quartic_is_quarter_power(disk, power4):
     f, _ = data_pair(disk)
-    rep = average_dtn_power(disk, power4, f, quad_order=8)
+    rep = average_dtn_power(Problem(disk, power4), f, quad_order=8)
     assert abs(rep.avg_power - 0.25 * rep.power) <= 1e-6 * rep.power
 
 
@@ -138,14 +138,14 @@ def test_avg_power_reproduces_energy(disk, power4):
     # the alpha integrand is a polynomial of degree p - 1, so a handful of
     # Gauss nodes integrate it to solver accuracy
     f, _ = data_pair(disk)
-    rep = average_dtn_power(disk, power4, f, quad_order=4)
+    rep = average_dtn_power(Problem(disk, power4), f, quad_order=4)
     assert rep.transfer_residual <= 1e-7
     assert abs(rep.avg_power - rep.energy) <= 1e-7 * abs(rep.energy)
 
 
 def test_power_report_structure(disk, linear_unit):
     f, _ = data_pair(disk)
-    rep = average_dtn_power(disk, linear_unit, f, quad_order=6)
+    rep = average_dtn_power(Problem(disk, linear_unit), f, quad_order=6)
     assert rep.datum == "f"
     assert rep.quad_order == 6
     assert len(rep.nodes) == 6
@@ -157,7 +157,7 @@ def test_power_report_structure(disk, linear_unit):
 
 def test_avg_pairing_matches_avg_power_on_own_datum(disk, power4):
     f, _ = data_pair(disk)
-    rep = average_dtn_power(disk, power4, f, quad_order=8)
+    rep = average_dtn_power(Problem(disk, power4), f, quad_order=8)
     cross = average_dtn_pairing(disk, power4, f, f, quad_order=8)
     assert abs(cross - rep.avg_power) <= 1e-9 * max(abs(cross), 1e-12)
 
@@ -170,7 +170,8 @@ def test_averaged_map_is_monotone_in_the_datum(disk, mats_fixture, request):
     diff = f1.plus(f2, -1.0)
     lhs = average_dtn_pairing(disk, mats, f1, diff, quad_order=6) \
         - average_dtn_pairing(disk, mats, f2, diff, quad_order=6)
-    scale = max(average_dtn_power(disk, mats, f1, quad_order=6).power, 1e-12)
+    scale = max(average_dtn_power(Problem(disk, mats), f1, quad_order=6)
+                .power, 1e-12)
     assert lhs >= -1e-8 * scale
 
 
@@ -193,8 +194,7 @@ def test_gateaux_ladder_quartic(disk, power4):
 def test_gateaux_linear_residual_constant(disk, linear_unit):
     # for ohmic laws the quotient is exact up to (eps/2) <Lambda(phi), phi>
     f, phi = data_pair(disk)
-    power_phi = ohmic_power(disk, linear_unit,
-                            solve(disk, linear_unit, phi))
+    power_phi = ohmic_power(solve(disk, linear_unit, phi))
     rep = gateaux_check(disk, linear_unit, f, phi, [1e-1, 1e-2, 1e-3])
     for row in rep.rows:
         expected = 0.5 * row.eps * power_phi
@@ -231,7 +231,7 @@ def test_average_power_compiles_the_problem_once(monkeypatch):
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
     monkeypatch.setattr(solver, "boundary_mass", counting_bmass)
-    rep = average_dtn_power(mesh, mats, f, quad_order=8)
+    rep = average_dtn_power(Problem(mesh, mats), f, quad_order=8)
     assert len(rep.nodes) == 8
     assert len(builds) == 1
     assert len(masses) == 1
@@ -252,8 +252,8 @@ def test_equal_laws_under_distinct_labels_share_one_group():
     results = []
     for m, mats in ((mesh, split), (merged_mesh, merged)):
         fld = solve(m, mats, f)
-        results.append((fld.info.energy, dtn_pairing(m, mats, fld, g),
-                        average_dtn_power(m, mats, f, quad_order=4)
+        results.append((fld.info.energy, dtn_pairing(fld, g),
+                        average_dtn_power(Problem(m, mats), f, quad_order=4)
                         .avg_power))
     assert results[0] == results[1]
 
@@ -282,10 +282,9 @@ def sweep_reference(mesh, mats, f, phi):
     problem = Problem(mesh, mats)
     fields = _alpha_sweep(problem, f, np.concatenate([alphas, [1.0]]),
                           SolveOptions())
-    nodes = np.array([dtn_pairing(mesh, mats, fld, phi, problem)
-                      for fld in fields[:-1]])
+    nodes = np.array([dtn_pairing(fld, phi) for fld in fields[:-1]])
     return (nodes, float(weights @ nodes),
-            dtn_pairing(mesh, mats, fields[-1], phi, problem),
+            dtn_pairing(fields[-1], phi),
             fields[-1].info.energy)
 
 
@@ -299,7 +298,7 @@ def test_homogeneity_path_matches_full_sweep(cell_disk, name):
     assert mats.is_linear
     f, g = data_pair(cell_disk)
     nodes, avg, power, energy = sweep_reference(cell_disk, mats, f, f)
-    rep = average_dtn_power(cell_disk, mats, f, quad_order=ORDER)
+    rep = average_dtn_power(Problem(cell_disk, mats), f, quad_order=ORDER)
     assert_rel(rep.avg_power, avg)
     assert_rel(rep.power, power)
     assert_rel(rep.energy, energy)
@@ -331,7 +330,7 @@ def test_linear_map_solves_once_per_datum(cell_disk, dtn_solves, caplog):
     mats = MaterialMap(LINEAR_MAPS["pei-cell"])
     f, g = data_pair(cell_disk)
     with caplog.at_level(logging.DEBUG, logger="condlab.dtn"):
-        average_dtn_power(cell_disk, mats, f, quad_order=8)
+        average_dtn_power(Problem(cell_disk, mats), f, quad_order=8)
         assert len(dtn_solves) == 1
         average_dtn_pairing(cell_disk, mats, f, g, quad_order=8)
         assert len(dtn_solves) == 2
@@ -347,7 +346,7 @@ def test_linear_map_solves_once_per_datum(cell_disk, dtn_solves, caplog):
 def test_nonlinear_map_sweeps_every_node(disk, power4, dtn_solves, caplog):
     f, _ = data_pair(disk)
     with caplog.at_level(logging.DEBUG, logger="condlab.dtn"):
-        average_dtn_power(disk, power4, f, quad_order=3)
+        average_dtn_power(Problem(disk, power4), f, quad_order=3)
     assert len(dtn_solves) == 4
     assert [r.getMessage() for r in caplog.records
             if r.name == "condlab.dtn"] == [
@@ -358,8 +357,5 @@ def test_shared_problem_gives_identical_reports(cell_disk):
     mats = MaterialMap(LINEAR_MAPS["sigma-1-10"])
     problem = Problem(cell_disk, mats)
     for datum in data_pair(cell_disk):
-        shared = average_dtn_power(cell_disk, mats, datum, 4, problem=problem)
-        assert shared == average_dtn_power(cell_disk, mats, datum, 4)
-    with pytest.raises(ValueError, match="another mesh or material map"):
-        average_dtn_power(cell_disk, MaterialMap(LINEAR_MAPS["pei-cell"]),
-                          datum, 4, problem=problem)
+        shared = average_dtn_power(problem, datum, 4)
+        assert shared == average_dtn_power(Problem(cell_disk, mats), datum, 4)

@@ -137,8 +137,8 @@ def test_make_cell_phantom_rejects_cells_outside_grid(scan_mesh, grid, bg,
 def test_noiseless_measurements_match_forward_model(scan_mesh, bg, fam):
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
     assert np.array_equal(meas.powers, meas.clean)
-    direct = [average_dtn_power(scan_mesh, bg, d, QUAD).avg_power
-              for d in fam]
+    problem = Problem(scan_mesh, bg)
+    direct = [average_dtn_power(problem, d, QUAD).avg_power for d in fam]
     assert np.allclose(meas.clean, direct, rtol=1e-12)
     assert meas.datum_names == tuple(d.name for d in fam)
 

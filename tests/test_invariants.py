@@ -117,5 +117,6 @@ def test_transfer_identity_at_high_quadrature_order(
     # 16-node Gauss rule resolves the alpha^(p-1) growth of the pairing
     # to a few 1e-7 (largest of 60 examples: 2.1e-7)
     mats = MaterialMap({0: power(sigma_bar, p), 1: power(sigma_inc, p_inc)})
-    rep = average_dtn_power(mesh, mats, make_datum(mesh, terms, "f"), 16)
+    rep = average_dtn_power(Problem(mesh, mats),
+                            make_datum(mesh, terms, "f"), 16)
     assert rep.transfer_residual <= 5e-6

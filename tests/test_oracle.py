@@ -13,8 +13,8 @@ from condlab.oracle import (
 )
 from condlab.solver import (
     DatumTerm,
+    Problem,
     SolveOptions,
-    dirichlet_energy,
     make_datum,
     solve,
 )
@@ -139,7 +139,7 @@ def test_brute_force_agrees_with_newton_on_tiny_mesh():
     datum = make_datum(mesh, [DatumTerm("linear-x", 1.0)], "ramp")
     ref = solve(mesh, materials, datum, SolveOptions())
     bf = brute_force_min(mesh, materials, datum, seed=0)
-    e_newton = dirichlet_energy(mesh, materials, ref.u)
+    e_newton = Problem(mesh, materials).energy(ref.u)
     assert abs(bf.energy - e_newton) <= 1e-6 * abs(e_newton)
     assert bf.n_free == (mesh.n_nodes - len(mesh.boundary_nodes))
 

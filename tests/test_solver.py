@@ -17,6 +17,7 @@ from condlab.constitutive import (
     MaterialMap,
     PowerLaw,
 )
+from condlab.dtn import dtn_pairing, dtn_pairing_via_lift, ohmic_power
 from condlab.mesh import (
     DiskInclusion,
     Mesh,
@@ -35,8 +36,8 @@ from condlab.solver import (
     boundary_data_continuity_study,
     current_density,
     datum_family,
-    dirichlet_energy,
     electric_field,
+    energy_density_map,
     harmonic_initial_guess,
     make_datum,
     project_zero_mean,
@@ -108,7 +109,7 @@ def test_linear_disk_ramp_solution_is_affine(disk, linear_unit):
     # u must equal x up to the projection constant, exactly representable
     shift = fld.u - disk.nodes[:, 0]
     assert np.max(np.abs(shift - shift[0])) < 1e-7
-    e = electric_field(disk, linear_unit, fld)
+    e = electric_field(fld)
     assert np.allclose(e[:, 0], -1.0, atol=1e-7)
     assert np.allclose(e[:, 1], 0.0, atol=1e-7)
 
@@ -118,7 +119,7 @@ def test_linear_disk_ramp_energy(disk, linear_unit):
     # unit gradient: energy is half the (polygonal) domain area
     assert abs(fld.info.energy - 0.5 * disk.areas.sum()) < 1e-9
     assert abs(fld.info.energy - 0.5 * np.pi) < 0.02 * np.pi
-    assert abs(dirichlet_energy(disk, linear_unit, fld)
+    assert abs(Problem(disk, linear_unit).energy(fld.u)
                - fld.info.energy) < 1e-14
 
 
@@ -316,6 +317,20 @@ def test_problem_for_another_material_map_rejected(disk, linear_unit,
         solve(disk, linear_unit, ramp(disk), problem=Problem(disk, power4))
 
 
+def test_field_helpers_read_the_solved_problem(disk, power4, problem_builds):
+    problem = Problem(disk, power4)
+    fld = solve(disk, power4, ramp(disk), problem=problem)
+    assert fld.problem is problem
+    phi = make_datum(disk, [DatumTerm("sin", 1.0, k=2)], "phi")
+    dtn_pairing(fld, phi)
+    ohmic_power(fld)
+    dtn_pairing_via_lift(fld, phi)
+    electric_field(fld)
+    current_density(fld)
+    energy_density_map(fld)
+    assert len(problem_builds) == 1
+
+
 def test_all_structural_mesh_rejected(square):
     mats = MaterialMap({0: Linear(1.0), 1: PEI()})
     relabeled = square.relabeled(np.ones(square.n_triangles, dtype=int))
@@ -363,10 +378,11 @@ def test_energy_optimality_under_perturbations(disk, power4, rng):
     e_star = fld.info.energy
     interior = np.setdiff1d(np.arange(disk.n_nodes), disk.boundary_nodes)
     scale = 1e-4 * np.linalg.norm(fld.u)
+    problem = Problem(disk, power4)
     for _ in range(100):
         u_try = fld.u.copy()
         u_try[interior] += scale * rng.standard_normal(len(interior))
-        assert dirichlet_energy(disk, power4, u_try) \
+        assert problem.energy(u_try) \
             >= e_star - 1e-10 * max(abs(e_star), 1.0)
 
 
@@ -417,7 +433,7 @@ def test_strip_profile_reproduced(right):
 def test_strip_current_constant_across_layers(right):
     mesh, mats, sol, datum, _ = strip_problem(Linear(1.0), right, 1.0)
     fld = solve(mesh, mats, datum)
-    j = np.linalg.norm(current_density(mesh, mats, fld), axis=1)
+    j = np.linalg.norm(current_density(fld), axis=1)
     assert np.max(np.abs(j - sol.j)) <= 1e-7 * sol.j
 
 
@@ -498,8 +514,8 @@ def test_pei_lowers_energy_of_ramp():
 def test_structural_regions_have_zero_field_rows():
     mesh, mats = pec_disk()
     fld = solve(mesh, mats, ramp(mesh))
-    e = electric_field(mesh, mats, fld)
-    j = current_density(mesh, mats, fld)
+    e = electric_field(fld)
+    j = current_density(fld)
     pec_tris = mesh.labels == 1
     assert np.all(e[pec_tris] == 0.0)
     assert np.all(j[pec_tris] == 0.0)

@@ -40,7 +40,7 @@ from .output import (write_csv, write_element_csv, write_json,
                      write_power_json, write_sidecar, write_solver_log,
                      write_tri_svg)
 from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
-                     SolveOptions, energy_density_map, make_datum,
+                     SolveOptions, element_fields, make_datum,
                      project_zero_mean, solve)
 
 
@@ -277,12 +277,13 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
             fld = solve(mesh, materials, datum, opts, problem=problem)
             tag = _slug(datum.name)
             write_node_csv(os.path.join(args.out, f"u_{tag}.csv"), fld)
-            write_element_csv(os.path.join(args.out,
-                                           f"elements_{tag}.csv"), fld)
+            e, j, q = element_fields(fld)
+            write_element_csv(os.path.join(args.out, f"elements_{tag}.csv"),
+                              mesh, e, j, q)
             write_solver_log(os.path.join(args.out, f"log_{tag}.jsonl"),
                              fld)
             write_tri_svg(os.path.join(args.out, f"qdensity_{tag}.svg"),
-                          mesh, energy_density_map(fld))
+                          mesh, q)
             info = fld.info
             infos.append({"datum": datum.name, "converged": True,
                           "n_iter": info.n_iter, "energy": info.energy,
@@ -550,7 +551,7 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
         meas = synth_measurements(true_mesh, true_mats, data, order,
                                   noise_rel, seed, opts)
         result = mpm_scan(mesh, background, grid, data, meas, contrast,
-                          order, tol, opts, workers)
+                          tol, opts, workers)
         write_mpm_json(os.path.join(args.out, "mpm_result.json"), result)
         write_mpm_svg(os.path.join(args.out, "mpm_heatmap.svg"), mesh,
                       result)

@@ -26,10 +26,11 @@ is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
 once, at alpha = 1, instead of once per node (the homogeneity path); the
 map alone selects it.
 
-A pairing reads the ``solver.Problem`` its solved field keeps, so it
-builds none.  ``average_dtn_power`` solves on the ``Problem`` it is given;
-every other function here that solves on one (mesh, material map) pair
-compiles a single ``Problem`` and drops it on return.
+A pairing reads the residual its solved field keeps, so it assembles
+none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
+the ``Problem`` it is given; every other function here that solves on
+one (mesh, material map) pair compiles a single ``Problem`` and drops it
+on return.
 ``average_dtn_powers`` runs a list of data on one shared problem, so a
 caller that loops over data on one pair compiles it, and on a linear map
 factorizes its harmonic start, once.  Each averaged power or pairing logs
@@ -55,8 +56,7 @@ logger = logging.getLogger(__name__)
 
 def dtn_pairing(fld: PotentialField, phi: BoundaryDatum) -> float:
     """Pairing of the boundary current of a solved state with a trace."""
-    r = fld.problem.residual(fld.u)
-    return float(phi.values @ r[phi.node_ids])
+    return float(phi.values @ fld.residual[phi.node_ids])
 
 
 def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
@@ -73,9 +73,8 @@ def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
         u_fix[phi.node_ids] = phi.values
         x = harmonic_initial_guess(problem, u_fix)
         lift = u_fix + problem.prolong @ x
-    r = problem.residual(fld.u)
     keep = np.isfinite(lift)
-    return float(lift[keep] @ r[keep])
+    return float(lift[keep] @ fld.residual[keep])
 
 
 def ohmic_power(fld: PotentialField) -> float:

@@ -8,6 +8,11 @@ when every datum leaves the comparison on the anomaly side within a noise
 tolerance.  Cells contained in an extreme anomaly are flagged by
 construction: carving the test extreme into a region that already is one
 cannot move the power past the measurement.
+
+Each averaged power is the minimum energy of one solve: on any map,
+integral_0^1 <Lambda(alpha f), f> d alpha = E(u^f) (the transfer
+identity).  ``quad_order`` sets only the measurements' Gauss-Legendre
+cross-check of that identity.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import numpy as np
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import average_dtn_powers
 from .mesh import Mesh
-from .solver import BoundaryDatum, SolveOptions
+from .solver import BoundaryDatum, Problem, SolveOptions, solve
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ def make_cell_phantom(mesh: Mesh, grid: CellGrid, cell_ids: Sequence[int],
 
 @dataclass(frozen=True)
 class Measurements:
-    """Averaged boundary powers per datum, optionally noise-corrupted."""
+    """Averaged boundary powers per datum, optionally noise-corrupted, and
+    the transfer residual of the quadrature cross-check at ``quad_order``."""
 
     datum_names: tuple[str, ...]
     clean: np.ndarray
@@ -122,6 +128,7 @@ class Measurements:
     noise_rel: float
     seed: int
     quad_order: int
+    transfer_residual: np.ndarray
 
     @property
     def powers(self) -> np.ndarray:
@@ -133,13 +140,16 @@ def synth_measurements(mesh: Mesh, materials: MaterialMap,
                        data: Sequence[BoundaryDatum], quad_order: int = 8,
                        noise_rel: float = 0.0, seed: int = 0,
                        opts: SolveOptions = SolveOptions()) -> Measurements:
-    """Forward-model averaged powers with multiplicative uniform noise."""
-    clean = np.array([rep.avg_power for rep in average_dtn_powers(
-        mesh, materials, data, quad_order, opts)])
+    """Forward-model averaged powers (minimum energies) with multiplicative
+    uniform noise; ``transfer_residual`` is each datum's relative mismatch
+    of the Gauss-Legendre average at ``quad_order``."""
+    reports = average_dtn_powers(mesh, materials, data, quad_order, opts)
+    clean = np.array([rep.energy for rep in reports])
     rng = np.random.default_rng(seed)
     noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
     return Measurements(tuple(d.name for d in data), clean, noisy,
-                        noise_rel, seed, quad_order)
+                        noise_rel, seed, quad_order,
+                        np.array([rep.transfer_residual for rep in reports]))
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ class MpmResult:
     grid: CellGrid
     contrast: str  # "pei" or "pec"
     tol: float
-    datum_names: tuple[str, ...]
+    measurements: Measurements
     margins: np.ndarray  # (n_cells, n_data)
     scores: np.ndarray   # (n_cells,) min over data
     mask: np.ndarray     # (n_cells,) bool, score >= -tol
@@ -166,25 +176,25 @@ def contrast_model(contrast: str):
 
 def _cell_powers(mesh: Mesh, background: MaterialMap, cell: Cell,
                  model, lab: int, data: Sequence[BoundaryDatum],
-                 quad_order: int, opts: SolveOptions) -> np.ndarray:
+                 opts: SolveOptions) -> np.ndarray:
     labels = mesh.labels.copy()
     labels[list(cell.tri_ids)] = lab
     test_mesh = mesh.relabeled(labels)
     test_mats = background.replaced(lab, model)
-    return np.array([rep.avg_power for rep in average_dtn_powers(
-        test_mesh, test_mats, data, quad_order, opts)])
+    problem = Problem(test_mesh, test_mats)
+    return np.array([solve(test_mesh, test_mats, d, opts,
+                           problem=problem).info.energy for d in data])
 
 
 def _scan_task(args) -> tuple[int, np.ndarray]:
-    mesh, background, cell, model, lab, data, quad_order, opts = args
+    mesh, background, cell, model, lab, data, opts = args
     return cell.id, _cell_powers(mesh, background, cell, model, lab, data,
-                                 quad_order, opts)
+                                 opts)
 
 
 def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
              data: Sequence[BoundaryDatum], measurements: Measurements,
-             contrast: str = "pei", quad_order: int = 8,
-             tol: float | None = None,
+             contrast: str = "pei", tol: float | None = None,
              opts: SolveOptions = SolveOptions(),
              workers: int = 1) -> MpmResult:
     """Flag grid cells whose structural test perturbation stays on the
@@ -194,14 +204,15 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     datum f is (P_test - P_meas) / |P_meas|, with a conducting test the
     sign is mirrored.  The per-cell score is the minimum margin over the
     data and a cell is flagged when score >= -tol.  The default tol is
-    3 * noise_rel plus a 1e-9 floor against solver round-off.
+    3 * noise_rel plus a 1e-9 floor against solver round-off.  Test powers
+    are minimum energies, one solve per (cell, datum) on any background.
     """
     model = contrast_model(contrast)
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
     lab = fresh_label(mesh, background)
     meas = measurements.powers
-    tasks = [(mesh, background, cell, model, lab, data, quad_order, opts)
+    tasks = [(mesh, background, cell, model, lab, data, opts)
              for cell in grid.cells]
     test_powers = np.empty((grid.n_cells, len(data)))
     if workers > 1:
@@ -219,8 +230,8 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
         margins = (meas[None, :] - test_powers) / denom
     scores = margins.min(axis=1)
     mask = scores >= -tol
-    return MpmResult(grid, contrast, float(tol), measurements.datum_names,
-                     margins, scores, mask)
+    return MpmResult(grid, contrast, float(tol), measurements, margins,
+                     scores, mask)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from .dtn import PowerReport
 from .imaging import MpmResult
 from .mesh import Mesh
 from .monotonicity import LadderReport, MonotonicityReport
-from .solver import (PotentialField, current_density, electric_field,
-                     energy_density_map)
+from .solver import PotentialField
 
 
 def fmt(x) -> str:
@@ -62,11 +61,8 @@ def write_node_csv(path: str, fld: PotentialField) -> None:
     write_csv(path, ["node_id", "x", "y", "u"], rows)
 
 
-def write_element_csv(path: str, fld: PotentialField) -> None:
-    mesh = fld.problem.mesh
-    e = electric_field(fld)
-    j = current_density(fld)
-    q = energy_density_map(fld)
+def write_element_csv(path: str, mesh: Mesh, e: np.ndarray, j: np.ndarray,
+                      q: np.ndarray) -> None:
     rows = ((t, int(mesh.labels[t]), e[t, 0], e[t, 1], j[t, 0], j[t, 1],
              q[t]) for t in range(mesh.n_triangles))
     write_csv(path, ["tri_id", "label", "Ex", "Ey", "Jx", "Jy", "Qdensity"],
@@ -134,13 +130,16 @@ def write_ladder_csv(path: str, ladder: LadderReport) -> None:
 # --------------------------------------------------------------- imaging
 
 def mpm_result_dict(result: MpmResult) -> dict:
+    meas = result.measurements
     return {
         "contrast": result.contrast,
         "tol": result.tol,
         "grid": {"nx": result.grid.nx, "ny": result.grid.ny,
                  "bbox": list(result.grid.bbox),
                  "n_cells": result.grid.n_cells},
-        "datum_names": list(result.datum_names),
+        "datum_names": list(meas.datum_names),
+        "quad_order": meas.quad_order,
+        "transfer_residual": [float(v) for v in meas.transfer_residual],
         "cells": [{"id": c.id, "ix": c.ix, "iy": c.iy,
                    "score": float(result.scores[c.id]),
                    "flagged": bool(result.mask[c.id]),

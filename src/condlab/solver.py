@@ -27,11 +27,12 @@ harmonic start of every solve on the pair is one back-substitution against
 a factor computed once per ``Problem``.  A ``Problem`` holds no per-datum
 state.  ``solve`` accepts one so that every solve on the same pair shares
 it, and builds its own when none is given.  The solved ``PotentialField``
-keeps the ``Problem`` it was solved on; the pairings in ``dtn`` and the
-per-triangle E, J and energy density maps read it from the field and
-build none.  Continuation stages reuse the structure and only swap each
-group's law for its rescaled-floor version; each stage is built once per
-``Problem`` and kept.
+keeps the ``Problem`` it was solved on and the nodal residual of its last
+Newton point; the pairings in ``dtn`` read that residual, and the
+per-triangle E, J and energy density maps come from one element pass on
+the field's ``Problem``.  Continuation stages reuse the structure and
+only swap each group's law for its rescaled-floor version; each stage is
+built once per ``Problem`` and kept.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -632,15 +633,16 @@ class SolveInfo:
 class PotentialField:
     """Nodal solution on the ``Problem`` it was solved on: ``u`` with NaN
     at removed (PEI-interior) nodes, ``valid_mask`` marking carried values,
-    PEC component constants in ``info.pec_flux_balance``'s companion
-    ``pec_values``.  Pairings and per-triangle fields read the mesh, the
-    laws and the unknown map from ``problem``."""
+    ``residual`` the energy gradient at every node of the last Newton
+    point (what the pairings read), PEC component constants in
+    ``info.pec_flux_balance``'s companion ``pec_values``."""
 
     problem: Problem
     u: np.ndarray
     valid_mask: np.ndarray
     datum: BoundaryDatum
     info: SolveInfo
+    residual: np.ndarray
     pec_values: dict[int, float] = field(default_factory=dict)
 
 
@@ -960,41 +962,28 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     info = SolveInfo(total_iter, gn, tol, energy, floor, balance, log,
                      reason, progress.linsolve_failures,
                      progress.factorizations, progress.line_search_evals)
-    return PotentialField(problem, u, valid, datum, info, pec_values)
+    return PotentialField(problem, u, valid, datum, info, r, pec_values)
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 
 
-def electric_field(fld: PotentialField) -> np.ndarray:
-    """Per-triangle field E = -grad u, shape (m, 2); zero rows on PEI
-    and PEC triangles, where the local field is not represented."""
-    problem = fld.problem
-    grads, _ = problem.grad_norms(fld.u)
-    e = np.zeros((problem.mesh.n_triangles, 2))
-    e[problem.active_tris] = -grads
-    return e
-
-
-def current_density(fld: PotentialField) -> np.ndarray:
-    """Per-triangle current density J = -sigma(|grad u|) grad u, shape
-    (m, 2); zero rows on PEI and PEC triangles."""
+def element_fields(fld: PotentialField
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle field E = -grad u and current density
+    J = -sigma(|grad u|) grad u, shape (m, 2) each, and energy density
+    Q(|grad u|), shape (m,), from one element pass; zero on PEI and PEC
+    triangles, where the local field is not represented."""
     problem = fld.problem
     grads, norms = problem.grad_norms(fld.u)
+    m = problem.mesh.n_triangles
+    e, j, q = np.zeros((m, 2)), np.zeros((m, 2)), np.zeros(m)
+    e[problem.active_tris] = -grads
     sig = problem.per_tri(norms, "sigma")
-    j = np.zeros((problem.mesh.n_triangles, 2))
     j[problem.active_tris] = -sig[:, None] * grads
-    return j
-
-
-def energy_density_map(fld: PotentialField) -> np.ndarray:
-    """Per-triangle energy density Q(|grad u|); zero on PEI/PEC."""
-    problem = fld.problem
-    _, norms = problem.grad_norms(fld.u)
-    out = np.zeros(problem.mesh.n_triangles)
-    out[problem.active_tris] = problem.per_tri(norms, "energy_density")
-    return out
+    q[problem.active_tris] = problem.per_tri(norms, "energy_density")
+    return e, j, q
 
 
 @dataclass(frozen=True)

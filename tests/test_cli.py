@@ -21,6 +21,7 @@ from condlab import cli
 from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
+from condlab.solver import Problem
 
 # ------------------------------------------------------------ config snippets
 
@@ -240,6 +241,32 @@ def test_solve_builds_one_problem_for_all_data(tmp_path, problem_builds):
     code, _ = run(tmp_path, "solve", dict(PROBLEM, data=[RAMP, SIN2]))
     assert code == 0
     assert len(problem_builds) == 1
+
+
+def test_solve_makes_one_element_pass_per_datum_after_its_solve(
+        tmp_path, monkeypatch):
+    # the element CSV and the energy-density SVG share one pass per datum
+    passes, starts, ends = [], [], []
+    grad_norms, solve = Problem.grad_norms, cli.solve
+
+    def counting_grad_norms(self, u):
+        passes.append(1)
+        return grad_norms(self, u)
+
+    def marking_solve(*args, **kw):
+        starts.append(len(passes))
+        fld = solve(*args, **kw)
+        ends.append(len(passes))
+        return fld
+
+    monkeypatch.setattr(Problem, "grad_norms", counting_grad_norms)
+    monkeypatch.setattr(cli, "solve", marking_solve)
+    code, _ = run(tmp_path, "solve", dict(PROBLEM, data=[RAMP, SIN2]))
+    assert code == 0
+    # passes between each solve's return and the next solve (or the end
+    # of the run); the parent made 4 per datum
+    nexts = starts[1:] + [len(passes)]
+    assert [n - e for e, n in zip(ends, nexts)] == [1, 1]
 
 
 def test_solve_datum_names_are_slugged(tmp_path):

@@ -52,6 +52,28 @@ def test_pairing_equals_volumetric_lift_form(disk, power4):
     assert abs(direct - lifted) <= 1e-8 * max(abs(direct), 1e-12)
 
 
+def test_pairings_read_the_residual_the_solve_kept(disk, power4,
+                                                   monkeypatch):
+    f, g = data_pair(disk)
+    problem = Problem(disk, power4)
+    fld = solve(disk, power4, f, problem=problem)
+    assert np.array_equal(fld.residual, problem.residual(fld.u))
+    lift = np.zeros(disk.n_nodes)
+    lift[g.node_ids] = g.values
+    passes = []
+    grad_norms = Problem.grad_norms
+
+    def counting_grad_norms(self, u):
+        passes.append(1)
+        return grad_norms(self, u)
+
+    monkeypatch.setattr(Problem, "grad_norms", counting_grad_norms)
+    dtn_pairing(fld, g)
+    ohmic_power(fld)
+    dtn_pairing_via_lift(fld, g, lift)
+    assert passes == []
+
+
 def test_pairing_independent_of_lift_choice(disk, power4, rng):
     f, g = data_pair(disk)
     fld = solve(disk, power4, f)

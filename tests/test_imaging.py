@@ -1,12 +1,15 @@
 """Cell grids, phantoms, synthetic measurements, and the inclusion scan."""
 
+import json
+
 import numpy as np
 import pytest
 
 from condlab import solver
-from condlab.constitutive import PEC, PEI, Linear, MaterialMap
-from condlab.dtn import average_dtn_power
+from condlab.constitutive import PEC, PEI, Linear, MaterialMap, PowerLaw
+from condlab.dtn import average_dtn_power, average_dtn_powers
 from condlab.imaging import (
+    Measurements,
     MpmResult,
     build_cell_grid,
     fresh_label,
@@ -16,7 +19,9 @@ from condlab.imaging import (
     synth_measurements,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.solver import DatumTerm, Problem, datum_family
+from condlab.output import write_mpm_json
+from condlab.solver import (DatumTerm, PotentialField, Problem, datum_family,
+                            solve)
 
 QUAD = 3
 
@@ -138,7 +143,7 @@ def test_noiseless_measurements_match_forward_model(scan_mesh, bg, fam):
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
     assert np.array_equal(meas.powers, meas.clean)
     problem = Problem(scan_mesh, bg)
-    direct = [average_dtn_power(problem, d, QUAD).avg_power for d in fam]
+    direct = [average_dtn_power(problem, d, QUAD).energy for d in fam]
     assert np.allclose(meas.clean, direct, rtol=1e-12)
     assert meas.datum_names == tuple(d.name for d in fam)
 
@@ -170,8 +175,7 @@ def test_scan_background_only_flags_nothing(scan_mesh, grid, bg, fam):
     # with anomaly-free measurements every insulating test perturbation
     # strictly lowers the averaged power, so no cell survives
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
-    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei",
-                   quad_order=QUAD)
+    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei")
     assert res.flagged_cells == ()
     assert np.all(res.scores < 0.0)
 
@@ -180,8 +184,7 @@ def test_scan_contains_single_cell_pei_truth(scan_mesh, grid, bg, fam):
     cid = center_cell(grid)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
     meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
-    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei",
-                   quad_order=QUAD)
+    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei")
     metrics = mask_metrics(res, [cid])
     assert metrics.contained
     # stamping the truth cell reproduces the measured state exactly
@@ -193,8 +196,7 @@ def test_scan_contains_pec_truth(scan_mesh, grid, bg, fam):
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg,
                                        model=PEC())
     meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
-    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pec",
-                   quad_order=QUAD)
+    res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pec")
     assert mask_metrics(res, [cid]).contained
 
 
@@ -204,7 +206,7 @@ def test_scan_noisy_containment_with_matched_tol(scan_mesh, grid, bg, fam):
     meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD,
                               noise_rel=0.01, seed=5)
     res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei",
-                   quad_order=QUAD, tol=3.0 * 0.01)
+                   tol=3.0 * 0.01)
     assert mask_metrics(res, [cid]).contained
     assert res.tol == pytest.approx(0.03)
 
@@ -212,8 +214,7 @@ def test_scan_noisy_containment_with_matched_tol(scan_mesh, grid, bg, fam):
 def test_scan_default_tol_tracks_noise(scan_mesh, grid, bg, fam):
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD,
                               noise_rel=0.02)
-    res = mpm_scan(scan_mesh, bg, grid, fam[:1], meas, contrast="pei",
-                   quad_order=QUAD)
+    res = mpm_scan(scan_mesh, bg, grid, fam[:1], meas, contrast="pei")
     assert res.tol == pytest.approx(3.0 * 0.02 + 1e-9)
 
 
@@ -222,10 +223,8 @@ def test_scan_mask_shrinks_with_more_data(scan_mesh, grid, bg, fam):
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
     meas2 = synth_measurements(mesh_p, mats_p, fam[:2], quad_order=QUAD)
     meas4 = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
-    res2 = mpm_scan(scan_mesh, bg, grid, fam[:2], meas2, contrast="pei",
-                    quad_order=QUAD)
-    res4 = mpm_scan(scan_mesh, bg, grid, fam, meas4, contrast="pei",
-                    quad_order=QUAD)
+    res2 = mpm_scan(scan_mesh, bg, grid, fam[:2], meas2, contrast="pei")
+    res4 = mpm_scan(scan_mesh, bg, grid, fam, meas4, contrast="pei")
     assert np.all(res2.mask[res4.mask])  # every 4-datum flag survives in 2
     assert res4.mask.sum() <= res2.mask.sum()
 
@@ -235,17 +234,17 @@ def test_scan_workers_do_not_change_results(scan_mesh, grid, bg, fam):
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
     meas = synth_measurements(mesh_p, mats_p, fam[:2], quad_order=QUAD)
     one = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, contrast="pei",
-                   quad_order=QUAD, workers=1)
+                   workers=1)
     two = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, contrast="pei",
-                   quad_order=QUAD, workers=2)
+                   workers=2)
     assert np.array_equal(one.margins, two.margins)
     assert np.array_equal(one.mask, two.mask)
 
 
 def test_scan_is_deterministic(scan_mesh, grid, bg, fam):
     meas = synth_measurements(scan_mesh, bg, fam[:2], quad_order=QUAD)
-    a = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, quad_order=QUAD)
-    b = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, quad_order=QUAD)
+    a = mpm_scan(scan_mesh, bg, grid, fam[:2], meas)
+    b = mpm_scan(scan_mesh, bg, grid, fam[:2], meas)
     assert np.array_equal(a.margins, b.margins)
 
 
@@ -266,10 +265,80 @@ def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
     monkeypatch.setattr(solver, "cholesky_banded", counting_cholesky)
-    mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast,
-             quad_order=QUAD, workers=1)
+    mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast, workers=1)
     assert len(builds) == grid.n_cells
     assert len(factors) == grid.n_cells
+
+
+# ---------------------------------------------------------------------------
+# a nonlinear background, the paper's central imaging case
+
+
+@pytest.fixture(scope="module")
+def bg_p4():
+    return MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0)})
+
+
+@pytest.fixture(scope="module")
+def p4_phantom(scan_mesh, grid, bg_p4):
+    cid = center_cell(grid)
+    return (cid, *make_cell_phantom(scan_mesh, grid, [cid], bg_p4))
+
+
+@pytest.fixture(scope="module")
+def p4_scan(scan_mesh, grid, bg_p4, fam, p4_phantom):
+    _, mesh_p, mats_p = p4_phantom
+    meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
+    return meas, mpm_scan(scan_mesh, bg_p4, grid, fam, meas)
+
+
+def test_nonlinear_scan_solves_once_per_cell_and_datum(
+        scan_mesh, grid, bg_p4, fam, p4_scan, monkeypatch):
+    meas, _ = p4_scan
+    solves = []
+    init = PotentialField.__init__
+
+    def counting_init(self, *args):
+        solves.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PotentialField, "__init__", counting_init)
+    mpm_scan(scan_mesh, bg_p4, grid, fam, meas, workers=1)
+    # an alpha sweep at order QUAD would make QUAD + 1 solves per datum
+    assert len(solves) == grid.n_cells * len(fam)
+
+
+def test_nonlinear_scan_powers_are_solve_energies(scan_mesh, grid, bg_p4,
+                                                  fam, p4_scan):
+    meas, res = p4_scan
+    for cell in grid.cells:
+        mesh_c, mats_c = make_cell_phantom(scan_mesh, grid, [cell.id], bg_p4)
+        energies = np.array([solve(mesh_c, mats_c, d).info.energy
+                             for d in fam])
+        # the scan's PEI margin of each test power, bit for bit
+        margins = (energies - meas.powers) / np.abs(meas.powers)
+        assert np.array_equal(res.margins[cell.id], margins)
+
+
+def test_nonlinear_scan_contains_pei_truth(p4_phantom, p4_scan):
+    cid = p4_phantom[0]
+    _, res = p4_scan
+    assert mask_metrics(res, [cid]).contained
+    assert abs(res.scores[cid]) <= 1e-9
+
+
+def test_scan_result_records_the_quadrature_cross_check(tmp_path, fam,
+                                                        p4_phantom, p4_scan):
+    _, mesh_p, mats_p = p4_phantom
+    meas, res = p4_scan
+    reports = average_dtn_powers(mesh_p, mats_p, fam, QUAD)
+    assert np.array_equal(meas.clean, [r.energy for r in reports])
+    write_mpm_json(tmp_path / "mpm_result.json", res)
+    out = json.loads((tmp_path / "mpm_result.json").read_text())
+    assert out["quad_order"] == QUAD
+    assert out["transfer_residual"] == [r.transfer_residual
+                                        for r in reports]
+    assert out["datum_names"] == [d.name for d in fam]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +347,9 @@ def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
 
 def fake_result(grid, mask):
     n = grid.n_cells
-    return MpmResult(grid, "pei", 1e-9, ("f",), np.zeros((n, 1)),
+    meas = Measurements(("f",), np.ones(1), np.ones(1), 0.0, 0, 1,
+                        np.zeros(1))
+    return MpmResult(grid, "pei", 1e-9, meas, np.zeros((n, 1)),
                      np.zeros(n), np.asarray(mask, dtype=bool))
 
 

@@ -34,10 +34,8 @@ from condlab.solver import (
     SolveOptions,
     _slope_root,
     boundary_data_continuity_study,
-    current_density,
     datum_family,
-    electric_field,
-    energy_density_map,
+    element_fields,
     harmonic_initial_guess,
     make_datum,
     project_zero_mean,
@@ -109,7 +107,7 @@ def test_linear_disk_ramp_solution_is_affine(disk, linear_unit):
     # u must equal x up to the projection constant, exactly representable
     shift = fld.u - disk.nodes[:, 0]
     assert np.max(np.abs(shift - shift[0])) < 1e-7
-    e = electric_field(fld)
+    e, _, _ = element_fields(fld)
     assert np.allclose(e[:, 0], -1.0, atol=1e-7)
     assert np.allclose(e[:, 1], 0.0, atol=1e-7)
 
@@ -325,9 +323,7 @@ def test_field_helpers_read_the_solved_problem(disk, power4, problem_builds):
     dtn_pairing(fld, phi)
     ohmic_power(fld)
     dtn_pairing_via_lift(fld, phi)
-    electric_field(fld)
-    current_density(fld)
-    energy_density_map(fld)
+    element_fields(fld)
     assert len(problem_builds) == 1
 
 
@@ -433,7 +429,7 @@ def test_strip_profile_reproduced(right):
 def test_strip_current_constant_across_layers(right):
     mesh, mats, sol, datum, _ = strip_problem(Linear(1.0), right, 1.0)
     fld = solve(mesh, mats, datum)
-    j = np.linalg.norm(current_density(fld), axis=1)
+    j = np.linalg.norm(element_fields(fld)[1], axis=1)
     assert np.max(np.abs(j - sol.j)) <= 1e-7 * sol.j
 
 
@@ -514,8 +510,7 @@ def test_pei_lowers_energy_of_ramp():
 def test_structural_regions_have_zero_field_rows():
     mesh, mats = pec_disk()
     fld = solve(mesh, mats, ramp(mesh))
-    e = electric_field(fld)
-    j = current_density(fld)
+    e, j, _ = element_fields(fld)
     pec_tris = mesh.labels == 1
     assert np.all(e[pec_tris] == 0.0)
     assert np.all(j[pec_tris] == 0.0)

@@ -31,8 +31,7 @@ from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
 from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
                    boundary_mass, build_annulus_mesh, build_disk_mesh,
                    build_rect_mesh, load_mesh, save_mesh, validate)
-from .monotonicity import (avg_dtn_compare, energy_compare, ladder_suite,
-                           pointwise_leq)
+from .monotonicity import energy_compare, ladder_suite, pointwise_leq
 from .oracle import OracleError, annulus_radial_solution
 from .output import (write_csv, write_element_csv, write_json,
                      write_ladder_csv, write_mpm_json, write_mpm_svg,
@@ -62,6 +61,30 @@ def _object(d: dict, where: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
     return d
+
+
+def _int(value, where: str) -> int:
+    """An integer config value; bools, strings and non-integral numbers
+    are refused rather than truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _unique(names, what: str, key: Callable = str) -> None:
+    """Refuse two ``names`` that are equal or share ``key``, the name of
+    the file or row each one writes."""
+    seen: dict = {}
+    for name in names:
+        k = key(name)
+        if k in seen:
+            if seen[k] == name:
+                raise ConfigError(f"repeated {what} {name!r}")
+            raise ConfigError(f"{what}s {seen[k]!r} and {name!r} collide "
+                              f"in file names as {k!r}")
+        seen[k] = name
 
 
 def _check_keys(d: dict, where: str, required: set[str] = frozenset(),
@@ -95,13 +118,14 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
                             {"center", "radius", "label"}, {"shape"})
                 incs.append(DiskInclusion(tuple(inc["center"]),
                                           float(inc["radius"]),
-                                          int(inc["label"])))
+                                          _int(inc["label"],
+                                               f"inclusion {k} label")))
             elif shape == "polygon":
                 _check_keys(inc, f"inclusion {k}", {"vertices", "label"},
                             {"shape"})
                 incs.append(PolygonInclusion(
                     np.asarray(inc["vertices"], dtype=float),
-                    int(inc["label"])))
+                    _int(inc["label"], f"inclusion {k} label")))
             else:
                 raise ConfigError(f"inclusion {k}: unknown shape {shape!r}")
         return build_disk_mesh(float(spec["radius"]), float(spec["target_h"]),
@@ -118,7 +142,8 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
         return build_rect_mesh(float(spec["width"]), float(spec["height"]),
                                float(spec["target_h"]),
                                spec.get("layer_split"),
-                               int(spec.get("layer_label", 1)))
+                               _int(spec.get("layer_label", 1),
+                                    "mesh layer_label"))
     raise ConfigError(f"mesh needs 'path' or kind in disk/annulus/rect, "
                       f"got {kind!r}")
 
@@ -166,10 +191,11 @@ def datum_from_spec(mesh: Mesh, spec: dict, bmass=None) -> BoundaryDatum:
     _check_keys(spec, "datum", {"name", "terms"})
     terms = []
     for k, t in enumerate(spec["terms"]):
-        _check_keys(t, f"datum {spec['name']!r} term {k}",
-                    {"kind", "amplitude"}, {"k", "expr"})
+        where = f"datum {spec['name']!r} term {k}"
+        _check_keys(t, where, {"kind", "amplitude"}, {"k", "expr"})
         terms.append(DatumTerm(t["kind"], float(t["amplitude"]),
-                               int(t.get("k", 1)), t.get("expr")))
+                               _int(t.get("k", 1), f"{where} k"),
+                               t.get("expr")))
     try:
         return make_datum(mesh, terms, str(spec["name"]), bmass)
     except (SolveError, ValueError, SyntaxError, NameError,
@@ -182,7 +208,9 @@ def data_from_spec(mesh: Mesh, specs: list) -> list[BoundaryDatum]:
     if not specs:
         raise ConfigError("empty datum list")
     bm = boundary_mass(mesh)
-    return [datum_from_spec(mesh, s, bm) for s in specs]
+    data = [datum_from_spec(mesh, s, bm) for s in specs]
+    _unique([d.name for d in data], "datum name", _slug)
+    return data
 
 
 def solver_opts_from_spec(spec: dict | None, **overrides) -> SolveOptions:
@@ -213,7 +241,8 @@ def load_config(path: str) -> dict:
 # zero-argument ``run`` closure that returns the exit code.
 
 def _quad_order(cfg: dict, args, default: int) -> int:
-    order = args.quad_order or int(cfg.get("quad_order", default))
+    order = args.quad_order or _int(cfg.get("quad_order", default),
+                                    "quad_order")
     gauss_on_unit(order)  # rejects orders below 1
     return order
 
@@ -314,9 +343,8 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
             rows.append((datum.name, mat_id, p, float("nan"),
                          fld.info.energy, float("nan")))
             print(f"[power] {datum.name}: <L f, f> = {p:.10e}")
-        write_csv(os.path.join(args.out, "power_batch.csv"),
-                  ["datum_id", "material_id", "power", "avg_power",
-                   "energy", "transfer_residual"], rows)
+        write_power_batch_csv(os.path.join(args.out, "power_batch.csv"),
+                              rows)
         return EXIT_OK
     return run
 
@@ -327,17 +355,18 @@ def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
     mat_id = cfg.get("material_id", "m0")
 
     def run() -> int:
-        reports = []
+        rows = []
         for datum, rep in zip(data, average_dtn_powers(mesh, materials, data,
                                                        order, opts)):
-            reports.append((datum.name, mat_id, rep))
+            rows.append((datum.name, mat_id, rep.power, rep.avg_power,
+                         rep.energy, rep.transfer_residual))
             write_power_json(os.path.join(
                 args.out, f"avg_power_{_slug(datum.name)}.json"), rep)
             print(f"[avg-power] {datum.name}: <avgL f, f> = "
                   f"{rep.avg_power:.10e} transfer residual "
                   f"{rep.transfer_residual:.3e}")
         write_power_batch_csv(os.path.join(args.out, "power_batch.csv"),
-                              reports)
+                              rows)
         return EXIT_OK
     return run
 
@@ -367,6 +396,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
         chain.append((str(link["name"]),
                       materials_from_spec(link["materials"],
                                           f"chain[{k}].materials")))
+    _unique([name for name, _ in chain], "chain link name")
     maps = [m for *_, lo, hi in pairs for m in (lo, hi)]
     maps += [m for _, m in chain]
 
@@ -374,6 +404,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     mesh_specs = ([(f"_h{h:g}", dict(cfg["mesh"], target_h=float(h)))
                    for h in resolutions] if resolutions
                   else [("", cfg["mesh"])])
+    _unique(resolutions or [], "resolution", lambda h: f"_h{h:g}")
     meshes = []
     for suffix, mesh_spec in mesh_specs:
         mesh = mesh_from_spec(mesh_spec, args.base_dir)
@@ -395,7 +426,8 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                 if compare == "energy":
                     rep = energy_compare(mesh, lo, hi, data, opts)
                 else:
-                    rep = avg_dtn_compare(mesh, lo, hi, data, order, opts)
+                    rep = ladder_suite(mesh, [(name_lo, lo), (name_hi, hi)],
+                                       data, order, opts).pair_reports[0][2]
                 write_pair_csv(os.path.join(args.out,
                                             f"pair_{k}{suffix}.csv"),
                                name_lo, name_hi, rep)
@@ -518,14 +550,15 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     background = materials_from_spec(cfg["background"], "background")
     background.check_covers(mesh.labels)
     _check_keys(cfg["grid"], "grid", {"nx", "ny"})
-    grid = build_cell_grid(mesh, int(cfg["grid"]["nx"]),
-                           int(cfg["grid"]["ny"]))
+    grid = build_cell_grid(mesh, _int(cfg["grid"]["nx"], "grid.nx"),
+                           _int(cfg["grid"]["ny"], "grid.ny"))
     data = data_from_spec(mesh, cfg["data"])
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
     order = _quad_order(cfg, args, 8)
     noise_rel = float(cfg.get("noise_rel", 0.0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = (args.seed if args.seed is not None
+            else _int(cfg.get("seed", 0), "seed"))
     tol = float(cfg["tol"]) if "tol" in cfg else None
     opts = solver_opts_from_spec(cfg.get("solver"))
     workers = args.workers or (os.cpu_count() or 1)
@@ -539,7 +572,7 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
         true_mats.check_covers(mesh.labels)
         true_mesh = mesh
     elif "cells" in truth:
-        truth_cells = [int(c) for c in truth["cells"]]
+        truth_cells = [_int(c, "truth.cells entry") for c in truth["cells"]]
         model = _model_from_spec(truth.get("model", {"type": contrast}),
                                  "truth.model")
         true_mesh, true_mats = make_cell_phantom(mesh, grid, truth_cells,
@@ -593,6 +626,7 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
         ddata = (data if dmesh is healthy_mesh
                  else data_from_spec(dmesh, cfg["data"]))
         cases.append((str(case["name"]), dmesh, dmats, ddata))
+    _unique([name for name, *_ in cases], "damaged case name", _slug)
 
     def run() -> int:
         healthy_powers = {datum.name: rep.avg_power for datum, rep in zip(

@@ -76,9 +76,6 @@ class Linear:
 
     energy_density_raw = energy_density
 
-    def with_reg_eps(self, _eps: float) -> "Linear":
-        return self
-
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -218,9 +215,6 @@ class Tabulated:
     def effective_p(self) -> float | None:
         return None
 
-    def with_reg_eps(self, _eps: float) -> "Tabulated":
-        return self
-
     @classmethod
     def from_model(cls, model, e_max: float, n: int = 64) -> "Tabulated":
         """Sample another law's regularized flux on [0, e_max]."""
@@ -278,9 +272,6 @@ class _Structural:
     @property
     def effective_p(self):
         return None
-
-    def with_reg_eps(self, _eps: float):
-        return self
 
     def _refuse(self, *_a, **_k):
         raise ConstitutiveError(f"{self.kind} is structural; sigma(E) is "

@@ -8,9 +8,10 @@ is evaluated through the assembled energy gradient:
 
 which equals the volumetric form sum_T area sigma grad u . grad Phi for
 every admissible discrete lift Phi of phi (the residual vanishes at free
-unknowns, and sums to zero over each PEC component).  At the discrete
-level this pairing is the exact derivative of the minimized energy with
-respect to the trace, so the averaged pairing
+unknowns, and sums to zero over each PEC component);
+``oracle.dtn_pairing_via_lift`` evaluates that form as a cross-check.
+At the discrete level this pairing is the exact derivative of the
+minimized energy with respect to the trace, so the averaged pairing
 
     avg_power(f) = integral_0^1 <Lambda(alpha f), f> d alpha
 
@@ -23,8 +24,8 @@ When every finite region of the map is linear (``MaterialMap.is_linear``:
 linear and p = 2 power laws, PEI and PEC), the solution is homogeneous of
 degree one in the datum, u^(alpha f) = alpha u^f, so every node's pairing
 is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
-once, at alpha = 1, instead of once per node (the homogeneity path); the
-map alone selects it.
+once, at alpha = 1, instead of once per node (the homogeneity path).  The
+map alone selects it, in the one helper both averages share.
 
 A pairing reads the residual its solved field keeps, so it assembles
 none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
@@ -49,7 +50,7 @@ import numpy as np
 from .constitutive import MaterialMap
 from .mesh import Mesh
 from .solver import (BoundaryDatum, PotentialField, Problem, SolveOptions,
-                     harmonic_initial_guess, solve)
+                     solve)
 
 logger = logging.getLogger(__name__)
 
@@ -57,24 +58,6 @@ logger = logging.getLogger(__name__)
 def dtn_pairing(fld: PotentialField, phi: BoundaryDatum) -> float:
     """Pairing of the boundary current of a solved state with a trace."""
     return float(phi.values @ fld.residual[phi.node_ids])
-
-
-def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
-                         lift: np.ndarray | None = None) -> float:
-    """Volumetric evaluation sum_T area sigma grad u . grad Phi.
-
-    ``lift`` is a full nodal extension of phi; defaults to the discrete
-    harmonic one.  Any admissible lift (exact trace, constant on each PEC
-    component) gives the same value within solver tolerance.
-    """
-    problem = fld.problem
-    if lift is None:
-        u_fix = np.zeros(problem.mesh.n_nodes)
-        u_fix[phi.node_ids] = phi.values
-        x = harmonic_initial_guess(problem, u_fix)
-        lift = u_fix + problem.prolong @ x
-    keep = np.isfinite(lift)
-    return float(lift[keep] @ fld.residual[keep])
 
 
 def ohmic_power(fld: PotentialField) -> float:
@@ -126,11 +109,26 @@ class PowerReport:
     nodes: tuple[tuple[float, float, float], ...]  # (alpha, weight, pairing)
 
 
-def _log_average(what: str, datum: BoundaryDatum, quad_order: int,
-                 solves: int, linear: bool) -> None:
+def _node_pairings(what: str, problem: Problem, datum: BoundaryDatum,
+                   phi: BoundaryDatum, alphas: np.ndarray, quad_order: int,
+                   opts: SolveOptions) -> tuple[np.ndarray, PotentialField]:
+    """Pairings <Lambda(alpha_k f), phi> at the ascending ``alphas`` and
+    the last field solved: one solve at alpha = 1 on a linear map (the
+    homogeneity path), else ``_alpha_sweep``.  Logs the averaged ``what``.
+    """
+    linear = problem.materials.is_linear
+    if linear:
+        fld = solve(problem.mesh, problem.materials, datum, opts,
+                    problem=problem)
+        pairings = alphas * dtn_pairing(fld, phi)
+    else:
+        fields = _alpha_sweep(problem, datum, alphas, opts)
+        fld = fields[-1]
+        pairings = np.array([dtn_pairing(f, phi) for f in fields])
     logger.debug("averaged %s %r: quadrature order %d, %d solves, %s",
-                 what, datum.name, quad_order, solves,
+                 what, datum.name, quad_order, 1 if linear else len(alphas),
                  "homogeneity path" if linear else "alpha sweep")
+    return pairings, fld
 
 
 def average_dtn_power(problem: Problem, datum: BoundaryDatum,
@@ -146,21 +144,11 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
     Every solve runs on ``problem``.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    linear = problem.materials.is_linear
-    if linear:
-        full = solve(problem.mesh, problem.materials, datum, opts,
-                     problem=problem)
-        power = dtn_pairing(full, datum)
-        pairings = alphas * power
-    else:
-        fields = _alpha_sweep(problem, datum,
-                              np.concatenate([alphas, [1.0]]), opts)
-        full = fields[-1]
-        pairings = np.array([dtn_pairing(f, datum) for f in fields[:-1]])
-        power = dtn_pairing(full, datum)
-    _log_average("power", datum, quad_order,
-                 1 if linear else quad_order + 1, linear)
-    avg = float(weights @ pairings)
+    pairings, full = _node_pairings("power", problem, datum, datum,
+                                    np.concatenate([alphas, [1.0]]),
+                                    quad_order, opts)
+    power = pairings[-1]
+    avg = float(weights @ pairings[:-1])
     energy = full.info.energy
     residual = abs(avg - energy) / max(abs(energy), 1e-300)
     nodes = tuple((float(a), float(w), float(pr))
@@ -186,16 +174,8 @@ def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
     """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha;
     one solve on a linear map, one per alpha node otherwise."""
     alphas, weights = gauss_on_unit(quad_order)
-    problem = Problem(mesh, materials)
-    linear = materials.is_linear
-    if linear:
-        fld = solve(mesh, materials, datum, opts, problem=problem)
-        pairings = alphas * dtn_pairing(fld, phi)
-    else:
-        fields = _alpha_sweep(problem, datum, alphas, opts)
-        pairings = np.array([dtn_pairing(f, phi) for f in fields])
-    _log_average("pairing", datum, quad_order,
-                 1 if linear else quad_order, linear)
+    pairings, _ = _node_pairings("pairing", Problem(mesh, materials), datum,
+                                 phi, alphas, quad_order, opts)
     return float(weights @ pairings)
 
 

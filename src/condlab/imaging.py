@@ -97,6 +97,17 @@ def fresh_label(mesh: Mesh, *maps: MaterialMap) -> int:
     return max(used) + 1
 
 
+def _stamp(mesh: Mesh, background: MaterialMap, cells: Sequence[Cell],
+           model) -> tuple[Mesh, MaterialMap]:
+    """Relabel the triangles of ``cells`` to a fresh region label that
+    ``model`` governs; returns the relabeled mesh and the extended map."""
+    lab = fresh_label(mesh, background)
+    labels = mesh.labels.copy()
+    for cell in cells:
+        labels[list(cell.tri_ids)] = lab
+    return mesh.relabeled(labels), background.replaced(lab, model)
+
+
 def make_cell_phantom(mesh: Mesh, grid: CellGrid, cell_ids: Sequence[int],
                       background: MaterialMap,
                       model=None) -> tuple[Mesh, MaterialMap]:
@@ -108,13 +119,8 @@ def make_cell_phantom(mesh: Mesh, grid: CellGrid, cell_ids: Sequence[int],
     bad = [c for c in cell_ids if not 0 <= c < grid.n_cells]
     if bad:
         raise ValueError(f"cell ids {bad} outside range({grid.n_cells})")
-    if model is None:
-        model = PEI()
-    lab = fresh_label(mesh, background)
-    labels = mesh.labels.copy()
-    for cid in cell_ids:
-        labels[list(grid.cells[cid].tri_ids)] = lab
-    return mesh.relabeled(labels), background.replaced(lab, model)
+    return _stamp(mesh, background, [grid.cells[c] for c in cell_ids],
+                  PEI() if model is None else model)
 
 
 @dataclass(frozen=True)
@@ -174,22 +180,15 @@ def contrast_model(contrast: str):
     return PEI() if contrast == "pei" else PEC()
 
 
-def _cell_powers(mesh: Mesh, background: MaterialMap, cell: Cell,
-                 model, lab: int, data: Sequence[BoundaryDatum],
-                 opts: SolveOptions) -> np.ndarray:
-    labels = mesh.labels.copy()
-    labels[list(cell.tri_ids)] = lab
-    test_mesh = mesh.relabeled(labels)
-    test_mats = background.replaced(lab, model)
-    problem = Problem(test_mesh, test_mats)
-    return np.array([solve(test_mesh, test_mats, d, opts,
-                           problem=problem).info.energy for d in data])
-
-
 def _scan_task(args) -> tuple[int, np.ndarray]:
-    mesh, background, cell, model, lab, data, opts = args
-    return cell.id, _cell_powers(mesh, background, cell, model, lab, data,
-                                 opts)
+    """A cell's id and test powers: each datum's minimum energy with the
+    test extreme stamped onto the cell."""
+    mesh, background, cell, model, data, opts = args
+    test_mesh, test_mats = _stamp(mesh, background, [cell], model)
+    problem = Problem(test_mesh, test_mats)
+    return cell.id, np.array([solve(test_mesh, test_mats, d, opts,
+                                    problem=problem).info.energy
+                              for d in data])
 
 
 def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
@@ -210,9 +209,8 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     model = contrast_model(contrast)
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
-    lab = fresh_label(mesh, background)
     meas = measurements.powers
-    tasks = [(mesh, background, cell, model, lab, data, opts)
+    tasks = [(mesh, background, cell, model, data, opts)
              for cell in grid.cells]
     test_powers = np.empty((grid.n_cells, len(data)))
     if workers > 1:

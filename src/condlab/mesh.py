@@ -11,12 +11,15 @@ annulus and rectangle meshes are structured.  No external mesher is used.
 """
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 logger = logging.getLogger(__name__)
@@ -142,12 +145,14 @@ class Mesh:
         return len(self.triangles)
 
     def relabeled(self, new_labels: np.ndarray) -> "Mesh":
-        """Copy of the mesh with replaced region labels (geometry shared)."""
-        return Mesh(self.nodes, self.triangles, np.asarray(new_labels))
-
-    def gradient_of(self, u: np.ndarray) -> np.ndarray:
-        """Per-triangle constant gradient of a nodal field, shape (m, 2)."""
-        return np.einsum("mij,mj->mi", self.grads, u[self.triangles])
+        """Copy of the mesh with replaced region labels; the nodes,
+        triangles and derived geometry are shared, not recomputed."""
+        labels = np.asarray(new_labels, dtype=np.int64)
+        if labels.shape != self.labels.shape:
+            raise MeshError("labels must have one entry per triangle")
+        out = copy.copy(self)
+        out.labels = labels
+        return out
 
 
 @dataclass(frozen=True)
@@ -231,22 +236,13 @@ def _edge_connected(triangles: np.ndarray) -> bool:
     tri_of = np.tile(np.arange(len(triangles)), 3)
     order = np.lexsort((e[:, 1], e[:, 0]))
     e, tri_of = e[order], tri_of[order]
-    same = np.all(e[1:] == e[:-1], axis=1)
-    # adjacency via union-find over edge-sharing pairs
-    parent = np.arange(len(triangles))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for k in np.nonzero(same)[0]:
-        ra, rb = find(tri_of[k]), find(tri_of[k + 1])
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    return all(find(i) == root for i in range(len(triangles)))
+    # equal neighbours in sorted order are one edge shared by two triangles
+    k = np.nonzero(np.all(e[1:] == e[:-1], axis=1))[0]
+    n = len(triangles)
+    adjacency = sparse.csr_matrix((np.ones(len(k)), (tri_of[k],
+                                                     tri_of[k + 1])),
+                                  shape=(n, n))
+    return connected_components(adjacency, directed=False)[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ holds discretely by the admissible-state argument, but the regimes differ.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +34,10 @@ def _regime(model) -> str:
     return "finite-p>=2" if p >= 2.0 else "finite-p<2"
 
 
-_RANK_LO = {"pei": 0}
-_RANK_HI = {"pec": 2}
+# slack of the pointwise sigma comparison, relative to sigma_hi
+_CERT_RTOL = 1e-12
+# floor of every comparison tolerance, relative to the larger value
+_TOL_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,14 @@ class PointwiseCertificate:
         return self.ok
 
 
-def pointwise_leq(lo: MaterialMap, hi: MaterialMap,
-                  grid: np.ndarray | None = None,
-                  rtol: float = 1e-12) -> PointwiseCertificate:
+def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
     """Certify sigma_lo(x, E) <= sigma_hi(x, E) on a shared field grid.
 
     Structural markers are ranked PEI <= finite <= PEC; finite laws are
-    compared by their ideal (unfloored) conductivities at every grid
-    point.  Returns the first offending (label, E) as witness.
+    compared by their ideal (unfloored) conductivities at every point of
+    ``default_e_grid`` around the first law scale ``e0`` found (else 1),
+    within a relative slack of 1e-12.  Returns the first offending
+    (label, E) as witness.
     """
     labels = sorted(set(lo.models) | set(hi.models))
     notes: list[str] = []
@@ -70,22 +73,16 @@ def pointwise_leq(lo: MaterialMap, hi: MaterialMap,
                          f"(beyond stated hypotheses)")
         if ra == "pei" or rb == "pec":
             continue  # ranked below / above everything
-        if ra == "pec":
-            if rb == "pec":
-                continue
+        if ra == "pec" or rb == "pei":
             return PointwiseCertificate(False, lab, None, tuple(notes))
-        if rb == "pei":
-            return PointwiseCertificate(False, lab, None, tuple(notes))
-        g = grid
-        if g is None:
-            scale = getattr(a, "e0", None) or getattr(b, "e0", None) or 1.0
-            g = default_e_grid(scale)
+        scale = getattr(a, "e0", None) or getattr(b, "e0", None) or 1.0
+        g = default_e_grid(scale)
         sa = np.asarray(a.sigma_raw(g), dtype=float)
         sb = np.asarray(b.sigma_raw(g), dtype=float)
-        bad = sa > sb * (1.0 + rtol)
+        bad = sa > sb * (1.0 + _CERT_RTOL)
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
-            return PointwiseCertificate(False, lab, float(np.asarray(g)[k]),
+            return PointwiseCertificate(False, lab, float(g[k]),
                                         tuple(notes))
     return PointwiseCertificate(True, None, None, tuple(notes))
 
@@ -119,55 +116,39 @@ class MonotonicityReport:
 
 def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
                    data: Sequence[BoundaryDatum],
-                   opts: SolveOptions = SolveOptions(),
-                   grid: np.ndarray | None = None,
-                   tol_rel: float = 1e-8) -> MonotonicityReport:
+                   opts: SolveOptions = SolveOptions()) -> MonotonicityReport:
     """Dirichlet energies of a certified pair across a datum family.
 
     ``delta = E_hi - E_lo`` must be >= -tol with
-    tol = tol_rel * max(|E_hi|, |E_lo|); each row carries its margin.
+    tol = 1e-8 * max(|E_hi|, |E_lo|); each row carries its margin.
     """
-    cert = pointwise_leq(lo, hi, grid)
+    cert = pointwise_leq(lo, hi)
     p_lo, p_hi = Problem(mesh, lo), Problem(mesh, hi)
     rows = []
     for datum in data:
         e_lo = solve(mesh, lo, datum, opts, problem=p_lo).info.energy
         e_hi = solve(mesh, hi, datum, opts, problem=p_hi).info.energy
-        tol = tol_rel * max(abs(e_lo), abs(e_hi), 1e-300)
+        tol = _TOL_REL * max(abs(e_lo), abs(e_hi), 1e-300)
         delta = e_hi - e_lo
         rows.append(ComparisonRow(datum.name, e_lo, e_hi, delta, tol,
                                   bool(cert.ok and delta < -tol)))
     return MonotonicityReport("energy", cert, tuple(rows))
 
 
-def _power_row(name: str, rep_lo, rep_hi, cert: PointwiseCertificate,
-               tol_rel: float) -> ComparisonRow:
-    """One averaged-power comparison row from the two maps' reports."""
+def _power_row(name: str, rep_lo, rep_hi,
+               cert: PointwiseCertificate) -> ComparisonRow:
+    """One averaged-power comparison row from the two maps' reports.
+
+    The tolerance widens with the reported transfer residuals:
+    tol = max(1e-8, 3 * (res_lo + res_hi)) * scale, so quadrature error
+    on nearly singular alpha-integrands is never misread as a violation.
+    """
     scale = max(abs(rep_lo.avg_power), abs(rep_hi.avg_power), 1e-300)
-    tol = max(tol_rel, 3.0 * (rep_lo.transfer_residual
-                              + rep_hi.transfer_residual)) * scale
+    tol = max(_TOL_REL, 3.0 * (rep_lo.transfer_residual
+                               + rep_hi.transfer_residual)) * scale
     delta = rep_hi.avg_power - rep_lo.avg_power
     return ComparisonRow(name, rep_lo.avg_power, rep_hi.avg_power, delta, tol,
                          bool(cert.ok and delta < -tol))
-
-
-def avg_dtn_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
-                    data: Sequence[BoundaryDatum], quad_order: int = 16,
-                    opts: SolveOptions = SolveOptions(),
-                    grid: np.ndarray | None = None,
-                    tol_rel: float = 1e-8) -> MonotonicityReport:
-    """Averaged boundary powers of a certified pair across a datum family.
-
-    The per-row tolerance widens with the reported transfer residuals:
-    tol = max(tol_rel, 3 * (res_lo + res_hi)) * scale, so quadrature error
-    on nearly singular alpha-integrands is never misread as a violation.
-    """
-    cert = pointwise_leq(lo, hi, grid)
-    rows = [_power_row(datum.name, rep_lo, rep_hi, cert, tol_rel)
-            for datum, rep_lo, rep_hi in zip(
-                data, average_dtn_powers(mesh, lo, data, quad_order, opts),
-                average_dtn_powers(mesh, hi, data, quad_order, opts))]
-    return MonotonicityReport("avg_power", cert, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -189,29 +170,22 @@ class LadderReport:
 
 def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
                  data: Sequence[BoundaryDatum], quad_order: int = 8,
-                 opts: SolveOptions = SolveOptions(),
-                 grid: np.ndarray | None = None,
-                 tol_rel: float = 1e-8) -> LadderReport:
+                 opts: SolveOptions = SolveOptions()) -> LadderReport:
     """Averaged-power monotonicity along an increasing material chain.
 
     Every map's powers are computed once per datum and all ordered pairs
     (i < j) are compared, so a chain of length 5 yields 10 certified
-    comparisons per datum.
+    comparisons per datum; a two-link chain is one pair.  Reports are
+    matched by chain and datum position, so repeated names never share a
+    row's values.
     """
-    names = tuple(name for name, _ in chain)
-    reports = {}
-    for name, mats in chain:
-        reports[name] = {d.name: rep for d, rep in zip(
-            data, average_dtn_powers(mesh, mats, data, quad_order, opts))}
+    reports = [average_dtn_powers(mesh, mats, data, quad_order, opts)
+               for _, mats in chain]
     pair_reports = []
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            nm_lo, m_lo = chain[i]
-            nm_hi, m_hi = chain[j]
-            cert = pointwise_leq(m_lo, m_hi, grid)
-            rows = [_power_row(d.name, reports[nm_lo][d.name],
-                               reports[nm_hi][d.name], cert, tol_rel)
-                    for d in data]
-            pair_reports.append((i, j, MonotonicityReport("avg_power", cert,
-                                                          tuple(rows))))
-    return LadderReport(names, tuple(pair_reports))
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        cert = pointwise_leq(chain[i][1], chain[j][1])
+        rows = [_power_row(d.name, lo, hi, cert)
+                for d, lo, hi in zip(data, reports[i], reports[j])]
+        pair_reports.append((i, j, MonotonicityReport("avg_power", cert,
+                                                      tuple(rows))))
+    return LadderReport(tuple(name for name, _ in chain), tuple(pair_reports))

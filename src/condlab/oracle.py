@@ -11,12 +11,21 @@ Three oracles, each deliberately avoiding the machinery it certifies:
   with random restarts, for tiny meshes only.  It shares the energy
   evaluation with the solver (that evaluation is itself checked against the
   closed forms above) but none of the Newton machinery.
+
+Three cross-checks restate by another route what the solver computes:
+the unknown map as a sparse matrix (``prolongation``), the nodal energy
+gradient of a state (``nodal_residual``) and the boundary pairing in
+volumetric form (``dtn_pairing_via_lift``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+
+from .solver import (BoundaryDatum, PotentialField, Problem,
+                     harmonic_initial_guess)
 
 
 class OracleError(Exception):
@@ -231,8 +240,6 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
     """
     from scipy import optimize  # slow to load; only this oracle uses it
 
-    from .solver import Problem  # noqa: deferred
-
     problem = Problem(mesh, materials)
     if problem.n_free > max_free:
         raise OracleError(f"{problem.n_free} unknowns exceed the brute-force "
@@ -258,3 +265,39 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
             best_x, best_e = res.x, float(res.fun)
     u = problem.nodal_state(u_fix, best_x)
     return BruteForceResult(u, best_e, problem.n_free)
+
+
+def prolongation(problem: Problem) -> sparse.csr_matrix:
+    """The unknown map of ``problem`` as a sparse (n_nodes, n_free) 0/1
+    matrix P: u = u_fix + P x away from removed nodes, and P^T sums a
+    nodal vector onto the free unknowns."""
+    return sparse.csr_matrix(
+        (np.ones(len(problem.free_nodes)), (problem.free_nodes,
+                                            problem.free_cols)),
+        shape=(problem.mesh.n_nodes, problem.n_free))
+
+
+def nodal_residual(problem: Problem, u: np.ndarray) -> np.ndarray:
+    """Assembled energy gradient of ``problem`` at every node of the nodal
+    state ``u`` (no boundary projection)."""
+    grads, norms = problem.grad_norms(u)
+    return problem.assemble(problem.element_flux(
+        grads, problem.per_tri(norms, "sigma")))
+
+
+def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
+                         lift: np.ndarray | None = None) -> float:
+    """Volumetric evaluation sum_T area sigma grad u . grad Phi.
+
+    ``lift`` is a full nodal extension of phi; defaults to the discrete
+    harmonic one.  Any admissible lift (exact trace, constant on each PEC
+    component) gives the same value within solver tolerance.
+    """
+    problem = fld.problem
+    if lift is None:
+        u_fix = np.zeros(problem.mesh.n_nodes)
+        u_fix[phi.node_ids] = phi.values
+        lift = problem.nodal_state(u_fix,
+                                   harmonic_initial_guess(problem, u_fix))
+    keep = np.isfinite(lift)
+    return float(lift[keep] @ fld.residual[keep])

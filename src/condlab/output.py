@@ -95,14 +95,11 @@ def write_power_json(path: str, report: PowerReport) -> None:
     write_json(path, power_report_dict(report))
 
 
-def write_power_batch_csv(path: str, rows: Sequence[tuple[str, str,
-                                                          PowerReport]]
-                          ) -> None:
-    """Rows of (datum_id, material_id, report)."""
+def write_power_batch_csv(path: str, rows: Iterable[Sequence]) -> None:
+    """Rows of (datum_id, material_id, power, avg_power, energy,
+    transfer_residual)."""
     write_csv(path, ["datum_id", "material_id", "power", "avg_power",
-                     "energy", "transfer_residual"],
-              ((d, m, r.power, r.avg_power, r.energy, r.transfer_residual)
-               for d, m, r in rows))
+                     "energy", "transfer_residual"], rows)
 
 
 # ---------------------------------------------------------- monotonicity

@@ -232,8 +232,7 @@ class Problem:
     columns ``free_cols``, ``removed_nodes`` and the nodes of each PEC
     component in ``pec_groups``.  ``nodal_state`` prolongs free unknowns
     to a nodal state and ``reduce`` sums nodal vectors onto the free
-    unknowns; ``prolong`` and ``restrict`` are the same maps as sparse
-    matrices.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
+    unknowns.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
     restricted to the active (conducting) triangles ``active_tris``, in
     that order; ``groups`` pairs each distinct law with the active slots
     it governs.  Every free unknown must reach the boundary through
@@ -306,20 +305,6 @@ class Problem:
         self._stages: dict[float, Problem] = {}
 
     @functools.cached_property
-    def prolong(self) -> sparse.csr_matrix:
-        """The prolongation as a sparse (n_nodes, n_free) matrix, built on
-        first use: u = u_fix + prolong @ x away from removed nodes."""
-        return sparse.csr_matrix(
-            (np.ones(len(self.free_nodes)), (self.free_nodes,
-                                             self.free_cols)),
-            shape=(self.mesh.n_nodes, self.n_free))
-
-    @functools.cached_property
-    def restrict(self) -> sparse.csr_matrix:
-        """The transpose of ``prolong``, built on first use."""
-        return self.prolong.T.tocsr()
-
-    @functools.cached_property
     def bmass(self) -> BoundaryMass:
         """Boundary mass of the mesh, built on first use."""
         return boundary_mass(self.mesh)
@@ -359,17 +344,18 @@ class Problem:
         return staged
 
     def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Nodal state u_fix + prolong @ x, NaN at removed nodes."""
+        """Nodal state u_fix + P x, NaN at removed nodes, where P is the
+        0/1 (n_nodes, n_free) prolongation."""
         # adding 0.0 both copies u_fix and gives each entry the sign of
-        # zero that the sum u_fix + prolong @ x gives it
+        # zero that the sum u_fix + P x gives it
         u = u_fix + 0.0
         u[self.free_nodes] += x[self.free_cols]
         u[self.removed_nodes] = np.nan
         return u
 
     def reduce(self, r: np.ndarray) -> np.ndarray:
-        """Sum a nodal vector onto the free unknowns (restrict @ r), node
-        by node in ascending order."""
+        """Sum a nodal vector onto the free unknowns (P^T r), node by node
+        in ascending order."""
         return np.bincount(self.free_cols, weights=r[self.free_nodes],
                            minlength=self.n_free)
 
@@ -405,13 +391,6 @@ class Problem:
         triangle order."""
         return np.bincount(self.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_nodes)
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """Assembled energy gradient at every node (no boundary
-        projection)."""
-        grads, norms = self.grad_norms(u)
-        return self.assemble(self.element_flux(
-            grads, self.per_tri(norms, "sigma")))
 
     def roundoff_floor(self, u: np.ndarray, sig: np.ndarray) -> float:
         """Assembly round-off bound on the gradient at ``u``, where the

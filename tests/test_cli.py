@@ -663,6 +663,42 @@ CONFIG_PROBES = [
      "mesh file"),
     ("convergence-study", lambda: {"p_values": [0.5], "target_h": [0.4]},
      "exponent p must exceed 1"),
+    # two names that would write one file, or one row, are refused
+    ("avg-power", lambda: dict(PROBLEM, data=[RAMP, dict(SIN2, name="ramp")]),
+     "repeated datum name 'ramp'"),
+    ("solve", lambda: dict(PROBLEM, data=[dict(RAMP, name="a+b"),
+                                          dict(SIN2, name="a_b")]),
+     "datum names 'a+b' and 'a_b' collide in file names as 'a_b'"),
+    ("monotonicity-suite", lambda: suite_cfg(chain=[
+        {"name": "a", "materials": LIN2}, {"name": "a", "materials": LIN2}]),
+     "repeated chain link name 'a'"),
+    ("monotonicity-suite", lambda: suite_cfg(pairs=[CONTRAST_PAIR],
+                                             resolutions=[0.3, 0.30000001]),
+     "resolutions 0.3 and 0.30000001 collide in file names as '_h0.3'"),
+    ("reproduce-wire", lambda: dict(wire_cfg("pei"), damaged=[
+        dict(wire_cfg("pei")["damaged"][0], name=n) for n in ("a b", "a_b")]),
+     "damaged case names 'a b' and 'a_b' collide in file names as 'a_b'"),
+    # integer keys are read strictly: no truncation, no bools or strings
+    ("mpm-image", lambda: mpm_cfg(grid={"nx": 5.9, "ny": 5}, truth=TRUTH),
+     "grid.nx must be an integer, got 5.9"),
+    ("mpm-image", lambda: mpm_cfg(grid={"nx": 5, "ny": "5"}, truth=TRUTH),
+     "grid.ny must be an integer, got '5'"),
+    ("mpm-image", lambda: mpm_cfg(quad_order=True, truth=TRUTH),
+     "quad_order must be an integer, got True"),
+    ("mpm-image", lambda: mpm_cfg(seed=1.5, truth=TRUTH),
+     "seed must be an integer, got 1.5"),
+    ("mpm-image", lambda: mpm_cfg(truth={"cells": [0.5]}),
+     "truth.cells entry must be an integer, got 0.5"),
+    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
+        INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0], label=1.5)])),
+     "inclusion 0 label must be an integer, got 1.5"),
+    ("solve", lambda: dict(PROBLEM, mesh={
+        "kind": "rect", "width": 1.0, "height": 1.0, "target_h": 0.5,
+        "layer_split": 0.5, "layer_label": "1"}),
+     "mesh layer_label must be an integer, got '1'"),
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "s", "terms": [
+        {"kind": "sin", "amplitude": 1.0, "k": 2.5}]}]),
+     "datum 's' term 0 k must be an integer, got 2.5"),
 ]
 
 
@@ -683,6 +719,12 @@ def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
     assert message in errors[0][0]
 
 
+@pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2)])
+def test_integer_reader_accepts_integral_numbers(value, expected):
+    read = cli._int(value, "key")
+    assert read == expected and type(read) is int
+
+
 # Fuzzed configs: one entry of a small, valid config is replaced by a JSON
 # value of another type or deleted.  No new numbers are drawn, so no mesh
 # or grid can grow and the read stays quick.
@@ -701,6 +743,22 @@ FUZZ_BASES = {
         grid={"nx": 2, "ny": 2}, data=[RAMP],
         truth={"cells": [0], "model": {"type": "pei"}}, contrast="pei",
         noise_rel=0.01, seed=3, tol=0.05, solver={"max_iter": 20}),
+    "monotonicity-suite": {
+        "mesh": dict(INC_DISK, target_h=0.4), "data": [RAMP, SIN2],
+        "quad_order": 2, "compare": "avg_power", "resolutions": [0.45, 0.4],
+        "pairs": [CONTRAST_PAIR],
+        "chain": [{"name": "lo", "materials": CONTRAST_PAIR["lo"]},
+                  {"name": "hi", "materials": CONTRAST_PAIR["hi"]}],
+        "solver": {"max_iter": 20}},
+    "reproduce-wire": {
+        "healthy": {"mesh": dict(INC_DISK, target_h=0.4), "materials": LIN2},
+        "damaged": [
+            {"name": "hole", "materials": {"regions": {
+                "0": {"type": "linear", "sigma": 1.0},
+                "1": {"type": "pei"}}}},
+            {"name": "coarse", "materials": LIN2,
+             "mesh": dict(INC_DISK, target_h=0.45)}],
+        "data": [RAMP, SIN2], "quad_order": 2, "solver": {"max_iter": 20}},
 }
 DELETE = object()
 

@@ -17,6 +17,7 @@ from condlab.mesh import (
     build_disk_mesh,
     build_rect_mesh,
     load_mesh,
+    _edge_connected,
     save_mesh,
     validate,
 )
@@ -70,7 +71,7 @@ def test_all_areas_positive(disk):
 
 def test_gradient_of_linear_field(square):
     u = 2.0 * square.nodes[:, 0] + 3.0 * square.nodes[:, 1]
-    g = square.gradient_of(u)
+    g = np.einsum("mij,mj->mi", square.grads, u[square.triangles])
     assert np.allclose(g[:, 0], 2.0, atol=1e-12)
     assert np.allclose(g[:, 1], 3.0, atol=1e-12)
 
@@ -86,6 +87,52 @@ def test_relabeled_shares_geometry(disk):
     assert m2.nodes is disk.nodes
     assert np.array_equal(m2.labels, new)
     assert np.array_equal(disk.labels, np.zeros(disk.n_triangles))
+
+
+def test_relabeled_reuses_the_derived_geometry(disk):
+    m2 = disk.relabeled(np.ones(disk.n_triangles, dtype=int))
+    assert m2.grads is disk.grads
+    assert m2.areas is disk.areas
+    assert m2.boundary_edges is disk.boundary_edges
+    assert m2.boundary_nodes is disk.boundary_nodes
+    assert m2.labels.dtype == np.int64
+
+
+def test_relabeled_checks_the_label_shape(disk):
+    with pytest.raises(MeshError, match="one entry per triangle"):
+        disk.relabeled(np.ones(disk.n_triangles + 1, dtype=int))
+
+
+def edge_search(triangles):
+    """Triangles reached from triangle 0 through shared edges, in
+    breadth-first order."""
+    by_edge = {}
+    for t, tri in enumerate(triangles.tolist()):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            by_edge.setdefault(frozenset((tri[a], tri[b])), []).append(t)
+    order = [0]
+    for t in order:
+        tri = triangles[t].tolist()
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            for u in by_edge[frozenset((tri[a], tri[b]))]:
+                if u not in order:
+                    order.append(u)
+    return order
+
+
+def test_edge_connectivity_matches_a_breadth_first_search(disk, rng):
+    grown = edge_search(disk.triangles)
+    assert len(grown) == disk.n_triangles and _edge_connected(disk.triangles)
+    answers = set()
+    for _ in range(10):
+        # a breadth-first prefix is connected; a random half rarely is
+        region = disk.triangles[grown[:rng.integers(2, disk.n_triangles)]]
+        half = disk.triangles[rng.random(disk.n_triangles) < 0.5]
+        for tris in (region, half):
+            ours = _edge_connected(tris)
+            assert ours == (len(edge_search(tris)) == len(tris))
+            answers.add(ours)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from condlab.constitutive import (
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
 from condlab.monotonicity import (
-    avg_dtn_compare,
     energy_compare,
     ladder_suite,
     pointwise_leq,
 )
-from condlab.solver import DatumTerm, datum_family
+from condlab.solver import BoundaryDatum, DatumTerm, datum_family
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +32,12 @@ def family(inc_disk):
         ("sin2", [DatumTerm("sin", 1.0, k=2)]),
         ("mix", [DatumTerm("cos", 1.0, k=1), DatumTerm("sin", 0.5, k=3)]),
     ])
+
+
+def pair_compare(mesh, lo, hi, data, quad_order):
+    """The averaged-power comparison of one pair: a two-link ladder."""
+    return ladder_suite(mesh, [("lo", lo), ("hi", hi)], data,
+                        quad_order).pair_reports[0][2]
 
 
 def lin_maps(lo_sigma, hi_sigma):
@@ -143,7 +148,7 @@ def test_energy_compare_uncertified_pair_never_violates(inc_disk, family):
 
 def test_avg_power_compare_scaled_linear(inc_disk, family):
     lo, hi = lin_maps(1.0, 3.0)
-    rep = avg_dtn_compare(inc_disk, lo, hi, family, quad_order=4)
+    rep = pair_compare(inc_disk, lo, hi, family, quad_order=4)
     assert rep.kind == "avg_power"
     assert rep.ok
     assert all(row.delta > 0.0 for row in rep.rows)
@@ -152,7 +157,7 @@ def test_avg_power_compare_scaled_linear(inc_disk, family):
 def test_avg_power_compare_nonlinear_inclusion(inc_disk, family):
     lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
     hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
-    rep = avg_dtn_compare(inc_disk, lo, hi, family, quad_order=6)
+    rep = pair_compare(inc_disk, lo, hi, family, quad_order=6)
     assert rep.ok
 
 
@@ -160,8 +165,8 @@ def test_avg_power_structural_bracket(inc_disk, family):
     pei = MaterialMap({0: Linear(1.0), 1: PEI()})
     fin = MaterialMap({0: Linear(1.0), 1: Linear(1.0)})
     pec = MaterialMap({0: Linear(1.0), 1: PEC()})
-    lo_rep = avg_dtn_compare(inc_disk, pei, fin, family, quad_order=4)
-    hi_rep = avg_dtn_compare(inc_disk, fin, pec, family, quad_order=4)
+    lo_rep = pair_compare(inc_disk, pei, fin, family, quad_order=4)
+    hi_rep = pair_compare(inc_disk, fin, pec, family, quad_order=4)
     assert lo_rep.ok and hi_rep.ok
     # the bracket is strict for data that drive current through the
     # inclusion: a ramp across a sizeable hole versus a short circuit
@@ -191,6 +196,23 @@ def test_ladder_all_pairs_certified_and_ordered(inc_disk, family):
     assert rep.ok
     for _, _, pair in rep.pair_reports:
         assert not pair.violations
+
+
+def test_ladder_rows_keep_their_own_datum_under_shared_names(inc_disk,
+                                                            family):
+    # reports are matched by position: two data named alike, and two
+    # links named alike, still give each row its own datum's powers
+    lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
+    hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
+    same = [BoundaryDatum("same", d.node_ids, d.values) for d in family[:2]]
+    ref = ladder_suite(inc_disk, [("lo", lo), ("hi", hi)], family[:2],
+                       quad_order=3)
+    rep = ladder_suite(inc_disk, [("m", lo), ("m", hi)], same, quad_order=3)
+    (_, _, ref_pair), = ref.pair_reports
+    (_, _, pair), = rep.pair_reports
+    assert ref_pair.rows[0].value_lo != ref_pair.rows[1].value_lo
+    for r, row in zip(ref_pair.rows, pair.rows):
+        assert (row.value_lo, row.value_hi) == (r.value_lo, r.value_hi)
 
 
 def test_ladder_single_link_is_vacuous(inc_disk, family):

@@ -17,7 +17,7 @@ from condlab.constitutive import (
     MaterialMap,
     PowerLaw,
 )
-from condlab.dtn import dtn_pairing, dtn_pairing_via_lift, ohmic_power
+from condlab.dtn import dtn_pairing, ohmic_power
 from condlab.mesh import (
     DiskInclusion,
     Mesh,
@@ -25,7 +25,12 @@ from condlab.mesh import (
     build_disk_mesh,
     build_rect_mesh,
 )
-from condlab.oracle import two_layer_strip
+from condlab.oracle import (
+    dtn_pairing_via_lift,
+    nodal_residual,
+    prolongation,
+    two_layer_strip,
+)
 from condlab.solver import (
     BoundaryDatum,
     DatumTerm,
@@ -358,7 +363,7 @@ def test_assembled_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     x = 0.3 * rng.standard_normal(problem.n_free)
     u = problem.nodal_state(u_fix, x)
-    g = problem.residual(u)
+    g = nodal_residual(problem, u)
     free_nodes = np.nonzero(problem.free_of_node >= 0)[0]
     h = 1e-6
     for node in free_nodes:
@@ -528,7 +533,8 @@ def coo_reduced(problem, elem):
     k = sparse.coo_matrix((elem.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
                                           np.tile(tris, (1, 3)).ravel())),
                           shape=(n, n)).tocsr()
-    return k, problem.prolong.T @ k @ problem.prolong
+    p = prolongation(problem)
+    return k, p.T @ k @ p
 
 
 def einsum_hessian_elements(problem, u):
@@ -589,7 +595,7 @@ def test_band_hessian_matches_coo_assembly(kind, rng):
     ref = ref.toarray()
     assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    rhs = -(problem.restrict @ problem.residual(u))
+    rhs = -(prolongation(problem).T @ nodal_residual(problem, u))
     progress = solver._Progress()
     d, inv_diag = solver._newton_direction(problem.band, ab, rhs, progress)
     assert np.allclose(d, np.linalg.solve(ref, rhs), rtol=1e-10,
@@ -608,11 +614,12 @@ def test_index_maps_equal_the_sparse_prolongation(kind, rng):
     u_fix[mesh.boundary_nodes] = rng.standard_normal(
         len(mesh.boundary_nodes))
     x = rng.standard_normal(problem.n_free)
-    u = u_fix + problem.prolong @ x
+    p = prolongation(problem)
+    u = u_fix + p @ x
     u[problem.removed_nodes] = np.nan
     assert np.array_equal(problem.nodal_state(u_fix, x), u, equal_nan=True)
     r = rng.standard_normal(mesh.n_nodes)
-    assert np.array_equal(problem.reduce(r), problem.restrict @ r)
+    assert np.array_equal(problem.reduce(r), p.T.tocsr() @ r)
 
 
 def test_band_is_narrower_than_the_natural_order():
@@ -676,7 +683,7 @@ def test_harmonic_start_factorizes_once_per_problem(monkeypatch):
         u_fix = np.zeros(mesh.n_nodes)
         u_fix[datum.node_ids] = datum.values
         x = harmonic_initial_guess(problem, u_fix)
-        ref = spsolve(a.tocsc(), -problem.restrict @ (k @ u_fix))
+        ref = spsolve(a.tocsc(), -prolongation(problem).T @ (k @ u_fix))
         assert np.allclose(x, ref, rtol=1e-12, atol=1e-14)
         solve(mesh, mats, datum, problem=problem)
     assert len(calls) == 1

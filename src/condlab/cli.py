@@ -1,10 +1,9 @@
 """Batch front-end: every workflow as a subcommand with JSON configs.
 
 A command first reads its whole config: every key is checked and every
-mesh, material map, datum, cell grid and solver option set is built, but
-nothing is solved.  ``--check-only`` stops after that read and writes
-nothing, not even the output directory, so a bad config fails the same
-way with and without it.
+mesh, material map, datum and cell grid is built, but nothing is solved.
+``--check-only`` stops after that read and writes nothing, not even the
+output directory, so a bad config fails the same way with and without it.
 
 Outputs are deterministic for a fixed config and seed; data files carry
 no timestamps (those live in ``run_meta.json``).  Exit codes: 0 ok,
@@ -16,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -39,8 +38,7 @@ from .output import (write_csv, write_element_csv, write_json,
                      write_power_json, write_sidecar, write_solver_log,
                      write_tri_svg)
 from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
-                     SolveOptions, element_fields, make_datum,
-                     project_zero_mean, solve)
+                     element_fields, make_datum, project_zero_mean, solve)
 
 
 def _slug(name: str) -> str:
@@ -163,8 +161,9 @@ def _model_from_spec(spec: dict, where: str):
                         float(spec["p"]))
     if t == "tabulated":
         _check_keys(spec, where, {"type", "E", "J"})
-        return Tabulated(np.asarray(spec["E"], dtype=float),
-                         np.asarray(spec["J"], dtype=float))
+        # tuples keep the law hashable, so a Problem can group by it
+        return Tabulated(tuple(float(v) for v in spec["E"]),
+                         tuple(float(v) for v in spec["J"]))
     if t in ("pec", "pei"):
         _check_keys(spec, where, {"type"})
         return PEC() if t == "pec" else PEI()
@@ -178,8 +177,11 @@ def materials_from_spec(spec: dict, where: str = "materials") -> MaterialMap:
         try:
             label = int(key)
         except ValueError:
-            raise ConfigError(f"{where}: region key {key!r} is not an "
-                              f"integer label") from None
+            label = None
+        # one spelling per label, so two keys never name the same region
+        if label is None or key != str(label):
+            raise ConfigError(f"{where}: region key {key!r} is not a plain "
+                              f"decimal label")
         models[label] = _model_from_spec(sub, f"{where}.regions[{key}]")
     try:
         return MaterialMap(models)
@@ -213,19 +215,6 @@ def data_from_spec(mesh: Mesh, specs: list) -> list[BoundaryDatum]:
     return data
 
 
-def solver_opts_from_spec(spec: dict | None, **overrides) -> SolveOptions:
-    spec = dict(spec or {})
-    _check_keys(spec, "solver",
-                optional={f.name for f in fields(SolveOptions)})
-    if "reg_schedule" in spec:
-        spec["reg_schedule"] = tuple(float(v) for v in spec["reg_schedule"])
-    spec.update(overrides)
-    try:
-        return SolveOptions(**spec)
-    except SolveError as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -253,7 +242,7 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
     # way those commands do, so a config passes here only if it would pass
     # there
     _check_keys(cfg, "config", {"mesh"}, {"save_as", "materials", "data",
-                                          "solver", "quad_order"})
+                                          "quad_order"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
     name = cfg.get("save_as", "mesh.json")
     if not isinstance(name, str):
@@ -262,8 +251,6 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
         materials_from_spec(cfg["materials"]).check_covers(mesh.labels)
     if "data" in cfg:
         data_from_spec(mesh, cfg["data"])
-    if "solver" in cfg:
-        solver_opts_from_spec(cfg["solver"])
     if "quad_order" in cfg:
         _quad_order(cfg, args, 16)
     issues = validate(mesh)
@@ -282,28 +269,24 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
     return run
 
 
-def _load_problem(cfg: dict, args, extra_keys: set[str] = frozenset(),
-                  **overrides):
+def _load_problem(cfg: dict, args, extra_keys: set[str] = frozenset()):
     _check_keys(cfg, "config", {"mesh", "materials", "data"},
-                {"solver", "quad_order"} | extra_keys)
+                {"quad_order"} | extra_keys)
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
     materials = materials_from_spec(cfg["materials"])
     materials.check_covers(mesh.labels)
     data = data_from_spec(mesh, cfg["data"])
-    return (mesh, materials, data,
-            solver_opts_from_spec(cfg.get("solver"), **overrides),
-            _quad_order(cfg, args, 16))
+    return mesh, materials, data, _quad_order(cfg, args, 16)
 
 
 def cmd_solve(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts, _ = _load_problem(cfg, args,
-                                                   collect_log=True)
+    mesh, materials, data, _ = _load_problem(cfg, args)
 
     def run() -> int:
         problem = Problem(mesh, materials)
         infos = []
         for datum in data:
-            fld = solve(mesh, materials, datum, opts, problem=problem)
+            fld = solve(mesh, materials, datum, problem=problem)
             tag = _slug(datum.name)
             write_node_csv(os.path.join(args.out, f"u_{tag}.csv"), fld)
             e, j, q = element_fields(fld)
@@ -330,15 +313,14 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_power(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts, _ = _load_problem(cfg, args,
-                                                   {"material_id"})
+    mesh, materials, data, _ = _load_problem(cfg, args, {"material_id"})
     mat_id = cfg.get("material_id", "m0")
 
     def run() -> int:
         problem = Problem(mesh, materials)
         rows = []
         for datum in data:
-            fld = solve(mesh, materials, datum, opts, problem=problem)
+            fld = solve(mesh, materials, datum, problem=problem)
             p = dtn_pairing(fld, datum)
             rows.append((datum.name, mat_id, p, float("nan"),
                          fld.info.energy, float("nan")))
@@ -350,14 +332,13 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
-    mesh, materials, data, opts, order = _load_problem(cfg, args,
-                                                       {"material_id"})
+    mesh, materials, data, order = _load_problem(cfg, args, {"material_id"})
     mat_id = cfg.get("material_id", "m0")
 
     def run() -> int:
         rows = []
-        for datum, rep in zip(data, average_dtn_powers(mesh, materials, data,
-                                                       order, opts)):
+        reports = average_dtn_powers(mesh, materials, data, order)
+        for datum, rep in zip(data, reports):
             rows.append((datum.name, mat_id, rep.power, rep.avg_power,
                          rep.energy, rep.transfer_residual))
             write_power_json(os.path.join(
@@ -373,8 +354,7 @@ def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
 
 def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     _check_keys(cfg, "config", {"mesh", "data"},
-                {"quad_order", "compare", "pairs", "chain", "resolutions",
-                 "solver"})
+                {"quad_order", "compare", "pairs", "chain", "resolutions"})
     if "pairs" not in cfg and "chain" not in cfg:
         raise ConfigError("config needs 'pairs' and/or 'chain'")
     order = _quad_order(cfg, args, 8)
@@ -382,7 +362,6 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     if compare not in ("avg_power", "energy"):
         raise ConfigError(f"compare must be avg_power or energy, "
                           f"got {compare!r}")
-    opts = solver_opts_from_spec(cfg.get("solver"))
 
     pairs = []
     for k, pair in enumerate(cfg.get("pairs", [])):
@@ -424,10 +403,10 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                                     f"E {cert.witness_e})")
                     continue
                 if compare == "energy":
-                    rep = energy_compare(mesh, lo, hi, data, opts)
+                    rep = energy_compare(mesh, lo, hi, data)
                 else:
                     rep = ladder_suite(mesh, [(name_lo, lo), (name_hi, hi)],
-                                       data, order, opts).pair_reports[0][2]
+                                       data, order).pair_reports[0][2]
                 write_pair_csv(os.path.join(args.out,
                                             f"pair_{k}{suffix}.csv"),
                                name_lo, name_hi, rep)
@@ -439,7 +418,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                       f"{'OK' if not rep.violations else 'VIOLATED'}")
 
             if "chain" in cfg:
-                ladder = ladder_suite(mesh, chain, data, order, opts)
+                ladder = ladder_suite(mesh, chain, data, order)
                 write_ladder_csv(os.path.join(args.out,
                                               f"ladder{suffix}.csv"), ladder)
                 for i, j, rep in ladder.pair_reports:
@@ -464,7 +443,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
 
 def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
     _check_keys(cfg, "config", {"mesh", "materials", "datum", "direction"},
-                {"eps_list", "solver"})
+                {"eps_list"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
     materials = materials_from_spec(cfg["materials"])
     materials.check_covers(mesh.labels)
@@ -472,10 +451,12 @@ def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
     f = datum_from_spec(mesh, cfg["datum"], bm)
     phi = datum_from_spec(mesh, cfg["direction"], bm)
     eps = [float(e) for e in cfg.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))]
-    opts = solver_opts_from_spec(cfg.get("solver"))
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise ConfigError(f"eps_list must be a non-empty list of finite "
+                          f"steps > 0, got {eps!r}")
 
     def run() -> int:
-        rep = gateaux_check(mesh, materials, f, phi, eps, opts)
+        rep = gateaux_check(mesh, materials, f, phi, eps)
         write_csv(os.path.join(args.out, "gateaux.csv"),
                   ["eps", "quotient", "pairing", "residual",
                    "rel_residual"],
@@ -497,7 +478,7 @@ def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
 def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
     _check_keys(cfg, "config", {"p_values", "target_h"},
                 {"sigma_bar", "E0", "r_inner", "r_outer", "u_inner",
-                 "u_outer", "solver"})
+                 "u_outer"})
     sigma_bar = float(cfg.get("sigma_bar", 1.0))
     e0 = float(cfg.get("E0", 1.0))
     r_in = float(cfg.get("r_inner", 0.5))
@@ -505,13 +486,13 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
     u_in = float(cfg.get("u_inner", 0.0))
     u_out = float(cfg.get("u_outer", 1.0))
     hs = [float(h) for h in cfg["target_h"]]
-    opts = solver_opts_from_spec(cfg.get("solver"))
     laws = []
     for p in cfg["p_values"]:
         p = float(p)
+        # the law checks its parameters before the oracle integrates it
+        mats = MaterialMap({0: PowerLaw(sigma_bar, e0, p)})
         laws.append((p, annulus_radial_solution(p, sigma_bar, e0, r_in,
-                                                r_out, u_in, u_out),
-                     MaterialMap({0: PowerLaw(sigma_bar, e0, p)})))
+                                                r_out, u_in, u_out), mats))
     meshes = []
     for h in hs:
         mesh = build_annulus_mesh(r_in, r_out, h)
@@ -526,7 +507,7 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
             errs = []
             for h, mesh, node_ids, values in meshes:
                 datum = BoundaryDatum(f"p{p:g}-h{h:g}", node_ids, values)
-                energy = solve(mesh, mats, datum, opts).info.energy
+                energy = solve(mesh, mats, datum).info.energy
                 err = abs(energy - exact.energy) / abs(exact.energy)
                 errs.append(err)
                 rows.append((p, h, mesh.n_nodes, energy, exact.energy, err))
@@ -544,8 +525,7 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
 
 def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     _check_keys(cfg, "config", {"mesh", "background", "truth", "grid", "data"},
-                {"contrast", "noise_rel", "seed", "quad_order", "tol",
-                 "solver"})
+                {"contrast", "noise_rel", "seed", "quad_order", "tol"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
     background = materials_from_spec(cfg["background"], "background")
     background.check_covers(mesh.labels)
@@ -560,7 +540,6 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     seed = (args.seed if args.seed is not None
             else _int(cfg.get("seed", 0), "seed"))
     tol = float(cfg["tol"]) if "tol" in cfg else None
-    opts = solver_opts_from_spec(cfg.get("solver"))
     workers = args.workers or (os.cpu_count() or 1)
 
     truth = cfg["truth"]
@@ -582,9 +561,9 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
 
     def run() -> int:
         meas = synth_measurements(true_mesh, true_mats, data, order,
-                                  noise_rel, seed, opts)
+                                  noise_rel, seed)
         result = mpm_scan(mesh, background, grid, data, meas, contrast,
-                          tol, opts, workers)
+                          tol, workers)
         write_mpm_json(os.path.join(args.out, "mpm_result.json"), result)
         write_mpm_svg(os.path.join(args.out, "mpm_heatmap.svg"), mesh,
                       result)
@@ -605,15 +584,13 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
-    _check_keys(cfg, "config", {"healthy", "damaged", "data"},
-                {"quad_order", "solver"})
+    _check_keys(cfg, "config", {"healthy", "damaged", "data"}, {"quad_order"})
     _check_keys(cfg["healthy"], "healthy", {"mesh", "materials"})
     healthy_mesh = mesh_from_spec(cfg["healthy"]["mesh"], args.base_dir)
     healthy_mats = materials_from_spec(cfg["healthy"]["materials"],
                                        "healthy.materials")
     healthy_mats.check_covers(healthy_mesh.labels)
     order = _quad_order(cfg, args, 16)
-    opts = solver_opts_from_spec(cfg.get("solver"))
     data = data_from_spec(healthy_mesh, cfg["data"])
     cases = []
     for k, case in enumerate(cfg["damaged"]):
@@ -630,13 +607,12 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
 
     def run() -> int:
         healthy_powers = {datum.name: rep.avg_power for datum, rep in zip(
-            data, average_dtn_powers(healthy_mesh, healthy_mats, data,
-                                     order, opts))}
+            data, average_dtn_powers(healthy_mesh, healthy_mats, data, order))}
         failures = []
         for name, dmesh, dmats, ddata in cases:
             rows = []
-            for datum, rep in zip(ddata, average_dtn_powers(
-                    dmesh, dmats, ddata, order, opts)):
+            for datum, rep in zip(ddata, average_dtn_powers(dmesh, dmats,
+                                                            ddata, order)):
                 e0 = healthy_powers[datum.name]
                 e1 = rep.avg_power
                 diff = e0 - e1

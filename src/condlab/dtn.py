@@ -49,8 +49,7 @@ import numpy as np
 
 from .constitutive import MaterialMap
 from .mesh import Mesh
-from .solver import (BoundaryDatum, PotentialField, Problem, SolveOptions,
-                     solve)
+from .solver import BoundaryDatum, PotentialField, Problem, solve
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +76,8 @@ def gauss_on_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _alpha_sweep(problem: Problem, datum: BoundaryDatum, alphas: np.ndarray,
-                 opts: SolveOptions) -> list[PotentialField]:
+def _alpha_sweep(problem: Problem, datum: BoundaryDatum,
+                 alphas: np.ndarray) -> list[PotentialField]:
     """Solve the datum scaled by each alpha (ascending), warm-starting each
     node from the previous solution scaled by the node ratio."""
     fields: list[PotentialField] = []
@@ -89,7 +88,7 @@ def _alpha_sweep(problem: Problem, datum: BoundaryDatum, alphas: np.ndarray,
         if prev_u is not None and prev_alpha not in (None, 0.0):
             guess = prev_u * (alpha / prev_alpha)
         fld = solve(problem.mesh, problem.materials,
-                    datum.scaled(float(alpha)), opts, initial_guess=guess,
+                    datum.scaled(float(alpha)), initial_guess=guess,
                     problem=problem)
         fields.append(fld)
         prev_alpha, prev_u = float(alpha), fld.u
@@ -110,19 +109,18 @@ class PowerReport:
 
 
 def _node_pairings(what: str, problem: Problem, datum: BoundaryDatum,
-                   phi: BoundaryDatum, alphas: np.ndarray, quad_order: int,
-                   opts: SolveOptions) -> tuple[np.ndarray, PotentialField]:
+                   phi: BoundaryDatum, alphas: np.ndarray,
+                   quad_order: int) -> tuple[np.ndarray, PotentialField]:
     """Pairings <Lambda(alpha_k f), phi> at the ascending ``alphas`` and
     the last field solved: one solve at alpha = 1 on a linear map (the
     homogeneity path), else ``_alpha_sweep``.  Logs the averaged ``what``.
     """
     linear = problem.materials.is_linear
     if linear:
-        fld = solve(problem.mesh, problem.materials, datum, opts,
-                    problem=problem)
+        fld = solve(problem.mesh, problem.materials, datum, problem=problem)
         pairings = alphas * dtn_pairing(fld, phi)
     else:
-        fields = _alpha_sweep(problem, datum, alphas, opts)
+        fields = _alpha_sweep(problem, datum, alphas)
         fld = fields[-1]
         pairings = np.array([dtn_pairing(f, phi) for f in fields])
     logger.debug("averaged %s %r: quadrature order %d, %d solves, %s",
@@ -132,8 +130,7 @@ def _node_pairings(what: str, problem: Problem, datum: BoundaryDatum,
 
 
 def average_dtn_power(problem: Problem, datum: BoundaryDatum,
-                      quad_order: int = 16,
-                      opts: SolveOptions = SolveOptions()) -> PowerReport:
+                      quad_order: int = 16) -> PowerReport:
     """Averaged boundary power of one datum, with the transfer mismatch.
 
     Solves at each Gauss-Legendre alpha node plus alpha = 1, or only at
@@ -146,7 +143,7 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
     alphas, weights = gauss_on_unit(quad_order)
     pairings, full = _node_pairings("power", problem, datum, datum,
                                     np.concatenate([alphas, [1.0]]),
-                                    quad_order, opts)
+                                    quad_order)
     power = pairings[-1]
     avg = float(weights @ pairings[:-1])
     energy = full.info.energy
@@ -158,24 +155,22 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
 
 
 def average_dtn_powers(mesh: Mesh, materials: MaterialMap,
-                       data: Sequence[BoundaryDatum], quad_order: int = 16,
-                       opts: SolveOptions = SolveOptions()
+                       data: Sequence[BoundaryDatum], quad_order: int = 16
                        ) -> list[PowerReport]:
     """``average_dtn_power`` of each datum, all sharing one compiled
     ``Problem(mesh, materials)`` that is dropped on return."""
     problem = Problem(mesh, materials)
-    return [average_dtn_power(problem, d, quad_order, opts) for d in data]
+    return [average_dtn_power(problem, d, quad_order) for d in data]
 
 
 def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
                         datum: BoundaryDatum, phi: BoundaryDatum,
-                        quad_order: int = 16,
-                        opts: SolveOptions = SolveOptions()) -> float:
+                        quad_order: int = 16) -> float:
     """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha;
     one solve on a linear map, one per alpha node otherwise."""
     alphas, weights = gauss_on_unit(quad_order)
     pairings, _ = _node_pairings("pairing", Problem(mesh, materials), datum,
-                                 phi, alphas, quad_order, opts)
+                                 phi, alphas, quad_order)
     return float(weights @ pairings)
 
 
@@ -201,8 +196,8 @@ class GateauxReport:
 
 
 def gateaux_check(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
-                  phi: BoundaryDatum, eps_list: Sequence[float],
-                  opts: SolveOptions = SolveOptions()) -> GateauxReport:
+                  phi: BoundaryDatum,
+                  eps_list: Sequence[float]) -> GateauxReport:
     """One-sided difference quotients of the energy along a trace direction.
 
     Rows are ordered by decreasing eps; each residual is
@@ -210,12 +205,12 @@ def gateaux_check(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     residual decreases ~linearly in eps until the solver floor.
     """
     problem = Problem(mesh, materials)
-    base = solve(mesh, materials, datum, opts, problem=problem)
+    base = solve(mesh, materials, datum, problem=problem)
     pairing = dtn_pairing(base, phi)
     rows = []
     quotients = []
     for eps in sorted(eps_list, reverse=True):
-        fld = solve(mesh, materials, datum.plus(phi, eps), opts,
+        fld = solve(mesh, materials, datum.plus(phi, eps),
                     initial_guess=base.u, problem=problem)
         quotient = (fld.info.energy - base.info.energy) / eps
         quotients.append(abs(quotient))

@@ -25,7 +25,7 @@ import numpy as np
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import average_dtn_powers
 from .mesh import Mesh
-from .solver import BoundaryDatum, Problem, SolveOptions, solve
+from .solver import BoundaryDatum, Problem, solve
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,12 @@ class Measurements:
 
 def synth_measurements(mesh: Mesh, materials: MaterialMap,
                        data: Sequence[BoundaryDatum], quad_order: int = 8,
-                       noise_rel: float = 0.0, seed: int = 0,
-                       opts: SolveOptions = SolveOptions()) -> Measurements:
+                       noise_rel: float = 0.0,
+                       seed: int = 0) -> Measurements:
     """Forward-model averaged powers (minimum energies) with multiplicative
     uniform noise; ``transfer_residual`` is each datum's relative mismatch
     of the Gauss-Legendre average at ``quad_order``."""
-    reports = average_dtn_powers(mesh, materials, data, quad_order, opts)
+    reports = average_dtn_powers(mesh, materials, data, quad_order)
     clean = np.array([rep.energy for rep in reports])
     rng = np.random.default_rng(seed)
     noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
@@ -183,10 +183,10 @@ def contrast_model(contrast: str):
 def _scan_task(args) -> tuple[int, np.ndarray]:
     """A cell's id and test powers: each datum's minimum energy with the
     test extreme stamped onto the cell."""
-    mesh, background, cell, model, data, opts = args
+    mesh, background, cell, model, data = args
     test_mesh, test_mats = _stamp(mesh, background, [cell], model)
     problem = Problem(test_mesh, test_mats)
-    return cell.id, np.array([solve(test_mesh, test_mats, d, opts,
+    return cell.id, np.array([solve(test_mesh, test_mats, d,
                                     problem=problem).info.energy
                               for d in data])
 
@@ -194,7 +194,6 @@ def _scan_task(args) -> tuple[int, np.ndarray]:
 def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
              data: Sequence[BoundaryDatum], measurements: Measurements,
              contrast: str = "pei", tol: float | None = None,
-             opts: SolveOptions = SolveOptions(),
              workers: int = 1) -> MpmResult:
     """Flag grid cells whose structural test perturbation stays on the
     anomaly side of the measured powers for every datum.
@@ -210,8 +209,7 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
     meas = measurements.powers
-    tasks = [(mesh, background, cell, model, data, opts)
-             for cell in grid.cells]
+    tasks = [(mesh, background, cell, model, data) for cell in grid.cells]
     test_powers = np.empty((grid.n_cells, len(data)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 logger = logging.getLogger(__name__)
@@ -238,6 +237,8 @@ def _edge_connected(triangles: np.ndarray) -> bool:
     e, tri_of = e[order], tri_of[order]
     # equal neighbours in sorted order are one edge shared by two triangles
     k = np.nonzero(np.all(e[1:] == e[:-1], axis=1))[0]
+    # imported here: at module level it raises every run's peak RSS
+    from scipy.sparse.csgraph import connected_components
     n = len(triangles)
     adjacency = sparse.csr_matrix((np.ones(len(k)), (tri_of[k],
                                                      tri_of[k + 1])),
@@ -393,6 +394,9 @@ def build_disk_mesh(radius: float, target_h: float,
         if inc.label in seen:
             raise MeshError(f"duplicate inclusion label {inc.label}")
         seen.add(inc.label)
+        if isinstance(inc, DiskInclusion) and not inc.radius > 0:
+            raise MeshError(f"inclusion label {inc.label} needs a positive "
+                            f"radius, got {inc.radius!r}")
         if not _inclusion_extent_ok(inc, radius, center, clearance=target_h):
             raise MeshError(f"inclusion label {inc.label} too close to or "
                             f"outside the outer boundary")
@@ -453,6 +457,8 @@ def build_annulus_mesh(r_inner: float, r_outer: float, target_h: float,
     """
     if not 0 < r_inner < r_outer:
         raise MeshError("need 0 < r_inner < r_outer")
+    if not target_h > 0:
+        raise MeshError(f"target_h must be positive, got {target_h!r}")
     r_mid = 0.5 * (r_inner + r_outer)
     n_th = max(8, int(round(2.0 * np.pi * r_mid / target_h)))
     n_r = max(2, int(round((r_outer - r_inner) / target_h)))

@@ -22,7 +22,7 @@ import numpy as np
 from .constitutive import MaterialMap, default_e_grid
 from .dtn import average_dtn_powers
 from .mesh import Mesh
-from .solver import BoundaryDatum, Problem, SolveOptions, solve
+from .solver import BoundaryDatum, Problem, solve
 
 
 def _regime(model) -> str:
@@ -115,8 +115,7 @@ class MonotonicityReport:
 
 
 def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
-                   data: Sequence[BoundaryDatum],
-                   opts: SolveOptions = SolveOptions()) -> MonotonicityReport:
+                   data: Sequence[BoundaryDatum]) -> MonotonicityReport:
     """Dirichlet energies of a certified pair across a datum family.
 
     ``delta = E_hi - E_lo`` must be >= -tol with
@@ -126,8 +125,8 @@ def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
     p_lo, p_hi = Problem(mesh, lo), Problem(mesh, hi)
     rows = []
     for datum in data:
-        e_lo = solve(mesh, lo, datum, opts, problem=p_lo).info.energy
-        e_hi = solve(mesh, hi, datum, opts, problem=p_hi).info.energy
+        e_lo = solve(mesh, lo, datum, problem=p_lo).info.energy
+        e_hi = solve(mesh, hi, datum, problem=p_hi).info.energy
         tol = _TOL_REL * max(abs(e_lo), abs(e_hi), 1e-300)
         delta = e_hi - e_lo
         rows.append(ComparisonRow(datum.name, e_lo, e_hi, delta, tol,
@@ -169,8 +168,8 @@ class LadderReport:
 
 
 def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
-                 data: Sequence[BoundaryDatum], quad_order: int = 8,
-                 opts: SolveOptions = SolveOptions()) -> LadderReport:
+                 data: Sequence[BoundaryDatum],
+                 quad_order: int = 8) -> LadderReport:
     """Averaged-power monotonicity along an increasing material chain.
 
     Every map's powers are computed once per datum and all ordered pairs
@@ -179,7 +178,7 @@ def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
     matched by chain and datum position, so repeated names never share a
     row's values.
     """
-    reports = [average_dtn_powers(mesh, mats, data, quad_order, opts)
+    reports = [average_dtn_powers(mesh, mats, data, quad_order)
                for _, mats in chain]
     pair_reports = []
     for i, j in itertools.combinations(range(len(chain)), 2):

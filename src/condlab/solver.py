@@ -67,7 +67,6 @@ import functools
 import logging
 import operator
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -542,38 +541,15 @@ def harmonic_initial_guess(problem: Problem,
 # solve
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Newton/continuation controls.
-
-    grad_rtol is relative to the gradient norm at the initial guess of the
-    first stage; max_iter bounds each stage's Newton steps; continuation
-    multiplies every power-law reg_eps by the schedule entries in turn
-    (the final entry must be 1); a gradient within floor_factor times the
-    round-off floor is stationary.  Every control is checked at
-    construction; a bad value raises ``SolveError``.
-    """
-
-    grad_rtol: float = 1e-10
-    max_iter: int = 150
-    reg_schedule: tuple[float, ...] = (1e3, 1e2, 1e1, 1.0)
-    floor_factor: float = 32.0
-    collect_log: bool = False
-
-    def __post_init__(self) -> None:
-        v = self.max_iter
-        if not isinstance(v, Integral) or isinstance(v, bool) or v < 1:
-            raise SolveError(f"max_iter must be a positive integer, got {v!r}")
-        for name in ("grad_rtol", "floor_factor"):
-            v = getattr(self, name)
-            if not isinstance(v, Real) or isinstance(v, bool) or not v > 0:
-                raise SolveError(f"{name} must be a positive number, "
-                                 f"got {v!r}")
-        sched = self.reg_schedule
-        if not sched or sched[-1] != 1.0 or not all(
-                isinstance(m, Real) and m > 0 for m in sched):
-            raise SolveError(f"reg_schedule must be positive multipliers "
-                             f"ending at 1.0, got {sched!r}")
+# Newton/continuation controls.  The tolerance is relative to the
+# cancellation-free flux norm at the first point of the first stage;
+# _MAX_ITER bounds each stage's Newton steps; continuation multiplies every
+# power-law reg_eps by the schedule entries in turn (the last one is 1); a
+# gradient within _FLOOR_FACTOR times the round-off floor is stationary.
+_GRAD_RTOL = 1e-10
+_MAX_ITER = 150
+_REG_SCHEDULE = (1e3, 1e2, 1e1, 1.0)
+_FLOOR_FACTOR = 32.0
 
 
 @dataclass
@@ -593,7 +569,10 @@ class SolveInfo:
     or gave a non-finite direction, ``factorizations`` the banded Cholesky
     factorizations of Newton steps, and ``line_search_evals`` the points
     the line searches evaluated (one element pass each; accepting a slope
-    root whose slope was taken evaluates nothing new)."""
+    root whose slope was taken evaluates nothing new).  ``log`` holds one
+    row per Newton step: its stage and iteration, the energy and gradient
+    norm of the point it started from, the step length and whether the
+    scaled-gradient fallback was taken."""
 
     n_iter: int
     grad_norm: float
@@ -760,7 +739,7 @@ class _Point:
 
 
 def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
-                  opts: SolveOptions, progress: _Progress, stage: int,
+                  progress: _Progress, stage: int,
                   log: list[dict]) -> tuple[_Point, float, int, str | None]:
     """Newton iterations on one continuation stage from ``point``, which
     carries ``problem``'s laws; returns the last point, its gradient norm,
@@ -795,7 +774,7 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
 
     n_iter = 0
     progress.floored = None
-    for it in range(opts.max_iter):
+    for it in range(_MAX_ITER):
         g = point.g
         gn = float(np.linalg.norm(g))
         if progress.tol is None:
@@ -803,11 +782,11 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             # the natural flux magnitude of the first iterate
             scale = float(np.linalg.norm(
                 problem.reduce(problem.assemble(np.abs(point.contrib)))))
-            progress.tol = opts.grad_rtol * scale
+            progress.tol = _GRAD_RTOL * scale
         if gn <= progress.tol or gn == 0.0:
             return point, gn, n_iter, "tol"
         floor = problem.roundoff_floor(point.u, point.sig)
-        if gn <= opts.floor_factor * floor:
+        if gn <= _FLOOR_FACTOR * floor:
             # gradient indistinguishable from assembly round-off:
             # stationary to working precision
             progress.floored = floor
@@ -829,20 +808,24 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             raise SolveError(f"line search stalled at stage {stage}, "
                              f"iteration {it} (grad norm {gn:.3e}, "
                              f"round-off floor {floor:.3e})")
-        if opts.collect_log:
-            log.append({"stage": stage, "iter": it, "energy": point.energy,
-                        "grad_norm": gn, "step": t,
-                        "fallback": fell_back})
+        log.append({"stage": stage, "iter": it, "energy": point.energy,
+                    "grad_norm": gn, "step": t, "fallback": fell_back})
         point = nxt
         n_iter += 1
     return point, float(np.linalg.norm(point.g)), n_iter, None
 
 
 def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
-          opts: SolveOptions = SolveOptions(),
           initial_guess: np.ndarray | None = None,
           problem: Problem | None = None) -> PotentialField:
     """Minimize the Dirichlet energy for one zero-mean boundary datum.
+
+    The Newton controls are fixed: a gradient tolerance of ``_GRAD_RTOL``
+    (1e-10) relative to the flux scale of the first point, at most
+    ``_MAX_ITER`` (150) steps per continuation stage, the reg_eps
+    multipliers ``_REG_SCHEDULE`` (1e3, 1e2, 1e1, 1) on a nonlinear map
+    (a linear map runs the last stage only), and stationarity within
+    ``_FLOOR_FACTOR`` (32) times the round-off floor.
 
     Parameters
     ----------
@@ -857,8 +840,8 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     -------
     PotentialField
         Converged state; ``info`` carries iteration counts, the final
-        gradient norm/tolerance, the exit reason and per-PEC-component net
-        flux.
+        gradient norm/tolerance, the exit reason, per-PEC-component net
+        flux and the per-step log.
 
     Raises
     ------
@@ -896,7 +879,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     else:
         x = harmonic_initial_guess(problem, u_fix)
 
-    schedule = opts.reg_schedule if not materials.is_linear else (1.0,)
+    schedule = _REG_SCHEDULE if not materials.is_linear else (1.0,)
 
     progress = _Progress()
     log: list[dict] = []
@@ -908,7 +891,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         # each stage starts where the last one stopped, on its own laws
         point = _Point.evaluate(staged, u_fix, x) if point is None \
             else point.on(staged)
-        point, gn, n_it, reason = _newton_stage(staged, u_fix, point, opts,
+        point, gn, n_it, reason = _newton_stage(staged, u_fix, point,
                                                 progress, stage, log)
         total_iter += n_it
     # the schedule ends at 1.0, so the last point carries the map's laws
@@ -918,7 +901,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         # a spent iteration budget is accepted only at the round-off floor
         # of the final state
         floor = problem.roundoff_floor(point.u, point.sig)
-        if gn > opts.floor_factor * floor:
+        if gn > _FLOOR_FACTOR * floor:
             raise SolveError(f"Newton did not converge (iteration budget "
                              f"spent): grad norm {gn:.3e} above tolerance "
                              f"{tol:.3e} and round-off floor {floor:.3e}")
@@ -981,8 +964,7 @@ class ContinuityStudy:
 def boundary_data_continuity_study(mesh: Mesh, materials: MaterialMap,
                                    datum: BoundaryDatum,
                                    direction: BoundaryDatum,
-                                   eps_list: Sequence[float],
-                                   opts: SolveOptions = SolveOptions()
+                                   eps_list: Sequence[float]
                                    ) -> ContinuityStudy:
     """Gradient-difference decay under boundary perturbations f + eps*phi.
 
@@ -992,11 +974,11 @@ def boundary_data_continuity_study(mesh: Mesh, materials: MaterialMap,
     """
     p = materials.outer_exponent
     problem = Problem(mesh, materials)
-    base = solve(mesh, materials, datum, opts, problem=problem)
+    base = solve(mesh, materials, datum, problem=problem)
     g_base, _ = problem.grad_norms(base.u)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        fld = solve(mesh, materials, datum.plus(direction, eps), opts,
+        fld = solve(mesh, materials, datum.plus(direction, eps),
                     initial_guess=base.u, problem=problem)
         g_eps, _ = problem.grad_norms(fld.u)
         d = np.linalg.norm(g_eps - g_base, axis=1)

@@ -159,10 +159,11 @@ def test_empty_datum_list(tmp_path, capsys):
 
 
 def test_unknown_solver_option(tmp_path, capsys):
+    # the Newton controls are fixed, so a config has no solver section
     code, _ = run(tmp_path, "solve",
                   dict(PROBLEM, solver={"newton": True}))
     assert code == 2
-    assert "unknown keys in solver" in capsys.readouterr().err
+    assert "unknown keys in config: ['solver']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [
@@ -171,10 +172,22 @@ def test_unknown_solver_option(tmp_path, capsys):
 def test_retired_cg_solver_options_rejected(tmp_path, capsys, option):
     # the Newton systems are factorized directly, so there is no CG to
     # tune, and the line search accepts the slope root by the approximate
-    # Wolfe test, so there is no backtracking or stall window either
+    # Wolfe test, so there is no backtracking or stall window either; the
+    # section that held these options is gone with the other controls
     code, _ = run(tmp_path, "solve", dict(PROBLEM, solver=option))
     assert code == 2
-    assert "unknown keys in solver" in capsys.readouterr().err
+    assert "unknown keys in config: ['solver']" in capsys.readouterr().err
+
+
+def test_tabulated_region_solves(tmp_path):
+    # the config's sample lists become a law that a Problem can group by
+    mats = {"regions": {"0": {"type": "linear", "sigma": 1.0},
+                        "1": {"type": "tabulated", "E": [0.0, 1.0, 2.0],
+                              "J": [0.0, 1.0, 3.0]}}}
+    code, out = run(tmp_path, "solve", dict(PROBLEM, mesh=INC_DISK,
+                                            materials=mats))
+    assert code == 0
+    assert (out / "u_ramp.csv").exists()
 
 
 def test_rect_mesh_missing_dimensions(tmp_path, capsys):
@@ -449,10 +462,12 @@ def test_suite_needs_pairs_or_chain(tmp_path, capsys):
 
 # --------------------------------------------------------- gateaux-check
 
-def test_gateaux_outputs(tmp_path, capsys):
-    cfg = {"mesh": DISK, "materials": LIN, "datum": RAMP,
+GATEAUX = {"mesh": DISK, "materials": LIN, "datum": RAMP,
            "direction": COS1, "eps_list": [1e-1, 1e-2]}
-    code, out = run(tmp_path, "gateaux-check", cfg)
+
+
+def test_gateaux_outputs(tmp_path, capsys):
+    code, out = run(tmp_path, "gateaux-check", GATEAUX)
     assert code == 0
     head, rows = read_csv(out / "gateaux.csv")
     assert head == ["eps", "quotient", "pairing", "residual",
@@ -634,10 +649,6 @@ CONFIG_PROBES = [
      "nx=0, ny=3"),
     ("mpm-image", lambda: mpm_cfg(truth={"cells": [999]}),
      "cell ids [999] outside range"),
-    ("solve", lambda: dict(PROBLEM, solver={"max_iter": "x"}),
-     "max_iter must be a positive integer"),
-    ("solve", lambda: dict(PROBLEM, solver={"reg_schedule": [10]}),
-     "reg_schedule must be positive multipliers ending at 1.0"),
     ("avg-power", lambda: dict(PROBLEM, quad_order=0),
      "quadrature order must be >= 1"),
     # solve and power read the quad_order key they accept; the ids differ
@@ -653,8 +664,6 @@ CONFIG_PROBES = [
         "0": {"type": "rubber"}}}), "unknown material type 'rubber'"),
     ("mesh-gen", lambda: dict(PROBLEM, data="x"),
      "datum must be a JSON object"),
-    ("mesh-gen", lambda: dict(PROBLEM, solver={"max_iter": "x"}),
-     "solver: max_iter must be a positive integer"),
     ("mesh-gen", lambda: dict(PROBLEM, mesh=INC_DISK),
      "mesh labels without material: [1]"),
     ("mesh-gen", lambda: dict(PROBLEM, quad_order=0),
@@ -699,16 +708,38 @@ CONFIG_PROBES = [
     ("solve", lambda: dict(PROBLEM, data=[{"name": "s", "terms": [
         {"kind": "sin", "amplitude": 1.0, "k": 2.5}]}]),
      "datum 's' term 0 k must be an integer, got 2.5"),
+    # a region key is a label written one way, so no two keys name the
+    # same label
+    ("solve", lambda: dict(PROBLEM, mesh=INC_DISK, materials={"regions": {
+        "0": LIN["regions"]["0"], "1": {"type": "pei"},
+        " 01": {"type": "pec"}}}),
+     "region key ' 01' is not a plain decimal label"),
+    ("solve", lambda: dict(PROBLEM, materials={"regions": {
+        "0": LIN["regions"]["0"], "+1": {"type": "pei"}}}),
+     "region key '+1' is not a plain decimal label"),
+    ("avg-power", lambda: dict(PROBLEM, materials={"regions": {
+        "0": LIN["regions"]["0"], "1_0": {"type": "pei"}}}),
+     "region key '1_0' is not a plain decimal label"),
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH, background={"regions": {
+        "0": LIN["regions"]["0"], "01": {"type": "pei"}}}),
+     "background: region key '01' is not a plain decimal label"),
+    # steps a difference quotient cannot take
+    ("gateaux-check", lambda: dict(GATEAUX, eps_list=[0.1, 0.0]),
+     "eps_list must be a non-empty list of finite steps > 0, got [0.1, 0.0]"),
+    ("gateaux-check", lambda: dict(GATEAUX, eps_list=[]),
+     "eps_list must be a non-empty list of finite steps > 0, got []"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4, 0]},
+     "target_h must be positive, got 0.0"),
+    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
+        INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0], radius=0)])),
+     "inclusion label 1 needs a positive radius, got 0.0"),
 ]
 
 
-@pytest.mark.parametrize("command, make_cfg, message", CONFIG_PROBES,
-                         ids=[msg for _, _, msg in CONFIG_PROBES])
-def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
-                                     message):
+def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):
     errors = []
     for extra, out in ((["--check-only"], "check"), ([], "run")):
-        code, outdir = run(tmp_path, command, make_cfg(), *extra, out=out)
+        code, outdir = run(tmp_path, command, cfg, *extra, out=out)
         assert code == 2
         assert not outdir.exists()
         captured = capsys.readouterr()
@@ -717,6 +748,38 @@ def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
                        if ln.startswith("error:")])
     assert len(errors[0]) == 1 and errors[0] == errors[1]
     assert message in errors[0][0]
+
+
+@pytest.mark.parametrize("command, make_cfg, message", CONFIG_PROBES,
+                         ids=[msg for _, _, msg in CONFIG_PROBES])
+def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
+                                     message):
+    assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message)
+
+
+# A valid config of each subcommand; the Newton controls are fixed, so
+# each one refuses a solver section
+VALID_CONFIGS = {
+    "mesh-gen": PROBLEM,
+    "solve": PROBLEM,
+    "power": PROBLEM,
+    "avg-power": PROBLEM,
+    "monotonicity-suite": suite_cfg(pairs=[CONTRAST_PAIR]),
+    "gateaux-check": GATEAUX,
+    "convergence-study": {"p_values": [2.0], "target_h": [0.4]},
+    "mpm-image": mpm_cfg(truth=TRUTH),
+    "reproduce-wire": wire_cfg("pei"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_solver_section_is_refused(tmp_path, capsys, command):
+    cfg = VALID_CONFIGS[command]
+    assert run(tmp_path, command, cfg, "--check-only", out="base")[0] == 0
+    capsys.readouterr()
+    assert_fails_like_a_run(tmp_path, capsys, command,
+                            dict(cfg, solver={"max_iter": 20}),
+                            "unknown keys in config: ['solver']")
 
 
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2)])
@@ -735,21 +798,18 @@ FUZZ_BASES = {
             "0": {"type": "linear", "sigma": 1.0},
             "1": {"type": "ej", "Jc": 2.0, "E0": 1.0, "n": 3}}},
         "data": [RAMP, {"name": "xy", "terms": [
-            {"kind": "expr", "amplitude": 1.0, "expr": "x * y"}]}],
-        "solver": {"grad_rtol": 1e-8, "max_iter": 50,
-                   "reg_schedule": [10.0, 1.0]}},
+            {"kind": "expr", "amplitude": 1.0, "expr": "x * y"}]}]},
     "mpm-image": mpm_cfg(
         mesh={"kind": "disk", "radius": 1.0, "target_h": 0.4},
         grid={"nx": 2, "ny": 2}, data=[RAMP],
         truth={"cells": [0], "model": {"type": "pei"}}, contrast="pei",
-        noise_rel=0.01, seed=3, tol=0.05, solver={"max_iter": 20}),
+        noise_rel=0.01, seed=3, tol=0.05),
     "monotonicity-suite": {
         "mesh": dict(INC_DISK, target_h=0.4), "data": [RAMP, SIN2],
         "quad_order": 2, "compare": "avg_power", "resolutions": [0.45, 0.4],
         "pairs": [CONTRAST_PAIR],
         "chain": [{"name": "lo", "materials": CONTRAST_PAIR["lo"]},
-                  {"name": "hi", "materials": CONTRAST_PAIR["hi"]}],
-        "solver": {"max_iter": 20}},
+                  {"name": "hi", "materials": CONTRAST_PAIR["hi"]}]},
     "reproduce-wire": {
         "healthy": {"mesh": dict(INC_DISK, target_h=0.4), "materials": LIN2},
         "damaged": [
@@ -758,7 +818,18 @@ FUZZ_BASES = {
                 "1": {"type": "pei"}}}},
             {"name": "coarse", "materials": LIN2,
              "mesh": dict(INC_DISK, target_h=0.45)}],
-        "data": [RAMP, SIN2], "quad_order": 2, "solver": {"max_iter": 20}},
+        "data": [RAMP, SIN2], "quad_order": 2},
+    "gateaux-check": {
+        "mesh": dict(INC_DISK, target_h=0.4),
+        "materials": {"regions": {
+            "0": {"type": "power", "sigma_bar": 2.0, "E0": 1.0, "p": 4.0},
+            "1": {"type": "tabulated", "E": [0.0, 1.0, 2.0],
+                  "J": [0.0, 1.0, 3.0]}}},
+        "datum": RAMP, "direction": COS1, "eps_list": [1e-1, 1e-2]},
+    "convergence-study": {
+        "p_values": [2.0, 4.0], "target_h": [0.4, 0.3], "sigma_bar": 1.0,
+        "E0": 1.0, "r_inner": 0.5, "r_outer": 1.0, "u_inner": 0.0,
+        "u_outer": 1.0},
 }
 DELETE = object()
 
@@ -780,7 +851,8 @@ def mutated(draw, base):
     for key in path[:-1]:
         parent = parent[key]
     old = parent[path[-1]]
-    choices = [v for v in ("x", [], {}, None) if type(v) is not type(old)]
+    choices = [v for v in ("x", 0, [], {}, None)
+               if type(v) is not type(old) or v != old]
     if isinstance(parent, dict):
         choices.append(DELETE)
     new = draw(st.sampled_from(choices))

@@ -19,7 +19,7 @@ from condlab import solver
 from condlab.constitutive import PEC, PEI, EJPowerLaw, Linear, MaterialMap
 from condlab.mesh import DiskInclusion, boundary_mass, build_disk_mesh
 from condlab.oracle import dtn_pairing_via_lift, nodal_residual
-from condlab.solver import DatumTerm, Problem, SolveOptions, make_datum, solve
+from condlab.solver import DatumTerm, Problem, make_datum, solve
 
 
 def data_pair(mesh):
@@ -302,8 +302,7 @@ def sweep_reference(mesh, mats, f, phi):
     their weighted sum, and the pairing and energy at alpha = 1."""
     alphas, weights = gauss_on_unit(ORDER)
     problem = Problem(mesh, mats)
-    fields = _alpha_sweep(problem, f, np.concatenate([alphas, [1.0]]),
-                          SolveOptions())
+    fields = _alpha_sweep(problem, f, np.concatenate([alphas, [1.0]]))
     nodes = np.array([dtn_pairing(fld, phi) for fld in fields[:-1]])
     return (nodes, float(weights @ nodes),
             dtn_pairing(fields[-1], phi),

@@ -13,8 +13,7 @@ from condlab.constitutive import PEC, Linear, MaterialMap, PowerLaw
 from condlab.dtn import average_dtn_power
 from condlab.mesh import DiskInclusion, build_disk_mesh
 from condlab.oracle import nodal_residual
-from condlab.solver import (DatumTerm, Problem, SolveOptions, make_datum,
-                            solve)
+from condlab.solver import DatumTerm, Problem, make_datum, solve
 
 EXITS = {"tol", "floor"}
 
@@ -99,7 +98,7 @@ def test_newton_descends_in_the_ej_regime(mesh, terms, p, log_amp,
     # energy-decrease test with halving took up to 18
     mats = MaterialMap({0: power(sigma_bar, p), 1: Linear(sigma_inc)})
     datum = make_datum(mesh, terms, "f").scaled(10.0 ** log_amp)
-    info = solve(mesh, mats, datum, SolveOptions(collect_log=True)).info
+    info = solve(mesh, mats, datum).info
     assert info.exit_reason in EXITS
     # within a stage the energy never rises past the acceptance slack
     for a, b in zip(info.log, info.log[1:]):

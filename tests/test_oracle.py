@@ -14,7 +14,6 @@ from condlab.oracle import (
 from condlab.solver import (
     DatumTerm,
     Problem,
-    SolveOptions,
     make_datum,
     solve,
 )
@@ -137,7 +136,7 @@ def test_brute_force_agrees_with_newton_on_tiny_mesh():
     mesh = build_rect_mesh(1.0, 1.0, 0.34)
     materials = MaterialMap({0: PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0)})
     datum = make_datum(mesh, [DatumTerm("linear-x", 1.0)], "ramp")
-    ref = solve(mesh, materials, datum, SolveOptions())
+    ref = solve(mesh, materials, datum)
     bf = brute_force_min(mesh, materials, datum, seed=0)
     e_newton = Problem(mesh, materials).energy(ref.u)
     assert abs(bf.energy - e_newton) <= 1e-6 * abs(e_newton)

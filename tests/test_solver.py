@@ -36,7 +36,6 @@ from condlab.solver import (
     DatumTerm,
     Problem,
     SolveError,
-    SolveOptions,
     _slope_root,
     boundary_data_continuity_study,
     datum_family,
@@ -150,14 +149,14 @@ def test_linear_solve_exits_on_tolerance(disk, linear_unit, caplog):
     assert len(lines) == 1 and "exit tol" in lines[0]
 
 
-def ej_sin2_solve(amplitude, opts=SolveOptions(), n=10.0):
+def ej_sin2_solve(amplitude, n=10.0):
     # an E-J law (p = 1 + 1/n) driven by a sin 2 theta trace; a small
     # trace sinks the energy decrease below float resolution near the
     # minimizer
     mesh = build_disk_mesh(1.0, 0.3)
     mats = MaterialMap({0: EJPowerLaw(1.0, 1.0, n)})
     datum = make_datum(mesh, [DatumTerm("sin", amplitude, k=2)], "small")
-    return solve(mesh, mats, datum, opts)
+    return solve(mesh, mats, datum)
 
 
 def test_small_trace_solve_exits_on_tolerance():
@@ -168,33 +167,37 @@ def test_small_trace_solve_exits_on_tolerance():
     assert fld.info.grad_norm <= fld.info.grad_tol
 
 
-def test_solve_below_resolution_exits_at_roundoff_floor():
-    fld = ej_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16))
+def test_solve_below_resolution_exits_at_roundoff_floor(monkeypatch):
+    monkeypatch.setattr(solver, "_GRAD_RTOL", 1e-16)
+    fld = ej_sin2_solve(1e-4)
     assert fld.info.exit_reason == "floor"
     assert fld.info.n_iter > 0
     assert fld.info.grad_tol < fld.info.grad_norm <= 32.0 * \
         fld.info.grad_floor
 
 
-def test_float_resolution_solve_exits_on_tolerance():
+def test_float_resolution_solve_exits_on_tolerance(monkeypatch):
     # energy decreases sink below float resolution here; the slope root
     # is still accepted, so the exact steps go on down to the tolerance
     # (measured: 18 steps, 41 evaluations)
-    info = ej_sin2_solve(1e-3, SolveOptions(grad_rtol=1e-16)).info
+    monkeypatch.setattr(solver, "_GRAD_RTOL", 1e-16)
+    info = ej_sin2_solve(1e-3).info
     assert info.exit_reason == "tol"
     assert 0 < info.n_iter <= 25
     assert info.line_search_evals <= 3 * info.n_iter
     assert info.grad_norm <= info.grad_tol
 
 
-def test_spent_budget_is_bounded_by_the_roundoff_floor():
+def test_spent_budget_is_bounded_by_the_roundoff_floor(monkeypatch):
     # a stage that runs out of steps is accepted only within the
     # round-off floor; a floor factor that no longer covers the final
     # gradient refuses it
+    monkeypatch.setattr(solver, "_GRAD_RTOL", 1e-16)
+    monkeypatch.setattr(solver, "_FLOOR_FACTOR", 0.01)
+    monkeypatch.setattr(solver, "_MAX_ITER", 30)
     with pytest.raises(SolveError,
                        match=r"did not converge \(iteration budget spent\)"):
-        ej_sin2_solve(1e-4, SolveOptions(grad_rtol=1e-16,
-                                         floor_factor=0.01, max_iter=30))
+        ej_sin2_solve(1e-4)
 
 
 def test_flat_ej_solve_takes_exact_steps():
@@ -294,24 +297,6 @@ def test_bad_initial_guess_shape_rejected(disk, linear_unit):
     with pytest.raises(SolveError, match="initial guess"):
         solve(disk, linear_unit, ramp(disk),
               initial_guess=np.zeros(3))
-
-
-def test_bad_reg_schedule_rejected(disk, power4):
-    with pytest.raises(SolveError, match="reg_schedule"):
-        solve(disk, power4, ramp(disk),
-              opts=SolveOptions(reg_schedule=(10.0,)))
-
-
-@pytest.mark.parametrize("bad", [
-    {"reg_schedule": ()}, {"reg_schedule": (10.0, 0.0, 1.0)},
-    {"max_iter": "x"}, {"max_iter": 0}, {"max_iter": 2.5},
-    {"max_iter": True}, {"reg_schedule": ("x", 1.0)}, {"grad_rtol": 0.0},
-    {"grad_rtol": "1e-8"}, {"floor_factor": -1.0},
-    {"grad_rtol": float("nan")}, {"floor_factor": False}])
-def test_solve_options_check_themselves(bad):
-    (name,) = bad
-    with pytest.raises(SolveError, match=name):
-        SolveOptions(**bad)
 
 
 def test_problem_for_another_material_map_rejected(disk, linear_unit,
@@ -635,12 +620,10 @@ def test_non_positive_definite_hessian_takes_the_gradient_fallback(
     mesh, mats = band_case("p4")
     problem = Problem(mesh, mats)
     datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
-    opts = SolveOptions(collect_log=True)
     # warm-started, so the first factorization is the first Newton step's
     start = solve(mesh, MaterialMap({0: Linear(1.0), 1: Linear(1.0)}),
                   datum).u
-    ref = solve(mesh, mats, datum, opts, initial_guess=start,
-                problem=problem)
+    ref = solve(mesh, mats, datum, initial_guess=start, problem=problem)
     cholesky = solver.cholesky_banded
     calls = []
 
@@ -652,7 +635,7 @@ def test_non_positive_definite_hessian_takes_the_gradient_fallback(
         return cholesky(ab, **kw)
 
     monkeypatch.setattr(solver, "cholesky_banded", non_positive_once)
-    info = solve(mesh, mats, datum, opts, initial_guess=start,
+    info = solve(mesh, mats, datum, initial_guess=start,
                  problem=problem).info
     assert info.linsolve_failures == 1
     assert ref.info.linsolve_failures == 0

@@ -485,6 +485,10 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
     r_out = float(cfg.get("r_outer", 1.0))
     u_in = float(cfg.get("u_inner", 0.0))
     u_out = float(cfg.get("u_outer", 1.0))
+    if u_in == u_out:
+        # the exact energy is 0, so no relative error is defined
+        raise ConfigError(f"u_inner and u_outer must differ, both are "
+                          f"{u_in!r}")
     hs = [float(h) for h in cfg["target_h"]]
     laws = []
     for p in cfg["p_values"]:
@@ -533,6 +537,11 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     grid = build_cell_grid(mesh, _int(cfg["grid"]["nx"], "grid.nx"),
                            _int(cfg["grid"]["ny"], "grid.ny"))
     data = data_from_spec(mesh, cfg["data"])
+    for datum in data:
+        if datum.amplitude == 0.0:
+            # its measured power is 0, so no relative margin is defined
+            raise ConfigError(f"datum {datum.name!r} is zero on the "
+                              f"boundary")
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
     order = _quad_order(cfg, args, 8)
@@ -649,6 +658,11 @@ _COMMANDS = {
 }
 
 
+# the subcommands that read --quad-order; only mpm-image reads --seed
+_QUAD_ORDER_COMMANDS = ("avg-power", "monotonicity-suite", "mpm-image",
+                        "reproduce-wire")
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(
         prog="condlab",
@@ -656,6 +670,8 @@ def parse_args(argv=None):
                     "monotonicity suites and inclusion scans for "
                     "piecewise nonlinear conductors.")
     ap.add_argument("--version", action="version", version=__version__)
+    # a subcommand without the flag reads the config value
+    ap.set_defaults(seed=None, quad_order=0)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
@@ -663,11 +679,13 @@ def parse_args(argv=None):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=0,
                        help="parallel workers (0 = all cores)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--quad-order", type=int, default=0,
-                       dest="quad_order",
-                       help="override the config quadrature order")
+        if name == "mpm-image":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
+        if name in _QUAD_ORDER_COMMANDS:
+            p.add_argument("--quad-order", type=int, default=0,
+                           dest="quad_order",
+                           help="override the config quadrature order")
         p.add_argument("--check-only", action="store_true",
                        help="read and check the whole config, then stop "
                             "without writing anything")

@@ -7,6 +7,8 @@ with derived quantities used by the solver:
     energy_density(E) = integral_0^E flux     (convex potential)
     dflux(E)          = d flux / dE           (Newton linearization)
 
+One kernel, ``PowerLaw``, covers the ohmic, power and E-J laws:
+``Linear`` (p = 2) and ``EJPowerLaw`` (p = (n + 1) / n) construct it.
 Power-type laws are regularized below a floor ``reg_eps`` by freezing sigma
 at sigma(reg_eps), which splices a quadratic energy density below the floor
 with a C^1 match.  ``energy_density`` is the exact integral of the
@@ -36,45 +38,6 @@ def default_e_grid(e_scale: float, decades_down: float = 3.0,
                    decades_up: float = 3.0, n: int = 61) -> np.ndarray:
     """Log-spaced field-magnitude grid around a characteristic scale."""
     return e_scale * np.logspace(-decades_down, decades_up, n)
-
-
-@dataclass(frozen=True)
-class Linear:
-    """Ohmic law sigma(E) = sigma."""
-
-    sigma_const: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_const <= 0:
-            raise ConstitutiveError("linear conductivity must be positive")
-
-    kind = "linear"
-    is_structural = False
-
-    @property
-    def effective_p(self) -> float:
-        return 2.0
-
-    def sigma(self, e):
-        return np.full(np.shape(e), self.sigma_const) \
-            if np.ndim(e) else self.sigma_const
-
-    sigma_raw = sigma
-
-    def flux(self, e):
-        return self.sigma_const * np.asarray(e, dtype=float) \
-            if np.ndim(e) else self.sigma_const * e
-
-    flux_raw = flux
-
-    def dflux(self, e):
-        return self.sigma(e)
-
-    def energy_density(self, e):
-        e = np.asarray(e, dtype=float) if np.ndim(e) else e
-        return 0.5 * self.sigma_const * e * e
-
-    energy_density_raw = energy_density
 
 
 @dataclass(frozen=True)
@@ -160,6 +123,14 @@ class PowerLaw:
                        self.energy_density_raw(np.maximum(e, self.reg_eps))
                        + shift)
         return out if out.ndim else float(out)
+
+
+def Linear(sigma: float) -> PowerLaw:
+    """Ohmic law sigma(E) = sigma: the p = 2 power law
+    ``PowerLaw(sigma_bar=sigma, e0=1, p=2)``, whose floor changes nothing."""
+    if sigma <= 0:
+        raise ConstitutiveError("linear conductivity must be positive")
+    return PowerLaw(sigma_bar=sigma, e0=1.0, p=2.0)
 
 
 def EJPowerLaw(jc: float, e0: float, n: float,
@@ -361,8 +332,9 @@ class MaterialMap:
 
 def scale_reg_eps(model, factor: float):
     """``model`` with its regularization floor multiplied by ``factor``;
-    laws without a floor and structural markers come back unchanged."""
-    if hasattr(model, "reg_eps") and not model.is_structural:
+    p = 2 laws (a floor leaves their constant sigma as it is), laws
+    without a floor and structural markers come back unchanged."""
+    if getattr(model, "p", 2.0) != 2.0:
         return model.with_reg_eps(model.reg_eps * factor)
     return model
 

@@ -21,7 +21,7 @@ mismatch is reported as ``transfer_residual``.  Gauss-Legendre nodes on
 solution scaled by the node ratio.
 
 When every finite region of the map is linear (``MaterialMap.is_linear``:
-linear and p = 2 power laws, PEI and PEC), the solution is homogeneous of
+p = 2 power laws, which ``Linear`` builds, PEI and PEC), the solution is homogeneous of
 degree one in the datum, u^(alpha f) = alpha u^f, so every node's pairing
 is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
 once, at alpha = 1, instead of once per node (the homogeneity path).  The

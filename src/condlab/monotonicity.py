@@ -58,9 +58,9 @@ def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
 
     Structural markers are ranked PEI <= finite <= PEC; finite laws are
     compared by their ideal (unfloored) conductivities at every point of
-    ``default_e_grid`` around the first law scale ``e0`` found (else 1),
-    within a relative slack of 1e-12.  Returns the first offending
-    (label, E) as witness.
+    ``default_e_grid`` around the scale ``e0`` of the first law with
+    p != 2 found (else 1), within a relative slack of 1e-12.  Returns the
+    first offending (label, E) as witness.
     """
     labels = sorted(set(lo.models) | set(hi.models))
     notes: list[str] = []
@@ -75,7 +75,9 @@ def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
             continue  # ranked below / above everything
         if ra == "pec" or rb == "pei":
             return PointwiseCertificate(False, lab, None, tuple(notes))
-        scale = getattr(a, "e0", None) or getattr(b, "e0", None) or 1.0
+        # a p = 2 law's sigma is constant, so its e0 carries no field scale
+        scale = next((m.e0 for m in (a, b)
+                      if getattr(m, "p", 2.0) != 2.0), 1.0)
         g = default_e_grid(scale)
         sa = np.asarray(a.sigma_raw(g), dtype=float)
         sb = np.asarray(b.sigma_raw(g), dtype=float)

@@ -21,12 +21,12 @@ mesh arrays, the active triangles grouped by distinct model (equal laws
 under different labels are evaluated in one call), and, on first use, the
 boundary mass, the unit element stiffness matrices and the ``Band``: a
 reverse Cuthill-McKee order of the free unknowns and, for every element
-matrix entry, its slot in LAPACK lower band storage.  On a linear map the
-banded Cholesky factor of the unit stiffness is kept too, so there the
-harmonic start of every solve on the pair is one back-substitution against
-a factor computed once per ``Problem``.  A ``Problem`` holds no per-datum
-state.  ``solve`` accepts one so that every solve on the same pair shares
-it, and builds its own when none is given.  The solved ``PotentialField``
+matrix entry, its slot in LAPACK lower band storage.  The banded Cholesky
+factor of the unit stiffness is kept too, so the harmonic start of every
+solve on the pair is one back-substitution against a factor computed once
+per ``Problem``.  A ``Problem`` holds no per-datum state.  ``solve``
+accepts one so that every solve on the same pair shares it, and builds
+its own when none is given.  The solved ``PotentialField``
 keeps the ``Problem`` it was solved on and the nodal residual of its last
 Newton point; the pairings in ``dtn`` read that residual, and the
 per-triangle E, J and energy density maps come from one element pass on
@@ -324,7 +324,13 @@ class Problem:
     def unit_factor(self) -> np.ndarray:
         """Banded Cholesky factor of the reduced unit stiffness, built on
         first use and kept."""
-        return _unit_cholesky(self)
+        band = self.band
+        try:
+            return band.factor(band.assemble(self.unit_elements))
+        except LinAlgError:  # a zero pivot: the unit stiffness is singular
+            raise SolveError("harmonic start: the unit stiffness is singular "
+                             "(conducting nodes without a path to the "
+                             "boundary)") from None
 
     def with_reg_eps_scale(self, factor: float) -> "Problem":
         """The same structure with every law's floor scaled by ``factor``
@@ -507,34 +513,19 @@ class Band:
         return x
 
 
-def _unit_cholesky(problem: Problem) -> np.ndarray:
-    band = problem.band
-    try:
-        return band.factor(band.assemble(problem.unit_elements))
-    except LinAlgError:  # a zero pivot: the unit stiffness is singular
-        raise SolveError("harmonic start: the unit stiffness is singular "
-                         "(conducting nodes without a path to the "
-                         "boundary)") from None
-
-
 def harmonic_initial_guess(problem: Problem,
                            u_fix: np.ndarray) -> np.ndarray:
     """Discrete harmonic extension (unit conductivity) of the trace,
     respecting the PEC/PEI unknown structure; used as the Newton start.
-
-    On a linear map the back-solve uses the problem's kept
-    ``unit_factor``: there every solve starts from this extension, and
-    on a unit background ends at it.  A nonlinear map factorizes for the
-    call, so the factor does not stay in memory through the Newton
-    factorizations that follow; its start is a small part of its solve.
+    The back-solve uses the problem's ``unit_factor``, so every cold start
+    on one ``Problem`` shares one factorization.
     """
     if problem.n_free == 0:
         return np.zeros(0)
-    factor = problem.unit_factor if problem.materials.is_linear \
-        else _unit_cholesky(problem)
     flux = np.einsum("mij,mj->mi", problem.unit_elements,
                      u_fix[problem.triangles])
-    return problem.band.solve(factor, -problem.reduce(problem.assemble(flux)))
+    return problem.band.solve(problem.unit_factor,
+                              -problem.reduce(problem.assemble(flux)))
 
 
 # ---------------------------------------------------------------------------

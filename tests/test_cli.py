@@ -733,6 +733,17 @@ CONFIG_PROBES = [
     ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
         INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0], radius=0)])),
      "inclusion label 1 needs a positive radius, got 0.0"),
+    # data whose reference value is 0, so no relative margin or error is
+    # defined
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH, data=[RAMP, {
+        "name": "zero", "terms": [{"kind": "linear-x", "amplitude": 0}]}]),
+     "datum 'zero' is zero on the boundary"),
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH, data=[{"name": "none",
+                                                      "terms": []}]),
+     "datum 'none' is zero on the boundary"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4],
+                                   "u_inner": 1.0, "u_outer": 1.0},
+     "u_inner and u_outer must differ, both are 1.0"),
 ]
 
 
@@ -780,6 +791,26 @@ def test_solver_section_is_refused(tmp_path, capsys, command):
     assert_fails_like_a_run(tmp_path, capsys, command,
                             dict(cfg, solver={"max_iter": 20}),
                             "unknown keys in config: ['solver']")
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
+                                                       command):
+    cfg = VALID_CONFIGS[command]
+    reads = {"--seed": command == "mpm-image",
+             "--quad-order": command in ("avg-power", "monotonicity-suite",
+                                         "mpm-image", "reproduce-wire"),
+             "--workers": True}
+    for flag, read in reads.items():
+        args = (flag, "3", "--check-only")
+        if read:
+            assert run(tmp_path, command, cfg, *args)[0] == 0
+            continue
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, cfg, *args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2, -2)])

@@ -48,8 +48,10 @@ def test_linear_basics():
 
 
 def test_linear_rejects_nonpositive_sigma():
-    with pytest.raises(ConstitutiveError):
-        Linear(0.0)
+    for sigma in (0, 0.0, -1.0):
+        with pytest.raises(ConstitutiveError,
+                           match="linear conductivity must be positive"):
+            Linear(sigma)
 
 
 def test_power_law_energy_spot_value():
@@ -71,11 +73,13 @@ def test_flux_vanishes_at_zero():
 
 
 def test_power_law_p2_matches_linear():
+    # one kernel: the linear law is the p = 2 power law
+    assert Linear(2.0) == PowerLaw(2.0, 1.0, 2.0)
+    assert Linear(2.0) != Linear(3.0)
     m = PowerLaw(sigma_bar=4.0, e0=1.0, p=2.0)
-    lin = Linear(4.0)
     for e in (0.3, 1.0, 7.5):
-        assert abs(m.sigma(e) - lin.sigma(e)) < 1e-14
-        assert abs(m.energy_density(e) - lin.energy_density(e)) < 1e-12
+        assert m.sigma(e) == 4.0
+        assert m.energy_density(e) == pytest.approx(2.0 * e * e, rel=1e-15)
 
 
 def test_power_law_parameter_validation():
@@ -336,7 +340,8 @@ def test_material_map_reg_eps_scaling():
     mm = MaterialMap({0: Linear(1.0), 1: PowerLaw(1.0, 1.0, 4.0), 2: PEC()})
     scaled = mm.with_reg_eps_scale(10.0)
     assert scaled.model_for(1).reg_eps == 10.0 * REG_EPS_FACTOR
-    assert scaled.model_for(0) == Linear(1.0)
+    # a floor leaves a constant sigma as it is, so the p = 2 law is kept
+    assert scaled.model_for(0) is mm.model_for(0)
     assert scaled.model_for(2) == PEC()
 
 

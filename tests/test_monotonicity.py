@@ -6,6 +6,7 @@ import pytest
 from condlab.constitutive import (
     PEC,
     PEI,
+    EJPowerLaw,
     Linear,
     MaterialMap,
     PowerLaw,
@@ -94,6 +95,17 @@ def test_mixed_regime_pairs_carry_a_note():
     cert = pointwise_leq(fin, pec)
     assert cert.ok
     assert any("beyond stated hypotheses" in n for n in cert.notes)
+
+
+def test_linear_law_leaves_the_certificate_grid_at_the_other_scale():
+    # a p = 2 law has no field scale, so the grid centres on the E-J law's
+    # e0 = 1e-4, where 1e9 < sigma; centred on 1 it would find E > 10
+    # with sigma below 1e9
+    lo = MaterialMap({0: Linear(1e9)})
+    hi = MaterialMap({0: EJPowerLaw(8e9, 1e-4, 27)})
+    assert pointwise_leq(lo, hi).ok
+    cert = pointwise_leq(hi, lo)
+    assert not cert.ok and cert.witness_e < 1e-4
 
 
 def test_certificate_is_transitive_on_a_chain():

@@ -698,15 +698,35 @@ def test_continuation_stages_are_built_once_per_problem(disk, power4,
     assert problem.with_reg_eps_scale(10.0) is stage
 
 
-def test_nonlinear_map_keeps_no_harmonic_factor(disk, power4):
-    # the start is a small part of a nonlinear solve; a kept factor would
-    # only sit in memory through the Newton factorizations
+def test_linear_and_p2_power_law_share_one_group():
+    mesh = build_disk_mesh(1.0, 0.3,
+                           inclusions=[DiskInclusion((0.3, 0.0), 0.3, 1)])
+    mats = MaterialMap({0: Linear(2.0), 1: PowerLaw(2.0, 1.0, 2.0)})
+    problem = Problem(mesh, mats)
+    assert len(problem.groups) == 1
+    assert len(problem.groups[0][1]) == len(problem.active_tris)
+
+
+def test_nonlinear_problem_factors_its_harmonic_start_once(disk, power4,
+                                                          monkeypatch):
+    # every cold start on a Problem, linear or not, back-solves against
+    # the one kept factor of the unit stiffness
     problem = Problem(disk, power4)
-    solve(disk, power4, ramp(disk), problem=problem)
-    assert "unit_factor" not in vars(problem)
-    linear = MaterialMap({0: Linear(3.0)})
-    problem = Problem(disk, linear)
-    solve(disk, linear, ramp(disk), problem=problem)
+    unit_assemblies = []
+    assemble = solver.Band.assemble
+
+    def spy(band, elem):
+        if elem is problem.unit_elements:
+            unit_assemblies.append(elem)
+        return assemble(band, elem)
+
+    monkeypatch.setattr(solver.Band, "assemble", spy)
+    data = [make_datum(disk, [DatumTerm(kind, 1.0, k=k)], f"{kind}{k}")
+            for kind, k in (("sin", 2), ("cos", 2), ("sin", 3))]
+    for datum in data:
+        fld = solve(disk, power4, datum, problem=problem)
+        assert fld.info.n_iter > 0
+    assert len(unit_assemblies) == 1
     assert "unit_factor" in vars(problem)
 
 

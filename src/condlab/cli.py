@@ -71,6 +71,18 @@ def _int(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def _float(value, where: str) -> float:
+    """A finite real config value.  Bools, strings, NaN and infinities are
+    refused, not coerced, by a ValueError: the read reports it as a bad
+    config value (exit 2)."""
+    # NaN compares false, so this refuses it along with the infinities
+    # and integers beyond the float range
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{where} must be a finite number, got {value!r}")
+
+
 def _unique(names, what: str, key: Callable = str) -> None:
     """Refuse two ``names`` that are equal or share ``key``, the name of
     the file or row each one writes."""
@@ -115,7 +127,8 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
                 _check_keys(inc, f"inclusion {k}",
                             {"center", "radius", "label"}, {"shape"})
                 incs.append(DiskInclusion(tuple(inc["center"]),
-                                          float(inc["radius"]),
+                                          _float(inc["radius"],
+                                                 f"inclusion {k} radius"),
                                           _int(inc["label"],
                                                f"inclusion {k} label")))
             elif shape == "polygon":
@@ -126,19 +139,21 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
                     _int(inc["label"], f"inclusion {k} label")))
             else:
                 raise ConfigError(f"inclusion {k}: unknown shape {shape!r}")
-        return build_disk_mesh(float(spec["radius"]), float(spec["target_h"]),
+        return build_disk_mesh(_float(spec["radius"], "mesh radius"),
+                               _float(spec["target_h"], "mesh target_h"),
                                incs, tuple(spec.get("center", (0.0, 0.0))))
     if kind == "annulus":
         _check_keys(spec, "mesh(annulus)",
                     {"r_inner", "r_outer", "target_h"}, {"kind"})
-        return build_annulus_mesh(float(spec["r_inner"]),
-                                  float(spec["r_outer"]),
-                                  float(spec["target_h"]))
+        return build_annulus_mesh(_float(spec["r_inner"], "mesh r_inner"),
+                                  _float(spec["r_outer"], "mesh r_outer"),
+                                  _float(spec["target_h"], "mesh target_h"))
     if kind == "rect":
         _check_keys(spec, "mesh(rect)", {"width", "height", "target_h"},
                     {"kind", "layer_split", "layer_label"})
-        return build_rect_mesh(float(spec["width"]), float(spec["height"]),
-                               float(spec["target_h"]),
+        return build_rect_mesh(_float(spec["width"], "mesh width"),
+                               _float(spec["height"], "mesh height"),
+                               _float(spec["target_h"], "mesh target_h"),
                                spec.get("layer_split"),
                                _int(spec.get("layer_label", 1),
                                     "mesh layer_label"))
@@ -150,20 +165,24 @@ def _model_from_spec(spec: dict, where: str):
     t = _object(spec, where).get("type")
     if t == "linear":
         _check_keys(spec, where, {"type", "sigma"})
-        return Linear(float(spec["sigma"]))
+        return Linear(_float(spec["sigma"], f"{where} sigma"))
     if t == "ej":
         _check_keys(spec, where, {"type", "Jc", "E0", "n"})
-        return EJPowerLaw(float(spec["Jc"]), float(spec["E0"]),
-                          float(spec["n"]))
+        return EJPowerLaw(_float(spec["Jc"], f"{where} Jc"),
+                          _float(spec["E0"], f"{where} E0"),
+                          _float(spec["n"], f"{where} n"))
     if t == "power":
         _check_keys(spec, where, {"type", "sigma_bar", "E0", "p"})
-        return PowerLaw(float(spec["sigma_bar"]), float(spec["E0"]),
-                        float(spec["p"]))
+        return PowerLaw(_float(spec["sigma_bar"], f"{where} sigma_bar"),
+                        _float(spec["E0"], f"{where} E0"),
+                        _float(spec["p"], f"{where} p"))
     if t == "tabulated":
         _check_keys(spec, where, {"type", "E", "J"})
         # tuples keep the law hashable, so a Problem can group by it
-        return Tabulated(tuple(float(v) for v in spec["E"]),
-                         tuple(float(v) for v in spec["J"]))
+        return Tabulated(tuple(_float(v, f"{where} E entry")
+                               for v in spec["E"]),
+                         tuple(_float(v, f"{where} J entry")
+                               for v in spec["J"]))
     if t in ("pec", "pei"):
         _check_keys(spec, where, {"type"})
         return PEC() if t == "pec" else PEI()
@@ -195,7 +214,8 @@ def datum_from_spec(mesh: Mesh, spec: dict, bmass=None) -> BoundaryDatum:
     for k, t in enumerate(spec["terms"]):
         where = f"datum {spec['name']!r} term {k}"
         _check_keys(t, where, {"kind", "amplitude"}, {"k", "expr"})
-        terms.append(DatumTerm(t["kind"], float(t["amplitude"]),
+        terms.append(DatumTerm(t["kind"],
+                               _float(t["amplitude"], f"{where} amplitude"),
                                _int(t.get("k", 1), f"{where} k"),
                                t.get("expr")))
     try:
@@ -379,11 +399,12 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     maps = [m for *_, lo, hi in pairs for m in (lo, hi)]
     maps += [m for _, m in chain]
 
-    resolutions = cfg.get("resolutions")
-    mesh_specs = ([(f"_h{h:g}", dict(cfg["mesh"], target_h=float(h)))
+    resolutions = [_float(h, "resolutions entry")
+                   for h in cfg.get("resolutions") or []]
+    mesh_specs = ([(f"_h{h:g}", dict(cfg["mesh"], target_h=h))
                    for h in resolutions] if resolutions
                   else [("", cfg["mesh"])])
-    _unique(resolutions or [], "resolution", lambda h: f"_h{h:g}")
+    _unique(resolutions, "resolution", lambda h: f"_h{h:g}")
     meshes = []
     for suffix, mesh_spec in mesh_specs:
         mesh = mesh_from_spec(mesh_spec, args.base_dir)
@@ -450,8 +471,9 @@ def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
     bm = boundary_mass(mesh)
     f = datum_from_spec(mesh, cfg["datum"], bm)
     phi = datum_from_spec(mesh, cfg["direction"], bm)
-    eps = [float(e) for e in cfg.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))]
-    if not eps or not all(0.0 < e < np.inf for e in eps):
+    eps = [_float(e, "eps_list entry")
+           for e in cfg.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))]
+    if not eps or not all(e > 0.0 for e in eps):
         raise ConfigError(f"eps_list must be a non-empty list of finite "
                           f"steps > 0, got {eps!r}")
 
@@ -479,20 +501,20 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
     _check_keys(cfg, "config", {"p_values", "target_h"},
                 {"sigma_bar", "E0", "r_inner", "r_outer", "u_inner",
                  "u_outer"})
-    sigma_bar = float(cfg.get("sigma_bar", 1.0))
-    e0 = float(cfg.get("E0", 1.0))
-    r_in = float(cfg.get("r_inner", 0.5))
-    r_out = float(cfg.get("r_outer", 1.0))
-    u_in = float(cfg.get("u_inner", 0.0))
-    u_out = float(cfg.get("u_outer", 1.0))
+    sigma_bar = _float(cfg.get("sigma_bar", 1.0), "sigma_bar")
+    e0 = _float(cfg.get("E0", 1.0), "E0")
+    r_in = _float(cfg.get("r_inner", 0.5), "r_inner")
+    r_out = _float(cfg.get("r_outer", 1.0), "r_outer")
+    u_in = _float(cfg.get("u_inner", 0.0), "u_inner")
+    u_out = _float(cfg.get("u_outer", 1.0), "u_outer")
     if u_in == u_out:
         # the exact energy is 0, so no relative error is defined
         raise ConfigError(f"u_inner and u_outer must differ, both are "
                           f"{u_in!r}")
-    hs = [float(h) for h in cfg["target_h"]]
+    hs = [_float(h, "target_h entry") for h in cfg["target_h"]]
     laws = []
     for p in cfg["p_values"]:
-        p = float(p)
+        p = _float(p, "p_values entry")
         # the law checks its parameters before the oracle integrates it
         mats = MaterialMap({0: PowerLaw(sigma_bar, e0, p)})
         laws.append((p, annulus_radial_solution(p, sigma_bar, e0, r_in,
@@ -545,10 +567,10 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
     order = _quad_order(cfg, args, 8)
-    noise_rel = float(cfg.get("noise_rel", 0.0))
+    noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
     seed = (args.seed if args.seed is not None
             else _int(cfg.get("seed", 0), "seed"))
-    tol = float(cfg["tol"]) if "tol" in cfg else None
+    tol = _float(cfg["tol"], "tol") if "tol" in cfg else None
     workers = args.workers or (os.cpu_count() or 1)
 
     truth = cfg["truth"]

@@ -34,10 +34,10 @@ class ConstitutiveError(Exception):
     """Raised for invalid law parameters or misuse of structural markers."""
 
 
-def default_e_grid(e_scale: float, decades_down: float = 3.0,
-                   decades_up: float = 3.0, n: int = 61) -> np.ndarray:
-    """Log-spaced field-magnitude grid around a characteristic scale."""
-    return e_scale * np.logspace(-decades_down, decades_up, n)
+def default_e_grid(e_scale: float, n: int = 61) -> np.ndarray:
+    """Log-spaced field-magnitude grid, three decades either side of a
+    characteristic scale."""
+    return e_scale * np.logspace(-3.0, 3.0, n)
 
 
 @dataclass(frozen=True)
@@ -324,10 +324,6 @@ class MaterialMap:
         new = dict(self.models)
         new[label] = model
         return MaterialMap(new)
-
-    def with_reg_eps_scale(self, factor: float) -> "MaterialMap":
-        return MaterialMap({lab: scale_reg_eps(m, factor)
-                            for lab, m in self.models.items()})
 
 
 def scale_reg_eps(model, factor: float):

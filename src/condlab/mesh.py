@@ -448,9 +448,10 @@ def build_disk_mesh(radius: float, target_h: float,
     return _built("disk", mesh)
 
 
-def build_annulus_mesh(r_inner: float, r_outer: float, target_h: float,
-                       center: tuple[float, float] = (0.0, 0.0)) -> Mesh:
-    """Structured annulus mesh with two boundary loops, all label 0.
+def build_annulus_mesh(r_inner: float, r_outer: float,
+                       target_h: float) -> Mesh:
+    """Structured annulus mesh about the origin with two boundary loops,
+    all label 0.
 
     Every ring carries the same node count, so the triangulation is a
     regular stitch of quads split into two triangles each.
@@ -463,7 +464,8 @@ def build_annulus_mesh(r_inner: float, r_outer: float, target_h: float,
     n_th = max(8, int(round(2.0 * np.pi * r_mid / target_h)))
     n_r = max(2, int(round((r_outer - r_inner) / target_h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
-    rings = [_ring_points(center, r, n_th, stagger=False) for r in radii]
+    rings = [_ring_points((0.0, 0.0), r, n_th, stagger=False)
+             for r in radii]
     points = np.concatenate(rings)
     tris = []
     for k in range(n_r):

@@ -170,7 +170,8 @@ def _color(v: float) -> str:
     return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
 
 
-def _svg_open(mesh: Mesh, width: int = 640) -> tuple[list[str], float]:
+def _svg_open(mesh: Mesh) -> tuple[list[str], float]:
+    width = 640  # pixels
     xmin, ymin = mesh.nodes.min(axis=0)
     xmax, ymax = mesh.nodes.max(axis=0)
     pad = 0.03 * max(xmax - xmin, ymax - ymin)
@@ -189,14 +190,12 @@ def _tri_points(mesh: Mesh, t: int, ytop: float) -> str:
     return " ".join(f"{p[0]:.9g},{ytop - p[1]:.9g}" for p in pts)
 
 
-def write_tri_svg(path: str, mesh: Mesh, values: np.ndarray,
-                  vmin: float | None = None,
-                  vmax: float | None = None) -> None:
-    """Linear color map of one value per triangle."""
+def write_tri_svg(path: str, mesh: Mesh, values: np.ndarray) -> None:
+    """Linear color map of one value per triangle, spanning the finite
+    values."""
     vals = np.asarray(values, dtype=float)
     finite = vals[np.isfinite(vals)]
-    lo = float(finite.min()) if vmin is None else vmin
-    hi = float(finite.max()) if vmax is None else vmax
+    lo, hi = float(finite.min()), float(finite.max())
     span = hi - lo if hi > lo else 1.0
     lines, ytop = _svg_open(mesh)
     for t in range(mesh.n_triangles):

@@ -30,9 +30,9 @@ its own when none is given.  The solved ``PotentialField``
 keeps the ``Problem`` it was solved on and the nodal residual of its last
 Newton point; the pairings in ``dtn`` read that residual, and the
 per-triangle E, J and energy density maps come from one element pass on
-the field's ``Problem``.  Continuation stages reuse the structure and
-only swap each group's law for its rescaled-floor version; each stage is
-built once per ``Problem`` and kept.
+the field's ``Problem``.  ``Problem.stages`` reuse the structure and
+only swap each group's law for its rescaled-floor version (none without a
+floored law); each stage is built once per ``Problem`` and kept.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -55,9 +55,9 @@ the slope shrank a hundredfold and the energy rose by at most 1e-10 of
 its size, a slack above the float resolution where flat (E-J) energies
 stop decreasing near the minimizer.  Power-law floors follow a
 warm-started continuation schedule that shrinks reg_eps tenfold per
-stage.  Each solve reports how it stopped (``tol`` or ``floor``) and logs
-that reason with its counters at debug level; every accepted exit has
-its gradient within the tolerance or the round-off floor.
+stage.  The last stage's exit, ``tol`` or ``floor``, is the solve's and
+is logged with its counters at debug level; every accepted exit has its
+gradient within the tolerance or the round-off floor.
 """
 from __future__ import annotations
 
@@ -197,13 +197,19 @@ def _term_values(term: DatumTerm, xy: np.ndarray) -> np.ndarray:
 
 def make_datum(mesh: Mesh, terms: Sequence[DatumTerm], name: str,
                bmass: BoundaryMass | None = None) -> BoundaryDatum:
-    """Evaluate terms at the boundary nodes and project to zero mean."""
+    """Evaluate terms at the boundary nodes and project to zero mean.  A
+    datum constant on the boundary comes back as exact zeros."""
     bm = bmass if bmass is not None else boundary_mass(mesh)
     xy = mesh.nodes[bm.node_ids]
     raw = np.zeros(len(xy))
     for term in terms:
         raw = raw + _term_values(term, xy)
     values, _ = project_zero_mean(raw, bm)
+    # a constant projects to the round-off of its weighted mean, at most
+    # an ulp of the amplitude per boundary node
+    if np.all(np.abs(values) <= len(raw) * np.finfo(float).eps
+              * np.max(np.abs(raw), initial=0.0)):
+        values = np.zeros_like(values)
     return BoundaryDatum(name, bm.node_ids, values)
 
 
@@ -301,7 +307,6 @@ class Problem:
         self.groups = tuple((model, np.nonzero(np.isin(active_labels,
                                                        labs))[0])
                             for model, labs in members.items())
-        self._stages: dict[float, Problem] = {}
 
     @functools.cached_property
     def bmass(self) -> BoundaryMass:
@@ -332,21 +337,29 @@ class Problem:
                              "(conducting nodes without a path to the "
                              "boundary)") from None
 
-    def with_reg_eps_scale(self, factor: float) -> "Problem":
-        """The same structure with every law's floor scaled by ``factor``
-        (one continuation stage), built once per factor and kept."""
-        staged = self._stages.get(factor)
-        if staged is None:
-            # build the law-independent structure here, so the stage
-            # shares it
-            self.band, self.unit_elements
+    @property
+    def stages(self) -> tuple["Problem", ...]:
+        """The continuation stages: the structure with every group's floor
+        scaled by each ``_REG_SCHEDULE`` entry, the last being ``self``;
+        just ``(self,)`` when no group's law has a floor."""
+        # a tuple kept on self would hold self in a reference cycle, which
+        # keeps every Problem's arrays until the cycle collector runs
+        return (*self._floor_stages, self)
+
+    @functools.cached_property
+    def _floor_stages(self) -> tuple["Problem", ...]:
+        """The stages before the last, built on first use and kept."""
+        stages = []
+        for factor in _REG_SCHEDULE[:-1]:
+            groups = tuple((scale_reg_eps(model, factor), sel)
+                           for model, sel in self.groups)
+            if all(a is b for (a, _), (b, _) in zip(groups, self.groups)):
+                return ()
+            self.band, self.unit_elements  # built here, so stages share them
             staged = copy.copy(self)
-            staged._stages = {}
-            staged.materials = self.materials.with_reg_eps_scale(factor)
-            staged.groups = tuple((scale_reg_eps(model, factor), sel)
-                                  for model, sel in self.groups)
-            self._stages[factor] = staged
-        return staged
+            staged.groups = groups
+            stages.append(staged)
+        return tuple(stages)
 
     def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Nodal state u_fix + P x, NaN at removed nodes, where P is the
@@ -599,9 +612,7 @@ class PotentialField:
 class _Progress:
     """State one solve carries across its continuation stages."""
 
-    tol: float | None = None      # fixed once, at the very first iterate
-    floored: float | None = None  # gradient floor the current stage
-    #                               stopped at above the tolerance
+    tol: float | None = None  # fixed once, at the very first iterate
     linsolve_failures: int = 0
     factorizations: int = 0
     line_search_evals: int = 0
@@ -731,11 +742,13 @@ class _Point:
 
 def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
                   progress: _Progress, stage: int,
-                  log: list[dict]) -> tuple[_Point, float, int, str | None]:
+                  log: list[dict]
+                  ) -> tuple[_Point, float, float, int, str | None]:
     """Newton iterations on one continuation stage from ``point``, which
-    carries ``problem``'s laws; returns the last point, its gradient norm,
-    the steps taken and the exit reason, None when the iteration budget
-    ran out."""
+    carries ``problem``'s laws, checking each point up to the one after step
+    ``_MAX_ITER``; returns the last point, its gradient norm and round-off
+    floor (0 after ``tol``), the steps taken and the exit reason, None when
+    that point meets neither bound."""
 
     def evaluate(x_try: np.ndarray) -> _Point:
         progress.line_search_evals += 1
@@ -763,9 +776,7 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             return t, p
         return 0.0, None
 
-    n_iter = 0
-    progress.floored = None
-    for it in range(_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         g = point.g
         gn = float(np.linalg.norm(g))
         if progress.tol is None:
@@ -775,13 +786,14 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
                 problem.reduce(problem.assemble(np.abs(point.contrib)))))
             progress.tol = _GRAD_RTOL * scale
         if gn <= progress.tol or gn == 0.0:
-            return point, gn, n_iter, "tol"
+            return point, gn, 0.0, it, "tol"
         floor = problem.roundoff_floor(point.u, point.sig)
         if gn <= _FLOOR_FACTOR * floor:
             # gradient indistinguishable from assembly round-off:
             # stationary to working precision
-            progress.floored = floor
-            return point, gn, n_iter, "floor"
+            return point, gn, floor, it, "floor"
+        if it == _MAX_ITER:
+            return point, gn, floor, it, None
         d, inv_diag = _newton_direction(problem.band, point.hessian(), -g,
                                         progress)
         gd = float(g @ d)
@@ -802,8 +814,6 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
         log.append({"stage": stage, "iter": it, "energy": point.energy,
                     "grad_norm": gn, "step": t, "fallback": fell_back})
         point = nxt
-        n_iter += 1
-    return point, float(np.linalg.norm(point.g)), n_iter, None
 
 
 def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
@@ -814,9 +824,10 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     The Newton controls are fixed: a gradient tolerance of ``_GRAD_RTOL``
     (1e-10) relative to the flux scale of the first point, at most
     ``_MAX_ITER`` (150) steps per continuation stage, the reg_eps
-    multipliers ``_REG_SCHEDULE`` (1e3, 1e2, 1e1, 1) on a nonlinear map
-    (a linear map runs the last stage only), and stationarity within
-    ``_FLOOR_FACTOR`` (32) times the round-off floor.
+    multipliers ``_REG_SCHEDULE`` (1e3, 1e2, 1e1, 1) when a law has a
+    floor (p != 2; a linear or tabulated map runs the last stage only),
+    and stationarity within ``_FLOOR_FACTOR`` (32) times the round-off
+    floor.
 
     Parameters
     ----------
@@ -837,8 +848,8 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     Raises
     ------
     SolveError
-        On line-search stall or non-convergence within the iteration
-        budget.
+        On line-search stall, or when the point after the last stage's
+        last step is above both the tolerance and the round-off floor.
     """
     if problem is None:
         problem = Problem(mesh, materials)
@@ -870,34 +881,23 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     else:
         x = harmonic_initial_guess(problem, u_fix)
 
-    schedule = _REG_SCHEDULE if not materials.is_linear else (1.0,)
-
     progress = _Progress()
     log: list[dict] = []
     total_iter = 0
     point = None
-    for stage, mult in enumerate(schedule):
-        staged = problem.with_reg_eps_scale(mult) if mult != 1.0 \
-            else problem
+    for stage, staged in enumerate(problem.stages):
         # each stage starts where the last one stopped, on its own laws
         point = _Point.evaluate(staged, u_fix, x) if point is None \
             else point.on(staged)
-        point, gn, n_it, reason = _newton_stage(staged, u_fix, point,
-                                                progress, stage, log)
+        point, gn, floor, n_it, reason = _newton_stage(staged, u_fix, point,
+                                                       progress, stage, log)
         total_iter += n_it
-    # the schedule ends at 1.0, so the last point carries the map's laws
-    tol = 0.0 if progress.tol is None else progress.tol
-    floor = 0.0 if progress.floored is None else float(progress.floored)
-    if reason is None and gn > tol and gn != 0.0:
-        # a spent iteration budget is accepted only at the round-off floor
-        # of the final state
-        floor = problem.roundoff_floor(point.u, point.sig)
-        if gn > _FLOOR_FACTOR * floor:
-            raise SolveError(f"Newton did not converge (iteration budget "
-                             f"spent): grad norm {gn:.3e} above tolerance "
-                             f"{tol:.3e} and round-off floor {floor:.3e}")
-        reason = "floor"
-    reason = reason or "tol"
+    # the last stage is ``problem``, so the last point carries its laws
+    tol = progress.tol
+    if reason is None:
+        raise SolveError(f"Newton did not converge (iteration budget "
+                         f"spent): grad norm {gn:.3e} above tolerance "
+                         f"{tol:.3e} and round-off floor {floor:.3e}")
 
     u, r = point.u, point.residual
     balance = {lab: float(r[nodes].sum())

@@ -347,6 +347,25 @@ def test_power_of_zero_datum_is_zero(tmp_path):
     assert abs(float(rows[0][4])) <= 1e-12
 
 
+def test_constant_datum_solves_as_the_zero_datum(tmp_path):
+    # a trace constant on the boundary projects to 0, not to round-off
+    const = {"name": "z", "terms": [{"kind": "expr", "amplitude": 1,
+                                     "expr": "1"}]}
+    zero = {"name": "z", "terms": [{"kind": "linear-x", "amplitude": 0}]}
+    outs = []
+    for datum in (const, zero):
+        code, out = run(tmp_path, "solve", dict(PROBLEM, data=[datum]),
+                        out=f"out_{len(outs)}")
+        assert code == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "run_meta.json":
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
+
 def test_avg_power_linear_is_half_power(tmp_path):
     cfg = dict(PROBLEM, quad_order=4)
     code, out = run(tmp_path, "avg-power", cfg)
@@ -744,6 +763,30 @@ CONFIG_PROBES = [
     ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4],
                                    "u_inner": 1.0, "u_outer": 1.0},
      "u_inner and u_outer must differ, both are 1.0"),
+    # a trace constant on the boundary is the zero datum
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH, data=[{"name": "z", "terms": [
+        {"kind": "expr", "amplitude": 1, "expr": "1"}]}]),
+     "datum 'z' is zero on the boundary"),
+    # float keys are read strictly: finite numbers only, no bools or
+    # strings
+    ("solve", lambda: dict(PROBLEM, materials={"regions": {
+        "0": {"type": "linear", "sigma": float("nan")}}}),
+     "materials.regions[0] sigma must be a finite number, got nan"),
+    ("solve", lambda: dict(PROBLEM, materials={"regions": {
+        "0": {"type": "linear", "sigma": True}}}),
+     "materials.regions[0] sigma must be a finite number, got True"),
+    ("solve", lambda: dict(PROBLEM, materials={"regions": {"0": {
+        "type": "power", "sigma_bar": 1.0, "E0": 1.0, "p": float("inf")}}}),
+     "materials.regions[0] p must be a finite number, got inf"),
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "r", "terms": [
+        {"kind": "linear-x", "amplitude": float("nan")}]}]),
+     "datum 'r' term 0 amplitude must be a finite number, got nan"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4],
+                                   "u_inner": float("nan")},
+     "u_inner must be a finite number, got nan"),
+    ("convergence-study", lambda: {"p_values": [float("nan")],
+                                   "target_h": [0.4]},
+     "p_values entry must be a finite number, got nan"),
 ]
 
 
@@ -817,6 +860,19 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
 def test_integer_reader_accepts_integral_numbers(value, expected):
     read = cli._int(value, "key")
     assert read == expected and type(read) is int
+
+
+@pytest.mark.parametrize("value", [3, 2.5, -1e-300, 1.7976931348623157e308])
+def test_float_reader_accepts_finite_numbers(value):
+    read = cli._float(value, "key")
+    assert read == value and type(read) is float
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None, float("-inf"),
+                                   10 ** 400])
+def test_float_reader_refuses_other_values(value):
+    with pytest.raises(ValueError, match="key must be a finite number"):
+        cli._float(value, "key")
 
 
 # Fuzzed configs: one entry of a small, valid config is replaced by a JSON

@@ -18,6 +18,7 @@ from condlab.constitutive import (
     check_growth_bounds,
     check_strong_monotonicity,
     default_e_grid,
+    scale_reg_eps,
 )
 
 # the superconducting petal material used throughout the wire study
@@ -338,11 +339,11 @@ def test_material_map_replaced_is_a_copy():
 
 def test_material_map_reg_eps_scaling():
     mm = MaterialMap({0: Linear(1.0), 1: PowerLaw(1.0, 1.0, 4.0), 2: PEC()})
-    scaled = mm.with_reg_eps_scale(10.0)
-    assert scaled.model_for(1).reg_eps == 10.0 * REG_EPS_FACTOR
+    scaled = {lab: scale_reg_eps(m, 10.0) for lab, m in mm.models.items()}
+    assert scaled[1].reg_eps == 10.0 * REG_EPS_FACTOR
     # a floor leaves a constant sigma as it is, so the p = 2 law is kept
-    assert scaled.model_for(0) is mm.model_for(0)
-    assert scaled.model_for(2) == PEC()
+    assert scaled[0] is mm.model_for(0)
+    assert scaled[2] == PEC()
 
 
 # ---------------------------------------------------------------------------

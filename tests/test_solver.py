@@ -1,6 +1,8 @@
 """Dirichlet solver: data handling, exactness, optimality, structural regions."""
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from condlab.constitutive import (
     Linear,
     MaterialMap,
     PowerLaw,
+    Tabulated,
 )
 from condlab.dtn import dtn_pairing, ohmic_power
 from condlab.mesh import (
@@ -53,6 +56,16 @@ def ramp(mesh, amplitude=1.0, name="ramp"):
 
 # ---------------------------------------------------------------------------
 # boundary data
+
+
+def test_constant_datum_is_exactly_zero(disk):
+    for c in (1.0, -7.3, 1e5):
+        datum = make_datum(disk, [DatumTerm("expr", c, expr="1")], "c")
+        assert np.all(datum.values == 0.0)
+    # a trace that varies is kept, however small
+    tiny = make_datum(disk, [DatumTerm("expr", 1.0, expr="1 + 1e-12 * x")],
+                      "tiny")
+    assert tiny.amplitude > 0.0
 
 
 def test_make_datum_is_zero_mean(disk):
@@ -676,26 +689,77 @@ def test_continuation_stages_are_built_once_per_problem(disk, power4,
                                                         monkeypatch):
     problem = Problem(disk, power4)
     calls = []
-    scale = MaterialMap.with_reg_eps_scale
+    scale = solver.scale_reg_eps
 
-    def counting_scale(self, factor):
+    def counting_scale(model, factor):
         calls.append(factor)
-        return scale(self, factor)
+        return scale(model, factor)
 
-    monkeypatch.setattr(MaterialMap, "with_reg_eps_scale", counting_scale)
+    monkeypatch.setattr(solver, "scale_reg_eps", counting_scale)
     for datum in (ramp(disk),
                   make_datum(disk, [DatumTerm("sin", 1.0, k=2)], "sin2")):
         solve(disk, power4, datum, problem=problem)
     assert calls == [1e3, 1e2, 1e1]
-    stage = problem.with_reg_eps_scale(10.0)
-    assert stage is problem.with_reg_eps_scale(10.0)
-    # a stage keeps stages of its own: scaling it again scales its floor,
-    # it does not hand back its parent's stage
-    floor = stage.groups[0][0].reg_eps
-    again = stage.with_reg_eps_scale(10.0)
-    assert again is not stage
-    assert again.groups[0][0].reg_eps == 10.0 * floor
-    assert problem.with_reg_eps_scale(10.0) is stage
+    stages = problem.stages
+    assert all(a is b for a, b in zip(stages, problem.stages))
+    floor = problem.groups[0][0].reg_eps
+    assert [s.groups[0][0].reg_eps for s in stages[:-1]] == \
+        [1e3 * floor, 1e2 * floor, 1e1 * floor]
+    assert stages[-1] is problem
+    assert all(s.band is problem.band for s in stages)
+
+
+def test_stages_follow_the_laws(monkeypatch):
+    # only a law with a floor (p != 2) makes continuation stages
+    mesh = build_disk_mesh(1.0, 0.2,
+                           inclusions=[DiskInclusion((0.2, 0.0), 0.3, 1)])
+    table = Tabulated((0.0, 0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 4.0))
+    maps = {"linear+pec": (MaterialMap({0: Linear(1.0), 1: PEC()}), 1),
+            "tabulated": (MaterialMap({0: Linear(1.0), 1: table}), 1),
+            "p=4": (MaterialMap({0: PowerLaw(2.0, 1.0, 4.0),
+                                 1: Linear(1.0)}), 4)}
+    datum = make_datum(mesh, [DatumTerm("sin", 1.5, k=2)], "sin2")
+    stage_calls = []
+    newton_stage = solver._newton_stage
+
+    def counting_stage(*args):
+        stage_calls.append(1)
+        return newton_stage(*args)
+
+    monkeypatch.setattr(solver, "_newton_stage", counting_stage)
+    fields = {}
+    for name, (mats, n_stages) in maps.items():
+        stage_calls.clear()
+        fields[name] = solve(mesh, mats, datum)
+        assert len(stage_calls) == n_stages, name
+        assert len(fields[name].problem.stages) == n_stages, name
+    # four stages of one tabulated law end where one stage does: the
+    # later ones start at a point that already meets the tolerance
+    monkeypatch.setattr(Problem, "stages",
+                        property(lambda problem: (problem,) * 4))
+    four = solve(mesh, maps["tabulated"][0], datum)
+    one = fields["tabulated"]
+    assert four.info.n_iter == one.info.n_iter > 0
+    assert four.info.energy == one.info.energy
+    assert np.array_equal(four.u, one.u)
+
+
+@pytest.mark.parametrize("floored", [False, True])
+def test_solved_problem_is_freed_without_the_cycle_collector(disk, floored):
+    # a Problem in a reference cycle keeps its arrays until the cycle
+    # collector runs, which raises the peak memory of a scan that builds
+    # one Problem per cell
+    mats = MaterialMap({0: PowerLaw(2.0, 1.0, 4.0 if floored else 2.0)})
+    gc.disable()
+    try:
+        problem = Problem(disk, mats)
+        solve(disk, mats, ramp(disk), problem=problem)
+        assert len(problem.stages) == (4 if floored else 1)
+        ref = weakref.ref(problem)
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_linear_and_p2_power_law_share_one_group():

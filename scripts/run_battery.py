@@ -17,10 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ap = argparse.ArgumentParser()
 ap.add_argument("--config", default=str(ROOT / "configs" / "battery.json"))
 ap.add_argument("--out", default="out/battery")
-ap.add_argument("--quad-order", type=int, default=0)
 args = ap.parse_args()
 
-argv = ["monotonicity-suite", "--config", args.config, "--out", args.out]
-if args.quad_order:
-    argv += ["--quad-order", str(args.quad_order)]
-sys.exit(main(argv))
+sys.exit(main(["monotonicity-suite", "--config", args.config,
+               "--out", args.out]))

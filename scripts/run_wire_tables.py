@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Damage tables for the composite wire cross-section.
 
-Compares averaged boundary powers of the healthy wire against a cracked
-matrix and an insulated petal, for ten boundary data each.  Runs both
-the physical-units config (0.6 mm section, MS/m matrix, A/mm^2 petals;
-about 4 s on a 2-core VM) and a unit-scale variant of the same geometry,
-since the physical one drives the solver through nine orders of
-magnitude of contrast.
+Compares averaged boundary powers (minimum energies) of the healthy wire
+against a cracked matrix and an insulated petal, for ten boundary data
+each.  Runs both the physical-units config (0.6 mm section, MS/m matrix,
+A/mm^2 petals; about 2 s on a 2-core VM) and a unit-scale variant of the
+same geometry, since the physical one drives the solver through nine
+orders of magnitude of contrast.
 
 Each damage case writes one table: datum, healthy power, damaged power,
 difference.  All differences must come out strictly positive.

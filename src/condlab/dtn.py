@@ -27,6 +27,14 @@ is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
 once, at alpha = 1, instead of once per node (the homogeneity path).  The
 map alone selects it, in the one helper both averages share.
 
+Because the transfer identity is exact, a caller that needs only the
+averaged power reads it as the minimum energy: ``minimum_energies`` makes
+one cold solve per datum, with no quadrature error, and the comparisons
+(``reproduce-wire``, ``monotonicity.ladder_suite``) use it.  The alpha
+quadrature serves only the callers that check the identity itself:
+``avg-power`` and the measurement cross-check of ``mpm-image``
+(``imaging.synth_measurements``), both through ``average_dtn_powers``.
+
 A pairing reads the residual its solved field keeps, so it assembles
 none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
 the ``Problem`` it is given; every other function here that solves on
@@ -161,6 +169,16 @@ def average_dtn_powers(mesh: Mesh, materials: MaterialMap,
     ``Problem(mesh, materials)`` that is dropped on return."""
     problem = Problem(mesh, materials)
     return [average_dtn_power(problem, d, quad_order) for d in data]
+
+
+def minimum_energies(mesh: Mesh, materials: MaterialMap,
+                     data: Sequence[BoundaryDatum]) -> list[float]:
+    """The averaged power of each datum, read as the Dirichlet energy of
+    its minimizer (the transfer identity): one cold solve per datum, all
+    on one ``Problem(mesh, materials)`` that is dropped on return."""
+    problem = Problem(mesh, materials)
+    return [solve(mesh, materials, d, problem=problem).info.energy
+            for d in data]
 
 
 def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,

@@ -4,8 +4,11 @@ A pointwise certificate establishes sigma_1(x, E) <= sigma_2(x, E) region
 by region on a field grid, ranking the structural extremes as
 PEI <= finite <= PEC.  For certified pairs the minimized Dirichlet energy
 and the averaged boundary power are ordered the same way for every
-zero-mean datum; the comparisons here evaluate both sides and report
-per-datum margins with tolerances tied to solver and quadrature accuracy.
+zero-mean datum.  By the transfer identity the averaged power of a datum
+is the minimum energy of its solve, so the one comparison here,
+``ladder_suite``, reads each side as ``solve(...).info.energy`` (one solve
+per map and datum, no alpha quadrature) and reports per-datum margins
+against a fixed tolerance of 1e-8 relative to the larger value.
 
 Pairs that mix structural and finite regimes (or the two growth branches)
 are certified with a ``beyond stated hypotheses`` note: the ordering still
@@ -20,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .constitutive import MaterialMap, default_e_grid
-from .dtn import average_dtn_powers
+from .dtn import minimum_energies
 from .mesh import Mesh
-from .solver import BoundaryDatum, Problem, solve
+from .solver import BoundaryDatum
 
 
 def _regime(model) -> str:
@@ -103,7 +106,6 @@ class ComparisonRow:
 class MonotonicityReport:
     """Per-datum ordered comparison between two material maps."""
 
-    kind: str  # "energy" or "avg_power"
     certificate: PointwiseCertificate
     rows: tuple[ComparisonRow, ...]
 
@@ -116,39 +118,14 @@ class MonotonicityReport:
         return self.certificate.ok and not self.violations
 
 
-def energy_compare(mesh: Mesh, lo: MaterialMap, hi: MaterialMap,
-                   data: Sequence[BoundaryDatum]) -> MonotonicityReport:
-    """Dirichlet energies of a certified pair across a datum family.
-
-    ``delta = E_hi - E_lo`` must be >= -tol with
-    tol = 1e-8 * max(|E_hi|, |E_lo|); each row carries its margin.
-    """
-    cert = pointwise_leq(lo, hi)
-    p_lo, p_hi = Problem(mesh, lo), Problem(mesh, hi)
-    rows = []
-    for datum in data:
-        e_lo = solve(mesh, lo, datum, problem=p_lo).info.energy
-        e_hi = solve(mesh, hi, datum, problem=p_hi).info.energy
-        tol = _TOL_REL * max(abs(e_lo), abs(e_hi), 1e-300)
-        delta = e_hi - e_lo
-        rows.append(ComparisonRow(datum.name, e_lo, e_hi, delta, tol,
-                                  bool(cert.ok and delta < -tol)))
-    return MonotonicityReport("energy", cert, tuple(rows))
-
-
-def _power_row(name: str, rep_lo, rep_hi,
+def _power_row(name: str, lo: float, hi: float,
                cert: PointwiseCertificate) -> ComparisonRow:
-    """One averaged-power comparison row from the two maps' reports.
-
-    The tolerance widens with the reported transfer residuals:
-    tol = max(1e-8, 3 * (res_lo + res_hi)) * scale, so quadrature error
-    on nearly singular alpha-integrands is never misread as a violation.
-    """
-    scale = max(abs(rep_lo.avg_power), abs(rep_hi.avg_power), 1e-300)
-    tol = max(_TOL_REL, 3.0 * (rep_lo.transfer_residual
-                               + rep_hi.transfer_residual)) * scale
-    delta = rep_hi.avg_power - rep_lo.avg_power
-    return ComparisonRow(name, rep_lo.avg_power, rep_hi.avg_power, delta, tol,
+    """One comparison row of the two maps' averaged powers: violated when
+    ``delta = hi - lo`` is below -1e-8 * max(|lo|, |hi|) on a certified
+    pair."""
+    tol = _TOL_REL * max(abs(lo), abs(hi), 1e-300)
+    delta = hi - lo
+    return ComparisonRow(name, lo, hi, delta, tol,
                          bool(cert.ok and delta < -tol))
 
 
@@ -170,23 +147,21 @@ class LadderReport:
 
 
 def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
-                 data: Sequence[BoundaryDatum],
-                 quad_order: int = 8) -> LadderReport:
+                 data: Sequence[BoundaryDatum]) -> LadderReport:
     """Averaged-power monotonicity along an increasing material chain.
 
-    Every map's powers are computed once per datum and all ordered pairs
-    (i < j) are compared, so a chain of length 5 yields 10 certified
-    comparisons per datum; a two-link chain is one pair.  Reports are
-    matched by chain and datum position, so repeated names never share a
-    row's values.
+    Each map's averaged powers are its minimum energies
+    (``dtn.minimum_energies``: one ``Problem`` per map, one solve per
+    datum), and all ordered pairs (i < j) are compared, so a chain of
+    length 5 yields 10 certified comparisons per datum; a two-link chain
+    is one pair.  Powers are matched by chain and datum position, so
+    repeated names never share a row's values.
     """
-    reports = [average_dtn_powers(mesh, mats, data, quad_order)
-               for _, mats in chain]
+    powers = [minimum_energies(mesh, mats, data) for _, mats in chain]
     pair_reports = []
     for i, j in itertools.combinations(range(len(chain)), 2):
         cert = pointwise_leq(chain[i][1], chain[j][1])
         rows = [_power_row(d.name, lo, hi, cert)
-                for d, lo, hi in zip(data, reports[i], reports[j])]
-        pair_reports.append((i, j, MonotonicityReport("avg_power", cert,
-                                                      tuple(rows))))
+                for d, lo, hi in zip(data, powers[i], powers[j])]
+        pair_reports.append((i, j, MonotonicityReport(cert, tuple(rows))))
     return LadderReport(tuple(name for name, _ in chain), tuple(pair_reports))

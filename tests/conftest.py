@@ -1,6 +1,10 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 
+from condlab import solver
 from condlab.constitutive import Linear, MaterialMap, PowerLaw
 from condlab.mesh import build_disk_mesh, build_rect_mesh
 from condlab.solver import Problem
@@ -49,3 +53,23 @@ def problem_builds(monkeypatch):
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
     return builds
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts the ``condlab.solver.solve`` calls made while the test runs,
+    keyed by (id of the mesh, id of the material map, datum name).
+    ``solve`` is patched under every name a ``condlab`` module bound it
+    to."""
+    calls = collections.Counter()
+    orig = solver.solve
+
+    def counting_solve(mesh, materials, datum, *args, **kwargs):
+        calls[id(mesh), id(materials), datum.name] += 1
+        return orig(mesh, materials, datum, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "condlab" \
+                and vars(mod).get("solve") is orig:
+            monkeypatch.setattr(mod, "solve", counting_solve)
+    return calls

@@ -21,7 +21,7 @@ from condlab import cli
 from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
-from condlab.solver import Problem
+from condlab.solver import Problem, solve
 
 # ------------------------------------------------------------ config snippets
 
@@ -459,18 +459,62 @@ def test_suite_chain_with_resolutions(tmp_path):
 
 
 def test_suite_energy_comparison_mode(tmp_path):
-    cfg = suite_cfg(pairs=[CONTRAST_PAIR], compare="energy")
+    # the one comparison reads minimum energies: each pair value is the
+    # energy of an independent solve
+    cfg = suite_cfg(pairs=[CONTRAST_PAIR], data=[RAMP, SIN2])
     code, out = run(tmp_path, "monotonicity-suite", cfg)
     assert code == 0
     _, rows = read_csv(out / "pair_0.csv")
     assert all(float(r[4]) > 0 for r in rows)
+    mesh = cli.mesh_from_spec(INC_DISK, str(tmp_path))
+    data = cli.data_from_spec(mesh, [RAMP, SIN2])
+    for side, col in (("lo", 2), ("hi", 3)):
+        mats = cli.materials_from_spec(CONTRAST_PAIR[side])
+        for datum, row in zip(data, rows):
+            energy = solve(mesh, mats, datum).info.energy
+            assert abs(float(row[col]) - energy) <= 1e-12 * energy
 
 
 def test_suite_rejects_unknown_comparison(tmp_path, capsys):
-    code, _ = run(tmp_path, "monotonicity-suite",
-                  suite_cfg(pairs=[CONTRAST_PAIR], compare="l2"))
-    assert code == 2
-    assert "compare must be avg_power or energy" in capsys.readouterr().err
+    # one comparison path is left, so the key that chose one is unknown
+    for compare in ("energy", "avg_power", "l2"):
+        assert_fails_like_a_run(tmp_path, capsys, "monotonicity-suite",
+                                suite_cfg(pairs=[CONTRAST_PAIR],
+                                          compare=compare),
+                                "unknown keys in config: ['compare']")
+
+
+NONLINEAR_CHAIN = [
+    {"name": n, "materials": {"regions": {
+        "0": {"type": "linear", "sigma": 1.0},
+        "1": {"type": "power", "sigma_bar": s, "E0": 1.0, "p": 4.0}}}}
+    for n, s in (("a", 0.5), ("b", 1.0), ("c", 2.0))]
+
+
+def test_suite_chain_solves_once_per_link_datum_and_resolution(
+        tmp_path, solve_calls):
+    cfg = suite_cfg(chain=NONLINEAR_CHAIN, data=[RAMP, SIN2],
+                    resolutions=[0.35, 0.3], quad_order=8)
+    code, out = run(tmp_path, "monotonicity-suite", cfg)
+    assert code == 0
+    # 3 links x 2 data x 2 resolutions, each (map, datum) solved once
+    assert sum(solve_calls.values()) == 12
+    assert set(solve_calls.values()) == {1}
+    for suffix in ("_h0.35", "_h0.3"):
+        _, rows = read_csv(out / f"ladder{suffix}.csv")
+        assert len(rows) == 3 * 2 and all(r[6] == "0" for r in rows)
+
+
+def test_suite_quad_order_key_has_no_effect(tmp_path):
+    # the key is still read and checked, but no quadrature runs
+    outs = []
+    for order in (1, 7):
+        cfg = suite_cfg(chain=NONLINEAR_CHAIN[:2], quad_order=order)
+        code, out = run(tmp_path, "monotonicity-suite", cfg,
+                        out=f"q{order}")
+        assert code == 0
+        outs.append((out / "ladder.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_suite_needs_pairs_or_chain(tmp_path, capsys):
@@ -614,6 +658,64 @@ def test_wire_healthy_vs_healthy_differences_vanish(tmp_path, capsys):
     assert "not positive" in capsys.readouterr().err
 
 
+NONLINEAR_WIRE = {
+    "healthy": {"mesh": INC_DISK, "materials": {"regions": {
+        "0": {"type": "linear", "sigma": 1.0},
+        "1": {"type": "ej", "Jc": 2.0, "E0": 1.0, "n": 5}}}},
+    "damaged": [
+        {"name": "hole", "materials": {"regions": {
+            "0": {"type": "linear", "sigma": 1.0}, "1": {"type": "pei"}}}},
+        {"name": "weak", "materials": {"regions": {
+            "0": {"type": "linear", "sigma": 1.0},
+            "1": {"type": "ej", "Jc": 1.0, "E0": 1.0, "n": 5}}},
+         "mesh": dict(INC_DISK, target_h=0.35)}],
+    "data": [RAMP, SIN2],
+    "quad_order": 8,
+}
+
+
+def test_wire_solves_once_per_map_and_datum(tmp_path, solve_calls):
+    code, _ = run(tmp_path, "reproduce-wire", NONLINEAR_WIRE)
+    assert code == 0
+    # healthy and two damaged maps, two data each, each solved once
+    assert sum(solve_calls.values()) == 6
+    assert set(solve_calls.values()) == {1}
+
+
+def test_wire_difference_is_the_energy_difference(tmp_path):
+    code, out = run(tmp_path, "reproduce-wire", NONLINEAR_WIRE)
+    assert code == 0
+
+    def energies(spec):
+        mesh = cli.mesh_from_spec(spec.get("mesh", INC_DISK), str(tmp_path))
+        mats = cli.materials_from_spec(spec["materials"])
+        return [solve(mesh, mats, d).info.energy
+                for d in cli.data_from_spec(mesh, NONLINEAR_WIRE["data"])]
+
+    healthy = energies(NONLINEAR_WIRE["healthy"])
+    for case in NONLINEAR_WIRE["damaged"]:
+        _, rows = read_csv(out / f"table_{case['name']}.csv")
+        for e0, e1, row in zip(healthy, energies(case), rows):
+            assert float(row[1]) == e0 and float(row[2]) == e1
+            diff = float(row[3])
+            assert abs(diff - (e0 - e1)) <= 1e-12 * abs(e0 - e1)
+
+
+def test_wire_quad_order_key_is_checked_but_has_no_effect(tmp_path, capsys):
+    tables = []
+    for order in (2, 9):
+        code, out = run(tmp_path, "reproduce-wire",
+                        dict(NONLINEAR_WIRE, quad_order=order),
+                        out=f"q{order}")
+        assert code == 0
+        tables.append([(out / f"table_{case}.csv").read_bytes()
+                       for case in ("hole", "weak")])
+    assert tables[0] == tables[1]
+    assert_fails_like_a_run(tmp_path, capsys, "reproduce-wire",
+                            dict(wire_cfg("pei"), quad_order=0),
+                            "quadrature order must be >= 1")
+
+
 def test_wire_flags_nonpositive_differences(tmp_path, capsys):
     # a perfectly conducting defect raises the transferred power, which
     # is the wrong sign for a loss-of-section diagnosis
@@ -646,7 +748,7 @@ CONFIG_PROBES = [
      "'pairs' and/or 'chain'"),
     ("monotonicity-suite",
      lambda: suite_cfg(pairs=[CONTRAST_PAIR], compare="bogus"),
-     "compare must be avg_power or energy"),
+     "unknown keys in config: ['compare']"),
     ("reproduce-wire",
      lambda: dict(wire_cfg("pei"), healthy={"mesh": INC_DISK,
                                             "materials": LIN2, "x": 1}),
@@ -841,8 +943,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
                                                        command):
     cfg = VALID_CONFIGS[command]
     reads = {"--seed": command == "mpm-image",
-             "--quad-order": command in ("avg-power", "monotonicity-suite",
-                                         "mpm-image", "reproduce-wire"),
+             "--quad-order": command in ("avg-power", "mpm-image"),
              "--workers": True}
     for flag, read in reads.items():
         args = (flag, "3", "--check-only")
@@ -893,7 +994,7 @@ FUZZ_BASES = {
         noise_rel=0.01, seed=3, tol=0.05),
     "monotonicity-suite": {
         "mesh": dict(INC_DISK, target_h=0.4), "data": [RAMP, SIN2],
-        "quad_order": 2, "compare": "avg_power", "resolutions": [0.45, 0.4],
+        "quad_order": 2, "resolutions": [0.45, 0.4],
         "pairs": [CONTRAST_PAIR],
         "chain": [{"name": "lo", "materials": CONTRAST_PAIR["lo"]},
                   {"name": "hi", "materials": CONTRAST_PAIR["hi"]}]},

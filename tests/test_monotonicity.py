@@ -1,4 +1,4 @@
-"""Ordering certificates and energy/averaged-power comparisons."""
+"""Ordering certificates and the averaged-power (minimum energy) ladder."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,8 @@ from condlab.constitutive import (
     PowerLaw,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.monotonicity import (
-    energy_compare,
-    ladder_suite,
-    pointwise_leq,
-)
-from condlab.solver import BoundaryDatum, DatumTerm, datum_family
+from condlab.monotonicity import ladder_suite, pointwise_leq
+from condlab.solver import BoundaryDatum, DatumTerm, datum_family, solve
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +31,10 @@ def family(inc_disk):
     ])
 
 
-def pair_compare(mesh, lo, hi, data, quad_order):
+def pair_compare(mesh, lo, hi, data):
     """The averaged-power comparison of one pair: a two-link ladder."""
-    return ladder_suite(mesh, [("lo", lo), ("hi", hi)], data,
-                        quad_order).pair_reports[0][2]
+    return ladder_suite(mesh, [("lo", lo), ("hi", hi)],
+                        data).pair_reports[0][2]
 
 
 def lin_maps(lo_sigma, hi_sigma):
@@ -116,13 +112,12 @@ def test_certificate_is_transitive_on_a_chain():
 
 
 # ---------------------------------------------------------------------------
-# energy comparisons
+# energy comparisons: a pair's averaged powers are its minimum energies
 
 
 def test_energy_compare_scaled_linear(inc_disk, family):
     lo, hi = lin_maps(1.0, 3.0)
-    rep = energy_compare(inc_disk, lo, hi, family)
-    assert rep.kind == "energy"
+    rep = pair_compare(inc_disk, lo, hi, family)
     assert rep.ok
     for row in rep.rows:
         assert row.delta > 0.0
@@ -133,25 +128,48 @@ def test_energy_compare_uniform_doubling(inc_disk, family):
     # doubling sigma everywhere exactly doubles every energy
     lo = MaterialMap({0: Linear(1.0), 1: Linear(1.0)})
     hi = MaterialMap({0: Linear(2.0), 1: Linear(2.0)})
-    rep = energy_compare(inc_disk, lo, hi, family)
+    rep = pair_compare(inc_disk, lo, hi, family)
     for row in rep.rows:
         assert abs(row.value_hi - 2.0 * row.value_lo) <= 1e-8 * row.value_hi
 
 
 def test_energy_compare_identical_pair_has_zero_delta(inc_disk, family):
     mm, _ = lin_maps(2.0, 2.0)
-    rep = energy_compare(inc_disk, mm, mm, family[:1])
+    rep = pair_compare(inc_disk, mm, mm, family[:1])
     assert abs(rep.rows[0].delta) <= rep.rows[0].tolerance
 
 
 def test_energy_compare_uncertified_pair_never_violates(inc_disk, family):
     lo, hi = lin_maps(1.0, 3.0)
-    rep = energy_compare(inc_disk, hi, lo, family[:1])  # deliberately reversed
+    rep = pair_compare(inc_disk, hi, lo, family[:1])  # deliberately reversed
     assert not rep.certificate.ok
     assert not rep.ok
     # deltas go the wrong way, but violations require a certificate
     assert rep.rows[0].delta < 0.0
     assert not rep.rows[0].violated
+
+
+def test_ladder_values_are_minimum_energies(inc_disk, family, solve_calls):
+    # one cold solve per (map, datum), and each value is that solve's
+    # energy: the transfer identity replaces the alpha quadrature
+    lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
+    hi = MaterialMap({0: Linear(1.0), 1: PEI()})
+    rep = pair_compare(inc_disk, lo, hi, family)
+    assert sorted(solve_calls.values()) == [1] * 2 * len(family)
+    for datum, row in zip(family, rep.rows):
+        for mats, value in ((lo, row.value_lo), (hi, row.value_hi)):
+            energy = solve(inc_disk, mats, datum).info.energy
+            assert abs(value - energy) <= 1e-12 * abs(energy)
+
+
+def test_row_tolerance_is_the_plain_relative_floor(inc_disk, family):
+    # no widening: the powers carry no quadrature error to absorb
+    lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
+    hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
+    rep = pair_compare(inc_disk, lo, hi, family)
+    for row in rep.rows:
+        assert row.tolerance == 1e-8 * max(abs(row.value_lo),
+                                           abs(row.value_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +178,7 @@ def test_energy_compare_uncertified_pair_never_violates(inc_disk, family):
 
 def test_avg_power_compare_scaled_linear(inc_disk, family):
     lo, hi = lin_maps(1.0, 3.0)
-    rep = pair_compare(inc_disk, lo, hi, family, quad_order=4)
-    assert rep.kind == "avg_power"
+    rep = pair_compare(inc_disk, lo, hi, family)
     assert rep.ok
     assert all(row.delta > 0.0 for row in rep.rows)
 
@@ -169,7 +186,7 @@ def test_avg_power_compare_scaled_linear(inc_disk, family):
 def test_avg_power_compare_nonlinear_inclusion(inc_disk, family):
     lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
     hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
-    rep = pair_compare(inc_disk, lo, hi, family, quad_order=6)
+    rep = pair_compare(inc_disk, lo, hi, family)
     assert rep.ok
 
 
@@ -177,8 +194,8 @@ def test_avg_power_structural_bracket(inc_disk, family):
     pei = MaterialMap({0: Linear(1.0), 1: PEI()})
     fin = MaterialMap({0: Linear(1.0), 1: Linear(1.0)})
     pec = MaterialMap({0: Linear(1.0), 1: PEC()})
-    lo_rep = pair_compare(inc_disk, pei, fin, family, quad_order=4)
-    hi_rep = pair_compare(inc_disk, fin, pec, family, quad_order=4)
+    lo_rep = pair_compare(inc_disk, pei, fin, family)
+    hi_rep = pair_compare(inc_disk, fin, pec, family)
     assert lo_rep.ok and hi_rep.ok
     # the bracket is strict for data that drive current through the
     # inclusion: a ramp across a sizeable hole versus a short circuit
@@ -200,7 +217,7 @@ def test_ladder_all_pairs_certified_and_ordered(inc_disk, family):
         ("tenfold", MaterialMap({0: Linear(1.0), 1: Linear(10.0)})),
         ("conducting", MaterialMap({0: Linear(1.0), 1: PEC()})),
     ]
-    rep = ladder_suite(inc_disk, chain, family, quad_order=4)
+    rep = ladder_suite(inc_disk, chain, family)
     assert rep.names == ("insulating", "tenth", "nominal", "tenfold",
                          "conducting")
     assert len(rep.pair_reports) == 10
@@ -217,9 +234,8 @@ def test_ladder_rows_keep_their_own_datum_under_shared_names(inc_disk,
     lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
     hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
     same = [BoundaryDatum("same", d.node_ids, d.values) for d in family[:2]]
-    ref = ladder_suite(inc_disk, [("lo", lo), ("hi", hi)], family[:2],
-                       quad_order=3)
-    rep = ladder_suite(inc_disk, [("m", lo), ("m", hi)], same, quad_order=3)
+    ref = ladder_suite(inc_disk, [("lo", lo), ("hi", hi)], family[:2])
+    rep = ladder_suite(inc_disk, [("m", lo), ("m", hi)], same)
     (_, _, ref_pair), = ref.pair_reports
     (_, _, pair), = rep.pair_reports
     assert ref_pair.rows[0].value_lo != ref_pair.rows[1].value_lo
@@ -229,7 +245,7 @@ def test_ladder_rows_keep_their_own_datum_under_shared_names(inc_disk,
 
 def test_ladder_single_link_is_vacuous(inc_disk, family):
     rep = ladder_suite(inc_disk, [("only", lin_maps(1.0, 1.0)[0])],
-                       family[:1], quad_order=2)
+                       family[:1])
     assert rep.pair_reports == ()
     assert rep.ok
     assert rep.n_certified_pairs == 0
@@ -250,7 +266,7 @@ def test_ladder_refinement_keeps_signs(family):
         ])
         chain_h = [(name, MaterialMap({0: Linear(1.0), 1: Linear(s)}))
                    for (name, _), s in zip(chain, (0.1, 1.0, 10.0))]
-        rep = ladder_suite(mesh, chain_h, fam, quad_order=4)
+        rep = ladder_suite(mesh, chain_h, fam)
         assert rep.ok
         for _, _, pair in rep.pair_reports:
             assert all(row.delta > 0.0 for row in pair.rows)

@@ -30,7 +30,7 @@ from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
 from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
                    boundary_mass, build_annulus_mesh, build_disk_mesh,
                    build_rect_mesh, load_mesh, save_mesh, validate)
-from .monotonicity import ladder_suite, pointwise_leq
+from .monotonicity import chain_certificates, ladder_suite, pointwise_leq
 from .oracle import OracleError, annulus_radial_solution
 from .output import (write_csv, write_element_csv, write_json,
                      write_ladder_csv, write_mpm_json, write_mpm_svg,
@@ -416,17 +416,19 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
 
     def run() -> int:
         failures: list[str] = []
+        # the certificates depend only on the maps: one per pair and run
+        pair_certs = [pointwise_leq(lo, hi) for *_, lo, hi in pairs]
+        chain_certs = chain_certificates(chain)
         for suffix, mesh, data in meshes:
-            for k, name_lo, name_hi, lo, hi in pairs:
+            for (k, name_lo, name_hi, lo, hi), cert in zip(pairs, pair_certs):
                 name = f"{name_lo}<={name_hi}"
-                cert = pointwise_leq(lo, hi)
                 if not cert.ok:
                     failures.append(f"order certificate failed for pair "
                                     f"{name} (label {cert.witness_label}, "
                                     f"E {cert.witness_e})")
                     continue
                 rep = ladder_suite(mesh, [(name_lo, lo), (name_hi, hi)],
-                                   data).pair_reports[0][2]
+                                   data, [cert]).pair_reports[0][2]
                 write_pair_csv(os.path.join(args.out,
                                             f"pair_{k}{suffix}.csv"),
                                name_lo, name_hi, rep)
@@ -438,7 +440,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                       f"{'OK' if not rep.violations else 'VIOLATED'}")
 
             if "chain" in cfg:
-                ladder = ladder_suite(mesh, chain, data)
+                ladder = ladder_suite(mesh, chain, data, chain_certs)
                 write_ladder_csv(os.path.join(args.out,
                                               f"ladder{suffix}.csv"), ladder)
                 for i, j, rep in ladder.pair_reports:

@@ -16,7 +16,6 @@ cross-check of that identity.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -212,6 +211,8 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     tasks = [(mesh, background, cell, model, data) for cell in grid.cells]
     test_powers = np.empty((grid.n_cells, len(data)))
     if workers > 1:
+        # imported here: a serial scan never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for cid, powers in pool.map(_scan_task, tasks, chunksize=1):
                 test_powers[cid] = powers

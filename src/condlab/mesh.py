@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import Delaunay
 
 logger = logging.getLogger(__name__)
@@ -64,13 +63,107 @@ def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return tris
 
 
-def _edge_incidence(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All undirected edges (sorted pairs) and their triangle-incidence counts."""
+def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
+    """Key ``lo * n + hi`` of every triangle side, for node ids below n;
+    the (0, 1), (1, 2) and (2, 0) sides of all triangles in turn."""
     e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                         triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    edges, counts = np.unique(e, axis=0, return_counts=True)
-    return edges, counts
+    e.sort(axis=1)
+    return e[:, 0] * n + e[:, 1]
+
+
+def _edge_incidence(triangles: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All undirected edges (sorted pairs, in sorted order) among nodes
+    below n and their triangle-incidence counts."""
+    keys, counts = np.unique(_edge_keys(triangles, n), return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
+
+
+# ---------------------------------------------------------------------------
+# graphs on index pairs
+
+
+def adjacency(a: np.ndarray, b: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR structure ``(indptr, indices)`` of the undirected graph on n
+    nodes with an edge (a[k], b[k]) for every k.  Each row lists its
+    distinct neighbours in ascending order, as a canonical scipy CSR
+    matrix does; a pair (i, i) puts i on its own row."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
+    # a sort and a mask drop the repeats faster than np.unique here
+    keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
+    rows, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+def _neighbours(indptr: np.ndarray, indices: np.ndarray,
+                nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``nodes`` one after another, and for each entry the
+    position in ``nodes`` of the row it came from."""
+    start = indptr[nodes]
+    counts = indptr[nodes + 1] - start
+    parent = np.repeat(np.arange(len(nodes)), counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    return indices[start[parent] + offset], parent
+
+
+def reach(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes joined to node ``start`` by a path, found by a
+    breadth-first search of the CSR graph."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[start] = True
+    front = np.array([start])
+    while len(front):
+        new = np.zeros_like(seen)
+        new[_neighbours(indptr, indices, front)[0]] = True
+        new &= ~seen
+        seen |= new
+        front = np.flatnonzero(new)
+    return seen
+
+
+def reverse_cuthill_mckee(indptr: np.ndarray,
+                          indices: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order (Cuthill & McKee, 1969) of a symmetric
+    CSR graph: the order that ``scipy.sparse.csgraph.reverse_cuthill_mckee(
+    graph, symmetric_mode=True)`` returns.
+
+    The degree of a node is its row length, plus 1 when the row holds the
+    diagonal.  Each component starts at its first node in
+    ``np.argsort(degree)`` order and is searched level by level: each
+    parent's unvisited neighbours keep CSR order and are stably sorted by
+    degree, and a node reached from two parents goes to the first.  The
+    final order is reversed.
+    """
+    n = len(indptr) - 1
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(n), lengths)
+    # int32, like scipy's, so that argsort breaks ties the same way
+    degree = lengths.astype(np.int32)
+    degree[rows[indices == rows]] += 1
+    seen = np.zeros(n, dtype=bool)
+    levels = [np.zeros(0, dtype=np.int64)]
+    for seed in np.argsort(degree).tolist():
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        level = np.array([seed])
+        while len(level):
+            levels.append(level)
+            nb, parent = _neighbours(indptr, indices, level)
+            fresh = ~seen[nb]
+            nb, parent = nb[fresh], parent[fresh]
+            first = np.sort(np.unique(nb, return_index=True)[1])
+            nb, parent = nb[first], parent[first]
+            level = nb[np.lexsort((degree[nb], parent))]
+            seen[level] = True
+    return np.concatenate(levels)[::-1]
 
 
 @dataclass
@@ -119,7 +212,7 @@ class Mesh:
                             f"({areas[bad]:.3e}); orient CCW first")
         self.areas = areas
         self.grads = self._basis_gradients()
-        edges, counts = _edge_incidence(self.triangles)
+        edges, counts = _edge_incidence(self.triangles, self.n_nodes)
         self.boundary_edges = edges[counts == 1]
         self.boundary_nodes = np.unique(self.boundary_edges)
 
@@ -189,7 +282,7 @@ def validate(mesh: Mesh) -> list[str]:
     no duplicate triangles, nonnegative labels.
     """
     problems: list[str] = []
-    edges, counts = _edge_incidence(mesh.triangles)
+    edges, counts = _edge_incidence(mesh.triangles, mesh.n_nodes)
     if np.any(counts > 2):
         bad = edges[counts > 2][0]
         problems.append(f"nonmanifold edge {tuple(bad)} shared by >2 triangles")
@@ -218,32 +311,28 @@ def validate(mesh: Mesh) -> list[str]:
         t = int(np.nonzero(labeled & on_boundary[mesh.triangles].any(axis=1))[0][0])
         problems.append(f"inclusion touches boundary (triangle {t}, "
                         f"label {int(mesh.labels[t])})")
+    # key each sorted triangle by the rank of its first side and its last
+    # node, which stays below 2**63 where the key (i * n + j) * n + k may not
+    n = mesh.n_nodes
     srt = np.sort(mesh.triangles, axis=1)
-    uniq = np.unique(srt, axis=0)
-    if len(uniq) != len(srt):
+    side = np.unique(srt[:, 0] * n + srt[:, 1], return_inverse=True)[1]
+    if len(np.unique(side * n + srt[:, 2])) != len(srt):
         problems.append("duplicate triangles present")
     return problems
 
 
 def _edge_connected(triangles: np.ndarray) -> bool:
     """True if the triangle set is connected through shared edges."""
-    if len(triangles) <= 1:
+    m = len(triangles)
+    if m <= 1:
         return True
-    e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                        triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    tri_of = np.tile(np.arange(len(triangles)), 3)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    e, tri_of = e[order], tri_of[order]
+    keys = _edge_keys(triangles, int(triangles.max()) + 1)
+    order = np.argsort(keys, kind="stable")
+    keys, tri_of = keys[order], order % m
     # equal neighbours in sorted order are one edge shared by two triangles
-    k = np.nonzero(np.all(e[1:] == e[:-1], axis=1))[0]
-    # imported here: at module level it raises every run's peak RSS
-    from scipy.sparse.csgraph import connected_components
-    n = len(triangles)
-    adjacency = sparse.csr_matrix((np.ones(len(k)), (tri_of[k],
-                                                     tri_of[k + 1])),
-                                  shape=(n, n))
-    return connected_components(adjacency, directed=False)[0] == 1
+    k = np.nonzero(keys[1:] == keys[:-1])[0]
+    graph = adjacency(tri_of[k], tri_of[k + 1], m)
+    return bool(reach(*graph, 0).all())
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,18 @@ class LadderReport:
                    if rep.certificate.ok)
 
 
+def chain_certificates(chain: Sequence[tuple[str, MaterialMap]]
+                       ) -> tuple[PointwiseCertificate, ...]:
+    """``pointwise_leq`` of every ordered pair (i < j) of the chain, in
+    ``itertools.combinations`` order."""
+    return tuple(pointwise_leq(chain[i][1], chain[j][1])
+                 for i, j in itertools.combinations(range(len(chain)), 2))
+
+
 def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
-                 data: Sequence[BoundaryDatum]) -> LadderReport:
+                 data: Sequence[BoundaryDatum],
+                 certificates: Sequence[PointwiseCertificate]
+                 ) -> LadderReport:
     """Averaged-power monotonicity along an increasing material chain.
 
     Each map's averaged powers are its minimum energies
@@ -155,12 +165,14 @@ def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
     datum), and all ordered pairs (i < j) are compared, so a chain of
     length 5 yields 10 certified comparisons per datum; a two-link chain
     is one pair.  Powers are matched by chain and datum position, so
-    repeated names never share a row's values.
+    repeated names never share a row's values.  ``certificates`` are the
+    chain's ``chain_certificates``, which depend only on the maps, so a
+    chain compared on several meshes is certified once.
     """
     powers = [minimum_energies(mesh, mats, data) for _, mats in chain]
     pair_reports = []
-    for i, j in itertools.combinations(range(len(chain)), 2):
-        cert = pointwise_leq(chain[i][1], chain[j][1])
+    for (i, j), cert in zip(itertools.combinations(range(len(chain)), 2),
+                            certificates, strict=True):
         rows = [_power_row(d.name, lo, hi, cert)
                 for d, lo, hi in zip(data, powers[i], powers[j])]
         pair_reports.append((i, j, MonotonicityReport(cert, tuple(rows))))

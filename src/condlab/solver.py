@@ -20,19 +20,20 @@ once into a ``Problem``: the unknown map, the active-triangle slices of the
 mesh arrays, the active triangles grouped by distinct model (equal laws
 under different labels are evaluated in one call), and, on first use, the
 boundary mass, the unit element stiffness matrices and the ``Band``: a
-reverse Cuthill-McKee order of the free unknowns and, for every element
-matrix entry, its slot in LAPACK lower band storage.  The banded Cholesky
-factor of the unit stiffness is kept too, so the harmonic start of every
-solve on the pair is one back-substitution against a factor computed once
-per ``Problem``.  A ``Problem`` holds no per-datum state.  ``solve``
-accepts one so that every solve on the same pair shares it, and builds
-its own when none is given.  The solved ``PotentialField``
-keeps the ``Problem`` it was solved on and the nodal residual of its last
-Newton point; the pairings in ``dtn`` read that residual, and the
-per-triangle E, J and energy density maps come from one element pass on
-the field's ``Problem``.  ``Problem.stages`` reuse the structure and
-only swap each group's law for its rescaled-floor version (none without a
-floored law); each stage is built once per ``Problem`` and kept.
+reverse Cuthill-McKee order of the free unknowns (computed in numpy by
+``mesh.reverse_cuthill_mckee``, the same order as scipy's) and, for every
+element matrix entry, its slot in LAPACK lower band storage.  The banded
+Cholesky factor of the unit stiffness is kept too, so the harmonic start
+of every solve on the pair is one back-substitution against a factor
+computed once per ``Problem``.  A ``Problem`` holds no per-datum state.
+``solve`` accepts one so that every solve on the same pair shares it, and
+builds its own when none is given.  The solved ``PotentialField`` keeps
+the ``Problem`` it was solved on and the nodal residual of its last Newton
+point; the pairings in ``dtn`` read that residual, and the per-triangle E,
+J and energy density maps come from one element pass on the field's
+``Problem``.  ``Problem.stages`` reuse the structure and only swap each
+group's law for its rescaled-floor version (none without a floored law);
+each stage is built once per ``Problem`` and kept.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -70,13 +71,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import (connected_components,
-                                  reverse_cuthill_mckee)
 
 from .constitutive import MaterialMap, scale_reg_eps
-from .mesh import BoundaryMass, Mesh, boundary_mass
+from .mesh import (BoundaryMass, Mesh, adjacency, boundary_mass, reach,
+                   reverse_cuthill_mckee)
 
 logger = logging.getLogger(__name__)
 
@@ -453,11 +452,8 @@ def _check_boundary_paths(cols: np.ndarray, n: int) -> None:
     if not n:
         return
     ends = np.where(cols < 0, n, cols)  # vertex n stands for the boundary
-    a = ends[:, [0, 1, 2]].ravel()
-    b = ends[:, [1, 2, 0]].ravel()
-    graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n + 1, n + 1))
-    _, comp = connected_components(graph, directed=False)
-    stranded = int(np.count_nonzero(comp[:n] != comp[n]))
+    graph = adjacency(ends.ravel(), ends[:, [1, 2, 0]].ravel(), n + 1)
+    stranded = int(np.count_nonzero(~reach(*graph, n)[:n]))
     if stranded:
         raise SolveError(f"{stranded} free unknowns have no conducting path "
                          f"to the boundary: the unit stiffness is singular")
@@ -468,7 +464,9 @@ class Band:
     from 3x3 element matrices.
 
     The free unknowns are taken in reverse Cuthill-McKee order ``order``
-    (band position -> free unknown), which keeps the band narrow.  Band
+    (band position -> free unknown), which keeps the band narrow.  It is
+    computed in numpy (``mesh.reverse_cuthill_mckee``) and equals scipy's
+    ``reverse_cuthill_mckee(graph, symmetric_mode=True)``.  Band
     row r, column j holds entry (j + r, j) of the reordered matrix.
     ``slots`` sends every element entry, in (m, 3, 3) order, to its flat
     index in the band array; entries on Dirichlet nodes and above the
@@ -482,10 +480,7 @@ class Band:
         ci = np.repeat(cols, 3, axis=1).ravel()
         cj = np.tile(cols, (1, 3)).ravel()
         free = (ci >= 0) & (cj >= 0)
-        graph = sparse.csr_matrix(
-            (np.ones(int(free.sum())), (ci[free], cj[free])), shape=(n, n))
-        self.order = reverse_cuthill_mckee(graph, symmetric_mode=True) \
-            if n else np.zeros(0, dtype=np.int64)
+        self.order = reverse_cuthill_mckee(*adjacency(ci[free], cj[free], n))
         # band position of each unknown; the extra last entry sends the
         # Dirichlet column -1 to position -1
         pos = np.full(n + 1, -1, dtype=np.int64)

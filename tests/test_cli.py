@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condlab import cli
+from condlab import cli, monotonicity
 from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
@@ -515,6 +515,52 @@ def test_suite_quad_order_key_has_no_effect(tmp_path):
         assert code == 0
         outs.append((out / "ladder.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Counts the ``pointwise_leq`` calls made while the test runs, under
+    every name a ``condlab`` module bound it to."""
+    calls = []
+    orig = monotonicity.pointwise_leq
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return orig(lo, hi)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "condlab" \
+                and vars(mod).get("pointwise_leq") is orig:
+            monkeypatch.setattr(mod, "pointwise_leq", counting)
+    return calls
+
+
+def test_suite_certifies_each_pair_once(tmp_path, certificate_calls):
+    cooler = dict(CONTRAST_PAIR, name_lo="cool", lo={"regions": {
+        "0": {"type": "linear", "sigma": 1.0},
+        "1": {"type": "linear", "sigma": 0.5}}})
+    code, out = run(tmp_path, "monotonicity-suite",
+                    suite_cfg(pairs=[CONTRAST_PAIR, cooler]))
+    assert code == 0 and len(certificate_calls) == 2
+    assert (out / "pair_1.csv").exists()
+
+
+def test_suite_certifies_once_across_resolutions(tmp_path, capsys,
+                                                 certificate_calls):
+    chain = NONLINEAR_CHAIN[:2]
+    cfg = suite_cfg(pairs=[CONTRAST_PAIR, CROSSING_PAIR], chain=chain,
+                    resolutions=[0.35, 0.3])
+    code, out = run(tmp_path, "monotonicity-suite", cfg)
+    assert code == 3
+    # two pairs and one chain pair, each certified once for both meshes
+    assert len(certificate_calls) == 3
+    # the failed certificate is still reported once per resolution
+    err = capsys.readouterr().err
+    assert err.count("order certificate failed for pair steep<=shallow") \
+        == 2
+    for suffix in ("_h0.35", "_h0.3"):
+        assert (out / f"pair_0{suffix}.csv").exists()
+        assert (out / f"ladder{suffix}.csv").exists()
 
 
 def test_suite_needs_pairs_or_chain(tmp_path, capsys):
@@ -1137,3 +1183,22 @@ def test_cli_import_leaves_out_the_oracle_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_serial_scan_loads_no_sparse_graph_or_process_pool(tmp_path):
+    # the band order and the connectivity checks run in numpy, and only a
+    # scan with more than one worker starts the process pool
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(mpm_cfg(truth={"cells": [center_cell_id()]})))
+    argv = ["mpm-image", "--config", str(path), "--out",
+            str(tmp_path / "out"), "--workers", "1"]
+    code = ("import sys, condlab.cli; "
+            f"assert condlab.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in ('scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

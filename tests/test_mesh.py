@@ -6,18 +6,24 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from condlab.mesh import (
     DiskInclusion,
     Mesh,
     MeshError,
     PolygonInclusion,
+    adjacency,
     boundary_mass,
     build_annulus_mesh,
     build_disk_mesh,
     build_rect_mesh,
     load_mesh,
+    reach,
+    reverse_cuthill_mckee,
     _edge_connected,
+    _edge_incidence,
     save_mesh,
     validate,
 )
@@ -228,6 +234,17 @@ def test_validate_duplicate_triangles():
     assert validate(m) == ["duplicate triangles present"]
 
 
+def test_edge_incidence_matches_row_unique(disk):
+    tris = disk.triangles
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                tris[:, [2, 0]]]), axis=1)
+    ref_edges, ref_counts = np.unique(e, axis=0, return_counts=True)
+    edges, counts = _edge_incidence(tris, disk.n_nodes)
+    assert edges.dtype == ref_edges.dtype
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(counts, ref_counts)
+
+
 # ---------------------------------------------------------------------------
 # generator argument errors
 
@@ -378,3 +395,65 @@ def test_generated_disks_always_clean(radius, rel_h):
     assert validate(m) == []
     exact = np.pi * radius ** 2
     assert abs(m.areas.sum() - exact) <= 0.02 * exact
+
+
+# ---------------------------------------------------------------------------
+# graph helpers against scipy.sparse.csgraph
+
+
+def scipy_graph(a, b, n):
+    """The undirected graph of the pairs as a canonical scipy CSR matrix."""
+    return sparse.csr_matrix((np.ones(2 * len(a)), (np.r_[a, b], np.r_[b, a])),
+                             shape=(n, n))
+
+
+@st.composite
+def pair_graphs(draw):
+    """Pairs within random blocks of shuffled nodes: several components,
+    isolated nodes, some diagonal pairs and many tied degrees."""
+    n = draw(st.integers(1, 30))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    a, b = [], []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        if hi > lo:
+            k = draw(st.integers(0, 2 * (hi - lo)))
+            nodes = st.lists(st.integers(lo, hi - 1), min_size=k, max_size=k)
+            a += draw(nodes)
+            b += draw(nodes)
+    perm = np.array(draw(st.permutations(range(n))))
+    return perm[np.array(a, dtype=int)], perm[np.array(b, dtype=int)], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_graphs())
+def test_graph_helpers_match_scipy(graph):
+    a, b, n = graph
+    ref = scipy_graph(a, b, n)
+    indptr, indices = adjacency(a, b, n)
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert np.array_equal(reverse_cuthill_mckee(indptr, indices),
+                          csgraph.reverse_cuthill_mckee(ref,
+                                                        symmetric_mode=True))
+    _, comp = csgraph.connected_components(ref, directed=False)
+    for start in range(n):
+        assert np.array_equal(reach(indptr, indices, start),
+                              comp == comp[start])
+
+
+def test_empty_graph():
+    indptr, indices = adjacency([], [], 0)
+    assert indptr.tolist() == [0] and len(indices) == 0
+    assert len(reverse_cuthill_mckee(indptr, indices)) == 0
+
+
+@pytest.mark.parametrize("h", [0.3, 0.15, 0.08])
+def test_rcm_matches_scipy_on_disk_meshes(h):
+    mesh = build_disk_mesh(1.0, h, inclusions=[
+        DiskInclusion((0.3, 0.1), 0.3, 1)])
+    tris = mesh.triangles
+    a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    ref = scipy_graph(a, b, mesh.n_nodes)
+    assert np.array_equal(
+        reverse_cuthill_mckee(*adjacency(a, b, mesh.n_nodes)),
+        csgraph.reverse_cuthill_mckee(ref, symmetric_mode=True))

@@ -12,7 +12,8 @@ from condlab.constitutive import (
     PowerLaw,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.monotonicity import ladder_suite, pointwise_leq
+from condlab.monotonicity import (chain_certificates, ladder_suite,
+                                  pointwise_leq)
 from condlab.solver import BoundaryDatum, DatumTerm, datum_family, solve
 
 
@@ -31,10 +32,14 @@ def family(inc_disk):
     ])
 
 
+def ladder(mesh, chain, data):
+    """``ladder_suite`` with the chain's own certificates."""
+    return ladder_suite(mesh, chain, data, chain_certificates(chain))
+
+
 def pair_compare(mesh, lo, hi, data):
     """The averaged-power comparison of one pair: a two-link ladder."""
-    return ladder_suite(mesh, [("lo", lo), ("hi", hi)],
-                        data).pair_reports[0][2]
+    return ladder(mesh, [("lo", lo), ("hi", hi)], data).pair_reports[0][2]
 
 
 def lin_maps(lo_sigma, hi_sigma):
@@ -217,7 +222,7 @@ def test_ladder_all_pairs_certified_and_ordered(inc_disk, family):
         ("tenfold", MaterialMap({0: Linear(1.0), 1: Linear(10.0)})),
         ("conducting", MaterialMap({0: Linear(1.0), 1: PEC()})),
     ]
-    rep = ladder_suite(inc_disk, chain, family)
+    rep = ladder(inc_disk, chain, family)
     assert rep.names == ("insulating", "tenth", "nominal", "tenfold",
                          "conducting")
     assert len(rep.pair_reports) == 10
@@ -234,8 +239,8 @@ def test_ladder_rows_keep_their_own_datum_under_shared_names(inc_disk,
     lo = MaterialMap({0: Linear(1.0), 1: PowerLaw(0.5, 1.0, 4.0)})
     hi = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
     same = [BoundaryDatum("same", d.node_ids, d.values) for d in family[:2]]
-    ref = ladder_suite(inc_disk, [("lo", lo), ("hi", hi)], family[:2])
-    rep = ladder_suite(inc_disk, [("m", lo), ("m", hi)], same)
+    ref = ladder(inc_disk, [("lo", lo), ("hi", hi)], family[:2])
+    rep = ladder(inc_disk, [("m", lo), ("m", hi)], same)
     (_, _, ref_pair), = ref.pair_reports
     (_, _, pair), = rep.pair_reports
     assert ref_pair.rows[0].value_lo != ref_pair.rows[1].value_lo
@@ -244,8 +249,7 @@ def test_ladder_rows_keep_their_own_datum_under_shared_names(inc_disk,
 
 
 def test_ladder_single_link_is_vacuous(inc_disk, family):
-    rep = ladder_suite(inc_disk, [("only", lin_maps(1.0, 1.0)[0])],
-                       family[:1])
+    rep = ladder(inc_disk, [("only", lin_maps(1.0, 1.0)[0])], family[:1])
     assert rep.pair_reports == ()
     assert rep.ok
     assert rep.n_certified_pairs == 0
@@ -266,7 +270,7 @@ def test_ladder_refinement_keeps_signs(family):
         ])
         chain_h = [(name, MaterialMap({0: Linear(1.0), 1: Linear(s)}))
                    for (name, _), s in zip(chain, (0.1, 1.0, 10.0))]
-        rep = ladder_suite(mesh, chain_h, fam)
+        rep = ladder(mesh, chain_h, fam)
         assert rep.ok
         for _, _, pair in rep.pair_reports:
             assert all(row.delta > 0.0 for row in pair.rows)

@@ -3,13 +3,15 @@
 import gc
 import logging
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import spsolve
 
-from condlab import solver
+from condlab import cli, solver
 
 from condlab.constitutive import (
     PEC,
@@ -618,6 +620,50 @@ def test_index_maps_equal_the_sparse_prolongation(kind, rng):
     assert np.array_equal(problem.nodal_state(u_fix, x), u, equal_nan=True)
     r = rng.standard_normal(mesh.n_nodes)
     assert np.array_equal(problem.reduce(r), p.T.tocsr() @ r)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture
+def built_problems(monkeypatch):
+    """Keeps each ``Problem`` built while the test runs."""
+    problems = []
+    init = Problem.__init__
+
+    def keeping_init(self, *args):
+        init(self, *args)
+        problems.append(self)
+
+    monkeypatch.setattr(Problem, "__init__", keeping_init)
+    return problems
+
+
+@pytest.mark.parametrize("command, config, structural", [
+    ("monotonicity-suite", "battery.json", {"pec", "pei"}),
+    ("mpm-image", "phantom_double.json", {"pei"}),
+    ("reproduce-wire", "wire_tables.json", {"pei"})])
+def test_band_order_is_scipys_on_the_shipped_configs(
+        command, config, structural, tmp_path, built_problems):
+    argv = [command, "--config", str(CONFIGS / config), "--out",
+            str(tmp_path)]
+    assert cli.main(argv + (["--workers", "1"]
+                            if command == "mpm-image" else [])) == 0
+    kinds = set()
+    for problem in built_problems:
+        cols = problem.free_of_node[problem.triangles]
+        ci = np.repeat(cols, 3, axis=1).ravel()
+        cj = np.tile(cols, (1, 3)).ravel()
+        free = (ci >= 0) & (cj >= 0)
+        n = problem.n_free
+        graph = sparse.csr_matrix((np.ones(int(free.sum())),
+                                   (ci[free], cj[free])), shape=(n, n))
+        assert np.array_equal(
+            problem.band.order,
+            csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True))
+        kinds |= {m.kind for m in problem.materials.models.values()
+                  if m.is_structural}
+    assert len(built_problems) > 1 and kinds == structural
 
 
 def test_band_is_narrower_than_the_natural_order():

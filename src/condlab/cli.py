@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
-                           MaterialMap, PEC, PEI, PowerLaw, Tabulated)
+                           MaterialMap, PEC, PEI, PowerLaw)
 from .dtn import (average_dtn_powers, dtn_pairing, gateaux_check,
                   gauss_on_unit, minimum_energies)
 from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
@@ -176,13 +176,6 @@ def _model_from_spec(spec: dict, where: str):
         return PowerLaw(_float(spec["sigma_bar"], f"{where} sigma_bar"),
                         _float(spec["E0"], f"{where} E0"),
                         _float(spec["p"], f"{where} p"))
-    if t == "tabulated":
-        _check_keys(spec, where, {"type", "E", "J"})
-        # tuples keep the law hashable, so a Problem can group by it
-        return Tabulated(tuple(_float(v, f"{where} E entry")
-                               for v in spec["E"]),
-                         tuple(_float(v, f"{where} J entry")
-                               for v in spec["J"]))
     if t in ("pec", "pei"):
         _check_keys(spec, where, {"type"})
         return PEC() if t == "pec" else PEI()

@@ -1,20 +1,21 @@
 """Scalar constitutive laws sigma(E) for isotropic nonlinear conduction.
 
-Each law maps field magnitude E = |grad u| >= 0 to a conductivity sigma(E),
-with derived quantities used by the solver:
+Every conducting law is a ``PowerLaw``, sigma(E) = sigma_bar (E/e0)^(p-2)
+with growth exponent p > 1, mapping field magnitude E = |grad u| >= 0 to a
+conductivity, with derived quantities used by the solver:
 
     flux(E)           = sigma(E) * E          (current magnitude)
     energy_density(E) = integral_0^E flux     (convex potential)
     dflux(E)          = d flux / dE           (Newton linearization)
 
-One kernel, ``PowerLaw``, covers the ohmic, power and E-J laws:
-``Linear`` (p = 2) and ``EJPowerLaw`` (p = (n + 1) / n) construct it.
-Power-type laws are regularized below a floor ``reg_eps`` by freezing sigma
-at sigma(reg_eps), which splices a quadratic energy density below the floor
-with a C^1 match.  ``energy_density`` is the exact integral of the
-regularized flux, so the spliced branch is consistent by construction.  The
-``*_raw`` variants evaluate the ideal (unfloored) law; certificates use
-those, the solver uses the regularized ones.
+``Linear`` (p = 2) and ``EJPowerLaw`` (p = (n + 1) / n, the
+superconductor E-J law) construct it.  A law is regularized below a floor
+``reg_eps`` by freezing sigma at sigma(reg_eps), which splices a quadratic
+energy density below the floor with a C^1 match.  ``energy_density`` is
+the exact integral of the regularized flux, so the spliced branch is
+consistent by construction.  The ``*_raw`` variants evaluate the ideal
+(unfloored) law; certificates use those, the solver uses the regularized
+ones.
 
 PEC (perfectly conducting, sigma = +inf) and PEI (perfectly insulating,
 sigma = 0) are structural markers: they change the solver's unknown
@@ -79,13 +80,6 @@ class PowerLaw:
     kind = "power"
     is_structural = False
 
-    @property
-    def effective_p(self) -> float:
-        return self.p
-
-    def with_reg_eps(self, eps: float) -> "PowerLaw":
-        return replace(self, reg_eps=eps)
-
     def sigma_raw(self, e):
         e = np.asarray(e, dtype=float)
         with np.errstate(divide="ignore"):
@@ -148,101 +142,8 @@ def EJPowerLaw(jc: float, e0: float, n: float,
                     reg_eps=reg_eps)
 
 
-@dataclass(frozen=True)
-class Tabulated:
-    """Piecewise-linear flux law through sampled (E, sigma(E)*E) pairs.
-
-    Samples must start at (0, 0) and be strictly increasing in E.  The flux
-    is interpolated linearly between knots and extrapolated with the last
-    slope; the energy density is its exact integral (piecewise quadratic).
-    Non-monotone flux samples are accepted at construction so that
-    certificate checks can exhibit them; ``is_monotone`` reports the defect.
-    """
-
-    e_samples: tuple[float, ...]
-    flux_samples: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.e_samples, dtype=float)
-        f = np.asarray(self.flux_samples, dtype=float)
-        if e.shape != f.shape or e.ndim != 1 or len(e) < 2:
-            raise ConstitutiveError("need matching 1D sample arrays, >= 2 knots")
-        if e[0] != 0.0 or f[0] != 0.0:
-            raise ConstitutiveError("samples must start at (0, 0)")
-        if np.any(np.diff(e) <= 0):
-            raise ConstitutiveError("e_samples must be strictly increasing")
-        object.__setattr__(self, "_e", e)
-        object.__setattr__(self, "_f", f)
-        seg = np.diff(f) / np.diff(e)
-        object.__setattr__(self, "_slopes", seg)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1])
-                                               * np.diff(e))])
-        object.__setattr__(self, "_cum_q", cum)
-
-    kind = "tabulated"
-    is_structural = False
-
-    @property
-    def effective_p(self) -> float | None:
-        return None
-
-    @classmethod
-    def from_model(cls, model, e_max: float, n: int = 64) -> "Tabulated":
-        """Sample another law's regularized flux on [0, e_max]."""
-        e = np.linspace(0.0, e_max, n)
-        f = np.concatenate([[0.0], np.asarray(model.flux(e[1:]))])
-        return cls(tuple(e), tuple(f))
-
-    def is_monotone(self) -> tuple[bool, float | None]:
-        """Strict flux monotonicity across knots; returns (ok, witness E)."""
-        bad = np.nonzero(np.diff(self._f) <= 0)[0]
-        if len(bad):
-            return False, float(self._e[bad[0] + 1])
-        return True, None
-
-    def _seg(self, e: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self._e, e, side="right") - 1,
-                       0, len(self._slopes) - 1)
-
-    def flux(self, e):
-        arr = np.asarray(e, dtype=float)
-        idx = self._seg(arr)
-        out = self._f[idx] + self._slopes[idx] * (arr - self._e[idx])
-        return out if out.ndim else float(out)
-
-    flux_raw = flux
-
-    def sigma(self, e):
-        arr = np.asarray(e, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(arr > 0.0, self.flux(arr) / np.maximum(arr, 1e-300),
-                           self._slopes[0])
-        return out if out.ndim else float(out)
-
-    sigma_raw = sigma
-
-    def dflux(self, e):
-        arr = np.asarray(e, dtype=float)
-        out = self._slopes[self._seg(arr)]
-        return out if out.ndim else float(out)
-
-    def energy_density(self, e):
-        arr = np.asarray(e, dtype=float)
-        idx = self._seg(arr)
-        fl = self._f[idx]
-        fe = fl + self._slopes[idx] * (arr - self._e[idx])
-        out = self._cum_q[idx] + 0.5 * (fl + fe) * (arr - self._e[idx])
-        return out if out.ndim else float(out)
-
-    energy_density_raw = energy_density
-
-
 class _Structural:
     is_structural = True
-
-    @property
-    def effective_p(self):
-        return None
 
     def _refuse(self, *_a, **_k):
         raise ConstitutiveError(f"{self.kind} is structural; sigma(E) is "
@@ -288,7 +189,7 @@ class MaterialMap:
         object.__setattr__(self, "models", dict(self.models))
         if 0 not in self.models:
             raise ConstitutiveError("material map must cover region 0")
-        if getattr(self.models[0], "is_structural", False):
+        if self.models[0].is_structural:
             raise ConstitutiveError("region 0 cannot be PEC or PEI")
 
     def model_for(self, label: int):
@@ -310,14 +211,11 @@ class MaterialMap:
 
     @property
     def outer_exponent(self) -> float:
-        p = self.models[0].effective_p
-        if p is None:
-            raise ConstitutiveError("region 0 law has no declared exponent")
-        return p
+        return self.models[0].p
 
     @property
     def is_linear(self) -> bool:
-        return all(m.is_structural or m.effective_p == 2.0
+        return all(m.is_structural or m.p == 2.0
                    for m in self.models.values())
 
     def replaced(self, label: int, model) -> "MaterialMap":
@@ -326,12 +224,12 @@ class MaterialMap:
         return MaterialMap(new)
 
 
-def scale_reg_eps(model, factor: float):
+def scale_reg_eps(model: PowerLaw, factor: float) -> PowerLaw:
     """``model`` with its regularization floor multiplied by ``factor``;
-    p = 2 laws (a floor leaves their constant sigma as it is), laws
-    without a floor and structural markers come back unchanged."""
-    if getattr(model, "p", 2.0) != 2.0:
-        return model.with_reg_eps(model.reg_eps * factor)
+    a p = 2 law comes back unchanged, since a floor leaves its constant
+    sigma as it is."""
+    if model.p != 2.0:
+        return replace(model, reg_eps=model.reg_eps * factor)
     return model
 
 
@@ -407,7 +305,7 @@ def check_strong_monotonicity(model, p: float, kappa: float,
     if model.is_structural:
         raise ConstitutiveError("monotonicity applies to pointwise laws only")
     rng = np.random.default_rng(seed)
-    scale = e_scale if e_scale is not None else getattr(model, "e0", 1.0)
+    scale = e_scale if e_scale is not None else model.e0
     mag = scale * 10.0 ** rng.uniform(-3, 3, size=(n_pairs, 2))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2))
     a = mag[:, 0, None] * np.stack([np.cos(ang[:, 0]), np.sin(ang[:, 0])],

@@ -31,10 +31,7 @@ from .solver import BoundaryDatum
 def _regime(model) -> str:
     if model.is_structural:
         return model.kind  # "pec" or "pei"
-    p = model.effective_p
-    if p is None:
-        return "tabulated"
-    return "finite-p>=2" if p >= 2.0 else "finite-p<2"
+    return "finite-p>=2" if model.p >= 2.0 else "finite-p<2"
 
 
 # slack of the pointwise sigma comparison, relative to sigma_hi
@@ -79,8 +76,7 @@ def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
         if ra == "pec" or rb == "pei":
             return PointwiseCertificate(False, lab, None, tuple(notes))
         # a p = 2 law's sigma is constant, so its e0 carries no field scale
-        scale = next((m.e0 for m in (a, b)
-                      if getattr(m, "p", 2.0) != 2.0), 1.0)
+        scale = next((m.e0 for m in (a, b) if m.p != 2.0), 1.0)
         g = default_e_grid(scale)
         sa = np.asarray(a.sigma_raw(g), dtype=float)
         sb = np.asarray(b.sigma_raw(g), dtype=float)

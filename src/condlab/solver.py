@@ -246,10 +246,12 @@ class Problem:
 
     def __init__(self, mesh: Mesh, materials: MaterialMap):
         materials.check_covers(mesh.labels)
-        kinds = {lab: getattr(materials.model_for(lab), "kind", "")
-                 for lab in np.unique(mesh.labels)}
-        is_pei = np.array([kinds[l] == "pei" for l in mesh.labels.tolist()])
-        is_pec = np.array([kinds[l] == "pec" for l in mesh.labels.tolist()])
+        kinds = {lab: materials.model_for(lab).kind
+                 for lab in np.unique(mesh.labels).tolist()}
+        pec_labels = [lab for lab, kind in kinds.items() if kind == "pec"]
+        pei_labels = [lab for lab, kind in kinds.items() if kind == "pei"]
+        is_pec = np.isin(mesh.labels, pec_labels)
+        is_pei = np.isin(mesh.labels, pei_labels)
         active = ~(is_pei | is_pec)
         active_ids = np.nonzero(active)[0]
         if not len(active_ids):
@@ -258,7 +260,7 @@ class Problem:
         on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
         on_boundary[mesh.boundary_nodes] = True
         touches_active = np.zeros(mesh.n_nodes, dtype=bool)
-        touches_active[np.unique(mesh.triangles[active])] = True
+        touches_active[mesh.triangles[active]] = True
 
         free_of_node = np.full(mesh.n_nodes, _REMOVED, dtype=np.int64)
         free_of_node[touches_active] = 0  # placeholder, numbered below
@@ -268,7 +270,7 @@ class Problem:
         col = 0
         # one shared column per PEC label
         pec_col_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        for lab in sorted(set(mesh.labels[is_pec].tolist())):
+        for lab in pec_labels:
             nodes = np.unique(mesh.triangles[mesh.labels == lab])
             if np.any(on_boundary[nodes]):
                 raise SolveError(f"PEC component {lab} touches the domain "
@@ -820,7 +822,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     (1e-10) relative to the flux scale of the first point, at most
     ``_MAX_ITER`` (150) steps per continuation stage, the reg_eps
     multipliers ``_REG_SCHEDULE`` (1e3, 1e2, 1e1, 1) when a law has a
-    floor (p != 2; a linear or tabulated map runs the last stage only),
+    floor (p != 2; a map of p = 2 laws runs the last stage only),
     and stationarity within ``_FLOOR_FACTOR`` (32) times the round-off
     floor.
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condlab import cli, monotonicity
+from condlab.constitutive import PowerLaw
 from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
@@ -179,15 +180,32 @@ def test_retired_cg_solver_options_rejected(tmp_path, capsys, option):
     assert "unknown keys in config: ['solver']" in capsys.readouterr().err
 
 
-def test_tabulated_region_solves(tmp_path):
-    # the config's sample lists become a law that a Problem can group by
+@pytest.mark.parametrize("check_only", [True, False])
+def test_retired_table_law_is_an_unknown_type(tmp_path, capsys, check_only):
+    # every conducting law is a power law, so a sampled flux table is not
+    # a material type, whether the config is only checked or run
     mats = {"regions": {"0": {"type": "linear", "sigma": 1.0},
                         "1": {"type": "tabulated", "E": [0.0, 1.0, 2.0],
                               "J": [0.0, 1.0, 3.0]}}}
+    extra = ("--check-only",) if check_only else ()
     code, out = run(tmp_path, "solve", dict(PROBLEM, mesh=INC_DISK,
-                                            materials=mats))
-    assert code == 0
-    assert (out / "u_ramp.csv").exists()
+                                            materials=mats), *extra)
+    assert code == 2
+    assert "unknown material type 'tabulated'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, p", [
+    ({"type": "linear", "sigma": 3.0}, 2.0),
+    ({"type": "power", "sigma_bar": 2.0, "E0": 1.0, "p": 4.0}, 4.0),
+    ({"type": "ej", "Jc": 8e9, "E0": 1e-4, "n": 27}, 28.0 / 27.0)])
+def test_every_conducting_type_is_a_power_law(spec, p):
+    mats = cli.materials_from_spec({"regions": {"0": spec, "1": {
+        "type": "pec"}}})
+    law = mats.model_for(0)
+    assert isinstance(law, PowerLaw) and law.p == p
+    assert mats.outer_exponent == p
+    assert mats.is_linear == (p == 2.0)
 
 
 def test_rect_mesh_missing_dimensions(tmp_path, capsys):
@@ -1057,8 +1075,8 @@ FUZZ_BASES = {
         "mesh": dict(INC_DISK, target_h=0.4),
         "materials": {"regions": {
             "0": {"type": "power", "sigma_bar": 2.0, "E0": 1.0, "p": 4.0},
-            "1": {"type": "tabulated", "E": [0.0, 1.0, 2.0],
-                  "J": [0.0, 1.0, 3.0]}}},
+            "1": {"type": "power", "sigma_bar": 1.0, "E0": 1.0,
+                  "p": 3.0}}},
         "datum": RAMP, "direction": COS1, "eps_list": [1e-1, 1e-2]},
     "convergence-study": {
         "p_values": [2.0, 4.0], "target_h": [0.4, 0.3], "sigma_bar": 1.0,

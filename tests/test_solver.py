@@ -20,7 +20,6 @@ from condlab.constitutive import (
     Linear,
     MaterialMap,
     PowerLaw,
-    Tabulated,
 )
 from condlab.dtn import dtn_pairing, ohmic_power
 from condlab.mesh import (
@@ -455,6 +454,36 @@ def pec_disk():
     return mesh, MaterialMap({0: Linear(1.0), 1: PEC()})
 
 
+@pytest.mark.parametrize("kinds", [("pec", "pei"), ("pei", "pec"),
+                                   ("pec", "pec"), ("pei", "p4")])
+def test_unknown_map_follows_the_kind_of_each_label(kinds):
+    # reference: the masks built triangle by triangle; a structural label
+    # of the map that no triangle carries changes nothing
+    mesh = build_disk_mesh(1.0, 0.2,
+                           inclusions=[DiskInclusion((-0.4, 0.0), 0.25, 1),
+                                       DiskInclusion((0.4, 0.0), 0.25, 2)])
+    model = {"pec": PEC(), "pei": PEI(), "p4": PowerLaw(2.0, 1.0, 4.0)}
+    mats = MaterialMap({0: Linear(1.0), 1: model[kinds[0]],
+                        2: model[kinds[1]], 9: PEC()})
+    problem = Problem(mesh, mats)
+    kind = [mats.model_for(lab).kind for lab in mesh.labels.tolist()]
+    active = np.array([k not in ("pec", "pei") for k in kind])
+    assert np.array_equal(problem.active_tris, np.nonzero(active)[0])
+    pec_labels = [lab for lab, k in zip((1, 2), kinds) if k == "pec"]
+    assert list(problem.pec_groups) == pec_labels
+    for lab in pec_labels:
+        assert np.array_equal(problem.pec_groups[lab],
+                              np.unique(mesh.triangles[mesh.labels == lab]))
+    # a node stays when it touches a conducting triangle, lies on the
+    # boundary or joins a PEC unknown
+    kept = np.zeros(mesh.n_nodes, dtype=bool)
+    kept[np.unique(mesh.triangles[active])] = True
+    kept[mesh.boundary_nodes] = True
+    for lab in pec_labels:
+        kept[problem.pec_groups[lab]] = True
+    assert np.array_equal(problem.removed_nodes, np.nonzero(~kept)[0])
+
+
 def test_pec_component_is_equipotential():
     mesh, mats = pec_disk()
     fld = solve(mesh, mats, ramp(mesh))
@@ -759,9 +788,8 @@ def test_stages_follow_the_laws(monkeypatch):
     # only a law with a floor (p != 2) makes continuation stages
     mesh = build_disk_mesh(1.0, 0.2,
                            inclusions=[DiskInclusion((0.2, 0.0), 0.3, 1)])
-    table = Tabulated((0.0, 0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 4.0))
     maps = {"linear+pec": (MaterialMap({0: Linear(1.0), 1: PEC()}), 1),
-            "tabulated": (MaterialMap({0: Linear(1.0), 1: table}), 1),
+            "contrast": (MaterialMap({0: Linear(1.0), 1: Linear(5.0)}), 1),
             "p=4": (MaterialMap({0: PowerLaw(2.0, 1.0, 4.0),
                                  1: Linear(1.0)}), 4)}
     datum = make_datum(mesh, [DatumTerm("sin", 1.5, k=2)], "sin2")
@@ -779,12 +807,12 @@ def test_stages_follow_the_laws(monkeypatch):
         fields[name] = solve(mesh, mats, datum)
         assert len(stage_calls) == n_stages, name
         assert len(fields[name].problem.stages) == n_stages, name
-    # four stages of one tabulated law end where one stage does: the
-    # later ones start at a point that already meets the tolerance
+    # four stages of one linear-contrast map end where one stage does:
+    # the later ones start at a point that already meets the tolerance
     monkeypatch.setattr(Problem, "stages",
                         property(lambda problem: (problem,) * 4))
-    four = solve(mesh, maps["tabulated"][0], datum)
-    one = fields["tabulated"]
+    four = solve(mesh, maps["contrast"][0], datum)
+    one = fields["contrast"]
     assert four.info.n_iter == one.info.n_iter > 0
     assert four.info.energy == one.info.energy
     assert np.array_equal(four.u, one.u)

@@ -128,6 +128,16 @@ def test_dflux_jump_factor_at_floor():
         assert abs(above / below - (p - 1.0)) < 1e-9
 
 
+def test_with_reg_eps_moves_floor():
+    m = PowerLaw(sigma_bar=1.0, e0=1.0, p=4.0)
+    m2 = scale_reg_eps(m, 1e-3 / REG_EPS_FACTOR)
+    assert m2.reg_eps == pytest.approx(1e-3, rel=1e-15)
+    assert m.reg_eps == REG_EPS_FACTOR
+    # below the moved floor sigma is frozen at its value on the new floor
+    assert m2.sigma(0.5e-3) == pytest.approx(m.sigma_raw(m2.reg_eps),
+                                             rel=1e-15)
+
+
 def test_raw_and_regularized_agree_above_floor():
     m = PowerLaw(sigma_bar=2.0, e0=1.0, p=1.2)
     e = np.logspace(-5, 2, 40)

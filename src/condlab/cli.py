@@ -83,6 +83,13 @@ def _float(value, where: str) -> float:
     raise ValueError(f"{where} must be a finite number, got {value!r}")
 
 
+def _point(value, where: str) -> tuple[float, float]:
+    """A point [x, y] whose coordinates ``_float`` reads."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{where} must be a pair [x, y], got {value!r}")
+    return _float(value[0], f"{where} x"), _float(value[1], f"{where} y")
+
+
 def _unique(names, what: str, key: Callable = str) -> None:
     """Refuse two ``names`` that are equal or share ``key``, the name of
     the file or row each one writes."""
@@ -126,7 +133,8 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
             if shape == "disk":
                 _check_keys(inc, f"inclusion {k}",
                             {"center", "radius", "label"}, {"shape"})
-                incs.append(DiskInclusion(tuple(inc["center"]),
+                incs.append(DiskInclusion(_point(inc["center"],
+                                                 f"inclusion {k} center"),
                                           _float(inc["radius"],
                                                  f"inclusion {k} radius"),
                                           _int(inc["label"],
@@ -135,13 +143,15 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
                 _check_keys(inc, f"inclusion {k}", {"vertices", "label"},
                             {"shape"})
                 incs.append(PolygonInclusion(
-                    np.asarray(inc["vertices"], dtype=float),
+                    tuple(_point(v, f"inclusion {k} vertex {i}")
+                          for i, v in enumerate(inc["vertices"])),
                     _int(inc["label"], f"inclusion {k} label")))
             else:
                 raise ConfigError(f"inclusion {k}: unknown shape {shape!r}")
         return build_disk_mesh(_float(spec["radius"], "mesh radius"),
                                _float(spec["target_h"], "mesh target_h"),
-                               incs, tuple(spec.get("center", (0.0, 0.0))))
+                               incs, _point(spec.get("center", (0.0, 0.0)),
+                                            "mesh center"))
     if kind == "annulus":
         _check_keys(spec, "mesh(annulus)",
                     {"r_inner", "r_outer", "target_h"}, {"kind"})
@@ -562,8 +572,9 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     contrast_model(contrast)  # rejects anything but pei and pec
     order = _quad_order(cfg, args, 8)
     noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
-    seed = (args.seed if args.seed is not None
-            else _int(cfg.get("seed", 0), "seed"))
+    seed = _int(cfg.get("seed", 0) if args.seed is None else args.seed, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     tol = _float(cfg["tol"], "tol") if "tol" in cfg else None
     workers = args.workers or (os.cpu_count() or 1)
 
@@ -714,7 +725,10 @@ def parse_args(argv=None):
         p.add_argument("--check-only", action="store_true",
                        help="read and check the whole config, then stop "
                             "without writing anything")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.workers < 0:
+        ap.error(f"argument --workers: must be >= 0, got {args.workers}")
+    return args
 
 
 def main(argv=None) -> int:

@@ -69,9 +69,7 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
                          f"ny={ny}")
     xmin, ymin = mesh.nodes.min(axis=0)
     xmax, ymax = mesh.nodes.max(axis=0)
-    on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
-    on_boundary[mesh.boundary_nodes] = True
-    interior = ~np.any(on_boundary[mesh.triangles], axis=1)
+    interior = ~np.any(mesh.on_boundary[mesh.triangles], axis=1)
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny

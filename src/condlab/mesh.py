@@ -6,8 +6,8 @@ background phase, labels >= 1 mark inclusion components.  The boundary is not
 stored; it is inferred as the set of edges incident to exactly one triangle,
 which supports multiply connected domains (annulus meshes have two loops).
 
-Disk meshes are built from staggered polar rings plus a Delaunay pass;
-annulus and rectangle meshes are structured.  No external mesher is used.
+Disk meshes are built from staggered polar rings plus a Qhull Delaunay pass
+(``scipy.spatial``); annulus and rectangle meshes are structured.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
 logger = logging.getLogger(__name__)
 
@@ -113,12 +113,12 @@ def _neighbours(indptr: np.ndarray, indices: np.ndarray,
     return indices[start[parent] + offset], parent
 
 
-def reach(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the nodes joined to node ``start`` by a path, found by a
-    breadth-first search of the CSR graph."""
+def reach(indptr: np.ndarray, indices: np.ndarray, start) -> np.ndarray:
+    """Mask of the nodes joined by a path to node ``start``, or to one of
+    an array of them, found by a breadth-first search of the CSR graph."""
     seen = np.zeros(len(indptr) - 1, dtype=bool)
     seen[start] = True
-    front = np.array([start])
+    front = np.flatnonzero(seen)
     while len(front):
         new = np.zeros_like(seen)
         new[_neighbours(indptr, indices, front)[0]] = True
@@ -181,7 +181,8 @@ class Mesh:
 
     Derived fields (filled in ``__post_init__``): signed areas, per-triangle
     P1 basis gradients ``grads[t, :, j]`` (gradient of the hat function of
-    local vertex j), boundary edges and the sorted array of boundary nodes.
+    local vertex j), ``edges`` and ``edge_counts`` from ``_edge_incidence``,
+    boundary edges, the sorted boundary nodes and their mask ``on_boundary``.
     """
 
     nodes: np.ndarray
@@ -189,8 +190,11 @@ class Mesh:
     labels: np.ndarray
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    edges: np.ndarray = field(init=False, repr=False)
+    edge_counts: np.ndarray = field(init=False, repr=False)
     boundary_edges: np.ndarray = field(init=False, repr=False)
     boundary_nodes: np.ndarray = field(init=False, repr=False)
+    on_boundary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -212,9 +216,12 @@ class Mesh:
                             f"({areas[bad]:.3e}); orient CCW first")
         self.areas = areas
         self.grads = self._basis_gradients()
-        edges, counts = _edge_incidence(self.triangles, self.n_nodes)
-        self.boundary_edges = edges[counts == 1]
-        self.boundary_nodes = np.unique(self.boundary_edges)
+        self.edges, self.edge_counts = _edge_incidence(self.triangles,
+                                                       self.n_nodes)
+        self.boundary_edges = self.edges[self.edge_counts == 1]
+        self.on_boundary = np.zeros(self.n_nodes, dtype=bool)
+        self.on_boundary[self.boundary_edges] = True
+        self.boundary_nodes = np.flatnonzero(self.on_boundary)
 
     def _basis_gradients(self) -> np.ndarray:
         a = self.nodes[self.triangles[:, 0]]
@@ -282,13 +289,11 @@ def validate(mesh: Mesh) -> list[str]:
     no duplicate triangles, nonnegative labels.
     """
     problems: list[str] = []
-    edges, counts = _edge_incidence(mesh.triangles, mesh.n_nodes)
-    if np.any(counts > 2):
-        bad = edges[counts > 2][0]
+    if np.any(mesh.edge_counts > 2):
+        bad = mesh.edges[mesh.edge_counts > 2][0]
         problems.append(f"nonmanifold edge {tuple(bad)} shared by >2 triangles")
     # boundary loop closure: every boundary node has exactly two boundary edges
-    deg = np.zeros(mesh.n_nodes, dtype=int)
-    np.add.at(deg, mesh.boundary_edges.ravel(), 1)
+    deg = np.bincount(mesh.boundary_edges.ravel(), minlength=mesh.n_nodes)
     open_nodes = np.nonzero(deg == 1)[0]
     if len(open_nodes):
         problems.append(f"boundary not closed at node {int(open_nodes[0])}")
@@ -304,11 +309,10 @@ def validate(mesh: Mesh) -> list[str]:
     elif not _edge_connected(mesh.triangles[bg]):
         problems.append("background (label 0) is not edge-connected")
     # inclusions compactly inside: no labeled triangle touches the boundary
-    on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
-    on_boundary[mesh.boundary_nodes] = True
-    labeled = mesh.labels >= 1
-    if np.any(labeled & on_boundary[mesh.triangles].any(axis=1)):
-        t = int(np.nonzero(labeled & on_boundary[mesh.triangles].any(axis=1))[0][0])
+    touching = mesh.on_boundary[mesh.triangles].any(axis=1)
+    labeled = np.nonzero((mesh.labels >= 1) & touching)[0]
+    if len(labeled):
+        t = int(labeled[0])
         problems.append(f"inclusion touches boundary (triangle {t}, "
                         f"label {int(mesh.labels[t])})")
     # key each sorted triangle by the rank of its first side and its last
@@ -414,11 +418,13 @@ def _polygon_cloud(vertices: np.ndarray, target_h: float) -> np.ndarray:
 def _inclusion_extent_ok(inc: Inclusion, radius: float,
                          center: tuple[float, float], clearance: float) -> bool:
     c = np.asarray(center)
-    if isinstance(inc, DiskInclusion):
-        d = np.linalg.norm(np.asarray(inc.center) - c)
-        return d + inc.radius <= radius - clearance
-    verts = np.asarray(inc.vertices)
-    return bool(np.all(np.linalg.norm(verts - c, axis=1) <= radius - clearance))
+    # a distance that overflows is inf or NaN, which fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(inc, DiskInclusion):
+            d = np.linalg.norm(np.asarray(inc.center) - c)
+            return d + inc.radius <= radius - clearance
+        d = np.linalg.norm(np.asarray(inc.vertices) - c, axis=1)
+        return bool(np.all(d <= radius - clearance))
 
 
 def _inclusions_disjoint(a: Inclusion, b: Inclusion, gap: float) -> bool:
@@ -513,7 +519,11 @@ def build_disk_mesh(radius: float, target_h: float,
             keep &= ~near
     points = np.concatenate([base[keep]] + extra) if extra else base[keep]
 
-    tri = Delaunay(points)
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:  # e.g. points that coincide in float
+        detail = str(exc).strip().partition("\n")[0]
+        raise MeshError(f"disk mesh generation failed: {detail}") from None
     triangles = _orient_ccw(points, tri.simplices.astype(np.int64))
     # drop degenerate slivers the hull pass may produce on cocircular points
     good = _signed_areas(points, triangles) > 1e-12 * target_h ** 2

@@ -18,14 +18,15 @@ of entering the sum:
 Everything that depends only on the (mesh, material map) pair is compiled
 once into a ``Problem``: the unknown map, the active-triangle slices of the
 mesh arrays, the active triangles grouped by distinct model (equal laws
-under different labels are evaluated in one call), and, on first use, the
-boundary mass, the unit element stiffness matrices and the ``Band``: a
-reverse Cuthill-McKee order of the free unknowns (computed in numpy by
-``mesh.reverse_cuthill_mckee``, the same order as scipy's) and, for every
-element matrix entry, its slot in LAPACK lower band storage.  The banded
-Cholesky factor of the unit stiffness is kept too, so the harmonic start
-of every solve on the pair is one back-substitution against a factor
-computed once per ``Problem``.  A ``Problem`` holds no per-datum state.
+under different labels are evaluated in one call) and the ``Band``, the
+one graph of the free unknowns: it proves that each reaches the boundary
+and gives their reverse Cuthill-McKee order (``mesh.reverse_cuthill_mckee``,
+the same as scipy's) and each element matrix entry's slot in LAPACK lower
+band storage.  The boundary mass, the unit element stiffness matrices and
+the banded Cholesky factor (LAPACK ``dpbtrf``) of the unit stiffness are
+built on first use and kept, so the harmonic start of every solve on the
+pair is one back-substitution against a factor computed once per
+``Problem``.  A ``Problem`` holds no per-datum state.
 ``solve`` accepts one so that every solve on the same pair shares it, and
 builds its own when none is given.  The solved ``PotentialField`` keeps
 the ``Problem`` it was solved on and the nodal residual of its last Newton
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import (BoundaryMass, Mesh, adjacency, boundary_mass, reach,
@@ -239,51 +240,41 @@ class Problem:
     unknowns.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
     restricted to the active (conducting) triangles ``active_tris``, in
     that order; ``groups`` pairs each distinct law with the active slots
-    it governs.  Every free unknown must reach the boundary through
-    conducting triangles (a PEC component counts as one node), else the
-    problem is singular and construction raises ``SolveError``.
+    it governs; ``band`` is their ``Band``.  Every free unknown must reach
+    the boundary through conducting triangles (a PEC component counts as
+    one node), else the problem is singular and construction raises
+    ``SolveError``.
     """
 
     def __init__(self, mesh: Mesh, materials: MaterialMap):
         materials.check_covers(mesh.labels)
-        kinds = {lab: materials.model_for(lab).kind
-                 for lab in np.unique(mesh.labels).tolist()}
-        pec_labels = [lab for lab, kind in kinds.items() if kind == "pec"]
-        pei_labels = [lab for lab, kind in kinds.items() if kind == "pei"]
-        is_pec = np.isin(mesh.labels, pec_labels)
-        is_pei = np.isin(mesh.labels, pei_labels)
-        active = ~(is_pei | is_pec)
-        active_ids = np.nonzero(active)[0]
+        models = {lab: materials.model_for(lab)
+                  for lab in np.unique(mesh.labels).tolist()}
+        pec_labels = [lab for lab, m in models.items() if m.kind == "pec"]
+        active_ids = np.nonzero(~np.isin(mesh.labels, [
+            lab for lab, m in models.items() if m.is_structural]))[0]
         if not len(active_ids):
             raise SolveError("no conducting triangles")
 
-        on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
-        on_boundary[mesh.boundary_nodes] = True
-        touches_active = np.zeros(mesh.n_nodes, dtype=bool)
-        touches_active[mesh.triangles[active]] = True
-
         free_of_node = np.full(mesh.n_nodes, _REMOVED, dtype=np.int64)
-        free_of_node[touches_active] = 0  # placeholder, numbered below
-        free_of_node[on_boundary] = _DIRICHLET
+        # a node of an active triangle is free, numbered below
+        free_of_node[mesh.triangles[active_ids]] = 0
+        free_of_node[mesh.on_boundary] = _DIRICHLET
 
-        pec_groups: dict[int, np.ndarray] = {}
-        col = 0
-        # one shared column per PEC label
+        # one shared column per PEC label, numbered first
+        pec_groups = {lab: np.unique(mesh.triangles[mesh.labels == lab])
+                      for lab in pec_labels}
         pec_col_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        for lab in pec_labels:
-            nodes = np.unique(mesh.triangles[mesh.labels == lab])
-            if np.any(on_boundary[nodes]):
+        for col, (lab, nodes) in enumerate(pec_groups.items()):
+            if np.any(mesh.on_boundary[nodes]):
                 raise SolveError(f"PEC component {lab} touches the domain "
                                  f"boundary")
-            pec_groups[lab] = nodes
             pec_col_of_node[nodes] = col
-            col += 1
         merged = pec_col_of_node >= 0
-        plain_free = (free_of_node == 0) & ~merged
-        ids = np.nonzero(plain_free)[0]
-        free_of_node[ids] = col + np.arange(len(ids))
+        ids = np.nonzero((free_of_node == 0) & ~merged)[0]
+        free_of_node[ids] = len(pec_groups) + np.arange(len(ids))
         free_of_node[merged] = pec_col_of_node[merged]
-        n_free = col + len(ids)
+        n_free = len(pec_groups) + len(ids)
 
         self.mesh, self.materials = mesh, materials
         self.free_of_node, self.n_free = free_of_node, n_free
@@ -294,7 +285,7 @@ class Problem:
 
         self.active_tris = active_ids
         self.triangles = mesh.triangles[active_ids]
-        _check_boundary_paths(free_of_node[self.triangles], n_free)
+        self.band = Band(free_of_node[self.triangles], n_free)
         self.grads = mesh.grads[active_ids]
         self.areas = mesh.areas[active_ids]
         # per-basis gradient norms for the round-off floor
@@ -304,7 +295,7 @@ class Problem:
         active_labels = mesh.labels[active_ids]
         members: dict[object, list[int]] = {}
         for lab in sorted(set(active_labels.tolist())):
-            members.setdefault(materials.model_for(lab), []).append(lab)
+            members.setdefault(models[lab], []).append(lab)
         self.groups = tuple((model, np.nonzero(np.isin(active_labels,
                                                        labs))[0])
                             for model, labs in members.items())
@@ -322,21 +313,15 @@ class Problem:
                                             @ self.grads)
 
     @functools.cached_property
-    def band(self) -> "Band":
-        """Band structure of the reduced Hessian; built on first use."""
-        return Band(self.free_of_node[self.triangles], self.n_free)
-
-    @functools.cached_property
     def unit_factor(self) -> np.ndarray:
         """Banded Cholesky factor of the reduced unit stiffness, built on
         first use and kept."""
-        band = self.band
-        try:
-            return band.factor(band.assemble(self.unit_elements))
-        except LinAlgError:  # a zero pivot: the unit stiffness is singular
+        factor = self.band.factor(self.band.assemble(self.unit_elements))
+        if factor is None:  # a zero pivot: the unit stiffness is singular
             raise SolveError("harmonic start: the unit stiffness is singular "
                              "(conducting nodes without a path to the "
-                             "boundary)") from None
+                             "boundary)")
+        return factor
 
     @property
     def stages(self) -> tuple["Problem", ...]:
@@ -356,7 +341,7 @@ class Problem:
                            for model, sel in self.groups)
             if all(a is b for (a, _), (b, _) in zip(groups, self.groups)):
                 return ()
-            self.band, self.unit_elements  # built here, so stages share them
+            self.unit_elements  # built here, so stages share it
             staged = copy.copy(self)
             staged.groups = groups
             stages.append(staged)
@@ -445,29 +430,17 @@ class Problem:
         return self.band.assemble(elem)
 
 
-def _check_boundary_paths(cols: np.ndarray, n: int) -> None:
-    """Raise ``SolveError`` unless every free unknown is joined to a
-    Dirichlet node by conducting triangles; ``cols`` is the free unknown
-    of each active triangle node, shape (m, 3), negative on Dirichlet
-    nodes.  Without such a path the unit stiffness, and every Hessian, is
-    singular on that unknown's component."""
-    if not n:
-        return
-    ends = np.where(cols < 0, n, cols)  # vertex n stands for the boundary
-    graph = adjacency(ends.ravel(), ends[:, [1, 2, 0]].ravel(), n + 1)
-    stranded = int(np.count_nonzero(~reach(*graph, n)[:n]))
-    if stranded:
-        raise SolveError(f"{stranded} free unknowns have no conducting path "
-                         f"to the boundary: the unit stiffness is singular")
-
-
 class Band:
     """Lower LAPACK band storage of a reduced symmetric matrix assembled
     from 3x3 element matrices.
 
-    The free unknowns are taken in reverse Cuthill-McKee order ``order``
-    (band position -> free unknown), which keeps the band narrow.  It is
-    computed in numpy (``mesh.reverse_cuthill_mckee``) and equals scipy's
+    Construction builds one graph of the free unknowns, joined when they
+    share a triangle, and raises ``SolveError`` unless a search from the
+    unknowns next to a Dirichlet node reaches them all (else the unit
+    stiffness and every Hessian are singular).  The unknowns are taken in
+    its reverse Cuthill-McKee order ``order`` (band position -> free
+    unknown), which keeps the band narrow; computed in numpy
+    (``mesh.reverse_cuthill_mckee``), it equals scipy's
     ``reverse_cuthill_mckee(graph, symmetric_mode=True)``.  Band
     row r, column j holds entry (j + r, j) of the reordered matrix.
     ``slots`` sends every element entry, in (m, 3, 3) order, to its flat
@@ -482,7 +455,14 @@ class Band:
         ci = np.repeat(cols, 3, axis=1).ravel()
         cj = np.tile(cols, (1, 3)).ravel()
         free = (ci >= 0) & (cj >= 0)
-        self.order = reverse_cuthill_mckee(*adjacency(ci[free], cj[free], n))
+        graph = adjacency(ci[free], cj[free], n)
+        start = cols[(cols < 0).any(axis=1)]
+        stranded = n - int(np.count_nonzero(reach(*graph, start[start >= 0])))
+        if stranded:
+            raise SolveError(f"{stranded} free unknowns have no conducting "
+                             f"path to the boundary: the unit stiffness is "
+                             f"singular")
+        self.order = reverse_cuthill_mckee(*graph)
         # band position of each unknown; the extra last entry sends the
         # Dirichlet column -1 to position -1
         pos = np.full(n + 1, -1, dtype=np.int64)
@@ -508,18 +488,18 @@ class Band:
         d[self.order] = ab[0]
         return d
 
-    def factor(self, ab: np.ndarray) -> np.ndarray:
-        """Cholesky factor of band array ``ab``, which it overwrites;
-        raises LinAlgError when the matrix is not positive definite."""
-        return cholesky_banded(ab, overwrite_ab=True, lower=True,
-                               check_finite=False)
+    def factor(self, ab: np.ndarray) -> np.ndarray | None:
+        """Cholesky factor of band array ``ab``, which it overwrites, by
+        LAPACK ``dpbtrf``; None when the matrix is not positive
+        definite."""
+        c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        return None if info else c
 
     def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor that ``factor`` returned; ``rhs`` and the
-        result are in unknown order."""
+        """Solve with a factor that ``factor`` returned, by LAPACK
+        ``dpbtrs``; ``rhs`` and the result are in unknown order."""
         x = np.empty(self.n)
-        x[self.order] = cho_solve_banded((factor, True), rhs[self.order],
-                                         check_finite=False)
+        x[self.order] = dpbtrs(factor, rhs[self.order], lower=1)[0]
         return x
 
 
@@ -530,8 +510,6 @@ def harmonic_initial_guess(problem: Problem,
     The back-solve uses the problem's ``unit_factor``, so every cold start
     on one ``Problem`` shares one factorization.
     """
-    if problem.n_free == 0:
-        return np.zeros(0)
     flux = np.einsum("mij,mj->mi", problem.unit_elements,
                      u_fix[problem.triangles])
     return problem.band.solve(problem.unit_factor,
@@ -627,10 +605,9 @@ def _newton_direction(band: Band, h: np.ndarray, rhs: np.ndarray,
     """
     inv_diag = 1.0 / np.maximum(band.diagonal(h), 1e-300)
     progress.factorizations += 1
-    try:
-        d = band.solve(band.factor(h), rhs)
-    except LinAlgError:  # not positive definite
-        d = np.full_like(rhs, np.nan)
+    factor = band.factor(h)
+    d = np.full_like(rhs, np.nan) if factor is None \
+        else band.solve(factor, rhs)
     if not np.all(np.isfinite(d)):
         progress.linsolve_failures += 1
     return d, inv_diag

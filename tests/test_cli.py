@@ -953,13 +953,40 @@ CONFIG_PROBES = [
     ("convergence-study", lambda: {"p_values": [float("nan")],
                                    "target_h": [0.4]},
      "p_values entry must be a finite number, got nan"),
+    # mesh coordinates are read as pairs of finite numbers
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[1e308, 0])),
+     "disk mesh generation failed: QH6019"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[
+        float("inf"), 0])), "mesh center x must be a finite number, got inf"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[True, False])),
+     "mesh center x must be a finite number, got True"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[0, 0, 0])),
+     "mesh center must be a pair [x, y], got [0, 0, 0]"),
+    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
+        INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0],
+                                   center=[0.3, True])])),
+     "inclusion 0 center y must be a finite number, got True"),
+    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
+        DISK, inclusions=[{"shape": "polygon", "label": 1, "vertices": [
+            [0, 0], [0.3, 0], [True, 0.3]]}])),
+     "inclusion 0 vertex 2 x must be a finite number, got True"),
+    # the scan's random generator takes non-negative seeds only
+    ("mpm-image", lambda: mpm_cfg(seed=-1, truth=TRUTH),
+     "seed must be a non-negative integer, got -1"),
+]
+
+# probes whose fault is in a flag, not in the config
+FLAG_PROBES = [
+    ("mpm-image", lambda: mpm_cfg(truth=TRUTH),
+     "seed must be a non-negative integer, got -2", ("--seed", "-2")),
 ]
 
 
-def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):
+def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message,
+                            flags=()):
     errors = []
     for extra, out in ((["--check-only"], "check"), ([], "run")):
-        code, outdir = run(tmp_path, command, cfg, *extra, out=out)
+        code, outdir = run(tmp_path, command, cfg, *flags, *extra, out=out)
         assert code == 2
         assert not outdir.exists()
         captured = capsys.readouterr()
@@ -970,11 +997,14 @@ def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):
     assert message in errors[0][0]
 
 
-@pytest.mark.parametrize("command, make_cfg, message", CONFIG_PROBES,
-                         ids=[msg for _, _, msg in CONFIG_PROBES])
+@pytest.mark.parametrize(
+    "command, make_cfg, message, flags",
+    [(*probe, ()) for probe in CONFIG_PROBES] + FLAG_PROBES,
+    ids=[probe[2] for probe in CONFIG_PROBES + FLAG_PROBES])
 def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
-                                     message):
-    assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message)
+                                     message, flags):
+    assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message,
+                            flags)
 
 
 # A valid config of each subcommand; the Newton controls are fixed, so
@@ -1018,6 +1048,18 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
             run(tmp_path, command, cfg, *args)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_negative_worker_count_is_a_usage_error(tmp_path, capsys, command):
+    for extra in (["--check-only"], []):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, VALID_CONFIGS[command], "--workers", "-3",
+                *extra)
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 0, got -3" in \
+            capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

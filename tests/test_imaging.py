@@ -253,18 +253,18 @@ def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
                                                     monkeypatch, contrast):
     meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
     builds, factors = [], []
-    init, cholesky = Problem.__init__, solver.cholesky_banded
+    init, dpbtrf = Problem.__init__, solver.dpbtrf
 
     def counting_init(self, *args):
         builds.append(1)
         init(self, *args)
 
-    def counting_cholesky(*args, **kw):
+    def counting_dpbtrf(*args, **kw):
         factors.append(1)
-        return cholesky(*args, **kw)
+        return dpbtrf(*args, **kw)
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
-    monkeypatch.setattr(solver, "cholesky_banded", counting_cholesky)
+    monkeypatch.setattr(solver, "dpbtrf", counting_dpbtrf)
     mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast, workers=1)
     assert len(builds) == grid.n_cells
     assert len(factors) == grid.n_cells

@@ -1,6 +1,7 @@
 """Dirichlet solver: data handling, exactness, optimality, structural regions."""
 
 import gc
+import json
 import logging
 import weakref
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import spsolve
 
@@ -22,6 +24,7 @@ from condlab.constitutive import (
     PowerLaw,
 )
 from condlab.dtn import dtn_pairing, ohmic_power
+from condlab.imaging import build_cell_grid, make_cell_phantom
 from condlab.mesh import (
     DiskInclusion,
     Mesh,
@@ -703,6 +706,81 @@ def test_band_is_narrower_than_the_natural_order():
     assert problem.band.width < natural
 
 
+def wire_healthy_problem():
+    cfg = json.loads((CONFIGS / "wire_tables.json").read_text())["healthy"]
+    mesh = cli.mesh_from_spec(cfg["mesh"], str(CONFIGS))
+    return Problem(mesh, cli.materials_from_spec(cfg["materials"]))
+
+
+@pytest.mark.parametrize("case", ["wire unit stiffness", "p4 hessian"])
+def test_band_lapack_calls_equal_scipys_wrappers(case, rng):
+    if case == "wire unit stiffness":
+        problem = wire_healthy_problem()
+        ab = problem.band.assemble(problem.unit_elements)
+    else:
+        mesh, mats = band_case("p4")
+        problem = Problem(mesh, mats)
+        u_fix = np.zeros(mesh.n_nodes)
+        datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+        u_fix[datum.node_ids] = datum.values
+        x = harmonic_initial_guess(problem, u_fix) \
+            + 0.1 * rng.standard_normal(problem.n_free)
+        grads, norms = problem.grad_norms(problem.nodal_state(u_fix, x))
+        ab = problem.hessian(grads, norms, problem.per_tri(norms, "sigma"))
+    band = problem.band
+    ref = cholesky_banded(ab, lower=True)
+    factor = band.factor(ab)
+    assert np.array_equal(factor, ref)
+    rhs = rng.standard_normal(band.n)
+    x = np.empty(band.n)
+    x[band.order] = cho_solve_banded((ref, True), rhs[band.order])
+    assert np.array_equal(band.solve(factor, rhs), x)
+
+
+def test_problem_builds_one_graph(monkeypatch):
+    # the band's graph proves the boundary paths and gives the order the
+    # solve factorizes in
+    mesh = build_disk_mesh(1.0, 0.15)
+    grid = build_cell_grid(mesh, 5, 5)
+    calls = []
+    graph = solver.adjacency
+
+    def counting_adjacency(*args):
+        calls.append(1)
+        return graph(*args)
+
+    monkeypatch.setattr(solver, "adjacency", counting_adjacency)
+    for model in (PEC(), PEI()):
+        calls.clear()
+        cell_mesh, mats = make_cell_phantom(mesh, grid, [grid.n_cells // 2],
+                                            MaterialMap({0: Linear(1.0)}),
+                                            model)
+        solve(cell_mesh, mats, ramp(cell_mesh))
+        assert len(calls) == 1
+
+
+def test_stranded_islands_report_their_summed_count():
+    # island a: a PEC core in a PEI ring; island b: a PEC core in a
+    # conducting ring in a PEI ring
+    mesh = build_disk_mesh(1.0, 0.1)
+    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    ra = np.linalg.norm(cent - [-0.45, 0.0], axis=1)
+    rb = np.linalg.norm(cent - [0.45, 0.0], axis=1)
+    a = np.where(ra < 0.15, 2, np.where(ra < 0.3, 1, 0))
+    b = np.where(rb < 0.1, 3, np.where((rb >= 0.25) & (rb < 0.4), 1, 0))
+    mats = MaterialMap({0: Linear(1.0), 1: PEI(), 2: PEC(), 3: PEC()})
+
+    def stranded(labels):
+        with pytest.raises(SolveError, match="free unknowns have no "
+                                             "conducting path") as exc:
+            Problem(mesh.relabeled(labels), mats)
+        return int(str(exc.value).split()[0])
+
+    one, other = stranded(a), stranded(b)
+    assert one == 1 and other > 1
+    assert stranded(np.maximum(a, b)) == one + other
+
+
 def test_non_positive_definite_hessian_takes_the_gradient_fallback(
         monkeypatch):
     mesh, mats = band_case("p4")
@@ -712,7 +790,7 @@ def test_non_positive_definite_hessian_takes_the_gradient_fallback(
     start = solve(mesh, MaterialMap({0: Linear(1.0), 1: Linear(1.0)}),
                   datum).u
     ref = solve(mesh, mats, datum, initial_guess=start, problem=problem)
-    cholesky = solver.cholesky_banded
+    dpbtrf = solver.dpbtrf
     calls = []
 
     def non_positive_once(ab, **kw):
@@ -720,9 +798,9 @@ def test_non_positive_definite_hessian_takes_the_gradient_fallback(
             ab = ab.copy()
             ab[0, 0] = -ab[0, 0]
         calls.append(1)
-        return cholesky(ab, **kw)
+        return dpbtrf(ab, **kw)
 
-    monkeypatch.setattr(solver, "cholesky_banded", non_positive_once)
+    monkeypatch.setattr(solver, "dpbtrf", non_positive_once)
     info = solve(mesh, mats, datum, initial_guess=start,
                  problem=problem).info
     assert info.linsolve_failures == 1
@@ -741,13 +819,13 @@ def test_harmonic_start_factorizes_once_per_problem(monkeypatch):
     mesh, mats = pec_disk()
     problem = Problem(mesh, mats)
     calls = []
-    cholesky = solver.cholesky_banded
+    dpbtrf = solver.dpbtrf
 
-    def counting_cholesky(*args, **kw):
+    def counting_dpbtrf(*args, **kw):
         calls.append(1)
-        return cholesky(*args, **kw)
+        return dpbtrf(*args, **kw)
 
-    monkeypatch.setattr(solver, "cholesky_banded", counting_cholesky)
+    monkeypatch.setattr(solver, "dpbtrf", counting_dpbtrf)
     k, a = coo_reduced(problem, problem.unit_elements)
     for datum in (ramp(mesh),
                   make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")):

@@ -266,6 +266,14 @@ def _inert_quad_order(cfg: dict, args) -> None:
         _quad_order(cfg, args, 16)
 
 
+def _material_id(cfg: dict) -> str:
+    """The ``material_id`` key that labels each power_batch.csv row."""
+    mat_id = cfg.get("material_id", "m0")
+    if not isinstance(mat_id, str):
+        raise ConfigError(f"material_id must be a string, got {mat_id!r}")
+    return mat_id
+
+
 def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
     # accept the other problem-config sections so the same file can drive
     # mesh-gen and the compute subcommands, and read each one present the
@@ -277,6 +285,13 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
     name = cfg.get("save_as", "mesh.json")
     if not isinstance(name, str):
         raise ConfigError(f"save_as must be a file name, got {name!r}")
+    # a file directly in --out: no directory part, no "." or ".."
+    if name in ("", ".", "..") or os.path.basename(name) != name \
+            or "\0" in name:
+        raise ConfigError(f"save_as must be a bare file name, got {name!r}")
+    if name in ("mesh_report.json", "run_meta.json"):
+        raise ConfigError(f"save_as {name!r} names a file mesh-gen writes "
+                          f"itself")
     if "materials" in cfg:
         materials_from_spec(cfg["materials"]).check_covers(mesh.labels)
     if "data" in cfg:
@@ -343,7 +358,7 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
 
 def cmd_power(cfg: dict, args) -> Callable[[], int]:
     mesh, materials, data, _ = _load_problem(cfg, args, {"material_id"})
-    mat_id = cfg.get("material_id", "m0")
+    mat_id = _material_id(cfg)
 
     def run() -> int:
         problem = Problem(mesh, materials)
@@ -362,7 +377,7 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
 
 def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
     mesh, materials, data, order = _load_problem(cfg, args, {"material_id"})
-    mat_id = cfg.get("material_id", "m0")
+    mat_id = _material_id(cfg)
 
     def run() -> int:
         rows = []
@@ -570,7 +585,7 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
                               f"boundary")
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
-    order = _quad_order(cfg, args, 8)
+    _inert_quad_order(cfg, args)
     noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
     seed = _int(cfg.get("seed", 0) if args.seed is None else args.seed, "seed")
     if seed < 0:
@@ -596,8 +611,8 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
         raise ConfigError("truth needs 'materials' or 'cells'")
 
     def run() -> int:
-        meas = synth_measurements(true_mesh, true_mats, data, order,
-                                  noise_rel, seed)
+        meas = synth_measurements(true_mesh, true_mats, data, noise_rel,
+                                  seed)
         result = mpm_scan(mesh, background, grid, data, meas, contrast,
                           tol, workers)
         write_mpm_json(os.path.join(args.out, "mpm_result.json"), result)
@@ -684,9 +699,6 @@ _COMMANDS = {
 }
 
 
-# the subcommands that read --quad-order; only mpm-image reads --seed
-_QUAD_ORDER_COMMANDS = ("avg-power", "mpm-image")
-
 # the comparisons read every averaged power as a minimum energy
 _INERT_QUAD_ORDER = ("Every averaged power is the minimum energy of one "
                      "solve per (map, datum).  A config key quad_order is "
@@ -696,6 +708,8 @@ _DESCRIPTIONS = {
                           "boundary powers. " + _INERT_QUAD_ORDER,
     "reproduce-wire": "Damage tables of averaged boundary powers, healthy "
                       "minus damaged. " + _INERT_QUAD_ORDER,
+    "mpm-image": "Monotonicity scan of a cell grid against measured "
+                 "averaged boundary powers. " + _INERT_QUAD_ORDER,
 }
 
 
@@ -718,7 +732,7 @@ def parse_args(argv=None):
         if name == "mpm-image":
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
-        if name in _QUAD_ORDER_COMMANDS:
+        if name == "avg-power":
             p.add_argument("--quad-order", type=int, default=0,
                            dest="quad_order",
                            help="override the config quadrature order")

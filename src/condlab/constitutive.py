@@ -232,116 +232,3 @@ def scale_reg_eps(model: PowerLaw, factor: float) -> PowerLaw:
         return replace(model, reg_eps=model.reg_eps * factor)
     return model
 
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class GrowthBoundsResult:
-    passed: bool
-    witness_e: float | None
-    witness_side: str | None
-    margin: float
-
-
-def check_growth_bounds(model, e0: float, p: float, sigma_lo: float,
-                        sigma_hi: float, grid: np.ndarray | None = None,
-                        rtol: float = 1e-9) -> GrowthBoundsResult:
-    """Two-sided growth certificate for the ideal law on a field grid.
-
-    For p >= 2 the admissible corridor is
-
-        sigma_lo * (E/e0)^(p-2) <= sigma(E) <= sigma_hi * (1 + (E/e0)^(p-2))
-
-    and for 1 < p < 2 both sides use the bare power (E/e0)^(p-2).  The
-    unregularized law is evaluated: the floor is a solver device and is
-    excluded from admissibility checks.
-    """
-    if model.is_structural:
-        raise ConstitutiveError("growth bounds apply to pointwise laws only")
-    if grid is None:
-        grid = default_e_grid(e0)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ConstitutiveError("growth grid must be strictly positive")
-    s = np.asarray(model.sigma_raw(grid), dtype=float)
-    power = (grid / e0) ** (p - 2.0)
-    lo = sigma_lo * power
-    hi = sigma_hi * (1.0 + power) if p >= 2.0 else sigma_hi * power
-    scale = np.maximum(np.abs(s), 1e-300)
-    lo_margin = (s - lo) / scale
-    hi_margin = (hi - s) / scale
-    margins = np.minimum(lo_margin, hi_margin)
-    k = int(np.argmin(margins))
-    if margins[k] < -rtol:
-        side = "lower" if lo_margin[k] < hi_margin[k] else "upper"
-        return GrowthBoundsResult(False, float(grid[k]), side,
-                                  float(margins[k]))
-    return GrowthBoundsResult(True, None, None, float(margins[k]))
-
-
-@dataclass(frozen=True)
-class StrongMonotonicityResult:
-    passed: bool
-    kappa_best: float
-    witness: tuple[tuple[float, float], tuple[float, float]] | None
-
-
-def check_strong_monotonicity(model, p: float, kappa: float,
-                              n_pairs: int = 400, seed: int = 0,
-                              e_scale: float | None = None,
-                              rtol: float = 1e-9) -> StrongMonotonicityResult:
-    """Sampled vector-field strong monotonicity certificate.
-
-    Draws random field pairs (a, b) in R^2 and checks
-
-        (sigma(|b|) b - sigma(|a|) a) . (b - a) >= kappa * S(a, b)
-
-    with shape S = |b - a|^p for p >= 2 and
-    S = (1 + |a|^2 + |b|^2)^((p-2)/2) |b - a|^2 for 1 < p < 2.
-    Returns the smallest sampled ratio as ``kappa_best``.
-    """
-    if model.is_structural:
-        raise ConstitutiveError("monotonicity applies to pointwise laws only")
-    rng = np.random.default_rng(seed)
-    scale = e_scale if e_scale is not None else model.e0
-    mag = scale * 10.0 ** rng.uniform(-3, 3, size=(n_pairs, 2))
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(n_pairs, 2))
-    a = mag[:, 0, None] * np.stack([np.cos(ang[:, 0]), np.sin(ang[:, 0])],
-                                   axis=1)
-    b = mag[:, 1, None] * np.stack([np.cos(ang[:, 1]), np.sin(ang[:, 1])],
-                                   axis=1)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    fa = np.asarray(model.flux_raw(na)) / na
-    fb = np.asarray(model.flux_raw(nb)) / nb
-    lhs = np.einsum("ij,ij->i", fb[:, None] * b - fa[:, None] * a, b - a)
-    d2 = np.einsum("ij,ij->i", b - a, b - a)
-    if p >= 2.0:
-        shape = d2 ** (p / 2.0)
-    else:
-        shape = (1.0 + na ** 2 + nb ** 2) ** ((p - 2.0) / 2.0) * d2
-    ok = shape > 0
-    ratio = lhs[ok] / shape[ok]
-    k = int(np.argmin(ratio))
-    kappa_best = float(ratio[k])
-    passed = bool(kappa_best >= kappa * (1.0 - rtol))
-    witness = None
-    if not passed:
-        ai, bi = a[ok][k], b[ok][k]
-        witness = ((float(ai[0]), float(ai[1])), (float(bi[0]), float(bi[1])))
-    return StrongMonotonicityResult(passed, kappa_best, witness)
-
-
-def check_flux_monotone(model, grid: np.ndarray,
-                        rtol: float = 1e-12) -> tuple[bool, float | None]:
-    """Strict increase of E -> sigma(E)*E on a grid (ideal law)."""
-    if model.is_structural:
-        return True, None
-    grid = np.sort(np.asarray(grid, dtype=float))
-    f = np.asarray(model.flux_raw(grid))
-    bad = np.nonzero(np.diff(f) <= rtol * np.maximum(np.abs(f[:-1]), 1e-300))[0]
-    if len(bad):
-        return False, float(grid[bad[0] + 1])
-    return True, None

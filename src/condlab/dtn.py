@@ -8,43 +8,36 @@ is evaluated through the assembled energy gradient:
 
 which equals the volumetric form sum_T area sigma grad u . grad Phi for
 every admissible discrete lift Phi of phi (the residual vanishes at free
-unknowns, and sums to zero over each PEC component);
-``oracle.dtn_pairing_via_lift`` evaluates that form as a cross-check.
-At the discrete level this pairing is the exact derivative of the
-minimized energy with respect to the trace, so the averaged pairing
+unknowns, and sums to zero over each PEC component).  At the discrete
+level this pairing is the exact derivative of the minimized energy with
+respect to the trace, so the averaged power
 
     avg_power(f) = integral_0^1 <Lambda(alpha f), f> d alpha
 
-reproduces the Dirichlet energy up to quadrature error in alpha; the
-mismatch is reported as ``transfer_residual``.  Gauss-Legendre nodes on
-(0, 1) are solved in ascending order, each warm-started from the previous
-solution scaled by the node ratio.
+equals the Dirichlet energy of u^f (the transfer identity).
 
-When every finite region of the map is linear (``MaterialMap.is_linear``:
-p = 2 power laws, which ``Linear`` builds, PEI and PEC), the solution is homogeneous of
-degree one in the datum, u^(alpha f) = alpha u^f, so every node's pairing
-is alpha_k <Lambda(f), phi>.  The averaged power and pairing then solve
-once, at alpha = 1, instead of once per node (the homogeneity path).  The
-map alone selects it, in the one helper both averages share.
-
-Because the transfer identity is exact, a caller that needs only the
-averaged power reads it as the minimum energy: ``minimum_energies`` makes
-one cold solve per datum, with no quadrature error, and the comparisons
-(``reproduce-wire``, ``monotonicity.ladder_suite``) use it.  The alpha
-quadrature serves only the callers that check the identity itself:
-``avg-power`` and the measurement cross-check of ``mpm-image``
-(``imaging.synth_measurements``), both through ``average_dtn_powers``.
+Every averaged power a comparison uses is read as that minimum energy:
+``minimum_energies`` makes one cold solve per datum, with no quadrature
+error, and ``reproduce-wire``, ``monotonicity.ladder_suite`` and both
+sides of ``mpm-image`` (its measurements and its cell scan) call it.
+The alpha quadrature serves only ``avg-power``, the command that shows
+the identity: ``average_dtn_power`` solves at Gauss-Legendre nodes on
+(0, 1) in ascending order, each warm-started from the previous solution
+scaled by the node ratio, and reports the mismatch to the energy as
+``transfer_residual``.  When every finite region of the map is linear
+(``MaterialMap.is_linear``: p = 2 power laws, which ``Linear`` builds,
+PEI and PEC), the solution is homogeneous of degree one in the datum,
+u^(alpha f) = alpha u^f, so every node's pairing is alpha_k <Lambda(f), f>
+and the average solves once, at alpha = 1 (the homogeneity path).
 
 A pairing reads the residual its solved field keeps, so it assembles
 none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
 the ``Problem`` it is given; every other function here that solves on
 one (mesh, material map) pair compiles a single ``Problem`` and drops it
-on return.
-``average_dtn_powers`` runs a list of data on one shared problem, so a
-caller that loops over data on one pair compiles it, and on a linear map
-factorizes its harmonic start, once.  Each averaged power or pairing logs
-one debug line on ``condlab.dtn`` with its datum, quadrature order,
-number of solves and whether the homogeneity path was taken.
+on return, so a caller that loops over data on one pair compiles it,
+and on a linear map factorizes its harmonic start, once.  Each averaged
+power logs one debug line on ``condlab.dtn`` with its datum, quadrature
+order, number of solves and whether the homogeneity path was taken.
 """
 from __future__ import annotations
 
@@ -65,11 +58,6 @@ logger = logging.getLogger(__name__)
 def dtn_pairing(fld: PotentialField, phi: BoundaryDatum) -> float:
     """Pairing of the boundary current of a solved state with a trace."""
     return float(phi.values @ fld.residual[phi.node_ids])
-
-
-def ohmic_power(fld: PotentialField) -> float:
-    """<Lambda(f), f> for the state's own datum."""
-    return dtn_pairing(fld, fld.datum)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -116,27 +104,6 @@ class PowerReport:
     nodes: tuple[tuple[float, float, float], ...]  # (alpha, weight, pairing)
 
 
-def _node_pairings(what: str, problem: Problem, datum: BoundaryDatum,
-                   phi: BoundaryDatum, alphas: np.ndarray,
-                   quad_order: int) -> tuple[np.ndarray, PotentialField]:
-    """Pairings <Lambda(alpha_k f), phi> at the ascending ``alphas`` and
-    the last field solved: one solve at alpha = 1 on a linear map (the
-    homogeneity path), else ``_alpha_sweep``.  Logs the averaged ``what``.
-    """
-    linear = problem.materials.is_linear
-    if linear:
-        fld = solve(problem.mesh, problem.materials, datum, problem=problem)
-        pairings = alphas * dtn_pairing(fld, phi)
-    else:
-        fields = _alpha_sweep(problem, datum, alphas)
-        fld = fields[-1]
-        pairings = np.array([dtn_pairing(f, phi) for f in fields])
-    logger.debug("averaged %s %r: quadrature order %d, %d solves, %s",
-                 what, datum.name, quad_order, 1 if linear else len(alphas),
-                 "homogeneity path" if linear else "alpha sweep")
-    return pairings, fld
-
-
 def average_dtn_power(problem: Problem, datum: BoundaryDatum,
                       quad_order: int = 16) -> PowerReport:
     """Averaged boundary power of one datum, with the transfer mismatch.
@@ -149,9 +116,18 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
     Every solve runs on ``problem``.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    pairings, full = _node_pairings("power", problem, datum, datum,
-                                    np.concatenate([alphas, [1.0]]),
-                                    quad_order)
+    at = np.append(alphas, 1.0)
+    linear = problem.materials.is_linear
+    if linear:
+        full = solve(problem.mesh, problem.materials, datum, problem=problem)
+        pairings = at * dtn_pairing(full, datum)
+    else:
+        fields = _alpha_sweep(problem, datum, at)
+        full = fields[-1]
+        pairings = np.array([dtn_pairing(f, datum) for f in fields])
+    logger.debug("averaged power %r: quadrature order %d, %d solves, %s",
+                 datum.name, quad_order, 1 if linear else len(at),
+                 "homogeneity path" if linear else "alpha sweep")
     power = pairings[-1]
     avg = float(weights @ pairings[:-1])
     energy = full.info.energy
@@ -179,17 +155,6 @@ def minimum_energies(mesh: Mesh, materials: MaterialMap,
     problem = Problem(mesh, materials)
     return [solve(mesh, materials, d, problem=problem).info.energy
             for d in data]
-
-
-def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
-                        datum: BoundaryDatum, phi: BoundaryDatum,
-                        quad_order: int = 16) -> float:
-    """Averaged cross pairing integral_0^1 <Lambda(alpha f), phi> d alpha;
-    one solve on a linear map, one per alpha node otherwise."""
-    alphas, weights = gauss_on_unit(quad_order)
-    pairings, _ = _node_pairings("pairing", Problem(mesh, materials), datum,
-                                 phi, alphas, quad_order)
-    return float(weights @ pairings)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ tolerance.  Cells contained in an extreme anomaly are flagged by
 construction: carving the test extreme into a region that already is one
 cannot move the power past the measurement.
 
-Each averaged power is the minimum energy of one solve: on any map,
+Each averaged power, measured or tested, is the minimum energy of one
+solve (``dtn.minimum_energies``): on any map,
 integral_0^1 <Lambda(alpha f), f> d alpha = E(u^f) (the transfer
-identity).  ``quad_order`` sets only the measurements' Gauss-Legendre
-cross-check of that identity.
+identity), so neither side runs an alpha quadrature.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .constitutive import PEC, PEI, MaterialMap
-from .dtn import average_dtn_powers
+from .dtn import minimum_energies
 from .mesh import Mesh
-from .solver import BoundaryDatum, Problem, solve
+from .solver import BoundaryDatum
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ class CellGrid:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
-
-    def cell_centers(self) -> np.ndarray:
-        xmin, xmax, ymin, ymax = self.bbox
-        dx = (xmax - xmin) / self.nx
-        dy = (ymax - ymin) / self.ny
-        return np.array([[xmin + (c.ix + 0.5) * dx, ymin + (c.iy + 0.5) * dy]
-                         for c in self.cells])
 
 
 def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
@@ -122,16 +115,13 @@ def make_cell_phantom(mesh: Mesh, grid: CellGrid, cell_ids: Sequence[int],
 
 @dataclass(frozen=True)
 class Measurements:
-    """Averaged boundary powers per datum, optionally noise-corrupted, and
-    the transfer residual of the quadrature cross-check at ``quad_order``."""
+    """Averaged boundary powers per datum, optionally noise-corrupted."""
 
     datum_names: tuple[str, ...]
     clean: np.ndarray
     noisy: np.ndarray
     noise_rel: float
     seed: int
-    quad_order: int
-    transfer_residual: np.ndarray
 
     @property
     def powers(self) -> np.ndarray:
@@ -140,19 +130,16 @@ class Measurements:
 
 
 def synth_measurements(mesh: Mesh, materials: MaterialMap,
-                       data: Sequence[BoundaryDatum], quad_order: int = 8,
+                       data: Sequence[BoundaryDatum],
                        noise_rel: float = 0.0,
                        seed: int = 0) -> Measurements:
     """Forward-model averaged powers (minimum energies) with multiplicative
-    uniform noise; ``transfer_residual`` is each datum's relative mismatch
-    of the Gauss-Legendre average at ``quad_order``."""
-    reports = average_dtn_powers(mesh, materials, data, quad_order)
-    clean = np.array([rep.energy for rep in reports])
+    uniform noise."""
+    clean = np.array(minimum_energies(mesh, materials, data))
     rng = np.random.default_rng(seed)
     noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
     return Measurements(tuple(d.name for d in data), clean, noisy,
-                        noise_rel, seed, quad_order,
-                        np.array([rep.transfer_residual for rep in reports]))
+                        noise_rel, seed)
 
 
 @dataclass(frozen=True)
@@ -182,10 +169,7 @@ def _scan_task(args) -> tuple[int, np.ndarray]:
     test extreme stamped onto the cell."""
     mesh, background, cell, model, data = args
     test_mesh, test_mats = _stamp(mesh, background, [cell], model)
-    problem = Problem(test_mesh, test_mats)
-    return cell.id, np.array([solve(test_mesh, test_mats, d,
-                                    problem=problem).info.energy
-                              for d in data])
+    return cell.id, np.array(minimum_energies(test_mesh, test_mats, data))
 
 
 def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,

@@ -136,11 +136,6 @@ class LadderReport:
     def ok(self) -> bool:
         return all(rep.ok for _, _, rep in self.pair_reports)
 
-    @property
-    def n_certified_pairs(self) -> int:
-        return sum(1 for _, _, rep in self.pair_reports
-                   if rep.certificate.ok)
-
 
 def chain_certificates(chain: Sequence[tuple[str, MaterialMap]]
                        ) -> tuple[PointwiseCertificate, ...]:

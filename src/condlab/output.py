@@ -7,6 +7,7 @@ as plain strings with fixed formatting.
 """
 from __future__ import annotations
 
+import csv
 import json
 import time
 from typing import Iterable, Sequence
@@ -33,10 +34,13 @@ def fmt(x) -> str:
 
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(fmt(c) for c in row) for row in rows]
+    """Write ``fmt``-rendered rows under ``header``; a cell holding a
+    comma, a quote or a line break is quoted, so every row keeps the
+    header's column count."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([fmt(c) for c in row] for row in rows)
 
 
 def write_json(path: str, obj) -> None:
@@ -127,16 +131,13 @@ def write_ladder_csv(path: str, ladder: LadderReport) -> None:
 # --------------------------------------------------------------- imaging
 
 def mpm_result_dict(result: MpmResult) -> dict:
-    meas = result.measurements
     return {
         "contrast": result.contrast,
         "tol": result.tol,
         "grid": {"nx": result.grid.nx, "ny": result.grid.ny,
                  "bbox": list(result.grid.bbox),
                  "n_cells": result.grid.n_cells},
-        "datum_names": list(meas.datum_names),
-        "quad_order": meas.quad_order,
-        "transfer_residual": [float(v) for v in meas.transfer_residual],
+        "datum_names": list(result.measurements.datum_names),
         "cells": [{"id": c.id, "ix": c.ix, "iy": c.iy,
                    "score": float(result.scores[c.id]),
                    "flagged": bool(result.mask[c.id]),

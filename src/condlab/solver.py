@@ -213,14 +213,6 @@ def make_datum(mesh: Mesh, terms: Sequence[DatumTerm], name: str,
     return BoundaryDatum(name, bm.node_ids, values)
 
 
-def datum_family(mesh: Mesh,
-                 specs: Sequence[tuple[str, Sequence[DatumTerm]]]
-                 ) -> list[BoundaryDatum]:
-    """Build a named family of zero-mean data on one mesh."""
-    bm = boundary_mass(mesh)
-    return [make_datum(mesh, terms, name, bm) for name, terms in specs]
-
-
 # ---------------------------------------------------------------------------
 # compiled problem
 
@@ -911,45 +903,3 @@ def element_fields(fld: PotentialField
     j[problem.active_tris] = -sig[:, None] * grads
     q[problem.active_tris] = problem.per_tri(norms, "energy_density")
     return e, j, q
-
-
-@dataclass(frozen=True)
-class ContinuityRow:
-    eps: float
-    grad_diff_norm: float
-
-
-@dataclass(frozen=True)
-class ContinuityStudy:
-    rows: tuple[ContinuityRow, ...]
-    slope: float
-    exponent: float
-
-
-def boundary_data_continuity_study(mesh: Mesh, materials: MaterialMap,
-                                   datum: BoundaryDatum,
-                                   direction: BoundaryDatum,
-                                   eps_list: Sequence[float]
-                                   ) -> ContinuityStudy:
-    """Gradient-difference decay under boundary perturbations f + eps*phi.
-
-    Reports || grad u^(f + eps phi) - grad u^f ||_{L^p} over the conducting
-    triangles with p the declared background exponent, plus the fitted
-    log-log slope (least squares over the given eps ladder).
-    """
-    p = materials.outer_exponent
-    problem = Problem(mesh, materials)
-    base = solve(mesh, materials, datum, problem=problem)
-    g_base, _ = problem.grad_norms(base.u)
-    rows = []
-    for eps in sorted(eps_list, reverse=True):
-        fld = solve(mesh, materials, datum.plus(direction, eps),
-                    initial_guess=base.u, problem=problem)
-        g_eps, _ = problem.grad_norms(fld.u)
-        d = np.linalg.norm(g_eps - g_base, axis=1)
-        norm = float((problem.areas @ d ** p) ** (1.0 / p))
-        rows.append(ContinuityRow(float(eps), norm))
-    le = np.log([r.eps for r in rows])
-    ln = np.log([max(r.grad_diff_norm, 1e-300) for r in rows])
-    slope = float(np.polyfit(le, ln, 1)[0])
-    return ContinuityStudy(tuple(rows), slope, p)

@@ -18,10 +18,10 @@ from condlab.constitutive import Linear, MaterialMap, PEI, PowerLaw
 from condlab.dtn import average_dtn_power, gateaux_check
 from condlab.mesh import (DiskInclusion, boundary_mass, build_annulus_mesh,
                           build_disk_mesh, build_rect_mesh)
-from condlab.oracle import annulus_radial_solution, brute_force_min
-from condlab.solver import (BoundaryDatum, DatumTerm, Problem,
-                            boundary_data_continuity_study, make_datum,
+from condlab.oracle import annulus_radial_solution
+from condlab.solver import (BoundaryDatum, DatumTerm, Problem, make_datum,
                             project_zero_mean, solve)
+from reference import boundary_data_continuity_study, brute_force_min
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -8,6 +8,7 @@ accuracy.
 """
 
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
 from condlab.solver import Problem, solve
+from reference import CellGrid
 
 # ------------------------------------------------------------ config snippets
 
@@ -355,6 +357,27 @@ def test_power_batch_csv(tmp_path):
     assert float(rows[0][2]) == pytest.approx(np.pi, rel=0.02)
 
 
+def test_power_batch_csv_quotes_names_with_commas(tmp_path):
+    named = dict(RAMP, name='x,y "z"')
+    code, out = run(tmp_path, "power", dict(PROBLEM, data=[named],
+                                            material_id="m,1"))
+    assert code == 0
+    with open(out / "power_batch.csv", newline="") as fh:
+        head, *rows = csv.reader(fh)
+    assert len(head) == 6 and [len(r) for r in rows] == [6]
+    assert rows[0][:2] == ['x,y "z"', "m,1"]
+
+
+def test_csv_cells_round_trip_through_a_csv_reader(tmp_path):
+    rows = [("a,b", 'say "hi"', "two\nlines", 1.5, 3, True),
+            ("plain", "", " pad ", float("nan"), -2, False)]
+    write_csv(tmp_path / "t.csv", ["c0", "c1", "c2", "c3", "c4", "c5"], rows)
+    with open(tmp_path / "t.csv", newline="") as fh:
+        read = list(csv.reader(fh))
+    assert read == [["c0", "c1", "c2", "c3", "c4", "c5"]] + [
+        [fmt(c) for c in row] for row in rows]
+
+
 def test_power_of_zero_datum_is_zero(tmp_path):
     off = {"name": "off", "terms": [{"kind": "linear-x",
                                      "amplitude": 0.0}]}
@@ -635,7 +658,7 @@ def mpm_cfg(**extra):
 
 def center_cell_id(n=3):
     mesh = build_disk_mesh(1.0, 0.28)
-    grid = build_cell_grid(mesh, n, n)
+    grid = CellGrid(**vars(build_cell_grid(mesh, n, n)))
     centers = grid.cell_centers()
     return int(np.argmin(np.hypot(centers[:, 0], centers[:, 1])))
 
@@ -844,6 +867,25 @@ CONFIG_PROBES = [
      "quadrature order must be >= 1)"),
     ("mesh-gen", lambda: {"mesh": DISK, "save_as": 5},
      "save_as must be a file name"),
+    # the mesh is saved directly in --out, next to the files mesh-gen
+    # writes itself, and overwrites neither
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": ""},
+     "save_as must be a bare file name, got ''"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": "/nonexistent/m.json"},
+     "save_as must be a bare file name, got '/nonexistent/m.json'"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": "sub/m.json"},
+     "save_as must be a bare file name, got 'sub/m.json'"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": "m\0.json"},
+     "save_as must be a bare file name, got 'm\\x00.json'"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": "mesh_report.json"},
+     "save_as 'mesh_report.json' names a file mesh-gen writes itself"),
+    ("mesh-gen", lambda: {"mesh": DISK, "save_as": "run_meta.json"},
+     "save_as 'run_meta.json' names a file mesh-gen writes itself"),
+    # a material id labels power_batch.csv rows as written
+    ("power", lambda: dict(PROBLEM, material_id={"m": 1}),
+     "material_id must be a string, got {'m': 1}"),
+    ("avg-power", lambda: dict(PROBLEM, material_id=3),
+     "material_id must be a string, got 3"),
     # mesh-gen reads the problem sections it accepts
     ("mesh-gen", lambda: dict(PROBLEM, materials={"regions": {
         "0": {"type": "rubber"}}}), "unknown material type 'rubber'"),
@@ -1037,7 +1079,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
                                                        command):
     cfg = VALID_CONFIGS[command]
     reads = {"--seed": command == "mpm-image",
-             "--quad-order": command in ("avg-power", "mpm-image"),
+             "--quad-order": command == "avg-power",
              "--workers": True}
     for flag, read in reads.items():
         args = (flag, "3", "--check-only")

@@ -13,12 +13,11 @@ from condlab.constitutive import (
     Linear,
     MaterialMap,
     PowerLaw,
-    check_flux_monotone,
-    check_growth_bounds,
-    check_strong_monotonicity,
     default_e_grid,
     scale_reg_eps,
 )
+from reference import (check_flux_monotone, check_growth_bounds,
+                       check_strong_monotonicity)
 
 # the superconducting petal material used throughout the wire study
 EJ_WIRE = dict(jc=8e9, e0=1e-4, n=27.0)

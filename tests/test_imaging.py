@@ -7,7 +7,8 @@ import pytest
 
 from condlab import solver
 from condlab.constitutive import PEC, PEI, Linear, MaterialMap, PowerLaw
-from condlab.dtn import average_dtn_power, average_dtn_powers
+from condlab.dtn import (average_dtn_power, average_dtn_powers,
+                         minimum_energies)
 from condlab.imaging import (
     Measurements,
     MpmResult,
@@ -20,8 +21,8 @@ from condlab.imaging import (
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
 from condlab.output import write_mpm_json
-from condlab.solver import (DatumTerm, PotentialField, Problem, datum_family,
-                            solve)
+from condlab.solver import DatumTerm, PotentialField, Problem, solve
+from reference import CellGrid, datum_family
 
 QUAD = 3
 
@@ -52,7 +53,7 @@ def fam(scan_mesh):
 
 
 def center_cell(grid, x=0.0, y=0.0):
-    centers = grid.cell_centers()
+    centers = CellGrid(**vars(grid)).cell_centers()
     return int(np.argmin(np.hypot(centers[:, 0] - x, centers[:, 1] - y)))
 
 
@@ -90,7 +91,7 @@ def test_grid_rejects_empty_axis(scan_mesh, nx, ny):
 
 def test_grid_centers_inside_bbox(grid):
     xmin, xmax, ymin, ymax = grid.bbox
-    centers = grid.cell_centers()
+    centers = CellGrid(**vars(grid)).cell_centers()
     assert centers.shape == (grid.n_cells, 2)
     assert np.all((centers[:, 0] > xmin) & (centers[:, 0] < xmax))
     assert np.all((centers[:, 1] > ymin) & (centers[:, 1] < ymax))
@@ -140,7 +141,7 @@ def test_make_cell_phantom_rejects_cells_outside_grid(scan_mesh, grid, bg,
 
 
 def test_noiseless_measurements_match_forward_model(scan_mesh, bg, fam):
-    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
+    meas = synth_measurements(scan_mesh, bg, fam)
     assert np.array_equal(meas.powers, meas.clean)
     problem = Problem(scan_mesh, bg)
     direct = [average_dtn_power(problem, d, QUAD).energy for d in fam]
@@ -149,12 +150,9 @@ def test_noiseless_measurements_match_forward_model(scan_mesh, bg, fam):
 
 
 def test_noise_is_bounded_and_seeded(scan_mesh, bg, fam):
-    a = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD,
-                           noise_rel=0.05, seed=11)
-    b = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD,
-                           noise_rel=0.05, seed=11)
-    c = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD,
-                           noise_rel=0.05, seed=12)
+    a = synth_measurements(scan_mesh, bg, fam, noise_rel=0.05, seed=11)
+    b = synth_measurements(scan_mesh, bg, fam, noise_rel=0.05, seed=11)
+    c = synth_measurements(scan_mesh, bg, fam, noise_rel=0.05, seed=12)
     assert np.array_equal(a.noisy, b.noisy)
     assert not np.array_equal(a.noisy, c.noisy)
     assert np.all(np.abs(a.noisy - a.clean) <= 0.05 * np.abs(a.clean)
@@ -166,7 +164,7 @@ def test_noise_is_bounded_and_seeded(scan_mesh, bg, fam):
 
 
 def test_scan_rejects_unknown_contrast(scan_mesh, grid, bg, fam):
-    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
+    meas = synth_measurements(scan_mesh, bg, fam)
     with pytest.raises(ValueError, match="contrast"):
         mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="hole")
 
@@ -174,7 +172,7 @@ def test_scan_rejects_unknown_contrast(scan_mesh, grid, bg, fam):
 def test_scan_background_only_flags_nothing(scan_mesh, grid, bg, fam):
     # with anomaly-free measurements every insulating test perturbation
     # strictly lowers the averaged power, so no cell survives
-    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
+    meas = synth_measurements(scan_mesh, bg, fam)
     res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei")
     assert res.flagged_cells == ()
     assert np.all(res.scores < 0.0)
@@ -183,7 +181,7 @@ def test_scan_background_only_flags_nothing(scan_mesh, grid, bg, fam):
 def test_scan_contains_single_cell_pei_truth(scan_mesh, grid, bg, fam):
     cid = center_cell(grid)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
-    meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
+    meas = synth_measurements(mesh_p, mats_p, fam)
     res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei")
     metrics = mask_metrics(res, [cid])
     assert metrics.contained
@@ -195,7 +193,7 @@ def test_scan_contains_pec_truth(scan_mesh, grid, bg, fam):
     cid = center_cell(grid, 0.3, 0.0)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg,
                                        model=PEC())
-    meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
+    meas = synth_measurements(mesh_p, mats_p, fam)
     res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pec")
     assert mask_metrics(res, [cid]).contained
 
@@ -203,8 +201,7 @@ def test_scan_contains_pec_truth(scan_mesh, grid, bg, fam):
 def test_scan_noisy_containment_with_matched_tol(scan_mesh, grid, bg, fam):
     cid = center_cell(grid)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
-    meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD,
-                              noise_rel=0.01, seed=5)
+    meas = synth_measurements(mesh_p, mats_p, fam, noise_rel=0.01, seed=5)
     res = mpm_scan(scan_mesh, bg, grid, fam, meas, contrast="pei",
                    tol=3.0 * 0.01)
     assert mask_metrics(res, [cid]).contained
@@ -212,8 +209,7 @@ def test_scan_noisy_containment_with_matched_tol(scan_mesh, grid, bg, fam):
 
 
 def test_scan_default_tol_tracks_noise(scan_mesh, grid, bg, fam):
-    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD,
-                              noise_rel=0.02)
+    meas = synth_measurements(scan_mesh, bg, fam, noise_rel=0.02)
     res = mpm_scan(scan_mesh, bg, grid, fam[:1], meas, contrast="pei")
     assert res.tol == pytest.approx(3.0 * 0.02 + 1e-9)
 
@@ -221,8 +217,8 @@ def test_scan_default_tol_tracks_noise(scan_mesh, grid, bg, fam):
 def test_scan_mask_shrinks_with_more_data(scan_mesh, grid, bg, fam):
     cid = center_cell(grid)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
-    meas2 = synth_measurements(mesh_p, mats_p, fam[:2], quad_order=QUAD)
-    meas4 = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
+    meas2 = synth_measurements(mesh_p, mats_p, fam[:2])
+    meas4 = synth_measurements(mesh_p, mats_p, fam)
     res2 = mpm_scan(scan_mesh, bg, grid, fam[:2], meas2, contrast="pei")
     res4 = mpm_scan(scan_mesh, bg, grid, fam, meas4, contrast="pei")
     assert np.all(res2.mask[res4.mask])  # every 4-datum flag survives in 2
@@ -232,7 +228,7 @@ def test_scan_mask_shrinks_with_more_data(scan_mesh, grid, bg, fam):
 def test_scan_workers_do_not_change_results(scan_mesh, grid, bg, fam):
     cid = center_cell(grid)
     mesh_p, mats_p = make_cell_phantom(scan_mesh, grid, [cid], bg)
-    meas = synth_measurements(mesh_p, mats_p, fam[:2], quad_order=QUAD)
+    meas = synth_measurements(mesh_p, mats_p, fam[:2])
     one = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, contrast="pei",
                    workers=1)
     two = mpm_scan(scan_mesh, bg, grid, fam[:2], meas, contrast="pei",
@@ -242,7 +238,7 @@ def test_scan_workers_do_not_change_results(scan_mesh, grid, bg, fam):
 
 
 def test_scan_is_deterministic(scan_mesh, grid, bg, fam):
-    meas = synth_measurements(scan_mesh, bg, fam[:2], quad_order=QUAD)
+    meas = synth_measurements(scan_mesh, bg, fam[:2])
     a = mpm_scan(scan_mesh, bg, grid, fam[:2], meas)
     b = mpm_scan(scan_mesh, bg, grid, fam[:2], meas)
     assert np.array_equal(a.margins, b.margins)
@@ -251,7 +247,7 @@ def test_scan_is_deterministic(scan_mesh, grid, bg, fam):
 @pytest.mark.parametrize("contrast", ["pei", "pec"])
 def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
                                                     monkeypatch, contrast):
-    meas = synth_measurements(scan_mesh, bg, fam, quad_order=QUAD)
+    meas = synth_measurements(scan_mesh, bg, fam)
     builds, factors = [], []
     init, dpbtrf = Problem.__init__, solver.dpbtrf
 
@@ -288,7 +284,7 @@ def p4_phantom(scan_mesh, grid, bg_p4):
 @pytest.fixture(scope="module")
 def p4_scan(scan_mesh, grid, bg_p4, fam, p4_phantom):
     _, mesh_p, mats_p = p4_phantom
-    meas = synth_measurements(mesh_p, mats_p, fam, quad_order=QUAD)
+    meas = synth_measurements(mesh_p, mats_p, fam)
     return meas, mpm_scan(scan_mesh, bg_p4, grid, fam, meas)
 
 
@@ -327,17 +323,19 @@ def test_nonlinear_scan_contains_pei_truth(p4_phantom, p4_scan):
     assert abs(res.scores[cid]) <= 1e-9
 
 
-def test_scan_result_records_the_quadrature_cross_check(tmp_path, fam,
-                                                        p4_phantom, p4_scan):
+def test_nonlinear_measurements_are_minimum_energies(tmp_path, fam,
+                                                     p4_phantom, p4_scan):
     _, mesh_p, mats_p = p4_phantom
     meas, res = p4_scan
+    assert np.array_equal(meas.clean, minimum_energies(mesh_p, mats_p, fam))
+    # each is a cold solve, where the alpha sweep ends on a warm start:
+    # the two energies agree at solver tolerance
     reports = average_dtn_powers(mesh_p, mats_p, fam, QUAD)
-    assert np.array_equal(meas.clean, [r.energy for r in reports])
+    assert np.allclose(meas.clean, [r.energy for r in reports], rtol=1e-10,
+                       atol=0.0)
     write_mpm_json(tmp_path / "mpm_result.json", res)
     out = json.loads((tmp_path / "mpm_result.json").read_text())
-    assert out["quad_order"] == QUAD
-    assert out["transfer_residual"] == [r.transfer_residual
-                                        for r in reports]
+    assert "quad_order" not in out and "transfer_residual" not in out
     assert out["datum_names"] == [d.name for d in fam]
 
 
@@ -347,8 +345,7 @@ def test_scan_result_records_the_quadrature_cross_check(tmp_path, fam,
 
 def fake_result(grid, mask):
     n = grid.n_cells
-    meas = Measurements(("f",), np.ones(1), np.ones(1), 0.0, 0, 1,
-                        np.zeros(1))
+    meas = Measurements(("f",), np.ones(1), np.ones(1), 0.0, 0)
     return MpmResult(grid, "pei", 1e-9, meas, np.zeros((n, 1)),
                      np.zeros(n), np.asarray(mask, dtype=bool))
 

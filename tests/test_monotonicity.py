@@ -14,7 +14,8 @@ from condlab.constitutive import (
 from condlab.mesh import DiskInclusion, build_disk_mesh
 from condlab.monotonicity import (chain_certificates, ladder_suite,
                                   pointwise_leq)
-from condlab.solver import BoundaryDatum, DatumTerm, datum_family, solve
+from condlab.solver import BoundaryDatum, DatumTerm, solve
+from reference import LadderReport, datum_family
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,8 @@ def family(inc_disk):
 
 def ladder(mesh, chain, data):
     """``ladder_suite`` with the chain's own certificates."""
-    return ladder_suite(mesh, chain, data, chain_certificates(chain))
+    return LadderReport(**vars(ladder_suite(mesh, chain, data,
+                                            chain_certificates(chain))))
 
 
 def pair_compare(mesh, lo, hi, data):

@@ -5,18 +5,14 @@ import pytest
 
 from condlab.constitutive import Linear, MaterialMap, PowerLaw
 from condlab.mesh import build_rect_mesh, boundary_mass
-from condlab.oracle import (
-    OracleError,
-    annulus_radial_solution,
-    brute_force_min,
-    two_layer_strip,
-)
+from condlab.oracle import OracleError, annulus_radial_solution
 from condlab.solver import (
     DatumTerm,
     Problem,
     make_datum,
     solve,
 )
+from reference import brute_force_min, two_layer_strip
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The package holds only what its subcommands run, and loads only that."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import condlab
+
+SRC = Path(condlab.__file__).resolve().parent
+
+
+def _names_used(tree: ast.AST, skip: set[int]) -> set[str]:
+    """Every name and attribute read in ``tree`` outside the nodes whose
+    ids are in ``skip``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and id(node) not in skip}
+
+
+def test_every_module_level_definition_is_used_in_the_package():
+    # code that only the tests exercise lives in tests/reference.py
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(node.name in _names_used(t, own if m == module
+                                                else set())
+                       for m, t in trees.items()):
+                unused.append(f"{module}: {node.name}")
+    assert unused == []
+
+
+def test_oracle_import_loads_no_scipy():
+    code = ("import sys, condlab.oracle; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

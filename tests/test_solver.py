@@ -23,7 +23,7 @@ from condlab.constitutive import (
     MaterialMap,
     PowerLaw,
 )
-from condlab.dtn import dtn_pairing, ohmic_power
+from condlab.dtn import dtn_pairing
 from condlab.imaging import build_cell_grid, make_cell_phantom
 from condlab.mesh import (
     DiskInclusion,
@@ -32,26 +32,21 @@ from condlab.mesh import (
     build_disk_mesh,
     build_rect_mesh,
 )
-from condlab.oracle import (
-    dtn_pairing_via_lift,
-    nodal_residual,
-    prolongation,
-    two_layer_strip,
-)
 from condlab.solver import (
     BoundaryDatum,
     DatumTerm,
     Problem,
     SolveError,
     _slope_root,
-    boundary_data_continuity_study,
-    datum_family,
     element_fields,
     harmonic_initial_guess,
     make_datum,
     project_zero_mean,
     solve,
 )
+from reference import (boundary_data_continuity_study, datum_family,
+                       dtn_pairing_via_lift, nodal_residual, ohmic_power,
+                       prolongation, two_layer_strip)
 
 
 def ramp(mesh, amplitude=1.0, name="ramp"):

@@ -30,13 +30,12 @@ from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
 from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
                    boundary_mass, build_annulus_mesh, build_disk_mesh,
                    build_rect_mesh, load_mesh, save_mesh, validate)
-from .monotonicity import chain_certificates, ladder_suite, pointwise_leq
+from .monotonicity import chain_certificates, ladder_suite
 from .oracle import OracleError, annulus_radial_solution
 from .output import (write_csv, write_element_csv, write_json,
                      write_ladder_csv, write_mpm_json, write_mpm_svg,
-                     write_node_csv, write_pair_csv, write_power_batch_csv,
-                     write_power_json, write_sidecar, write_solver_log,
-                     write_tri_svg)
+                     write_node_csv, write_power_batch_csv, write_power_json,
+                     write_sidecar, write_solver_log, write_tri_svg)
 from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
                      element_fields, make_datum, project_zero_mean, solve)
 
@@ -252,18 +251,17 @@ def load_config(path: str) -> dict:
 # Each command reads its whole config and returns its work as a
 # zero-argument ``run`` closure that returns the exit code.
 
-def _quad_order(cfg: dict, args, default: int) -> int:
-    order = args.quad_order or _int(cfg.get("quad_order", default),
-                                    "quad_order")
+def _quad_order(cfg: dict) -> int:
+    order = _int(cfg.get("quad_order", 16), "quad_order")
     gauss_on_unit(order)  # rejects orders below 1
     return order
 
 
-def _inert_quad_order(cfg: dict, args) -> None:
+def _inert_quad_order(cfg: dict) -> None:
     """Read and check a ``quad_order`` key that sets nothing here, so a
     config that sets it passes only with a valid order."""
     if "quad_order" in cfg:
-        _quad_order(cfg, args, 16)
+        _quad_order(cfg)
 
 
 def _material_id(cfg: dict) -> str:
@@ -296,7 +294,7 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
         materials_from_spec(cfg["materials"]).check_covers(mesh.labels)
     if "data" in cfg:
         data_from_spec(mesh, cfg["data"])
-    _inert_quad_order(cfg, args)
+    _inert_quad_order(cfg)
     issues = validate(mesh)
     report = {"n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
               "n_boundary_nodes": int(len(mesh.boundary_nodes)),
@@ -320,7 +318,7 @@ def _load_problem(cfg: dict, args, extra_keys: set[str] = frozenset()):
     materials = materials_from_spec(cfg["materials"])
     materials.check_covers(mesh.labels)
     data = data_from_spec(mesh, cfg["data"])
-    return mesh, materials, data, _quad_order(cfg, args, 16)
+    return mesh, materials, data, _quad_order(cfg)
 
 
 def cmd_solve(cfg: dict, args) -> Callable[[], int]:
@@ -397,27 +395,36 @@ def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
+    """Each ``pairs`` entry k is a two-link chain written to
+    ``pair_k.csv``, and ``chain``, if present, one more chain written to
+    ``ladder.csv`` (a suffix ``_h<h>`` per resolution); every file has
+    the ``write_ladder_csv`` layout."""
     _check_keys(cfg, "config", {"mesh", "data"},
                 {"quad_order", "pairs", "chain", "resolutions"})
     if "pairs" not in cfg and "chain" not in cfg:
         raise ConfigError("config needs 'pairs' and/or 'chain'")
-    _inert_quad_order(cfg, args)
+    _inert_quad_order(cfg)
 
-    pairs = []
+    # (file stem, name of one comparison in messages, stdout heading, links)
+    chains = []
     for k, pair in enumerate(cfg.get("pairs", [])):
         _check_keys(pair, f"pairs[{k}]", {"name_lo", "name_hi", "lo", "hi"})
-        pairs.append((k, pair["name_lo"], pair["name_hi"],
-                      materials_from_spec(pair["lo"], f"pairs[{k}].lo"),
-                      materials_from_spec(pair["hi"], f"pairs[{k}].hi")))
-    chain = []
-    for k, link in enumerate(cfg.get("chain", [])):
-        _check_keys(link, f"chain[{k}]", {"name", "materials"})
-        chain.append((str(link["name"]),
-                      materials_from_spec(link["materials"],
-                                          f"chain[{k}].materials")))
-    _unique([name for name, _ in chain], "chain link name")
-    maps = [m for *_, lo, hi in pairs for m in (lo, hi)]
-    maps += [m for _, m in chain]
+        links = [(pair[f"name_{s}"],
+                  materials_from_spec(pair[s], f"pairs[{k}].{s}"))
+                 for s in ("lo", "hi")]
+        chains.append((f"pair_{k}", "pair",
+                       f"pair {links[0][0]}<={links[1][0]}: ", links))
+    if "chain" in cfg:
+        links = []
+        for k, link in enumerate(cfg["chain"]):
+            _check_keys(link, f"chain[{k}]", {"name", "materials"})
+            links.append((str(link["name"]),
+                          materials_from_spec(link["materials"],
+                                              f"chain[{k}].materials")))
+        _unique([name for name, _ in links], "chain link name")
+        n = len(links)
+        chains.append(("ladder", "chain pair",
+                       f"chain: {n * (n - 1) // 2} pairs, ", links))
 
     resolutions = [_float(h, "resolutions entry")
                    for h in cfg.get("resolutions") or []]
@@ -428,50 +435,34 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     meshes = []
     for suffix, mesh_spec in mesh_specs:
         mesh = mesh_from_spec(mesh_spec, args.base_dir)
-        for mats in maps:
-            mats.check_covers(mesh.labels)
+        for *_, links in chains:
+            for _, mats in links:
+                mats.check_covers(mesh.labels)
         meshes.append((suffix, mesh, data_from_spec(mesh, cfg["data"])))
 
     def run() -> int:
         failures: list[str] = []
-        # the certificates depend only on the maps: one per pair and run
-        pair_certs = [pointwise_leq(lo, hi) for *_, lo, hi in pairs]
-        chain_certs = chain_certificates(chain)
+        # the certificates depend only on the maps: one set per chain and run
+        certs = [chain_certificates(links) for *_, links in chains]
         for suffix, mesh, data in meshes:
-            for (k, name_lo, name_hi, lo, hi), cert in zip(pairs, pair_certs):
-                name = f"{name_lo}<={name_hi}"
-                if not cert.ok:
-                    failures.append(f"order certificate failed for pair "
-                                    f"{name} (label {cert.witness_label}, "
-                                    f"E {cert.witness_e})")
-                    continue
-                rep = ladder_suite(mesh, [(name_lo, lo), (name_hi, hi)],
-                                   data, [cert]).pair_reports[0][2]
-                write_pair_csv(os.path.join(args.out,
-                                            f"pair_{k}{suffix}.csv"),
-                               name_lo, name_hi, rep)
-                for row in rep.violations:
-                    failures.append(f"pair {name}, datum {row.datum}: "
-                                    f"delta {row.delta:.3e} below "
-                                    f"-{row.tolerance:.1e}")
-                print(f"[suite{suffix}] pair {name}: "
-                      f"{'OK' if not rep.violations else 'VIOLATED'}")
-
-            if "chain" in cfg:
-                ladder = ladder_suite(mesh, chain, data, chain_certs)
+            for (stem, kind, heading, links), chain_certs in zip(chains,
+                                                                 certs):
+                ladder = ladder_suite(mesh, links, data, chain_certs)
                 write_ladder_csv(os.path.join(args.out,
-                                              f"ladder{suffix}.csv"), ladder)
+                                              f"{stem}{suffix}.csv"), ladder)
                 for i, j, rep in ladder.pair_reports:
-                    name = f"{ladder.names[i]}<={ladder.names[j]}"
-                    if not rep.certificate.ok:
-                        failures.append(f"order certificate failed for "
-                                        f"chain pair {name}")
+                    name = f"{kind} {ladder.names[i]}<={ladder.names[j]}"
+                    cert = rep.certificate
+                    if not cert.ok:
+                        failures.append(
+                            f"order certificate failed for {name} (label "
+                            f"{cert.witness_label}, E {cert.witness_e})")
                     for row in rep.violations:
-                        failures.append(f"chain pair {name}, datum "
-                                        f"{row.datum}: delta "
-                                        f"{row.delta:.3e}")
-                print(f"[suite{suffix}] chain: {len(ladder.pair_reports)} "
-                      f"pairs, {'OK' if ladder.ok else 'VIOLATED'}")
+                        failures.append(f"{name}, datum {row.datum}: delta "
+                                        f"{row.delta:.3e} below "
+                                        f"-{row.tolerance:.1e}")
+                print(f"[suite{suffix}] {heading}"
+                      f"{'OK' if ladder.ok else 'VIOLATED'}")
 
         if failures:
             for msg in failures:
@@ -585,12 +576,17 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
                               f"boundary")
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
-    _inert_quad_order(cfg, args)
+    _inert_quad_order(cfg)
     noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
-    seed = _int(cfg.get("seed", 0) if args.seed is None else args.seed, "seed")
+    if noise_rel < 0.0:
+        raise ConfigError(f"noise_rel must be >= 0, got {noise_rel!r}")
+    seed = _int(cfg.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    args.seed = seed  # recorded in run_meta.json
     tol = _float(cfg["tol"], "tol") if "tol" in cfg else None
+    if tol is not None and tol < 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol!r}")
     workers = args.workers or (os.cpu_count() or 1)
 
     truth = cfg["truth"]
@@ -641,7 +637,7 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
     healthy_mats = materials_from_spec(cfg["healthy"]["materials"],
                                        "healthy.materials")
     healthy_mats.check_covers(healthy_mesh.labels)
-    _inert_quad_order(cfg, args)
+    _inert_quad_order(cfg)
     data = data_from_spec(healthy_mesh, cfg["data"])
     cases = []
     for k, case in enumerate(cfg["damaged"]):
@@ -720,8 +716,6 @@ def parse_args(argv=None):
                     "monotonicity suites and inclusion scans for "
                     "piecewise nonlinear conductors.")
     ap.add_argument("--version", action="version", version=__version__)
-    # a subcommand without the flag reads the config value
-    ap.set_defaults(seed=None, quad_order=0)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, description=_DESCRIPTIONS.get(name))
@@ -729,13 +723,6 @@ def parse_args(argv=None):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=0,
                        help="parallel workers (0 = all cores)")
-        if name == "mpm-image":
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
-        if name == "avg-power":
-            p.add_argument("--quad-order", type=int, default=0,
-                           dest="quad_order",
-                           help="override the config quadrature order")
         p.add_argument("--check-only", action="store_true",
                        help="read and check the whole config, then stop "
                             "without writing anything")
@@ -750,6 +737,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         args.base_dir = os.path.dirname(os.path.abspath(args.config))
+        args.seed = None  # mpm-image sets the seed it scans with
         try:
             run = _COMMANDS[args.command](cfg, args)
         except (ValueError, TypeError, AttributeError, KeyError,

@@ -210,10 +210,6 @@ class MaterialMap:
                                     f"{sorted(missing)}")
 
     @property
-    def outer_exponent(self) -> float:
-        return self.models[0].p
-
-    @property
     def is_linear(self) -> bool:
         return all(m.is_structural or m.p == 2.0
                    for m in self.models.values())

@@ -26,41 +26,10 @@ class RadialSolution:
     p: float
     sigma_bar: float
     e0: float
-    r_inner: float
-    r_outer: float
-    u_inner: float
-    u_outer: float
     coef_a: float
     coef_b: float
     energy: float
     power: float
-
-    @property
-    def is_log(self) -> bool:
-        return self.p == 2.0
-
-    def u(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.is_log:
-            return self.coef_a * np.log(r) + self.coef_b
-        beta = (self.p - 2.0) / (self.p - 1.0)
-        return self.coef_a * r ** beta + self.coef_b
-
-    def du(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.is_log:
-            return self.coef_a / r
-        beta = (self.p - 2.0) / (self.p - 1.0)
-        return self.coef_a * beta * r ** (beta - 1.0)
-
-    def field(self, r):
-        return np.abs(self.du(r))
-
-    def flux_times_r(self, r):
-        """r * sigma(|u'|) * |u'|; constant in r for the exact solution."""
-        r = np.asarray(r, dtype=float)
-        e = self.field(r)
-        return r * self.sigma_bar * self.e0 * (e / self.e0) ** (self.p - 1.0)
 
 
 def annulus_radial_solution(p: float, sigma_bar: float, e0: float,
@@ -108,6 +77,5 @@ def annulus_radial_solution(p: float, sigma_bar: float, e0: float,
         power, _ = integrate.quad(
             lambda r: 2.0 * np.pi * r * sig(field(r)) * field(r) ** 2,
             r_inner, r_outer, epsabs=0.0, epsrel=1e-12, limit=200)
-    return RadialSolution(p, sigma_bar, e0, r_inner, r_outer,
-                          u_inner, u_outer, float(a), float(b),
+    return RadialSolution(p, sigma_bar, e0, float(a), float(b),
                           float(energy), float(power))

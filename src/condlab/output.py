@@ -17,7 +17,7 @@ import numpy as np
 from .dtn import PowerReport
 from .imaging import MpmResult
 from .mesh import Mesh
-from .monotonicity import LadderReport, MonotonicityReport
+from .monotonicity import LadderReport
 from .solver import PotentialField
 
 
@@ -108,15 +108,10 @@ def write_power_batch_csv(path: str, rows: Iterable[Sequence]) -> None:
 
 # ---------------------------------------------------------- monotonicity
 
-def write_pair_csv(path: str, name_lo: str, name_hi: str,
-                   report: MonotonicityReport) -> None:
-    write_csv(path, ["pair", "datum", "value_lo", "value_hi", "delta",
-                     "tolerance", "violated"],
-              ((f"{name_lo}<={name_hi}", r.datum, r.value_lo, r.value_hi,
-                r.delta, r.tolerance, r.violated) for r in report.rows))
-
-
 def write_ladder_csv(path: str, ladder: LadderReport) -> None:
+    """One row per (ordered pair, datum) of a chain, a single pair being a
+    two-link chain; ``notes`` holds the pair's certificate notes, joined
+    by ``;``, and ``violated`` is 0 on an uncertified pair."""
     rows = []
     for i, j, rep in ladder.pair_reports:
         pair = f"{ladder.names[i]}<={ladder.names[j]}"

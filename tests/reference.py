@@ -4,8 +4,9 @@
 certificates, studies, oracles and cross-checks below serve the tests
 alone; each definition keeps the text it had in the module its section
 names, so the tests check the same code.  Two members sit on subclasses
-of their classes.  Importing this module loads ``scipy.sparse``, for
-``prolongation``.
+of their classes; the radial profile of a ``RadialSolution`` and the
+``outer_exponent`` of a ``MaterialMap`` are functions that take one.
+Importing this module loads ``scipy.sparse``, for ``prolongation``.
 
 pytest collects only ``test_*.py``, so this module is imported, not run.
 """
@@ -22,7 +23,7 @@ from condlab import imaging, monotonicity
 from condlab.constitutive import ConstitutiveError, MaterialMap, default_e_grid
 from condlab.dtn import _alpha_sweep, dtn_pairing, gauss_on_unit
 from condlab.mesh import Mesh, boundary_mass
-from condlab.oracle import OracleError
+from condlab.oracle import OracleError, RadialSolution
 from condlab.solver import (BoundaryDatum, DatumTerm, PotentialField, Problem,
                             harmonic_initial_guess, make_datum, solve)
 
@@ -143,6 +144,11 @@ def check_flux_monotone(model, grid: np.ndarray,
     return True, None
 
 
+def outer_exponent(materials: MaterialMap) -> float:
+    """The exponent p of the law on label 0."""
+    return materials.models[0].p
+
+
 # ---------------------------------------------------------------------------
 # condlab.solver: data families and continuity studies
 
@@ -179,7 +185,7 @@ def boundary_data_continuity_study(mesh: Mesh, materials: MaterialMap,
     triangles with p the declared background exponent, plus the fitted
     log-log slope (least squares over the given eps ladder).
     """
-    p = materials.outer_exponent
+    p = outer_exponent(materials)
     problem = Problem(mesh, materials)
     base = solve(mesh, materials, datum, problem=problem)
     g_base, _ = problem.grad_norms(base.u)
@@ -239,7 +245,39 @@ def average_dtn_pairing(mesh: Mesh, materials: MaterialMap,
 
 
 # ---------------------------------------------------------------------------
-# condlab.oracle: layered strip, brute force and cross-checks
+# condlab.oracle: the radial profile, layered strip, brute force and
+# cross-checks
+
+
+def radial_is_log(sol: RadialSolution) -> bool:
+    return sol.p == 2.0
+
+
+def radial_u(sol: RadialSolution, r):
+    r = np.asarray(r, dtype=float)
+    if radial_is_log(sol):
+        return sol.coef_a * np.log(r) + sol.coef_b
+    beta = (sol.p - 2.0) / (sol.p - 1.0)
+    return sol.coef_a * r ** beta + sol.coef_b
+
+
+def radial_du(sol: RadialSolution, r):
+    r = np.asarray(r, dtype=float)
+    if radial_is_log(sol):
+        return sol.coef_a / r
+    beta = (sol.p - 2.0) / (sol.p - 1.0)
+    return sol.coef_a * beta * r ** (beta - 1.0)
+
+
+def radial_field(sol: RadialSolution, r):
+    return np.abs(radial_du(sol, r))
+
+
+def radial_flux_times_r(sol: RadialSolution, r):
+    """r * sigma(|u'|) * |u'|; constant in r for the exact solution."""
+    r = np.asarray(r, dtype=float)
+    e = radial_field(sol, r)
+    return r * sol.sigma_bar * sol.e0 * (e / sol.e0) ** (sol.p - 1.0)
 
 
 @dataclass(frozen=True)

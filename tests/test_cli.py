@@ -24,7 +24,7 @@ from condlab.imaging import build_cell_grid
 from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
 from condlab.solver import Problem, solve
-from reference import CellGrid
+from reference import CellGrid, outer_exponent
 
 # ------------------------------------------------------------ config snippets
 
@@ -206,7 +206,7 @@ def test_every_conducting_type_is_a_power_law(spec, p):
         "type": "pec"}}})
     law = mats.model_for(0)
     assert isinstance(law, PowerLaw) and law.p == p
-    assert mats.outer_exponent == p
+    assert outer_exponent(mats) == p
     assert mats.is_linear == (p == 2.0)
 
 
@@ -420,15 +420,6 @@ def test_avg_power_linear_is_half_power(tmp_path):
     assert (out / "power_batch.csv").exists()
 
 
-def test_quad_order_flag_overrides_config(tmp_path):
-    cfg = dict(PROBLEM, quad_order=4)
-    code, out = run(tmp_path, "avg-power", cfg, "--quad-order", "3")
-    assert code == 0
-    rep = json.loads((out / "avg_power_ramp.json").read_text())
-    assert rep["quad_order"] == 3
-    assert len(rep["alpha_nodes"]) == 3
-
-
 # ----------------------------------------------------- monotonicity-suite
 
 def suite_cfg(**extra):
@@ -465,9 +456,9 @@ def test_suite_certified_pair_passes(tmp_path, capsys):
     assert code == 0
     head, rows = read_csv(out / "pair_0.csv")
     assert head == ["pair", "datum", "value_lo", "value_hi", "delta",
-                    "tolerance", "violated"]
+                    "tolerance", "violated", "notes"]
     assert rows[0][0] == "bg<=hot"
-    assert all(r[6] == "0" for r in rows)
+    assert all(r[6] == "0" and r[7] == "" for r in rows)
     assert "[suite] pair bg<=hot: OK" in capsys.readouterr().out
 
 
@@ -478,9 +469,27 @@ def test_suite_uncertified_pair_fails_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "order certificate failed for pair steep<=shallow" \
         in captured.err
-    # the certified pair is still evaluated and written
+    assert "[suite] pair steep<=shallow: VIOLATED" in captured.out
+    # both pairs are evaluated and written; the uncertified one's rows
+    # are never marked violated
     assert (out / "pair_0.csv").exists()
-    assert not (out / "pair_1.csv").exists()
+    _, rows = read_csv(out / "pair_1.csv")
+    assert [r[0] for r in rows] == ["steep<=shallow"]
+    assert all(r[6] == "0" for r in rows)
+
+
+def test_suite_pair_keeps_its_certificate_notes(tmp_path):
+    # a pair that mixes regimes writes the same note as the chain pair
+    pec = {"regions": {"0": LIN2["regions"]["0"], "1": {"type": "pec"}}}
+    cfg = suite_cfg(pairs=[{"name_lo": "lin", "name_hi": "pec",
+                            "lo": LIN2, "hi": pec}],
+                    chain=[{"name": "lin", "materials": LIN2},
+                           {"name": "pec", "materials": pec}])
+    code, out = run(tmp_path, "monotonicity-suite", cfg)
+    assert code == 0
+    pair = (out / "pair_0.csv").read_text()
+    assert "label 1: finite-p>=2 vs pec (beyond stated hypotheses)" in pair
+    assert pair == (out / "ladder.csv").read_text()
 
 
 def test_suite_chain_with_resolutions(tmp_path):
@@ -695,17 +704,17 @@ def test_mpm_image_truth_materials_no_anomaly(tmp_path):
     assert not (out / "mpm_metrics.json").exists()
 
 
-def test_mpm_seed_flag_overrides_config(tmp_path):
+def test_mpm_run_meta_records_the_seed_it_scans_with(tmp_path):
     cid = center_cell_id(2)
     base = mpm_cfg(grid={"nx": 2, "ny": 2}, data=[RAMP],
                    truth={"cells": [cid]}, noise_rel=0.02)
-    a, out_a = run(tmp_path, "mpm-image", dict(base, seed=7),
-                   "--workers", "1", out="a")
-    b, out_b = run(tmp_path, "mpm-image", dict(base, seed=0),
-                   "--workers", "1", "--seed", "7", out="b")
-    assert a == b == 0
-    assert (out_a / "mpm_cells.csv").read_bytes() == \
-        (out_b / "mpm_cells.csv").read_bytes()
+    for out, cfg, seed in (("default", base, 0),
+                           ("seven", dict(base, seed=7), 7)):
+        code, outdir = run(tmp_path, "mpm-image", cfg, "--workers", "1",
+                           out=out)
+        assert code == 0
+        meta = json.loads((outdir / "run_meta.json").read_text())
+        assert meta["seed"] == seed
 
 
 # --------------------------------------------------------- reproduce-wire
@@ -1015,20 +1024,21 @@ CONFIG_PROBES = [
     # the scan's random generator takes non-negative seeds only
     ("mpm-image", lambda: mpm_cfg(seed=-1, truth=TRUTH),
      "seed must be a non-negative integer, got -1"),
+    ("mpm-image", lambda: mpm_cfg(seed=-2.0, truth=TRUTH),
+     "seed must be a non-negative integer, got -2"),
+    # a negative noise level or flagging tolerance has no meaning
+    ("mpm-image", lambda: mpm_cfg(noise_rel=-0.1, truth=TRUTH),
+     "noise_rel must be >= 0, got -0.1"),
+    ("mpm-image", lambda: mpm_cfg(tol=-0.5, truth=TRUTH),
+     "tol must be >= 0, got -0.5"),
 ]
 
-# probes whose fault is in a flag, not in the config
-FLAG_PROBES = [
-    ("mpm-image", lambda: mpm_cfg(truth=TRUTH),
-     "seed must be a non-negative integer, got -2", ("--seed", "-2")),
-]
 
 
-def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message,
-                            flags=()):
+def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):
     errors = []
     for extra, out in ((["--check-only"], "check"), ([], "run")):
-        code, outdir = run(tmp_path, command, cfg, *flags, *extra, out=out)
+        code, outdir = run(tmp_path, command, cfg, *extra, out=out)
         assert code == 2
         assert not outdir.exists()
         captured = capsys.readouterr()
@@ -1039,14 +1049,11 @@ def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message,
     assert message in errors[0][0]
 
 
-@pytest.mark.parametrize(
-    "command, make_cfg, message, flags",
-    [(*probe, ()) for probe in CONFIG_PROBES] + FLAG_PROBES,
-    ids=[probe[2] for probe in CONFIG_PROBES + FLAG_PROBES])
+@pytest.mark.parametrize("command, make_cfg, message", CONFIG_PROBES,
+                         ids=[probe[2] for probe in CONFIG_PROBES])
 def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
-                                     message, flags):
-    assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message,
-                            flags)
+                                     message):
+    assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message)
 
 
 # A valid config of each subcommand; the Newton controls are fixed, so
@@ -1078,9 +1085,8 @@ def test_solver_section_is_refused(tmp_path, capsys, command):
 def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
                                                        command):
     cfg = VALID_CONFIGS[command]
-    reads = {"--seed": command == "mpm-image",
-             "--quad-order": command == "avg-power",
-             "--workers": True}
+    # every config key is set in the config alone: no flag overrides one
+    reads = {"--seed": False, "--quad-order": False, "--workers": True}
     for flag, read in reads.items():
         args = (flag, "3", "--check-only")
         if read:

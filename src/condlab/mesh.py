@@ -6,8 +6,9 @@ background phase, labels >= 1 mark inclusion components.  The boundary is not
 stored; it is inferred as the set of edges incident to exactly one triangle,
 which supports multiply connected domains (annulus meshes have two loops).
 
-Disk meshes are built from staggered polar rings plus a Qhull Delaunay pass
-(``scipy.spatial``); annulus and rectangle meshes are structured.
+Disk meshes are the Delaunay triangulation of staggered polar rings plus
+inclusion clouds, built by Bowyer-Watson insertion on exact predicates
+(``delaunay``); annulus and rectangle meshes are structured.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 logger = logging.getLogger(__name__)
 
@@ -340,6 +340,192 @@ def _edge_connected(triangles: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Delaunay triangulation
+
+# Static error bounds of the float orientation and in-circle determinants
+# relative to the sums of the absolute products they add (Shewchuk,
+# Discrete Comput. Geom. 18, 1997); _TINY adds the error of products that
+# underflow, on coordinates below 1 in magnitude.
+_EPS = 2.0 ** -53
+_ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_TINY = 1e-300
+
+
+def _exact(*coords: float) -> list[int]:
+    """The floats as integers over one common power-of-two denominator:
+    one positive scale for all, which keeps the sign of a determinant."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
+
+
+def _orient(x: list, y: list, a: int, b: int, c: int) -> int:
+    """Exact sign of the turn a -> b -> c: 1 counterclockwise, -1
+    clockwise, 0 collinear."""
+    acx, bcx = x[a] - x[c], x[b] - x[c]
+    acy, bcy = y[a] - y[c], y[b] - y[c]
+    left, right = acx * bcy, acy * bcx
+    det = left - right
+    if abs(det) > _ORIENT_BOUND * (abs(left) + abs(right)) + _TINY:
+        return 1 if det > 0 else -1
+    ax, ay, bx, by, cx, cy = _exact(x[a], y[a], x[b], y[b], x[c], y[c])
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
+
+
+def _incircle(x: list, y: list, a: int, b: int, c: int, d: int) -> int:
+    """Exact sign of d against the circumcircle of the counterclockwise
+    triangle a, b, c: 1 inside, -1 outside, 0 on it."""
+    adx, ady = x[a] - x[d], y[a] - y[d]
+    bdx, bdy = x[b] - x[d], y[b] - y[d]
+    cdx, cdy = x[c] - x[d], y[c] - y[d]
+    bc, cb = bdx * cdy, cdx * bdy
+    ca, ac = cdx * ady, adx * cdy
+    ab, ba = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+    permanent = (abs(bc) + abs(cb)) * alift + (abs(ca) + abs(ac)) * blift \
+        + (abs(ab) + abs(ba)) * clift
+    if abs(det) > _INCIRCLE_BOUND * permanent + _TINY:
+        return 1 if det > 0 else -1
+    ax, ay, bx, by, cx, cy, dx, dy = _exact(x[a], y[a], x[b], y[b], x[c],
+                                            y[c], x[d], y[d])
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, \
+        cx - dx, cy - dy
+    det = (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy) \
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy) \
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    return (det > 0) - (det < 0)
+
+
+def delaunay(points: np.ndarray) -> np.ndarray:
+    """Delaunay triangles of a planar point cloud: counterclockwise index
+    triples, each starting at its smallest index, rows in sorted order.
+
+    Bowyer-Watson insertion (Bowyer, Comput. J. 24, 1981; Watson, Comput.
+    J. 24, 1981) in cloud order.  Each point is located by a visibility
+    walk from the last triangle made; the triangles whose open circumdisk
+    holds it form a cavity, which is replaced by the fan from the point to
+    the cavity's boundary.  Ghost triangles join each hull edge to a
+    vertex at infinity; the disk of a ghost is the open half-plane beyond
+    its edge plus the open edge, so points outside the hull insert the
+    same way.  The orientation and in-circle tests are exact: a float
+    filter, then integer arithmetic, on the coordinates scaled by a power
+    of two to below 1 in magnitude.  That scaling changes no sign, so a
+    cloud and its power-of-two multiples get the same triangles.  A point
+    exactly on a circumcircle leaves that triangle standing, so on
+    cocircular points the triangles made first stay: the triangulation
+    depends on the points and their order alone.  Every triangle has
+    positive exact orientation.
+
+    Raises ``MeshError`` when a coordinate is not finite, when points
+    coincide in float, or when no three points span a triangle.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if not np.isfinite(pts).all():
+        raise MeshError("point coordinates must be finite")
+    xy = np.ldexp(pts, -np.frexp(np.abs(pts).max(initial=0.0))[1])
+    twins = n - len(np.unique(xy, axis=0))
+    if twins:
+        raise MeshError(f"points coincide in float ({twins} repeated)")
+    x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
+    rest = list(range(2, n))
+    for i, k in enumerate(rest):
+        turn = _orient(x, y, 0, 1, k)
+        if turn:
+            break
+    else:
+        raise MeshError("no three points span a triangle")
+    del rest[i]
+    a, b = (1, k) if turn > 0 else (k, 1)
+    ghost = n  # the vertex at infinity
+    # vertex j of triangle t is verts[3t + j]; nbrs[3t + j] is the triangle
+    # across the side opposite it.  Start: triangle (0, a, b) and the ghosts
+    # on its sides (a, 0), (b, a) and (0, b).
+    verts = [0, a, b, a, 0, ghost, b, a, ghost, 0, b, ghost]
+    nbrs = [2, 3, 1, 3, 2, 0, 1, 3, 0, 2, 1, 0]
+    free: list[int] = []
+
+    def in_disk(t: int, p: int) -> bool:
+        a, b, c = verts[3 * t:3 * t + 3]
+        if ghost not in (a, b, c):
+            return _incircle(x, y, a, b, c, p) > 0
+        # the hull edge (a, b) with the outside on its left
+        a, b = (b, c) if a == ghost else (c, a) if b == ghost else (a, b)
+        turn = _orient(x, y, a, b, p)
+        if turn:
+            return turn > 0
+        # on the edge's line: in the disk strictly between its ends
+        if x[a] != x[b]:
+            return min(x[a], x[b]) < x[p] < max(x[a], x[b])
+        return min(y[a], y[b]) < y[p] < max(y[a], y[b])
+
+    last = 0
+    for p in rest:
+        t = last
+        # a visibility walk in a Delaunay triangulation enters no triangle
+        # twice, so the bound only guards against a defect
+        for _ in range(len(verts)):
+            a, b, c = verts[3 * t:3 * t + 3]
+            if ghost in (a, b, c):  # p lies beyond this hull edge
+                break
+            if _orient(x, y, b, c, p) < 0:
+                t = nbrs[3 * t]
+            elif _orient(x, y, c, a, p) < 0:
+                t = nbrs[3 * t + 1]
+            elif _orient(x, y, a, b, p) < 0:
+                t = nbrs[3 * t + 2]
+            else:  # p lies in the closed triangle t
+                break
+        else:
+            raise MeshError("point location did not terminate")
+        cavity, seen, rim = [t], {t}, []
+        for t in cavity:
+            for j in range(3):
+                o = nbrs[3 * t + j]
+                if o in seen:
+                    continue
+                if in_disk(o, p):
+                    seen.add(o)
+                    cavity.append(o)
+                else:  # side (u, v) of t, o's slot that points back at t
+                    rim.append((verts[3 * t + (j + 1) % 3],
+                                verts[3 * t + (j + 2) % 3], o,
+                                nbrs.index(t, 3 * o, 3 * o + 3)))
+        free += cavity
+        # the fan: triangle (p, u, v) on each rim side (u, v)
+        fan = {}
+        for u, v, o, slot in rim:
+            if free:
+                t = free.pop()
+                verts[3 * t:3 * t + 3] = [p, u, v]
+                nbrs[3 * t] = o
+            else:
+                t = len(nbrs) // 3
+                verts += [p, u, v]
+                nbrs += [o, -1, -1]
+            nbrs[slot] = t
+            fan[u] = t
+            if ghost != u and ghost != v:
+                last = t
+        for u, v, _, _ in rim:
+            t, w = fan[u], fan[v]
+            nbrs[3 * t + 1] = w
+            nbrs[3 * w + 2] = t
+    tris = np.array(verts, dtype=np.int64).reshape(-1, 3)
+    live = (tris != ghost).all(axis=1)
+    live[free] = False
+    tris = tris[live]
+    first = np.argmin(tris, axis=1)[:, None]
+    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+    return tris[np.lexsort(tris.T[::-1])]
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 
@@ -520,14 +706,9 @@ def build_disk_mesh(radius: float, target_h: float,
     points = np.concatenate([base[keep]] + extra) if extra else base[keep]
 
     try:
-        tri = Delaunay(points)
-    except QhullError as exc:  # e.g. points that coincide in float
-        detail = str(exc).strip().partition("\n")[0]
-        raise MeshError(f"disk mesh generation failed: {detail}") from None
-    triangles = _orient_ccw(points, tri.simplices.astype(np.int64))
-    # drop degenerate slivers the hull pass may produce on cocircular points
-    good = _signed_areas(points, triangles) > 1e-12 * target_h ** 2
-    triangles = triangles[good]
+        triangles = delaunay(points)
+    except MeshError as exc:
+        raise MeshError(f"disk mesh generation failed: {exc}") from None
 
     cent = points[triangles].mean(axis=1)
     labels = np.zeros(len(triangles), dtype=np.int64)

@@ -26,7 +26,10 @@ band storage.  The boundary mass, the unit element stiffness matrices and
 the banded Cholesky factor (LAPACK ``dpbtrf``) of the unit stiffness are
 built on first use and kept, so the harmonic start of every solve on the
 pair is one back-substitution against a factor computed once per
-``Problem``.  A ``Problem`` holds no per-datum state.
+``Problem``.  ``dpbtrf`` and ``dpbtrs`` are called through ctypes in the
+OpenBLAS that numpy's wheel links, or from ``scipy.linalg.lapack`` where
+that library exports no such symbols.  A ``Problem`` holds no per-datum
+state.
 ``solve`` accepts one so that every solve on the same pair shares it, and
 builds its own when none is given.  The solved ``PotentialField`` keeps
 the ``Problem`` it was solved on and the nodal residual of its last Newton
@@ -65,14 +68,14 @@ from __future__ import annotations
 
 import ast
 import copy
+import ctypes
 import functools
 import logging
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .constitutive import MaterialMap, scale_reg_eps
 from .mesh import (BoundaryMass, Mesh, adjacency, boundary_mass, reach,
@@ -481,18 +484,96 @@ class Band:
         return d
 
     def factor(self, ab: np.ndarray) -> np.ndarray | None:
-        """Cholesky factor of band array ``ab``, which it overwrites, by
+        """Cholesky factor of band array ``ab``, computed in place by
         LAPACK ``dpbtrf``; None when the matrix is not positive
         definite."""
-        c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-        return None if info else c
+        return None if dpbtrf(ab) else ab
 
     def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve with a factor that ``factor`` returned, by LAPACK
         ``dpbtrs``; ``rhs`` and the result are in unknown order."""
+        b = np.asarray(rhs, dtype=float)[self.order]
+        dpbtrs(factor, b)
         x = np.empty(self.n)
-        x[self.order] = dpbtrs(factor, rhs[self.order], lower=1)[0]
+        x[self.order] = b
         return x
+
+
+# The banded Cholesky pair on lower band storage.  ``dpbtrf(ab)``
+# overwrites the Fortran-ordered (kd + 1, n) float array ``ab`` with its
+# factor and returns LAPACK's ``info`` (nonzero: not positive definite);
+# ``dpbtrs(factor, b)`` overwrites the float vector ``b`` with the solution.
+BandCholesky = tuple[Callable[[np.ndarray], int],
+                     Callable[[np.ndarray, np.ndarray], None]]
+
+
+def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` itself, once it is a writeable Fortran-ordered float array of
+    ``ndim`` dimensions that LAPACK may overwrite in place."""
+    if a.dtype != np.float64 or a.ndim != ndim \
+            or not a.flags.f_contiguous or not a.flags.writeable:
+        raise ValueError("LAPACK needs a writeable Fortran-ordered float64 "
+                         f"array of {ndim} dimensions")
+    return a
+
+
+def _numpy_band_cholesky() -> BandCholesky | None:
+    """The pair from the OpenBLAS that numpy's wheel links, called
+    through ctypes; None where that library exports no such symbols.
+
+    ``dlsym`` on the handle of numpy's own ``_umath_linalg`` searches the
+    libraries it links, so no library file is looked up by name.  The
+    routines take the ILP64 Fortran interface: 64-bit integers by
+    reference and a hidden length argument for the ``uplo`` string.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        trf, trs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+    except AttributeError:
+        return None
+    ref = ctypes.POINTER(ctypes.c_int64)
+    ptr = ctypes.c_void_p
+    trf.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ref, ctypes.c_size_t]
+    trs.argtypes = [ctypes.c_char_p, ref, ref, ref, ptr, ref, ptr, ref, ref,
+                    ctypes.c_size_t]
+    trf.restype = trs.restype = None
+    i64 = ctypes.c_int64
+
+    def factor(ab: np.ndarray) -> int:
+        rows, n = _checked(ab, 2).shape
+        info = i64()
+        trf(b"L", i64(n), i64(rows - 1), ab.ctypes.data, i64(rows), info, 1)
+        return info.value
+
+    def solve(cb: np.ndarray, b: np.ndarray) -> None:
+        rows, n = _checked(cb, 2).shape
+        if _checked(b, 1).shape != (n,):
+            raise ValueError(f"right-hand side of {len(b)} rows for {n}")
+        info = i64()
+        trs(b"L", i64(n), i64(rows - 1), i64(1), cb.ctypes.data, i64(rows),
+            b.ctypes.data, i64(max(n, 1)), info, 1)
+
+    return factor, solve
+
+
+def _scipy_band_cholesky() -> BandCholesky:
+    """The pair from ``scipy.linalg.lapack``, the fallback where numpy's
+    wheel exports no LAPACK symbols."""
+    from scipy.linalg import lapack
+
+    def factor(ab: np.ndarray) -> int:
+        c, info = lapack.dpbtrf(_checked(ab, 2), lower=1, overwrite_ab=1)
+        ab[...] = c  # a no-op where the wrapper worked in place
+        return info
+
+    def solve(cb: np.ndarray, b: np.ndarray) -> None:
+        b[...] = lapack.dpbtrs(cb, _checked(b, 1), lower=1,
+                               overwrite_b=1)[0]
+
+    return factor, solve
+
+
+dpbtrf, dpbtrs = _numpy_band_cholesky() or _scipy_band_cholesky()
 
 
 def harmonic_initial_guess(problem: Problem,

@@ -2,12 +2,15 @@
 
 import json
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import ConvexHull
 
 from condlab.mesh import (
     DiskInclusion,
@@ -19,11 +22,15 @@ from condlab.mesh import (
     build_annulus_mesh,
     build_disk_mesh,
     build_rect_mesh,
+    delaunay,
     load_mesh,
     reach,
     reverse_cuthill_mckee,
+    _disk_cloud,
     _edge_connected,
     _edge_incidence,
+    _incircle,
+    _orient,
     save_mesh,
     validate,
 )
@@ -395,6 +402,130 @@ def test_generated_disks_always_clean(radius, rel_h):
     assert validate(m) == []
     exact = np.pi * radius ** 2
     assert abs(m.areas.sum() - exact) <= 0.02 * exact
+
+
+# ---------------------------------------------------------------------------
+# the Delaunay mesher, with Qhull as the oracle of the hull
+
+
+def exact_coords(points):
+    """The coordinates as Python integers over one common denominator."""
+    fr = [Fraction(v) for v in points.ravel().tolist()]
+    den = math.lcm(*(f.denominator for f in fr))
+    return np.array([int(f * den) for f in fr], dtype=object).reshape(-1, 2)
+
+
+@st.composite
+def delaunay_clouds(draw):
+    """Distinct points that are not all on one line, of three kinds:
+    points of a 7 x 7 lattice (many exactly collinear and cocircular
+    sets), points on a fine dyadic grid, and the staggered rings of the
+    disk mesher (nearly cocircular).  Lattice and grid are scaled by a
+    power of two, which changes no predicate."""
+    kind = draw(st.sampled_from(["lattice", "grid", "rings"]))
+    if kind == "rings":
+        radius = draw(st.floats(1e-4, 10.0))
+        center = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+        return _disk_cloud(center, radius, draw(st.floats(0.3, 0.8)) * radius)
+    side = 7 if kind == "lattice" else 2 ** 20
+    ints = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    pts = np.array(draw(st.lists(ints, min_size=3, max_size=40,
+                                 unique=True)), dtype=float)
+    d = pts[1:] - pts[0]
+    assume(np.any(d[:, 0] * d[1, 1] != d[:, 1] * d[1, 0]))
+    return np.ldexp(pts / side, draw(st.integers(-20, 20)))
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4),
+                 st.integers(1, 4)),
+       st.permutations(range(4)),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=5, max_size=5),
+       st.integers(-30, 0))
+def test_predicates_are_exact_near_degenerate_points(box, order, ulps,
+                                                     scale):
+    # the corners of a lattice rectangle (cocircular) and the midpoint of
+    # its diagonal (collinear with two corners), each moved by a few units
+    # in the last place, where the float determinants lose their sign
+    i0, j0, width, height = box
+    i1, j1 = i0 + width, j0 + height
+    corners = [(i0, j0), (i1, j0), (i1, j1), (i0, j1)]
+    base = np.array([corners[k] for k in order]
+                    + [((i0 + i1) / 2, (j0 + j1) / 2)]) / 16.0 + 0.25
+    pts = np.ldexp(base + np.array(ulps) * np.spacing(base), scale)
+    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+    exact = [(Fraction(u), Fraction(v)) for u, v in zip(x, y)]
+    a, c = order.index(0), order.index(2)
+    (ax, ay), (mx, my), (cx, cy) = exact[a], exact[4], exact[c]
+    assert _orient(x, y, a, 4, c) == sign(
+        (ax - cx) * (my - cy) - (ay - cy) * (mx - cx))
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = exact[:4]
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, \
+        cx - dx, cy - dy
+    assert _incircle(x, y, 0, 1, 2, 3) == sign(
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delaunay_clouds())
+def test_delaunay_is_delaunay_and_covers_the_hull(points):
+    tris = delaunay(points)
+    n = len(points)
+    assert sorted(set(tris.ravel().tolist())) == list(range(n))
+    xy = exact_coords(points)
+    a, b, c = (xy[tris[:, j]] for j in range(3))
+    orient = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
+        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    assert all(orient > 0)
+    # no vertex lies strictly inside a circumcircle, in exact arithmetic
+    d = xy[None, :, :]
+    ad, bd, cd = a[:, None, :] - d, b[:, None, :] - d, c[:, None, :] - d
+    lift = [(v[..., 0] ** 2 + v[..., 1] ** 2) for v in (ad, bd, cd)]
+    incircle = lift[0] * (bd[..., 0] * cd[..., 1] - cd[..., 0] * bd[..., 1]) \
+        + lift[1] * (cd[..., 0] * ad[..., 1] - ad[..., 0] * cd[..., 1]) \
+        + lift[2] * (ad[..., 0] * bd[..., 1] - bd[..., 0] * ad[..., 1])
+    assert not (incircle > 0).any()
+    mesh = Mesh(points, tris, np.zeros(len(tris), dtype=int))
+    assert validate(mesh) == []
+    hull = ConvexHull(points).volume
+    assert mesh.areas.sum() == pytest.approx(hull, rel=1e-12)
+    # a power-of-two scale and the repeat give the same triangles
+    assert np.array_equal(delaunay(np.ldexp(points, -11)), tris)
+
+
+def test_delaunay_refuses_coincident_and_collinear_points():
+    with pytest.raises(MeshError,
+                       match=r"points coincide in float \(1 repeated\)"):
+        delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(MeshError, match="no three points span a triangle"):
+        delaunay(np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]))
+    with pytest.raises(MeshError, match="must be finite"):
+        delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]]))
+
+
+def test_disk_with_coincident_points_fails_before_triangulating(monkeypatch):
+    # far from the origin every ring point rounds onto the centre's x
+    calls = []
+    monkeypatch.setattr("condlab.mesh._orient", lambda *a: calls.append(a))
+    with pytest.raises(MeshError, match="disk mesh generation failed: "
+                                        "points coincide in float"):
+        build_disk_mesh(1.0, 0.3, center=(1e308, 0.0))
+    assert calls == []
+
+
+def test_cocircular_quads_keep_the_first_diagonal():
+    # a square's four corners are cocircular: the insertion order decides,
+    # and the diagonal from the first point stays
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert delaunay(square).tolist() == [[0, 1, 2], [0, 2, 3]]
+    assert delaunay(square[[1, 2, 3, 0]]).tolist() == [[0, 1, 2], [0, 2, 3]]
 
 
 # ---------------------------------------------------------------------------

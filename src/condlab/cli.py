@@ -24,12 +24,12 @@ from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
                            MaterialMap, PEC, PEI, PowerLaw)
 from .dtn import (average_dtn_powers, dtn_pairing, gateaux_check,
-                  gauss_on_unit, minimum_energies)
+                  minimum_energies)
 from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
                       mask_metrics, mpm_scan, synth_measurements)
 from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
                    boundary_mass, build_annulus_mesh, build_disk_mesh,
-                   build_rect_mesh, load_mesh, save_mesh, validate)
+                   build_rect_mesh, distinct, load_mesh, save_mesh, validate)
 from .monotonicity import chain_certificates, ladder_suite
 from .oracle import OracleError, annulus_radial_solution
 from .output import (write_csv, write_element_csv, write_json,
@@ -253,7 +253,9 @@ def load_config(path: str) -> dict:
 
 def _quad_order(cfg: dict) -> int:
     order = _int(cfg.get("quad_order", 16), "quad_order")
-    gauss_on_unit(order)  # rejects orders below 1
+    # checked here, not by computing the rule: that imports numpy.polynomial
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
     return order
 
 
@@ -298,7 +300,7 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
     issues = validate(mesh)
     report = {"n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
               "n_boundary_nodes": int(len(mesh.boundary_nodes)),
-              "labels": [int(v) for v in np.unique(mesh.labels)],
+              "labels": distinct(mesh.labels).tolist(),
               "issues": issues}
     print(json.dumps(report, indent=2, sort_keys=True))
     if issues:

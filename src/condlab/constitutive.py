@@ -28,6 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .mesh import distinct
+
 REG_EPS_FACTOR = 1e-6
 
 
@@ -204,7 +206,7 @@ class MaterialMap:
         return sorted(self.models)
 
     def check_covers(self, mesh_labels: np.ndarray) -> None:
-        missing = set(np.unique(mesh_labels).tolist()) - set(self.models)
+        missing = set(distinct(mesh_labels).tolist()) - set(self.models)
         if missing:
             raise ConstitutiveError(f"mesh labels without material: "
                                     f"{sorted(missing)}")

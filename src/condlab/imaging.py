@@ -23,7 +23,7 @@ import numpy as np
 
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
-from .mesh import Mesh
+from .mesh import Mesh, distinct
 from .solver import BoundaryDatum
 
 
@@ -81,7 +81,7 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
 
 
 def fresh_label(mesh: Mesh, *maps: MaterialMap) -> int:
-    used = {int(v) for v in np.unique(mesh.labels)}
+    used = set(distinct(mesh.labels).tolist())
     for m in maps:
         used.update(m.labels)
     return max(used) + 1
@@ -134,10 +134,13 @@ def synth_measurements(mesh: Mesh, materials: MaterialMap,
                        noise_rel: float = 0.0,
                        seed: int = 0) -> Measurements:
     """Forward-model averaged powers (minimum energies) with multiplicative
-    uniform noise."""
+    uniform noise.  Without noise nothing is drawn, and ``noisy`` is
+    ``clean``, as the factor ``1 + 0 * u`` would leave it."""
     clean = np.array(minimum_energies(mesh, materials, data))
-    rng = np.random.default_rng(seed)
-    noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
+    noisy = clean
+    if noise_rel > 0.0:
+        rng = np.random.default_rng(seed)
+        noisy = clean * (1.0 + noise_rel * rng.uniform(-1.0, 1.0, clean.size))
     return Measurements(tuple(d.name for d in data), clean, noisy,
                         noise_rel, seed)
 

@@ -84,6 +84,16 @@ def _edge_incidence(triangles: np.ndarray,
 # graphs on index pairs
 
 
+def distinct(values) -> np.ndarray:
+    """The distinct entries of an array, flattened, in ascending order, as
+    ``np.unique`` returns them.  A sort and a mask: a plain ``np.unique``
+    call imports ``numpy.ma``, and it is slower on these sizes."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def adjacency(a: np.ndarray, b: np.ndarray,
               n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR structure ``(indptr, indices)`` of the undirected graph on n
@@ -92,9 +102,7 @@ def adjacency(a: np.ndarray, b: np.ndarray,
     matrix does; a pair (i, i) puts i on its own row."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
-    # a sort and a mask drop the repeats faster than np.unique here
-    keys = keys[np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]])]
+    keys = distinct(np.concatenate([a * n + b, b * n + a]))
     rows, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -320,7 +328,7 @@ def validate(mesh: Mesh) -> list[str]:
     n = mesh.n_nodes
     srt = np.sort(mesh.triangles, axis=1)
     side = np.unique(srt[:, 0] * n + srt[:, 1], return_inverse=True)[1]
-    if len(np.unique(side * n + srt[:, 2])) != len(srt):
+    if len(distinct(side * n + srt[:, 2])) != len(srt):
         problems.append("duplicate triangles present")
     return problems
 
@@ -406,20 +414,30 @@ def delaunay(points: np.ndarray) -> np.ndarray:
     triples, each starting at its smallest index, rows in sorted order.
 
     Bowyer-Watson insertion (Bowyer, Comput. J. 24, 1981; Watson, Comput.
-    J. 24, 1981) in cloud order.  Each point is located by a visibility
-    walk from the last triangle made; the triangles whose open circumdisk
-    holds it form a cavity, which is replaced by the fan from the point to
-    the cavity's boundary.  Ghost triangles join each hull edge to a
-    vertex at infinity; the disk of a ghost is the open half-plane beyond
-    its edge plus the open edge, so points outside the hull insert the
-    same way.  The orientation and in-circle tests are exact: a float
-    filter, then integer arithmetic, on the coordinates scaled by a power
-    of two to below 1 in magnitude.  That scaling changes no sign, so a
-    cloud and its power-of-two multiples get the same triangles.  A point
-    exactly on a circumcircle leaves that triangle standing, so on
-    cocircular points the triangles made first stay: the triangulation
-    depends on the points and their order alone.  Every triangle has
-    positive exact orientation.
+    J. 24, 1981) in cloud order.  The triangles whose open circumdisk
+    holds the new point form a cavity, which is replaced by the fan from
+    the point to the cavity's boundary.  Ghost triangles join each hull
+    edge to a vertex at infinity; the disk of a ghost is the open
+    half-plane beyond its edge plus the open edge, so points outside the
+    hull insert the same way.  The orientation and in-circle tests are
+    exact: a float filter, then integer arithmetic, on the coordinates
+    scaled by a power of two to below 1 in magnitude.  That scaling
+    changes no sign, so a cloud and its power-of-two multiples get the
+    same triangles.  A point exactly on a circumcircle leaves that
+    triangle standing, so on cocircular points the triangles made first
+    stay: the triangulation depends on the points and their order alone.
+    Every triangle has positive exact orientation.
+
+    The cavity search starts at one triangle of the cavity and grows
+    through the sides whose far triangle's disk holds the point.  The
+    triangles of a Delaunay triangulation whose open disks hold a point
+    are joined through their sides, so the search finds all of them from
+    any one, and the triangles that come out do not depend on the start.
+    That start is one of the previous point's two ghosts when the new
+    point lies in its disk, which holds for nearly every point of a ring
+    cloud (each ring point lands just beyond the hull edge its
+    predecessor made); else it is the triangle that a visibility walk
+    from the last triangle made reaches.
 
     Raises ``MeshError`` when a coordinate is not finite, when points
     coincide in float, or when no three points span a triangle.
@@ -429,7 +447,9 @@ def delaunay(points: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise MeshError("point coordinates must be finite")
     xy = np.ldexp(pts, -np.frexp(np.abs(pts).max(initial=0.0))[1])
-    twins = n - len(np.unique(xy, axis=0))
+    # sorted by y, then x, a repeated point follows its twin
+    srt = xy[np.lexsort(xy.T)]
+    twins = int((srt[1:] == srt[:-1]).all(axis=1).sum())
     if twins:
         raise MeshError(f"points coincide in float ({twins} repeated)")
     x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
@@ -442,81 +462,110 @@ def delaunay(points: np.ndarray) -> np.ndarray:
         raise MeshError("no three points span a triangle")
     del rest[i]
     a, b = (1, k) if turn > 0 else (k, 1)
-    ghost = n  # the vertex at infinity
-    # vertex j of triangle t is verts[3t + j]; nbrs[3t + j] is the triangle
-    # across the side opposite it.  Start: triangle (0, a, b) and the ghosts
-    # on its sides (a, 0), (b, a) and (0, b).
-    verts = [0, a, b, a, 0, ghost, b, a, ghost, 0, b, ghost]
-    nbrs = [2, 3, 1, 3, 2, 0, 1, 3, 0, 2, 1, 0]
+    ghost = n  # the vertex at infinity, never a triangle's first vertex
+    # tri[t] holds the vertices of triangle t; nbr[t][j] is the triangle
+    # across the side opposite vertex j.  Start: triangle (0, a, b) and the
+    # ghosts on its sides (a, 0), (b, a) and (0, b).
+    tri = [(0, a, b), (a, 0, ghost), (b, a, ghost), (0, b, ghost)]
+    nbr = [[2, 3, 1], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
     free: list[int] = []
 
     def in_disk(t: int, p: int) -> bool:
-        a, b, c = verts[3 * t:3 * t + 3]
-        if ghost not in (a, b, c):
+        # the float filters of _incircle and _orient, inlined; the calls
+        # decide only what the filters leave open
+        a, b, c = tri[t]
+        px, py = x[p], y[p]
+        if b != ghost and c != ghost:
+            adx, ady = x[a] - px, y[a] - py
+            bdx, bdy = x[b] - px, y[b] - py
+            cdx, cdy = x[c] - px, y[c] - py
+            bc, cb = bdx * cdy, cdx * bdy
+            ca, ac = cdx * ady, adx * cdy
+            ab, ba = adx * bdy, bdx * ady
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            clift = cdx * cdx + cdy * cdy
+            det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+            if abs(det) > _INCIRCLE_BOUND * (
+                    (abs(bc) + abs(cb)) * alift + (abs(ca) + abs(ac)) * blift
+                    + (abs(ab) + abs(ba)) * clift) + _TINY:
+                return det > 0
             return _incircle(x, y, a, b, c, p) > 0
         # the hull edge (a, b) with the outside on its left
-        a, b = (b, c) if a == ghost else (c, a) if b == ghost else (a, b)
+        if b == ghost:
+            a, b = c, a
+        acx, bcx = x[a] - px, x[b] - px
+        acy, bcy = y[a] - py, y[b] - py
+        left, right = acx * bcy, acy * bcx
+        det = left - right
+        if abs(det) > _ORIENT_BOUND * (abs(left) + abs(right)) + _TINY:
+            return det > 0
         turn = _orient(x, y, a, b, p)
         if turn:
             return turn > 0
         # on the edge's line: in the disk strictly between its ends
         if x[a] != x[b]:
-            return min(x[a], x[b]) < x[p] < max(x[a], x[b])
-        return min(y[a], y[b]) < y[p] < max(y[a], y[b])
+            return min(x[a], x[b]) < px < max(x[a], x[b])
+        return min(y[a], y[b]) < py < max(y[a], y[b])
 
-    last = 0
+    last, hull = 0, []
     for p in rest:
-        t = last
-        # a visibility walk in a Delaunay triangulation enters no triangle
-        # twice, so the bound only guards against a defect
-        for _ in range(len(verts)):
-            a, b, c = verts[3 * t:3 * t + 3]
-            if ghost in (a, b, c):  # p lies beyond this hull edge
-                break
-            if _orient(x, y, b, c, p) < 0:
-                t = nbrs[3 * t]
-            elif _orient(x, y, c, a, p) < 0:
-                t = nbrs[3 * t + 1]
-            elif _orient(x, y, a, b, p) < 0:
-                t = nbrs[3 * t + 2]
-            else:  # p lies in the closed triangle t
+        for t in hull:  # the previous point's ghosts
+            if in_disk(t, p):
                 break
         else:
-            raise MeshError("point location did not terminate")
+            t = last
+            # a visibility walk in a Delaunay triangulation enters no
+            # triangle twice, so the bound only guards against a defect
+            for _ in range(len(tri)):
+                a, b, c = tri[t]
+                if b == ghost or c == ghost:  # p lies beyond this hull edge
+                    break
+                if _orient(x, y, b, c, p) < 0:
+                    t = nbr[t][0]
+                elif _orient(x, y, c, a, p) < 0:
+                    t = nbr[t][1]
+                elif _orient(x, y, a, b, p) < 0:
+                    t = nbr[t][2]
+                else:  # p lies in the closed triangle t
+                    break
+            else:
+                raise MeshError("point location did not terminate")
         cavity, seen, rim = [t], {t}, []
         for t in cavity:
-            for j in range(3):
-                o = nbrs[3 * t + j]
+            a, b, c = tri[t]
+            n0, n1, n2 = nbr[t]
+            for o, u, v in ((n0, b, c), (n1, c, a), (n2, a, b)):
                 if o in seen:
                     continue
                 if in_disk(o, p):
                     seen.add(o)
                     cavity.append(o)
-                else:  # side (u, v) of t, o's slot that points back at t
-                    rim.append((verts[3 * t + (j + 1) % 3],
-                                verts[3 * t + (j + 2) % 3], o,
-                                nbrs.index(t, 3 * o, 3 * o + 3)))
+                else:  # side (u, v) of t, and o's slot that points back
+                    rim.append((u, v, o, nbr[o].index(t)))
         free += cavity
         # the fan: triangle (p, u, v) on each rim side (u, v)
-        fan = {}
+        fan, hull = {}, []
         for u, v, o, slot in rim:
             if free:
                 t = free.pop()
-                verts[3 * t:3 * t + 3] = [p, u, v]
-                nbrs[3 * t] = o
+                tri[t] = (p, u, v)
+                nbr[t][0] = o
             else:
-                t = len(nbrs) // 3
-                verts += [p, u, v]
-                nbrs += [o, -1, -1]
-            nbrs[slot] = t
+                t = len(tri)
+                tri.append((p, u, v))
+                nbr.append([o, -1, -1])
+            nbr[o][slot] = t
             fan[u] = t
-            if ghost != u and ghost != v:
+            if u == ghost or v == ghost:
+                hull.append(t)
+            else:
                 last = t
         for u, v, _, _ in rim:
             t, w = fan[u], fan[v]
-            nbrs[3 * t + 1] = w
-            nbrs[3 * w + 2] = t
-    tris = np.array(verts, dtype=np.int64).reshape(-1, 3)
+            nbr[t][1] = w
+            nbr[w][2] = t
+    tris = np.array(tri, dtype=np.int64)
     live = (tris != ghost).all(axis=1)
     live[free] = False
     tris = tris[live]
@@ -780,7 +829,7 @@ def build_rect_mesh(width: float, height: float, target_h: float,
         if not 0.0 < layer_split < 1.0:
             raise MeshError("layer_split must lie strictly inside (0, 1)")
         x_if = layer_split * width
-        xs = np.unique(np.sort(np.append(xs, x_if)))
+        xs = distinct(np.append(xs, x_if))
         # drop grid lines indistinguishable from the interface
         close = np.isclose(xs, x_if, rtol=0.0, atol=0.05 * target_h)
         xs = np.sort(np.append(xs[~close], x_if))

@@ -78,8 +78,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import MaterialMap, scale_reg_eps
-from .mesh import (BoundaryMass, Mesh, adjacency, boundary_mass, reach,
-                   reverse_cuthill_mckee)
+from .mesh import (BoundaryMass, Mesh, adjacency, boundary_mass, distinct,
+                   reach, reverse_cuthill_mckee)
 
 logger = logging.getLogger(__name__)
 
@@ -244,7 +244,7 @@ class Problem:
     def __init__(self, mesh: Mesh, materials: MaterialMap):
         materials.check_covers(mesh.labels)
         models = {lab: materials.model_for(lab)
-                  for lab in np.unique(mesh.labels).tolist()}
+                  for lab in distinct(mesh.labels).tolist()}
         pec_labels = [lab for lab, m in models.items() if m.kind == "pec"]
         active_ids = np.nonzero(~np.isin(mesh.labels, [
             lab for lab, m in models.items() if m.is_structural]))[0]
@@ -257,7 +257,7 @@ class Problem:
         free_of_node[mesh.on_boundary] = _DIRICHLET
 
         # one shared column per PEC label, numbered first
-        pec_groups = {lab: np.unique(mesh.triangles[mesh.labels == lab])
+        pec_groups = {lab: distinct(mesh.triangles[mesh.labels == lab])
                       for lab in pec_labels}
         pec_col_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
         for col, (lab, nodes) in enumerate(pec_groups.items()):

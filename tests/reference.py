@@ -6,6 +6,8 @@ alone; each definition keeps the text it had in the module its section
 names, so the tests check the same code.  Two members sit on subclasses
 of their classes; the radial profile of a ``RadialSolution`` and the
 ``outer_exponent`` of a ``MaterialMap`` are functions that take one.
+``delaunay`` is the mesher that ``condlab.mesh.delaunay`` replaced, with
+its text as it stood there; the tests hold the two to the same triangles.
 Importing this module loads ``scipy.sparse``, for ``prolongation``.
 
 pytest collects only ``test_*.py``, so this module is imported, not run.
@@ -22,7 +24,7 @@ from scipy import sparse
 from condlab import imaging, monotonicity
 from condlab.constitutive import ConstitutiveError, MaterialMap, default_e_grid
 from condlab.dtn import _alpha_sweep, dtn_pairing, gauss_on_unit
-from condlab.mesh import Mesh, boundary_mass
+from condlab.mesh import Mesh, MeshError, _incircle, _orient, boundary_mass
 from condlab.oracle import OracleError, RadialSolution
 from condlab.solver import (BoundaryDatum, DatumTerm, PotentialField, Problem,
                             harmonic_initial_guess, make_datum, solve)
@@ -453,6 +455,135 @@ def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,
                                    harmonic_initial_guess(problem, u_fix))
     keep = np.isfinite(lift)
     return float(lift[keep] @ fld.residual[keep])
+
+
+# ---------------------------------------------------------------------------
+# condlab.mesh: the mesher on flat vertex and neighbour lists, the oracle of
+# the one that replaced it (same insertion, same predicates, same triangles)
+
+
+def delaunay(points: np.ndarray) -> np.ndarray:
+    """Delaunay triangles of a planar point cloud: counterclockwise index
+    triples, each starting at its smallest index, rows in sorted order.
+
+    Bowyer-Watson insertion (Bowyer, Comput. J. 24, 1981; Watson, Comput.
+    J. 24, 1981) in cloud order.  Each point is located by a visibility
+    walk from the last triangle made; the triangles whose open circumdisk
+    holds it form a cavity, which is replaced by the fan from the point to
+    the cavity's boundary.  Ghost triangles join each hull edge to a
+    vertex at infinity; the disk of a ghost is the open half-plane beyond
+    its edge plus the open edge, so points outside the hull insert the
+    same way.  The orientation and in-circle tests are exact: a float
+    filter, then integer arithmetic, on the coordinates scaled by a power
+    of two to below 1 in magnitude.  That scaling changes no sign, so a
+    cloud and its power-of-two multiples get the same triangles.  A point
+    exactly on a circumcircle leaves that triangle standing, so on
+    cocircular points the triangles made first stay: the triangulation
+    depends on the points and their order alone.  Every triangle has
+    positive exact orientation.
+
+    Raises ``MeshError`` when a coordinate is not finite, when points
+    coincide in float, or when no three points span a triangle.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if not np.isfinite(pts).all():
+        raise MeshError("point coordinates must be finite")
+    xy = np.ldexp(pts, -np.frexp(np.abs(pts).max(initial=0.0))[1])
+    twins = n - len(np.unique(xy, axis=0))
+    if twins:
+        raise MeshError(f"points coincide in float ({twins} repeated)")
+    x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
+    rest = list(range(2, n))
+    for i, k in enumerate(rest):
+        turn = _orient(x, y, 0, 1, k)
+        if turn:
+            break
+    else:
+        raise MeshError("no three points span a triangle")
+    del rest[i]
+    a, b = (1, k) if turn > 0 else (k, 1)
+    ghost = n  # the vertex at infinity
+    # vertex j of triangle t is verts[3t + j]; nbrs[3t + j] is the triangle
+    # across the side opposite it.  Start: triangle (0, a, b) and the ghosts
+    # on its sides (a, 0), (b, a) and (0, b).
+    verts = [0, a, b, a, 0, ghost, b, a, ghost, 0, b, ghost]
+    nbrs = [2, 3, 1, 3, 2, 0, 1, 3, 0, 2, 1, 0]
+    free: list[int] = []
+
+    def in_disk(t: int, p: int) -> bool:
+        a, b, c = verts[3 * t:3 * t + 3]
+        if ghost not in (a, b, c):
+            return _incircle(x, y, a, b, c, p) > 0
+        # the hull edge (a, b) with the outside on its left
+        a, b = (b, c) if a == ghost else (c, a) if b == ghost else (a, b)
+        turn = _orient(x, y, a, b, p)
+        if turn:
+            return turn > 0
+        # on the edge's line: in the disk strictly between its ends
+        if x[a] != x[b]:
+            return min(x[a], x[b]) < x[p] < max(x[a], x[b])
+        return min(y[a], y[b]) < y[p] < max(y[a], y[b])
+
+    last = 0
+    for p in rest:
+        t = last
+        # a visibility walk in a Delaunay triangulation enters no triangle
+        # twice, so the bound only guards against a defect
+        for _ in range(len(verts)):
+            a, b, c = verts[3 * t:3 * t + 3]
+            if ghost in (a, b, c):  # p lies beyond this hull edge
+                break
+            if _orient(x, y, b, c, p) < 0:
+                t = nbrs[3 * t]
+            elif _orient(x, y, c, a, p) < 0:
+                t = nbrs[3 * t + 1]
+            elif _orient(x, y, a, b, p) < 0:
+                t = nbrs[3 * t + 2]
+            else:  # p lies in the closed triangle t
+                break
+        else:
+            raise MeshError("point location did not terminate")
+        cavity, seen, rim = [t], {t}, []
+        for t in cavity:
+            for j in range(3):
+                o = nbrs[3 * t + j]
+                if o in seen:
+                    continue
+                if in_disk(o, p):
+                    seen.add(o)
+                    cavity.append(o)
+                else:  # side (u, v) of t, o's slot that points back at t
+                    rim.append((verts[3 * t + (j + 1) % 3],
+                                verts[3 * t + (j + 2) % 3], o,
+                                nbrs.index(t, 3 * o, 3 * o + 3)))
+        free += cavity
+        # the fan: triangle (p, u, v) on each rim side (u, v)
+        fan = {}
+        for u, v, o, slot in rim:
+            if free:
+                t = free.pop()
+                verts[3 * t:3 * t + 3] = [p, u, v]
+                nbrs[3 * t] = o
+            else:
+                t = len(nbrs) // 3
+                verts += [p, u, v]
+                nbrs += [o, -1, -1]
+            nbrs[slot] = t
+            fan[u] = t
+            if ghost != u and ghost != v:
+                last = t
+        for u, v, _, _ in rim:
+            t, w = fan[u], fan[v]
+            nbrs[3 * t + 1] = w
+            nbrs[3 * w + 2] = t
+    tris = np.array(verts, dtype=np.int64).reshape(-1, 3)
+    live = (tris != ghost).all(axis=1)
+    live[free] = False
+    tris = tris[live]
+    first = np.argmin(tris, axis=1)[:, None]
+    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+    return tris[np.lexsort(tris.T[::-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.spatial import ConvexHull
 
+import reference
+from condlab.cli import mesh_from_spec
 from condlab.mesh import (
     DiskInclusion,
     Mesh,
@@ -526,6 +529,78 @@ def test_cocircular_quads_keep_the_first_diagonal():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert delaunay(square).tolist() == [[0, 1, 2], [0, 2, 3]]
     assert delaunay(square[[1, 2, 3, 0]]).tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+# ---------------------------------------------------------------------------
+# the mesher against the one it replaced, which kept its triangles in flat
+# vertex and neighbour lists and walked from the last triangle made
+
+
+@settings(max_examples=200, deadline=None)
+@given(delaunay_clouds())
+def test_delaunay_equals_its_oracle(points):
+    # the same insertion order, predicates and tie rule: the same triangles
+    assert np.array_equal(delaunay(points), reference.delaunay(points))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_disk_clouds(config, monkeypatch):
+    """The point cloud of every disk mesh that the config builds, one per
+    resolution of a ladder, as the mesher receives it."""
+    cfg = json.loads((CONFIGS / config).read_text())
+    specs, todo = [], [cfg]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            if node.get("kind") == "disk":
+                specs.append(node)
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+    clouds = []
+
+    def keeping(points):
+        clouds.append(points)
+        return delaunay(points)
+
+    monkeypatch.setattr("condlab.mesh.delaunay", keeping)
+    for spec in specs:
+        for h in cfg.get("resolutions") or [spec["target_h"]]:
+            mesh_from_spec(dict(spec, target_h=h), str(CONFIGS))
+    return clouds
+
+
+@pytest.mark.parametrize("config", sorted(p.name
+                                          for p in CONFIGS.glob("*.json")))
+def test_delaunay_equals_its_oracle_on_the_shipped_disks(config,
+                                                         monkeypatch):
+    for points in shipped_disk_clouds(config, monkeypatch):
+        assert np.array_equal(delaunay(points), reference.delaunay(points))
+
+
+def cocircular_sides(points, tris):
+    """Interior sides whose two triangles have one circumcircle, exactly."""
+    xy = np.ldexp(points, -np.frexp(np.abs(points).max())[1])
+    x, y = xy[:, 0].tolist(), xy[:, 1].tolist()
+    opposite, ties = {}, 0
+    for a, b, c in tris.tolist():
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            side = (min(u, v), max(u, v))
+            if side in opposite:
+                ties += _incircle(x, y, a, b, c, opposite[side]) == 0
+            opposite[side] = w
+    return ties
+
+
+@pytest.mark.parametrize("config", ["wire_tables.json",
+                                    "wire_tables_unitscale.json"])
+def test_shipped_wire_disks_hold_cocircular_ties(config, monkeypatch):
+    # so the comparison above covers the tie rule: on each wire disk some
+    # triangles made first stay against a point on their circumcircle
+    for points in shipped_disk_clouds(config, monkeypatch):
+        assert cocircular_sides(points, delaunay(points)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """The package holds only what its subcommands run, and loads only that."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import condlab
 
 SRC = Path(condlab.__file__).resolve().parent
+CONFIGS = SRC.parents[1] / "configs"
 
 
 def _names_used(tree: ast.AST, skip: set[int]) -> set[str]:
@@ -44,3 +48,26 @@ def test_oracle_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-wire", "wire_tables_unitscale.json"],
+    ["mpm-image", "phantom_single.json", "--workers", "1"],
+    ["monotonicity-suite", "battery.json"]], ids=lambda argv: argv[0])
+def test_runs_load_no_numpy_module_they_do_not_use(argv, tmp_path):
+    # a plain np.unique call imports numpy.ma, a noise draw numpy.random
+    # and a quadrature rule numpy.polynomial; these commands use none of
+    # them, the noiseless phantom and a quad_order they ignore included
+    command, config, *rest = argv
+    cfg = json.loads((CONFIGS / config).read_text())
+    path = tmp_path / config
+    path.write_text(json.dumps(dict(cfg, quad_order=2)))
+    code = ("import sys, condlab.cli; "
+            "assert condlab.cli.main(sys.argv[1:]) == 0; "
+            "print([m for m in ('numpy.ma', 'numpy.random', "
+            "'numpy.polynomial') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code, command, "--config",
+                          str(path), "--out", str(tmp_path / "out"), *rest],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

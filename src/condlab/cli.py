@@ -698,8 +698,8 @@ _COMMANDS = {
 
 
 # the comparisons read every averaged power as a minimum energy
-_INERT_QUAD_ORDER = ("Every averaged power is the minimum energy of one "
-                     "solve per (map, datum).  A config key quad_order is "
+_INERT_QUAD_ORDER = ("Every averaged power is a minimum energy, so no "
+                     "alpha quadrature runs.  A config key quad_order is "
                      "read and checked but has no effect.")
 _DESCRIPTIONS = {
     "monotonicity-suite": "Certified order comparisons of averaged "

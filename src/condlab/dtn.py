@@ -18,8 +18,11 @@ equals the Dirichlet energy of u^f (the transfer identity).
 
 Every averaged power a comparison uses is read as that minimum energy:
 ``minimum_energies`` makes one cold solve per datum, with no quadrature
-error, and ``reproduce-wire``, ``monotonicity.ladder_suite`` and both
-sides of ``mpm-image`` (its measurements and its cell scan) call it.
+error, and ``reproduce-wire``, ``monotonicity.ladder_suite`` and
+``mpm-image``'s measurements call it.  ``mpm-image``'s cell scan calls it
+once per cell on a nonlinear background; when every triangle of the
+background conducts with a p = 2 law, the scan reads each test power off
+one factorization of the background instead (``imaging.cell_powers``).
 The alpha quadrature serves only ``avg-power``, the command that shows
 the identity: ``average_dtn_power`` solves at Gauss-Legendre nodes on
 (0, 1) in ascending order, each warm-started from the previous solution

@@ -9,13 +9,23 @@ tolerance.  Cells contained in an extreme anomaly are flagged by
 construction: carving the test extreme into a region that already is one
 cannot move the power past the measurement.
 
-Each averaged power, measured or tested, is the minimum energy of one
-solve (``dtn.minimum_energies``): on any map,
-integral_0^1 <Lambda(alpha f), f> d alpha = E(u^f) (the transfer
-identity), so neither side runs an alpha quadrature.
+Each averaged power, measured or tested, is a minimum energy: on any
+map, integral_0^1 <Lambda(alpha f), f> d alpha = E(u^f) (the transfer
+identity), so neither side runs an alpha quadrature.  The measurements
+are one solve per datum (``dtn.minimum_energies``).  The test powers
+depend on the background.  When every triangle conducts with a p = 2
+law, each test power is a quadratic form, and one factorization of the
+background stiffness gives them all: each cell costs back-substitutions
+for its own unknowns and a Schur complement of their size
+(``_LinearBackground``), with no ``Problem`` and no solve per cell.  On
+any other background each cell compiles its stamped ``Problem`` and
+solves every datum on it, in a process pool when ``workers`` is above 1.
+Each scan logs one debug line on ``condlab.imaging`` with the path it
+took, its cells and the factorizations and back-substitutions it used.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +34,10 @@ import numpy as np
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
 from .mesh import Mesh, distinct
-from .solver import BoundaryDatum
+from .solver import (BoundaryDatum, Problem, SolveError, fixed_state,
+                     stranded_error)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -167,12 +180,215 @@ def contrast_model(contrast: str):
     return PEI() if contrast == "pei" else PEC()
 
 
-def _scan_task(args) -> tuple[int, np.ndarray]:
-    """A cell's id and test powers: each datum's minimum energy with the
-    test extreme stamped onto the cell."""
+def _scan_task(args) -> np.ndarray:
+    """A cell's test powers: each datum's minimum energy with the test
+    extreme stamped onto the cell."""
     mesh, background, cell, model, data = args
     test_mesh, test_mats = _stamp(mesh, background, [cell], model)
-    return cell.id, np.array(minimum_energies(test_mesh, test_mats, data))
+    return np.array(minimum_energies(test_mesh, test_mats, data))
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per column k, the inner product of column k of ``a`` and ``b``."""
+    return np.einsum("ik,ik->k", a, b)
+
+
+class _LinearBackground:
+    """A background of p = 2 laws on every triangle, factored once, that
+    gives each cell's test powers from a Schur complement on the cell.
+
+    With K the sigma-weighted stiffness on the free unknowns, factored by
+    one ``dpbtrf``, the data's minimizers u_bar (columns ``x``) come from
+    one multi-right-hand-side ``dpbtrs`` and their energies are ``e0``.
+    The energy of any state is E0 + 1/2 (x - u_bar)^T K (x - u_bar), so
+    minimizing over every unknown off a cell's free unknowns S leaves
+    1/2 (y - u_bar_S)^T A (y - u_bar_S) with A = ((K^-1)_SS)^-1, and
+    (K^-1)_SS is |S| more back-substitutions against the same factor.
+    A test extreme on the cell removes the cell's element energy
+    1/2 y^T K_C y (K_C: the cell's sigma-weighted element matrices on S)
+    and then
+    * PEI removes the unknowns whose triangles all lie in the cell and
+      minimizes over the rest of S, S';
+    * PEC ties all of S to one value t (K_C 1 = 0).
+    Both minima are closed forms in b = A u_bar_S and M = A - K_C (Hager,
+    SIAM Rev. 31, 1989).  The unknowns a PEI cell cuts off from the
+    boundary are found by a search of the triangle graph, as ``Band``
+    finds them, not from a pivot.
+    """
+
+    def __init__(self, mesh: Mesh, background: MaterialMap,
+                 data: Sequence[BoundaryDatum]):
+        problem = Problem(mesh, background)
+        self.mesh, self.problem = mesh, problem
+        # p = 2 laws: sigma does not depend on the field
+        sig = problem.per_tri(np.zeros(len(problem.areas)), "sigma")
+        self.elem = sig[:, None, None] * problem.unit_elements
+        self.factor = problem.band.factor(problem.band.assemble(self.elem))
+        if self.factor is None:
+            raise SolveError("the background stiffness is not positive "
+                             "definite")
+        self.fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
+        flux = np.einsum("mij,mjk->mik", self.elem,
+                         self.fixed[problem.triangles])
+        rhs = np.stack([-problem.reduce(problem.assemble(flux[:, :, k]))
+                        for k in range(len(data))], axis=1)
+        self.x = problem.band.solve(self.factor, rhs)
+        self.e0 = np.array([problem.energy(problem.nodal_state(
+            self.fixed[:, k], self.x[:, k])) for k in range(len(data))])
+        self.rhs_solved = len(data)
+        self.label = fresh_label(mesh, background)
+        # the triangle graph, for the cut-off search
+        tri = mesh.triangles.ravel()
+        self.degree = np.bincount(tri, minlength=mesh.n_nodes)
+        at = np.argsort(tri, kind="stable") // 3
+        ends = np.cumsum(self.degree).tolist()
+        self.node_tris = [at[a:b].tolist()
+                          for a, b in zip([0] + ends[:-1], ends)]
+        self.tri_nodes = mesh.triangles.tolist()
+        self.xy = mesh.nodes.tolist()
+        self.on_boundary = mesh.on_boundary.tolist()
+
+    def powers(self, cell: Cell, pec: bool) -> np.ndarray:
+        """The cell's test power of every datum, PEC or PEI stamped on it;
+        raises the ``SolveError`` that solving on the stamped map
+        raises."""
+        mesh, problem = self.mesh, self.problem
+        tris = distinct(cell.tri_ids)
+        if len(tris) == mesh.n_triangles:
+            raise SolveError("no conducting triangles")
+        nodes = distinct(mesh.triangles[tris])
+        local = np.searchsorted(nodes, mesh.triangles[tris])
+        n = len(nodes)
+        kc = np.bincount((local[:, :, None] * n + local[:, None, :]).ravel(),
+                         weights=self.elem[tris].ravel(),
+                         minlength=n * n).reshape(n, n)
+        cols = problem.free_of_node[nodes]
+        s = cols >= 0
+        if pec and not s.all():
+            raise SolveError(f"PEC component {self.label} touches the "
+                             f"domain boundary")
+        if not pec:
+            # the free nodes with a triangle outside the cell stay
+            kept = s & (np.bincount(local.ravel(), minlength=n)
+                        < self.degree[nodes])
+            xy = mesh.nodes[nodes]
+            stranded = self._cut_off(set(tris.tolist()),
+                                     nodes[kept].tolist(),
+                                     (*xy.min(axis=0), *xy.max(axis=0)))
+            if stranded:
+                raise stranded_error(stranded)
+        unit = np.zeros((problem.n_free, int(s.sum())))
+        unit[cols[s], np.arange(unit.shape[1])] = 1.0
+        a = np.linalg.inv(problem.band.solve(self.factor, unit)[cols[s]])
+        self.rhs_solved += unit.shape[1]
+        u_bar = self.x[cols[s]]
+        b = a @ u_bar
+        m = a - kc[np.ix_(s, s)]
+        energy = self.e0 + 0.5 * _column_dots(u_bar, b)
+        if pec:
+            return energy - b.sum(axis=0) ** 2 / (2.0 * m.sum())
+        # a hand-built cell may hold Dirichlet nodes, whose fixed values
+        # add to b and to the removed element energy
+        g = self.fixed[nodes[~s]]
+        b = b + kc[np.ix_(s, ~s)] @ g
+        energy = energy - 0.5 * _column_dots(g, kc[np.ix_(~s, ~s)] @ g)
+        kept = kept[s]
+        b = b[kept]
+        return energy - 0.5 * _column_dots(
+            b, np.linalg.solve(m[np.ix_(kept, kept)], b))
+
+    def _cut_off(self, in_cell: set, seeds: list, box) -> int:
+        """How many free unknowns lose every conducting path to the
+        boundary when the triangles ``in_cell`` insulate.
+
+        Such an unknown lies in a component that holds a seed, a free node
+        of the cell (the background itself reaches the boundary), and
+        inside the convex hull of the cell's nodes: a ray from a node
+        outside it, pointing away from the hull, meets no cell triangle
+        before the boundary, every other triangle conducts, and every
+        boundary node is a Dirichlet node.
+        So a search from a seed stops at the first node on the boundary,
+        outside the cell nodes' bounding box ``box`` = (xmin, ymin, xmax,
+        ymax) or in a component already known to escape; a component
+        searched to its end is cut off.
+        """
+        x0, y0, x1, y1 = box
+        done: set[int] = set()
+        cut = 0
+
+        def escapes(seed: int, comp: set) -> bool:
+            stack = [seed]
+            while stack:
+                for t in self.node_tris[stack.pop()]:
+                    if t in in_cell:
+                        continue
+                    for j in self.tri_nodes[t]:
+                        if j in comp:
+                            continue
+                        x, y = self.xy[j]
+                        if self.on_boundary[j] or j in done \
+                                or not (x0 <= x <= x1 and y0 <= y <= y1):
+                            return True
+                        comp.add(j)
+                        stack.append(j)
+            return False
+
+        for seed in seeds:
+            if seed in done:
+                continue
+            comp = {seed}
+            if not escapes(seed, comp):
+                cut += len(comp)
+            done |= comp
+        return cut
+
+
+def _linear_conducting(mesh: Mesh, background: MaterialMap) -> bool:
+    """Whether every triangle of the mesh conducts with a p = 2 law."""
+    return background.is_linear and not any(
+        background.model_for(lab).is_structural
+        for lab in distinct(mesh.labels).tolist())
+
+
+def cell_powers(mesh: Mesh, background: MaterialMap, cells: Sequence[Cell],
+                model, data: Sequence[BoundaryDatum],
+                workers: int = 1) -> np.ndarray:
+    """Test powers, shape (len(cells), len(data)): row i holds each
+    datum's minimum energy with ``model`` (PEI or PEC) stamped onto
+    ``cells[i]``.
+
+    When every triangle conducts with a p = 2 law, one factorization of
+    the background gives them all (``_LinearBackground``), and
+    ``workers`` is not read.  Otherwise each cell compiles its stamped
+    ``Problem`` and solves every datum on it (``dtn.minimum_energies``),
+    in ``workers`` processes when that is above 1.
+    """
+    powers = np.empty((len(cells), len(data)))
+    if _linear_conducting(mesh, background):
+        linear = _LinearBackground(mesh, background, data)
+        for i, cell in enumerate(cells):
+            powers[i] = linear.powers(cell, model.kind == "pec")
+        logger.debug("scan of %d cells, Schur path: 1 factorization, %d "
+                     "back-substitutions in %d calls", len(cells),
+                     linear.rhs_solved, len(cells) + 1)
+        return powers
+    tasks = [(mesh, background, cell, model, data) for cell in cells]
+    if workers > 1:
+        # imported here: a serial scan never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, row in enumerate(pool.map(_scan_task, tasks,
+                                             chunksize=1)):
+                powers[i] = row
+    else:
+        for i, task in enumerate(tasks):
+            powers[i] = _scan_task(task)
+    logger.debug("scan of %d cells, per-cell path in %d worker(s): %d "
+                 "Problems, %d solves, each Problem factorizing its "
+                 "harmonic start once and each Newton step once more",
+                 len(cells), max(workers, 1), len(cells),
+                 len(cells) * len(data))
+    return powers
 
 
 def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
@@ -187,24 +403,14 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     sign is mirrored.  The per-cell score is the minimum margin over the
     data and a cell is flagged when score >= -tol.  The default tol is
     3 * noise_rel plus a 1e-9 floor against solver round-off.  Test powers
-    are minimum energies, one solve per (cell, datum) on any background.
+    are minimum energies, from ``cell_powers``.
     """
     model = contrast_model(contrast)
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
     meas = measurements.powers
-    tasks = [(mesh, background, cell, model, data) for cell in grid.cells]
-    test_powers = np.empty((grid.n_cells, len(data)))
-    if workers > 1:
-        # imported here: a serial scan never loads the process pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cid, powers in pool.map(_scan_task, tasks, chunksize=1):
-                test_powers[cid] = powers
-    else:
-        for task in tasks:
-            cid, powers = _scan_task(task)
-            test_powers[cid] = powers
+    test_powers = cell_powers(mesh, background, grid.cells, model, data,
+                              workers)
     denom = np.abs(meas)[None, :]
     if contrast == "pei":
         margins = (test_powers - meas[None, :]) / denom

@@ -213,20 +213,20 @@ def write_mpm_svg(path: str, mesh: Mesh, result: MpmResult) -> None:
     lo, hi = float(scores.min()), float(scores.max())
     span = hi - lo if hi > lo else 1.0
     lines, ytop = _svg_open(mesh)
-    for t in range(mesh.n_triangles):
-        lines.append(f'<polygon points="{_tri_points(mesh, t, ytop)}" '
-                     f'fill="#f2f2f2" stroke="#d9d9d9" '
-                     f'stroke-width="0.2%"/>')
+    # each triangle's points are formatted once, for up to three polygons
+    points = [_tri_points(mesh, t, ytop) for t in range(mesh.n_triangles)]
+    for pts in points:
+        lines.append(f'<polygon points="{pts}" fill="#f2f2f2" '
+                     f'stroke="#d9d9d9" stroke-width="0.2%"/>')
     for c in result.grid.cells:
         fill = _color((scores[c.id] - lo) / span)
         for t in c.tri_ids:
-            lines.append(f'<polygon points="{_tri_points(mesh, t, ytop)}" '
-                         f'fill="{fill}" stroke="none"/>')
+            lines.append(f'<polygon points="{points[t]}" fill="{fill}" '
+                         f'stroke="none"/>')
     for c in result.grid.cells:
         if result.mask[c.id]:
             for t in c.tri_ids:
-                lines.append(f'<polygon points='
-                             f'"{_tri_points(mesh, t, ytop)}" fill="none" '
+                lines.append(f'<polygon points="{points[t]}" fill="none" '
                              f'stroke="#000000" stroke-width="0.3%"/>')
     lines.append("</svg>")
     with open(path, "w", newline="") as fh:

@@ -425,6 +425,13 @@ class Problem:
         return self.band.assemble(elem)
 
 
+def stranded_error(count: int) -> SolveError:
+    """The error for ``count`` free unknowns without a conducting path to
+    the boundary."""
+    return SolveError(f"{count} free unknowns have no conducting path to "
+                      f"the boundary: the unit stiffness is singular")
+
+
 class Band:
     """Lower LAPACK band storage of a reduced symmetric matrix assembled
     from 3x3 element matrices.
@@ -454,9 +461,7 @@ class Band:
         start = cols[(cols < 0).any(axis=1)]
         stranded = n - int(np.count_nonzero(reach(*graph, start[start >= 0])))
         if stranded:
-            raise SolveError(f"{stranded} free unknowns have no conducting "
-                             f"path to the boundary: the unit stiffness is "
-                             f"singular")
+            raise stranded_error(stranded)
         self.order = reverse_cuthill_mckee(*graph)
         # band position of each unknown; the extra last entry sends the
         # Dirichlet column -1 to position -1
@@ -490,11 +495,12 @@ class Band:
         return None if dpbtrf(ab) else ab
 
     def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve with a factor that ``factor`` returned, by LAPACK
-        ``dpbtrs``; ``rhs`` and the result are in unknown order."""
-        b = np.asarray(rhs, dtype=float)[self.order]
+        """Solve with a factor that ``factor`` returned, by one LAPACK
+        ``dpbtrs`` call; ``rhs`` is a vector or an (n, k) block of k
+        right-hand sides, and it and the result are in unknown order."""
+        b = np.asfortranarray(np.asarray(rhs, dtype=float)[self.order])
         dpbtrs(factor, b)
-        x = np.empty(self.n)
+        x = np.empty_like(b)
         x[self.order] = b
         return x
 
@@ -502,18 +508,20 @@ class Band:
 # The banded Cholesky pair on lower band storage.  ``dpbtrf(ab)``
 # overwrites the Fortran-ordered (kd + 1, n) float array ``ab`` with its
 # factor and returns LAPACK's ``info`` (nonzero: not positive definite);
-# ``dpbtrs(factor, b)`` overwrites the float vector ``b`` with the solution.
+# ``dpbtrs(factor, b)`` overwrites ``b``, a float vector or a Fortran-ordered
+# (n, k) block of k right-hand sides, with the solution.
 BandCholesky = tuple[Callable[[np.ndarray], int],
                      Callable[[np.ndarray, np.ndarray], None]]
 
 
-def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
-    """``a`` itself, once it is a writeable Fortran-ordered float array of
-    ``ndim`` dimensions that LAPACK may overwrite in place."""
-    if a.dtype != np.float64 or a.ndim != ndim \
+def _checked(a: np.ndarray, *ndims: int) -> np.ndarray:
+    """``a`` itself, once it is a writeable Fortran-ordered float array,
+    of one of ``ndims`` dimensions, that LAPACK may overwrite in place."""
+    if a.dtype != np.float64 or a.ndim not in ndims \
             or not a.flags.f_contiguous or not a.flags.writeable:
         raise ValueError("LAPACK needs a writeable Fortran-ordered float64 "
-                         f"array of {ndim} dimensions")
+                         f"array of {' or '.join(map(str, ndims))} "
+                         f"dimensions")
     return a
 
 
@@ -547,11 +555,12 @@ def _numpy_band_cholesky() -> BandCholesky | None:
 
     def solve(cb: np.ndarray, b: np.ndarray) -> None:
         rows, n = _checked(cb, 2).shape
-        if _checked(b, 1).shape != (n,):
+        if len(_checked(b, 1, 2)) != n:
             raise ValueError(f"right-hand side of {len(b)} rows for {n}")
+        nrhs = b.shape[1] if b.ndim == 2 else 1
         info = i64()
-        trs(b"L", i64(n), i64(rows - 1), i64(1), cb.ctypes.data, i64(rows),
-            b.ctypes.data, i64(max(n, 1)), info, 1)
+        trs(b"L", i64(n), i64(rows - 1), i64(nrhs), cb.ctypes.data,
+            i64(rows), b.ctypes.data, i64(max(n, 1)), info, 1)
 
     return factor, solve
 
@@ -567,7 +576,7 @@ def _scipy_band_cholesky() -> BandCholesky:
         return info
 
     def solve(cb: np.ndarray, b: np.ndarray) -> None:
-        b[...] = lapack.dpbtrs(cb, _checked(b, 1), lower=1,
+        b[...] = lapack.dpbtrs(cb, _checked(b, 1, 2), lower=1,
                                overwrite_b=1)[0]
 
     return factor, solve
@@ -591,6 +600,26 @@ def harmonic_initial_guess(problem: Problem,
 
 # ---------------------------------------------------------------------------
 # solve
+
+
+def fixed_state(problem: Problem, datum: BoundaryDatum) -> np.ndarray:
+    """The nodal state that carries ``datum`` on the boundary and 0
+    elsewhere.  Raises ``SolveError`` unless the datum covers the boundary
+    nodes of the problem's mesh and has zero weighted mean."""
+    bm = problem.bmass
+    vals_sorted = datum.values[np.argsort(datum.node_ids)]
+    if datum.node_ids.shape != bm.node_ids.shape or \
+            np.any(np.sort(datum.node_ids) != bm.node_ids):
+        raise SolveError("datum does not cover the mesh boundary nodes")
+    mean = float(bm.weights @ vals_sorted / bm.total)
+    amp = max(float(np.max(np.abs(datum.values))), 1e-300) \
+        if len(datum.values) else 1e-300
+    if abs(mean) > 1e-9 * amp:
+        raise SolveError(f"datum {datum.name!r} is not zero-mean "
+                         f"(weighted mean {mean:.3e})")
+    u_fix = np.zeros(problem.mesh.n_nodes)
+    u_fix[datum.node_ids] = datum.values
+    return u_fix
 
 
 # Newton/continuation controls.  The tolerance is relative to the
@@ -903,20 +932,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     elif problem.mesh is not mesh or problem.materials is not materials:
         raise ValueError("problem was compiled for another mesh or "
                          "material map")
-    bm = problem.bmass
-    vals_sorted = datum.values[np.argsort(datum.node_ids)]
-    if datum.node_ids.shape != bm.node_ids.shape or \
-            np.any(np.sort(datum.node_ids) != bm.node_ids):
-        raise SolveError("datum does not cover the mesh boundary nodes")
-    mean = float(bm.weights @ vals_sorted / bm.total)
-    amp = max(float(np.max(np.abs(datum.values))), 1e-300) \
-        if len(datum.values) else 1e-300
-    if abs(mean) > 1e-9 * amp:
-        raise SolveError(f"datum {datum.name!r} is not zero-mean "
-                         f"(weighted mean {mean:.3e})")
-
-    u_fix = np.zeros(mesh.n_nodes)
-    u_fix[datum.node_ids] = datum.values
+    u_fix = fixed_state(problem, datum)
 
     if initial_guess is not None:
         ig = np.asarray(initial_guess, dtype=float)

@@ -1,18 +1,22 @@
 """Cell grids, phantoms, synthetic measurements, and the inclusion scan."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from condlab import solver
+from condlab import dtn, output, solver
 from condlab.constitutive import PEC, PEI, Linear, MaterialMap, PowerLaw
 from condlab.dtn import (average_dtn_power, average_dtn_powers,
                          minimum_energies)
 from condlab.imaging import (
+    Cell,
     Measurements,
     MpmResult,
     build_cell_grid,
+    cell_powers,
+    contrast_model,
     fresh_label,
     make_cell_phantom,
     mask_metrics,
@@ -20,8 +24,9 @@ from condlab.imaging import (
     synth_measurements,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.output import write_mpm_json
-from condlab.solver import DatumTerm, PotentialField, Problem, solve
+from condlab.output import write_mpm_json, write_mpm_svg
+from condlab.solver import (DatumTerm, PotentialField, Problem, SolveError,
+                            solve)
 from reference import CellGrid, datum_family
 
 QUAD = 3
@@ -244,10 +249,8 @@ def test_scan_is_deterministic(scan_mesh, grid, bg, fam):
     assert np.array_equal(a.margins, b.margins)
 
 
-@pytest.mark.parametrize("contrast", ["pei", "pec"])
-def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
-                                                    monkeypatch, contrast):
-    meas = synth_measurements(scan_mesh, bg, fam)
+def count_builds_and_factors(monkeypatch) -> tuple[list, list]:
+    """Lists that grow by one per ``Problem`` built and per ``dpbtrf``."""
     builds, factors = [], []
     init, dpbtrf = Problem.__init__, solver.dpbtrf
 
@@ -261,9 +264,108 @@ def test_scan_compiles_and_factorizes_once_per_cell(scan_mesh, grid, bg, fam,
 
     monkeypatch.setattr(Problem, "__init__", counting_init)
     monkeypatch.setattr(solver, "dpbtrf", counting_dpbtrf)
+    return builds, factors
+
+
+@pytest.mark.parametrize("contrast", ["pei", "pec"])
+def test_linear_scan_compiles_and_factorizes_once(scan_mesh, grid, bg, fam,
+                                                  monkeypatch, contrast):
+    meas = synth_measurements(scan_mesh, bg, fam)
+    builds, factors = count_builds_and_factors(monkeypatch)
     mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast, workers=1)
-    assert len(builds) == grid.n_cells
-    assert len(factors) == grid.n_cells
+    assert len(builds) == 1
+    assert len(factors) == 1
+
+
+def test_scan_logs_its_path(scan_mesh, grid, bg, fam, caplog):
+    meas = synth_measurements(scan_mesh, bg, fam)
+    with caplog.at_level(logging.DEBUG, logger="condlab.imaging"):
+        mpm_scan(scan_mesh, bg, grid, fam, meas)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "condlab.imaging"]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"scan of {grid.n_cells} cells, Schur path: "
+                               f"1 factorization, ")
+    assert lines[0].endswith(f"in {grid.n_cells + 1} calls")
+
+
+# ---------------------------------------------------------------------------
+# the linear path against the stamped solves it replaces
+
+
+def ring_cell(mesh, center, r_in, r_out):
+    """A hand-built cell of the triangles whose centroids lie in a ring."""
+    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    r = np.hypot(cent[:, 0] - center[0], cent[:, 1] - center[1])
+    tris = np.nonzero((r >= r_in) & (r < r_out))[0]
+    return Cell(0, 0, 0, tuple(tris.tolist()), float(mesh.areas[tris].sum()))
+
+
+def one_cell_grid(cell):
+    return CellGrid(1, 1, (-1.0, 1.0, -1.0, 1.0), (cell,))
+
+
+@pytest.fixture(scope="module")
+def piecewise():
+    mesh = build_disk_mesh(1.0, 0.2,
+                           inclusions=[DiskInclusion((0.2, -0.1), 0.4, 1)])
+    return mesh, MaterialMap({0: Linear(1.0), 1: Linear(0.2)})
+
+
+@pytest.mark.parametrize("contrast", ["pei", "pec"])
+@pytest.mark.parametrize("case", ["uniform", "piecewise"])
+def test_linear_cell_powers_equal_stamped_minimum_energies(
+        scan_mesh, bg, piecewise, case, contrast):
+    mesh, background = (scan_mesh, bg) if case == "uniform" else piecewise
+    grid = build_cell_grid(mesh, 4, 4)
+    data = datum_family(mesh, [("ramp", [DatumTerm("linear-x", 1.0)]),
+                               ("sin2", [DatumTerm("sin", 1.0, k=2)]),
+                               ("exp", [DatumTerm("exp-x2-2y", 0.5)])])
+    model = contrast_model(contrast)
+    powers = cell_powers(mesh, background, grid.cells, model, data)
+    for cell in grid.cells:
+        stamped = make_cell_phantom(mesh, grid, [cell.id], background, model)
+        assert np.allclose(powers[cell.id],
+                           minimum_energies(*stamped, data),
+                           rtol=1e-12, atol=0.0)
+
+
+def test_linear_cell_powers_take_dirichlet_nodes_of_a_cell(scan_mesh, bg,
+                                                           fam):
+    # a hand-built insulating cell may reach the boundary; grid cells never
+    # do
+    cell = ring_cell(scan_mesh, (0.95, 0.0), 0.0, 0.3)
+    assert np.any(scan_mesh.on_boundary[scan_mesh.triangles[
+        list(cell.tri_ids)]])
+    stamped = make_cell_phantom(scan_mesh, one_cell_grid(cell), [0], bg)
+    assert np.allclose(cell_powers(scan_mesh, bg, [cell], PEI(), fam)[0],
+                       minimum_energies(*stamped, fam), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("background", ["linear", "p4"])
+def test_cut_off_conductors_raise_on_both_paths(scan_mesh, bg, bg_p4, fam,
+                                                background):
+    # an insulating ring around conducting triangles strands them
+    mats = bg if background == "linear" else bg_p4
+    cell = ring_cell(scan_mesh, (0.1, 0.0), 0.2, 0.55)
+    with pytest.raises(SolveError, match="no conducting path") as ref:
+        Problem(*make_cell_phantom(scan_mesh, one_cell_grid(cell), [0],
+                                   mats))
+    with pytest.raises(SolveError) as got:
+        cell_powers(scan_mesh, mats, [cell], PEI(), fam)
+    assert str(got.value) == str(ref.value)
+    # a conducting ring joins them to the rest
+    powers = cell_powers(scan_mesh, mats, [cell], PEC(), fam)
+    assert np.all(np.isfinite(powers))
+
+
+@pytest.mark.parametrize("background", ["linear", "p4"])
+def test_pec_cell_on_the_boundary_raises_on_both_paths(scan_mesh, bg, bg_p4,
+                                                       fam, background):
+    mats = bg if background == "linear" else bg_p4
+    cell = ring_cell(scan_mesh, (0.95, 0.0), 0.0, 0.3)
+    with pytest.raises(SolveError, match="touches the domain boundary"):
+        cell_powers(scan_mesh, mats, [cell], PEC(), fam)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +388,51 @@ def p4_scan(scan_mesh, grid, bg_p4, fam, p4_phantom):
     _, mesh_p, mats_p = p4_phantom
     meas = synth_measurements(mesh_p, mats_p, fam)
     return meas, mpm_scan(scan_mesh, bg_p4, grid, fam, meas)
+
+
+@pytest.mark.parametrize("contrast", ["pei", "pec"])
+def test_nonlinear_scan_compiles_and_factorizes_per_cell(
+        scan_mesh, grid, bg_p4, fam, p4_phantom, monkeypatch, contrast):
+    meas = synth_measurements(*p4_phantom[1:], fam[:2])
+    builds, factors = count_builds_and_factors(monkeypatch)
+    newton = []
+    solve_ = dtn.solve
+
+    def recording_solve(*args, **kwargs):
+        fld = solve_(*args, **kwargs)
+        newton.append(fld.info.factorizations)
+        return fld
+
+    monkeypatch.setattr(dtn, "solve", recording_solve)
+    mpm_scan(scan_mesh, bg_p4, grid, fam[:2], meas, contrast=contrast,
+             workers=1)
+    assert len(builds) == grid.n_cells
+    # one harmonic start per cell, then one per Newton step
+    assert len(newton) == 2 * grid.n_cells
+    assert len(factors) == grid.n_cells + sum(newton)
+
+
+def test_nonlinear_scan_logs_its_path(scan_mesh, grid, bg_p4, fam,
+                                      p4_phantom, caplog):
+    meas = synth_measurements(*p4_phantom[1:], fam[:1])
+    with caplog.at_level(logging.DEBUG, logger="condlab.imaging"):
+        mpm_scan(scan_mesh, bg_p4, grid, fam[:1], meas, workers=1)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "condlab.imaging"]
+    assert lines == [f"scan of {grid.n_cells} cells, per-cell path in 1 "
+                     f"worker(s): {grid.n_cells} Problems, {grid.n_cells} "
+                     f"solves, each Problem factorizing its harmonic start "
+                     f"once and each Newton step once more"]
+
+
+def test_nonlinear_scan_workers_do_not_change_results(scan_mesh, grid,
+                                                      bg_p4, fam,
+                                                      p4_phantom):
+    meas = synth_measurements(*p4_phantom[1:], fam[:2])
+    one = mpm_scan(scan_mesh, bg_p4, grid, fam[:2], meas, workers=1)
+    two = mpm_scan(scan_mesh, bg_p4, grid, fam[:2], meas, workers=2)
+    assert np.array_equal(one.margins, two.margins)
+    assert np.array_equal(one.mask, two.mask)
 
 
 def test_nonlinear_scan_solves_once_per_cell_and_datum(
@@ -337,6 +484,29 @@ def test_nonlinear_measurements_are_minimum_energies(tmp_path, fam,
     out = json.loads((tmp_path / "mpm_result.json").read_text())
     assert "quad_order" not in out and "transfer_residual" not in out
     assert out["datum_names"] == [d.name for d in fam]
+
+
+def test_heatmap_formats_each_triangle_once(tmp_path, scan_mesh, grid, bg,
+                                           fam, monkeypatch):
+    cid = center_cell(grid)
+    meas = synth_measurements(*make_cell_phantom(scan_mesh, grid, [cid], bg),
+                              fam)
+    res = mpm_scan(scan_mesh, bg, grid, fam, meas)
+    calls = []
+    tri_points = output._tri_points
+
+    def counting(mesh, t, ytop):
+        calls.append(t)
+        return tri_points(mesh, t, ytop)
+
+    monkeypatch.setattr(output, "_tri_points", counting)
+    write_mpm_svg(tmp_path / "map.svg", scan_mesh, res)
+    assert sorted(calls) == list(range(scan_mesh.n_triangles))
+    polygons = (tmp_path / "map.svg").read_text().count("<polygon")
+    scanned = sum(len(c.tri_ids) for c in grid.cells)
+    flagged = sum(len(grid.cells[c].tri_ids) for c in res.flagged_cells)
+    assert res.flagged_cells and polygons == (scan_mesh.n_triangles
+                                              + scanned + flagged)
 
 
 # ---------------------------------------------------------------------------

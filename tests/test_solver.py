@@ -751,6 +751,42 @@ def test_band_lapack_calls_equal_scipys_wrappers(case, rng, monkeypatch):
     assert np.array_equal(band.solve(factor, rhs), x)
 
 
+@pytest.mark.parametrize("backend", ["numpy", "scipy"])
+def test_dpbtrs_block_equals_single_solves(backend, rng):
+    # a block of k right-hand sides is k single solves, bit for bit, on
+    # either LAPACK the solver may pick
+    pair = solver._numpy_band_cholesky() if backend == "numpy" \
+        else solver._scipy_band_cholesky()
+    if pair is None:
+        pytest.skip("numpy's wheel exports no dpbtrf/dpbtrs")
+    factor, solve_ = pair
+    mesh, mats = band_case("p4")
+    problem = Problem(mesh, mats)
+    ab = problem.band.assemble(problem.unit_elements)
+    assert factor(ab) == 0
+    rhs = rng.standard_normal((problem.band.n, 5))
+    block = np.asfortranarray(rhs)
+    solve_(ab, block)
+    for k in range(rhs.shape[1]):
+        single = rhs[:, k].copy()
+        solve_(ab, single)
+        assert np.array_equal(block[:, k], single)
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        solve_(ab, np.ascontiguousarray(rhs))
+
+
+def test_band_solves_a_block_column_by_column(rng):
+    mesh, mats = band_case("p4")
+    problem = Problem(mesh, mats)
+    band = problem.band
+    factor = band.factor(band.assemble(problem.unit_elements))
+    rhs = rng.standard_normal((band.n, 4))
+    block = band.solve(factor, rhs)
+    assert block.shape == rhs.shape
+    for k in range(rhs.shape[1]):
+        assert np.array_equal(block[:, k], band.solve(factor, rhs[:, k]))
+
+
 def test_problem_builds_one_graph(monkeypatch):
     # the band's graph proves the boundary paths and gives the order the
     # solve factorizes in

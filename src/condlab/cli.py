@@ -527,7 +527,7 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
     laws = []
     for p in cfg["p_values"]:
         p = _float(p, "p_values entry")
-        # the law checks its parameters before the oracle integrates it
+        # the law checks its parameters before the oracle evaluates it
         mats = MaterialMap({0: PowerLaw(sigma_bar, e0, p)})
         laws.append((p, annulus_radial_solution(p, sigma_bar, e0, r_in,
                                                 r_out, u_in, u_out), mats))

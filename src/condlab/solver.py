@@ -73,7 +73,7 @@ import functools
 import logging
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -567,8 +567,15 @@ def _numpy_band_cholesky() -> BandCholesky | None:
 
 def _scipy_band_cholesky() -> BandCholesky:
     """The pair from ``scipy.linalg.lapack``, the fallback where numpy's
-    wheel exports no LAPACK symbols."""
-    from scipy.linalg import lapack
+    wheel exports no LAPACK symbols.  Where scipy is missing too, each
+    call raises a ``SolveError`` that names the remedy."""
+    try:
+        from scipy.linalg import lapack
+    except ImportError:
+        def missing(*_) -> NoReturn:
+            raise SolveError("numpy's LAPACK exports no banded Cholesky "
+                             "(dpbtrf): install scipy")
+        return missing, missing
 
     def factor(ab: np.ndarray) -> int:
         c, info = lapack.dpbtrf(_checked(ab, 2), lower=1, overwrite_ab=1)

@@ -1282,7 +1282,8 @@ def test_write_csv_newline_discipline(tmp_path):
 # ---------------------------------------------------------------- start-up
 
 def test_cli_import_leaves_out_the_oracle_scipy_modules():
-    # the run-time path needs numpy alone; only the oracles use scipy
+    # the run-time path needs numpy alone; scipy is the tests' oracle and
+    # the banded Cholesky's fallback where numpy's LAPACK lacks dpbtrf
     code = ("import sys, condlab.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy'))")
@@ -1293,15 +1294,37 @@ def test_cli_import_leaves_out_the_oracle_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_without_scipy_or_numpy_lapack_a_solve_exits_4_naming_the_remedy(
+        tmp_path):
+    # a numpy whose LAPACK exports no dpbtrf, and no scipy to fall back on:
+    # the import and a config check still work, and the first
+    # factorization ends the solve with one line that says what to install
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(VALID_CONFIGS["solve"]))
+    runs = [["solve", "--config", str(path), "--check-only"],
+            ["solve", "--config", str(path), "--out", str(tmp_path / "o")]]
+    code = ("import ctypes, sys, types; import numpy; "
+            "sys.modules['scipy'] = None; "
+            "ctypes.CDLL = lambda *args, **kwargs: types.SimpleNamespace(); "
+            "import condlab.cli; "
+            f"print([condlab.cli.main(a) for a in {runs!r}])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == f"[0, {cli.EXIT_SOLVER}]"
+    assert out.stderr.splitlines() == [
+        "solver error: numpy's LAPACK exports no banded Cholesky (dpbtrf): "
+        "install scipy"]
+
+
 def test_serial_scan_loads_no_sparse_graph_or_process_pool(tmp_path):
-    # the mesher, the band order, the connectivity checks and the banded
-    # Cholesky run in numpy, so no subcommand but convergence-study, whose
-    # quadrature oracle is scipy's, loads a scipy module; only a scan with
-    # more than one worker starts the process pool
+    # the mesher, the band order, the connectivity checks, the banded
+    # Cholesky and the annulus oracle run in numpy, so no subcommand loads
+    # a scipy module; only a scan with more than one worker starts the
+    # process pool
     runs = []
     for command, cfg in sorted(VALID_CONFIGS.items()):
-        if command == "convergence-study":
-            continue
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(cfg))
         runs.append([command, "--config", str(path), "--out",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from condlab.constitutive import Linear, MaterialMap, PowerLaw
 from condlab.mesh import build_rect_mesh, boundary_mass
@@ -59,6 +60,38 @@ def test_radial_power_is_p_times_energy(p):
     # relation holds for the integrals
     sol = annulus_radial_solution(p, 1.3, 0.7, 0.4, 1.1, 0.0, 2.0)
     assert abs(sol.power - p * sol.energy) <= 1e-10 * sol.power
+
+
+@pytest.mark.parametrize("traces", [(0.0, 2.0), (2.0, -0.5)],
+                         ids=["inner below outer", "inner above outer"])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.3, 4.0])
+def test_radial_closed_form_matches_quadrature(p, traces):
+    # the 1D integrals of the closed form's energy and power densities by
+    # adaptive quadrature, as the oracle computed them before it had the
+    # antiderivative
+    sigma_bar, e0, r_in, r_out = 1.3, 0.7, 0.4, 1.1
+    sol = annulus_radial_solution(p, sigma_bar, e0, r_in, r_out, *traces)
+    beta = 0.0 if p == 2.0 else (p - 2.0) / (p - 1.0)
+
+    def field(r):
+        if p == 2.0:
+            return abs(sol.coef_a) / r
+        return abs(sol.coef_a * beta) * r ** (beta - 1.0)
+
+    def q_density(e):
+        return sigma_bar * e0 ** 2 / p * (e / e0) ** p
+
+    def sig(e):
+        return sigma_bar * (e / e0) ** (p - 2.0)
+
+    energy, _ = integrate.quad(
+        lambda r: 2.0 * np.pi * r * q_density(field(r)),
+        r_in, r_out, epsabs=0.0, epsrel=1e-12, limit=200)
+    power, _ = integrate.quad(
+        lambda r: 2.0 * np.pi * r * sig(field(r)) * field(r) ** 2,
+        r_in, r_out, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert abs(sol.energy - energy) <= 1e-14 * energy
+    assert abs(sol.power - power) <= 1e-14 * power
 
 
 def test_radial_equal_traces_give_zero():

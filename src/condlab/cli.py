@@ -340,14 +340,12 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
                              fld)
             write_tri_svg(os.path.join(args.out, f"qdensity_{tag}.svg"),
                           mesh, q)
+            # the record but its per-step log, which log_<datum>.jsonl holds
             info = fld.info
-            infos.append({"datum": datum.name, "converged": True,
-                          "n_iter": info.n_iter, "energy": info.energy,
-                          "grad_norm": info.grad_norm,
-                          "grad_tol": info.grad_tol,
-                          "pec_flux_balance": {
-                              str(k): v for k, v in
-                              info.pec_flux_balance.items()}})
+            report = {k: v for k, v in vars(info).items() if k != "log"}
+            report["pec_flux_balance"] = {
+                str(k): v for k, v in info.pec_flux_balance.items()}
+            infos.append({"datum": datum.name, "converged": True, **report})
             print(f"[solve] {datum.name}: energy "
                   f"{info.energy:.10e} ({info.n_iter} iterations)")
         write_json(os.path.join(args.out, "solve_report.json"),

@@ -15,11 +15,12 @@ identity), so neither side runs an alpha quadrature.  The measurements
 are one solve per datum (``dtn.minimum_energies``).  The test powers
 depend on the background.  When every triangle conducts with a p = 2
 law, each test power is a quadratic form, and one factorization of the
-background stiffness gives them all: each cell costs back-substitutions
-for its own unknowns and a Schur complement of their size
-(``_LinearBackground``), with no ``Problem`` and no solve per cell.  On
-any other background each cell compiles its stamped ``Problem`` and
-solves every datum on it, in a process pool when ``workers`` is above 1.
+background stiffness, the background ``Problem``'s cold start, gives them
+all: each cell costs back-substitutions for its own unknowns and a Schur
+complement of their size (``_LinearBackground``), with no ``Problem``
+and no solve per cell.  On any other background each cell compiles its
+stamped ``Problem`` and solves every datum on it, in a process pool when
+``workers`` is above 1.
 Each scan logs one debug line on ``condlab.imaging`` with the path it
 took, its cells and the factorizations and back-substitutions it used.
 """
@@ -35,7 +36,7 @@ from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
 from .mesh import Mesh, distinct
 from .solver import (BoundaryDatum, Problem, SolveError, fixed_state,
-                     stranded_error)
+                     harmonic_initial_guess, pec_conductors, stranded_error)
 
 logger = logging.getLogger(__name__)
 
@@ -197,9 +198,10 @@ class _LinearBackground:
     """A background of p = 2 laws on every triangle, factored once, that
     gives each cell's test powers from a Schur complement on the cell.
 
-    With K the sigma-weighted stiffness on the free unknowns, factored by
-    one ``dpbtrf``, the data's minimizers u_bar (columns ``x``) come from
-    one multi-right-hand-side ``dpbtrs`` and their energies are ``e0``.
+    With K the sigma-weighted stiffness on the free unknowns, the
+    background ``Problem``'s cold start (``harmonic_initial_guess``, one
+    ``dpbtrs`` against its ``start_factor``) gives the data's minimizers
+    u_bar (columns ``x``), and their energies are ``e0``.
     The energy of any state is E0 + 1/2 (x - u_bar)^T K (x - u_bar), so
     minimizing over every unknown off a cell's free unknowns S leaves
     1/2 (y - u_bar_S)^T A (y - u_bar_S) with A = ((K^-1)_SS)^-1, and
@@ -211,28 +213,17 @@ class _LinearBackground:
       minimizes over the rest of S, S';
     * PEC ties all of S to one value t (K_C 1 = 0).
     Both minima are closed forms in b = A u_bar_S and M = A - K_C (Hager,
-    SIAM Rev. 31, 1989).  The unknowns a PEI cell cuts off from the
-    boundary are found by a search of the triangle graph, as ``Band``
-    finds them, not from a pivot.
+    SIAM Rev. 31, 1989); a PEC cell must be one conductor.  The unknowns
+    a PEI cell cuts off from the boundary are found by a search of the
+    triangle graph, as ``Band`` finds them, not from a pivot.
     """
 
     def __init__(self, mesh: Mesh, background: MaterialMap,
                  data: Sequence[BoundaryDatum]):
         problem = Problem(mesh, background)
         self.mesh, self.problem = mesh, problem
-        # p = 2 laws: sigma does not depend on the field
-        sig = problem.per_tri(np.zeros(len(problem.areas)), "sigma")
-        self.elem = sig[:, None, None] * problem.unit_elements
-        self.factor = problem.band.factor(problem.band.assemble(self.elem))
-        if self.factor is None:
-            raise SolveError("the background stiffness is not positive "
-                             "definite")
         self.fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
-        flux = np.einsum("mij,mjk->mik", self.elem,
-                         self.fixed[problem.triangles])
-        rhs = np.stack([-problem.reduce(problem.assemble(flux[:, :, k]))
-                        for k in range(len(data))], axis=1)
-        self.x = problem.band.solve(self.factor, rhs)
+        self.x = harmonic_initial_guess(problem, self.fixed)
         self.e0 = np.array([problem.energy(problem.nodal_state(
             self.fixed[:, k], self.x[:, k])) for k in range(len(data))])
         self.rhs_solved = len(data)
@@ -260,13 +251,17 @@ class _LinearBackground:
         local = np.searchsorted(nodes, mesh.triangles[tris])
         n = len(nodes)
         kc = np.bincount((local[:, :, None] * n + local[:, None, :]).ravel(),
-                         weights=self.elem[tris].ravel(),
+                         weights=problem.start_elements[tris].ravel(),
                          minlength=n * n).reshape(n, n)
         cols = problem.free_of_node[nodes]
         s = cols >= 0
         if pec and not s.all():
             raise SolveError(f"PEC component {self.label} touches the "
                              f"domain boundary")
+        if pec and len(pec_conductors(mesh.triangles[tris],
+                                      mesh.labels[tris])) > 1:
+            raise SolveError(f"PEC cell {cell.id} is more than one "
+                             f"conductor, which the linear scan cannot tie")
         if not pec:
             # the free nodes with a triangle outside the cell stay
             kept = s & (np.bincount(local.ravel(), minlength=n)
@@ -279,7 +274,8 @@ class _LinearBackground:
                 raise stranded_error(stranded)
         unit = np.zeros((problem.n_free, int(s.sum())))
         unit[cols[s], np.arange(unit.shape[1])] = 1.0
-        a = np.linalg.inv(problem.band.solve(self.factor, unit)[cols[s]])
+        a = np.linalg.inv(problem.band.solve(problem.start_factor,
+                                             unit)[cols[s]])
         self.rhs_solved += unit.shape[1]
         u_bar = self.x[cols[s]]
         b = a @ u_bar

@@ -11,9 +11,9 @@ of entering the sum:
 
 * PEI triangles are excluded and their interior nodes removed; interface
   nodes stay free, which realizes the natural zero-flux condition.
-* PEC triangles are excluded and all nodes of a PEC component collapse to
-  one shared unknown; stationarity in that unknown is exactly the zero
-  net-interface-flux constraint.
+* PEC triangles are excluded and all nodes of a conductor (PEC triangles
+  joined through shared nodes) share one unknown; stationarity in it is
+  exactly the zero net-interface-flux constraint.
 
 Everything that depends only on the (mesh, material map) pair is compiled
 once into a ``Problem``: the unknown map, the active-triangle slices of the
@@ -22,22 +22,20 @@ under different labels are evaluated in one call) and the ``Band``, the
 one graph of the free unknowns: it proves that each reaches the boundary
 and gives their reverse Cuthill-McKee order (``mesh.reverse_cuthill_mckee``,
 the same as scipy's) and each element matrix entry's slot in LAPACK lower
-band storage.  The boundary mass, the unit element stiffness matrices and
-the banded Cholesky factor (LAPACK ``dpbtrf``) of the unit stiffness are
-built on first use and kept, so the harmonic start of every solve on the
-pair is one back-substitution against a factor computed once per
-``Problem``.  ``dpbtrf`` and ``dpbtrs`` are called through ctypes in the
-OpenBLAS that numpy's wheel links, or from ``scipy.linalg.lapack`` where
-that library exports no such symbols.  A ``Problem`` holds no per-datum
-state.
-``solve`` accepts one so that every solve on the same pair shares it, and
-builds its own when none is given.  The solved ``PotentialField`` keeps
-the ``Problem`` it was solved on and the nodal residual of its last Newton
-point; the pairings in ``dtn`` read that residual, and the per-triangle E,
-J and energy density maps come from one element pass on the field's
-``Problem``.  ``Problem.stages`` reuse the structure and only swap each
-group's law for its rescaled-floor version (none without a floored law);
-each stage is built once per ``Problem`` and kept.
+band storage.  The boundary mass, the cold-start stiffness (sigma-weighted
+when every law is p = 2, unit otherwise) and its banded Cholesky factor
+(LAPACK ``dpbtrf``) are built on first use and kept, so the start of every
+cold solve on the pair is one back-substitution against a factor computed
+once per ``Problem``; on a map of p = 2 laws that start is the minimizer,
+and the solve takes no Newton step.  ``dpbtrf`` and ``dpbtrs`` are called
+through ctypes in the OpenBLAS that numpy's wheel links, or from
+``scipy.linalg.lapack`` where that library exports no such symbols.  A
+``Problem`` holds no per-datum state; ``solve`` accepts one so that every
+solve on the same pair shares it, and builds its own when none is given.
+The solved ``PotentialField`` keeps the ``Problem`` it was solved on and
+the nodal residual of its last Newton point, which the pairings in
+``dtn`` read.  ``Problem.stages`` reuse the structure and only swap each
+group's law for its rescaled-floor version (none without a floored law).
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -60,9 +58,9 @@ the slope shrank a hundredfold and the energy rose by at most 1e-10 of
 its size, a slack above the float resolution where flat (E-J) energies
 stop decreasing near the minimizer.  Power-law floors follow a
 warm-started continuation schedule that shrinks reg_eps tenfold per
-stage.  The last stage's exit, ``tol`` or ``floor``, is the solve's and
-is logged with its counters at debug level; every accepted exit has its
-gradient within the tolerance or the round-off floor.
+stage.  The stages fill in the solve's one ``SolveInfo``; the last stage's
+exit, ``tol`` or ``floor``, is logged with its counters at debug level and
+has the gradient within the tolerance or the round-off floor.
 """
 from __future__ import annotations
 
@@ -223,6 +221,34 @@ _DIRICHLET = -1
 _REMOVED = -2
 
 
+def pec_conductors(triangles: np.ndarray, labels: np.ndarray
+                   ) -> dict[int | str, np.ndarray]:
+    """The nodes of each conductor that the PEC ``triangles``, of region
+    ``labels``, make: the triangles joined through shared nodes, whatever
+    their labels, in the order of their smallest label, then their first
+    node.  The one piece of its one label is keyed by that label; other
+    keys join their labels with "+" and number the pieces of the same
+    labels "#0", "#1", ..."""
+    nodes = distinct(triangles)
+    local = np.searchsorted(nodes, triangles)
+    # each node takes the lowest number on its triangles until none
+    # changes; then every node holds the first node of its conductor
+    comp, low = None, np.arange(len(nodes))
+    while not np.array_equal(low, comp):
+        comp = low.copy()
+        np.minimum.at(low, local, comp[local].min(axis=1, keepdims=True))
+    found = sorted(((tuple(distinct(labels[comp[local[:, 0]] == c]).tolist()),
+                     nodes[comp == c]) for c in distinct(comp)),
+                   key=lambda conductor: conductor[0][0])
+    names = ["+".join(map(str, labs)) for labs, _ in found]
+    conductors: dict[int | str, np.ndarray] = {}
+    for i, ((labs, members), name) in enumerate(zip(found, names)):
+        if names.count(name) > 1:
+            name += f"#{names[:i].count(name)}"
+        conductors[labs[0] if name == str(labs[0]) else name] = members
+    return conductors
+
+
 class Problem:
     """One (mesh, material map) pair compiled for repeated solves.
 
@@ -230,9 +256,9 @@ class Problem:
     boundary, ``_REMOVED`` inside PEI regions), ``n_free`` columns, the
     nodes that carry a column, ``free_nodes`` (ascending), with their
     columns ``free_cols``, ``removed_nodes`` and the nodes of each PEC
-    component in ``pec_groups``.  ``nodal_state`` prolongs free unknowns
-    to a nodal state and ``reduce`` sums nodal vectors onto the free
-    unknowns.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
+    conductor in ``pec_groups`` (``pec_conductors``).  ``nodal_state``
+    prolongs free unknowns to a nodal state and ``reduce`` sums nodal
+    vectors onto the free unknowns.  ``triangles``, ``grads`` and ``areas`` are the mesh arrays
     restricted to the active (conducting) triangles ``active_tris``, in
     that order; ``groups`` pairs each distinct law with the active slots
     it governs; ``band`` is their ``Band``.  Every free unknown must reach
@@ -256,19 +282,18 @@ class Problem:
         free_of_node[mesh.triangles[active_ids]] = 0
         free_of_node[mesh.on_boundary] = _DIRICHLET
 
-        # one shared column per PEC label, numbered first
-        pec_groups = {lab: distinct(mesh.triangles[mesh.labels == lab])
-                      for lab in pec_labels}
-        pec_col_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        for col, (lab, nodes) in enumerate(pec_groups.items()):
-            if np.any(mesh.on_boundary[nodes]):
-                raise SolveError(f"PEC component {lab} touches the domain "
-                                 f"boundary")
-            pec_col_of_node[nodes] = col
-        merged = pec_col_of_node >= 0
+        # one shared column per PEC conductor, numbered first
+        on = np.isin(mesh.labels, pec_labels)
+        pec_groups = pec_conductors(mesh.triangles[on], mesh.labels[on])
+        merged = np.zeros(mesh.n_nodes, dtype=bool)
+        merged[mesh.triangles[on]] = True
         ids = np.nonzero((free_of_node == 0) & ~merged)[0]
         free_of_node[ids] = len(pec_groups) + np.arange(len(ids))
-        free_of_node[merged] = pec_col_of_node[merged]
+        for col, (key, nodes) in enumerate(pec_groups.items()):
+            if np.any(mesh.on_boundary[nodes]):
+                raise SolveError(f"PEC component {key} touches the domain "
+                                 f"boundary")
+            free_of_node[nodes] = col
         n_free = len(pec_groups) + len(ids)
 
         self.mesh, self.materials = mesh, materials
@@ -308,14 +333,23 @@ class Problem:
                                             @ self.grads)
 
     @functools.cached_property
-    def unit_factor(self) -> np.ndarray:
-        """Banded Cholesky factor of the reduced unit stiffness, built on
-        first use and kept."""
-        factor = self.band.factor(self.band.assemble(self.unit_elements))
-        if factor is None:  # a zero pivot: the unit stiffness is singular
-            raise SolveError("harmonic start: the unit stiffness is singular "
-                             "(conducting nodes without a path to the "
-                             "boundary)")
+    def start_elements(self) -> np.ndarray:
+        """Element stiffness matrices of the cold start: sigma-weighted
+        when every law is p = 2 (sigma does not depend on the field, so
+        the start is the minimizer), else ``unit_elements``."""
+        if any(model.p != 2.0 for model, _ in self.groups):
+            return self.unit_elements
+        sig = self.per_tri(np.zeros(len(self.areas)), "sigma")
+        return sig[:, None, None] * self.unit_elements
+
+    @functools.cached_property
+    def start_factor(self) -> np.ndarray:
+        """Banded Cholesky factor of the reduced ``start_elements``
+        stiffness, built on first use and kept."""
+        factor = self.band.factor(self.band.assemble(self.start_elements))
+        if factor is None:  # round-off: the band proved every path
+            raise SolveError("harmonic start: the start stiffness is not "
+                             "positive definite")
         return factor
 
     @property
@@ -594,15 +628,16 @@ dpbtrf, dpbtrs = _numpy_band_cholesky() or _scipy_band_cholesky()
 
 def harmonic_initial_guess(problem: Problem,
                            u_fix: np.ndarray) -> np.ndarray:
-    """Discrete harmonic extension (unit conductivity) of the trace,
-    respecting the PEC/PEI unknown structure; used as the Newton start.
-    The back-solve uses the problem's ``unit_factor``, so every cold start
-    on one ``Problem`` shares one factorization.
-    """
-    flux = np.einsum("mij,mj->mi", problem.unit_elements,
+    """The Newton start: the minimizer of the ``start_elements`` stiffness
+    with the trace of ``u_fix``, a nodal state or an (n_nodes, k) block of
+    them, by one back-solve against the ``Problem``'s ``start_factor``;
+    the harmonic extension, or on a map of p = 2 laws the solution."""
+    flux = np.einsum("mij,mj...->mi...", problem.start_elements,
                      u_fix[problem.triangles])
-    return problem.band.solve(problem.unit_factor,
-                              -problem.reduce(problem.assemble(flux)))
+    rhs = np.stack([-problem.reduce(problem.assemble(f))
+                    for f in np.moveaxis(flux, 2, 0)], axis=1) \
+        if flux.ndim == 3 else -problem.reduce(problem.assemble(flux))
+    return problem.band.solve(problem.start_factor, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -642,34 +677,31 @@ _FLOOR_FACTOR = 32.0
 
 @dataclass
 class SolveInfo:
-    """``grad_floor`` is nonzero when the iteration stopped at the
-    assembly round-off floor instead of the relative tolerance; the
-    gradient cannot be driven below roughly machine epsilon times the
-    stiffest material scale, so that state is stationary to working
-    precision.
+    """The one record of a solve, which its Newton stages fill in.
 
-    ``exit_reason`` says how the last stage stopped: ``"tol"`` (gradient
-    within the relative tolerance) or ``"floor"`` (gradient within the
-    round-off floor, also when the last stage spent its iteration budget
-    there; a budget spent above both bounds raises).
-    ``linsolve_failures`` counts Newton systems whose banded Cholesky
-    factorization failed (the reduced Hessian was not positive definite)
-    or gave a non-finite direction, ``factorizations`` the banded Cholesky
-    factorizations of Newton steps, and ``line_search_evals`` the points
-    the line searches evaluated (one element pass each; accepting a slope
-    root whose slope was taken evaluates nothing new).  ``log`` holds one
-    row per Newton step: its stage and iteration, the energy and gradient
-    norm of the point it started from, the step length and whether the
-    scaled-gradient fallback was taken."""
+    ``grad_tol`` is fixed at the first point; ``grad_norm``,
+    ``grad_floor`` (the round-off floor, 0 after a ``tol`` exit), the
+    ``energy`` and the net flux into each PEC conductor are the last
+    point's.  ``exit_reason`` says how the last stage stopped: ``"tol"``
+    (gradient within the relative tolerance) or ``"floor"`` (within the
+    round-off floor, stationary to working precision, also when the last
+    stage spent its iteration budget there; a budget spent above both
+    bounds raises).  ``factorizations`` counts the banded Cholesky
+    factorizations of Newton steps, ``linsolve_failures`` those that
+    failed or gave a non-finite direction, ``line_search_evals`` the
+    points the line searches evaluated (one element pass each).  ``log``
+    holds one row per Newton step, ``n_iter`` of them: its stage and
+    iteration, the energy and gradient norm of the point it started from,
+    the step length and whether the scaled-gradient fallback was taken."""
 
-    n_iter: int
-    grad_norm: float
-    grad_tol: float
-    energy: float
+    n_iter: int = 0
+    grad_norm: float = float("nan")
+    grad_tol: float | None = None
+    energy: float = float("nan")
     grad_floor: float = 0.0
-    pec_flux_balance: dict[int, float] = field(default_factory=dict)
+    pec_flux_balance: dict[int | str, float] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
-    exit_reason: str = "tol"
+    exit_reason: str | None = None
     linsolve_failures: int = 0
     factorizations: int = 0
     line_search_evals: int = 0
@@ -678,47 +710,35 @@ class SolveInfo:
 @dataclass
 class PotentialField:
     """Nodal solution on the ``Problem`` it was solved on: ``u`` with NaN
-    at removed (PEI-interior) nodes, ``valid_mask`` marking carried values,
-    ``residual`` the energy gradient at every node of the last Newton
-    point (what the pairings read), PEC component constants in
-    ``info.pec_flux_balance``'s companion ``pec_values``."""
+    at removed (PEI-interior) nodes and each PEC conductor's constant at
+    its nodes, ``residual`` the energy gradient at every node of the last
+    Newton point (what the pairings read)."""
 
     problem: Problem
     u: np.ndarray
-    valid_mask: np.ndarray
     datum: BoundaryDatum
     info: SolveInfo
     residual: np.ndarray
-    pec_values: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
-class _Progress:
-    """State one solve carries across its continuation stages."""
-
-    tol: float | None = None  # fixed once, at the very first iterate
-    linsolve_failures: int = 0
-    factorizations: int = 0
-    line_search_evals: int = 0
 
 
 def _newton_direction(band: Band, h: np.ndarray, rhs: np.ndarray,
-                      progress: _Progress) -> tuple[np.ndarray, np.ndarray]:
+                      info: SolveInfo) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``H d = rhs`` for the reduced Hessian H, given as the band
     array ``h``, by one banded Cholesky factorization; returns (d, inverse
     diagonal of H).
 
     Strong monotonicity makes H positive definite.  A failed factorization
     or a non-finite direction counts as a failure and comes back as NaN,
-    which sends the caller to the scaled-gradient fallback.
+    which sends the caller to the scaled-gradient fallback.  Both are
+    counted in ``info``.
     """
     inv_diag = 1.0 / np.maximum(band.diagonal(h), 1e-300)
-    progress.factorizations += 1
+    info.factorizations += 1
     factor = band.factor(h)
     d = np.full_like(rhs, np.nan) if factor is None \
         else band.solve(factor, rhs)
     if not np.all(np.isfinite(d)):
-        progress.linsolve_failures += 1
+        info.linsolve_failures += 1
     return d, inv_diag
 
 
@@ -824,17 +844,15 @@ class _Point:
 
 
 def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
-                  progress: _Progress, stage: int,
-                  log: list[dict]
-                  ) -> tuple[_Point, float, float, int, str | None]:
+                  info: SolveInfo, stage: int) -> _Point:
     """Newton iterations on one continuation stage from ``point``, which
     carries ``problem``'s laws, checking each point up to the one after step
-    ``_MAX_ITER``; returns the last point, its gradient norm and round-off
-    floor (0 after ``tol``), the steps taken and the exit reason, None when
-    that point meets neither bound."""
+    ``_MAX_ITER``; returns the last point.  Its gradient norm, round-off
+    floor (0 after ``tol``) and exit reason, None when it meets neither
+    bound, go to ``info``, with the steps and counters."""
 
     def evaluate(x_try: np.ndarray) -> _Point:
-        progress.line_search_evals += 1
+        info.line_search_evals += 1
         return _Point.evaluate(problem, u_fix, x_try)
 
     def line_search(p0: _Point, d: np.ndarray,
@@ -861,24 +879,24 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
 
     for it in range(_MAX_ITER + 1):
         g = point.g
-        gn = float(np.linalg.norm(g))
-        if progress.tol is None:
+        gn = info.grad_norm = float(np.linalg.norm(g))
+        if info.grad_tol is None:
             # reference scale: norm of the cancellation-free assembly,
             # the natural flux magnitude of the first iterate
             scale = float(np.linalg.norm(
                 problem.reduce(problem.assemble(np.abs(point.contrib)))))
-            progress.tol = _GRAD_RTOL * scale
-        if gn <= progress.tol or gn == 0.0:
-            return point, gn, 0.0, it, "tol"
-        floor = problem.roundoff_floor(point.u, point.sig)
-        if gn <= _FLOOR_FACTOR * floor:
-            # gradient indistinguishable from assembly round-off:
-            # stationary to working precision
-            return point, gn, floor, it, "floor"
-        if it == _MAX_ITER:
-            return point, gn, floor, it, None
+            info.grad_tol = _GRAD_RTOL * scale
+        if gn <= info.grad_tol or gn == 0.0:
+            info.grad_floor, info.exit_reason = 0.0, "tol"
+            return point
+        floor = info.grad_floor = problem.roundoff_floor(point.u, point.sig)
+        # a gradient indistinguishable from assembly round-off is
+        # stationary to working precision
+        info.exit_reason = "floor" if gn <= _FLOOR_FACTOR * floor else None
+        if info.exit_reason or it == _MAX_ITER:
+            return point
         d, inv_diag = _newton_direction(problem.band, point.hessian(), -g,
-                                        progress)
+                                        info)
         gd = float(g @ d)
         nxt = None
         fell_back = not np.isfinite(gd) or gd >= 0.0
@@ -894,8 +912,9 @@ def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
             raise SolveError(f"line search stalled at stage {stage}, "
                              f"iteration {it} (grad norm {gn:.3e}, "
                              f"round-off floor {floor:.3e})")
-        log.append({"stage": stage, "iter": it, "energy": point.energy,
-                    "grad_norm": gn, "step": t, "fallback": fell_back})
+        info.log.append({"stage": stage, "iter": it, "energy": point.energy,
+                         "grad_norm": gn, "step": t, "fallback": fell_back})
+        info.n_iter += 1
         point = nxt
 
 
@@ -916,7 +935,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     ----------
     initial_guess : optional nodal array
         Full nodal state to warm-start from (e.g. a scaled previous
-        solution); defaults to the discrete harmonic extension.
+        solution); defaults to ``harmonic_initial_guess``.
     problem : optional Problem
         ``Problem(mesh, materials)`` shared by repeated solves on the same
         pair; built here when omitted.  The returned field keeps it.
@@ -924,9 +943,7 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     Returns
     -------
     PotentialField
-        Converged state; ``info`` carries iteration counts, the final
-        gradient norm/tolerance, the exit reason, per-PEC-component net
-        flux and the per-step log.
+        Converged state; ``info`` is the solve's record.
 
     Raises
     ------
@@ -951,41 +968,29 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     else:
         x = harmonic_initial_guess(problem, u_fix)
 
-    progress = _Progress()
-    log: list[dict] = []
-    total_iter = 0
-    point = None
+    info = SolveInfo()
+    point = _Point.evaluate(problem, u_fix, x)
     for stage, staged in enumerate(problem.stages):
         # each stage starts where the last one stopped, on its own laws
-        point = _Point.evaluate(staged, u_fix, x) if point is None \
-            else point.on(staged)
-        point, gn, floor, n_it, reason = _newton_stage(staged, u_fix, point,
-                                                       progress, stage, log)
-        total_iter += n_it
+        point = _newton_stage(staged, u_fix, point.on(staged), info, stage)
     # the last stage is ``problem``, so the last point carries its laws
-    tol = progress.tol
-    if reason is None:
+    if info.exit_reason is None:
         raise SolveError(f"Newton did not converge (iteration budget "
-                         f"spent): grad norm {gn:.3e} above tolerance "
-                         f"{tol:.3e} and round-off floor {floor:.3e}")
+                         f"spent): grad norm {info.grad_norm:.3e} above "
+                         f"tolerance {info.grad_tol:.3e} and round-off floor "
+                         f"{info.grad_floor:.3e}")
 
-    u, r = point.u, point.residual
-    balance = {lab: float(r[nodes].sum())
-               for lab, nodes in problem.pec_groups.items()}
-    pec_values = {lab: float(u[nodes[0]])
-                  for lab, nodes in problem.pec_groups.items()}
-    energy = point.energy
-    valid = np.ones(mesh.n_nodes, dtype=bool)
-    valid[problem.removed_nodes] = False
+    r = point.residual
+    info.energy = point.energy
+    info.pec_flux_balance = {key: float(r[nodes].sum())
+                             for key, nodes in problem.pec_groups.items()}
     logger.debug("solve %r: exit %s after %d Newton iterations, grad norm "
                  "%.3e (tol %.3e), %d factorizations, %d linear-solve "
-                 "failures, %d line-search evaluations", datum.name, reason,
-                 total_iter, gn, tol, progress.factorizations,
-                 progress.linsolve_failures, progress.line_search_evals)
-    info = SolveInfo(total_iter, gn, tol, energy, floor, balance, log,
-                     reason, progress.linsolve_failures,
-                     progress.factorizations, progress.line_search_evals)
-    return PotentialField(problem, u, valid, datum, info, r, pec_values)
+                 "failures, %d line-search evaluations", datum.name,
+                 info.exit_reason, info.n_iter, info.grad_norm,
+                 info.grad_tol, info.factorizations, info.linsolve_failures,
+                 info.line_search_evals)
+    return PotentialField(problem, point.u, datum, info, r)
 
 
 # ---------------------------------------------------------------------------

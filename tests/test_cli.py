@@ -254,6 +254,12 @@ def test_solve_outputs(tmp_path, capsys):
     mesh = build_disk_mesh(DISK["radius"], DISK["target_h"])
     exact = 0.5 * mesh.areas.sum()
     assert info["energy"] == pytest.approx(exact, rel=1e-9)
+    # a linear map starts at its minimizer: no Newton step, no
+    # factorization, no line search
+    assert info["n_iter"] == 0
+    assert info["exit_reason"] == "tol" and info["grad_floor"] == 0.0
+    assert info["factorizations"] == info["line_search_evals"] \
+        == info["linsolve_failures"] == 0
     assert "[solve] ramp: energy" in capsys.readouterr().out
 
 

@@ -14,6 +14,7 @@ from condlab.imaging import (
     Cell,
     Measurements,
     MpmResult,
+    _LinearBackground,
     build_cell_grid,
     cell_powers,
     contrast_model,
@@ -340,6 +341,53 @@ def test_linear_cell_powers_take_dirichlet_nodes_of_a_cell(scan_mesh, bg,
     stamped = make_cell_phantom(scan_mesh, one_cell_grid(cell), [0], bg)
     assert np.allclose(cell_powers(scan_mesh, bg, [cell], PEI(), fam)[0],
                        minimum_energies(*stamped, fam), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-1, 10.0, 1e3])
+@pytest.mark.parametrize("contrast", [None, "pei", "pec"])
+def test_piecewise_linear_maps_start_at_their_minimizer(sigma, contrast):
+    # a map of p = 2 laws, with or without a structural cell, is solved by
+    # its cold start: no Newton step, and the Schur path's powers
+    mesh = build_disk_mesh(1.0, 0.2,
+                           inclusions=[DiskInclusion((0.2, -0.1), 0.4, 1)])
+    background = MaterialMap({0: Linear(1.0), 1: Linear(sigma)})
+    data = datum_family(mesh, [("ramp", [DatumTerm("linear-x", 1.0)]),
+                               ("sin2", [DatumTerm("sin", 1.0, k=2)])])
+    grid = build_cell_grid(mesh, 4, 4)
+    if contrast is None:
+        cases = [((mesh, background),
+                  _LinearBackground(mesh, background, data).e0)]
+    else:
+        model = contrast_model(contrast)
+        powers = cell_powers(mesh, background, grid.cells, model, data)
+        cases = [(make_cell_phantom(mesh, grid, [cell.id], background,
+                                    model), powers[cell.id])
+                 for cell in grid.cells]
+    # the Schur path's PEI form subtracts quadratic forms that grow with
+    # sigma: at sigma = 1e3 it is off by up to 5.7e-12 of a power that the
+    # solve gets within 6e-14 (both against a long-double refinement)
+    rtol = 1e-11 if sigma > 100.0 else 1e-12
+    for (test_mesh, mats), expected in cases:
+        problem = Problem(test_mesh, mats)
+        for datum, power in zip(data, expected):
+            info = solve(test_mesh, mats, datum, problem=problem).info
+            assert info.exit_reason == "tol"
+            assert info.n_iter == 0 and info.factorizations == 0
+            assert info.energy == pytest.approx(power, rel=rtol, abs=0.0)
+
+
+def test_linear_scan_refuses_a_pec_cell_of_two_conductors(scan_mesh, bg,
+                                                          bg_p4, fam):
+    # the Schur path ties a PEC cell to one value; the stamped solve makes
+    # each conductor its own unknown
+    left = ring_cell(scan_mesh, (-0.4, 0.0), 0.0, 0.2)
+    right = ring_cell(scan_mesh, (0.4, 0.0), 0.0, 0.2)
+    cell = Cell(0, 0, 0, left.tri_ids + right.tri_ids,
+                left.area + right.area)
+    with pytest.raises(SolveError, match="more than one conductor"):
+        cell_powers(scan_mesh, bg, [cell], PEC(), fam)
+    assert np.all(np.isfinite(cell_powers(scan_mesh, bg_p4, [cell], PEC(),
+                                          fam)))
 
 
 @pytest.mark.parametrize("background", ["linear", "p4"])

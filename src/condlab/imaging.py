@@ -17,10 +17,12 @@ depend on the background.  When every triangle conducts with a p = 2
 law, each test power is a quadratic form, and one factorization of the
 background stiffness, the background ``Problem``'s cold start, gives them
 all: each cell costs back-substitutions for its own unknowns and a Schur
-complement of their size (``_LinearBackground``), with no ``Problem``
-and no solve per cell.  On any other background each cell compiles its
-stamped ``Problem`` and solves every datum on it, in a process pool when
-``workers`` is above 1.
+complement of their size, on which a 0/1 matrix P ties the cell's nodes to
+the unknowns they take in the stamped map, one per conductor for PEC and
+one per node with a triangle off the cell for PEI, in one formula
+(``_LinearBackground``), with no ``Problem`` and no solve per cell.  On
+any other background each cell compiles its stamped ``Problem`` and
+solves every datum on it, in a process pool when ``workers`` is above 1.
 Each scan logs one debug line on ``condlab.imaging`` with the path it
 took, its cells and the factorizations and back-substitutions it used.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
-from .mesh import Mesh, distinct
+from .mesh import Mesh, adjacency, distinct, reach
 from .solver import (BoundaryDatum, Problem, SolveError, fixed_state,
                      harmonic_initial_guess, pec_conductors, stranded_error)
 
@@ -207,15 +209,17 @@ class _LinearBackground:
     1/2 (y - u_bar_S)^T A (y - u_bar_S) with A = ((K^-1)_SS)^-1, and
     (K^-1)_SS is |S| more back-substitutions against the same factor.
     A test extreme on the cell removes the cell's element energy
-    1/2 y^T K_C y (K_C: the cell's sigma-weighted element matrices on S)
-    and then
-    * PEI removes the unknowns whose triangles all lie in the cell and
-      minimizes over the rest of S, S';
-    * PEC ties all of S to one value t (K_C 1 = 0).
-    Both minima are closed forms in b = A u_bar_S and M = A - K_C (Hager,
-    SIAM Rev. 31, 1989); a PEC cell must be one conductor.  The unknowns
-    a PEI cell cuts off from the boundary are found by a search of the
-    triangle graph, as ``Band`` finds them, not from a pivot.
+    1/2 [y; g]^T K_C [y; g] (K_C: the cell's sigma-weighted element
+    matrices, g: the fixed values of the cell's Dirichlet nodes) and ties
+    y = P t to the unknowns t that the nodes take in the stamped map: the
+    0/1 matrix P has one column per conductor (``pec_conductors``) for
+    PEC, and for PEI one per node with a triangle off the cell (the other
+    nodes are removed).  Minimizing over t gives the test power
+    E0 + 1/2 u_bar^T A u_bar - 1/2 g^T K_C g - 1/2 (P^T b)^T (P^T M P)^-1
+    (P^T b), with b = A u_bar + K_C g and M = A - K_C (Hager, SIAM Rev.
+    31, 1989).  The unknowns a PEI cell cuts off from the boundary are
+    found by a search of the triangle graph near the cell, not from a
+    pivot.
     """
 
     def __init__(self, mesh: Mesh, background: MaterialMap,
@@ -228,16 +232,6 @@ class _LinearBackground:
             self.fixed[:, k], self.x[:, k])) for k in range(len(data))])
         self.rhs_solved = len(data)
         self.label = fresh_label(mesh, background)
-        # the triangle graph, for the cut-off search
-        tri = mesh.triangles.ravel()
-        self.degree = np.bincount(tri, minlength=mesh.n_nodes)
-        at = np.argsort(tri, kind="stable") // 3
-        ends = np.cumsum(self.degree).tolist()
-        self.node_tris = [at[a:b].tolist()
-                          for a, b in zip([0] + ends[:-1], ends)]
-        self.tri_nodes = mesh.triangles.tolist()
-        self.xy = mesh.nodes.tolist()
-        self.on_boundary = mesh.on_boundary.tolist()
 
     def powers(self, cell: Cell, pec: bool) -> np.ndarray:
         """The cell's test power of every datum, PEC or PEI stamped on it;
@@ -255,88 +249,61 @@ class _LinearBackground:
                          minlength=n * n).reshape(n, n)
         cols = problem.free_of_node[nodes]
         s = cols >= 0
-        if pec and not s.all():
-            raise SolveError(f"PEC component {self.label} touches the "
-                             f"domain boundary")
-        if pec and len(pec_conductors(mesh.triangles[tris],
-                                      mesh.labels[tris])) > 1:
-            raise SolveError(f"PEC cell {cell.id} is more than one "
-                             f"conductor, which the linear scan cannot tie")
-        if not pec:
-            # the free nodes with a triangle outside the cell stay
-            kept = s & (np.bincount(local.ravel(), minlength=n)
-                        < self.degree[nodes])
-            xy = mesh.nodes[nodes]
-            stranded = self._cut_off(set(tris.tolist()),
-                                     nodes[kept].tolist(),
-                                     (*xy.min(axis=0), *xy.max(axis=0)))
-            if stranded:
-                raise stranded_error(stranded)
+        if pec:
+            conductors = pec_conductors(mesh, tris,
+                                        np.full(len(tris), self.label))
+            p = np.zeros((n, len(conductors)))
+            for j, members in enumerate(conductors.values()):
+                p[np.searchsorted(nodes, members), j] = 1.0
+        else:
+            p = np.eye(n)[:, s & self._kept(tris, nodes)]
+        p = p[s]
         unit = np.zeros((problem.n_free, int(s.sum())))
         unit[cols[s], np.arange(unit.shape[1])] = 1.0
         a = np.linalg.inv(problem.band.solve(problem.start_factor,
                                              unit)[cols[s]])
         self.rhs_solved += unit.shape[1]
         u_bar = self.x[cols[s]]
-        b = a @ u_bar
-        m = a - kc[np.ix_(s, s)]
-        energy = self.e0 + 0.5 * _column_dots(u_bar, b)
-        if pec:
-            return energy - b.sum(axis=0) ** 2 / (2.0 * m.sum())
-        # a hand-built cell may hold Dirichlet nodes, whose fixed values
-        # add to b and to the removed element energy
         g = self.fixed[nodes[~s]]
-        b = b + kc[np.ix_(s, ~s)] @ g
-        energy = energy - 0.5 * _column_dots(g, kc[np.ix_(~s, ~s)] @ g)
-        kept = kept[s]
-        b = b[kept]
-        return energy - 0.5 * _column_dots(
-            b, np.linalg.solve(m[np.ix_(kept, kept)], b))
+        b = a @ u_bar
+        energy = self.e0 + 0.5 * _column_dots(u_bar, b) \
+            - 0.5 * _column_dots(g, kc[np.ix_(~s, ~s)] @ g)
+        b = p.T @ (b + kc[np.ix_(s, ~s)] @ g)
+        m = p.T @ (a - kc[np.ix_(s, s)]) @ p
+        return energy - 0.5 * _column_dots(b, np.linalg.solve(m, b))
 
-    def _cut_off(self, in_cell: set, seeds: list, box) -> int:
-        """How many free unknowns lose every conducting path to the
-        boundary when the triangles ``in_cell`` insulate.
+    def _kept(self, tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Which of the cell's ``nodes`` keep a triangle off the cell's
+        triangles ``tris``; raises ``stranded_error`` when, with the cell
+        insulating, free unknowns lose every conducting path to the
+        boundary.
 
-        Such an unknown lies in a component that holds a seed, a free node
-        of the cell (the background itself reaches the boundary), and
-        inside the convex hull of the cell's nodes: a ray from a node
-        outside it, pointing away from the hull, meets no cell triangle
-        before the boundary, every other triangle conducts, and every
-        boundary node is a Dirichlet node.
-        So a search from a seed stops at the first node on the boundary,
-        outside the cell nodes' bounding box ``box`` = (xmin, ymin, xmax,
-        ymax) or in a component already known to escape; a component
-        searched to its end is cut off.
+        Such an unknown lies in a component inside the convex hull of
+        the cell's nodes: a ray from a node outside it, pointing away from
+        the hull, meets no cell triangle before the boundary, every other
+        triangle conducts, and every boundary node is a Dirichlet node.
+        So the search covers the triangles off the cell with a node in the
+        cell nodes' bounding box, which hold every triangle at a cell
+        node, and starts from their nodes on the boundary or outside the
+        box; a node it does not reach is cut off.
         """
-        x0, y0, x1, y1 = box
-        done: set[int] = set()
-        cut = 0
-
-        def escapes(seed: int, comp: set) -> bool:
-            stack = [seed]
-            while stack:
-                for t in self.node_tris[stack.pop()]:
-                    if t in in_cell:
-                        continue
-                    for j in self.tri_nodes[t]:
-                        if j in comp:
-                            continue
-                        x, y = self.xy[j]
-                        if self.on_boundary[j] or j in done \
-                                or not (x0 <= x <= x1 and y0 <= y <= y1):
-                            return True
-                        comp.add(j)
-                        stack.append(j)
-            return False
-
-        for seed in seeds:
-            if seed in done:
-                continue
-            comp = {seed}
-            if not escapes(seed, comp):
-                cut += len(comp)
-            done |= comp
-        return cut
+        mesh = self.mesh
+        xy = mesh.nodes
+        in_box = np.all((xy >= xy[nodes].min(axis=0))
+                        & (xy <= xy[nodes].max(axis=0)), axis=1)
+        near = in_box[mesh.triangles].any(axis=1)
+        near[tris] = False
+        t = mesh.triangles[near]
+        touched = np.zeros(mesh.n_nodes, dtype=bool)
+        touched[t] = True
+        reached = reach(*adjacency(t.ravel(), t[:, [1, 2, 0]].ravel(),
+                                   mesh.n_nodes),
+                        np.flatnonzero(touched & (mesh.on_boundary
+                                                  | ~in_box)))
+        stranded = int(np.count_nonzero(touched & ~reached))
+        if stranded:
+            raise stranded_error(stranded)
+        return touched[nodes]
 
 
 def _linear_conducting(mesh: Mesh, background: MaterialMap) -> bool:

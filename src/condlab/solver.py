@@ -27,7 +27,8 @@ when every law is p = 2, unit otherwise) and its banded Cholesky factor
 (LAPACK ``dpbtrf``) are built on first use and kept, so the start of every
 cold solve on the pair is one back-substitution against a factor computed
 once per ``Problem``; on a map of p = 2 laws that start is the minimizer,
-and the solve takes no Newton step.  ``dpbtrf`` and ``dpbtrs`` are called
+and every solve, warm-started or not, starts there and takes no Newton
+step.  ``dpbtrf`` and ``dpbtrs`` are called
 through ctypes in the OpenBLAS that numpy's wheel links, or from
 ``scipy.linalg.lapack`` where that library exports no such symbols.  A
 ``Problem`` holds no per-datum state; ``solve`` accepts one so that every
@@ -221,14 +222,16 @@ _DIRICHLET = -1
 _REMOVED = -2
 
 
-def pec_conductors(triangles: np.ndarray, labels: np.ndarray
+def pec_conductors(mesh: Mesh, tris: np.ndarray, labels: np.ndarray
                    ) -> dict[int | str, np.ndarray]:
-    """The nodes of each conductor that the PEC ``triangles``, of region
-    ``labels``, make: the triangles joined through shared nodes, whatever
-    their labels, in the order of their smallest label, then their first
-    node.  The one piece of its one label is keyed by that label; other
-    keys join their labels with "+" and number the pieces of the same
-    labels "#0", "#1", ..."""
+    """The nodes of each conductor that the PEC triangles ``tris`` of
+    ``mesh``, of region ``labels``, make: the triangles joined through
+    shared nodes, whatever their labels, in the order of their smallest
+    label, then their first node.  The one piece of its one label is keyed
+    by that label; other keys join their labels with "+" and number the
+    pieces of the same labels "#0", "#1", ...  Raises ``SolveError`` for
+    the first conductor with a node on the domain boundary."""
+    triangles = mesh.triangles[tris]
     nodes = distinct(triangles)
     local = np.searchsorted(nodes, triangles)
     # each node takes the lowest number on its triangles until none
@@ -245,7 +248,11 @@ def pec_conductors(triangles: np.ndarray, labels: np.ndarray
     for i, ((labs, members), name) in enumerate(zip(found, names)):
         if names.count(name) > 1:
             name += f"#{names[:i].count(name)}"
-        conductors[labs[0] if name == str(labs[0]) else name] = members
+        key = labs[0] if name == str(labs[0]) else name
+        if np.any(mesh.on_boundary[members]):
+            raise SolveError(f"PEC component {key} touches the domain "
+                             f"boundary")
+        conductors[key] = members
     return conductors
 
 
@@ -284,15 +291,12 @@ class Problem:
 
         # one shared column per PEC conductor, numbered first
         on = np.isin(mesh.labels, pec_labels)
-        pec_groups = pec_conductors(mesh.triangles[on], mesh.labels[on])
+        pec_groups = pec_conductors(mesh, on, mesh.labels[on])
         merged = np.zeros(mesh.n_nodes, dtype=bool)
         merged[mesh.triangles[on]] = True
         ids = np.nonzero((free_of_node == 0) & ~merged)[0]
         free_of_node[ids] = len(pec_groups) + np.arange(len(ids))
-        for col, (key, nodes) in enumerate(pec_groups.items()):
-            if np.any(mesh.on_boundary[nodes]):
-                raise SolveError(f"PEC component {key} touches the domain "
-                                 f"boundary")
+        for col, nodes in enumerate(pec_groups.values()):
             free_of_node[nodes] = col
         n_free = len(pec_groups) + len(ids)
 
@@ -332,12 +336,18 @@ class Problem:
         return self.areas[:, None, None] * (self.grads.transpose(0, 2, 1)
                                             @ self.grads)
 
+    @property
+    def is_linear(self) -> bool:
+        """Whether every law on the active triangles is p = 2, so that
+        sigma does not depend on the field."""
+        return all(model.p == 2.0 for model, _ in self.groups)
+
     @functools.cached_property
     def start_elements(self) -> np.ndarray:
         """Element stiffness matrices of the cold start: sigma-weighted
-        when every law is p = 2 (sigma does not depend on the field, so
-        the start is the minimizer), else ``unit_elements``."""
-        if any(model.p != 2.0 for model, _ in self.groups):
+        when ``is_linear`` (the start is then the minimizer), else
+        ``unit_elements``."""
+        if not self.is_linear:
             return self.unit_elements
         sig = self.per_tri(np.zeros(len(self.areas)), "sigma")
         return sig[:, None, None] * self.unit_elements
@@ -935,7 +945,9 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     ----------
     initial_guess : optional nodal array
         Full nodal state to warm-start from (e.g. a scaled previous
-        solution); defaults to ``harmonic_initial_guess``.
+        solution); defaults to ``harmonic_initial_guess``, which a map
+        whose laws are all p = 2 (``Problem.is_linear``) starts from
+        anyway, since it is the minimizer there.
     problem : optional Problem
         ``Problem(mesh, materials)`` shared by repeated solves on the same
         pair; built here when omitted.  The returned field keeps it.
@@ -962,11 +974,12 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         ig = np.asarray(initial_guess, dtype=float)
         if ig.shape != (mesh.n_nodes,):
             raise SolveError("initial guess must be a full nodal array")
+    if initial_guess is None or problem.is_linear:
+        x = harmonic_initial_guess(problem, u_fix)
+    else:
         start = ig[problem.free_nodes]
         x = np.zeros(problem.n_free)
         x[problem.free_cols] = np.where(np.isfinite(start), start, 0.0)
-    else:
-        x = harmonic_initial_guess(problem, u_fix)
 
     info = SolveInfo()
     point = _Point.evaluate(problem, u_fix, x)

@@ -231,6 +231,26 @@ def test_gateaux_zero_direction(disk, linear_unit):
     assert rep.final_residual <= 1e-12
 
 
+def test_gateaux_on_a_linear_map_takes_no_newton_step(monkeypatch):
+    # the perturbed solves pass the base field as a warm start; a map of
+    # p = 2 laws starts at its minimizer all the same
+    mesh = build_disk_mesh(1.0, 0.1)
+    infos = []
+    solve_ = dtn.solve
+
+    def recording_solve(*args, **kwargs):
+        fld = solve_(*args, **kwargs)
+        infos.append(fld.info)
+        return fld
+
+    monkeypatch.setattr(dtn, "solve", recording_solve)
+    f = make_datum(mesh, [DatumTerm("linear-x", 1.0)], "f")
+    phi = make_datum(mesh, [DatumTerm("sin", 1.0, k=1)], "phi")
+    gateaux_check(mesh, MaterialMap({0: Linear(1.0)}), f, phi,
+                  [1e-1, 1e-2, 1e-3, 1e-4])
+    assert [(i.n_iter, i.factorizations) for i in infos] == [(0, 0)] * 5
+
+
 # ---------------------------------------------------------------------------
 # one compiled problem per (mesh, material map)
 

@@ -376,18 +376,70 @@ def test_piecewise_linear_maps_start_at_their_minimizer(sigma, contrast):
             assert info.energy == pytest.approx(power, rel=rtol, abs=0.0)
 
 
-def test_linear_scan_refuses_a_pec_cell_of_two_conductors(scan_mesh, bg,
-                                                          bg_p4, fam):
-    # the Schur path ties a PEC cell to one value; the stamped solve makes
-    # each conductor its own unknown
-    left = ring_cell(scan_mesh, (-0.4, 0.0), 0.0, 0.2)
-    right = ring_cell(scan_mesh, (0.4, 0.0), 0.0, 0.2)
-    cell = Cell(0, 0, 0, left.tri_ids + right.tri_ids,
-                left.area + right.area)
-    with pytest.raises(SolveError, match="more than one conductor"):
-        cell_powers(scan_mesh, bg, [cell], PEC(), fam)
-    assert np.all(np.isfinite(cell_powers(scan_mesh, bg_p4, [cell], PEC(),
-                                          fam)))
+def union_cell(mesh, centers, radii):
+    """A hand-built cell of the triangles whose centroids lie in one of
+    the disks about ``centers`` with ``radii``."""
+    tris = sorted({t for c, r in zip(centers, radii)
+                   for t in ring_cell(mesh, c, 0.0, r).tri_ids})
+    return Cell(0, 0, 0, tuple(tris), float(mesh.areas[tris].sum()))
+
+
+@pytest.mark.parametrize("centers", [[(-0.45, 0.0), (0.45, 0.0)],
+                                     [(-0.45, -0.2), (0.45, -0.2),
+                                      (0.0, 0.5)]], ids=["two", "three"])
+def test_linear_scan_gives_each_conductor_of_a_pec_cell_its_unknown(
+        scan_mesh, bg, fam, centers):
+    # disjoint disks in one PEC cell are as many conductors, on the Schur
+    # path as in the stamped solve
+    cell = union_cell(scan_mesh, centers, [0.2] * len(centers))
+    stamped = make_cell_phantom(scan_mesh, one_cell_grid(cell), [0], bg,
+                                PEC())
+    assert len(Problem(*stamped).pec_groups) == len(centers)
+    assert np.allclose(cell_powers(scan_mesh, bg, [cell], PEC(), fam)[0],
+                       minimum_energies(*stamped, fam), rtol=1e-12, atol=0.0)
+
+
+def powers_or_error(powers):
+    """The powers that ``powers()`` gives, or the text of the
+    ``SolveError`` it raises."""
+    try:
+        return powers()
+    except SolveError as err:
+        return str(err)
+
+
+def test_linear_scan_matches_stamped_solves_on_seeded_cells(scan_mesh, bg,
+                                                             fam):
+    # rings and unions of disks, anywhere in the disk: the Schur path and
+    # the stamped solve raise the same error or give the same powers
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for k in range(40):
+        if k % 2:
+            n = 2 + k // 2 % 2
+            cell = union_cell(scan_mesh, rng.uniform(-0.9, 0.9, (n, 2)),
+                              rng.uniform(0.1, 0.35, n))
+        else:
+            r_in = rng.uniform(0.0, 0.4)
+            cell = ring_cell(scan_mesh, rng.uniform(-0.6, 0.6, 2), r_in,
+                             r_in + rng.uniform(0.1, 0.5))
+        if not cell.tri_ids:
+            continue
+        for model in (PEI(), PEC()):
+            schur = powers_or_error(
+                lambda: cell_powers(scan_mesh, bg, [cell], model, fam)[0])
+            stamped = powers_or_error(lambda: minimum_energies(
+                *make_cell_phantom(scan_mesh, one_cell_grid(cell), [0], bg,
+                                   model), fam))
+            if isinstance(stamped, str):
+                assert schur == stamped
+                outcomes.add(stamped.split()[1])
+            else:
+                assert not isinstance(schur, str), schur
+                assert np.allclose(schur, stamped, rtol=1e-12, atol=0.0)
+                outcomes.add(model.kind)
+    # both tests succeed somewhere, and both errors occur
+    assert outcomes == {"pei", "pec", "free", "component"}
 
 
 @pytest.mark.parametrize("background", ["linear", "p4"])

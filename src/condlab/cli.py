@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
                            MaterialMap, PEC, PEI, PowerLaw)
-from .dtn import (average_dtn_powers, dtn_pairing, gateaux_check,
+from .dtn import (average_dtn_power, dtn_pairing, gateaux_check,
                   minimum_energies)
 from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
                       mask_metrics, mpm_scan, synth_measurements)
@@ -378,9 +378,10 @@ def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
     mat_id = _material_id(cfg)
 
     def run() -> int:
+        problem = Problem(mesh, materials)
         rows = []
-        reports = average_dtn_powers(mesh, materials, data, order)
-        for datum, rep in zip(data, reports):
+        for datum in data:
+            rep = average_dtn_power(problem, datum, order)
             rows.append((datum.name, mat_id, rep.power, rep.avg_power,
                          rep.energy, rep.transfer_residual))
             write_power_json(os.path.join(

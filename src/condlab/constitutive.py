@@ -211,11 +211,6 @@ class MaterialMap:
             raise ConstitutiveError(f"mesh labels without material: "
                                     f"{sorted(missing)}")
 
-    @property
-    def is_linear(self) -> bool:
-        return all(m.is_structural or m.p == 2.0
-                   for m in self.models.values())
-
     def replaced(self, label: int, model) -> "MaterialMap":
         new = dict(self.models)
         new[label] = model

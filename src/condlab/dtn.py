@@ -27,18 +27,20 @@ The alpha quadrature serves only ``avg-power``, the command that shows
 the identity: ``average_dtn_power`` solves at Gauss-Legendre nodes on
 (0, 1) in ascending order, each warm-started from the previous solution
 scaled by the node ratio, and reports the mismatch to the energy as
-``transfer_residual``.  When every finite region of the map is linear
-(``MaterialMap.is_linear``: p = 2 power laws, which ``Linear`` builds,
-PEI and PEC), the solution is homogeneous of degree one in the datum,
-u^(alpha f) = alpha u^f, so every node's pairing is alpha_k <Lambda(f), f>
-and the average solves once, at alpha = 1 (the homogeneity path).
+``transfer_residual``.  When every conducting triangle of the mesh
+carries a p = 2 law (``Problem.is_linear``, read off the laws the mesh
+carries: a label the map lists but no triangle has does not count, and
+PEI and PEC regions are no laws), the solution is homogeneous of degree
+one in the datum, u^(alpha f) = alpha u^f, so every node's pairing is
+alpha_k <Lambda(f), f> and the average solves once, at alpha = 1 (the
+homogeneity path).
 
 A pairing reads the residual its solved field keeps, so it assembles
 none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
-the ``Problem`` it is given; every other function here that solves on
-one (mesh, material map) pair compiles a single ``Problem`` and drops it
-on return, so a caller that loops over data on one pair compiles it,
-and on a linear map factorizes its harmonic start, once.  Each averaged
+the ``Problem`` it is given, so ``avg-power`` compiles one per (mesh,
+material map) pair, and on a linear map factorizes its harmonic start
+once, for all its data; every other function here that solves on one
+pair compiles a single ``Problem`` and drops it on return.  Each averaged
 power logs one debug line on ``condlab.dtn`` with its datum, quadrature
 order, number of solves and whether the homogeneity path was taken.
 """
@@ -120,7 +122,7 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
     """
     alphas, weights = gauss_on_unit(quad_order)
     at = np.append(alphas, 1.0)
-    linear = problem.materials.is_linear
+    linear = problem.is_linear
     if linear:
         full = solve(problem.mesh, problem.materials, datum, problem=problem)
         pairings = at * dtn_pairing(full, datum)
@@ -139,15 +141,6 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
                   for a, w, pr in zip(alphas, weights, pairings))
     return PowerReport(datum.name, float(power), avg, float(energy),
                        float(residual), quad_order, nodes)
-
-
-def average_dtn_powers(mesh: Mesh, materials: MaterialMap,
-                       data: Sequence[BoundaryDatum], quad_order: int = 16
-                       ) -> list[PowerReport]:
-    """``average_dtn_power`` of each datum, all sharing one compiled
-    ``Problem(mesh, materials)`` that is dropped on return."""
-    problem = Problem(mesh, materials)
-    return [average_dtn_power(problem, d, quad_order) for d in data]
 
 
 def minimum_energies(mesh: Mesh, materials: MaterialMap,

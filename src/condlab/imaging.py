@@ -23,6 +23,8 @@ one per node with a triangle off the cell for PEI, in one formula
 (``_LinearBackground``), with no ``Problem`` and no solve per cell.  On
 any other background each cell compiles its stamped ``Problem`` and
 solves every datum on it, in a process pool when ``workers`` is above 1.
+The path is read off the laws of the labels the mesh carries, so a law
+that the map lists for no triangle does not change it.
 Each scan logs one debug line on ``condlab.imaging`` with the path it
 took, its cells and the factorizations and back-substitutions it used.
 """
@@ -307,10 +309,10 @@ class _LinearBackground:
 
 
 def _linear_conducting(mesh: Mesh, background: MaterialMap) -> bool:
-    """Whether every triangle of the mesh conducts with a p = 2 law."""
-    return background.is_linear and not any(
-        background.model_for(lab).is_structural
-        for lab in distinct(mesh.labels).tolist())
+    """Whether every triangle of the mesh conducts with a p = 2 law: the
+    laws of the labels the mesh carries, not every law the map lists."""
+    models = map(background.model_for, distinct(mesh.labels).tolist())
+    return all(not m.is_structural and m.p == 2.0 for m in models)
 
 
 def cell_powers(mesh: Mesh, background: MaterialMap, cells: Sequence[Cell],

@@ -35,8 +35,9 @@ through ctypes in the OpenBLAS that numpy's wheel links, or from
 solve on the same pair shares it, and builds its own when none is given.
 The solved ``PotentialField`` keeps the ``Problem`` it was solved on and
 the nodal residual of its last Newton point, which the pairings in
-``dtn`` read.  ``Problem.stages`` reuse the structure and only swap each
-group's law for its rescaled-floor version (none without a floored law).
+``dtn`` read.  ``Problem.stages`` holds each continuation stage's law
+groups: the same active slots, each law with its floor rescaled, so a
+stage is a set of laws on the one structure, not another ``Problem``.
 
 Every point the Newton iteration visits is evaluated by one element pass:
 the nodal state, the element gradients and their norms, from which the
@@ -66,7 +67,6 @@ has the gradient within the tolerance or the round-off floor.
 from __future__ import annotations
 
 import ast
-import copy
 import ctypes
 import functools
 import logging
@@ -362,29 +362,17 @@ class Problem:
                              "positive definite")
         return factor
 
-    @property
-    def stages(self) -> tuple["Problem", ...]:
-        """The continuation stages: the structure with every group's floor
-        scaled by each ``_REG_SCHEDULE`` entry, the last being ``self``;
-        just ``(self,)`` when no group's law has a floor."""
-        # a tuple kept on self would hold self in a reference cycle, which
-        # keeps every Problem's arrays until the cycle collector runs
-        return (*self._floor_stages, self)
-
     @functools.cached_property
-    def _floor_stages(self) -> tuple["Problem", ...]:
-        """The stages before the last, built on first use and kept."""
-        stages = []
-        for factor in _REG_SCHEDULE[:-1]:
-            groups = tuple((scale_reg_eps(model, factor), sel)
-                           for model, sel in self.groups)
-            if all(a is b for (a, _), (b, _) in zip(groups, self.groups)):
-                return ()
-            self.unit_elements  # built here, so stages share it
-            staged = copy.copy(self)
-            staged.groups = groups
-            stages.append(staged)
-        return tuple(stages)
+    def stages(self) -> tuple[tuple, ...]:
+        """The law groups of each continuation stage: ``groups`` with every
+        law's floor scaled by each ``_REG_SCHEDULE`` entry, the last being
+        ``groups`` itself; just ``(groups,)`` when ``is_linear``, since a
+        floor leaves a p = 2 law as it is.  Built on first use and kept."""
+        if self.is_linear:
+            return (self.groups,)
+        return (*(tuple((scale_reg_eps(model, factor), sel)
+                        for model, sel in self.groups)
+                  for factor in _REG_SCHEDULE[:-1]), self.groups)
 
     def nodal_state(self, u_fix: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Nodal state u_fix + P x, NaN at removed nodes, where P is the
@@ -408,16 +396,20 @@ class Problem:
         g = np.einsum("mij,mj->mi", self.grads, u[self.triangles])
         return g, np.linalg.norm(g, axis=1)
 
-    def per_tri(self, norms: np.ndarray, what: str) -> np.ndarray:
-        """Evaluate a law quantity per active triangle (active order)."""
+    def per_tri(self, norms: np.ndarray, what: str,
+                groups: Sequence | None = None) -> np.ndarray:
+        """Evaluate a law quantity per active triangle (active order),
+        under ``groups`` (a ``stages`` entry; default ``groups``)."""
         out = np.empty(len(self.active_tris))
-        for model, sel in self.groups:
+        for model, sel in self.groups if groups is None else groups:
             out[sel] = getattr(model, what)(norms[sel])
         return out
 
-    def energy_of(self, norms: np.ndarray) -> float:
+    def energy_of(self, norms: np.ndarray,
+                  groups: Sequence | None = None) -> float:
         """Energy of a state whose element gradients have these norms."""
-        return float(self.areas @ self.per_tri(norms, "energy_density"))
+        return float(self.areas @ self.per_tri(norms, "energy_density",
+                                               groups))
 
     def energy(self, u: np.ndarray) -> float:
         return self.energy_of(self.grad_norms(u)[1])
@@ -453,11 +445,13 @@ class Problem:
         return float(np.finfo(float).eps * np.linalg.norm(self.reduce(r)))
 
     def hessian(self, grads: np.ndarray, norms: np.ndarray,
-                sig: np.ndarray) -> np.ndarray:
+                sig: np.ndarray, groups: Sequence | None = None
+                ) -> np.ndarray:
         """Reduced Hessian of the energy in ``band`` storage, at the state
         with element gradients ``grads``, their norms and conductivity
-        ``sig`` (as ``grad_norms`` and ``per_tri`` give them)."""
-        dfl = self.per_tri(norms, "dflux")
+        ``sig`` (as ``grad_norms`` and ``per_tri`` give them), under
+        ``groups`` (default ``groups``)."""
+        dfl = self.per_tri(norms, "dflux", groups)
         # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T,
         # so the element matrix is sigma * K0 + (dflux - sigma) * area *
         # v v^T, with v = G^T unit the basis slopes along the field
@@ -807,31 +801,32 @@ class _Point:
 
     Building it is the point's one element pass: the nodal state ``u``,
     the element gradients ``grads`` and their ``norms``.  The rest comes
-    from those on first use, with the laws of ``problem``: the
-    conductivity ``sig``, the element flux contributions ``contrib``, the
-    nodal residual ``residual``, the reduced gradient ``g``, the
-    ``energy`` and the reduced ``hessian``.
+    from those on first use, with the stage's law ``groups`` on
+    ``problem``: the conductivity ``sig``, the element flux contributions
+    ``contrib``, the nodal residual ``residual``, the reduced gradient
+    ``g``, the ``energy`` and the reduced ``hessian``.
     """
 
-    def __init__(self, problem: Problem, x: np.ndarray, u: np.ndarray,
-                 grads: np.ndarray, norms: np.ndarray):
-        self.problem, self.x, self.u = problem, x, u
+    def __init__(self, problem: Problem, groups: Sequence, x: np.ndarray,
+                 u: np.ndarray, grads: np.ndarray, norms: np.ndarray):
+        self.problem, self.groups, self.x, self.u = problem, groups, x, u
         self.grads, self.norms = grads, norms
 
     @classmethod
-    def evaluate(cls, problem: Problem, u_fix: np.ndarray,
+    def evaluate(cls, problem: Problem, groups: Sequence, u_fix: np.ndarray,
                  x: np.ndarray) -> "_Point":
         u = problem.nodal_state(u_fix, x)
-        return cls(problem, x, u, *problem.grad_norms(u))
+        return cls(problem, groups, x, u, *problem.grad_norms(u))
 
-    def on(self, problem: Problem) -> "_Point":
+    def on(self, groups: Sequence) -> "_Point":
         """The same point under another stage's laws, without a new
         element pass."""
-        return _Point(problem, self.x, self.u, self.grads, self.norms)
+        return _Point(self.problem, groups, self.x, self.u, self.grads,
+                      self.norms)
 
     @functools.cached_property
     def sig(self) -> np.ndarray:
-        return self.problem.per_tri(self.norms, "sigma")
+        return self.problem.per_tri(self.norms, "sigma", self.groups)
 
     @functools.cached_property
     def contrib(self) -> np.ndarray:
@@ -847,23 +842,25 @@ class _Point:
 
     @functools.cached_property
     def energy(self) -> float:
-        return self.problem.energy_of(self.norms)
+        return self.problem.energy_of(self.norms, self.groups)
 
     def hessian(self) -> np.ndarray:
-        return self.problem.hessian(self.grads, self.norms, self.sig)
+        return self.problem.hessian(self.grads, self.norms, self.sig,
+                                    self.groups)
 
 
-def _newton_stage(problem: Problem, u_fix: np.ndarray, point: _Point,
-                  info: SolveInfo, stage: int) -> _Point:
-    """Newton iterations on one continuation stage from ``point``, which
-    carries ``problem``'s laws, checking each point up to the one after step
-    ``_MAX_ITER``; returns the last point.  Its gradient norm, round-off
-    floor (0 after ``tol``) and exit reason, None when it meets neither
-    bound, go to ``info``, with the steps and counters."""
+def _newton_stage(problem: Problem, groups: Sequence, u_fix: np.ndarray,
+                  point: _Point, info: SolveInfo, stage: int) -> _Point:
+    """Newton iterations on one continuation stage, the law ``groups`` on
+    ``problem``, from ``point``, which carries them, checking each point up
+    to the one after step ``_MAX_ITER``; returns the last point.  Its
+    gradient norm, round-off floor (0 after ``tol``) and exit reason, None
+    when it meets neither bound, go to ``info``, with the steps and
+    counters."""
 
     def evaluate(x_try: np.ndarray) -> _Point:
         info.line_search_evals += 1
-        return _Point.evaluate(problem, u_fix, x_try)
+        return _Point.evaluate(problem, groups, u_fix, x_try)
 
     def line_search(p0: _Point, d: np.ndarray,
                     gd: float) -> tuple[float, _Point | None]:
@@ -982,11 +979,12 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         x[problem.free_cols] = np.where(np.isfinite(start), start, 0.0)
 
     info = SolveInfo()
-    point = _Point.evaluate(problem, u_fix, x)
-    for stage, staged in enumerate(problem.stages):
+    point = _Point.evaluate(problem, problem.groups, u_fix, x)
+    for stage, groups in enumerate(problem.stages):
         # each stage starts where the last one stopped, on its own laws
-        point = _newton_stage(staged, u_fix, point.on(staged), info, stage)
-    # the last stage is ``problem``, so the last point carries its laws
+        point = _newton_stage(problem, groups, u_fix, point.on(groups), info,
+                              stage)
+    # the last stage's laws are ``problem.groups``, the map's own
     if info.exit_reason is None:
         raise SolveError(f"Newton did not converge (iteration budget "
                          f"spent): grad norm {info.grad_norm:.3e} above "

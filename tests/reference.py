@@ -221,7 +221,7 @@ def _node_pairings(what: str, problem: Problem, datum: BoundaryDatum,
     the last field solved: one solve at alpha = 1 on a linear map (the
     homogeneity path), else ``_alpha_sweep``.  Logs the averaged ``what``.
     """
-    linear = problem.materials.is_linear
+    linear = problem.is_linear
     if linear:
         fld = solve(problem.mesh, problem.materials, datum, problem=problem)
         pairings = alphas * dtn_pairing(fld, phi)

@@ -10,9 +10,11 @@ accuracy.
 import copy
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from condlab.mesh import build_disk_mesh
 from condlab.output import fmt, write_csv
 from condlab.solver import Problem, solve
 from reference import CellGrid, outer_exponent
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # ------------------------------------------------------------ config snippets
 
@@ -207,7 +211,8 @@ def test_every_conducting_type_is_a_power_law(spec, p):
     law = mats.model_for(0)
     assert isinstance(law, PowerLaw) and law.p == p
     assert outer_exponent(mats) == p
-    assert mats.is_linear == (p == 2.0)
+    mesh = cli.mesh_from_spec(INC_DISK, ".")
+    assert Problem(mesh, mats).is_linear == (p == 2.0)
 
 
 def test_rect_mesh_missing_dimensions(tmp_path, capsys):
@@ -721,6 +726,36 @@ def test_mpm_run_meta_records_the_seed_it_scans_with(tmp_path):
         assert code == 0
         meta = json.loads((outdir / "run_meta.json").read_text())
         assert meta["seed"] == seed
+
+
+UNUSED_P4 = {"type": "power", "sigma_bar": 1.0, "E0": 1.0, "p": 4.0}
+
+
+@pytest.mark.parametrize("command, config, section, logger, path", [
+    ("mpm-image", "phantom_single", "background", "condlab.imaging",
+     "Schur path: 1 factorization"),
+    ("avg-power", "demo_disk", "materials", "condlab.dtn",
+     "homogeneity path")])
+def test_an_unused_nonlinear_label_changes_no_byte(tmp_path, caplog, command,
+                                                   config, section, logger,
+                                                   path):
+    # linearity is read off the laws the mesh carries: a p = 4 law under a
+    # label that no triangle has changes neither the path nor the files
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    code, plain = run(tmp_path, command, cfg, out="plain")
+    assert code == 0
+    cfg[section]["regions"]["7"] = UNUSED_P4
+    with caplog.at_level(logging.DEBUG, logger=logger):
+        code, unused = run(tmp_path, command, cfg, out="unused")
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == logger]
+    assert lines and all(path in line for line in lines)
+    names = sorted(f.name for f in plain.iterdir())
+    assert names == sorted(f.name for f in unused.iterdir())
+    for name in names:
+        if name != "run_meta.json":
+            assert (plain / name).read_bytes() == \
+                (unused / name).read_bytes(), name
 
 
 # --------------------------------------------------------- reproduce-wire

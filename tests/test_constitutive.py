@@ -16,6 +16,8 @@ from condlab.constitutive import (
     default_e_grid,
     scale_reg_eps,
 )
+from condlab.mesh import DiskInclusion, build_disk_mesh
+from condlab.solver import Problem
 from reference import (check_flux_monotone, check_growth_bounds,
                        check_strong_monotonicity, outer_exponent)
 
@@ -273,12 +275,18 @@ def test_material_map_lookup_and_coverage():
 
 
 def test_material_map_outer_exponent_and_linearity():
+    # linearity is read off the laws the mesh carries: a PEC region is no
+    # law, and neither is a label that the map lists and no triangle has
+    mesh = build_disk_mesh(1.0, 0.3, inclusions=[
+        DiskInclusion((0.3, 0.0), 0.25, 1)])
     mm_lin = MaterialMap({0: Linear(1.0), 1: PEC()})
     assert outer_exponent(mm_lin) == 2.0
-    assert mm_lin.is_linear
+    assert Problem(mesh, mm_lin).is_linear
+    assert Problem(mesh, mm_lin.replaced(2, PowerLaw(1.0, 1.0, 4.0))
+                   ).is_linear
     mm_pow = MaterialMap({0: PowerLaw(1.0, 1.0, 4.0)})
     assert outer_exponent(mm_pow) == 4.0
-    assert not mm_pow.is_linear
+    assert not Problem(mesh, mm_pow.replaced(1, PEC())).is_linear
 
 
 def test_material_map_replaced_is_a_copy():

@@ -962,13 +962,14 @@ def test_continuation_stages_are_built_once_per_problem(disk, power4,
                   make_datum(disk, [DatumTerm("sin", 1.0, k=2)], "sin2")):
         solve(disk, power4, datum, problem=problem)
     assert calls == [1e3, 1e2, 1e1]
-    stages = problem.stages
-    assert all(a is b for a, b in zip(stages, problem.stages))
+    # each stage is the same active slots under laws whose floor follows
+    # the schedule, ending at the map's own laws
     floor = problem.groups[0][0].reg_eps
-    assert [s.groups[0][0].reg_eps for s in stages[:-1]] == \
-        [1e3 * floor, 1e2 * floor, 1e1 * floor]
-    assert stages[-1] is problem
-    assert all(s.band is problem.band for s in stages)
+    assert [groups[0][0].reg_eps for groups in problem.stages] == \
+        [1e3 * floor, 1e2 * floor, 1e1 * floor, floor]
+    assert problem.stages[-1] == problem.groups
+    assert all(np.array_equal(sel, problem.groups[0][1])
+               for groups in problem.stages for _, sel in groups)
 
 
 def test_stages_follow_the_laws(monkeypatch):
@@ -998,10 +999,10 @@ def test_stages_follow_the_laws(monkeypatch):
     # the later ones start at a point that already meets the tolerance
     p4 = maps["p=4"][0]
     monkeypatch.setattr(Problem, "stages",
-                        property(lambda problem: (problem,)))
+                        property(lambda problem: (problem.groups,)))
     one = solve(mesh, p4, datum)
     monkeypatch.setattr(Problem, "stages",
-                        property(lambda problem: (problem,) * 4))
+                        property(lambda problem: (problem.groups,) * 4))
     four = solve(mesh, p4, datum)
     assert four.info.n_iter == one.info.n_iter > 0
     assert four.info.energy == one.info.energy

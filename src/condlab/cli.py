@@ -5,14 +5,21 @@ mesh, material map, datum and cell grid is built, but nothing is solved.
 ``--check-only`` stops after that read and writes nothing, not even the
 output directory, so a bad config fails the same way with and without it.
 
+Importing this module loads only what reading a config needs: the mesh,
+constitutive and solver layers.  Each command's builder imports the
+layers its run uses (``dtn``, ``imaging``, ``monotonicity``, ``oracle``
+and ``output``), so a run loads no layer it does not run.
+
 Outputs are deterministic for a fixed config and seed; data files carry
-no timestamps (those live in ``run_meta.json``).  Exit codes: 0 ok,
-2 config or validation error, 3 property violation, 4 solver failure.
+no timestamps (those live in ``run_meta.json``).  ``--log-level`` sends
+the ``condlab`` loggers to stderr at that level; without it nothing is
+logged.  Exit codes: 0 ok, 2 config or validation error, 3 property
+violation, 4 solver failure.
 """
 from __future__ import annotations
 
-import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -23,19 +30,9 @@ import numpy as np
 from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
                            MaterialMap, PEC, PEI, PowerLaw)
-from .dtn import (average_dtn_power, dtn_pairing, gateaux_check,
-                  minimum_energies)
-from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
-                      mask_metrics, mpm_scan, synth_measurements)
 from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
                    boundary_mass, build_annulus_mesh, build_disk_mesh,
                    build_rect_mesh, distinct, load_mesh, save_mesh, validate)
-from .monotonicity import chain_certificates, ladder_suite
-from .oracle import OracleError, annulus_radial_solution
-from .output import (write_csv, write_element_csv, write_json,
-                     write_ladder_csv, write_mpm_json, write_mpm_svg,
-                     write_node_csv, write_power_batch_csv, write_power_json,
-                     write_sidecar, write_solver_log, write_tri_svg)
 from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
                      element_fields, make_datum, project_zero_mean, solve)
 
@@ -248,8 +245,9 @@ def load_config(path: str) -> dict:
 
 
 # ------------------------------------------------------------------ commands
-# Each command reads its whole config and returns its work as a
-# zero-argument ``run`` closure that returns the exit code.
+# Each command imports the layers its work runs, reads its whole config
+# and returns that work as a zero-argument ``run`` closure that returns
+# the exit code.
 
 def _quad_order(cfg: dict) -> int:
     order = _int(cfg.get("quad_order", 16), "quad_order")
@@ -275,6 +273,7 @@ def _material_id(cfg: dict) -> str:
 
 
 def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
+    from .output import write_json
     # accept the other problem-config sections so the same file can drive
     # mesh-gen and the compute subcommands, and read each one present the
     # way those commands do, so a config passes here only if it would pass
@@ -324,6 +323,8 @@ def _load_problem(cfg: dict, args, extra_keys: set[str] = frozenset()):
 
 
 def cmd_solve(cfg: dict, args) -> Callable[[], int]:
+    from .output import (write_element_csv, write_json, write_node_csv,
+                         write_solver_log, write_tri_svg)
     mesh, materials, data, _ = _load_problem(cfg, args)
 
     def run() -> int:
@@ -355,6 +356,8 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_power(cfg: dict, args) -> Callable[[], int]:
+    from .dtn import dtn_pairing
+    from .output import write_power_batch_csv
     mesh, materials, data, _ = _load_problem(cfg, args, {"material_id"})
     mat_id = _material_id(cfg)
 
@@ -374,6 +377,8 @@ def cmd_power(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
+    from .dtn import average_dtn_power
+    from .output import write_power_batch_csv, write_power_json
     mesh, materials, data, order = _load_problem(cfg, args, {"material_id"})
     mat_id = _material_id(cfg)
 
@@ -400,6 +405,8 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     ``pair_k.csv``, and ``chain``, if present, one more chain written to
     ``ladder.csv`` (a suffix ``_h<h>`` per resolution); every file has
     the ``write_ladder_csv`` layout."""
+    from .monotonicity import chain_certificates, ladder_suite
+    from .output import write_ladder_csv
     _check_keys(cfg, "config", {"mesh", "data"},
                 {"quad_order", "pairs", "chain", "resolutions"})
     if "pairs" not in cfg and "chain" not in cfg:
@@ -474,6 +481,8 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
+    from .dtn import gateaux_check
+    from .output import write_csv, write_json
     _check_keys(cfg, "config", {"mesh", "materials", "datum", "direction"},
                 {"eps_list"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
@@ -509,6 +518,8 @@ def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
+    from .oracle import OracleError, annulus_radial_solution
+    from .output import write_csv
     _check_keys(cfg, "config", {"p_values", "target_h"},
                 {"sigma_bar", "E0", "r_inner", "r_outer", "u_inner",
                  "u_outer"})
@@ -528,8 +539,12 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
         p = _float(p, "p_values entry")
         # the law checks its parameters before the oracle evaluates it
         mats = MaterialMap({0: PowerLaw(sigma_bar, e0, p)})
-        laws.append((p, annulus_radial_solution(p, sigma_bar, e0, r_in,
-                                                r_out, u_in, u_out), mats))
+        try:
+            exact = annulus_radial_solution(p, sigma_bar, e0, r_in, r_out,
+                                            u_in, u_out)
+        except OracleError as exc:
+            raise ConfigError(str(exc)) from None
+        laws.append((p, exact, mats))
     meshes = []
     for h in hs:
         mesh = build_annulus_mesh(r_in, r_out, h)
@@ -561,6 +576,9 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
+    from .imaging import (build_cell_grid, contrast_model, make_cell_phantom,
+                          mask_metrics, mpm_scan, synth_measurements)
+    from .output import write_csv, write_json, write_mpm_json, write_mpm_svg
     _check_keys(cfg, "config", {"mesh", "background", "truth", "grid", "data"},
                 {"contrast", "noise_rel", "seed", "quad_order", "tol"})
     mesh = mesh_from_spec(cfg["mesh"], args.base_dir)
@@ -632,6 +650,8 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
 
 
 def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
+    from .dtn import minimum_energies
+    from .output import write_csv
     _check_keys(cfg, "config", {"healthy", "damaged", "data"}, {"quad_order"})
     _check_keys(cfg["healthy"], "healthy", {"mesh", "materials"})
     healthy_mesh = mesh_from_spec(cfg["healthy"]["mesh"], args.base_dir)
@@ -710,7 +730,11 @@ _DESCRIPTIONS = {
 }
 
 
+_LOG_LEVELS = ("warning", "info", "debug")
+
+
 def parse_args(argv=None):
+    import argparse
     ap = argparse.ArgumentParser(
         prog="condlab",
         description="Forward solves, averaged boundary powers, "
@@ -727,14 +751,16 @@ def parse_args(argv=None):
         p.add_argument("--check-only", action="store_true",
                        help="read and check the whole config, then stop "
                             "without writing anything")
+        p.add_argument("--log-level", choices=_LOG_LEVELS,
+                       help="log the condlab layers to stderr at this "
+                            "level (default: no logging)")
     args = ap.parse_args(argv)
     if args.workers < 0:
         ap.error(f"argument --workers: must be >= 0, got {args.workers}")
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         args.base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -752,17 +778,37 @@ def main(argv=None) -> int:
             return EXIT_OK
         os.makedirs(args.out, exist_ok=True)
         code = run()
+        from .output import write_sidecar
         write_sidecar(os.path.join(args.out, "run_meta.json"),
                       command=args.command,
                       config=os.path.abspath(args.config),
                       seed=args.seed, version=__version__)
         return code
-    except (ConfigError, MeshError, ConstitutiveError, OracleError) as exc:
+    except (ConfigError, MeshError, ConstitutiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.log_level is None:
+        return _run(args)
+    # one stderr handler on the package logger, for this run only
+    logger = logging.getLogger("condlab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    level = logger.level
+    logger.setLevel(args.log_level.upper())
+    logger.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

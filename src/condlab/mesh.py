@@ -577,6 +577,42 @@ def delaunay(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generators
 
+# A generator refuses a mesh of more points before it makes any.  The
+# Bowyer-Watson insertion of a disk cloud took 20-55 us per point on a
+# 2-core VM (126k points in 6.9 s), so this many take up to a minute.
+MAX_POINTS = 10**6
+
+
+def _steps(length: float, h: float) -> float:
+    """``length / h`` in Python floats: inf, not an error, where the
+    quotient overflows or h is not positive, and NaN stays NaN."""
+    return float(length) / float(h) if h > 0 else float("inf")
+
+
+def _check_size(kind: str, estimate: float) -> None:
+    """Refuse a mesh whose estimated point count is not finite or exceeds
+    ``MAX_POINTS``."""
+    if not estimate <= MAX_POINTS:
+        raise MeshError(f"{kind} mesh would have about {estimate:.3g} "
+                        f"points, more than the {MAX_POINTS} allowed")
+
+
+def _disk_size(radius: float, target_h: float) -> float:
+    """Point count of ``_disk_cloud``, from above: about pi (r / h)^2."""
+    n = _steps(radius, target_h)
+    return 1.0 + np.pi * n * (n + 3.0) + 6.5 * (n + 2.0)
+
+
+def _polygon_size(vertices: np.ndarray, target_h: float) -> float:
+    """Point count of ``_polygon_cloud``, from above: its boundary samples
+    and the lattice over the bounding box."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices,
+                               axis=1)
+        dx, dy = vertices.max(axis=0) - vertices.min(axis=0)
+    return (len(vertices) + _steps(edges.sum(), target_h)
+            + (_steps(dx, target_h) + 1.0) * (_steps(dy, target_h) + 1.0))
+
 
 def _ring_points(center: tuple[float, float], radius: float, n: int,
                  stagger: bool) -> np.ndarray:
@@ -713,7 +749,8 @@ def build_disk_mesh(radius: float, target_h: float,
     Raises
     ------
     MeshError
-        If an inclusion leaves the disk, overlaps another, or reuses a label.
+        If an inclusion leaves the disk, overlaps another, or reuses a
+        label, or if the mesh would have more than ``MAX_POINTS`` points.
     """
     if radius <= 0 or target_h <= 0:
         raise MeshError("radius and target_h must be positive")
@@ -730,6 +767,13 @@ def build_disk_mesh(radius: float, target_h: float,
         if not _inclusion_extent_ok(inc, radius, center, clearance=target_h):
             raise MeshError(f"inclusion label {inc.label} too close to or "
                             f"outside the outer boundary")
+    # each inclusion's cloud is refined to its own spacing
+    steps = [min(target_h, inc.radius / 2.0 if isinstance(inc, DiskInclusion)
+                 else _poly_h(inc)) for inc in inclusions]
+    _check_size("disk", _disk_size(radius, target_h) + sum(
+        _disk_size(inc.radius, h_i) if isinstance(inc, DiskInclusion)
+        else _polygon_size(np.asarray(inc.vertices, dtype=float), h_i)
+        for inc, h_i in zip(inclusions, steps)))
     for i, a in enumerate(inclusions):
         for b in inclusions[i + 1:]:
             if not _inclusions_disjoint(a, b, gap=0.5 * target_h):
@@ -739,15 +783,13 @@ def build_disk_mesh(radius: float, target_h: float,
     base = _disk_cloud(center, radius, target_h)
     keep = np.ones(len(base), dtype=bool)
     extra = []
-    for inc in inclusions:
+    for inc, h_i in zip(inclusions, steps):
         if isinstance(inc, DiskInclusion):
-            h_i = min(target_h, inc.radius / 2.0)
             extra.append(_disk_cloud(inc.center, inc.radius, h_i))
             d = np.linalg.norm(base - np.asarray(inc.center), axis=1)
             keep &= d > inc.radius + 0.6 * h_i
         else:
             verts = np.asarray(inc.vertices, dtype=float)
-            h_i = min(target_h, _poly_h(inc))
             extra.append(_polygon_cloud(verts, h_i))
             near = _dist_to_polygon(base, verts) < 0.6 * h_i
             near |= _point_in_polygon(base, verts)
@@ -790,6 +832,8 @@ def build_annulus_mesh(r_inner: float, r_outer: float,
     if not target_h > 0:
         raise MeshError(f"target_h must be positive, got {target_h!r}")
     r_mid = 0.5 * (r_inner + r_outer)
+    _check_size("annulus", (_steps(2.0 * np.pi * r_mid, target_h) + 9.0)
+                * (_steps(r_outer - r_inner, target_h) + 3.0))
     n_th = max(8, int(round(2.0 * np.pi * r_mid / target_h)))
     n_r = max(2, int(round((r_outer - r_inner) / target_h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
@@ -822,6 +866,8 @@ def build_rect_mesh(width: float, height: float, target_h: float,
     """
     if width <= 0 or height <= 0 or target_h <= 0:
         raise MeshError("width, height and target_h must be positive")
+    _check_size("rect", (_steps(width, target_h) + 4.0)
+                * (_steps(height, target_h) + 3.0))
     nx = max(2, int(round(width / target_h)))
     ny = max(2, int(round(height / target_h)))
     xs = np.linspace(0.0, width, nx + 1)

@@ -10,15 +10,16 @@ from __future__ import annotations
 import csv
 import json
 import time
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .dtn import PowerReport
-from .imaging import MpmResult
-from .mesh import Mesh
-from .monotonicity import LadderReport
-from .solver import PotentialField
+if TYPE_CHECKING:  # annotations only: a writer loads no other layer
+    from .dtn import PowerReport
+    from .imaging import MpmResult
+    from .mesh import Mesh
+    from .monotonicity import LadderReport
+    from .solver import PotentialField
 
 
 def fmt(x) -> str:

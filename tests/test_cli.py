@@ -65,6 +65,16 @@ def read_csv(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
+def assert_same_data_files(a, b):
+    """Output directories a and b hold the same files, byte for byte,
+    except ``run_meta.json``."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name != "run_meta.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 # -------------------------------------------------------------- mesh-gen
 
 def test_mesh_gen_writes_mesh_and_report(tmp_path, capsys):
@@ -410,12 +420,7 @@ def test_constant_datum_solves_as_the_zero_datum(tmp_path):
                         out=f"out_{len(outs)}")
         assert code == 0
         outs.append(out)
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        if name != "run_meta.json":
-            assert (outs[0] / name).read_bytes() == \
-                (outs[1] / name).read_bytes(), name
+    assert_same_data_files(*outs)
 
 
 def test_avg_power_linear_is_half_power(tmp_path):
@@ -750,12 +755,25 @@ def test_an_unused_nonlinear_label_changes_no_byte(tmp_path, caplog, command,
     assert code == 0
     lines = [r.getMessage() for r in caplog.records if r.name == logger]
     assert lines and all(path in line for line in lines)
-    names = sorted(f.name for f in plain.iterdir())
-    assert names == sorted(f.name for f in unused.iterdir())
-    for name in names:
-        if name != "run_meta.json":
-            assert (plain / name).read_bytes() == \
-                (unused / name).read_bytes(), name
+    assert_same_data_files(plain, unused)
+
+
+def test_log_level_sends_the_package_log_to_stderr(tmp_path, capsys):
+    # the flag attaches one stderr handler for its run; without it the run
+    # prints nothing to stderr, and the files are the same either way
+    cfg = json.loads((CONFIGS / "phantom_single.json").read_text())
+    code, logged = run(tmp_path, "mpm-image", cfg, "--log-level", "debug",
+                       out="logged")
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("DEBUG condlab.imaging: ")
+               and "Schur path: 1 factorization" in line for line in err)
+    assert any(line.startswith("DEBUG condlab.mesh: built disk mesh")
+               for line in err)
+    code, quiet = run(tmp_path, "mpm-image", cfg, out="quiet")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert_same_data_files(quiet, logged)
 
 
 # --------------------------------------------------------- reproduce-wire
@@ -949,6 +967,9 @@ CONFIG_PROBES = [
      "mesh file"),
     ("convergence-study", lambda: {"p_values": [0.5], "target_h": [0.4]},
      "exponent p must exceed 1"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4],
+                                   "r_inner": 1.0, "r_outer": 0.5},
+     "need 0 < r_inner < r_outer"),
     # two names that would write one file, or one row, are refused
     ("avg-power", lambda: dict(PROBLEM, data=[RAMP, dict(SIN2, name="ramp")]),
      "repeated datum name 'ramp'"),
@@ -1045,6 +1066,26 @@ CONFIG_PROBES = [
     ("convergence-study", lambda: {"p_values": [float("nan")],
                                    "target_h": [0.4]},
      "p_values entry must be a finite number, got nan"),
+    # a spacing whose point count overflows or is too large to mesh is
+    # refused before any point is made
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, target_h=1e-320)),
+     "disk mesh would have about inf points, more than the 1000000 allowed"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, target_h=1e-9)),
+     "disk mesh would have about 3.14e+18 points, more than the 1000000 "
+     "allowed"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh={
+        "kind": "rect", "width": 1.0, "height": 1.0, "target_h": 1e-320}),
+     "rect mesh would have about inf points, more than the 1000000 allowed"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh={
+        "kind": "annulus", "r_inner": 0.5, "r_outer": 1.0,
+        "target_h": 1e-320}),
+     "annulus mesh would have about inf points, more than the 1000000 "
+     "allowed"),
+    # a repeated polygon vertex makes a zero spacing
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=[{
+        "shape": "polygon", "label": 1,
+        "vertices": [[0, 0], [0.3, 0], [0.3, 0], [0.3, 0.3]]}])),
+     "disk mesh would have about inf points"),
     # mesh coordinates are read as pairs of finite numbers
     ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[1e308, 0])),
      "disk mesh generation failed: points coincide in float"),
@@ -1273,13 +1314,7 @@ def test_rerun_is_byte_identical_except_sidecar(tmp_path):
     a, out_a = run(tmp_path, "avg-power", cfg, out="a")
     b, out_b = run(tmp_path, "avg-power", cfg, out="b")
     assert a == b == 0
-    names = sorted(p.name for p in out_a.iterdir())
-    assert names == sorted(p.name for p in out_b.iterdir())
-    for name in names:
-        if name == "run_meta.json":
-            continue
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \
-            name
+    assert_same_data_files(out_a, out_b)
 
 
 def test_timestamp_only_in_sidecar(tmp_path):

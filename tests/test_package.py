@@ -50,22 +50,41 @@ def test_oracle_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["reproduce-wire", "wire_tables_unitscale.json"],
-    ["mpm-image", "phantom_single.json", "--workers", "1"],
-    ["monotonicity-suite", "battery.json"]], ids=lambda argv: argv[0])
-def test_runs_load_no_numpy_module_they_do_not_use(argv, tmp_path):
+def test_cli_import_loads_only_the_config_readers():
+    # reading a config builds meshes, material maps and data; each
+    # command's builder imports the layers its run uses
+    code = ("import json, sys, condlab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'condlab')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [
+        "condlab", "condlab.cli", "condlab.constitutive", "condlab.mesh",
+        "condlab.solver"]
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["reproduce-wire", "wire_tables_unitscale.json"],
+     ["imaging", "monotonicity", "oracle"]),
+    (["mpm-image", "phantom_single.json", "--workers", "1"],
+     ["monotonicity", "oracle"]),
+    (["monotonicity-suite", "battery.json"], ["imaging", "oracle"])],
+    ids=["reproduce-wire", "mpm-image", "monotonicity-suite"])
+def test_runs_load_no_numpy_module_they_do_not_use(argv, unused, tmp_path):
     # a plain np.unique call imports numpy.ma, a noise draw numpy.random
     # and a quadrature rule numpy.polynomial; these commands use none of
-    # them, the noiseless phantom and a quad_order they ignore included
+    # them, the noiseless phantom and a quad_order they ignore included,
+    # and load none of the package's layers that they do not run
     command, config, *rest = argv
     cfg = json.loads((CONFIGS / config).read_text())
     path = tmp_path / config
     path.write_text(json.dumps(dict(cfg, quad_order=2)))
+    modules = ["numpy.ma", "numpy.random", "numpy.polynomial",
+               *(f"condlab.{name}" for name in unused)]
     code = ("import sys, condlab.cli; "
             "assert condlab.cli.main(sys.argv[1:]) == 0; "
-            "print([m for m in ('numpy.ma', 'numpy.random', "
-            "'numpy.polynomial') if m in sys.modules])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code, command, "--config",
                           str(path), "--out", str(tmp_path / "out"), *rest],

@@ -405,7 +405,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
     ``pair_k.csv``, and ``chain``, if present, one more chain written to
     ``ladder.csv`` (a suffix ``_h<h>`` per resolution); every file has
     the ``write_ladder_csv`` layout."""
-    from .monotonicity import chain_certificates, ladder_suite
+    from .monotonicity import ladder_suite
     from .output import write_ladder_csv
     _check_keys(cfg, "config", {"mesh", "data"},
                 {"quad_order", "pairs", "chain", "resolutions"})
@@ -450,12 +450,9 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
 
     def run() -> int:
         failures: list[str] = []
-        # the certificates depend only on the maps: one set per chain and run
-        certs = [chain_certificates(links) for *_, links in chains]
         for suffix, mesh, data in meshes:
-            for (stem, kind, heading, links), chain_certs in zip(chains,
-                                                                 certs):
-                ladder = ladder_suite(mesh, links, data, chain_certs)
+            for stem, kind, heading, links in chains:
+                ladder = ladder_suite(mesh, links, data)
                 write_ladder_csv(os.path.join(args.out,
                                               f"{stem}{suffix}.csv"), ladder)
                 for i, j, rep in ladder.pair_reports:

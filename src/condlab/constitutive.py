@@ -14,7 +14,7 @@ superconductor E-J law) construct it.  A law is regularized below a floor
 energy density below the floor with a C^1 match.  ``energy_density`` is
 the exact integral of the regularized flux, so the spliced branch is
 consistent by construction.  The ``*_raw`` variants evaluate the ideal
-(unfloored) law; certificates use those, the solver uses the regularized
+(unfloored) law; the solver and the order certificate use the regularized
 ones.
 
 PEC (perfectly conducting, sigma = +inf) and PEI (perfectly insulating,
@@ -35,12 +35,6 @@ REG_EPS_FACTOR = 1e-6
 
 class ConstitutiveError(Exception):
     """Raised for invalid law parameters or misuse of structural markers."""
-
-
-def default_e_grid(e_scale: float, n: int = 61) -> np.ndarray:
-    """Log-spaced field-magnitude grid, three decades either side of a
-    characteristic scale."""
-    return e_scale * np.logspace(-3.0, 3.0, n)
 
 
 @dataclass(frozen=True)

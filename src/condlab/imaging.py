@@ -84,18 +84,18 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
-    ix = np.clip(((cent[:, 0] - xmin) / dx).astype(int), 0, nx - 1)
-    iy = np.clip(((cent[:, 1] - ymin) / dy).astype(int), 0, ny - 1)
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            tris = np.nonzero(interior & (ix == i) & (iy == j))[0]
-            if tris.size == 0:
-                continue
-            cells.append(Cell(len(cells), i, j, tuple(int(t) for t in tris),
-                              float(mesh.areas[tris].sum())))
+    # floored in floats, so that a grid of any integer size converts
+    ix = np.clip(np.floor((cent[:, 0] - xmin) / dx), 0, nx - 1)
+    iy = np.clip(np.floor((cent[:, 1] - ymin) / dy), 0, ny - 1)
+    # by row, then column; the sort is stable, so ids ascend within a cell
+    tris = np.flatnonzero(interior)
+    tris = tris[np.lexsort((ix[tris], iy[tris]))]
+    cuts = 1 + np.flatnonzero(np.diff([ix[tris], iy[tris]]).any(axis=0))
+    cells = tuple(Cell(k, int(ix[g[0]]), int(iy[g[0]]), tuple(g.tolist()),
+                       float(mesh.areas[g].sum()))
+                  for k, g in enumerate(np.split(tris, cuts)) if g.size)
     return CellGrid(nx, ny, (float(xmin), float(xmax), float(ymin),
-                             float(ymax)), tuple(cells))
+                             float(ymax)), cells)
 
 
 def fresh_label(mesh: Mesh, *maps: MaterialMap) -> int:

@@ -1,14 +1,14 @@
 """Ordering certificates and energy/power monotonicity comparisons.
 
-A pointwise certificate establishes sigma_1(x, E) <= sigma_2(x, E) region
-by region on a field grid, ranking the structural extremes as
+A pointwise certificate establishes sigma_1(x, E) <= sigma_2(x, E) for
+every E on each region label a mesh carries, in closed form on the floored
+laws the solver minimizes, ranking the structural extremes as
 PEI <= finite <= PEC.  For certified pairs the minimized Dirichlet energy
 and the averaged boundary power are ordered the same way for every
 zero-mean datum.  By the transfer identity the averaged power of a datum
-is the minimum energy of its solve, so the one comparison here,
-``ladder_suite``, reads each side as ``solve(...).info.energy`` (one solve
-per map and datum, no alpha quadrature) and reports per-datum margins
-against a fixed tolerance of 1e-8 relative to the larger value.
+is the minimum energy of its solve, so ``ladder_suite`` reads each side as
+``solve(...).info.energy`` (one solve per map and datum) and reports
+per-datum margins against a tolerance of 1e-8 relative to the larger one.
 
 Pairs that mix structural and finite regimes (or the two growth branches)
 are certified with a ``beyond stated hypotheses`` note: the ordering still
@@ -17,14 +17,13 @@ holds discretely by the admissible-state argument, but the regimes differ.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .constitutive import MaterialMap, default_e_grid
+from .constitutive import MaterialMap
 from .dtn import minimum_energies
-from .mesh import Mesh
+from .mesh import Mesh, distinct
 from .solver import BoundaryDatum
 
 
@@ -53,16 +52,19 @@ class PointwiseCertificate:
         return self.ok
 
 
-def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
-    """Certify sigma_lo(x, E) <= sigma_hi(x, E) on a shared field grid.
+def pointwise_leq(lo: MaterialMap, hi: MaterialMap,
+                  labels: Iterable[int]) -> PointwiseCertificate:
+    """Certify sigma_lo(E) <= sigma_hi(E) for every E >= 0 on each label.
 
-    Structural markers are ranked PEI <= finite <= PEC; finite laws are
-    compared by their ideal (unfloored) conductivities at every point of
-    ``default_e_grid`` around the scale ``e0`` of the first law with
-    p != 2 found (else 1), within a relative slack of 1e-12.  Returns the
-    first offending (label, E) as witness.
+    Structural markers are ranked PEI <= finite <= PEC.  Finite laws are
+    compared as the solver solves them, with sigma frozen below
+    ``reg_eps``.  Between the breakpoints 0, the two floors and infinity,
+    log sigma_hi - log sigma_lo is affine in log E, so the laws are
+    ordered everywhere iff they are ordered at the two floors (within a
+    relative slack of 1e-12) and as E -> inf, where the larger exponent
+    wins.  Returns the first offending (label, E) as witness, E = inf for
+    the limit.
     """
-    labels = sorted(set(lo.models) | set(hi.models))
     notes: list[str] = []
     for lab in labels:
         a = lo.model_for(lab)
@@ -75,16 +77,11 @@ def pointwise_leq(lo: MaterialMap, hi: MaterialMap) -> PointwiseCertificate:
             continue  # ranked below / above everything
         if ra == "pec" or rb == "pei":
             return PointwiseCertificate(False, lab, None, tuple(notes))
-        # a p = 2 law's sigma is constant, so its e0 carries no field scale
-        scale = next((m.e0 for m in (a, b) if m.p != 2.0), 1.0)
-        g = default_e_grid(scale)
-        sa = np.asarray(a.sigma_raw(g), dtype=float)
-        sb = np.asarray(b.sigma_raw(g), dtype=float)
-        bad = sa > sb * (1.0 + _CERT_RTOL)
-        if np.any(bad):
-            k = int(np.nonzero(bad)[0][0])
-            return PointwiseCertificate(False, lab, float(g[k]),
-                                        tuple(notes))
+        for e in sorted({a.reg_eps, b.reg_eps}):
+            if a.sigma(e) > b.sigma(e) * (1.0 + _CERT_RTOL):
+                return PointwiseCertificate(False, lab, e, tuple(notes))
+        if a.p > b.p:
+            return PointwiseCertificate(False, lab, math.inf, tuple(notes))
     return PointwiseCertificate(True, None, None, tuple(notes))
 
 
@@ -137,18 +134,8 @@ class LadderReport:
         return all(rep.ok for _, _, rep in self.pair_reports)
 
 
-def chain_certificates(chain: Sequence[tuple[str, MaterialMap]]
-                       ) -> tuple[PointwiseCertificate, ...]:
-    """``pointwise_leq`` of every ordered pair (i < j) of the chain, in
-    ``itertools.combinations`` order."""
-    return tuple(pointwise_leq(chain[i][1], chain[j][1])
-                 for i, j in itertools.combinations(range(len(chain)), 2))
-
-
 def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
-                 data: Sequence[BoundaryDatum],
-                 certificates: Sequence[PointwiseCertificate]
-                 ) -> LadderReport:
+                 data: Sequence[BoundaryDatum]) -> LadderReport:
     """Averaged-power monotonicity along an increasing material chain.
 
     Each map's averaged powers are its minimum energies
@@ -156,14 +143,14 @@ def ladder_suite(mesh: Mesh, chain: Sequence[tuple[str, MaterialMap]],
     datum), and all ordered pairs (i < j) are compared, so a chain of
     length 5 yields 10 certified comparisons per datum; a two-link chain
     is one pair.  Powers are matched by chain and datum position, so
-    repeated names never share a row's values.  ``certificates`` are the
-    chain's ``chain_certificates``, which depend only on the maps, so a
-    chain compared on several meshes is certified once.
+    repeated names never share a row's values.  Each pair is certified by
+    ``pointwise_leq`` on the labels the mesh carries.
     """
+    labels = distinct(mesh.labels).tolist()
     powers = [minimum_energies(mesh, mats, data) for _, mats in chain]
     pair_reports = []
-    for (i, j), cert in zip(itertools.combinations(range(len(chain)), 2),
-                            certificates, strict=True):
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        cert = pointwise_leq(chain[i][1], chain[j][1], labels)
         rows = [_power_row(d.name, lo, hi, cert)
                 for d, lo, hi in zip(data, powers[i], powers[j])]
         pair_reports.append((i, j, MonotonicityReport(cert, tuple(rows))))

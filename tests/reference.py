@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from condlab import imaging, monotonicity
-from condlab.constitutive import ConstitutiveError, MaterialMap, default_e_grid
+from condlab.constitutive import ConstitutiveError, MaterialMap
 from condlab.dtn import _alpha_sweep, dtn_pairing, gauss_on_unit
 from condlab.mesh import Mesh, MeshError, _incircle, _orient, boundary_mass
 from condlab.oracle import OracleError, RadialSolution
@@ -34,6 +34,12 @@ logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # condlab.constitutive: certificates
+
+
+def default_e_grid(e_scale: float, n: int = 61) -> np.ndarray:
+    """Log-spaced field-magnitude grid, three decades either side of a
+    characteristic scale."""
+    return e_scale * np.logspace(-3.0, 3.0, n)
 
 
 @dataclass(frozen=True)

@@ -590,9 +590,9 @@ def certificate_calls(monkeypatch):
     calls = []
     orig = monotonicity.pointwise_leq
 
-    def counting(lo, hi):
+    def counting(lo, hi, labels):
         calls.append((lo, hi))
-        return orig(lo, hi)
+        return orig(lo, hi, labels)
 
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == "condlab" \
@@ -611,15 +611,15 @@ def test_suite_certifies_each_pair_once(tmp_path, certificate_calls):
     assert (out / "pair_1.csv").exists()
 
 
-def test_suite_certifies_once_across_resolutions(tmp_path, capsys,
-                                                 certificate_calls):
+def test_suite_certifies_each_pair_once_per_resolution(tmp_path, capsys,
+                                                       certificate_calls):
     chain = NONLINEAR_CHAIN[:2]
     cfg = suite_cfg(pairs=[CONTRAST_PAIR, CROSSING_PAIR], chain=chain,
                     resolutions=[0.35, 0.3])
     code, out = run(tmp_path, "monotonicity-suite", cfg)
     assert code == 3
-    # two pairs and one chain pair, each certified once for both meshes
-    assert len(certificate_calls) == 3
+    # two pairs and one chain pair, each certified on each mesh's labels
+    assert len(certificate_calls) == 3 * 2
     # the failed certificate is still reported once per resolution
     err = capsys.readouterr().err
     assert err.count("order certificate failed for pair steep<=shallow") \
@@ -627,6 +627,47 @@ def test_suite_certifies_once_across_resolutions(tmp_path, capsys,
     for suffix in ("_h0.35", "_h0.3"):
         assert (out / f"pair_0{suffix}.csv").exists()
         assert (out / f"ladder{suffix}.csv").exists()
+
+
+def test_suite_refuses_a_pair_that_crosses_at_large_fields(tmp_path,
+                                                          capsys):
+    # sigma_hi = 2.1 E^-0.1 falls below 1 for E > 1668: the certificate
+    # is refused as E -> inf, so the reversed energies at amplitude 1e4
+    # are not reported as violations of a certified pair
+    big = {"name": "x", "terms": [{"kind": "linear-x", "amplitude": 1e4}]}
+    pair = {"name_lo": "lin", "name_hi": "sub",
+            "lo": {"regions": {"0": {"type": "linear", "sigma": 1.0}}},
+            "hi": {"regions": {"0": {"type": "power", "sigma_bar": 2.1,
+                                     "E0": 1.0, "p": 1.9}}}}
+    code, out = run(tmp_path, "monotonicity-suite",
+                    suite_cfg(mesh=DISK, data=[big], pairs=[pair]))
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["[suite] order certificate failed for pair lin<=sub "
+                   "(label 0, E inf)"]
+    _, rows = read_csv(out / "pair_0.csv")
+    assert float(rows[0][4]) < 0 and rows[0][6] == "0"
+
+
+def test_suite_ignores_a_law_under_a_label_no_triangle_has(tmp_path,
+                                                            capsys):
+    # one link also lists label 7, which the mesh does not carry: the
+    # certificate reads the mesh's labels, so the run passes like the
+    # config check, with the files of the chain without label 7
+    chain = [dict(NONLINEAR_CHAIN[0]), NONLINEAR_CHAIN[1]]
+    chain[0]["materials"] = {"regions": dict(
+        NONLINEAR_CHAIN[0]["materials"]["regions"],
+        **{"7": {"type": "power", "sigma_bar": 1.0, "E0": 1.0, "p": 4.0}})}
+    for extra in (["--check-only"], []):
+        code, out = run(tmp_path, "monotonicity-suite",
+                        suite_cfg(chain=chain), *extra)
+        assert code == 0
+    assert capsys.readouterr().err == ""
+    code, ref = run(tmp_path, "monotonicity-suite",
+                    suite_cfg(chain=NONLINEAR_CHAIN[:2]), out="ref")
+    assert code == 0
+    assert (out / "ladder.csv").read_bytes() \
+        == (ref / "ladder.csv").read_bytes()
 
 
 def test_suite_needs_pairs_or_chain(tmp_path, capsys):
@@ -1115,6 +1156,16 @@ CONFIG_PROBES = [
      "tol must be >= 0, got -0.5"),
 ]
 
+
+
+@pytest.mark.parametrize("nx, ny", [(100_000, 100_000), (10**30, 4)])
+def test_mpm_check_only_takes_a_grid_of_any_integer_size(tmp_path, capsys,
+                                                         nx, ny):
+    code, out = run(tmp_path, "mpm-image",
+                    mpm_cfg(grid={"nx": nx, "ny": ny}, truth=TRUTH),
+                    "--check-only")
+    assert code == 0 and not out.exists()
+    assert "[check] config ok" in capsys.readouterr().out
 
 
 def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):

@@ -13,13 +13,13 @@ from condlab.constitutive import (
     Linear,
     MaterialMap,
     PowerLaw,
-    default_e_grid,
     scale_reg_eps,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
 from condlab.solver import Problem
 from reference import (check_flux_monotone, check_growth_bounds,
-                       check_strong_monotonicity, outer_exponent)
+                       check_strong_monotonicity, default_e_grid,
+                       outer_exponent)
 
 # the superconducting petal material used throughout the wire study
 EJ_WIRE = dict(jc=8e9, e0=1e-4, n=27.0)

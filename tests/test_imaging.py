@@ -94,6 +94,37 @@ def test_grid_rejects_empty_axis(scan_mesh, nx, ny):
         build_cell_grid(scan_mesh, nx, ny)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 4), (5, 3), (2, 7)])
+def test_grid_cells_are_the_nonempty_index_pairs_by_row(scan_mesh, nx, ny):
+    # the nx * ny loop the grouping replaced, as the oracle
+    interior = ~np.any(scan_mesh.on_boundary[scan_mesh.triangles], axis=1)
+    cent = scan_mesh.nodes[scan_mesh.triangles].mean(axis=1)
+    lo, hi = scan_mesh.nodes.min(axis=0), scan_mesh.nodes.max(axis=0)
+    idx = np.clip(((cent - lo) / ((hi - lo) / (nx, ny))).astype(int), 0,
+                  (nx - 1, ny - 1))
+    expect = []
+    for j in range(ny):
+        for i in range(nx):
+            tris = np.nonzero(interior & (idx[:, 0] == i)
+                              & (idx[:, 1] == j))[0]
+            if tris.size:
+                expect.append(Cell(len(expect), i, j, tuple(tris.tolist()),
+                                   float(scan_mesh.areas[tris].sum())))
+    assert build_cell_grid(scan_mesh, nx, ny).cells == tuple(expect)
+
+
+@pytest.mark.parametrize("nx, ny", [(100_000, 100_000), (10**30, 4)])
+def test_grid_of_any_integer_size_builds_without_a_loop(scan_mesh, nx, ny):
+    cells = build_cell_grid(scan_mesh, nx, ny).cells
+    interior = ~np.any(scan_mesh.on_boundary[scan_mesh.triangles], axis=1)
+    assert sorted(t for c in cells for t in c.tri_ids) \
+        == np.flatnonzero(interior).tolist()
+    keys = [(c.iy, c.ix) for c in cells]
+    assert keys == sorted(set(keys))
+    assert all(0 <= c.ix < nx and 0 <= c.iy < ny for c in cells)
+    assert all(type(c.ix) is int and type(c.iy) is int for c in cells)
+
+
 def test_grid_centers_inside_bbox(grid):
     xmin, xmax, ymin, ymax = grid.bbox
     centers = CellGrid(**vars(grid)).cell_centers()

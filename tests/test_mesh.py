@@ -8,10 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import ConvexHull
 
 import reference
 from condlab.cli import mesh_from_spec
@@ -430,13 +429,34 @@ def delaunay_clouds(draw):
         radius = draw(st.floats(1e-4, 10.0))
         center = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
         return _disk_cloud(center, radius, draw(st.floats(0.3, 0.8)) * radius)
-    side = 7 if kind == "lattice" else 2 ** 20
+    side, den = (7, 8) if kind == "lattice" else (2 ** 20, 2 ** 20)
     ints = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     pts = np.array(draw(st.lists(ints, min_size=3, max_size=40,
                                  unique=True)), dtype=float)
     d = pts[1:] - pts[0]
     assume(np.any(d[:, 0] * d[1, 1] != d[:, 1] * d[1, 0]))
-    return np.ldexp(pts / side, draw(st.integers(-20, 20)))
+    return np.ldexp(pts / den, draw(st.integers(-20, 20)))
+
+
+def twice_hull_area(xy):
+    """Twice the area of the convex hull of integer points, exactly: the
+    shoelace sum over Andrew's monotone chain."""
+    pts = sorted(map(tuple, xy))
+
+    def half(seq):
+        out = []
+        for x, y in seq:
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2:]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    hull = half(pts) + half(reversed(pts))
+    return sum(hull[k - 1][0] * hull[k][1] - hull[k][0] * hull[k - 1][1]
+               for k in range(len(hull)))
 
 
 def sign(v):
@@ -478,6 +498,8 @@ def test_predicates_are_exact_near_degenerate_points(box, order, ulps,
 
 @settings(max_examples=60, deadline=None)
 @given(delaunay_clouds())
+@example(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 68914.0]]))
+@example(np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [4.0, 5.0]]) / 7.0)
 def test_delaunay_is_delaunay_and_covers_the_hull(points):
     tris = delaunay(points)
     n = len(points)
@@ -497,10 +519,27 @@ def test_delaunay_is_delaunay_and_covers_the_hull(points):
     assert not (incircle > 0).any()
     mesh = Mesh(points, tris, np.zeros(len(tris), dtype=int))
     assert validate(mesh) == []
-    hull = ConvexHull(points).volume
-    assert mesh.areas.sum() == pytest.approx(hull, rel=1e-12)
+    # twice the areas against twice the hull's area, both exact: qhull's
+    # float volume loses digits on slivers, and its vertices can miss a
+    # hull point that is not collinear in float
+    assert orient.sum() == twice_hull_area(xy)
     # a power-of-two scale and the repeat give the same triangles
     assert np.array_equal(delaunay(np.ldexp(points, -11)), tris)
+
+
+def test_delaunay_keeps_a_hull_sliver_that_mesh_refuses():
+    # 1/7 is inexact in binary, so the last three points are not collinear
+    # in float: the exact triangulation keeps the sliver they span, whose
+    # float area rounds to 0, and Mesh refuses it
+    points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [4.0, 5.0]]) / 7
+    tris = delaunay(points)
+    xy = exact_coords(points)
+    a, b, c = (xy[tris[:, j]] for j in range(3))
+    orient = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
+        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    assert all(orient > 0) and orient.sum() == twice_hull_area(xy)
+    with pytest.raises(MeshError, match="nonpositive area"):
+        Mesh(points, tris, np.zeros(len(tris), dtype=int))
 
 
 def test_delaunay_refuses_coincident_and_collinear_points():

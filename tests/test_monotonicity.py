@@ -1,20 +1,23 @@
 """Ordering certificates and the averaged-power (minimum energy) ladder."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condlab.constitutive import (
     PEC,
     PEI,
+    ConstitutiveError,
     EJPowerLaw,
     Linear,
     MaterialMap,
     PowerLaw,
 )
 from condlab.mesh import DiskInclusion, build_disk_mesh
-from condlab.monotonicity import (chain_certificates, ladder_suite,
-                                  pointwise_leq)
-from condlab.solver import BoundaryDatum, DatumTerm, solve
+from condlab.monotonicity import ladder_suite, pointwise_leq
+from condlab.solver import BoundaryDatum, DatumTerm, make_datum, solve
 from reference import LadderReport, datum_family
 
 
@@ -34,9 +37,8 @@ def family(inc_disk):
 
 
 def ladder(mesh, chain, data):
-    """``ladder_suite`` with the chain's own certificates."""
-    return LadderReport(**vars(ladder_suite(mesh, chain, data,
-                                            chain_certificates(chain))))
+    """``ladder_suite`` as a report that counts its certified pairs."""
+    return LadderReport(**vars(ladder_suite(mesh, chain, data)))
 
 
 def pair_compare(mesh, lo, hi, data):
@@ -55,18 +57,18 @@ def lin_maps(lo_sigma, hi_sigma):
 
 def test_identical_maps_certify():
     mm = MaterialMap({0: Linear(1.0), 1: PowerLaw(1.0, 1.0, 4.0)})
-    cert = pointwise_leq(mm, mm)
+    cert = pointwise_leq(mm, mm, [0, 1])
     assert cert.ok
     assert cert.notes == ()
 
 
 def test_scaled_linear_certifies():
     lo, hi = lin_maps(1.0, 2.0)
-    assert pointwise_leq(lo, hi).ok
-    cert = pointwise_leq(hi, lo)
+    assert pointwise_leq(lo, hi, [0, 1]).ok
+    cert = pointwise_leq(hi, lo, [0, 1])
     assert not cert.ok
     assert cert.witness_label == 1
-    assert cert.witness_e is not None
+    assert cert.witness_e == 1e-6  # the shared floor of two p = 2 laws
 
 
 def test_crossing_power_laws_fail_both_ways():
@@ -74,48 +76,109 @@ def test_crossing_power_laws_fail_both_ways():
     # larger than the other on one side of the crossing
     a = MaterialMap({0: PowerLaw(1.0, 1.0, 1.5)})
     b = MaterialMap({0: PowerLaw(1.0, 1.0, 3.0)})
-    ab = pointwise_leq(a, b)
-    ba = pointwise_leq(b, a)
+    ab = pointwise_leq(a, b, [0])
+    ba = pointwise_leq(b, a, [0])
     assert not ab.ok and not ba.ok
-    # witnesses sit on opposite sides of the crossing
-    assert (ab.witness_e - 1.0) * (ba.witness_e - 1.0) < 0.0
+    # witnesses sit on opposite sides of the crossing: the shared floor
+    # and the limit E -> inf
+    assert (ab.witness_e, ba.witness_e) == (1e-6, math.inf)
 
 
 def test_structural_extremes_rank_everything():
     fin = MaterialMap({0: Linear(1.0), 1: PowerLaw(2.0, 1.0, 4.0)})
     pei = MaterialMap({0: Linear(1.0), 1: PEI()})
     pec = MaterialMap({0: Linear(1.0), 1: PEC()})
-    assert pointwise_leq(pei, fin).ok
-    assert pointwise_leq(fin, pec).ok
-    assert pointwise_leq(pei, pec).ok
-    assert not pointwise_leq(pec, fin).ok
-    assert not pointwise_leq(fin, pei).ok
+    for lo, hi in ((pei, fin), (fin, pec), (pei, pec)):
+        assert pointwise_leq(lo, hi, [0, 1]).ok
+    for lo, hi in ((pec, fin), (fin, pei)):
+        cert = pointwise_leq(lo, hi, [0, 1])
+        assert not cert.ok and cert.witness_label == 1
+        assert cert.witness_e is None
 
 
 def test_mixed_regime_pairs_carry_a_note():
     fin = MaterialMap({0: Linear(1.0), 1: Linear(5.0)})
     pec = MaterialMap({0: Linear(1.0), 1: PEC()})
-    cert = pointwise_leq(fin, pec)
+    cert = pointwise_leq(fin, pec, [0, 1])
     assert cert.ok
     assert any("beyond stated hypotheses" in n for n in cert.notes)
 
 
-def test_linear_law_leaves_the_certificate_grid_at_the_other_scale():
-    # a p = 2 law has no field scale, so the grid centres on the E-J law's
-    # e0 = 1e-4, where 1e9 < sigma; centred on 1 it would find E > 10
-    # with sigma below 1e9
+def test_linear_law_below_an_ej_law_is_refused_at_infinity():
+    # sigma_hi = 8e13 (E / 1e-4)^(-26/27) falls below 1e9 for E > 12, so
+    # the E-J law's smaller exponent breaks the order at large fields
     lo = MaterialMap({0: Linear(1e9)})
     hi = MaterialMap({0: EJPowerLaw(8e9, 1e-4, 27)})
-    assert pointwise_leq(lo, hi).ok
-    cert = pointwise_leq(hi, lo)
-    assert not cert.ok and cert.witness_e < 1e-4
+    assert hi.models[0].sigma(13.0) < 1e9
+    cert = pointwise_leq(lo, hi, [0])
+    assert not cert.ok and cert.witness_e == math.inf
+    # and below its own floor 1e-10 the E-J law is far above 1e9
+    cert = pointwise_leq(hi, lo, [0])
+    assert not cert.ok and cert.witness_e == hi.models[0].reg_eps == 1e-10
+
+
+def test_floored_laws_that_cross_at_large_fields_are_refused():
+    # sigma_hi = 2.1 E^-0.1 falls below 1 for E > 2.1^10 ~ 1668; the
+    # energies of a linear-x datum are ordered at amplitude 1 but reverse
+    # at 1e4, so the pair must not be certified
+    lo = MaterialMap({0: Linear(1.0)})
+    hi = MaterialMap({0: PowerLaw(2.1, 1.0, 1.9)})
+    cert = pointwise_leq(lo, hi, [0])
+    assert not cert.ok
+    assert (cert.witness_label, cert.witness_e) == (0, math.inf)
+    mesh = build_disk_mesh(1.0, 0.2)
+    energies = {}
+    for amp in (1.0, 1e4):
+        datum = make_datum(mesh, [DatumTerm("linear-x", amp)], "x")
+        energies[amp] = [solve(mesh, m, datum).info.energy for m in (lo, hi)]
+    assert energies[1.0][0] < energies[1.0][1]
+    assert energies[1e4][0] > energies[1e4][1] * 1.1
+
+
+def test_floors_decide_the_order_of_equal_raw_laws():
+    # the same raw law with two floors: below the higher floor the one
+    # frozen there is the larger for p < 2 and the smaller for p > 2
+    for p in (1.5, 4.0):
+        low = MaterialMap({0: PowerLaw(1.0, 1.0, p, reg_eps=1e-6)})
+        high = MaterialMap({0: PowerLaw(1.0, 1.0, p, reg_eps=1e-3)})
+        ok = pointwise_leq(low, high, [0]).ok
+        cert = pointwise_leq(high, low, [0])
+        assert ok == (p > 2.0) and cert.ok == (p < 2.0)
+
+
+_decades = st.floats(-3.0, 3.0).map(lambda k: 10.0 ** k)
+_laws = st.builds(PowerLaw, sigma_bar=_decades, e0=_decades,
+                  p=st.floats(1.0, 6.0, exclude_min=True) | st.just(2.0))
+_dense = np.logspace(-14.0, 14.0, 2801)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laws, _laws)
+def test_certificate_is_exact_on_the_floored_laws(a, b):
+    cert = pointwise_leq(MaterialMap({0: a}), MaterialMap({0: b}), [0])
+    if cert.ok:
+        assert np.all(a.sigma(_dense) <= b.sigma(_dense) * (1.0 + 1e-12))
+    elif cert.witness_e == math.inf:
+        assert a.p > b.p
+    else:
+        e = cert.witness_e
+        assert a.sigma(e) > b.sigma(e) * (1.0 + 1e-12)
+
+
+def test_certificate_reads_only_the_given_labels():
+    # a law under label 7 in one map only: no lookup unless 7 is given
+    lo = MaterialMap({0: Linear(1.0), 7: PowerLaw(1.0, 1.0, 4.0)})
+    hi = MaterialMap({0: Linear(2.0)})
+    assert pointwise_leq(lo, hi, [0]).ok
+    with pytest.raises(ConstitutiveError, match="region label 7"):
+        pointwise_leq(lo, hi, [0, 7])
 
 
 def test_certificate_is_transitive_on_a_chain():
     maps = [MaterialMap({0: Linear(s)}) for s in (0.5, 1.0, 2.0, 4.0)]
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):
-            assert pointwise_leq(maps[i], maps[j]).ok
+            assert pointwise_leq(maps[i], maps[j], [0]).ok
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,23 @@ Inclusion = DiskInclusion | PolygonInclusion
 
 
 def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed areas with the sign of the exact orientation: where the float
+    filter of ``_orient`` leaves the sign open (a sliver, whose float area
+    may round to 0 or flip), the exact area rounded once."""
     a = nodes[triangles[:, 0]]
     b = nodes[triangles[:, 1]]
     c = nodes[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    unsure = np.abs(det) <= _ORIENT_BOUND * (np.abs(left) + np.abs(right)) \
+        + _TINY
+    for t in np.flatnonzero(unsure):
+        xy = nodes[triangles[t]].ravel().tolist()
+        ax, ay, bx, by, cx, cy = _exact(*xy)
+        den = max(v.as_integer_ratio()[1] for v in xy)
+        det[t] = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / den ** 2
+    return 0.5 * det
 
 
 def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -426,7 +438,8 @@ def delaunay(points: np.ndarray) -> np.ndarray:
     same triangles.  A point exactly on a circumcircle leaves that
     triangle standing, so on cocircular points the triangles made first
     stay: the triangulation depends on the points and their order alone.
-    Every triangle has positive exact orientation.
+    Every triangle has positive exact orientation, and so a positive
+    area in ``Mesh``, slivers included.
 
     The cavity search starts at one triangle of the cavity and grows
     through the sides whose far triangle's disk holds the point.  The

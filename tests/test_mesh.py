@@ -191,6 +191,21 @@ def test_nonpositive_area_rejected_at_construction():
         Mesh(nodes, np.array([[0, 2, 1]]), np.zeros(1, dtype=int))
 
 
+def test_sliver_area_is_the_exact_area_rounded_once():
+    # 1/7 is inexact in binary: the points are collinear on the lattice
+    # but turn counterclockwise in float, and the plain float formula
+    # rounds the area of the sliver they span to 0
+    nodes = np.array([[0.0, 1.0], [1.0, 2.0], [4.0, 5.0]]) / 7
+    (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in nodes.tolist())
+    exact = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / 2
+    assert exact > 0
+    mesh = Mesh(nodes, np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
+    assert mesh.areas[0] == float(exact)
+    assert np.isfinite(mesh.grads).all()
+    with pytest.raises(MeshError, match="nonpositive area"):
+        Mesh(nodes, np.array([[0, 2, 1]]), np.zeros(1, dtype=int))
+
+
 def test_validate_nonmanifold_edge():
     # three triangles stacked on the same edge (0, 1)
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
@@ -420,22 +435,23 @@ def exact_coords(points):
 @st.composite
 def delaunay_clouds(draw):
     """Distinct points that are not all on one line, of three kinds:
-    points of a 7 x 7 lattice (many exactly collinear and cocircular
-    sets), points on a fine dyadic grid, and the staggered rings of the
-    disk mesher (nearly cocircular).  Lattice and grid are scaled by a
-    power of two, which changes no predicate."""
+    points of a 7 x 7 lattice over 7, where the lattice's many collinear
+    and cocircular sets are nearly, not exactly, so in float (1/7 is
+    inexact in binary), points on a fine dyadic grid, and the staggered
+    rings of the disk mesher (nearly cocircular).  Lattice and grid are
+    scaled by a power of two, which changes no predicate."""
     kind = draw(st.sampled_from(["lattice", "grid", "rings"]))
     if kind == "rings":
         radius = draw(st.floats(1e-4, 10.0))
         center = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
         return _disk_cloud(center, radius, draw(st.floats(0.3, 0.8)) * radius)
-    side, den = (7, 8) if kind == "lattice" else (2 ** 20, 2 ** 20)
+    side = 7 if kind == "lattice" else 2 ** 20
     ints = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
     pts = np.array(draw(st.lists(ints, min_size=3, max_size=40,
                                  unique=True)), dtype=float)
     d = pts[1:] - pts[0]
     assume(np.any(d[:, 0] * d[1, 1] != d[:, 1] * d[1, 0]))
-    return np.ldexp(pts / den, draw(st.integers(-20, 20)))
+    return np.ldexp(pts / side, draw(st.integers(-20, 20)))
 
 
 def twice_hull_area(xy):
@@ -500,6 +516,7 @@ def test_predicates_are_exact_near_degenerate_points(box, order, ulps,
 @given(delaunay_clouds())
 @example(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 68914.0]]))
 @example(np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [4.0, 5.0]]) / 7.0)
+@example(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [4.0, 5.0]]) / 7.0)
 def test_delaunay_is_delaunay_and_covers_the_hull(points):
     tris = delaunay(points)
     n = len(points)
@@ -525,21 +542,6 @@ def test_delaunay_is_delaunay_and_covers_the_hull(points):
     assert orient.sum() == twice_hull_area(xy)
     # a power-of-two scale and the repeat give the same triangles
     assert np.array_equal(delaunay(np.ldexp(points, -11)), tris)
-
-
-def test_delaunay_keeps_a_hull_sliver_that_mesh_refuses():
-    # 1/7 is inexact in binary, so the last three points are not collinear
-    # in float: the exact triangulation keeps the sliver they span, whose
-    # float area rounds to 0, and Mesh refuses it
-    points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [4.0, 5.0]]) / 7
-    tris = delaunay(points)
-    xy = exact_coords(points)
-    a, b, c = (xy[tris[:, j]] for j in range(3))
-    orient = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    assert all(orient > 0) and orient.sum() == twice_hull_area(xy)
-    with pytest.raises(MeshError, match="nonpositive area"):
-        Mesh(points, tris, np.zeros(len(tris), dtype=int))
 
 
 def test_delaunay_refuses_coincident_and_collinear_points():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from condlab.constitutive import (
     PEC,
@@ -155,14 +155,26 @@ _dense = np.logspace(-14.0, 14.0, 2801)
 @settings(max_examples=300, deadline=None)
 @given(_laws, _laws)
 def test_certificate_is_exact_on_the_floored_laws(a, b):
+    # the oracle: the order at dense points and at the laws' own floors,
+    # none of them picked by the certificate
+    pts = np.append(_dense, [a.reg_eps, b.reg_eps])
+    worse = a.sigma(pts) > b.sigma(pts) * (1.0 + 1e-12)
     cert = pointwise_leq(MaterialMap({0: a}), MaterialMap({0: b}), [0])
     if cert.ok:
-        assert np.all(a.sigma(_dense) <= b.sigma(_dense) * (1.0 + 1e-12))
-    elif cert.witness_e == math.inf:
-        assert a.p > b.p
+        assert not worse.any()
+    elif cert.witness_e != math.inf:
+        assert worse.any()
     else:
-        e = cert.witness_e
-        assert a.sigma(e) > b.sigma(e) * (1.0 + 1e-12)
+        # beyond both floors log(sigma_lo / sigma_hi) is affine in log E
+        # with slope p_lo - p_hi; where it crosses the slack in the dense
+        # range, the dense points past the crossing must show it
+        assert a.p > b.p
+        c = math.log(a.sigma_bar / b.sigma_bar) \
+            - (a.p - 2.0) * math.log(a.e0) + (b.p - 2.0) * math.log(b.e0)
+        cross = (math.log1p(1e-12) - c) / (a.p - b.p)
+        assume(max(cross, math.log(a.reg_eps), math.log(b.reg_eps))
+               < math.log(1e12))
+        assert worse.any()
 
 
 def test_certificate_reads_only_the_given_labels():

@@ -85,11 +85,6 @@ class PowerLaw:
     def sigma(self, e):
         return self.sigma_raw(np.maximum(e, self.reg_eps))
 
-    def flux_raw(self, e):
-        e = np.asarray(e, dtype=float)
-        out = self.sigma_bar * self.e0 * (e / self.e0) ** (self.p - 1.0)
-        return out if out.ndim else float(out)
-
     def flux(self, e):
         return self.sigma(e) * np.asarray(e, dtype=float)
 
@@ -145,7 +140,7 @@ class _Structural:
         raise ConstitutiveError(f"{self.kind} is structural; sigma(E) is "
                                 f"never evaluated pointwise")
 
-    sigma = sigma_raw = flux = flux_raw = dflux = _refuse
+    sigma = sigma_raw = flux = dflux = _refuse
     energy_density = energy_density_raw = _refuse
 
     def __eq__(self, other) -> bool:

@@ -20,9 +20,10 @@ all: each cell costs back-substitutions for its own unknowns and a Schur
 complement of their size, on which a 0/1 matrix P ties the cell's nodes to
 the unknowns they take in the stamped map, one per conductor for PEC and
 one per node with a triangle off the cell for PEI, in one formula
-(``_LinearBackground``), with no ``Problem`` and no solve per cell.  On
-any other background each cell compiles its stamped ``Problem`` and
-solves every datum on it, in a process pool when ``workers`` is above 1.
+(``_schur_powers``, one function that loops the cells itself), with no
+``Problem`` and no solve per cell.  On any other background each cell
+compiles its stamped ``Problem`` and solves every datum on it, in a
+process pool when ``workers`` is above 1.
 The path is read off the laws of the labels the mesh carries, so a law
 that the map lists for no triangle does not change it.
 Each scan logs one debug line on ``condlab.imaging`` with the path it
@@ -73,7 +74,7 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
 
     Triangles with a vertex on the outer boundary are excluded so every
     tested perturbation stays compactly inside the domain; empty cells
-    are dropped.
+    are dropped, and a grid left without cells raises ValueError.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"cell grid needs nx, ny >= 1, got nx={nx}, "
@@ -94,6 +95,9 @@ def build_cell_grid(mesh: Mesh, nx: int, ny: int) -> CellGrid:
     cells = tuple(Cell(k, int(ix[g[0]]), int(iy[g[0]]), tuple(g.tolist()),
                        float(mesh.areas[g].sum()))
                   for k, g in enumerate(np.split(tris, cuts)) if g.size)
+    if not cells:
+        raise ValueError("cell grid has no cell: every triangle touches "
+                         "the outer boundary")
     return CellGrid(nx, ny, (float(xmin), float(xmax), float(ymin),
                              float(ymax)), cells)
 
@@ -140,11 +144,6 @@ class Measurements:
     noisy: np.ndarray
     noise_rel: float
     seed: int
-
-    @property
-    def powers(self) -> np.ndarray:
-        """The observed values the scan compares against."""
-        return self.noisy
 
 
 def synth_measurements(mesh: Mesh, materials: MaterialMap,
@@ -198,14 +197,17 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->k", a, b)
 
 
-class _LinearBackground:
-    """A background of p = 2 laws on every triangle, factored once, that
-    gives each cell's test powers from a Schur complement on the cell.
+def _schur_powers(problem: Problem, cells: Sequence[Cell], pec: bool,
+                  data: Sequence[BoundaryDatum]) -> np.ndarray:
+    """Test powers, shape (len(cells), len(data)), on a background
+    ``problem`` of p = 2 laws on every triangle, factored once: each cell's
+    row comes from a Schur complement on the cell.  Raises the
+    ``SolveError`` that solving on a cell's stamped map raises.
 
     With K the sigma-weighted stiffness on the free unknowns, the
-    background ``Problem``'s cold start (``harmonic_initial_guess``, one
-    ``dpbtrs`` against its ``start_factor``) gives the data's minimizers
-    u_bar (columns ``x``), and their energies are ``e0``.
+    background's cold start (``harmonic_initial_guess``, one ``dpbtrs``
+    against its ``start_factor``) gives the data's minimizers u_bar, and
+    their energies E0.
     The energy of any state is E0 + 1/2 (x - u_bar)^T K (x - u_bar), so
     minimizing over every unknown off a cell's free unknowns S leaves
     1/2 (y - u_bar_S)^T A (y - u_bar_S) with A = ((K^-1)_SS)^-1, and
@@ -220,26 +222,18 @@ class _LinearBackground:
     E0 + 1/2 u_bar^T A u_bar - 1/2 g^T K_C g - 1/2 (P^T b)^T (P^T M P)^-1
     (P^T b), with b = A u_bar + K_C g and M = A - K_C (Hager, SIAM Rev.
     31, 1989).  The unknowns a PEI cell cuts off from the boundary are
-    found by a search of the triangle graph near the cell, not from a
-    pivot.
+    found by a search of the triangle graph near the cell (``_kept``),
+    not from a pivot.
     """
-
-    def __init__(self, mesh: Mesh, background: MaterialMap,
-                 data: Sequence[BoundaryDatum]):
-        problem = Problem(mesh, background)
-        self.mesh, self.problem = mesh, problem
-        self.fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
-        self.x = harmonic_initial_guess(problem, self.fixed)
-        self.e0 = np.array([problem.energy(problem.nodal_state(
-            self.fixed[:, k], self.x[:, k])) for k in range(len(data))])
-        self.rhs_solved = len(data)
-        self.label = fresh_label(mesh, background)
-
-    def powers(self, cell: Cell, pec: bool) -> np.ndarray:
-        """The cell's test power of every datum, PEC or PEI stamped on it;
-        raises the ``SolveError`` that solving on the stamped map
-        raises."""
-        mesh, problem = self.mesh, self.problem
+    mesh = problem.mesh
+    fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
+    x = harmonic_initial_guess(problem, fixed)
+    e0 = np.array([problem.energy(problem.nodal_state(fixed[:, k], x[:, k]))
+                   for k in range(len(data))])
+    label = fresh_label(mesh, problem.materials)
+    rhs_solved = len(data)
+    powers = np.empty((len(cells), len(data)))
+    for i, cell in enumerate(cells):
         tris = distinct(cell.tri_ids)
         if len(tris) == mesh.n_triangles:
             raise SolveError("no conducting triangles")
@@ -252,60 +246,62 @@ class _LinearBackground:
         cols = problem.free_of_node[nodes]
         s = cols >= 0
         if pec:
-            conductors = pec_conductors(mesh, tris,
-                                        np.full(len(tris), self.label))
+            conductors = pec_conductors(mesh, tris, np.full(len(tris), label))
             p = np.zeros((n, len(conductors)))
             for j, members in enumerate(conductors.values()):
                 p[np.searchsorted(nodes, members), j] = 1.0
         else:
-            p = np.eye(n)[:, s & self._kept(tris, nodes)]
+            p = np.eye(n)[:, s & _kept(mesh, tris, nodes)]
         p = p[s]
         unit = np.zeros((problem.n_free, int(s.sum())))
         unit[cols[s], np.arange(unit.shape[1])] = 1.0
         a = np.linalg.inv(problem.band.solve(problem.start_factor,
                                              unit)[cols[s]])
-        self.rhs_solved += unit.shape[1]
-        u_bar = self.x[cols[s]]
-        g = self.fixed[nodes[~s]]
+        rhs_solved += unit.shape[1]
+        u_bar = x[cols[s]]
+        g = fixed[nodes[~s]]
         b = a @ u_bar
-        energy = self.e0 + 0.5 * _column_dots(u_bar, b) \
+        energy = e0 + 0.5 * _column_dots(u_bar, b) \
             - 0.5 * _column_dots(g, kc[np.ix_(~s, ~s)] @ g)
         b = p.T @ (b + kc[np.ix_(s, ~s)] @ g)
         m = p.T @ (a - kc[np.ix_(s, s)]) @ p
-        return energy - 0.5 * _column_dots(b, np.linalg.solve(m, b))
+        powers[i] = energy - 0.5 * _column_dots(b, np.linalg.solve(m, b))
+    logger.debug("scan of %d cells, Schur path: 1 factorization, %d "
+                 "back-substitutions in %d calls", len(cells), rhs_solved,
+                 len(cells) + 1)
+    return powers
 
-    def _kept(self, tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Which of the cell's ``nodes`` keep a triangle off the cell's
-        triangles ``tris``; raises ``stranded_error`` when, with the cell
-        insulating, free unknowns lose every conducting path to the
-        boundary.
 
-        Such an unknown lies in a component inside the convex hull of
-        the cell's nodes: a ray from a node outside it, pointing away from
-        the hull, meets no cell triangle before the boundary, every other
-        triangle conducts, and every boundary node is a Dirichlet node.
-        So the search covers the triangles off the cell with a node in the
-        cell nodes' bounding box, which hold every triangle at a cell
-        node, and starts from their nodes on the boundary or outside the
-        box; a node it does not reach is cut off.
-        """
-        mesh = self.mesh
-        xy = mesh.nodes
-        in_box = np.all((xy >= xy[nodes].min(axis=0))
-                        & (xy <= xy[nodes].max(axis=0)), axis=1)
-        near = in_box[mesh.triangles].any(axis=1)
-        near[tris] = False
-        t = mesh.triangles[near]
-        touched = np.zeros(mesh.n_nodes, dtype=bool)
-        touched[t] = True
-        reached = reach(*adjacency(t.ravel(), t[:, [1, 2, 0]].ravel(),
-                                   mesh.n_nodes),
-                        np.flatnonzero(touched & (mesh.on_boundary
-                                                  | ~in_box)))
-        stranded = int(np.count_nonzero(touched & ~reached))
-        if stranded:
-            raise stranded_error(stranded)
-        return touched[nodes]
+def _kept(mesh: Mesh, tris: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Which of a cell's ``nodes`` keep a triangle off the cell's
+    triangles ``tris``; raises ``stranded_error`` when, with the cell
+    insulating, free unknowns lose every conducting path to the
+    boundary.
+
+    Such an unknown lies in a component inside the convex hull of
+    the cell's nodes: a ray from a node outside it, pointing away from
+    the hull, meets no cell triangle before the boundary, every other
+    triangle conducts, and every boundary node is a Dirichlet node.
+    So the search covers the triangles off the cell with a node in the
+    cell nodes' bounding box, which hold every triangle at a cell
+    node, and starts from their nodes on the boundary or outside the
+    box; a node it does not reach is cut off.
+    """
+    xy = mesh.nodes
+    in_box = np.all((xy >= xy[nodes].min(axis=0))
+                    & (xy <= xy[nodes].max(axis=0)), axis=1)
+    near = in_box[mesh.triangles].any(axis=1)
+    near[tris] = False
+    t = mesh.triangles[near]
+    touched = np.zeros(mesh.n_nodes, dtype=bool)
+    touched[t] = True
+    reached = reach(*adjacency(t.ravel(), t[:, [1, 2, 0]].ravel(),
+                               mesh.n_nodes),
+                    np.flatnonzero(touched & (mesh.on_boundary | ~in_box)))
+    stranded = int(np.count_nonzero(touched & ~reached))
+    if stranded:
+        raise stranded_error(stranded)
+    return touched[nodes]
 
 
 def _linear_conducting(mesh: Mesh, background: MaterialMap) -> bool:
@@ -323,20 +319,15 @@ def cell_powers(mesh: Mesh, background: MaterialMap, cells: Sequence[Cell],
     ``cells[i]``.
 
     When every triangle conducts with a p = 2 law, one factorization of
-    the background gives them all (``_LinearBackground``), and
+    the background gives them all (``_schur_powers``), and
     ``workers`` is not read.  Otherwise each cell compiles its stamped
     ``Problem`` and solves every datum on it (``dtn.minimum_energies``),
     in ``workers`` processes when that is above 1.
     """
-    powers = np.empty((len(cells), len(data)))
     if _linear_conducting(mesh, background):
-        linear = _LinearBackground(mesh, background, data)
-        for i, cell in enumerate(cells):
-            powers[i] = linear.powers(cell, model.kind == "pec")
-        logger.debug("scan of %d cells, Schur path: 1 factorization, %d "
-                     "back-substitutions in %d calls", len(cells),
-                     linear.rhs_solved, len(cells) + 1)
-        return powers
+        return _schur_powers(Problem(mesh, background), cells,
+                             model.kind == "pec", data)
+    powers = np.empty((len(cells), len(data)))
     tasks = [(mesh, background, cell, model, data) for cell in cells]
     if workers > 1:
         # imported here: a serial scan never loads the process pool
@@ -373,7 +364,7 @@ def mpm_scan(mesh: Mesh, background: MaterialMap, grid: CellGrid,
     model = contrast_model(contrast)
     if tol is None:
         tol = 3.0 * measurements.noise_rel + 1e-9
-    meas = measurements.powers
+    meas = measurements.noisy
     test_powers = cell_powers(mesh, background, grid.cells, model, data,
                               workers)
     denom = np.abs(meas)[None, :]

@@ -712,17 +712,26 @@ def _inclusion_extent_ok(inc: Inclusion, radius: float,
 
 
 def _inclusions_disjoint(a: Inclusion, b: Inclusion, gap: float) -> bool:
-    def samples(inc: Inclusion) -> np.ndarray:
-        if isinstance(inc, DiskInclusion):
-            return _ring_points(inc.center, inc.radius, 64, stagger=False)
-        return _polygon_cloud(np.asarray(inc.vertices, dtype=float),
-                              _poly_h(inc))
+    """Whether neither inclusion holds a point of the other and they lie
+    ``gap`` apart.  Containment is decided exactly: a polygon holding a
+    disk's centre or a vertex of another polygon (``_point_in_polygon``).
+    So is a disk's gap, its centre's distance to the other boundary less
+    its radius; two polygons are as far apart as their sampled clouds."""
     if isinstance(a, DiskInclusion) and isinstance(b, DiskInclusion):
         d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
         return d >= a.radius + b.radius + gap
-    sa, sb = samples(a), samples(b)
-    d = np.linalg.norm(sa[:, None, :] - sb[None, :, :], axis=2).min()
-    return d >= gap
+    if isinstance(a, DiskInclusion):
+        a, b = b, a
+    va = np.asarray(a.vertices, dtype=float)
+    if isinstance(b, DiskInclusion):
+        c = np.asarray([b.center], dtype=float)
+        return not _point_in_polygon(c, va)[0] \
+            and _dist_to_polygon(c, va)[0] >= b.radius + gap
+    vb = np.asarray(b.vertices, dtype=float)
+    if _point_in_polygon(va, vb).any() or _point_in_polygon(vb, va).any():
+        return False
+    sa, sb = _polygon_cloud(va, _poly_h(a)), _polygon_cloud(vb, _poly_h(b))
+    return np.linalg.norm(sa[:, None] - sb[None], axis=2).min() >= gap
 
 
 def _poly_h(inc: PolygonInclusion) -> float:

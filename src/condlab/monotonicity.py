@@ -48,9 +48,6 @@ class PointwiseCertificate:
     witness_e: float | None
     notes: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def pointwise_leq(lo: MaterialMap, hi: MaterialMap,
                   labels: Iterable[int]) -> PointwiseCertificate:

@@ -102,12 +102,12 @@ class BoundaryDatum:
     def scaled(self, alpha: float) -> "BoundaryDatum":
         return BoundaryDatum(self.name, self.node_ids, alpha * self.values)
 
-    def plus(self, other: "BoundaryDatum", eps: float = 1.0,
-             name: str | None = None) -> "BoundaryDatum":
+    def plus(self, other: "BoundaryDatum",
+             eps: float = 1.0) -> "BoundaryDatum":
         if self.node_ids.shape != other.node_ids.shape or \
                 np.any(self.node_ids != other.node_ids):
             raise ValueError("data live on different boundaries")
-        return BoundaryDatum(name or f"{self.name}+{eps:g}*{other.name}",
+        return BoundaryDatum(f"{self.name}+{eps:g}*{other.name}",
                              self.node_ids, self.values + eps * other.values)
 
     @property
@@ -127,12 +127,11 @@ def project_zero_mean(values: np.ndarray,
 
 @dataclass(frozen=True)
 class DatumTerm:
-    """One additive term of a boundary datum.
-
-    kinds: "linear-x" (a*x), "linear-y" (a*y), "sin" (a*sin(k*theta)),
-    "cos" (a*cos(k*theta)), "exp-x2-2y" (a*exp(x^2 + 2*y)), "expr"
-    (amplitude times an arithmetic expression in x, y, r, theta and pi
-    over the functions of ``_EXPR_NAMES``).
+    """One additive term of a boundary datum: amplitude times an
+    arithmetic expression in x, y, r, theta and pi over the functions of
+    ``_EXPR_NAMES`` (kind "expr").  The other kinds are shorthands for
+    expressions (``_KIND_EXPRS``): "linear-x" (x), "linear-y" (y), "sin"
+    (sin(k*theta)), "cos" (cos(k*theta)) and "exp-x2-2y" (exp(x**2 + 2*y)).
     """
 
     kind: str
@@ -141,6 +140,8 @@ class DatumTerm:
     expr: str | None = None
 
 
+_KIND_EXPRS = {"linear-x": "x", "linear-y": "y", "sin": "sin(k*theta)",
+               "cos": "cos(k*theta)", "exp-x2-2y": "exp(x**2 + 2*y)"}
 _EXPR_NAMES = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
                "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
                "atan2": np.arctan2}
@@ -171,42 +172,40 @@ def _eval_expr(node: ast.AST, names: dict):
 
 
 def _term_values(term: DatumTerm, xy: np.ndarray) -> np.ndarray:
-    x, y = xy[:, 0], xy[:, 1]
-    theta = np.arctan2(y, x)
-    if term.kind == "linear-x":
-        return term.amplitude * x
-    if term.kind == "linear-y":
-        return term.amplitude * y
-    if term.kind == "sin":
-        return term.amplitude * np.sin(term.k * theta)
-    if term.kind == "cos":
-        return term.amplitude * np.cos(term.k * theta)
-    if term.kind == "exp-x2-2y":
-        return term.amplitude * np.exp(x ** 2 + 2.0 * y)
     if term.kind == "expr":
         if not term.expr:
             raise ValueError("expr term needs an expression string")
-        names = {"x": x, "y": y, "r": np.hypot(x, y), "theta": theta,
-                 "pi": np.pi}
-        tree = ast.parse(term.expr, mode="eval")
-        try:
-            out = _eval_expr(tree.body, names)
-        except (ArithmeticError, RecursionError) as exc:
-            raise ValueError(f"expr {term.expr!r}: {exc}") from None
-        return term.amplitude * np.broadcast_to(out, x.shape)
-    raise ValueError(f"unknown datum term kind {term.kind!r}")
+        text, names = term.expr, {}
+    elif term.kind in _KIND_EXPRS:
+        text, names = _KIND_EXPRS[term.kind], {"k": term.k}
+    else:
+        raise ValueError(f"unknown datum term kind {term.kind!r}")
+    x, y = xy[:, 0], xy[:, 1]
+    names.update(x=x, y=y, r=np.hypot(x, y), theta=np.arctan2(y, x),
+                 pi=np.pi)
+    out = _eval_expr(ast.parse(text, mode="eval").body, names)
+    return term.amplitude * np.broadcast_to(out, x.shape)
 
 
 def make_datum(mesh: Mesh, terms: Sequence[DatumTerm], name: str,
                bmass: BoundaryMass | None = None) -> BoundaryDatum:
     """Evaluate terms at the boundary nodes and project to zero mean.  A
-    datum constant on the boundary comes back as exact zeros."""
+    datum constant on the boundary comes back as exact zeros.  A term,
+    their sum or the projection that overflows, divides by zero or leaves
+    the reals raises ValueError."""
     bm = bmass if bmass is not None else boundary_mass(mesh)
     xy = mesh.nodes[bm.node_ids]
     raw = np.zeros(len(xy))
-    for term in terms:
-        raw = raw + _term_values(term, xy)
-    values, _ = project_zero_mean(raw, bm)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for term in terms:
+                raw = raw + _term_values(term, xy)
+            values, _ = project_zero_mean(raw, bm)
+    except ArithmeticError as exc:
+        raise ValueError(f"trace is not finite: {exc}") from None
+    except (RecursionError, MemoryError):
+        # the parser gives up on a deep nest with a bare MemoryError
+        raise ValueError("expr nests too deeply") from None
     # a constant projects to the round-off of its weighted mean, at most
     # an ulp of the amplitude per boundary node
     if np.all(np.abs(values) <= len(raw) * np.finfo(float).eps
@@ -651,16 +650,15 @@ def harmonic_initial_guess(problem: Problem,
 def fixed_state(problem: Problem, datum: BoundaryDatum) -> np.ndarray:
     """The nodal state that carries ``datum`` on the boundary and 0
     elsewhere.  Raises ``SolveError`` unless the datum covers the boundary
-    nodes of the problem's mesh and has zero weighted mean."""
+    nodes of the problem's mesh, is finite and has zero weighted mean."""
     bm = problem.bmass
-    vals_sorted = datum.values[np.argsort(datum.node_ids)]
     if datum.node_ids.shape != bm.node_ids.shape or \
             np.any(np.sort(datum.node_ids) != bm.node_ids):
         raise SolveError("datum does not cover the mesh boundary nodes")
-    mean = float(bm.weights @ vals_sorted / bm.total)
-    amp = max(float(np.max(np.abs(datum.values))), 1e-300) \
-        if len(datum.values) else 1e-300
-    if abs(mean) > 1e-9 * amp:
+    if not np.all(np.isfinite(datum.values)):
+        raise SolveError(f"datum {datum.name!r} is not finite")
+    _, mean = project_zero_mean(datum.values[np.argsort(datum.node_ids)], bm)
+    if abs(mean) > 1e-9 * max(datum.amplitude, 1e-300):
         raise SolveError(f"datum {datum.name!r} is not zero-mean "
                          f"(weighted mean {mean:.3e})")
     u_fix = np.zeros(problem.mesh.n_nodes)

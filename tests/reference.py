@@ -36,6 +36,14 @@ logger = logging.getLogger(__name__)
 # condlab.constitutive: certificates
 
 
+def flux_raw(model, e):
+    """The ideal (unfloored) current magnitude sigma_bar e0 (E/e0)^(p-1)
+    of a ``PowerLaw``."""
+    e = np.asarray(e, dtype=float)
+    out = model.sigma_bar * model.e0 * (e / model.e0) ** (model.p - 1.0)
+    return out if out.ndim else float(out)
+
+
 def default_e_grid(e_scale: float, n: int = 61) -> np.ndarray:
     """Log-spaced field-magnitude grid, three decades either side of a
     characteristic scale."""
@@ -119,8 +127,8 @@ def check_strong_monotonicity(model, p: float, kappa: float,
                                    axis=1)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    fa = np.asarray(model.flux_raw(na)) / na
-    fb = np.asarray(model.flux_raw(nb)) / nb
+    fa = np.asarray(flux_raw(model, na)) / na
+    fb = np.asarray(flux_raw(model, nb)) / nb
     lhs = np.einsum("ij,ij->i", fb[:, None] * b - fa[:, None] * a, b - a)
     d2 = np.einsum("ij,ij->i", b - a, b - a)
     if p >= 2.0:
@@ -145,7 +153,7 @@ def check_flux_monotone(model, grid: np.ndarray,
     if model.is_structural:
         return True, None
     grid = np.sort(np.asarray(grid, dtype=float))
-    f = np.asarray(model.flux_raw(grid))
+    f = np.asarray(flux_raw(model, grid))
     bad = np.nonzero(np.diff(f) <= rtol * np.maximum(np.abs(f[:-1]), 1e-300))[0]
     if len(bad):
         return False, float(grid[bad[0] + 1])
@@ -320,7 +328,7 @@ def _flux_inverse(model, j: float, e_seed: float, n_bisect: int = 80) -> float:
         return 0.0
     hi = max(e_seed, 1e-300)
     for _ in range(600):
-        if model.flux_raw(hi) >= j:
+        if flux_raw(model, hi) >= j:
             break
         hi *= 2.0
     else:
@@ -328,7 +336,7 @@ def _flux_inverse(model, j: float, e_seed: float, n_bisect: int = 80) -> float:
     lo = 0.0
     for _ in range(n_bisect):
         mid = 0.5 * (lo + hi)
-        if model.flux_raw(mid) < j:
+        if flux_raw(model, mid) < j:
             lo = mid
         else:
             hi = mid
@@ -356,7 +364,7 @@ def two_layer_strip(model_left, model_right, split: float, voltage: float,
         return t_l * _flux_inverse(model_left, j, e_seed) \
             + t_r * _flux_inverse(model_right, j, e_seed)
 
-    j_hi = max(model_left.flux_raw(e_seed), model_right.flux_raw(e_seed),
+    j_hi = max(flux_raw(model_left, e_seed), flux_raw(model_right, e_seed),
                1e-300)
     for _ in range(600):
         if total_v(j_hi) >= voltage:

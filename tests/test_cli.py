@@ -928,6 +928,16 @@ def test_wire_flags_nonpositive_differences(tmp_path, capsys):
 # Bad configs must be refused by the one config read that --check-only and
 # a run share: exit 2, the same error line, and nothing written.
 TRUTH = {"cells": [0]}
+
+
+def nested_cfg(inner):
+    """A disk mesh whose inclusion ``inner`` lies inside a unit square."""
+    square = {"shape": "polygon", "label": 1, "vertices": [
+        [-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+    return {"mesh": {"kind": "disk", "radius": 1.0, "target_h": 0.1,
+                     "inclusions": [square, inner]}}
+
+
 CONFIG_PROBES = [
     ("mpm-image", lambda: mpm_cfg(grid={"nx": 5}, truth=TRUTH),
      "missing keys in grid: ['ny']"),
@@ -1154,6 +1164,32 @@ CONFIG_PROBES = [
      "noise_rel must be >= 0, got -0.1"),
     ("mpm-image", lambda: mpm_cfg(tol=-0.5, truth=TRUTH),
      "tol must be >= 0, got -0.5"),
+    # a grid whose every triangle touches the boundary has no cell to scan
+    ("mpm-image", lambda: mpm_cfg(mesh={
+        "kind": "rect", "width": 1.0, "height": 1.0, "target_h": 0.5},
+        grid={"nx": 2, "ny": 2}, truth={"cells": []}),
+     "cell grid has no cell: every triangle touches the outer boundary"),
+    # a trace that overflows, in a term or in its zero-mean projection,
+    # is a config error
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "steep", "terms": [
+        {"kind": "expr", "amplitude": 1.0, "expr": "exp(1000*x)"}]}]),
+     "datum 'steep': trace is not finite: overflow encountered in exp"),
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "huge", "terms": [
+        {"kind": "exp-x2-2y", "amplitude": 1e307}]}]),
+     "datum 'huge': trace is not finite"),
+    ("solve", lambda: dict(PROBLEM, data=[{"name": "deep", "terms": [
+        {"kind": "expr", "amplitude": 1.0, "expr": "-" * 100_000 + "x"}]}]),
+     "datum 'deep': expr nests too deeply"),
+    # an inclusion inside another, a disk or a square that fits between
+    # the points of a sampled lattice of the outer square
+    ("mesh-gen", lambda: nested_cfg({"center": [0.0, 0.0], "radius": 0.1,
+                                     "label": 2}),
+     "inclusions 1 and 2 overlap or nearly touch"),
+    ("mesh-gen", lambda: nested_cfg({"shape": "polygon", "label": 2,
+                                     "vertices": [[0.12, 0.12], [0.22, 0.12],
+                                                  [0.22, 0.22],
+                                                  [0.12, 0.22]]}),
+     "inclusions 1 and 2 overlap or nearly touch"),
 ]
 
 

@@ -312,6 +312,45 @@ def test_inclusions_must_not_overlap():
         build_disk_mesh(1.0, 0.15, inclusions=incs)
 
 
+# a square of side 1 about the origin: an inclusion of size 0.1 fits
+# between the points of its cloud's interior lattice (spacing 1/3)
+SQUARE = PolygonInclusion(((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5),
+                           (-0.5, 0.5)), 1)
+
+
+@pytest.mark.parametrize("inner", [
+    DiskInclusion((0.0, 0.0), 0.1, 2),
+    PolygonInclusion(((0.12, 0.12), (0.22, 0.12), (0.22, 0.22),
+                      (0.12, 0.22)), 2)], ids=["disk", "square"])
+def test_an_inclusion_inside_another_is_refused(inner):
+    for incs in ([SQUARE, inner], [inner, SQUARE]):
+        with pytest.raises(MeshError, match="overlap or nearly touch"):
+            build_disk_mesh(1.0, 0.1, inclusions=incs)
+
+
+@pytest.mark.parametrize("x, ok", [(0.655, True), (0.645, False)])
+def test_a_disk_beside_a_square_keeps_the_gap(x, ok):
+    # the disk's edge lies 0.055 or 0.045 from the square, against a
+    # gap of 0.05
+    incs = [SQUARE, DiskInclusion((x, 0.0), 0.1, 2)]
+    if not ok:
+        with pytest.raises(MeshError, match="overlap or nearly touch"):
+            build_disk_mesh(1.0, 0.1, inclusions=incs)
+        return
+    mesh = build_disk_mesh(1.0, 0.1, inclusions=incs)
+    assert validate(mesh) == []
+    assert set(np.unique(mesh.labels).tolist()) == {0, 1, 2}
+
+
+def test_crossing_polygons_are_refused():
+    # a plus sign: neither bar holds a vertex of the other
+    bar = ((-0.4, -0.1), (0.4, -0.1), (0.4, 0.1), (-0.4, 0.1))
+    incs = [PolygonInclusion(bar, 1),
+            PolygonInclusion(tuple((y, x) for x, y in bar[::-1]), 2)]
+    with pytest.raises(MeshError, match="overlap or nearly touch"):
+        build_disk_mesh(1.0, 0.1, inclusions=incs)
+
+
 def test_annulus_radius_order():
     with pytest.raises(MeshError, match="r_inner < r_outer"):
         build_annulus_mesh(1.0, 0.5, 0.1)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import csgraph
@@ -38,7 +39,9 @@ from condlab.solver import (
     Problem,
     SolveError,
     _slope_root,
+    _term_values,
     element_fields,
+    fixed_state,
     harmonic_initial_guess,
     make_datum,
     project_zero_mean,
@@ -81,6 +84,38 @@ def test_expr_term_matches_builtin(disk):
     a = make_datum(disk, [DatumTerm("linear-x", 2.0)], "a")
     b = make_datum(disk, [DatumTerm("expr", 2.0, expr="r*cos(theta)")], "b")
     assert np.allclose(a.values, b.values, atol=1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def shipped_boundaries():
+    """The boundary nodes of two shipped meshes."""
+    xys = []
+    for name in ("demo_disk.json", "phantom_single.json"):
+        cfg = json.loads((CONFIGS / name).read_text())
+        mesh = cli.mesh_from_spec(cfg["mesh"], str(CONFIGS))
+        xys.append(mesh.nodes[boundary_mass(mesh).node_ids])
+    return xys
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-20, 20), decade=st.floats(-3.0, 3.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_named_kinds_are_their_formulas_bit_for_bit(shipped_boundaries, k,
+                                                     decade, sign):
+    a = sign * 10.0 ** decade
+    for xy in shipped_boundaries:
+        x, y = xy[:, 0], xy[:, 1]
+        theta = np.arctan2(y, x)
+        formulas = {"linear-x": a * x, "linear-y": a * y,
+                    "sin": a * np.sin(k * theta),
+                    "cos": a * np.cos(k * theta),
+                    "exp-x2-2y": a * np.exp(x ** 2 + 2.0 * y)}
+        for kind, expect in formulas.items():
+            got = _term_values(DatumTerm(kind, a, k=k), xy)
+            assert got.tobytes() == expect.tobytes(), (kind, k, a)
 
 
 def test_unknown_term_kind_rejected(disk):
@@ -308,6 +343,16 @@ def test_non_zero_mean_datum_rejected(disk, linear_unit):
     vals = disk.nodes[bm.node_ids, 0] + 5.0
     bad = BoundaryDatum("offset", bm.node_ids, vals)
     with pytest.raises(SolveError, match="is not zero-mean"):
+        solve(disk, linear_unit, bad)
+
+
+def test_trace_that_is_not_finite_rejected(disk, linear_unit):
+    vals = ramp(disk).values.copy()
+    vals[3] = np.nan
+    bad = BoundaryDatum("holey", boundary_mass(disk).node_ids, vals)
+    with pytest.raises(SolveError, match="datum 'holey' is not finite"):
+        fixed_state(Problem(disk, linear_unit), bad)
+    with pytest.raises(SolveError, match="datum 'holey' is not finite"):
         solve(disk, linear_unit, bad)
 
 

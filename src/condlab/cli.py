@@ -596,6 +596,8 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
     noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
     if noise_rel < 0.0:
         raise ConfigError(f"noise_rel must be >= 0, got {noise_rel!r}")
+    if noise_rel >= 1.0:  # 1 + noise_rel * u, u in [-1, 1), stays > 0
+        raise ConfigError(f"noise_rel must be < 1, got {noise_rel!r}")
     seed = _int(cfg.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")

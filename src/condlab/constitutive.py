@@ -2,11 +2,13 @@
 
 Every conducting law is a ``PowerLaw``, sigma(E) = sigma_bar (E/e0)^(p-2)
 with growth exponent p > 1, mapping field magnitude E = |grad u| >= 0 to a
-conductivity, with derived quantities used by the solver:
+conductivity, with derived quantities:
 
     flux(E)           = sigma(E) * E          (current magnitude)
     energy_density(E) = integral_0^E flux     (convex potential)
-    dflux(E)          = d flux / dE           (Newton linearization)
+
+The solver reads ``sigma`` and ``energy_density``; its Newton slope
+d flux / dE is read off sigma (``solver.Point.hessian``).
 
 ``Linear`` (p = 2) and ``EJPowerLaw`` (p = (n + 1) / n, the
 superconductor E-J law) construct it.  A law is regularized below a floor
@@ -88,13 +90,6 @@ class PowerLaw:
     def flux(self, e):
         return self.sigma(e) * np.asarray(e, dtype=float)
 
-    def dflux(self, e):
-        e = np.asarray(e, dtype=float)
-        lo = e < self.reg_eps
-        out = (self.p - 1.0) * self.sigma_raw(np.maximum(e, self.reg_eps))
-        out = np.where(lo, self.sigma_raw(self.reg_eps), out)
-        return out if out.ndim else float(out)
-
     def energy_density_raw(self, e):
         e = np.asarray(e, dtype=float)
         out = (self.sigma_bar * self.e0 ** 2 / self.p) \
@@ -140,7 +135,7 @@ class _Structural:
         raise ConstitutiveError(f"{self.kind} is structural; sigma(E) is "
                                 f"never evaluated pointwise")
 
-    sigma = sigma_raw = flux = dflux = _refuse
+    sigma = sigma_raw = flux = _refuse
     energy_density = energy_density_raw = _refuse
 
     def __eq__(self, other) -> bool:

@@ -40,7 +40,7 @@ import numpy as np
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
 from .mesh import Mesh, adjacency, distinct, reach
-from .solver import (BoundaryDatum, Problem, SolveError, fixed_state,
+from .solver import (BoundaryDatum, Point, Problem, SolveError, fixed_state,
                      harmonic_initial_guess, pec_conductors, stranded_error)
 
 logger = logging.getLogger(__name__)
@@ -228,8 +228,8 @@ def _schur_powers(problem: Problem, cells: Sequence[Cell], pec: bool,
     mesh = problem.mesh
     fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
     x = harmonic_initial_guess(problem, fixed)
-    e0 = np.array([problem.energy(problem.nodal_state(fixed[:, k], x[:, k]))
-                   for k in range(len(data))])
+    e0 = np.array([Point.evaluate(problem, problem.nodal_state(
+        fixed[:, k], x[:, k])).energy for k in range(len(data))])
     label = fresh_label(mesh, problem.materials)
     rhs_solved = len(data)
     powers = np.empty((len(cells), len(data)))

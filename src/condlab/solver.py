@@ -39,10 +39,12 @@ the nodal residual of its last Newton point, which the pairings in
 groups: the same active slots, each law with its floor rescaled, so a
 stage is a set of laws on the one structure, not another ``Problem``.
 
-Every point the Newton iteration visits is evaluated by one element pass:
-the nodal state, the element gradients and their norms, from which the
-conductivity, the element fluxes, the reduced gradient and, on demand,
-the energy and the Hessian follow.  The tolerance and round-off floor
+A ``Point`` is the one evaluator of a state.  Every point the Newton
+iteration visits is evaluated by one element pass: the nodal state, the
+element gradients and their norms, from which the conductivity, the
+element fluxes, the reduced gradient and, on demand, the energy, the
+Hessian (its law slope read off the conductivity) and the round-off floor
+follow.  The tolerance and round-off floor
 checks, the Hessian and the line search all read that one evaluation; a
 line-search point that is accepted becomes the next step's start, each
 continuation stage starts from the point the stage before stopped at,
@@ -62,7 +64,8 @@ stop decreasing near the minimizer.  Power-law floors follow a
 warm-started continuation schedule that shrinks reg_eps tenfold per
 stage.  The stages fill in the solve's one ``SolveInfo``; the last stage's
 exit, ``tol`` or ``floor``, is logged with its counters at debug level and
-has the gradient within the tolerance or the round-off floor.
+has the gradient within the tolerance or the round-off floor; a gradient
+norm, tolerance or energy that is not finite raises a ``SolveError``.
 """
 from __future__ import annotations
 
@@ -270,7 +273,7 @@ class Problem:
     it governs; ``band`` is their ``Band``.  Every free unknown must reach
     the boundary through conducting triangles (a PEC component counts as
     one node), else the problem is singular and construction raises
-    ``SolveError``.
+    ``SolveError``.  A ``Problem`` evaluates no state: a ``Point`` does.
     """
 
     def __init__(self, mesh: Mesh, materials: MaterialMap):
@@ -404,62 +407,11 @@ class Problem:
             out[sel] = getattr(model, what)(norms[sel])
         return out
 
-    def energy_of(self, norms: np.ndarray,
-                  groups: Sequence | None = None) -> float:
-        """Energy of a state whose element gradients have these norms."""
-        return float(self.areas @ self.per_tri(norms, "energy_density",
-                                               groups))
-
-    def energy(self, u: np.ndarray) -> float:
-        return self.energy_of(self.grad_norms(u)[1])
-
-    def element_flux(self, grads: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        """Per active triangle, the energy-gradient contributions to its
-        three nodes, shape (m, 3), given the element gradients and the
-        conductivity sigma."""
-        w = (self.areas * sig)[:, None] * grads
-        return np.einsum("mi,mij->mj", w, self.grads)
-
     def assemble(self, contrib: np.ndarray) -> np.ndarray:
         """Sum per-triangle node contributions into a nodal vector, in
         triangle order."""
         return np.bincount(self.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_nodes)
-
-    def roundoff_floor(self, u: np.ndarray, sig: np.ndarray) -> float:
-        """Assembly round-off bound on the gradient at ``u``, where the
-        active triangles carry conductivity ``sig``.
-
-        Element gradients are differences of nodal values, so each residual
-        term carries an absolute float error of order
-        eps * sigma * max|u| * |grad phi_i| * max_j|grad phi_j| * area.
-        Regularized p<2 laws driven to the field floor make sigma huge
-        while the true fields vanish below float granularity; there the
-        assembled gradient cannot fall under this bound, and stationarity
-        is declared once it is reached.
-        """
-        u_mag = np.max(np.abs(u[self.triangles]), axis=1)
-        w = sig * u_mag * self._gmax * self.areas
-        r = self.assemble(w[:, None] * self._gnorm)
-        return float(np.finfo(float).eps * np.linalg.norm(self.reduce(r)))
-
-    def hessian(self, grads: np.ndarray, norms: np.ndarray,
-                sig: np.ndarray, groups: Sequence | None = None
-                ) -> np.ndarray:
-        """Reduced Hessian of the energy in ``band`` storage, at the state
-        with element gradients ``grads``, their norms and conductivity
-        ``sig`` (as ``grad_norms`` and ``per_tri`` give them), under
-        ``groups`` (default ``groups``)."""
-        dfl = self.per_tri(norms, "dflux", groups)
-        # d^2 Q / d(grad u)^2 = sigma * I + (dflux - sigma) * unit unit^T,
-        # so the element matrix is sigma * K0 + (dflux - sigma) * area *
-        # v v^T, with v = G^T unit the basis slopes along the field
-        v = np.einsum("mik,mi->mk", self.grads, grads) \
-            / np.maximum(norms, 1e-300)[:, None]
-        elem = sig[:, None, None] * self.unit_elements \
-            + ((dfl - sig) * self.areas)[:, None, None] \
-            * (v[:, :, None] * v[:, None, :])
-        return self.band.assemble(elem)
 
 
 def stranded_error(count: int) -> SolveError:
@@ -794,16 +746,14 @@ def _slope_root(slope, s0: float) -> float:
     return estimate()
 
 
-class _Point:
-    """One evaluated point x of a Newton stage.
-
-    Building it is the point's one element pass: the nodal state ``u``,
-    the element gradients ``grads`` and their ``norms``.  The rest comes
-    from those on first use, with the stage's law ``groups`` on
-    ``problem``: the conductivity ``sig``, the element flux contributions
-    ``contrib``, the nodal residual ``residual``, the reduced gradient
-    ``g``, the ``energy`` and the reduced ``hessian``.
-    """
+class Point:
+    """One evaluated state of a ``Problem``: its nodal state ``u`` (with
+    its free unknowns ``x`` when Newton made it), element gradients
+    ``grads`` and their ``norms`` from its one element pass, and from
+    those on first use, under the law ``groups`` (a ``stages`` entry):
+    ``sig``, the energy ``density`` and ``energy``, the element fluxes
+    ``contrib``, the nodal ``residual`` and the reduced gradient ``g``;
+    ``hessian()`` and ``roundoff_floor()`` on each call."""
 
     def __init__(self, problem: Problem, groups: Sequence, x: np.ndarray,
                  u: np.ndarray, grads: np.ndarray, norms: np.ndarray):
@@ -811,24 +761,34 @@ class _Point:
         self.grads, self.norms = grads, norms
 
     @classmethod
-    def evaluate(cls, problem: Problem, groups: Sequence, u_fix: np.ndarray,
-                 x: np.ndarray) -> "_Point":
-        u = problem.nodal_state(u_fix, x)
-        return cls(problem, groups, x, u, *problem.grad_norms(u))
+    def evaluate(cls, problem: Problem, u: np.ndarray, x=None,
+                 groups: Sequence | None = None) -> "Point":
+        """The point of nodal state ``u``; ``groups`` default to the map's."""
+        return cls(problem, problem.groups if groups is None else groups,
+                   x, u, *problem.grad_norms(u))
 
-    def on(self, groups: Sequence) -> "_Point":
-        """The same point under another stage's laws, without a new
-        element pass."""
-        return _Point(self.problem, groups, self.x, self.u, self.grads,
-                      self.norms)
+    def on(self, groups: Sequence) -> "Point":
+        """The same point under another stage's laws: no element pass."""
+        return Point(self.problem, groups, self.x, self.u, self.grads,
+                     self.norms)
 
     @functools.cached_property
     def sig(self) -> np.ndarray:
         return self.problem.per_tri(self.norms, "sigma", self.groups)
 
     @functools.cached_property
+    def density(self) -> np.ndarray:
+        return self.problem.per_tri(self.norms, "energy_density", self.groups)
+
+    @functools.cached_property
+    def energy(self) -> float:
+        return float(self.problem.areas @ self.density)
+
+    @functools.cached_property
     def contrib(self) -> np.ndarray:
-        return self.problem.element_flux(self.grads, self.sig)
+        """Energy-gradient contributions to each triangle's nodes, (m, 3)."""
+        w = (self.problem.areas * self.sig)[:, None] * self.grads
+        return np.einsum("mi,mij->mj", w, self.problem.grads)
 
     @functools.cached_property
     def residual(self) -> np.ndarray:
@@ -838,30 +798,58 @@ class _Point:
     def g(self) -> np.ndarray:
         return self.problem.reduce(self.residual)
 
-    @functools.cached_property
-    def energy(self) -> float:
-        return self.problem.energy_of(self.norms, self.groups)
-
     def hessian(self) -> np.ndarray:
-        return self.problem.hessian(self.grads, self.norms, self.sig,
-                                    self.groups)
+        """Reduced Hessian of the energy in the problem's ``band``
+        storage."""
+        problem, sig, norms = self.problem, self.sig, self.norms
+        # the law's slope d(sigma E)/dE: (p - 1) sigma above the floor and
+        # the scalar sigma(reg_eps) below it, of which an array power, as
+        # in sig, may differ in the last bit
+        slope = np.empty_like(sig)
+        for model, sel in self.groups:
+            slope[sel] = np.where(norms[sel] < model.reg_eps,
+                                  model.sigma_raw(model.reg_eps),
+                                  (model.p - 1.0) * sig[sel])
+        # d^2 Q / d(grad u)^2 = sigma * I + (slope - sigma) * unit unit^T,
+        # so the element matrix is sigma * K0 + (slope - sigma) * area *
+        # v v^T, with v = G^T unit the basis slopes along the field
+        v = np.einsum("mik,mi->mk", problem.grads, self.grads) \
+            / np.maximum(norms, 1e-300)[:, None]
+        elem = sig[:, None, None] * problem.unit_elements \
+            + ((slope - sig) * problem.areas)[:, None, None] \
+            * (v[:, :, None] * v[:, None, :])
+        return problem.band.assemble(elem)
+
+    def roundoff_floor(self) -> float:
+        """Assembly round-off bound on the gradient: element gradients are
+        differences of nodal values, so each residual term carries a float
+        error of order eps sigma max|u| |grad phi_i| max_j|grad phi_j| area.
+        Regularized p<2 laws driven to the field floor make sigma huge while
+        the true fields vanish below float granularity; there the assembled
+        gradient cannot fall under this bound."""
+        problem = self.problem
+        u_mag = np.max(np.abs(self.u[problem.triangles]), axis=1)
+        w = self.sig * u_mag * problem._gmax * problem.areas
+        r = problem.assemble(w[:, None] * problem._gnorm)
+        return float(np.finfo(float).eps * np.linalg.norm(problem.reduce(r)))
 
 
-def _newton_stage(problem: Problem, groups: Sequence, u_fix: np.ndarray,
-                  point: _Point, info: SolveInfo, stage: int) -> _Point:
-    """Newton iterations on one continuation stage, the law ``groups`` on
-    ``problem``, from ``point``, which carries them, checking each point up
-    to the one after step ``_MAX_ITER``; returns the last point.  Its
-    gradient norm, round-off floor (0 after ``tol``) and exit reason, None
-    when it meets neither bound, go to ``info``, with the steps and
-    counters."""
+def _newton_stage(point: Point, u_fix: np.ndarray, info: SolveInfo,
+                  stage: int, name: str) -> Point:
+    """Newton iterations on one continuation stage, the laws ``point``
+    carries, of datum ``name``, from ``point``, checking each point up to
+    the one after step ``_MAX_ITER``; returns the last point.  Its gradient
+    norm, round-off floor (0 after ``tol``) and exit reason, None when it
+    meets neither bound, go to ``info``, with the steps and counters."""
+    problem, groups = point.problem, point.groups
 
-    def evaluate(x_try: np.ndarray) -> _Point:
+    def evaluate(x_try: np.ndarray) -> Point:
         info.line_search_evals += 1
-        return _Point.evaluate(problem, groups, u_fix, x_try)
+        return Point.evaluate(problem, problem.nodal_state(u_fix, x_try),
+                              x_try, groups)
 
-    def line_search(p0: _Point, d: np.ndarray,
-                    gd: float) -> tuple[float, _Point | None]:
+    def line_search(p0: Point, d: np.ndarray,
+                    gd: float) -> tuple[float, Point | None]:
         """Step to the minimizer of the energy along the ray, which is
         convex there, located as the root of its slope g(x0 + t d).d.
         The root is accepted when its energy is finite and at most
@@ -869,7 +857,7 @@ def _newton_stage(problem: Problem, groups: Sequence, u_fix: np.ndarray,
         test, whose slope half is the root finder's own stop.  Returns the
         step and its point, or (0, None).  A root whose slope was taken
         reuses that point."""
-        tried: dict[float, _Point] = {}
+        tried: dict[float, Point] = {}
 
         def slope(t: float) -> float:
             tried[t] = p = evaluate(p0.x + t * d)
@@ -891,10 +879,13 @@ def _newton_stage(problem: Problem, groups: Sequence, u_fix: np.ndarray,
             scale = float(np.linalg.norm(
                 problem.reduce(problem.assemble(np.abs(point.contrib)))))
             info.grad_tol = _GRAD_RTOL * scale
+        if not np.isfinite(gn + info.grad_tol):
+            raise SolveError(f"datum {name!r}: grad norm {gn:.3e} or its "
+                             f"tolerance {info.grad_tol:.3e} is not finite")
         if gn <= info.grad_tol or gn == 0.0:
             info.grad_floor, info.exit_reason = 0.0, "tol"
             return point
-        floor = info.grad_floor = problem.roundoff_floor(point.u, point.sig)
+        floor = info.grad_floor = point.roundoff_floor()
         # a gradient indistinguishable from assembly round-off is
         # stationary to working precision
         info.exit_reason = "floor" if gn <= _FLOOR_FACTOR * floor else None
@@ -923,6 +914,8 @@ def _newton_stage(problem: Problem, groups: Sequence, u_fix: np.ndarray,
         point = nxt
 
 
+# an overflow leaves a norm or energy that is not finite: refused, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
           initial_guess: np.ndarray | None = None,
           problem: Problem | None = None) -> PotentialField:
@@ -955,8 +948,9 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     Raises
     ------
     SolveError
-        On line-search stall, or when the point after the last stage's
-        last step is above both the tolerance and the round-off floor.
+        On line-search stall, when the point after the last stage's
+        last step is above both the tolerance and the round-off floor, or
+        when a gradient norm, its tolerance or the energy is not finite.
     """
     if problem is None:
         problem = Problem(mesh, materials)
@@ -977,11 +971,11 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
         x[problem.free_cols] = np.where(np.isfinite(start), start, 0.0)
 
     info = SolveInfo()
-    point = _Point.evaluate(problem, problem.groups, u_fix, x)
+    point = Point.evaluate(problem, problem.nodal_state(u_fix, x), x)
     for stage, groups in enumerate(problem.stages):
         # each stage starts where the last one stopped, on its own laws
-        point = _newton_stage(problem, groups, u_fix, point.on(groups), info,
-                              stage)
+        point = _newton_stage(point.on(groups), u_fix, info, stage,
+                              datum.name)
     # the last stage's laws are ``problem.groups``, the map's own
     if info.exit_reason is None:
         raise SolveError(f"Newton did not converge (iteration budget "
@@ -991,6 +985,8 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
 
     r = point.residual
     info.energy = point.energy
+    if not np.isfinite(info.energy):
+        raise SolveError(f"datum {datum.name!r}: the energy is not finite")
     info.pec_flux_balance = {key: float(r[nodes].sum())
                              for key, nodes in problem.pec_groups.items()}
     logger.debug("solve %r: exit %s after %d Newton iterations, grad norm "
@@ -1012,12 +1008,10 @@ def element_fields(fld: PotentialField
     J = -sigma(|grad u|) grad u, shape (m, 2) each, and energy density
     Q(|grad u|), shape (m,), from one element pass; zero on PEI and PEC
     triangles, where the local field is not represented."""
-    problem = fld.problem
-    grads, norms = problem.grad_norms(fld.u)
+    problem, point = fld.problem, Point.evaluate(fld.problem, fld.u)
     m = problem.mesh.n_triangles
     e, j, q = np.zeros((m, 2)), np.zeros((m, 2)), np.zeros(m)
-    e[problem.active_tris] = -grads
-    sig = problem.per_tri(norms, "sigma")
-    j[problem.active_tris] = -sig[:, None] * grads
-    q[problem.active_tris] = problem.per_tri(norms, "energy_density")
+    e[problem.active_tris] = -point.grads
+    j[problem.active_tris] = -point.sig[:, None] * point.grads
+    q[problem.active_tris] = point.density
     return e, j, q

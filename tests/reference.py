@@ -26,8 +26,9 @@ from condlab.constitutive import ConstitutiveError, MaterialMap
 from condlab.dtn import _alpha_sweep, dtn_pairing, gauss_on_unit
 from condlab.mesh import Mesh, MeshError, _incircle, _orient, boundary_mass
 from condlab.oracle import OracleError, RadialSolution
-from condlab.solver import (BoundaryDatum, DatumTerm, PotentialField, Problem,
-                            harmonic_initial_guess, make_datum, solve)
+from condlab.solver import (BoundaryDatum, DatumTerm, Point, PotentialField,
+                            Problem, harmonic_initial_guess, make_datum,
+                            solve)
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +42,16 @@ def flux_raw(model, e):
     of a ``PowerLaw``."""
     e = np.asarray(e, dtype=float)
     out = model.sigma_bar * model.e0 * (e / model.e0) ** (model.p - 1.0)
+    return out if out.ndim else float(out)
+
+
+def dflux(model, e):
+    """d flux / dE of a ``PowerLaw``, evaluated as its own law pass:
+    (p - 1) sigma above the floor, the frozen sigma(reg_eps) below it."""
+    e = np.asarray(e, dtype=float)
+    lo = e < model.reg_eps
+    out = (model.p - 1.0) * model.sigma_raw(np.maximum(e, model.reg_eps))
+    out = np.where(lo, model.sigma_raw(model.reg_eps), out)
     return out if out.ndim else float(out)
 
 
@@ -417,7 +428,7 @@ def brute_force_min(mesh, materials, datum, seed: int = 0,
     scale = float(np.max(np.abs(datum.values))) or 1.0
 
     def objective(x: np.ndarray) -> float:
-        return problem.energy(problem.nodal_state(u_fix, x))
+        return Point.evaluate(problem, problem.nodal_state(u_fix, x)).energy
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(problem.n_free)]
@@ -448,9 +459,24 @@ def prolongation(problem: Problem) -> sparse.csr_matrix:
 def nodal_residual(problem: Problem, u: np.ndarray) -> np.ndarray:
     """Assembled energy gradient of ``problem`` at every node of the nodal
     state ``u`` (no boundary projection)."""
-    grads, norms = problem.grad_norms(u)
-    return problem.assemble(problem.element_flux(
-        grads, problem.per_tri(norms, "sigma")))
+    return Point.evaluate(problem, u).residual
+
+
+def dflux_hessian(point: Point) -> np.ndarray:
+    """The reduced Hessian at ``point`` in band storage, assembled from
+    the slope that ``dflux`` evaluates by a law pass of its own, where
+    ``Point.hessian`` reads it off the point's sigma."""
+    problem, grads, norms, sig = point.problem, point.grads, point.norms, \
+        point.sig
+    dfl = np.empty(len(norms))
+    for model, sel in point.groups:
+        dfl[sel] = dflux(model, norms[sel])
+    v = np.einsum("mik,mi->mk", problem.grads, grads) \
+        / np.maximum(norms, 1e-300)[:, None]
+    elem = sig[:, None, None] * problem.unit_elements \
+        + ((dfl - sig) * problem.areas)[:, None, None] \
+        * (v[:, :, None] * v[:, None, :])
+    return problem.band.assemble(elem)
 
 
 def dtn_pairing_via_lift(fld: PotentialField, phi: BoundaryDatum,

@@ -343,6 +343,29 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, case", [
+    ("solve", "sigma 1e308"), ("power", "sigma 1e308"),
+    ("power", "p = 4 at E0 1e-300"), ("gateaux-check", "eps 1e300")])
+def test_a_solve_that_overflows_is_a_solver_error(tmp_path, capsys, command,
+                                                  case):
+    # an infinite or NaN gradient norm met its own infinite tolerance and
+    # exited "tol", or stalled the line search; the read cannot see it
+    p4 = {"type": "power", "sigma_bar": 2.0, "E0": 1.0, "p": 4.0}
+    cfg = {"sigma 1e308": dict(PROBLEM, materials={"regions": {"0": {
+               "type": "linear", "sigma": 1e308}}}),
+           "p = 4 at E0 1e-300": dict(PROBLEM, materials={"regions": {
+               "0": dict(p4, E0=1e-300)}}),
+           "eps 1e300": dict(GATEAUX, materials={"regions": {"0": p4}},
+                             eps_list=[1e300])}[case]
+    assert run(tmp_path, command, cfg, "--check-only", out="check")[0] == 0
+    code, out = run(tmp_path, command, cfg)
+    assert code == cli.EXIT_SOLVER
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver error: datum '")
+    assert "is not finite" in err[0]
+
+
 def test_check_only_validates_without_writing(tmp_path, capsys):
     code, out = run(tmp_path, "solve", PROBLEM, "--check-only")
     assert code == 0
@@ -1117,6 +1140,15 @@ CONFIG_PROBES = [
     ("convergence-study", lambda: {"p_values": [float("nan")],
                                    "target_h": [0.4]},
      "p_values entry must be a finite number, got nan"),
+    # an exact solution that overflows, in Python floats (p = 4) or in
+    # numpy's (p = 2)
+    ("convergence-study", lambda: {"p_values": [4.0], "target_h": [0.4],
+                                   "u_outer": 1e300},
+     "the exact solution at p = 4 overflows: u_inner, u_outer, sigma_bar "
+     "or E0 is too large"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4],
+                                   "u_outer": 1e300},
+     "the exact solution at p = 2 overflows"),
     # a spacing whose point count overflows or is too large to mesh is
     # refused before any point is made
     ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, target_h=1e-320)),
@@ -1162,6 +1194,14 @@ CONFIG_PROBES = [
     # a negative noise level or flagging tolerance has no meaning
     ("mpm-image", lambda: mpm_cfg(noise_rel=-0.1, truth=TRUTH),
      "noise_rel must be >= 0, got -0.1"),
+    # a noise factor 1 + noise_rel * u, u in [-1, 1), that can reach 0
+    # makes a measured power 0, negative or not finite
+    ("mpm-image", lambda: mpm_cfg(noise_rel=1.0, truth=TRUTH),
+     "noise_rel must be < 1, got 1.0"),
+    ("mpm-image", lambda: mpm_cfg(noise_rel=2.0, truth=TRUTH),
+     "noise_rel must be < 1, got 2.0"),
+    ("mpm-image", lambda: mpm_cfg(noise_rel=1e308, truth=TRUTH),
+     "noise_rel must be < 1, got 1e+308"),
     ("mpm-image", lambda: mpm_cfg(tol=-0.5, truth=TRUTH),
      "tol must be >= 0, got -0.5"),
     # a grid whose every triangle touches the boundary has no cell to scan

@@ -9,6 +9,7 @@ from condlab.mesh import build_rect_mesh, boundary_mass
 from condlab.oracle import OracleError, annulus_radial_solution
 from condlab.solver import (
     DatumTerm,
+    Point,
     Problem,
     make_datum,
     solve,
@@ -107,6 +108,17 @@ def test_radial_argument_validation():
         annulus_radial_solution(0.9, 1.0, 1.0, 0.5, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("p", [1.2, 2.0, 4.0])
+def test_radial_overflow_is_an_oracle_error(p):
+    # Python floats raised OverflowError at p != 2 and numpy's warned at
+    # p = 2; a sum that overflows quietly is refused as well
+    with pytest.raises(OracleError, match=f"the exact solution at p = {p:g} "
+                       f"overflows"):
+        annulus_radial_solution(p, 1.0, 1.0, 0.5, 1.0, 0.0, 1e300)
+    with pytest.raises(OracleError, match="overflows"):
+        annulus_radial_solution(p, 1e308, 1.0, 0.5, 1.0, 0.0, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # layered strip
 
@@ -168,7 +180,7 @@ def test_brute_force_agrees_with_newton_on_tiny_mesh():
     datum = make_datum(mesh, [DatumTerm("linear-x", 1.0)], "ramp")
     ref = solve(mesh, materials, datum)
     bf = brute_force_min(mesh, materials, datum, seed=0)
-    e_newton = Problem(mesh, materials).energy(ref.u)
+    e_newton = Point.evaluate(Problem(mesh, materials), ref.u).energy
     assert abs(bf.energy - e_newton) <= 1e-6 * abs(e_newton)
     assert bf.n_free == (mesh.n_nodes - len(mesh.boundary_nodes))
 

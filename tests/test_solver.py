@@ -1,5 +1,6 @@
 """Dirichlet solver: data handling, exactness, optimality, structural regions."""
 
+import functools
 import gc
 import json
 import logging
@@ -36,6 +37,7 @@ from condlab.mesh import (
 from condlab.solver import (
     BoundaryDatum,
     DatumTerm,
+    Point,
     Problem,
     SolveError,
     _slope_root,
@@ -47,9 +49,9 @@ from condlab.solver import (
     project_zero_mean,
     solve,
 )
-from reference import (boundary_data_continuity_study, datum_family,
-                       dtn_pairing_via_lift, nodal_residual, ohmic_power,
-                       prolongation, two_layer_strip)
+from reference import (boundary_data_continuity_study, datum_family, dflux,
+                       dflux_hessian, dtn_pairing_via_lift, nodal_residual,
+                       ohmic_power, prolongation, two_layer_strip)
 
 
 def ramp(mesh, amplitude=1.0, name="ramp"):
@@ -168,7 +170,7 @@ def test_linear_disk_ramp_energy(disk, linear_unit):
     # unit gradient: energy is half the (polygonal) domain area
     assert abs(fld.info.energy - 0.5 * disk.areas.sum()) < 1e-9
     assert abs(fld.info.energy - 0.5 * np.pi) < 0.02 * np.pi
-    assert abs(Problem(disk, linear_unit).energy(fld.u)
+    assert abs(Point.evaluate(Problem(disk, linear_unit), fld.u).energy
                - fld.info.energy) < 1e-14
 
 
@@ -424,7 +426,8 @@ def test_assembled_gradient_matches_finite_differences():
         up, dn = u.copy(), u.copy()
         up[node] += h
         dn[node] -= h
-        num = (problem.energy(up) - problem.energy(dn)) / (2.0 * h)
+        num = (Point.evaluate(problem, up).energy
+               - Point.evaluate(problem, dn).energy) / (2.0 * h)
         assert abs(num - g[node]) <= 1e-5 * max(np.abs(g).max(), 1e-12)
 
 
@@ -437,7 +440,7 @@ def test_energy_optimality_under_perturbations(disk, power4, rng):
     for _ in range(100):
         u_try = fld.u.copy()
         u_try[interior] += scale * rng.standard_normal(len(interior))
-        assert problem.energy(u_try) \
+        assert Point.evaluate(problem, u_try).energy \
             >= e_star - 1e-10 * max(abs(e_star), 1.0)
 
 
@@ -683,9 +686,11 @@ def coo_reduced(problem, elem):
 
 def einsum_hessian_elements(problem, u):
     """Element Hessians area * G^T h G with the 2x2 law Hessian h."""
-    grads, norms = problem.grad_norms(u)
-    sig = problem.per_tri(norms, "sigma")
-    dfl = problem.per_tri(norms, "dflux")
+    point = Point.evaluate(problem, u)
+    grads, norms, sig = point.grads, point.norms, point.sig
+    dfl = np.empty(len(norms))
+    for model, sel in problem.groups:
+        dfl[sel] = dflux(model, norms[sel])
     unit = np.where(norms[:, None] > 0.0,
                     grads / np.maximum(norms, 1e-300)[:, None], 0.0)
     h = sig[:, None, None] * np.eye(2) \
@@ -732,8 +737,7 @@ def test_band_hessian_matches_coo_assembly(kind, rng):
     x = harmonic_initial_guess(problem, u_fix) \
         + 0.1 * rng.standard_normal(problem.n_free)
     u = problem.nodal_state(u_fix, x)
-    grads, norms = problem.grad_norms(u)
-    ab = problem.hessian(grads, norms, problem.per_tri(norms, "sigma"))
+    ab = Point.evaluate(problem, u).hessian()
     dense = band_to_dense(problem.band, ab)
     ref = coo_reduced(problem, einsum_hessian_elements(problem, u))[1]
     ref = ref.toarray()
@@ -746,6 +750,55 @@ def test_band_hessian_matches_coo_assembly(kind, rng):
                        atol=1e-12 * np.abs(d).max())
     assert np.allclose(inv_diag, 1.0 / np.diag(ref), rtol=1e-13)
     assert info.factorizations == 1 and info.linsolve_failures == 0
+
+
+@functools.cache
+def hessian_case():
+    """The p4 band case at a perturbed harmonic state: its problem, the
+    datum's nodal state and the free unknowns."""
+    mesh, mats = band_case("p4")
+    problem = Problem(mesh, mats)
+    u_fix = np.zeros(mesh.n_nodes)
+    datum = make_datum(mesh, [DatumTerm("sin", 1.0, k=2)], "sin2")
+    u_fix[datum.node_ids] = datum.values
+    x = harmonic_initial_guess(problem, u_fix) \
+        + 0.1 * np.random.default_rng(5).standard_normal(problem.n_free)
+    return problem, u_fix, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.just(2.0), st.floats(1.02, 6.0)),
+       n=st.floats(1.0, 60.0), sigma_bar=st.floats(1e-2, 1e8),
+       decade=st.floats(-12.0, 6.0), at=st.tuples(st.floats(0.0, 1.0),
+                                                  st.floats(0.0, 1.0)))
+def test_hessian_off_sigma_is_the_dflux_hessian_bit_for_bit(p, n, sigma_bar,
+                                                            decade, at):
+    # the slope read off sigma, (p - 1) sigma above the floor and sigma
+    # below it, gives the bits of the slope's own law pass
+    problem, u_fix, x = hessian_case()
+    u = problem.nodal_state(10.0 ** decade * u_fix, 10.0 ** decade * x)
+    norms = problem.grad_norms(u)[1]
+    (_, first), (_, second) = problem.groups
+    # each floor is one of its group's norms: the field straddles it and
+    # one norm sits on it
+    floors = [float(np.sort(norms[sel])[int(a * (len(sel) - 1))])
+              for a, sel in zip(at, (first, second))]
+    groups = ((PowerLaw(sigma_bar, 1.0, p, reg_eps=floors[0]), first),
+              (EJPowerLaw(sigma_bar, 1.0, n, reg_eps=floors[1]), second))
+    point = Point.evaluate(problem, u, groups=groups)
+    assert np.array_equal(point.hessian(), dflux_hessian(point))
+
+
+def test_an_overflowing_law_is_a_solve_error_naming_the_datum(disk):
+    # the gradient norm overflowed along with its tolerance and passed
+    # as "tol"; a sublinear law overflows in the energy alone
+    with pytest.raises(SolveError, match="datum 'ramp': grad norm inf or "
+                       "its tolerance inf is not finite"):
+        solve(disk, MaterialMap({0: Linear(1e308)}), ramp(disk))
+    with pytest.raises(SolveError,
+                       match="datum 'huge': the energy is not finite"):
+        solve(disk, MaterialMap({0: PowerLaw(1.0, 1.0, 1.5)}),
+              ramp(disk, 1e300, "huge"))
 
 
 @pytest.mark.parametrize("kind", ["pei", "pec"])
@@ -844,8 +897,8 @@ def test_band_lapack_calls_equal_scipys_wrappers(case, rng, monkeypatch):
         u_fix[datum.node_ids] = datum.values
         x = harmonic_initial_guess(problem, u_fix) \
             + 0.1 * rng.standard_normal(problem.n_free)
-        grads, norms = problem.grad_norms(problem.nodal_state(u_fix, x))
-        ab = problem.hessian(grads, norms, problem.per_tri(norms, "sigma"))
+        ab = Point.evaluate(problem,
+                            problem.nodal_state(u_fix, x)).hessian()
     band = problem.band
     ref = cholesky_banded(ab, lower=True)
     factor = band.factor(ab)

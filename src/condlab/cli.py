@@ -530,6 +530,10 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
         # the exact energy is 0, so no relative error is defined
         raise ConfigError(f"u_inner and u_outer must differ, both are "
                           f"{u_in!r}")
+    for key in ("p_values", "target_h"):
+        if not cfg[key]:
+            # no law or no mesh to study: the table would be its header
+            raise ConfigError(f"empty {key} list")
     hs = [_float(h, "target_h entry") for h in cfg["target_h"]]
     laws = []
     for p in cfg["p_values"]:

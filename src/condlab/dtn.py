@@ -16,33 +16,24 @@ respect to the trace, so the averaged power
 
 equals the Dirichlet energy of u^f (the transfer identity).
 
-Every averaged power a comparison uses is read as that minimum energy:
-``minimum_energies`` makes one cold solve per datum, with no quadrature
-error, and ``reproduce-wire``, ``monotonicity.ladder_suite`` and
-``mpm-image``'s measurements call it.  ``mpm-image``'s cell scan calls it
-once per cell on a nonlinear background; when every triangle of the
-background conducts with a p = 2 law, the scan reads each test power off
-one factorization of the background instead (``imaging.cell_powers``).
-The alpha quadrature serves only ``avg-power``, the command that shows
-the identity: ``average_dtn_power`` solves at Gauss-Legendre nodes on
-(0, 1) in ascending order, each warm-started from the previous solution
-scaled by the node ratio, and reports the mismatch to the energy as
-``transfer_residual``.  When every conducting triangle of the mesh
-carries a p = 2 law (``Problem.is_linear``, read off the laws the mesh
-carries: a label the map lists but no triangle has does not count, and
-PEI and PEC regions are no laws), the solution is homogeneous of degree
-one in the datum, u^(alpha f) = alpha u^f, so every node's pairing is
-alpha_k <Lambda(f), f> and the average solves once, at alpha = 1 (the
-homogeneity path).
+Every averaged power a comparison uses is read as that minimum energy,
+with no quadrature error: ``minimum_energies`` makes one cold solve per
+datum for ``reproduce-wire``, ``monotonicity.ladder_suite`` and
+``mpm-image`` (``imaging.cell_powers`` solves on the background instead
+when its laws are all p = 2).  The alpha quadrature serves only
+``avg-power``, the command that shows the identity, on every map:
+``average_dtn_power`` solves at Gauss-Legendre nodes on (0, 1) in
+ascending order, each warm-started from the previous solution scaled by
+the node ratio, and reports the mismatch to the energy as
+``transfer_residual``.
 
 A pairing reads the residual its solved field keeps, so it assembles
 none and builds no ``solver.Problem``.  ``average_dtn_power`` solves on
 the ``Problem`` it is given, so ``avg-power`` compiles one per (mesh,
-material map) pair, and on a linear map factorizes its harmonic start
-once, for all its data; every other function here that solves on one
-pair compiles a single ``Problem`` and drops it on return.  Each averaged
+material map) pair; every other function here that solves on one pair
+compiles a single ``Problem`` and drops it on return.  Each averaged
 power logs one debug line on ``condlab.dtn`` with its datum, quadrature
-order, number of solves and whether the homogeneity path was taken.
+order and number of solves.
 """
 from __future__ import annotations
 
@@ -79,20 +70,15 @@ def gauss_on_unit(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _alpha_sweep(problem: Problem, datum: BoundaryDatum,
                  alphas: np.ndarray) -> list[PotentialField]:
-    """Solve the datum scaled by each alpha (ascending), warm-starting each
-    node from the previous solution scaled by the node ratio."""
+    """Solve the datum scaled by each alpha (ascending, positive),
+    warm-starting each node from the previous solution scaled by the node
+    ratio."""
     fields: list[PotentialField] = []
-    prev_alpha = None
-    prev_u = None
-    for alpha in alphas:
-        guess = None
-        if prev_u is not None and prev_alpha not in (None, 0.0):
-            guess = prev_u * (alpha / prev_alpha)
-        fld = solve(problem.mesh, problem.materials,
-                    datum.scaled(float(alpha)), initial_guess=guess,
-                    problem=problem)
-        fields.append(fld)
-        prev_alpha, prev_u = float(alpha), fld.u
+    for k, alpha in enumerate(alphas):
+        guess = fields[-1].u * (alpha / alphas[k - 1]) if k else None
+        fields.append(solve(problem.mesh, problem.materials,
+                            datum.scaled(float(alpha)), initial_guess=guess,
+                            problem=problem))
     return fields
 
 
@@ -113,29 +99,20 @@ def average_dtn_power(problem: Problem, datum: BoundaryDatum,
                       quad_order: int = 16) -> PowerReport:
     """Averaged boundary power of one datum, with the transfer mismatch.
 
-    Solves at each Gauss-Legendre alpha node plus alpha = 1, or only at
-    alpha = 1 on a linear map; reports
+    Solves at each Gauss-Legendre alpha node plus alpha = 1; reports
     avg_power = sum_k w_k <Lambda(alpha_k f), f>, the full power
     <Lambda(f), f>, the Dirichlet energy of u^f, and
     |avg_power - energy| / max(|energy|, tiny) as ``transfer_residual``.
     Every solve runs on ``problem``.
     """
     alphas, weights = gauss_on_unit(quad_order)
-    at = np.append(alphas, 1.0)
-    linear = problem.is_linear
-    if linear:
-        full = solve(problem.mesh, problem.materials, datum, problem=problem)
-        pairings = at * dtn_pairing(full, datum)
-    else:
-        fields = _alpha_sweep(problem, datum, at)
-        full = fields[-1]
-        pairings = np.array([dtn_pairing(f, datum) for f in fields])
-    logger.debug("averaged power %r: quadrature order %d, %d solves, %s",
-                 datum.name, quad_order, 1 if linear else len(at),
-                 "homogeneity path" if linear else "alpha sweep")
+    fields = _alpha_sweep(problem, datum, np.append(alphas, 1.0))
+    pairings = np.array([dtn_pairing(f, datum) for f in fields])
+    logger.debug("averaged power %r: quadrature order %d, %d solves",
+                 datum.name, quad_order, len(fields))
     power = pairings[-1]
     avg = float(weights @ pairings[:-1])
-    energy = full.info.energy
+    energy = fields[-1].info.energy
     residual = abs(avg - energy) / max(abs(energy), 1e-300)
     nodes = tuple((float(a), float(w), float(pr))
                   for a, w, pr in zip(alphas, weights, pairings))

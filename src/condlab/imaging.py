@@ -12,22 +12,18 @@ cannot move the power past the measurement.
 Each averaged power, measured or tested, is a minimum energy: on any
 map, integral_0^1 <Lambda(alpha f), f> d alpha = E(u^f) (the transfer
 identity), so neither side runs an alpha quadrature.  The measurements
-are one solve per datum (``dtn.minimum_energies``).  The test powers
-depend on the background.  When every triangle conducts with a p = 2
-law, each test power is a quadratic form, and one factorization of the
-background stiffness, the background ``Problem``'s cold start, gives them
-all: each cell costs back-substitutions for its own unknowns and a Schur
-complement of their size, on which a 0/1 matrix P ties the cell's nodes to
-the unknowns they take in the stamped map, one per conductor for PEC and
-one per node with a triangle off the cell for PEI, in one formula
-(``_schur_powers``, one function that loops the cells itself), with no
-``Problem`` and no solve per cell.  On any other background each cell
-compiles its stamped ``Problem`` and solves every datum on it, in a
-process pool when ``workers`` is above 1.
+are one solve per datum (``dtn.minimum_energies``).  When every triangle
+of the background conducts with a p = 2 law, each test power is a
+quadratic form: ``cell_powers`` solves each datum once on the background
+``Problem``, and ``_schur_powers`` reads every cell's powers off those
+fields and the one factorization their solves share, with a Schur
+complement on the cell's unknowns and no ``Problem`` or solve per cell.
+On any other background each cell compiles its stamped ``Problem`` and
+solves every datum on it, in a process pool when ``workers`` is above 1.
 The path is read off the laws of the labels the mesh carries, so a law
-that the map lists for no triangle does not change it.
-Each scan logs one debug line on ``condlab.imaging`` with the path it
-took, its cells and the factorizations and back-substitutions it used.
+that the map lists for no triangle does not change it.  Each scan logs
+one debug line on ``condlab.imaging`` with the path it took, its cells
+and the factorizations and back-substitutions it used.
 """
 from __future__ import annotations
 
@@ -40,8 +36,8 @@ import numpy as np
 from .constitutive import PEC, PEI, MaterialMap
 from .dtn import minimum_energies
 from .mesh import Mesh, adjacency, distinct, reach
-from .solver import (BoundaryDatum, Point, Problem, SolveError, fixed_state,
-                     harmonic_initial_guess, pec_conductors, stranded_error)
+from .solver import (BoundaryDatum, PotentialField, Problem, SolveError,
+                     pec_conductors, solve, stranded_error)
 
 logger = logging.getLogger(__name__)
 
@@ -197,42 +193,39 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->k", a, b)
 
 
-def _schur_powers(problem: Problem, cells: Sequence[Cell], pec: bool,
-                  data: Sequence[BoundaryDatum]) -> np.ndarray:
-    """Test powers, shape (len(cells), len(data)), on a background
-    ``problem`` of p = 2 laws on every triangle, factored once: each cell's
-    row comes from a Schur complement on the cell.  Raises the
-    ``SolveError`` that solving on a cell's stamped map raises.
+def _schur_powers(fields: Sequence[PotentialField], cells: Sequence[Cell],
+                  pec: bool) -> np.ndarray:
+    """Test powers, shape (len(cells), len(fields)), from each datum's
+    field solved on one background ``Problem`` of p = 2 laws on every
+    triangle: each cell's row is a Schur complement on the cell, against
+    the ``start_factor`` those solves shared.  Raises the ``SolveError``
+    that solving on a cell's stamped map raises.
 
-    With K the sigma-weighted stiffness on the free unknowns, the
-    background's cold start (``harmonic_initial_guess``, one ``dpbtrs``
-    against its ``start_factor``) gives the data's minimizers u_bar, and
-    their energies E0.
-    The energy of any state is E0 + 1/2 (x - u_bar)^T K (x - u_bar), so
-    minimizing over every unknown off a cell's free unknowns S leaves
-    1/2 (y - u_bar_S)^T A (y - u_bar_S) with A = ((K^-1)_SS)^-1, and
-    (K^-1)_SS is |S| more back-substitutions against the same factor.
-    A test extreme on the cell removes the cell's element energy
-    1/2 [y; g]^T K_C [y; g] (K_C: the cell's sigma-weighted element
-    matrices, g: the fixed values of the cell's Dirichlet nodes) and ties
-    y = P t to the unknowns t that the nodes take in the stamped map: the
-    0/1 matrix P has one column per conductor (``pec_conductors``) for
-    PEC, and for PEI one per node with a triangle off the cell (the other
-    nodes are removed).  Minimizing over t gives the test power
-    E0 + 1/2 u_bar^T A u_bar - 1/2 g^T K_C g - 1/2 (P^T b)^T (P^T M P)^-1
-    (P^T b), with b = A u_bar + K_C g and M = A - K_C (Hager, SIAM Rev.
-    31, 1989).  The unknowns a PEI cell cuts off from the boundary are
-    found by a search of the triangle graph near the cell (``_kept``),
-    not from a pivot.
+    With K the sigma-weighted stiffness on the free unknowns, each field
+    is its datum's minimizer u_bar, of energy E0.  The energy of any state
+    is E0 + 1/2 (x - u_bar)^T K (x - u_bar), so minimizing over every
+    unknown off a cell's free unknowns S leaves 1/2 (y - u_bar_S)^T A
+    (y - u_bar_S) with A = ((K^-1)_SS)^-1, and (K^-1)_SS is |S| more
+    back-substitutions against the same factor.  A test extreme on the
+    cell removes the cell's element energy 1/2 [y; g]^T K_C [y; g] (K_C:
+    the cell's sigma-weighted element matrices, g: the field at the cell's
+    Dirichlet nodes) and ties y = P t to the unknowns t that the nodes
+    take in the stamped map: the 0/1 matrix P has one column per conductor
+    (``pec_conductors``) for PEC, and for PEI one per node with a triangle
+    off the cell (the other nodes are removed).  Minimizing over t gives
+    the test power E0 + 1/2 u_bar^T A u_bar - 1/2 g^T K_C g
+    - 1/2 (P^T b)^T (P^T M P)^-1 (P^T b), with b = A u_bar + K_C g and
+    M = A - K_C (Hager, SIAM Rev. 31, 1989).  The unknowns a PEI cell cuts
+    off from the boundary are found by a search of the triangle graph near
+    the cell (``_kept``), not from a pivot.
     """
+    problem = fields[0].problem
     mesh = problem.mesh
-    fixed = np.stack([fixed_state(problem, d) for d in data], axis=1)
-    x = harmonic_initial_guess(problem, fixed)
-    e0 = np.array([Point.evaluate(problem, problem.nodal_state(
-        fixed[:, k], x[:, k])).energy for k in range(len(data))])
+    u = np.stack([f.u for f in fields], axis=1)
+    e0 = np.array([f.info.energy for f in fields])
     label = fresh_label(mesh, problem.materials)
-    rhs_solved = len(data)
-    powers = np.empty((len(cells), len(data)))
+    rhs_solved = len(fields)
+    powers = np.empty((len(cells), len(fields)))
     for i, cell in enumerate(cells):
         tris = distinct(cell.tri_ids)
         if len(tris) == mesh.n_triangles:
@@ -258,8 +251,8 @@ def _schur_powers(problem: Problem, cells: Sequence[Cell], pec: bool,
         a = np.linalg.inv(problem.band.solve(problem.start_factor,
                                              unit)[cols[s]])
         rhs_solved += unit.shape[1]
-        u_bar = x[cols[s]]
-        g = fixed[nodes[~s]]
+        u_bar = u[nodes[s]]
+        g = u[nodes[~s]]
         b = a @ u_bar
         energy = e0 + 0.5 * _column_dots(u_bar, b) \
             - 0.5 * _column_dots(g, kc[np.ix_(~s, ~s)] @ g)
@@ -268,7 +261,7 @@ def _schur_powers(problem: Problem, cells: Sequence[Cell], pec: bool,
         powers[i] = energy - 0.5 * _column_dots(b, np.linalg.solve(m, b))
     logger.debug("scan of %d cells, Schur path: 1 factorization, %d "
                  "back-substitutions in %d calls", len(cells), rhs_solved,
-                 len(cells) + 1)
+                 len(cells) + len(fields))
     return powers
 
 
@@ -318,15 +311,17 @@ def cell_powers(mesh: Mesh, background: MaterialMap, cells: Sequence[Cell],
     datum's minimum energy with ``model`` (PEI or PEC) stamped onto
     ``cells[i]``.
 
-    When every triangle conducts with a p = 2 law, one factorization of
-    the background gives them all (``_schur_powers``), and
-    ``workers`` is not read.  Otherwise each cell compiles its stamped
-    ``Problem`` and solves every datum on it (``dtn.minimum_energies``),
-    in ``workers`` processes when that is above 1.
+    When every triangle conducts with a p = 2 law, each datum is solved
+    once on the background ``Problem`` and ``_schur_powers`` reads them
+    all off those fields; ``workers`` is not read.  Otherwise each cell
+    compiles its stamped ``Problem`` and solves every datum on it
+    (``dtn.minimum_energies``), in ``workers`` processes when that is
+    above 1.
     """
     if _linear_conducting(mesh, background):
-        return _schur_powers(Problem(mesh, background), cells,
-                             model.kind == "pec", data)
+        problem = Problem(mesh, background)
+        return _schur_powers([solve(mesh, background, d, problem=problem)
+                              for d in data], cells, model.kind == "pec")
     powers = np.empty((len(cells), len(data)))
     tasks = [(mesh, background, cell, model, data) for cell in cells]
     if workers > 1:

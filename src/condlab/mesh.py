@@ -38,7 +38,8 @@ class DiskInclusion:
 
 @dataclass(frozen=True)
 class PolygonInclusion:
-    """Simple-polygon inclusion given by CCW vertices and a region label >= 1."""
+    """Simple-polygon inclusion given by its vertices, in either
+    orientation, and a region label >= 1."""
 
     vertices: tuple[tuple[float, float], ...]
     label: int
@@ -711,12 +712,56 @@ def _inclusion_extent_ok(inc: Inclusion, radius: float,
         return bool(np.all(d <= radius - clearance))
 
 
+def _edges_meet(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The (len(va), len(vb)) mask of the edges of polygon ``va`` (edge i
+    joins vertices i and i + 1) that cross or touch edges of polygon
+    ``vb``, from the exact orientation signs of ``_signed_areas``."""
+    pts, na = np.concatenate([va, vb]), len(va)
+    a0, b0 = np.meshgrid(np.arange(na), na + np.arange(len(vb)),
+                         indexing="ij")
+    a1, b1 = (a0 + 1) % na, na + (b0 + 1 - na) % len(vb)
+
+    def turn(p, q, r) -> np.ndarray:
+        tris = np.stack([p.ravel(), q.ravel(), r.ravel()], axis=1)
+        return np.sign(_signed_areas(pts, tris)).reshape(p.shape)
+
+    # an overflow leaves a NaN sign, which meets nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        straddle = (turn(a0, a1, b0) * turn(a0, a1, b1) <= 0) \
+            & (turn(b0, b1, a0) * turn(b0, b1, a1) <= 0)
+    # collinear edges meet only where their extents overlap
+    p, q, r, t = pts[a0], pts[a1], pts[b0], pts[b1]
+    return straddle & np.all((np.minimum(p, q) <= np.maximum(r, t))
+                             & (np.minimum(r, t) <= np.maximum(p, q)), axis=-1)
+
+
+def _polygon_fault(vertices: np.ndarray) -> str | None:
+    """Why ``vertices`` bound no simple polygon, or None: fewer than 3
+    vertices, an edge of zero length, zero area (decided exactly) or two
+    edges that are not neighbours and meet.  Either orientation is
+    accepted."""
+    n = len(vertices)
+    if n < 3:
+        return f"needs at least 3 vertices, got {n}"
+    if np.any(np.all(vertices == np.roll(vertices, -1, axis=0), axis=1)):
+        return "has an edge of zero length"
+    ex = _exact(*vertices.ravel().tolist())
+    x, y = ex[0::2], ex[1::2]
+    if sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(n)) == 0:
+        return "has zero area"
+    i, j = np.triu_indices(n, 2)
+    neighbours = (i == 0) & (j == n - 1)
+    if _edges_meet(vertices, vertices)[i, j][~neighbours].any():
+        return "has edges that cross"
+    return None
+
+
 def _inclusions_disjoint(a: Inclusion, b: Inclusion, gap: float) -> bool:
     """Whether neither inclusion holds a point of the other and they lie
-    ``gap`` apart.  Containment is decided exactly: a polygon holding a
-    disk's centre or a vertex of another polygon (``_point_in_polygon``).
-    So is a disk's gap, its centre's distance to the other boundary less
-    its radius; two polygons are as far apart as their sampled clouds."""
+    ``gap`` (> 0) apart, decided from their shapes: a polygon holds no
+    disk's centre and no vertex of another polygon (``_point_in_polygon``),
+    no two polygon edges meet (``_edges_meet``), and every disk centre or
+    polygon vertex keeps the gap, plus any radius, from the other shape."""
     if isinstance(a, DiskInclusion) and isinstance(b, DiskInclusion):
         d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
         return d >= a.radius + b.radius + gap
@@ -728,10 +773,11 @@ def _inclusions_disjoint(a: Inclusion, b: Inclusion, gap: float) -> bool:
         return not _point_in_polygon(c, va)[0] \
             and _dist_to_polygon(c, va)[0] >= b.radius + gap
     vb = np.asarray(b.vertices, dtype=float)
-    if _point_in_polygon(va, vb).any() or _point_in_polygon(vb, va).any():
+    if _point_in_polygon(va, vb).any() or _point_in_polygon(vb, va).any() \
+            or _edges_meet(va, vb).any():
         return False
-    sa, sb = _polygon_cloud(va, _poly_h(a)), _polygon_cloud(vb, _poly_h(b))
-    return np.linalg.norm(sa[:, None] - sb[None], axis=2).min() >= gap
+    return min(_dist_to_polygon(va, vb).min(),
+               _dist_to_polygon(vb, va).min()) >= gap
 
 
 def _poly_h(inc: PolygonInclusion) -> float:
@@ -789,6 +835,11 @@ def build_disk_mesh(radius: float, target_h: float,
         if not _inclusion_extent_ok(inc, radius, center, clearance=target_h):
             raise MeshError(f"inclusion label {inc.label} too close to or "
                             f"outside the outer boundary")
+        if isinstance(inc, PolygonInclusion):
+            fault = _polygon_fault(np.asarray(inc.vertices, dtype=float))
+            if fault:
+                raise MeshError(f"inclusion label {inc.label}: the polygon "
+                                f"{fault}")
     # each inclusion's cloud is refined to its own spacing
     steps = [min(target_h, inc.radius / 2.0 if isinstance(inc, DiskInclusion)
                  else _poly_h(inc)) for inc in inclusions]

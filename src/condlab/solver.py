@@ -17,55 +17,41 @@ of entering the sum:
 
 Everything that depends only on the (mesh, material map) pair is compiled
 once into a ``Problem``: the unknown map, the active-triangle slices of the
-mesh arrays, the active triangles grouped by distinct model (equal laws
-under different labels are evaluated in one call) and the ``Band``, the
-one graph of the free unknowns: it proves that each reaches the boundary
-and gives their reverse Cuthill-McKee order (``mesh.reverse_cuthill_mckee``,
-the same as scipy's) and each element matrix entry's slot in LAPACK lower
-band storage.  The boundary mass, the cold-start stiffness (sigma-weighted
-when every law is p = 2, unit otherwise) and its banded Cholesky factor
-(LAPACK ``dpbtrf``) are built on first use and kept, so the start of every
-cold solve on the pair is one back-substitution against a factor computed
-once per ``Problem``; on a map of p = 2 laws that start is the minimizer,
-and every solve, warm-started or not, starts there and takes no Newton
-step.  ``dpbtrf`` and ``dpbtrs`` are called
-through ctypes in the OpenBLAS that numpy's wheel links, or from
-``scipy.linalg.lapack`` where that library exports no such symbols.  A
-``Problem`` holds no per-datum state; ``solve`` accepts one so that every
-solve on the same pair shares it, and builds its own when none is given.
-The solved ``PotentialField`` keeps the ``Problem`` it was solved on and
-the nodal residual of its last Newton point, which the pairings in
-``dtn`` read.  ``Problem.stages`` holds each continuation stage's law
-groups: the same active slots, each law with its floor rescaled, so a
-stage is a set of laws on the one structure, not another ``Problem``.
+mesh arrays, the active triangles grouped by distinct law, and the
+``Band``, whose one graph of the free unknowns proves that each reaches
+the boundary and orders them for LAPACK lower band storage.  Its
+cold-start stiffness (sigma-weighted when every law is p = 2, unit
+otherwise) is factorized once, on first use, by LAPACK ``dpbtrf`` (through
+ctypes in the OpenBLAS that numpy's wheel links, or from
+``scipy.linalg.lapack``), so every cold start on the pair is one
+``dpbtrs`` back-substitution; on a map of p = 2 laws that start is the
+minimizer, and every solve starts there and takes no Newton step.  A
+``Problem`` holds no per-datum state: ``solve`` takes one so that solves
+on the same pair share it.  ``Problem.stages`` holds each continuation
+stage's laws on the same active slots.  The solved ``PotentialField``
+keeps its ``Problem`` and the nodal residual of its last point, which the
+pairings in ``dtn`` read.
 
-A ``Point`` is the one evaluator of a state.  Every point the Newton
-iteration visits is evaluated by one element pass: the nodal state, the
-element gradients and their norms, from which the conductivity, the
-element fluxes, the reduced gradient and, on demand, the energy, the
-Hessian (its law slope read off the conductivity) and the round-off floor
-follow.  The tolerance and round-off floor
-checks, the Hessian and the line search all read that one evaluation; a
-line-search point that is accepted becomes the next step's start, each
-continuation stage starts from the point the stage before stopped at,
-and the solve's closing residual and energy are the last point's.
-Nodal states and reductions to the free unknowns use fancy indexing and
-one ``np.bincount``, not sparse products.
+A ``Point`` is the one evaluator of a state, by one element pass: the
+tolerance and round-off floor checks, the Hessian and the line search
+all read it; an accepted line-search point is the next step's start, each
+continuation stage starts where the last one stopped, and the solve's
+closing residual and energy are the last point's.  Nodal states and
+reductions to the free unknowns use fancy indexing and ``np.bincount``.
 
 Newton direction from the symmetrized flux linearization: each step sums
-the closed-form element Hessians into the band with one ``np.bincount``
-and solves by one banded Cholesky factorization, with a diagonally scaled
-gradient as the fallback when the factorization fails.  The step length is
-the root of the convex ray's slope, found by an Illinois (modified regula
-falsi) iteration on (0, 1] and accepted by the approximate Wolfe test:
-the slope shrank a hundredfold and the energy rose by at most 1e-10 of
-its size, a slack above the float resolution where flat (E-J) energies
-stop decreasing near the minimizer.  Power-law floors follow a
-warm-started continuation schedule that shrinks reg_eps tenfold per
-stage.  The stages fill in the solve's one ``SolveInfo``; the last stage's
-exit, ``tol`` or ``floor``, is logged with its counters at debug level and
-has the gradient within the tolerance or the round-off floor; a gradient
-norm, tolerance or energy that is not finite raises a ``SolveError``.
+the closed-form element Hessians into the band and solves by one banded
+Cholesky factorization, with a diagonally scaled gradient as the fallback
+when the factorization fails.  The step length is the root of the convex
+ray's slope, found by an Illinois (modified regula falsi) iteration on
+(0, 1] and accepted by the approximate Wolfe test: the slope shrank a
+hundredfold and the energy rose by at most 1e-10 of its size, a slack
+above the float resolution where flat (E-J) energies stop decreasing near
+the minimizer.  Power-law floors follow a warm-started continuation
+schedule that shrinks reg_eps tenfold per stage.  The last stage's exit,
+``tol`` or ``floor``, is logged with the solve's ``SolveInfo`` counters at
+debug level; a gradient norm, tolerance or energy that is not finite
+raises a ``SolveError``.
 """
 from __future__ import annotations
 
@@ -584,15 +570,13 @@ dpbtrf, dpbtrs = _numpy_band_cholesky() or _scipy_band_cholesky()
 def harmonic_initial_guess(problem: Problem,
                            u_fix: np.ndarray) -> np.ndarray:
     """The Newton start: the minimizer of the ``start_elements`` stiffness
-    with the trace of ``u_fix``, a nodal state or an (n_nodes, k) block of
-    them, by one back-solve against the ``Problem``'s ``start_factor``;
-    the harmonic extension, or on a map of p = 2 laws the solution."""
-    flux = np.einsum("mij,mj...->mi...", problem.start_elements,
+    with the trace of the nodal state ``u_fix``, by one back-solve against
+    the ``Problem``'s ``start_factor``; the harmonic extension, or on a
+    map of p = 2 laws the solution."""
+    flux = np.einsum("mij,mj->mi", problem.start_elements,
                      u_fix[problem.triangles])
-    rhs = np.stack([-problem.reduce(problem.assemble(f))
-                    for f in np.moveaxis(flux, 2, 0)], axis=1) \
-        if flux.ndim == 3 else -problem.reduce(problem.assemble(flux))
-    return problem.band.solve(problem.start_factor, rhs)
+    return problem.band.solve(problem.start_factor,
+                              -problem.reduce(problem.assemble(flux)))
 
 
 # ---------------------------------------------------------------------------
@@ -929,28 +913,16 @@ def solve(mesh: Mesh, materials: MaterialMap, datum: BoundaryDatum,
     and stationarity within ``_FLOOR_FACTOR`` (32) times the round-off
     floor.
 
-    Parameters
-    ----------
-    initial_guess : optional nodal array
-        Full nodal state to warm-start from (e.g. a scaled previous
-        solution); defaults to ``harmonic_initial_guess``, which a map
-        whose laws are all p = 2 (``Problem.is_linear``) starts from
-        anyway, since it is the minimizer there.
-    problem : optional Problem
-        ``Problem(mesh, materials)`` shared by repeated solves on the same
-        pair; built here when omitted.  The returned field keeps it.
-
-    Returns
-    -------
-    PotentialField
-        Converged state; ``info`` is the solve's record.
-
-    Raises
-    ------
-    SolveError
-        On line-search stall, when the point after the last stage's
-        last step is above both the tolerance and the round-off floor, or
-        when a gradient norm, its tolerance or the energy is not finite.
+    ``initial_guess``, a full nodal state (e.g. a scaled previous
+    solution), warm-starts the solve; without one, and always on a map of
+    p = 2 laws (``Problem.is_linear``), where it is the minimizer, the
+    solve starts at ``harmonic_initial_guess``.  ``problem`` is the
+    ``Problem(mesh, materials)`` that repeated solves on the pair share,
+    built here when omitted; the returned ``PotentialField`` keeps it and
+    the solve's record, ``info``.  Raises
+    ``SolveError`` on a line-search stall, when the point after the last
+    stage's last step is above both the tolerance and the round-off floor,
+    or when a gradient norm, its tolerance or the energy is not finite.
     """
     if problem is None:
         problem = Problem(mesh, materials)

@@ -804,12 +804,13 @@ UNUSED_P4 = {"type": "power", "sigma_bar": 1.0, "E0": 1.0, "p": 4.0}
     ("mpm-image", "phantom_single", "background", "condlab.imaging",
      "Schur path: 1 factorization"),
     ("avg-power", "demo_disk", "materials", "condlab.dtn",
-     "homogeneity path")])
+     "quadrature order 8, 9 solves")])
 def test_an_unused_nonlinear_label_changes_no_byte(tmp_path, caplog, command,
                                                    config, section, logger,
                                                    path):
     # linearity is read off the laws the mesh carries: a p = 4 law under a
-    # label that no triangle has changes neither the path nor the files
+    # label that no triangle has changes neither the scan's path, the
+    # solves of the alpha sweep nor the files
     cfg = json.loads((CONFIGS / f"{config}.json").read_text())
     code, plain = run(tmp_path, command, cfg, out="plain")
     assert code == 0
@@ -959,6 +960,12 @@ def nested_cfg(inner):
         [-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
     return {"mesh": {"kind": "disk", "radius": 1.0, "target_h": 0.1,
                      "inclusions": [square, inner]}}
+
+
+def polygon_cfg(vertices):
+    """A disk mesh with one polygon inclusion of label 1."""
+    return {"mesh": dict(DISK, inclusions=[
+        {"shape": "polygon", "label": 1, "vertices": vertices}])}
 
 
 CONFIG_PROBES = [
@@ -1164,11 +1171,16 @@ CONFIG_PROBES = [
         "target_h": 1e-320}),
      "annulus mesh would have about inf points, more than the 1000000 "
      "allowed"),
-    # a repeated polygon vertex makes a zero spacing
-    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=[{
-        "shape": "polygon", "label": 1,
-        "vertices": [[0, 0], [0.3, 0], [0.3, 0], [0.3, 0.3]]}])),
-     "disk mesh would have about inf points"),
+    # a polygon that bounds no region is refused by its label
+    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0], [0.3, 0], [0.3, 0.3]]),
+     "label 1: the polygon has an edge of zero length"),
+    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0]]),
+     "inclusion label 1: the polygon needs at least 3 vertices, got 2"),
+    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0.3], [0.3, 0], [0, 0.3]]),
+     "inclusion label 1: the polygon has zero area"),
+    ("mesh-gen",
+     lambda: polygon_cfg([[0, 0], [0.4, 0.35], [0.3, 0], [0, 0.3]]),
+     "inclusion label 1: the polygon has edges that cross"),
     # mesh coordinates are read as pairs of finite numbers
     ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[1e308, 0])),
      "disk mesh generation failed: points coincide in float"),
@@ -1230,6 +1242,20 @@ CONFIG_PROBES = [
                                                   [0.22, 0.22],
                                                   [0.12, 0.22]]}),
      "inclusions 1 and 2 overlap or nearly touch"),
+    # two squares 0.04 apart, against a gap of half of target_h, 0.05
+    ("mesh-gen", lambda: {"mesh": {
+        "kind": "disk", "radius": 1.0, "target_h": 0.1, "inclusions": [
+            {"shape": "polygon", "label": 3, "vertices": [
+                [-0.42, -0.2], [-0.02, -0.2], [-0.02, 0.2], [-0.42, 0.2]]},
+            {"shape": "polygon", "label": 4, "vertices": [
+                [0.02, -0.134], [0.42, -0.134], [0.42, 0.266],
+                [0.02, 0.266]]}]}},
+     "inclusions 3 and 4 overlap or nearly touch"),
+    # a study without a law or a mesh would write only a header
+    ("convergence-study", lambda: {"p_values": [], "target_h": [0.4]},
+     "empty p_values list"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": []},
+     "empty target_h list"),
 ]
 
 

@@ -301,7 +301,7 @@ def test_equal_laws_under_distinct_labels_share_one_group():
 
 
 # ---------------------------------------------------------------------------
-# homogeneity path on linear maps
+# homogeneity on linear maps
 
 LINEAR_MAPS = {
     "pei-cell": {0: Linear(1.0), 1: PEI()},
@@ -317,16 +317,12 @@ def cell_disk():
         DiskInclusion((0.3, 0.0), 0.25, 1)])
 
 
-def sweep_reference(mesh, mats, f, phi):
-    """What the alpha sweep gives: pairings with phi at the Gauss nodes,
-    their weighted sum, and the pairing and energy at alpha = 1."""
+def sweep_pairing(mesh, mats, f, phi):
+    """What the alpha sweep gives for the averaged pairing with phi: the
+    weighted sum of the pairings at the Gauss nodes."""
     alphas, weights = gauss_on_unit(ORDER)
-    problem = Problem(mesh, mats)
-    fields = _alpha_sweep(problem, f, np.concatenate([alphas, [1.0]]))
-    nodes = np.array([dtn_pairing(fld, phi) for fld in fields[:-1]])
-    return (nodes, float(weights @ nodes),
-            dtn_pairing(fields[-1], phi),
-            fields[-1].info.energy)
+    fields = _alpha_sweep(Problem(mesh, mats), f, alphas)
+    return float(weights @ [dtn_pairing(fld, phi) for fld in fields])
 
 
 def assert_rel(a, b, rtol=1e-12):
@@ -335,23 +331,21 @@ def assert_rel(a, b, rtol=1e-12):
 
 @pytest.mark.parametrize("name", sorted(LINEAR_MAPS))
 def test_homogeneity_path_matches_full_sweep(cell_disk, name):
+    # on p = 2 laws u^(alpha f) = alpha u^f, so the sweep's pairing at
+    # node k is alpha_k <Lambda(f), f>, and the reference's averaged cross
+    # pairing, which solves once and scales, is the sweep's
     mats = MaterialMap(LINEAR_MAPS[name])
     problem = Problem(cell_disk, mats)
     assert problem.is_linear
     f, g = data_pair(cell_disk)
-    nodes, avg, power, energy = sweep_reference(cell_disk, mats, f, f)
     rep = average_dtn_power(problem, f, quad_order=ORDER)
-    assert_rel(rep.avg_power, avg)
-    assert_rel(rep.power, power)
-    assert_rel(rep.energy, energy)
     alphas, weights = gauss_on_unit(ORDER)
     assert [a for a, _, _ in rep.nodes] == list(alphas)
     assert [w for _, w, _ in rep.nodes] == list(weights)
-    for (_, _, pr), ref in zip(rep.nodes, nodes):
-        assert_rel(pr, ref)
-    _, cross, _, _ = sweep_reference(cell_disk, mats, f, g)
+    for alpha, _, pairing in rep.nodes:
+        assert_rel(pairing, alpha * rep.power, 1e-14)
     assert_rel(average_dtn_pairing(cell_disk, mats, f, g, quad_order=ORDER),
-               cross)
+               sweep_pairing(cell_disk, mats, f, g))
 
 
 @pytest.fixture
@@ -370,19 +364,18 @@ def dtn_solves(monkeypatch):
     return calls
 
 
-def test_linear_map_solves_once_per_datum(cell_disk, dtn_solves, caplog):
+def test_linear_map_sweeps_every_node(cell_disk, dtn_solves, caplog):
+    # the reference's averaged cross pairing solves once on a linear map
     mats = MaterialMap(LINEAR_MAPS["pei-cell"])
     f, g = data_pair(cell_disk)
     with caplog.at_level(logging.DEBUG, logger="condlab.dtn"):
         average_dtn_power(Problem(cell_disk, mats), f, quad_order=8)
-        assert len(dtn_solves) == 1
+        assert len(dtn_solves) == 9
         average_dtn_pairing(cell_disk, mats, f, g, quad_order=8)
-        assert len(dtn_solves) == 2
+        assert len(dtn_solves) == 10
     lines = [r.getMessage() for r in caplog.records
              if r.name == "condlab.dtn"]
-    assert lines == [
-        "averaged power 'f': quadrature order 8, 1 solves, "
-        "homogeneity path"]
+    assert lines == ["averaged power 'f': quadrature order 8, 9 solves"]
 
 
 def test_nonlinear_map_sweeps_every_node(disk, power4, dtn_solves, caplog):
@@ -392,7 +385,7 @@ def test_nonlinear_map_sweeps_every_node(disk, power4, dtn_solves, caplog):
     assert len(dtn_solves) == 4
     assert [r.getMessage() for r in caplog.records
             if r.name == "condlab.dtn"] == [
-        "averaged power 'f': quadrature order 3, 4 solves, alpha sweep"]
+        "averaged power 'f': quadrature order 3, 4 solves"]
 
 
 def test_shared_problem_gives_identical_reports(cell_disk):

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from condlab import dtn, output, solver
+from condlab import dtn, imaging, output, solver
 from condlab.constitutive import PEC, PEI, Linear, MaterialMap, PowerLaw
 from condlab.dtn import average_dtn_power, minimum_energies
 from condlab.imaging import (
@@ -300,11 +300,23 @@ def count_builds_and_factors(monkeypatch) -> tuple[list, list]:
 @pytest.mark.parametrize("contrast", ["pei", "pec"])
 def test_linear_scan_compiles_and_factorizes_once(scan_mesh, grid, bg, fam,
                                                   monkeypatch, contrast):
+    # one background Problem and factorization; each datum is solved once
+    # on that Problem, with no Newton step, and the cells solve nothing
     meas = synth_measurements(scan_mesh, bg, fam)
     builds, factors = count_builds_and_factors(monkeypatch)
+    fields = []
+
+    def recording_solve(*args, **kw):
+        fields.append(solve(*args, **kw))
+        return fields[-1]
+
+    monkeypatch.setattr(imaging, "solve", recording_solve)
     mpm_scan(scan_mesh, bg, grid, fam, meas, contrast=contrast, workers=1)
     assert len(builds) == 1
     assert len(factors) == 1
+    assert [f.datum.name for f in fields] == [d.name for d in fam]
+    assert len({id(f.problem) for f in fields}) == 1
+    assert all(f.info.n_iter == 0 for f in fields)
 
 
 def test_scan_logs_its_path(scan_mesh, grid, bg, fam, caplog):
@@ -316,7 +328,8 @@ def test_scan_logs_its_path(scan_mesh, grid, bg, fam, caplog):
     assert len(lines) == 1
     assert lines[0].startswith(f"scan of {grid.n_cells} cells, Schur path: "
                                f"1 factorization, ")
-    assert lines[0].endswith(f"in {grid.n_cells + 1} calls")
+    # one back-substitution per datum's solve, then one call per cell
+    assert lines[0].endswith(f"in {grid.n_cells + len(fam)} calls")
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,65 @@ def test_crossing_polygons_are_refused():
         build_disk_mesh(1.0, 0.1, inclusions=incs)
 
 
+def squares_apart(gap, shift):
+    """Two squares of side 0.4: the second starts ``gap`` to the right of
+    the first and is shifted up by ``shift``."""
+    def square(x, y, label):
+        return PolygonInclusion(((x, y), (x + 0.4, y), (x + 0.4, y + 0.4),
+                                 (x, y + 0.4)), label)
+    return [square(-0.42, -0.2, 1), square(-0.02 + gap, -0.2 + shift, 2)]
+
+
+@pytest.mark.parametrize("gap", [0.04, 0.03])
+def test_two_polygons_closer_than_the_gap_are_refused(gap):
+    # the required gap is half of target_h, 0.05
+    with pytest.raises(MeshError, match="overlap or nearly touch"):
+        build_disk_mesh(1.0, 0.1, inclusions=squares_apart(gap, 0.066))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.066])
+def test_two_polygons_beyond_the_gap_build(shift):
+    mesh = build_disk_mesh(1.0, 0.1, inclusions=squares_apart(0.06, shift))
+    assert validate(mesh) == []
+    assert set(np.unique(mesh.labels).tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("vertices, fault", [
+    ([[0.0, 0.0], [0.3, 0.0]], "needs at least 3 vertices, got 2"),
+    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.0], [0.3, 0.3]],
+     "has an edge of zero length"),
+    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.0, 0.0]],
+     "has an edge of zero length"),
+    ([[0.0, 0.0], [0.1, 0.1], [0.3, 0.3]], "has zero area"),
+    ([[0.0, 0.0], [0.3, 0.3], [0.3, 0.0], [0.0, 0.3]], "has zero area"),
+    ([[0.0, 0.0], [0.4, 0.35], [0.3, 0.0], [0.0, 0.3]],
+     "has edges that cross"),
+    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.15, 0.0], [0.0, 0.3]],
+     "has edges that cross")],
+    ids=["two vertices", "repeated vertex", "closing vertex", "collinear",
+         "symmetric bow-tie", "bow-tie", "touching"])
+def test_a_degenerate_polygon_is_refused(vertices, fault):
+    inc = PolygonInclusion(tuple(map(tuple, vertices)), 3)
+    with pytest.raises(MeshError) as err:
+        build_disk_mesh(1.0, 0.1, inclusions=[inc])
+    assert str(err.value) == f"inclusion label 3: the polygon {fault}"
+
+
+def test_a_clockwise_polygon_meshes_like_its_reverse():
+    ccw = ((0.0, 0.0), (0.3, 0.0), (0.3, 0.3), (0.0, 0.3))
+    a = build_disk_mesh(1.0, 0.1, inclusions=[PolygonInclusion(ccw, 1)])
+    b = build_disk_mesh(1.0, 0.1,
+                        inclusions=[PolygonInclusion(ccw[::-1], 1)])
+    assert np.count_nonzero(a.labels == 1) > 0
+    assert np.count_nonzero(b.labels == 1) == np.count_nonzero(a.labels == 1)
+    # a U whose two collinear top edges do not meet is simple
+    u = ((0.0, 0.0), (0.3, 0.0), (0.3, 0.2), (0.2, 0.2), (0.2, 0.1),
+         (0.1, 0.1), (0.1, 0.2), (0.0, 0.2))
+    assert validate(build_disk_mesh(1.0, 0.1,
+                                    inclusions=[PolygonInclusion(u, 1)])) \
+        == []
+
+
 def test_annulus_radius_order():
     with pytest.raises(MeshError, match="r_inner < r_outer"):
         build_annulus_mesh(1.0, 0.5, 0.1)

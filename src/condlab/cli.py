@@ -257,13 +257,6 @@ def _quad_order(cfg: dict) -> int:
     return order
 
 
-def _inert_quad_order(cfg: dict) -> None:
-    """Read and check a ``quad_order`` key that sets nothing here, so a
-    config that sets it passes only with a valid order."""
-    if "quad_order" in cfg:
-        _quad_order(cfg)
-
-
 def _material_id(cfg: dict) -> str:
     """The ``material_id`` key that labels each power_batch.csv row."""
     mat_id = cfg.get("material_id", "m0")
@@ -295,7 +288,7 @@ def cmd_mesh_gen(cfg: dict, args) -> Callable[[], int]:
         materials_from_spec(cfg["materials"]).check_covers(mesh.labels)
     if "data" in cfg:
         data_from_spec(mesh, cfg["data"])
-    _inert_quad_order(cfg)
+    _quad_order(cfg)  # checked, though mesh-gen runs no quadrature
     issues = validate(mesh)
     report = {"n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
               "n_boundary_nodes": int(len(mesh.boundary_nodes)),
@@ -411,7 +404,9 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                 {"quad_order", "pairs", "chain", "resolutions"})
     if "pairs" not in cfg and "chain" not in cfg:
         raise ConfigError("config needs 'pairs' and/or 'chain'")
-    _inert_quad_order(cfg)
+    if "pairs" in cfg and not cfg["pairs"]:
+        raise ConfigError("empty pairs list")  # nothing would be compared
+    _quad_order(cfg)  # checked, though no alpha quadrature runs here
 
     # (file stem, name of one comparison in messages, stdout heading, links)
     chains = []
@@ -431,6 +426,8 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                                               f"chain[{k}].materials")))
         _unique([name for name, _ in links], "chain link name")
         n = len(links)
+        if n < 2:  # a chain of one link has no pair to compare
+            raise ConfigError(f"chain needs at least 2 links, got {n}")
         chains.append(("ladder", "chain pair",
                        f"chain: {n * (n - 1) // 2} pairs, ", links))
 
@@ -535,9 +532,12 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
             # no law or no mesh to study: the table would be its header
             raise ConfigError(f"empty {key} list")
     hs = [_float(h, "target_h entry") for h in cfg["target_h"]]
+    ps = [_float(p, "p_values entry") for p in cfg["p_values"]]
+    # a repeat writes its rows twice and fits the order over one abscissa
+    _unique(hs, "target_h value")
+    _unique(ps, "p value")
     laws = []
-    for p in cfg["p_values"]:
-        p = _float(p, "p_values entry")
+    for p in ps:
         # the law checks its parameters before the oracle evaluates it
         mats = MaterialMap({0: PowerLaw(sigma_bar, e0, p)})
         try:
@@ -596,7 +596,7 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
                               f"boundary")
     contrast = cfg.get("contrast", "pei")
     contrast_model(contrast)  # rejects anything but pei and pec
-    _inert_quad_order(cfg)
+    _quad_order(cfg)  # checked, though no alpha quadrature runs here
     noise_rel = _float(cfg.get("noise_rel", 0.0), "noise_rel")
     if noise_rel < 0.0:
         raise ConfigError(f"noise_rel must be >= 0, got {noise_rel!r}")
@@ -661,8 +661,10 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
     healthy_mats = materials_from_spec(cfg["healthy"]["materials"],
                                        "healthy.materials")
     healthy_mats.check_covers(healthy_mesh.labels)
-    _inert_quad_order(cfg)
+    _quad_order(cfg)  # checked, though no alpha quadrature runs here
     data = data_from_spec(healthy_mesh, cfg["data"])
+    if not cfg["damaged"]:
+        raise ConfigError("empty damaged list")  # no table would be written
     cases = []
     for k, case in enumerate(cfg["damaged"]):
         _check_keys(case, f"damaged[{k}]", {"name", "materials"}, {"mesh"})

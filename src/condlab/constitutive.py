@@ -2,22 +2,22 @@
 
 Every conducting law is a ``PowerLaw``, sigma(E) = sigma_bar (E/e0)^(p-2)
 with growth exponent p > 1, mapping field magnitude E = |grad u| >= 0 to a
-conductivity, with derived quantities:
+conductivity.  Its current magnitude is the flux sigma(E) * E, and
 
-    flux(E)           = sigma(E) * E          (current magnitude)
     energy_density(E) = integral_0^E flux     (convex potential)
 
-The solver reads ``sigma`` and ``energy_density``; its Newton slope
-d flux / dE is read off sigma (``solver.Point.hessian``).
+The solver reads only ``sigma`` and ``energy_density``: the element fluxes
+and the Newton slope d flux / dE are read off sigma (``solver.Point``).
 
-``Linear`` (p = 2) and ``EJPowerLaw`` (p = (n + 1) / n, the
-superconductor E-J law) construct it.  A law is regularized below a floor
-``reg_eps`` by freezing sigma at sigma(reg_eps), which splices a quadratic
-energy density below the floor with a C^1 match.  ``energy_density`` is
-the exact integral of the regularized flux, so the spliced branch is
-consistent by construction.  The ``*_raw`` variants evaluate the ideal
-(unfloored) law; the solver and the order certificate use the regularized
-ones.
+``Linear(sigma)`` (p = 2) and ``EJPowerLaw(jc, e0, n)`` (p = (n + 1) / n,
+the superconductor E-J law) construct it with the default floor.  A law is
+regularized below a floor ``reg_eps`` by freezing sigma at sigma(reg_eps),
+which splices a quadratic energy density below the floor with a C^1
+match; continuation moves the floor with ``scale_reg_eps``.
+``energy_density`` is the exact integral of the regularized flux, so the
+spliced branch is consistent by construction.  The ``*_raw`` variants
+evaluate the ideal (unfloored) law; the solver and the order certificate
+use the regularized ones.
 
 PEC (perfectly conducting, sigma = +inf) and PEI (perfectly insulating,
 sigma = 0) are structural markers: they change the solver's unknown
@@ -87,9 +87,6 @@ class PowerLaw:
     def sigma(self, e):
         return self.sigma_raw(np.maximum(e, self.reg_eps))
 
-    def flux(self, e):
-        return self.sigma(e) * np.asarray(e, dtype=float)
-
     def energy_density_raw(self, e):
         e = np.asarray(e, dtype=float)
         out = (self.sigma_bar * self.e0 ** 2 / self.p) \
@@ -113,8 +110,7 @@ def Linear(sigma: float) -> PowerLaw:
     return PowerLaw(sigma_bar=sigma, e0=1.0, p=2.0)
 
 
-def EJPowerLaw(jc: float, e0: float, n: float,
-               reg_eps: float | None = None) -> PowerLaw:
+def EJPowerLaw(jc: float, e0: float, n: float) -> PowerLaw:
     """Superconductor E-J characteristic J = Jc * (E / e0)^(1/n).
 
     This is ``PowerLaw(sigma_bar=jc/e0, e0=e0, p=(n+1)/n)`` since
@@ -124,8 +120,7 @@ def EJPowerLaw(jc: float, e0: float, n: float,
         raise ConstitutiveError("jc and e0 must be positive")
     if n < 1:
         raise ConstitutiveError("creep exponent n must be >= 1")
-    return PowerLaw(sigma_bar=jc / e0, e0=e0, p=(n + 1.0) / n,
-                    reg_eps=reg_eps)
+    return PowerLaw(sigma_bar=jc / e0, e0=e0, p=(n + 1.0) / n)
 
 
 class _Structural:
@@ -135,7 +130,7 @@ class _Structural:
         raise ConstitutiveError(f"{self.kind} is structural; sigma(E) is "
                                 f"never evaluated pointwise")
 
-    sigma = sigma_raw = flux = _refuse
+    sigma = sigma_raw = _refuse
     energy_density = energy_density_raw = _refuse
 
     def __eq__(self, other) -> bool:

@@ -8,7 +8,8 @@ which supports multiply connected domains (annulus meshes have two loops).
 
 Disk meshes are the Delaunay triangulation of staggered polar rings plus
 inclusion clouds, built by Bowyer-Watson insertion on exact predicates
-(``delaunay``); annulus and rectangle meshes are structured.
+(``delaunay``); annulus and rectangle meshes are structured, and one quad
+split (``_quad_split``) cuts both grids into counterclockwise triangles.
 """
 from __future__ import annotations
 
@@ -892,6 +893,21 @@ def build_disk_mesh(radius: float, target_h: float,
     return _built("disk", mesh)
 
 
+def _quad_split(rows: int, n: int, wrap: bool) -> np.ndarray:
+    """Two triangles (a, b, b1), (a, b1, a1) per quad of a grid whose row
+    k holds nodes k * n to k * n + n - 1: a, a1 next in row k (``wrap``
+    closes the row), b, b1 beside them in row k + 1.  Both are
+    counterclockwise when the turn from a -> b to a -> a1 is.  Row by
+    row, the first triangles come before the second ones."""
+    j = np.arange(n if wrap else n - 1)
+    row = n * np.arange(rows - 1)[:, None]
+    a, a1 = row + j, row + (j + 1) % n
+    b, b1 = a + n, a1 + n
+    return np.stack([np.stack([a, b, b1], axis=-1),
+                     np.stack([a, b1, a1], axis=-1)],
+                    axis=1).reshape(-1, 3).astype(np.int64)
+
+
 def build_annulus_mesh(r_inner: float, r_outer: float,
                        target_h: float) -> Mesh:
     """Structured annulus mesh about the origin with two boundary loops,
@@ -910,18 +926,9 @@ def build_annulus_mesh(r_inner: float, r_outer: float,
     n_th = max(8, int(round(2.0 * np.pi * r_mid / target_h)))
     n_r = max(2, int(round((r_outer - r_inner) / target_h)))
     radii = np.linspace(r_inner, r_outer, n_r + 1)
-    rings = [_ring_points((0.0, 0.0), r, n_th, stagger=False)
-             for r in radii]
-    points = np.concatenate(rings)
-    tris = []
-    for k in range(n_r):
-        a = k * n_th + np.arange(n_th)
-        b = (k + 1) * n_th + np.arange(n_th)
-        a1 = k * n_th + (np.arange(n_th) + 1) % n_th
-        b1 = (k + 1) * n_th + (np.arange(n_th) + 1) % n_th
-        tris.append(np.stack([a, b, b1], axis=1))
-        tris.append(np.stack([a, b1, a1], axis=1))
-    triangles = _orient_ccw(points, np.concatenate(tris).astype(np.int64))
+    points = np.concatenate([_ring_points((0.0, 0.0), r, n_th, stagger=False)
+                             for r in radii])
+    triangles = _quad_split(n_r + 1, n_th, wrap=True)
     return _built("annulus", Mesh(points, triangles,
                                   np.zeros(len(triangles), dtype=np.int64)))
 
@@ -955,17 +962,7 @@ def build_rect_mesh(width: float, height: float, target_h: float,
     ys = np.linspace(0.0, height, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    n_y = len(ys)
-
-    def nid(i: int, j: int) -> int:
-        return i * n_y + j
-
-    tris = []
-    for i in range(len(xs) - 1):
-        for j in range(n_y - 1):
-            tris.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)])
-            tris.append([nid(i, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    triangles = _orient_ccw(points, np.asarray(tris, dtype=np.int64))
+    triangles = _quad_split(len(xs), len(ys), wrap=False)
     labels = np.zeros(len(triangles), dtype=np.int64)
     if layer_split is not None:
         cent_x = points[triangles].mean(axis=1)[:, 0]

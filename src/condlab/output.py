@@ -83,8 +83,8 @@ def write_solver_log(path: str, fld: PotentialField) -> None:
 
 # ---------------------------------------------------------------- powers
 
-def power_report_dict(report: PowerReport) -> dict:
-    return {
+def write_power_json(path: str, report: PowerReport) -> None:
+    write_json(path, {
         "datum": report.datum,
         "power": report.power,
         "avg_power": report.avg_power,
@@ -93,11 +93,7 @@ def power_report_dict(report: PowerReport) -> dict:
         "quad_order": report.quad_order,
         "alpha_nodes": [{"alpha": a, "weight": w, "pairing": v}
                         for a, w, v in report.nodes],
-    }
-
-
-def write_power_json(path: str, report: PowerReport) -> None:
-    write_json(path, power_report_dict(report))
+    })
 
 
 def write_power_batch_csv(path: str, rows: Iterable[Sequence]) -> None:
@@ -126,8 +122,8 @@ def write_ladder_csv(path: str, ladder: LadderReport) -> None:
 
 # --------------------------------------------------------------- imaging
 
-def mpm_result_dict(result: MpmResult) -> dict:
-    return {
+def write_mpm_json(path: str, result: MpmResult) -> None:
+    write_json(path, {
         "contrast": result.contrast,
         "tol": result.tol,
         "grid": {"nx": result.grid.nx, "ny": result.grid.ny,
@@ -140,11 +136,7 @@ def mpm_result_dict(result: MpmResult) -> dict:
                    "margins": [float(v) for v in result.margins[c.id]]}
                   for c in result.grid.cells],
         "flagged_cells": list(result.flagged_cells),
-    }
-
-
-def write_mpm_json(path: str, result: MpmResult) -> None:
-    write_json(path, mpm_result_dict(result))
+    })
 
 
 # ------------------------------------------------------------------- svg

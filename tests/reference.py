@@ -37,6 +37,11 @@ logger = logging.getLogger(__name__)
 # condlab.constitutive: certificates
 
 
+def flux(model, e):
+    """The current magnitude sigma(E) * E of a ``PowerLaw``."""
+    return model.sigma(e) * np.asarray(e, dtype=float)
+
+
 def flux_raw(model, e):
     """The ideal (unfloored) current magnitude sigma_bar e0 (E/e0)^(p-1)
     of a ``PowerLaw``."""

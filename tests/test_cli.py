@@ -1256,6 +1256,21 @@ CONFIG_PROBES = [
      "empty p_values list"),
     ("convergence-study", lambda: {"p_values": [2.0], "target_h": []},
      "empty target_h list"),
+    # a repeated law or spacing would write its rows twice
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": [0.4, 0.4]},
+     "repeated target_h value 0.4"),
+    ("convergence-study", lambda: {"p_values": [2, 2.0], "target_h": [0.4]},
+     "repeated p value 2.0"),
+    # a comparison with no pair, or a wire study with no damaged case,
+    # would write header-only tables or none
+    ("monotonicity-suite", lambda: suite_cfg(chain=[
+        {"name": "a", "materials": LIN2}]),
+     "chain needs at least 2 links, got 1"),
+    ("monotonicity-suite", lambda: suite_cfg(chain=[]),
+     "chain needs at least 2 links, got 0"),
+    ("monotonicity-suite", lambda: suite_cfg(pairs=[]), "empty pairs list"),
+    ("reproduce-wire", lambda: dict(wire_cfg("pei"), damaged=[]),
+     "empty damaged list"),
 ]
 
 

@@ -5,6 +5,7 @@ import gc
 import json
 import logging
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -784,7 +785,8 @@ def test_hessian_off_sigma_is_the_dflux_hessian_bit_for_bit(p, n, sigma_bar,
     floors = [float(np.sort(norms[sel])[int(a * (len(sel) - 1))])
               for a, sel in zip(at, (first, second))]
     groups = ((PowerLaw(sigma_bar, 1.0, p, reg_eps=floors[0]), first),
-              (EJPowerLaw(sigma_bar, 1.0, n, reg_eps=floors[1]), second))
+              (replace(EJPowerLaw(sigma_bar, 1.0, n), reg_eps=floors[1]),
+               second))
     point = Point.evaluate(problem, u, groups=groups)
     assert np.array_equal(point.hessian(), dflux_hessian(point))
 

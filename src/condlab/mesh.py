@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,20 +53,26 @@ Inclusion = DiskInclusion | PolygonInclusion
 def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas with the sign of the exact orientation: where the float
     filter of ``_orient`` leaves the sign open (a sliver, whose float area
-    may round to 0 or flip), the exact area rounded once."""
+    may round to 0 or flip), the exact area rounded once.  An area beyond
+    the float range is an infinity or NaN, not an error."""
     a = nodes[triangles[:, 0]]
     b = nodes[triangles[:, 1]]
     c = nodes[triangles[:, 2]]
-    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    det = left - right
-    unsure = np.abs(det) <= _ORIENT_BOUND * (np.abs(left) + np.abs(right)) \
-        + _TINY
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+        right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        det = left - right
+        unsure = np.abs(det) <= _ORIENT_BOUND * (np.abs(left)
+                                                 + np.abs(right)) + _TINY
     for t in np.flatnonzero(unsure):
         xy = nodes[triangles[t]].ravel().tolist()
         ax, ay, bx, by, cx, cy = _exact(*xy)
         den = max(v.as_integer_ratio()[1] for v in xy)
-        det[t] = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / den ** 2
+        num = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        try:
+            det[t] = num / den ** 2
+        except OverflowError:
+            det[t] = np.inf if num > 0 else -np.inf
     return 0.5 * det
 
 
@@ -234,10 +241,17 @@ class Mesh:
         areas = _signed_areas(self.nodes, self.triangles)
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
+            if areas[bad] == 0.0:
+                raise MeshError(f"degenerate (zero-area) triangle {bad}")
             raise MeshError(f"triangle {bad} has nonpositive area "
                             f"({areas[bad]:.3e}); orient CCW first")
         self.areas = areas
         self.grads = self._basis_gradients()
+        finite = np.isfinite(self.grads).all(axis=(1, 2)) \
+            & np.isfinite(areas)
+        if not finite.all():
+            raise MeshError(f"triangle {int(np.argmin(finite))} has an area "
+                            f"or gradient beyond the float range")
         self.edges, self.edge_counts = _edge_incidence(self.triangles,
                                                        self.n_nodes)
         self.boundary_edges = self.edges[self.edge_counts == 1]
@@ -251,10 +265,13 @@ class Mesh:
         c = self.nodes[self.triangles[:, 2]]
         # grad of hat_j is the rotated opposite edge over twice the area
         g = np.empty((len(self.triangles), 2, 3))
-        two_a = (2.0 * self.areas)[:, None]
-        g[:, :, 0] = np.stack([b[:, 1] - c[:, 1], c[:, 0] - b[:, 0]], axis=1) / two_a
-        g[:, :, 1] = np.stack([c[:, 1] - a[:, 1], a[:, 0] - c[:, 0]], axis=1) / two_a
-        g[:, :, 2] = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1) / two_a
+        # beyond the float range a gradient is an infinity or NaN, which
+        # __post_init__ refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_a = (2.0 * self.areas)[:, None]
+            for j, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+                g[:, :, j] = np.stack([p[:, 1] - q[:, 1],
+                                       q[:, 0] - p[:, 0]], axis=1) / two_a
         return g
 
     @property
@@ -306,9 +323,9 @@ def boundary_mass(mesh: Mesh) -> BoundaryMass:
 def validate(mesh: Mesh) -> list[str]:
     """Structural diagnostics; an empty list means the mesh is clean.
 
-    Checks: manifold edges, closed boundary loops, edge-connected background,
-    inclusions strictly interior (no labeled triangle touches the boundary),
-    no duplicate triangles, nonnegative labels.
+    Checks: manifold edges, closed and unpinched boundary loops,
+    nonnegative labels, an edge-connected background, no duplicate
+    triangles.  Where labels sit is each builder's own rule.
     """
     problems: list[str] = []
     if np.any(mesh.edge_counts > 2):
@@ -330,13 +347,6 @@ def validate(mesh: Mesh) -> list[str]:
         problems.append("no background (label 0) triangles")
     elif not _edge_connected(mesh.triangles[bg]):
         problems.append("background (label 0) is not edge-connected")
-    # inclusions compactly inside: no labeled triangle touches the boundary
-    touching = mesh.on_boundary[mesh.triangles].any(axis=1)
-    labeled = np.nonzero((mesh.labels >= 1) & touching)[0]
-    if len(labeled):
-        t = int(labeled[0])
-        problems.append(f"inclusion touches boundary (triangle {t}, "
-                        f"label {int(mesh.labels[t])})")
     # key each sorted triangle by the rank of its first side and its last
     # node, which stays below 2**63 where the key (i * n + j) * n + k may not
     n = mesh.n_nodes
@@ -788,6 +798,10 @@ def _poly_h(inc: PolygonInclusion) -> float:
 
 
 def _built(kind: str, mesh: Mesh) -> Mesh:
+    problems = validate(mesh)
+    if problems:
+        raise MeshError(f"{kind} mesh generation failed: "
+                        + "; ".join(problems))
     logger.debug("built %s mesh: %d nodes, %d triangles", kind, mesh.n_nodes,
                  mesh.n_triangles)
     return mesh
@@ -887,9 +901,11 @@ def build_disk_mesh(radius: float, target_h: float,
         labels[inside] = inc.label
 
     mesh = Mesh(points, triangles, labels)
-    problems = validate(mesh)
-    if problems:
-        raise MeshError("disk mesh generation failed: " + "; ".join(problems))
+    # the inclusions were placed strictly inside the disk
+    at = np.flatnonzero((labels > 0) & mesh.on_boundary[triangles].any(1))
+    if len(at):
+        raise MeshError(f"disk mesh generation failed: inclusion touches "
+                        f"boundary (triangle {at[0]}, label {labels[at[0]]})")
     return _built("disk", mesh)
 
 
@@ -986,26 +1002,53 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         fh.write("\n")
 
 
+def _read_rows(path: str, payload: dict, key: str) -> np.ndarray:
+    """The rows ``payload[key]`` of a mesh file, read as strictly as a
+    config's numbers: node coordinates finite, triangle indices and labels
+    integers in the int64 range (an integral float included).  Bools,
+    strings and fractions are refused, not coerced."""
+    integral = key == "triangles"
+    width, form = (4, "[i, j, k, label] rows of integers in the int64 "
+                      "range") if integral else \
+        (2, "[x, y] rows of finite numbers")
+
+    def fits(v) -> bool:
+        if integral:
+            return (type(v) is int or type(v) is float and v.is_integer()) \
+                and -2**63 <= v < 2**63
+        return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+    rows = payload[key]
+    for row in rows if isinstance(rows, list) else [rows]:
+        shaped = isinstance(row, list) and len(row) == width
+        for v in row if shaped else [row]:
+            if not shaped or not fits(v):
+                raise MeshError(f"mesh file {path}: {key} must be {form}, "
+                                f"got {v!r}")
+    return np.array(rows, dtype=np.int64 if integral else float) \
+        .reshape(-1, width)
+
+
 def load_mesh(path: str) -> Mesh:
     """Read the JSON mesh format and validate it.
 
-    Clockwise triangles are reoriented silently; structural defects
-    (nonmanifold edges, open boundary, boundary-touching inclusions,
-    disconnected background) raise ``MeshError``.
+    Its numbers are read as ``_read_rows`` reads them.  Clockwise
+    triangles are reoriented silently; degenerate triangles, geometry
+    beyond the float range and structural defects (nonmanifold edges,
+    open boundary, disconnected background) raise ``MeshError``, which
+    names the file.
     """
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        nodes = np.asarray(payload["nodes"], dtype=float)
-        rows = np.asarray(payload["triangles"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+        nodes = _read_rows(path, payload, "nodes")
+        rows = _read_rows(path, payload, "triangles")
+    except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from None
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise MeshError("triangles must be [i, j, k, label] rows")
-    triangles = _orient_ccw(nodes, rows[:, :3])
-    if np.any(_signed_areas(nodes, triangles) <= 0.0):
-        raise MeshError("degenerate (zero-area) triangle in mesh file")
-    mesh = Mesh(nodes, triangles, rows[:, 3])
+    try:  # an index past the nodes fails in _orient_ccw, before Mesh
+        mesh = Mesh(nodes, _orient_ccw(nodes, rows[:, :3]), rows[:, 3])
+    except (MeshError, IndexError) as exc:
+        raise MeshError(f"invalid mesh {path}: {exc}") from None
     problems = validate(mesh)
     if problems:
         raise MeshError(f"invalid mesh {path}: " + "; ".join(problems))

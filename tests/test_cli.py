@@ -83,7 +83,9 @@ def test_mesh_gen_writes_mesh_and_report(tmp_path, capsys):
     assert (out / "mesh.json").exists()
     assert (out / "run_meta.json").exists()
     report = json.loads((out / "mesh_report.json").read_text())
-    assert report["issues"] == []
+    # the mesh passed validate where it was made, so no issues key
+    assert sorted(report) == ["labels", "n_boundary_nodes", "n_nodes",
+                              "n_triangles"]
     assert report["labels"] == [0, 1]
     assert report["n_nodes"] > 0
     # the same report is printed for quick inspection
@@ -98,15 +100,22 @@ def test_mesh_gen_save_as(tmp_path):
     assert not (out / "mesh.json").exists()
 
 
-def test_mesh_gen_flags_validation_issues(tmp_path, capsys):
-    # a layer split to the boundary is reported and fails the run
-    rect = {"kind": "rect", "width": 1.0, "height": 1.0, "target_h": 0.4,
+def test_mesh_gen_saves_a_layered_rect_that_reloads(tmp_path):
+    # a layer split to the boundary is a valid mesh: mesh-gen saves it,
+    # and a solve on the saved file writes what a solve on the spec does
+    rect = {"kind": "rect", "width": 1.0, "height": 0.5, "target_h": 0.1,
             "layer_split": 0.5}
-    code, out = run(tmp_path, "mesh-gen", {"mesh": rect})
-    assert code == 2
-    report = json.loads(capsys.readouterr().out)
-    assert any("touches boundary" in s for s in report["issues"])
-    assert not (out / "mesh.json").exists()
+    cfg = dict(PROBLEM, mesh=rect, materials={"regions": {
+        "0": {"type": "linear", "sigma": 1.0},
+        "1": {"type": "power", "sigma_bar": 1.0, "E0": 1.0, "p": 4.0}}})
+    code, _ = run(tmp_path, "mesh-gen", cfg, out="m")
+    assert code == 0
+    code, spec = run(tmp_path, "solve", cfg, out="spec")
+    assert code == 0
+    code, saved = run(tmp_path, "solve",
+                      dict(cfg, mesh={"path": "m/mesh.json"}), out="saved")
+    assert code == 0
+    assert_same_data_files(spec, saved)
 
 
 def test_mesh_gen_check_only_writes_no_files(tmp_path):
@@ -1008,6 +1017,11 @@ CONFIG_PROBES = [
      "cell ids [999] outside range"),
     ("avg-power", lambda: dict(PROBLEM, quad_order=0),
      "quadrature order must be >= 1"),
+    # the Gauss rule's companion matrix would take 728 TiB
+    ("avg-power", lambda: dict(PROBLEM, quad_order=10**7),
+     "quadrature order must be <= 1000, got 10000000"),
+    ("mesh-gen", lambda: dict(PROBLEM, quad_order=1001),
+     "quadrature order must be <= 1000, got 1001"),
     # solve and power read the quad_order key they accept; the ids differ
     # from avg-power's only to stay unique
     ("solve", lambda: dict(PROBLEM, quad_order=0),
@@ -1190,6 +1204,14 @@ CONFIG_PROBES = [
      "mesh center x must be a finite number, got True"),
     ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[0, 0, 0])),
      "mesh center must be a pair [x, y], got [0, 0, 0]"),
+    # geometry outside the float range: areas that overflow, and areas of
+    # counterclockwise triangles that underflow to 0
+    ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, radius=1e300,
+                                              target_h=2e299)),
+     "triangle 0 has an area or gradient beyond the float range"),
+    ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, radius=1e-300,
+                                              target_h=2e-301)),
+     "degenerate (zero-area) triangle 0"),
     ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
         INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0],
                                    center=[0.3, True])])),
@@ -1304,6 +1326,41 @@ def assert_fails_like_a_run(tmp_path, capsys, command, cfg, message):
 def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
                                      message):
     assert_fails_like_a_run(tmp_path, capsys, command, make_cfg(), message)
+
+
+# a mesh file's numbers are read as strictly as a config's, and its
+# geometry must stay in the float range
+@pytest.mark.parametrize("key, row, col, value, message", [
+    ("nodes", 4, 0, float("nan"), "mesh file {path}: nodes must be [x, y] "
+                                  "rows of finite numbers, got nan"),
+    ("triangles", 0, 2, 0.5, "mesh file {path}: triangles must be "
+                             "[i, j, k, label] rows of integers in the "
+                             "int64 range, got 0.5"),
+    ("triangles", 0, 3, 0.5, "mesh file {path}: triangles must be "
+                             "[i, j, k, label] rows of integers in the "
+                             "int64 range, got 0.5"),
+    ("triangles", 0, 3, 2**70, "mesh file {path}: triangles must be "
+                               "[i, j, k, label] rows of integers in the "
+                               "int64 range, got 1180591620717411303424"),
+    ("nodes", 4, 0, 1e308, "invalid mesh {path}: triangle 0 has an area or "
+                           "gradient beyond the float range"),
+    ("triangles", 0, 2, 5, "invalid mesh {path}: index 5 is out of bounds"),
+    ("triangles", 0, 2, -1, "invalid mesh {path}: triangle index out of "
+                            "range"),
+], ids=["nan coordinate", "fractional index", "fractional label",
+        "label past int64", "gradient past the float range",
+        "index past the nodes", "negative index"])
+def test_mesh_file_is_read_strictly(tmp_path, capsys, key, row, col, value,
+                                    message):
+    payload = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+               "triangles": [[0, 1, 4, 0], [1, 2, 4, 0], [2, 3, 4, 0],
+                             [3, 0, 4, 0]]}
+    payload[key][row][col] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert_fails_like_a_run(tmp_path, capsys, "solve",
+                            dict(PROBLEM, mesh={"path": "m.json"}),
+                            message.format(path=path))
 
 
 # A valid config of each subcommand; the Newton controls are fixed, so

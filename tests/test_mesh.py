@@ -1,8 +1,10 @@
 """Mesh construction, validation diagnostics, boundary mass, file I/O."""
 
+import copy
 import json
 import logging
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 import reference
+from condlab import mesh as mesh_mod
 from condlab.cli import mesh_from_spec
 from condlab.mesh import (
     DiskInclusion,
@@ -165,13 +168,12 @@ def test_validate_clean_on_builders():
         assert validate(m) == []
 
 
-def test_layered_rect_flags_only_the_boundary_contact():
+def test_layered_rect_validates_clean():
     # the layered rectangle is a 1D fixture whose second phase reaches the
-    # boundary on purpose; that is the one diagnostic it may trip
+    # boundary on purpose; where labels sit is no structural rule
     m = build_rect_mesh(1.0, 1.0, 0.25, layer_split=0.5)
-    msgs = validate(m)
-    assert len(msgs) == 1
-    assert "inclusion touches boundary" in msgs[0]
+    assert m.on_boundary[m.triangles[m.labels == 1]].any()
+    assert validate(m) == []
 
 
 def test_polygon_inclusion_builds_clean():
@@ -189,6 +191,22 @@ def test_nonpositive_area_rejected_at_construction():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="nonpositive area"):
         Mesh(nodes, np.array([[0, 2, 1]]), np.zeros(1, dtype=int))
+
+
+@pytest.mark.parametrize("nodes, message", [
+    # counterclockwise, but its area underflows to 0
+    ([[0.0, 0.0], [1e-300, 0.0], [0.0, 1e-300]],
+     "degenerate (zero-area) triangle 0"),
+    # its area overflows, in float and in the exact product
+    ([[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]],
+     "triangle 0 has an area or gradient beyond the float range"),
+    # a finite area, 5e-11, and a gradient of about 2e310
+    ([[0.0, 0.0], [1e300, 0.0], [0.0, 1e-310]],
+     "triangle 0 has an area or gradient beyond the float range"),
+])
+def test_geometry_outside_the_float_range_is_refused(nodes, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        Mesh(np.array(nodes), np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
 
 
 def test_sliver_area_is_the_exact_area_rounded_once():
@@ -245,10 +263,17 @@ def test_validate_no_background():
     assert any("no background (label 0)" in p for p in validate(m))
 
 
-def test_validate_inclusion_touching_boundary():
-    m = square_mesh().relabeled(np.array([0, 1]))
-    msgs = validate(m)
-    assert any("inclusion touches boundary" in p for p in msgs)
+def test_disk_builder_refuses_an_inclusion_touching_the_boundary(
+        monkeypatch):
+    # validate has no rule on where labels sit; the disk builder, which
+    # promises interior inclusions, keeps it even past its clearance test
+    assert validate(square_mesh().relabeled(np.array([0, 1]))) == []
+    monkeypatch.setattr(mesh_mod, "_inclusion_extent_ok",
+                        lambda *args, **kwargs: True)
+    with pytest.raises(MeshError, match=r"disk mesh generation failed: "
+                       r"inclusion touches boundary \(triangle \d+, "
+                       r"label 1\)"):
+        build_disk_mesh(1.0, 0.3, [DiskInclusion((0.9, 0.0), 0.3, 1)])
 
 
 def test_validate_duplicate_triangles():
@@ -483,11 +508,64 @@ def test_load_rejects_degenerate_triangle(tmp_path):
 
 def test_load_rejects_invalid_structure(tmp_path):
     path = tmp_path / "bad.json"
-    payload = {"nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
-               "triangles": [[0, 1, 2, 0], [0, 2, 3, 1]]}
+    payload = {"nodes": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+               "triangles": [[0, 1, 2, 0], [1, 2, 0, 0]]}
     path.write_text(json.dumps(payload))
-    with pytest.raises(MeshError, match="invalid mesh"):
+    with pytest.raises(MeshError, match="invalid mesh .*: duplicate "
+                                        "triangles present"):
         load_mesh(str(path))
+
+
+# the five-node square: four triangles about its centre node
+SQUARE5 = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+           "triangles": [[0, 1, 4, 0], [1, 2, 4, 0], [2, 3, 4, 0],
+                         [3, 0, 4, 0]]}
+
+
+@pytest.mark.parametrize("key, row, col, value, message", [
+    ("nodes", 4, 0, float("nan"), "nodes must be [x, y] rows of finite "
+                                  "numbers, got nan"),
+    ("nodes", 4, 0, 10**400, "finite numbers, got 1000"),
+    ("nodes", 4, 1, True, "finite numbers, got True"),
+    ("nodes", 4, 1, "0.5", "finite numbers, got '0.5'"),
+    ("triangles", 0, 2, 0.5, "triangles must be [i, j, k, label] rows of "
+                             "integers in the int64 range, got 0.5"),
+    ("triangles", 0, 3, 0.5, "in the int64 range, got 0.5"),
+    ("triangles", 0, 3, 2**70,
+     "in the int64 range, got 1180591620717411303424"),
+    ("triangles", 0, 3, 2.0**63,
+     "in the int64 range, got 9.223372036854776e+18"),
+    ("triangles", 0, 3, False, "in the int64 range, got False"),
+    ("triangles", 0, 3, None, "in the int64 range, got None"),
+    ("triangles", 0, None, [0, 1, 4], "rows of integers in the int64 range, "
+                                      "got [0, 1, 4]"),
+], ids=["nan coordinate", "coordinate past the float range", "bool "
+        "coordinate", "string coordinate", "fractional index", "fractional "
+        "label", "label past int64", "float label past int64", "bool label",
+        "null label", "three-column row"])
+def test_load_reads_numbers_as_strictly_as_a_config(tmp_path, key, row, col,
+                                                    value, message):
+    payload = copy.deepcopy(SQUARE5)
+    if col is None:
+        payload[key][row] = value
+    else:
+        payload[key][row][col] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MeshError) as info:
+        load_mesh(str(path))
+    assert str(info.value).startswith(f"mesh file {path}: {key} must be ")
+    assert message in str(info.value)
+
+
+def test_load_takes_integral_floats_as_integers(tmp_path):
+    payload = copy.deepcopy(SQUARE5)
+    payload["triangles"][0] = [0.0, 1, 4.0, -0.0]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    m = load_mesh(str(path))
+    assert m.triangles.dtype == np.int64
+    assert np.array_equal(m.triangles[0], [0, 1, 4])
 
 
 def test_load_rejects_missing_key(tmp_path):

@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .constitutive import (ConstitutiveError, EJPowerLaw, Linear,
                            MaterialMap, PEC, PEI, PowerLaw)
-from .mesh import (DiskInclusion, Mesh, MeshError, PolygonInclusion,
-                   boundary_mass, build_annulus_mesh, build_disk_mesh,
-                   build_rect_mesh, distinct, load_mesh, save_mesh)
+from .mesh import (DiskInclusion, Mesh, MeshError, boundary_mass,
+                   build_annulus_mesh, build_disk_mesh, build_rect_mesh,
+                   distinct, load_mesh, save_mesh)
 from .solver import (BoundaryDatum, DatumTerm, Problem, SolveError,
                      element_fields, make_datum, project_zero_mean, solve)
 
@@ -65,6 +65,16 @@ def _int(value, where: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _label(value, where: str) -> int:
+    """A region label: an ``_int`` in the int64 range that a mesh stores
+    its labels in, as a mesh file's labels are read."""
+    label = _int(value, where)
+    if not -2**63 <= label < 2**63:
+        raise ConfigError(f"{where} must be an integer in the int64 range, "
+                          f"got {label}")
+    return label
 
 
 def _float(value, where: str) -> float:
@@ -126,24 +136,16 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
         incs = []
         for k, inc in enumerate(spec.get("inclusions", [])):
             shape = inc.get("shape", "disk")
-            if shape == "disk":
-                _check_keys(inc, f"inclusion {k}",
-                            {"center", "radius", "label"}, {"shape"})
-                incs.append(DiskInclusion(_point(inc["center"],
-                                                 f"inclusion {k} center"),
-                                          _float(inc["radius"],
-                                                 f"inclusion {k} radius"),
-                                          _int(inc["label"],
-                                               f"inclusion {k} label")))
-            elif shape == "polygon":
-                _check_keys(inc, f"inclusion {k}", {"vertices", "label"},
-                            {"shape"})
-                incs.append(PolygonInclusion(
-                    tuple(_point(v, f"inclusion {k} vertex {i}")
-                          for i, v in enumerate(inc["vertices"])),
-                    _int(inc["label"], f"inclusion {k} label")))
-            else:
+            if shape != "disk":
                 raise ConfigError(f"inclusion {k}: unknown shape {shape!r}")
+            _check_keys(inc, f"inclusion {k}", {"center", "radius", "label"},
+                        {"shape"})
+            incs.append(DiskInclusion(_point(inc["center"],
+                                             f"inclusion {k} center"),
+                                      _float(inc["radius"],
+                                             f"inclusion {k} radius"),
+                                      _label(inc["label"],
+                                             f"inclusion {k} label")))
         return build_disk_mesh(_float(spec["radius"], "mesh radius"),
                                _float(spec["target_h"], "mesh target_h"),
                                incs, _point(spec.get("center", (0.0, 0.0)),
@@ -161,8 +163,8 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
                                _float(spec["height"], "mesh height"),
                                _float(spec["target_h"], "mesh target_h"),
                                spec.get("layer_split"),
-                               _int(spec.get("layer_label", 1),
-                                    "mesh layer_label"))
+                               _label(spec.get("layer_label", 1),
+                                      "mesh layer_label"))
     raise ConfigError(f"mesh needs 'path' or kind in disk/annulus/rect, "
                       f"got {kind!r}")
 

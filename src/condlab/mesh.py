@@ -38,18 +38,6 @@ class DiskInclusion:
     label: int
 
 
-@dataclass(frozen=True)
-class PolygonInclusion:
-    """Simple-polygon inclusion given by its vertices, in either
-    orientation, and a region label >= 1."""
-
-    vertices: tuple[tuple[float, float], ...]
-    label: int
-
-
-Inclusion = DiskInclusion | PolygonInclusion
-
-
 def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas with the sign of the exact orientation: where the float
     filter of ``_orient`` leaves the sign open (a sliver, whose float area
@@ -84,11 +72,17 @@ def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return tris
 
 
+def _sides(triangles: np.ndarray) -> np.ndarray:
+    """The (0, 1), (1, 2) and (2, 0) sides of all triangles in turn, each
+    as the node pair it runs from and to."""
+    return np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                           triangles[:, [2, 0]]])
+
+
 def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
-    """Key ``lo * n + hi`` of every triangle side, for node ids below n;
-    the (0, 1), (1, 2) and (2, 0) sides of all triangles in turn."""
-    e = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                        triangles[:, [2, 0]]])
+    """Key ``lo * n + hi`` of every triangle side in ``_sides`` order, for
+    node ids below n."""
+    e = _sides(triangles)
     e.sort(axis=1)
     return e[:, 0] * n + e[:, 1]
 
@@ -628,17 +622,6 @@ def _disk_size(radius: float, target_h: float) -> float:
     return 1.0 + np.pi * n * (n + 3.0) + 6.5 * (n + 2.0)
 
 
-def _polygon_size(vertices: np.ndarray, target_h: float) -> float:
-    """Point count of ``_polygon_cloud``, from above: its boundary samples
-    and the lattice over the bounding box."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices,
-                               axis=1)
-        dx, dy = vertices.max(axis=0) - vertices.min(axis=0)
-    return (len(vertices) + _steps(edges.sum(), target_h)
-            + (_steps(dx, target_h) + 1.0) * (_steps(dy, target_h) + 1.0))
-
-
 def _ring_points(center: tuple[float, float], radius: float, n: int,
                  stagger: bool) -> np.ndarray:
     offs = 0.5 if stagger else 0.0
@@ -659,142 +642,12 @@ def _disk_cloud(center: tuple[float, float], radius: float,
     return np.concatenate(pts)
 
 
-def _point_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Crossing-number test, vectorized over points."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    nv = len(vertices)
-    for i in range(nv):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % nv]
-        crosses = ((y0 > y) != (y1 > y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xin = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < np.where(crosses, xin, np.inf))
-    return inside
-
-
-def _dist_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Unsigned distance from points to the polygon boundary."""
-    best = np.full(len(points), np.inf)
-    nv = len(vertices)
-    for i in range(nv):
-        a = vertices[i]
-        b = vertices[(i + 1) % nv]
-        ab = b - a
-        t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        best = np.minimum(best, np.linalg.norm(points - proj, axis=1))
-    return best
-
-
-def _polygon_cloud(vertices: np.ndarray, target_h: float) -> np.ndarray:
-    """Boundary samples plus a square interior lattice at spacing target_h."""
-    pts = []
-    nv = len(vertices)
-    for i in range(nv):
-        a, b = vertices[i], vertices[(i + 1) % nv]
-        seg = np.linalg.norm(b - a)
-        n = max(1, int(round(seg / target_h)))
-        t = np.arange(n) / n
-        pts.append(a + t[:, None] * (b - a))
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    xs = np.arange(lo[0] + 0.5 * target_h, hi[0], target_h)
-    ys = np.arange(lo[1] + 0.5 * target_h, hi[1], target_h)
-    if len(xs) and len(ys):
-        gx, gy = np.meshgrid(xs, ys)
-        grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        keep = _point_in_polygon(grid, vertices)
-        keep &= _dist_to_polygon(grid, vertices) > 0.45 * target_h
-        pts.append(grid[keep])
-    return np.concatenate(pts)
-
-
-def _inclusion_extent_ok(inc: Inclusion, radius: float,
+def _inclusion_extent_ok(inc: DiskInclusion, radius: float,
                          center: tuple[float, float], clearance: float) -> bool:
-    c = np.asarray(center)
     # a distance that overflows is inf or NaN, which fails the test
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(inc, DiskInclusion):
-            d = np.linalg.norm(np.asarray(inc.center) - c)
-            return d + inc.radius <= radius - clearance
-        d = np.linalg.norm(np.asarray(inc.vertices) - c, axis=1)
-        return bool(np.all(d <= radius - clearance))
-
-
-def _edges_meet(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """The (len(va), len(vb)) mask of the edges of polygon ``va`` (edge i
-    joins vertices i and i + 1) that cross or touch edges of polygon
-    ``vb``, from the exact orientation signs of ``_signed_areas``."""
-    pts, na = np.concatenate([va, vb]), len(va)
-    a0, b0 = np.meshgrid(np.arange(na), na + np.arange(len(vb)),
-                         indexing="ij")
-    a1, b1 = (a0 + 1) % na, na + (b0 + 1 - na) % len(vb)
-
-    def turn(p, q, r) -> np.ndarray:
-        tris = np.stack([p.ravel(), q.ravel(), r.ravel()], axis=1)
-        return np.sign(_signed_areas(pts, tris)).reshape(p.shape)
-
-    # an overflow leaves a NaN sign, which meets nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        straddle = (turn(a0, a1, b0) * turn(a0, a1, b1) <= 0) \
-            & (turn(b0, b1, a0) * turn(b0, b1, a1) <= 0)
-    # collinear edges meet only where their extents overlap
-    p, q, r, t = pts[a0], pts[a1], pts[b0], pts[b1]
-    return straddle & np.all((np.minimum(p, q) <= np.maximum(r, t))
-                             & (np.minimum(r, t) <= np.maximum(p, q)), axis=-1)
-
-
-def _polygon_fault(vertices: np.ndarray) -> str | None:
-    """Why ``vertices`` bound no simple polygon, or None: fewer than 3
-    vertices, an edge of zero length, zero area (decided exactly) or two
-    edges that are not neighbours and meet.  Either orientation is
-    accepted."""
-    n = len(vertices)
-    if n < 3:
-        return f"needs at least 3 vertices, got {n}"
-    if np.any(np.all(vertices == np.roll(vertices, -1, axis=0), axis=1)):
-        return "has an edge of zero length"
-    ex = _exact(*vertices.ravel().tolist())
-    x, y = ex[0::2], ex[1::2]
-    if sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(n)) == 0:
-        return "has zero area"
-    i, j = np.triu_indices(n, 2)
-    neighbours = (i == 0) & (j == n - 1)
-    if _edges_meet(vertices, vertices)[i, j][~neighbours].any():
-        return "has edges that cross"
-    return None
-
-
-def _inclusions_disjoint(a: Inclusion, b: Inclusion, gap: float) -> bool:
-    """Whether neither inclusion holds a point of the other and they lie
-    ``gap`` (> 0) apart, decided from their shapes: a polygon holds no
-    disk's centre and no vertex of another polygon (``_point_in_polygon``),
-    no two polygon edges meet (``_edges_meet``), and every disk centre or
-    polygon vertex keeps the gap, plus any radius, from the other shape."""
-    if isinstance(a, DiskInclusion) and isinstance(b, DiskInclusion):
-        d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
-        return d >= a.radius + b.radius + gap
-    if isinstance(a, DiskInclusion):
-        a, b = b, a
-    va = np.asarray(a.vertices, dtype=float)
-    if isinstance(b, DiskInclusion):
-        c = np.asarray([b.center], dtype=float)
-        return not _point_in_polygon(c, va)[0] \
-            and _dist_to_polygon(c, va)[0] >= b.radius + gap
-    vb = np.asarray(b.vertices, dtype=float)
-    if _point_in_polygon(va, vb).any() or _point_in_polygon(vb, va).any() \
-            or _edges_meet(va, vb).any():
-        return False
-    return min(_dist_to_polygon(va, vb).min(),
-               _dist_to_polygon(vb, va).min()) >= gap
-
-
-def _poly_h(inc: PolygonInclusion) -> float:
-    verts = np.asarray(inc.vertices, dtype=float)
-    edges = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
-    return float(edges.min() / 3.0)
+        d = np.linalg.norm(np.asarray(inc.center) - np.asarray(center))
+        return d + inc.radius <= radius - clearance
 
 
 def _built(kind: str, mesh: Mesh) -> Mesh:
@@ -808,7 +661,7 @@ def _built(kind: str, mesh: Mesh) -> Mesh:
 
 
 def build_disk_mesh(radius: float, target_h: float,
-                    inclusions: Sequence[Inclusion] = (),
+                    inclusions: Sequence[DiskInclusion] = (),
                     center: tuple[float, float] = (0.0, 0.0)) -> Mesh:
     """Mesh a disk with optional strictly interior inclusions.
 
@@ -819,7 +672,7 @@ def build_disk_mesh(radius: float, target_h: float,
     target_h : float
         Nominal edge length; inclusions are locally refined to
         ``min(target_h, inclusion_radius / 2)``.
-    inclusions : sequence of DiskInclusion | PolygonInclusion
+    inclusions : sequence of DiskInclusion
         Labeled subregions.  Each must keep a clearance of one ``target_h``
         from the outer boundary and half of one from every other inclusion;
         labels must be unique and >= 1.
@@ -844,27 +697,20 @@ def build_disk_mesh(radius: float, target_h: float,
         if inc.label in seen:
             raise MeshError(f"duplicate inclusion label {inc.label}")
         seen.add(inc.label)
-        if isinstance(inc, DiskInclusion) and not inc.radius > 0:
+        if not inc.radius > 0:
             raise MeshError(f"inclusion label {inc.label} needs a positive "
                             f"radius, got {inc.radius!r}")
         if not _inclusion_extent_ok(inc, radius, center, clearance=target_h):
             raise MeshError(f"inclusion label {inc.label} too close to or "
                             f"outside the outer boundary")
-        if isinstance(inc, PolygonInclusion):
-            fault = _polygon_fault(np.asarray(inc.vertices, dtype=float))
-            if fault:
-                raise MeshError(f"inclusion label {inc.label}: the polygon "
-                                f"{fault}")
     # each inclusion's cloud is refined to its own spacing
-    steps = [min(target_h, inc.radius / 2.0 if isinstance(inc, DiskInclusion)
-                 else _poly_h(inc)) for inc in inclusions]
+    steps = [min(target_h, inc.radius / 2.0) for inc in inclusions]
     _check_size("disk", _disk_size(radius, target_h) + sum(
-        _disk_size(inc.radius, h_i) if isinstance(inc, DiskInclusion)
-        else _polygon_size(np.asarray(inc.vertices, dtype=float), h_i)
-        for inc, h_i in zip(inclusions, steps)))
+        _disk_size(inc.radius, h_i) for inc, h_i in zip(inclusions, steps)))
     for i, a in enumerate(inclusions):
         for b in inclusions[i + 1:]:
-            if not _inclusions_disjoint(a, b, gap=0.5 * target_h):
+            d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
+            if not d >= a.radius + b.radius + 0.5 * target_h:
                 raise MeshError(f"inclusions {a.label} and {b.label} overlap "
                                 f"or nearly touch")
 
@@ -872,16 +718,9 @@ def build_disk_mesh(radius: float, target_h: float,
     keep = np.ones(len(base), dtype=bool)
     extra = []
     for inc, h_i in zip(inclusions, steps):
-        if isinstance(inc, DiskInclusion):
-            extra.append(_disk_cloud(inc.center, inc.radius, h_i))
-            d = np.linalg.norm(base - np.asarray(inc.center), axis=1)
-            keep &= d > inc.radius + 0.6 * h_i
-        else:
-            verts = np.asarray(inc.vertices, dtype=float)
-            extra.append(_polygon_cloud(verts, h_i))
-            near = _dist_to_polygon(base, verts) < 0.6 * h_i
-            near |= _point_in_polygon(base, verts)
-            keep &= ~near
+        extra.append(_disk_cloud(inc.center, inc.radius, h_i))
+        d = np.linalg.norm(base - np.asarray(inc.center), axis=1)
+        keep &= d > inc.radius + 0.6 * h_i
     points = np.concatenate([base[keep]] + extra) if extra else base[keep]
 
     try:
@@ -892,12 +731,8 @@ def build_disk_mesh(radius: float, target_h: float,
     cent = points[triangles].mean(axis=1)
     labels = np.zeros(len(triangles), dtype=np.int64)
     for inc in inclusions:
-        if isinstance(inc, DiskInclusion):
-            inside = np.linalg.norm(cent - np.asarray(inc.center), axis=1) \
-                < inc.radius
-        else:
-            inside = _point_in_polygon(cent, np.asarray(inc.vertices,
-                                                        dtype=float))
+        inside = np.linalg.norm(cent - np.asarray(inc.center), axis=1) \
+            < inc.radius
         labels[inside] = inc.label
 
     mesh = Mesh(points, triangles, labels)
@@ -1034,9 +869,9 @@ def load_mesh(path: str) -> Mesh:
 
     Its numbers are read as ``_read_rows`` reads them.  Clockwise
     triangles are reoriented silently; degenerate triangles, geometry
-    beyond the float range and structural defects (nonmanifold edges,
-    open boundary, disconnected background) raise ``MeshError``, which
-    names the file.
+    beyond the float range, structural defects (nonmanifold edges, open
+    boundary, disconnected background) and folds (two triangles on one
+    side of their shared edge) raise ``MeshError``, which names the file.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -1052,4 +887,15 @@ def load_mesh(path: str) -> Mesh:
     problems = validate(mesh)
     if problems:
         raise MeshError(f"invalid mesh {path}: " + "; ".join(problems))
+    # each triangle now runs counterclockwise, so the two triangles of an
+    # interior edge run along it in opposite directions; in the same
+    # direction both lie on one side of it, one folded over the other
+    sides, n = _sides(mesh.triangles), mesh.n_nodes
+    keys = np.sort(sides[:, 0] * n + sides[:, 1])
+    folded = keys[1:][keys[1:] == keys[:-1]]
+    if len(folded):
+        a, b = divmod(int(folded[0]), n)
+        raise MeshError(f"invalid mesh {path}: the mesh folds over edge "
+                        f"({a}, {b}), whose two triangles lie on one side "
+                        f"of it")
     return mesh

@@ -964,17 +964,11 @@ TRUTH = {"cells": [0]}
 
 
 def nested_cfg(inner):
-    """A disk mesh whose inclusion ``inner`` lies inside a unit square."""
-    square = {"shape": "polygon", "label": 1, "vertices": [
-        [-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+    """A disk mesh whose inclusion ``inner`` lies inside a disk of radius
+    0.5 about the centre."""
+    outer = {"center": [0.0, 0.0], "radius": 0.5, "label": 1}
     return {"mesh": {"kind": "disk", "radius": 1.0, "target_h": 0.1,
-                     "inclusions": [square, inner]}}
-
-
-def polygon_cfg(vertices):
-    """A disk mesh with one polygon inclusion of label 1."""
-    return {"mesh": dict(DISK, inclusions=[
-        {"shape": "polygon", "label": 1, "vertices": vertices}])}
+                     "inclusions": [outer, inner]}}
 
 
 CONFIG_PROBES = [
@@ -1185,16 +1179,21 @@ CONFIG_PROBES = [
         "target_h": 1e-320}),
      "annulus mesh would have about inf points, more than the 1000000 "
      "allowed"),
-    # a polygon that bounds no region is refused by its label
-    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0], [0.3, 0], [0.3, 0.3]]),
-     "label 1: the polygon has an edge of zero length"),
-    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0]]),
-     "inclusion label 1: the polygon needs at least 3 vertices, got 2"),
-    ("mesh-gen", lambda: polygon_cfg([[0, 0], [0.3, 0.3], [0.3, 0], [0, 0.3]]),
-     "inclusion label 1: the polygon has zero area"),
-    ("mesh-gen",
-     lambda: polygon_cfg([[0, 0], [0.4, 0.35], [0.3, 0], [0, 0.3]]),
-     "inclusion label 1: the polygon has edges that cross"),
+    # a disk is the one inclusion shape
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=[
+        {"shape": "polygon", "label": 1, "vertices": [
+            [0, 0], [0.3, 0], [0, 0.3]]}])),
+     "inclusion 0: unknown shape 'polygon'"),
+    # a label is stored in int64, as a mesh file's labels are read
+    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
+        INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0], label=2**70)])),
+     "inclusion 0 label must be an integer in the int64 range, got "
+     "1180591620717411303424"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh={
+        "kind": "rect", "width": 1.0, "height": 1.0, "target_h": 0.5,
+        "layer_split": 0.5, "layer_label": -2**70}),
+     "mesh layer_label must be an integer in the int64 range, got "
+     "-1180591620717411303424"),
     # mesh coordinates are read as pairs of finite numbers
     ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(DISK, center=[1e308, 0])),
      "disk mesh generation failed: points coincide in float"),
@@ -1216,10 +1215,6 @@ CONFIG_PROBES = [
         INC_DISK, inclusions=[dict(INC_DISK["inclusions"][0],
                                    center=[0.3, True])])),
      "inclusion 0 center y must be a finite number, got True"),
-    ("solve", lambda: dict(PROBLEM, materials=LIN2, mesh=dict(
-        DISK, inclusions=[{"shape": "polygon", "label": 1, "vertices": [
-            [0, 0], [0.3, 0], [True, 0.3]]}])),
-     "inclusion 0 vertex 2 x must be a finite number, got True"),
     # the scan's random generator takes non-negative seeds only
     ("mpm-image", lambda: mpm_cfg(seed=-1, truth=TRUTH),
      "seed must be a non-negative integer, got -1"),
@@ -1254,24 +1249,19 @@ CONFIG_PROBES = [
     ("solve", lambda: dict(PROBLEM, data=[{"name": "deep", "terms": [
         {"kind": "expr", "amplitude": 1.0, "expr": "-" * 100_000 + "x"}]}]),
      "datum 'deep': expr nests too deeply"),
-    # an inclusion inside another, a disk or a square that fits between
-    # the points of a sampled lattice of the outer square
+    # an inclusion inside another, at its centre or off it
     ("mesh-gen", lambda: nested_cfg({"center": [0.0, 0.0], "radius": 0.1,
                                      "label": 2}),
      "inclusions 1 and 2 overlap or nearly touch"),
-    ("mesh-gen", lambda: nested_cfg({"shape": "polygon", "label": 2,
-                                     "vertices": [[0.12, 0.12], [0.22, 0.12],
-                                                  [0.22, 0.22],
-                                                  [0.12, 0.22]]}),
+    ("mesh-gen", lambda: nested_cfg({"center": [0.17, 0.17], "radius": 0.05,
+                                     "label": 2}),
      "inclusions 1 and 2 overlap or nearly touch"),
-    # two squares 0.04 apart, against a gap of half of target_h, 0.05
+    # two disks 0.04 apart, against a gap of half of target_h, 0.05
     ("mesh-gen", lambda: {"mesh": {
         "kind": "disk", "radius": 1.0, "target_h": 0.1, "inclusions": [
-            {"shape": "polygon", "label": 3, "vertices": [
-                [-0.42, -0.2], [-0.02, -0.2], [-0.02, 0.2], [-0.42, 0.2]]},
-            {"shape": "polygon", "label": 4, "vertices": [
-                [0.02, -0.134], [0.42, -0.134], [0.42, 0.266],
-                [0.02, 0.266]]}]}},
+            {"center": [-0.22, 0.0], "radius": 0.2, "label": 3},
+            {"shape": "disk", "center": [0.22, 0.0], "radius": 0.2,
+             "label": 4}]}},
      "inclusions 3 and 4 overlap or nearly touch"),
     # a study without a law or a mesh would write only a header
     ("convergence-study", lambda: {"p_values": [], "target_h": [0.4]},
@@ -1347,9 +1337,12 @@ def test_check_only_fails_like_a_run(tmp_path, capsys, command, make_cfg,
     ("triangles", 0, 2, 5, "invalid mesh {path}: index 5 is out of bounds"),
     ("triangles", 0, 2, -1, "invalid mesh {path}: triangle index out of "
                             "range"),
+    # the centre node moved out to (2, 0.5) folds the square
+    ("nodes", 4, 0, 2.0, "invalid mesh {path}: the mesh folds over edge "
+                         "(1, 4), whose two triangles lie on one side of it"),
 ], ids=["nan coordinate", "fractional index", "fractional label",
         "label past int64", "gradient past the float range",
-        "index past the nodes", "negative index"])
+        "index past the nodes", "negative index", "folded"])
 def test_mesh_file_is_read_strictly(tmp_path, capsys, key, row, col, value,
                                     message):
     payload = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],

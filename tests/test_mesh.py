@@ -21,7 +21,6 @@ from condlab.mesh import (
     DiskInclusion,
     Mesh,
     MeshError,
-    PolygonInclusion,
     adjacency,
     boundary_mass,
     build_annulus_mesh,
@@ -174,13 +173,6 @@ def test_layered_rect_validates_clean():
     m = build_rect_mesh(1.0, 1.0, 0.25, layer_split=0.5)
     assert m.on_boundary[m.triangles[m.labels == 1]].any()
     assert validate(m) == []
-
-
-def test_polygon_inclusion_builds_clean():
-    tri = PolygonInclusion(((-0.2, -0.2), (0.2, -0.2), (0.0, 0.25)), 1)
-    m = build_disk_mesh(1.0, 0.15, inclusions=[tri])
-    assert validate(m) == []
-    assert np.any(m.labels == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +329,24 @@ def test_inclusions_must_not_overlap():
         build_disk_mesh(1.0, 0.15, inclusions=incs)
 
 
-# a square of side 1 about the origin: an inclusion of size 0.1 fits
-# between the points of its cloud's interior lattice (spacing 1/3)
-SQUARE = PolygonInclusion(((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5),
-                           (-0.5, 0.5)), 1)
+# a disk of radius 0.5 about the origin, refined to spacing 0.1
+OUTER = DiskInclusion((0.0, 0.0), 0.5, 1)
 
 
 @pytest.mark.parametrize("inner", [
     DiskInclusion((0.0, 0.0), 0.1, 2),
-    PolygonInclusion(((0.12, 0.12), (0.22, 0.12), (0.22, 0.22),
-                      (0.12, 0.22)), 2)], ids=["disk", "square"])
+    DiskInclusion((0.17, 0.17), 0.05, 2)], ids=["disk", "off-centre disk"])
 def test_an_inclusion_inside_another_is_refused(inner):
-    for incs in ([SQUARE, inner], [inner, SQUARE]):
+    for incs in ([OUTER, inner], [inner, OUTER]):
         with pytest.raises(MeshError, match="overlap or nearly touch"):
             build_disk_mesh(1.0, 0.1, inclusions=incs)
 
 
 @pytest.mark.parametrize("x, ok", [(0.655, True), (0.645, False)])
-def test_a_disk_beside_a_square_keeps_the_gap(x, ok):
-    # the disk's edge lies 0.055 or 0.045 from the square, against a
+def test_a_disk_beside_another_keeps_the_gap(x, ok):
+    # the disk's edge lies 0.055 or 0.045 from the outer one, against a
     # gap of 0.05
-    incs = [SQUARE, DiskInclusion((x, 0.0), 0.1, 2)]
+    incs = [OUTER, DiskInclusion((x, 0.0), 0.1, 2)]
     if not ok:
         with pytest.raises(MeshError, match="overlap or nearly touch"):
             build_disk_mesh(1.0, 0.1, inclusions=incs)
@@ -365,74 +354,6 @@ def test_a_disk_beside_a_square_keeps_the_gap(x, ok):
     mesh = build_disk_mesh(1.0, 0.1, inclusions=incs)
     assert validate(mesh) == []
     assert set(np.unique(mesh.labels).tolist()) == {0, 1, 2}
-
-
-def test_crossing_polygons_are_refused():
-    # a plus sign: neither bar holds a vertex of the other
-    bar = ((-0.4, -0.1), (0.4, -0.1), (0.4, 0.1), (-0.4, 0.1))
-    incs = [PolygonInclusion(bar, 1),
-            PolygonInclusion(tuple((y, x) for x, y in bar[::-1]), 2)]
-    with pytest.raises(MeshError, match="overlap or nearly touch"):
-        build_disk_mesh(1.0, 0.1, inclusions=incs)
-
-
-def squares_apart(gap, shift):
-    """Two squares of side 0.4: the second starts ``gap`` to the right of
-    the first and is shifted up by ``shift``."""
-    def square(x, y, label):
-        return PolygonInclusion(((x, y), (x + 0.4, y), (x + 0.4, y + 0.4),
-                                 (x, y + 0.4)), label)
-    return [square(-0.42, -0.2, 1), square(-0.02 + gap, -0.2 + shift, 2)]
-
-
-@pytest.mark.parametrize("gap", [0.04, 0.03])
-def test_two_polygons_closer_than_the_gap_are_refused(gap):
-    # the required gap is half of target_h, 0.05
-    with pytest.raises(MeshError, match="overlap or nearly touch"):
-        build_disk_mesh(1.0, 0.1, inclusions=squares_apart(gap, 0.066))
-
-
-@pytest.mark.parametrize("shift", [0.0, 0.066])
-def test_two_polygons_beyond_the_gap_build(shift):
-    mesh = build_disk_mesh(1.0, 0.1, inclusions=squares_apart(0.06, shift))
-    assert validate(mesh) == []
-    assert set(np.unique(mesh.labels).tolist()) == {0, 1, 2}
-
-
-@pytest.mark.parametrize("vertices, fault", [
-    ([[0.0, 0.0], [0.3, 0.0]], "needs at least 3 vertices, got 2"),
-    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.0], [0.3, 0.3]],
-     "has an edge of zero length"),
-    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.0, 0.0]],
-     "has an edge of zero length"),
-    ([[0.0, 0.0], [0.1, 0.1], [0.3, 0.3]], "has zero area"),
-    ([[0.0, 0.0], [0.3, 0.3], [0.3, 0.0], [0.0, 0.3]], "has zero area"),
-    ([[0.0, 0.0], [0.4, 0.35], [0.3, 0.0], [0.0, 0.3]],
-     "has edges that cross"),
-    ([[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.15, 0.0], [0.0, 0.3]],
-     "has edges that cross")],
-    ids=["two vertices", "repeated vertex", "closing vertex", "collinear",
-         "symmetric bow-tie", "bow-tie", "touching"])
-def test_a_degenerate_polygon_is_refused(vertices, fault):
-    inc = PolygonInclusion(tuple(map(tuple, vertices)), 3)
-    with pytest.raises(MeshError) as err:
-        build_disk_mesh(1.0, 0.1, inclusions=[inc])
-    assert str(err.value) == f"inclusion label 3: the polygon {fault}"
-
-
-def test_a_clockwise_polygon_meshes_like_its_reverse():
-    ccw = ((0.0, 0.0), (0.3, 0.0), (0.3, 0.3), (0.0, 0.3))
-    a = build_disk_mesh(1.0, 0.1, inclusions=[PolygonInclusion(ccw, 1)])
-    b = build_disk_mesh(1.0, 0.1,
-                        inclusions=[PolygonInclusion(ccw[::-1], 1)])
-    assert np.count_nonzero(a.labels == 1) > 0
-    assert np.count_nonzero(b.labels == 1) == np.count_nonzero(a.labels == 1)
-    # a U whose two collinear top edges do not meet is simple
-    u = ((0.0, 0.0), (0.3, 0.0), (0.3, 0.2), (0.2, 0.2), (0.2, 0.1),
-         (0.1, 0.1), (0.1, 0.2), (0.0, 0.2))
-    assert validate(build_disk_mesh(1.0, 0.1,
-                                    inclusions=[PolygonInclusion(u, 1)])) \
-        == []
 
 
 def test_annulus_radius_order():
@@ -488,13 +409,22 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(m2.labels, m.labels)
 
 
+# the five-node square: four triangles about its centre node
+SQUARE5 = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+           "triangles": [[0, 1, 4, 0], [1, 2, 4, 0], [2, 3, 4, 0],
+                         [3, 0, 4, 0]]}
+
+
 def test_load_reorients_clockwise_rows(tmp_path):
+    # every row clockwise: turned round, the two triangles of each
+    # interior edge run along it in opposite directions, so none folds
     path = tmp_path / "cw.json"
-    payload = {"nodes": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-               "triangles": [[0, 2, 1, 0]]}
+    payload = copy.deepcopy(SQUARE5)
+    payload["triangles"] = [[a, c, b, l]
+                            for a, b, c, l in payload["triangles"]]
     path.write_text(json.dumps(payload))
     m = load_mesh(str(path))
-    assert m.areas[0] > 0
+    assert m.n_triangles == 4 and np.all(m.areas > 0)
 
 
 def test_load_rejects_degenerate_triangle(tmp_path):
@@ -514,12 +444,6 @@ def test_load_rejects_invalid_structure(tmp_path):
     with pytest.raises(MeshError, match="invalid mesh .*: duplicate "
                                         "triangles present"):
         load_mesh(str(path))
-
-
-# the five-node square: four triangles about its centre node
-SQUARE5 = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
-           "triangles": [[0, 1, 4, 0], [1, 2, 4, 0], [2, 3, 4, 0],
-                         [3, 0, 4, 0]]}
 
 
 @pytest.mark.parametrize("key, row, col, value, message", [

@@ -57,6 +57,14 @@ def _object(d: dict, where: str) -> dict:
     return d
 
 
+def _list(value, where: str) -> list:
+    """A list config value; an object, a string or a number is refused
+    here, by its key, rather than iterated."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, got {value!r}")
+    return value
+
+
 def _int(value, where: str) -> int:
     """An integer config value; bools, strings and non-integral numbers
     are refused rather than truncated or coerced."""
@@ -134,8 +142,9 @@ def mesh_from_spec(spec: dict, base_dir: str) -> Mesh:
         _check_keys(spec, "mesh(disk)", {"radius", "target_h"},
                     {"kind", "center", "inclusions"})
         incs = []
-        for k, inc in enumerate(spec.get("inclusions", [])):
-            shape = inc.get("shape", "disk")
+        for k, inc in enumerate(_list(spec.get("inclusions", []),
+                                      "mesh inclusions")):
+            shape = _object(inc, f"inclusion {k}").get("shape", "disk")
             if shape != "disk":
                 raise ConfigError(f"inclusion {k}: unknown shape {shape!r}")
             _check_keys(inc, f"inclusion {k}", {"center", "radius", "label"},
@@ -193,7 +202,7 @@ def _model_from_spec(spec: dict, where: str):
 def materials_from_spec(spec: dict, where: str = "materials") -> MaterialMap:
     _check_keys(spec, where, {"regions"})
     models = {}
-    for key, sub in spec["regions"].items():
+    for key, sub in _object(spec["regions"], f"{where}.regions").items():
         try:
             label = int(key)
         except ValueError:
@@ -212,7 +221,8 @@ def materials_from_spec(spec: dict, where: str = "materials") -> MaterialMap:
 def datum_from_spec(mesh: Mesh, spec: dict, bmass=None) -> BoundaryDatum:
     _check_keys(spec, "datum", {"name", "terms"})
     terms = []
-    for k, t in enumerate(spec["terms"]):
+    for k, t in enumerate(_list(spec["terms"],
+                                f"datum {spec['name']!r} terms")):
         where = f"datum {spec['name']!r} term {k}"
         _check_keys(t, where, {"kind", "amplitude"}, {"k", "expr"})
         terms.append(DatumTerm(t["kind"],
@@ -228,7 +238,7 @@ def datum_from_spec(mesh: Mesh, spec: dict, bmass=None) -> BoundaryDatum:
 
 
 def data_from_spec(mesh: Mesh, specs: list) -> list[BoundaryDatum]:
-    if not specs:
+    if not _list(specs, "data"):
         raise ConfigError("empty datum list")
     bm = boundary_mass(mesh)
     data = [datum_from_spec(mesh, s, bm) for s in specs]
@@ -356,27 +366,6 @@ def cmd_solve(cfg: dict, args) -> Callable[[], int]:
     return run
 
 
-def cmd_power(cfg: dict, args) -> Callable[[], int]:
-    from .dtn import dtn_pairing
-    from .output import write_power_batch_csv
-    mesh, materials, data, _ = _load_problem(cfg, args, {"material_id"})
-    mat_id = _material_id(cfg)
-
-    def run() -> int:
-        problem = Problem(mesh, materials)
-        rows = []
-        for datum in data:
-            fld = solve(mesh, materials, datum, problem=problem)
-            p = dtn_pairing(fld, datum)
-            rows.append((datum.name, mat_id, p, float("nan"),
-                         fld.info.energy, float("nan")))
-            print(f"[power] {datum.name}: <L f, f> = {p:.10e}")
-        write_power_batch_csv(os.path.join(args.out, "power_batch.csv"),
-                              rows)
-        return EXIT_OK
-    return run
-
-
 def cmd_avg_power(cfg: dict, args) -> Callable[[], int]:
     from .dtn import average_dtn_power
     from .output import write_power_batch_csv, write_power_json
@@ -412,13 +401,14 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                 {"quad_order", "pairs", "chain", "resolutions"})
     if "pairs" not in cfg and "chain" not in cfg:
         raise ConfigError("config needs 'pairs' and/or 'chain'")
-    if "pairs" in cfg and not cfg["pairs"]:
+    pairs = _list(cfg.get("pairs", []), "pairs")
+    if "pairs" in cfg and not pairs:
         raise ConfigError("empty pairs list")  # nothing would be compared
     _quad_order(cfg)  # checked, though no alpha quadrature runs here
 
     # (file stem, name of one comparison in messages, stdout heading, links)
     chains = []
-    for k, pair in enumerate(cfg.get("pairs", [])):
+    for k, pair in enumerate(pairs):
         _check_keys(pair, f"pairs[{k}]", {"name_lo", "name_hi", "lo", "hi"})
         links = [(pair[f"name_{s}"],
                   materials_from_spec(pair[s], f"pairs[{k}].{s}"))
@@ -427,7 +417,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                        f"pair {links[0][0]}<={links[1][0]}: ", links))
     if "chain" in cfg:
         links = []
-        for k, link in enumerate(cfg["chain"]):
+        for k, link in enumerate(_list(cfg["chain"], "chain")):
             _check_keys(link, f"chain[{k}]", {"name", "materials"})
             links.append((str(link["name"]),
                           materials_from_spec(link["materials"],
@@ -440,7 +430,7 @@ def cmd_monotonicity_suite(cfg: dict, args) -> Callable[[], int]:
                        f"chain: {n * (n - 1) // 2} pairs, ", links))
 
     resolutions = [_float(h, "resolutions entry")
-                   for h in cfg.get("resolutions") or []]
+                   for h in _list(cfg.get("resolutions", []), "resolutions")]
     mesh_specs = ([(f"_h{h:g}", dict(cfg["mesh"], target_h=h))
                    for h in resolutions] if resolutions
                   else [("", cfg["mesh"])])
@@ -494,7 +484,8 @@ def cmd_gateaux_check(cfg: dict, args) -> Callable[[], int]:
     f = datum_from_spec(mesh, cfg["datum"], bm)
     phi = datum_from_spec(mesh, cfg["direction"], bm)
     eps = [_float(e, "eps_list entry")
-           for e in cfg.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))]
+           for e in _list(cfg.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4]),
+                          "eps_list")]
     if not eps or not all(e > 0.0 for e in eps):
         raise ConfigError(f"eps_list must be a non-empty list of finite "
                           f"steps > 0, got {eps!r}")
@@ -536,7 +527,7 @@ def cmd_convergence_study(cfg: dict, args) -> Callable[[], int]:
         raise ConfigError(f"u_inner and u_outer must differ, both are "
                           f"{u_in!r}")
     for key in ("p_values", "target_h"):
-        if not cfg[key]:
+        if not _list(cfg[key], key):
             # no law or no mesh to study: the table would be its header
             raise ConfigError(f"empty {key} list")
     hs = [_float(h, "target_h entry") for h in cfg["target_h"]]
@@ -628,7 +619,8 @@ def cmd_mpm_image(cfg: dict, args) -> Callable[[], int]:
         true_mats.check_covers(mesh.labels)
         true_mesh = mesh
     elif "cells" in truth:
-        truth_cells = [_int(c, "truth.cells entry") for c in truth["cells"]]
+        truth_cells = [_int(c, "truth.cells entry")
+                       for c in _list(truth["cells"], "truth.cells")]
         model = _model_from_spec(truth.get("model", {"type": contrast}),
                                  "truth.model")
         true_mesh, true_mats = make_cell_phantom(mesh, grid, truth_cells,
@@ -671,10 +663,11 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
     healthy_mats.check_covers(healthy_mesh.labels)
     _quad_order(cfg)  # checked, though no alpha quadrature runs here
     data = data_from_spec(healthy_mesh, cfg["data"])
-    if not cfg["damaged"]:
+    damaged = _list(cfg["damaged"], "damaged")
+    if not damaged:
         raise ConfigError("empty damaged list")  # no table would be written
     cases = []
-    for k, case in enumerate(cfg["damaged"]):
+    for k, case in enumerate(damaged):
         _check_keys(case, f"damaged[{k}]", {"name", "materials"}, {"mesh"})
         dmesh = (mesh_from_spec(case["mesh"], args.base_dir)
                  if "mesh" in case else healthy_mesh)
@@ -719,7 +712,6 @@ def cmd_reproduce_wire(cfg: dict, args) -> Callable[[], int]:
 _COMMANDS = {
     "mesh-gen": cmd_mesh_gen,
     "solve": cmd_solve,
-    "power": cmd_power,
     "avg-power": cmd_avg_power,
     "monotonicity-suite": cmd_monotonicity_suite,
     "gateaux-check": cmd_gateaux_check,

@@ -1,6 +1,6 @@
 """Reference code that the tests exercise and no ``condlab`` command runs.
 
-``src/condlab`` holds only what the nine subcommands run.  The
+``src/condlab`` holds only what the eight subcommands run.  The
 certificates, studies, oracles and cross-checks below serve the tests
 alone; each definition keeps the text it had in the module its section
 names, so the tests check the same code.  Two members sit on subclasses

@@ -299,7 +299,6 @@ def _determinism_configs():
     return {
         "mesh-gen": {"mesh": inc},
         "solve": problem,
-        "power": problem,
         "avg-power": dict(problem, quad_order=4),
         "monotonicity-suite": {
             "mesh": inc, "data": [ramp], "quad_order": 3,
@@ -330,7 +329,8 @@ def _determinism_configs():
 def test_c10_cli_determinism(tmp_path):
     ok = True
     checked = 0
-    for command, cfg in _determinism_configs().items():
+    configs = _determinism_configs()
+    for command, cfg in configs.items():
         config = tmp_path / f"{command}.json"
         config.write_text(json.dumps(cfg))
         outs = []
@@ -348,5 +348,5 @@ def test_c10_cli_determinism(tmp_path):
                 (outs[1] / name).read_bytes()
             ok &= same
             checked += 1
-    line(10, ok, f"9 subcommands re-run, {checked} output files "
+    line(10, ok, f"{len(configs)} subcommands re-run, {checked} output files "
                  f"byte-identical (timestamps confined to run_meta.json)")

@@ -136,7 +136,7 @@ def test_saved_mesh_feeds_other_commands(tmp_path):
     cfg = {"mesh": {"path": "m/mesh.json"}, "materials": LIN,
            "data": [RAMP]}
     # the path is resolved relative to the config file
-    code, out = run(tmp_path, "power", cfg, out="p")
+    code, out = run(tmp_path, "avg-power", cfg, out="p")
     assert code == 0
     assert (out / "power_batch.csv").exists()
 
@@ -353,8 +353,8 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, case", [
-    ("solve", "sigma 1e308"), ("power", "sigma 1e308"),
-    ("power", "p = 4 at E0 1e-300"), ("gateaux-check", "eps 1e300")])
+    ("solve", "sigma 1e308"), ("avg-power", "sigma 1e308"),
+    ("avg-power", "p = 4 at E0 1e-300"), ("gateaux-check", "eps 1e300")])
 def test_a_solve_that_overflows_is_a_solver_error(tmp_path, capsys, command,
                                                   case):
     # an infinite or NaN gradient norm met its own infinite tolerance and
@@ -394,8 +394,8 @@ def test_check_only_still_rejects_bad_configs(tmp_path, capsys):
 # ------------------------------------------------------------ power reports
 
 def test_power_batch_csv(tmp_path):
-    cfg = dict(PROBLEM, data=[RAMP, SIN2], material_id="demo")
-    code, out = run(tmp_path, "power", cfg)
+    cfg = dict(PROBLEM, data=[RAMP, SIN2], material_id="demo", quad_order=2)
+    code, out = run(tmp_path, "avg-power", cfg)
     assert code == 0
     head, rows = read_csv(out / "power_batch.csv")
     assert head == ["datum_id", "material_id", "power", "avg_power",
@@ -403,17 +403,21 @@ def test_power_batch_csv(tmp_path):
     assert [r[0] for r in rows] == ["ramp", "sin2"]
     assert all(r[1] == "demo" for r in rows)
     for r in rows:
-        # linear material: the boundary pairing is twice the energy
+        # linear material: the boundary pairing is twice the energy, and
+        # the averaged power, exact for a pairing linear in alpha, equals
+        # the energy
         assert float(r[2]) == pytest.approx(2.0 * float(r[4]), rel=1e-8)
-        assert r[3] == "nan"
+        assert float(r[3]) == pytest.approx(float(r[4]), rel=1e-8)
+        assert abs(float(r[5])) < 1e-8
     # f = x on the unit disk with sigma = 1 dissipates the disk area
     assert float(rows[0][2]) == pytest.approx(np.pi, rel=0.02)
 
 
 def test_power_batch_csv_quotes_names_with_commas(tmp_path):
     named = dict(RAMP, name='x,y "z"')
-    code, out = run(tmp_path, "power", dict(PROBLEM, data=[named],
-                                            material_id="m,1"))
+    code, out = run(tmp_path, "avg-power", dict(PROBLEM, data=[named],
+                                                material_id="m,1",
+                                                quad_order=1))
     assert code == 0
     with open(out / "power_batch.csv", newline="") as fh:
         head, *rows = csv.reader(fh)
@@ -434,11 +438,11 @@ def test_csv_cells_round_trip_through_a_csv_reader(tmp_path):
 def test_power_of_zero_datum_is_zero(tmp_path):
     off = {"name": "off", "terms": [{"kind": "linear-x",
                                      "amplitude": 0.0}]}
-    code, out = run(tmp_path, "power", dict(PROBLEM, data=[off]))
+    code, out = run(tmp_path, "avg-power", dict(PROBLEM, data=[off],
+                                                quad_order=2))
     assert code == 0
     _, rows = read_csv(out / "power_batch.csv")
-    assert abs(float(rows[0][2])) <= 1e-12
-    assert abs(float(rows[0][4])) <= 1e-12
+    assert all(abs(float(c)) <= 1e-12 for c in rows[0][2:])
 
 
 def test_constant_datum_solves_as_the_zero_datum(tmp_path):
@@ -999,12 +1003,39 @@ CONFIG_PROBES = [
     # wrongly typed or out-of-range values
     ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, target_h="abc")),
      "ValueError"),
+    # a list-valued key, or an entry of one, of the wrong JSON type is
+    # refused by its name, not iterated
     ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=[5])),
-     "AttributeError"),
+     "inclusion 0 must be a JSON object"),
     ("solve", lambda: dict(PROBLEM, materials={"regions": []}),
-     "AttributeError"),
+     "materials.regions must be a JSON object"),
     ("solve", lambda: dict(PROBLEM, data=[{"name": "r", "terms": 5}]),
-     "TypeError"),
+     "datum 'r' terms must be a JSON list, got 5"),
+    ("solve", lambda: dict(PROBLEM, mesh=dict(DISK, inclusions=3)),
+     "mesh inclusions must be a JSON list, got 3"),
+    ("mesh-gen", lambda: dict(PROBLEM, mesh=dict(
+        DISK, inclusions=INC_DISK["inclusions"][0])),
+     "mesh inclusions must be a JSON list, got {'center': [0.3, 0.0], "
+     "'radius': 0.25, 'label': 1}"),
+    ("avg-power", lambda: dict(PROBLEM, data=5),
+     "data must be a JSON list, got 5"),
+    ("monotonicity-suite",
+     lambda: suite_cfg(pairs=[CONTRAST_PAIR], resolutions=0.3),
+     "resolutions must be a JSON list, got 0.3"),
+    ("mpm-image", lambda: mpm_cfg(truth={"cells": 3}),
+     "truth.cells must be a JSON list, got 3"),
+    ("gateaux-check", lambda: dict(GATEAUX, eps_list=0.1),
+     "eps_list must be a JSON list, got 0.1"),
+    ("convergence-study", lambda: {"p_values": 2.0, "target_h": [0.4]},
+     "p_values must be a JSON list, got 2.0"),
+    ("convergence-study", lambda: {"p_values": [2.0], "target_h": 0.4},
+     "target_h must be a JSON list, got 0.4"),
+    ("monotonicity-suite", lambda: suite_cfg(pairs={"name_lo": "a"}),
+     "pairs must be a JSON list, got {'name_lo': 'a'}"),
+    ("monotonicity-suite", lambda: suite_cfg(chain={"name": "a"}),
+     "chain must be a JSON list, got {'name': 'a'}"),
+    ("reproduce-wire", lambda: dict(wire_cfg("pei"), damaged={"name": "a"}),
+     "damaged must be a JSON list, got {'name': 'a'}"),
     ("mpm-image", lambda: mpm_cfg(grid={"nx": 0, "ny": 3}, truth=TRUTH),
      "nx=0, ny=3"),
     ("mpm-image", lambda: mpm_cfg(truth={"cells": [999]}),
@@ -1016,11 +1047,11 @@ CONFIG_PROBES = [
      "quadrature order must be <= 1000, got 10000000"),
     ("mesh-gen", lambda: dict(PROBLEM, quad_order=1001),
      "quadrature order must be <= 1000, got 1001"),
-    # solve and power read the quad_order key they accept; the ids differ
-    # from avg-power's only to stay unique
+    # solve reads the quad_order key it accepts; these ids differ from
+    # the rows above only to stay unique
     ("solve", lambda: dict(PROBLEM, quad_order=0),
      "ValueError: quadrature order must be >= 1"),
-    ("power", lambda: dict(PROBLEM, quad_order=-3),
+    ("avg-power", lambda: dict(PROBLEM, quad_order=-3),
      "quadrature order must be >= 1)"),
     ("mesh-gen", lambda: {"mesh": DISK, "save_as": 5},
      "save_as must be a file name"),
@@ -1039,15 +1070,17 @@ CONFIG_PROBES = [
     ("mesh-gen", lambda: {"mesh": DISK, "save_as": "run_meta.json"},
      "save_as 'run_meta.json' names a file mesh-gen writes itself"),
     # a material id labels power_batch.csv rows as written
-    ("power", lambda: dict(PROBLEM, material_id={"m": 1}),
+    ("avg-power", lambda: dict(PROBLEM, material_id={"m": 1}),
      "material_id must be a string, got {'m': 1}"),
     ("avg-power", lambda: dict(PROBLEM, material_id=3),
      "material_id must be a string, got 3"),
     # mesh-gen reads the problem sections it accepts
     ("mesh-gen", lambda: dict(PROBLEM, materials={"regions": {
         "0": {"type": "rubber"}}}), "unknown material type 'rubber'"),
-    ("mesh-gen", lambda: dict(PROBLEM, data="x"),
+    ("mesh-gen", lambda: dict(PROBLEM, data=["x"]),
      "datum must be a JSON object"),
+    ("mesh-gen", lambda: dict(PROBLEM, data="x"),
+     "data must be a JSON list, got 'x'"),
     ("mesh-gen", lambda: dict(PROBLEM, mesh=INC_DISK),
      "mesh labels without material: [1]"),
     ("mesh-gen", lambda: dict(PROBLEM, quad_order=0),
@@ -1361,7 +1394,6 @@ def test_mesh_file_is_read_strictly(tmp_path, capsys, key, row, col, value,
 VALID_CONFIGS = {
     "mesh-gen": PROBLEM,
     "solve": PROBLEM,
-    "power": PROBLEM,
     "avg-power": PROBLEM,
     "monotonicity-suite": suite_cfg(pairs=[CONTRAST_PAIR]),
     "gateaux-check": GATEAUX,
@@ -1408,6 +1440,17 @@ def test_negative_worker_count_is_a_usage_error(tmp_path, capsys, command):
         assert exc.value.code == 2
         assert "argument --workers: must be >= 0, got -3" in \
             capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_power_is_not_a_subcommand(tmp_path, capsys):
+    # avg-power writes every column of power_batch.csv, the plain pairing
+    # <Lambda(f), f> among them
+    for extra in (["--check-only"], []):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "power", PROBLEM, *extra)
+        assert exc.value.code == 2
+        assert "invalid choice: 'power'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
